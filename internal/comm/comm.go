@@ -104,6 +104,10 @@ type Comm struct {
 	syncColl  int64
 	asyncColl int64
 	inflight  bool
+	// spare is the ring chunk this rank last received and consumed. A
+	// received slice belongs to its receiver, so it is the next send buffer
+	// and a steady-state all-reduce allocates nothing.
+	spare []float64
 }
 
 // Rank returns this endpoint's rank.
@@ -171,6 +175,20 @@ func (c *Comm) sendRight(data []float64) error {
 	return c.sendOn(c.g.right[c.rank], data, (c.rank+1)%c.g.size)
 }
 
+// sendChunk sends a copy of x right, in the spare buffer when it is large
+// enough (chunk sizes differ by one element at most within a collective, but
+// successive collectives may differ in length).
+func (c *Comm) sendChunk(x []float64) error {
+	out := c.spare
+	c.spare = nil
+	if cap(out) < len(x) {
+		out = make([]float64, len(x))
+	}
+	out = out[:len(x)]
+	copy(out, x)
+	return c.sendRight(out)
+}
+
 func (c *Comm) recvLeft() ([]float64, error) {
 	left := (c.rank - 1 + c.g.size) % c.g.size
 	return c.recvOn(c.g.right[left], left)
@@ -221,9 +239,7 @@ func (c *Comm) ringReduce(x []float64) error {
 		sendIdx := (c.rank - s + p) % p
 		recvIdx := (c.rank - s - 1 + p) % p
 		lo, hi := chunkBounds(n, p, sendIdx)
-		out := make([]float64, hi-lo)
-		copy(out, x[lo:hi])
-		if err := c.sendRight(out); err != nil {
+		if err := c.sendChunk(x[lo:hi]); err != nil {
 			return err
 		}
 		in, err := c.recvLeft()
@@ -234,15 +250,14 @@ func (c *Comm) ringReduce(x []float64) error {
 		for i := range in {
 			x[lo+i] += in[i]
 		}
+		c.spare = in
 	}
 	// All-gather: circulate the reduced chunks.
 	for s := 0; s < p-1; s++ {
 		sendIdx := (c.rank + 1 - s + p) % p
 		recvIdx := (c.rank - s + p) % p
 		lo, hi := chunkBounds(n, p, sendIdx)
-		out := make([]float64, hi-lo)
-		copy(out, x[lo:hi])
-		if err := c.sendRight(out); err != nil {
+		if err := c.sendChunk(x[lo:hi]); err != nil {
 			return err
 		}
 		in, err := c.recvLeft()
@@ -251,6 +266,7 @@ func (c *Comm) ringReduce(x []float64) error {
 		}
 		lo, hi = chunkBounds(n, p, recvIdx)
 		copy(x[lo:hi], in)
+		c.spare = in
 	}
 	return nil
 }

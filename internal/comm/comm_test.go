@@ -190,6 +190,56 @@ func TestRepeatedCollectives(t *testing.T) {
 	})
 }
 
+// TestAllReduceSumSteadyStateAllocs pins the chunk recycling of the ring: a
+// rank sends each chunk in the buffer it last received, so once the
+// circulating buffers have grown to the largest chunk a two-rank all-reduce
+// allocates nothing — over the payload lengths an SR step alternates between
+// (2 energy sums, gradient | O-row sum, Fisher sweep d+1) — and every reduced
+// element is still the exact sum.
+func TestAllReduceSumSteadyStateAllocs(t *testing.T) {
+	lens := []int{2, 2540, 1271}
+	g := NewGroup(2)
+	c0, c1 := g.Rank(0), g.Rank(1)
+	release, done := make(chan struct{}), make(chan struct{})
+	round := func(c *Comm, x []float64) {
+		for _, n := range lens {
+			for i := range x[:n] {
+				x[i] = float64(i + c.Rank())
+			}
+			if err := c.AllReduceSum(x[:n]); err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+			}
+			for i, v := range x[:n] {
+				if v != float64(2*i+1) {
+					t.Errorf("rank %d len %d: x[%d] = %v, want %v", c.Rank(), n, i, v, float64(2*i+1))
+					return
+				}
+			}
+		}
+	}
+	go func() {
+		defer close(done)
+		x1 := make([]float64, lens[1])
+		for range release {
+			round(c1, x1)
+		}
+	}()
+	x0 := make([]float64, lens[1])
+	call := func() {
+		release <- struct{}{}
+		round(c0, x0)
+	}
+	for i := 0; i < 3; i++ {
+		call() // grow the circulating buffers
+	}
+	allocs := testing.AllocsPerRun(50, call)
+	close(release)
+	<-done
+	if allocs != 0 {
+		t.Fatalf("warmed two-rank AllReduceSum rounds allocate %v times, want 0", allocs)
+	}
+}
+
 func TestTrafficAccounting(t *testing.T) {
 	p, n := 4, 100
 	g := NewGroup(p)

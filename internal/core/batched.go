@@ -182,26 +182,30 @@ func GradBlocks(n int) int { return (n + GradBlockSize - 1) / GradBlockSize }
 // AddWeightedRows accumulates dst += sum_k w[k] * rows.Sample(k) using the
 // fixed-block scheme above, fanning block partials across up to workers
 // goroutines. parts must be a GradBlocks(rows.N) x rows.Dim workspace; its
-// contents are overwritten. dst is NOT zeroed first.
+// contents are overwritten. dst is NOT zeroed first. Inside a block, and in
+// the fold of the partials, the rows go through tensor.Batch.AddWeightedRows
+// four at a time (eight quads per full block): each element still takes its
+// terms one add at a time in ascending row order, so the bytes are those of
+// one AXPY per row.
 func AddWeightedRows(dst tensor.Vector, rows *tensor.Batch, w []float64, parts *tensor.Batch, workers int) {
-	nb := GradBlocks(rows.N)
-	if parts.N < nb || parts.Dim != rows.Dim {
+	nb, d := GradBlocks(rows.N), rows.Dim
+	if parts.N < nb || parts.Dim != d {
 		panic("core: AddWeightedRows parts workspace too small")
 	}
 	parallel.For(nb, workers, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			p := parts.Sample(bi)
 			p.Fill(0)
-			k1 := (bi + 1) * GradBlockSize
-			if k1 > rows.N {
-				k1 = rows.N
-			}
-			for k := bi * GradBlockSize; k < k1; k++ {
-				p.AXPY(w[k], rows.Sample(k))
-			}
+			k0, k1 := bi*GradBlockSize, min((bi+1)*GradBlockSize, rows.N)
+			blk := tensor.Batch{N: k1 - k0, Dim: d, Data: rows.Data[k0*d : k1*d]}
+			blk.AddWeightedRows(p, w[k0:k1], 0, d)
 		}
 	})
-	for bi := 0; bi < nb; bi++ {
-		dst.Add(parts.Sample(bi))
-	}
+	foldParts(dst, parts, nb)
+}
+
+// foldParts adds the first nb block partials to dst in ascending block order.
+func foldParts(dst tensor.Vector, parts *tensor.Batch, nb int) {
+	folded := tensor.Batch{N: nb, Dim: parts.Dim, Data: parts.Data[:nb*parts.Dim]}
+	folded.AddWeightedRows(dst, nil, 0, parts.Dim)
 }

@@ -313,9 +313,7 @@ func (t *Trainer) computeGradient(mean float64) {
 			}
 		}
 	})
-	for bi := 0; bi < nb; bi++ {
-		t.grad.Add(t.gparts.Sample(bi))
-	}
+	foldParts(t.grad, t.gparts, nb)
 }
 
 // Train runs iters iterations, invoking cb (if non-nil) after each, and

@@ -732,11 +732,11 @@ func (t *Trainer) srStep(rep Replica, st *replicaState, s, s2 float64, sw *stopw
 		st.wbuf[k] = 2 * (st.locals[k] - mean) / t.bf
 	}
 	core.AddWeightedRows(grad, st.ows, st.wbuf, st.gparts, st.workers)
-	// The O-row sum stays a plain ordered loop: it must match the serial
-	// NewBatchFisher obar accumulation bit-for-bit at L=1.
-	for k := 0; k < t.mb; k++ {
-		osum.Add(st.ows.Sample(k))
-	}
+	// The O-row sum is the same row-blocked kernel call NewBatchFisher makes
+	// for obar (four rows per pass, each element still summed one row at a
+	// time in ascending order), so it matches the serial accumulation
+	// bit-for-bit at L=1.
+	st.ows.AddWeightedRows(osum, nil, 0, t.d)
 	sw.lap(&t.timings.Grad)
 
 	if err := st.gpack.AllReduce(st.cm); err != nil {

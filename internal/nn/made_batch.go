@@ -69,6 +69,7 @@ type madeBatchEvaluator struct {
 	bufXB, bufPre, bufPre2    []float64
 	bufBase                   []float64
 	dz2, da                   []tensor.Vector // per-worker backward scratch
+	needSnap, needPre         []bool          // per-call flip marks over hidden units / sites
 }
 
 // NewBatchEvaluator implements BatchEvaluatorBuilder. workers bounds the
@@ -79,7 +80,8 @@ func (m *MADE) NewBatchEvaluator(workers int) BatchEvaluator {
 		workers = parallel.MaxWorkers()
 	}
 	e := &madeBatchEvaluator{m: m, workers: workers,
-		dz2: make([]tensor.Vector, workers), da: make([]tensor.Vector, workers)}
+		dz2: make([]tensor.Vector, workers), da: make([]tensor.Vector, workers),
+		needSnap: make([]bool, m.h), needPre: make([]bool, m.n)}
 	for w := 0; w < workers; w++ {
 		e.dz2[w] = tensor.NewVector(m.n)
 		e.da[w] = tensor.NewVector(m.h)
@@ -229,8 +231,9 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 	// unit before it is bitwise untouched by that flip, so the flip row's
 	// layer-2 fold can resume from the base fold there.
 	maxK0 := -1
-	needSnap := make([]bool, m.h)
-	needPre := make([]bool, m.n)
+	needSnap, needPre := e.needSnap, e.needPre
+	clear(needSnap)
+	clear(needPre)
 	for _, bit := range flips {
 		if runs := m.flipRuns[bit]; len(runs) > 0 {
 			needPre[bit] = true

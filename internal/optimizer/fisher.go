@@ -61,32 +61,33 @@ type SplitFisherOp interface {
 // tbuf is an N-length workspace for the per-sample dot products.
 //
 // The sweep is bitwise independent of the worker count: pass 1 computes
-// t_k = O_k . v in parallel over rows (each t_k by exactly one worker),
-// pass 2 computes acc[i] = sum_k t_k O_ki in parallel over COLUMNS, so each
-// element is accumulated in sample order by exactly one worker, and the
-// trailing scalar is reduced serially in sample order. Worker partitioning
+// t_k = O_k . v in parallel over rows (whole quads, each t_k by exactly one
+// worker), pass 2 computes acc[i] = sum_k t_k O_ki in parallel over COLUMNS,
+// so each element is accumulated in sample order by exactly one worker, and
+// the trailing scalar is reduced serially in sample order. Both passes run
+// the row-blocked tensor.Batch kernels, which take four rows at a time
+// across independent outputs and never split an accumulation chain — the
+// bytes are those of a per-row Dot / AXPY loop. Worker partitioning
 // therefore only changes who computes each independent element — the
 // invariance that lets two-level replica x worker trainers keep bit-exact
 // parity with any other worker configuration.
 func FisherPartial(ows *tensor.Batch, v tensor.Vector, acc, tbuf []float64, workers int) {
 	d := ows.Dim
-	parallel.For(ows.N, workers, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			tbuf[k] = ows.Sample(k).Dot(v)
-		}
-	})
-	parallel.For(d, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			acc[i] = 0
-		}
-		for k := 0; k < ows.N; k++ {
-			tk := tbuf[k]
-			row := ows.Data[k*d : (k+1)*d]
-			for i := lo; i < hi; i++ {
-				acc[i] += tk * row[i]
-			}
-		}
-	})
+	if workers == 1 {
+		// No loop bodies on the serial path: a closure handed to
+		// parallel.For escapes, and a warmed serial solve allocates nothing.
+		ows.RowDots(tbuf, v, 0, ows.N)
+		clear(acc[:d])
+		ows.AddWeightedRows(acc[:d], tbuf, 0, d)
+	} else {
+		parallel.For((ows.N+3)/4, workers, func(lo, hi int) {
+			ows.RowDots(tbuf, v, 4*lo, min(4*hi, ows.N))
+		})
+		parallel.For(d, workers, func(lo, hi int) {
+			clear(acc[lo:hi])
+			ows.AddWeightedRows(acc[:d], tbuf, lo, hi)
+		})
+	}
 	var s float64
 	for k := 0; k < ows.N; k++ {
 		s += tbuf[k] * tbuf[k]
@@ -131,9 +132,7 @@ type batchFisher struct {
 func NewBatchFisher(ows *tensor.Batch, lambda float64, workers int) FisherOp {
 	bs := float64(ows.N)
 	obar := tensor.NewVector(ows.Dim)
-	for k := 0; k < ows.N; k++ {
-		obar.Add(ows.Sample(k))
-	}
+	ows.AddWeightedRows(obar, nil, 0, ows.Dim)
 	obar.Scale(1 / bs)
 	return &batchFisher{ows: ows, obar: obar,
 		acc: make([]float64, ows.Dim+1), tbuf: make([]float64, ows.N),
@@ -167,17 +166,50 @@ func (f *batchFisher) FinishApply(v, out tensor.Vector) float64 {
 // iteration instead of two. All control flow depends only on replicated
 // values, so every rank of a distributed group takes identical branches and
 // issues the same number of collectives — the lockstep property the ring
-// all-reduce requires.
+// all-reduce requires. This entry point allocates the solve's d-vectors per
+// call; SR.PreconditionOp runs the same solve on workspace it keeps.
 func SolveFisherCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter int) linalg.CGResult {
-	n := len(b)
-	r := make([]float64, n)
-	p := make([]float64, n)
-	ap := tensor.NewVector(n)
+	return new(cgWork).solveCG(op, b, x, tol, maxIter)
+}
+
+// cgWork is the d-vector scratch of the two Fisher-CG solvers, grown on
+// demand. Every vector is fully written before it is read in a solve, so
+// nothing carries over between solves: it is workspace, not solver state.
+type cgWork struct{ buf []float64 }
+
+// vectors returns four n-vectors carved out of the workspace.
+func (c *cgWork) vectors(n int) (r, p, s, w tensor.Vector) {
+	if cap(c.buf) < 4*n {
+		c.buf = make([]float64, 4*n)
+	}
+	return c.buf[:n], c.buf[n : 2*n], c.buf[2*n : 3*n], c.buf[3*n : 4*n]
+}
+
+// cgTiny is 2^-511, the square root of the smallest normal float64. A
+// component below it no longer reaches any inner product of the solve (its
+// square is not a normal number), yet it never dies on its own: a parameter
+// no sample of the batch depends on sees A = lambda*I, its warm-started x, r
+// and p shrink by a common factor every iteration, and gradual underflow
+// pins them at a few subnormal ulps for good. Each one then costs a
+// microcode assist per multiply in the O-matrix sweeps, and a step gets
+// slower the longer a run has trained. The solvers therefore store such a
+// component as the zero it stands for.
+const cgTiny = 0x1p-511
+
+func flushTiny(v float64) float64 {
+	if math.Abs(v) < cgTiny {
+		return 0
+	}
+	return v
+}
+
+func (c *cgWork) solveCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter int) linalg.CGResult {
+	r, p, ap, _ := c.vectors(len(b))
 
 	op.ApplyDot(x, ap)
 	var bnorm float64
 	for i := range b {
-		r[i] = b[i] - ap[i]
+		r[i] = flushTiny(b[i] - ap[i])
 		bnorm += b[i] * b[i]
 	}
 	bnorm = math.Sqrt(bnorm)
@@ -188,7 +220,7 @@ func SolveFisherCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter int) li
 		return linalg.CGResult{Converged: true}
 	}
 	copy(p, r)
-	rr := tensor.Vector(r).Dot(tensor.Vector(r))
+	rr := r.Dot(r)
 	for k := 0; k < maxIter; k++ {
 		if math.Sqrt(rr)/bnorm < tol {
 			return linalg.CGResult{Iterations: k, Residual: math.Sqrt(rr) / bnorm, Converged: true}
@@ -200,13 +232,13 @@ func SolveFisherCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter int) li
 		}
 		alpha := rr / pap
 		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
+			x[i] = flushTiny(x[i] + alpha*p[i])
+			r[i] = flushTiny(r[i] - alpha*ap[i])
 		}
-		rrNew := tensor.Vector(r).Dot(tensor.Vector(r))
+		rrNew := r.Dot(r)
 		beta := rrNew / rr
 		for i := range p {
-			p[i] = r[i] + beta*p[i]
+			p[i] = flushTiny(r[i] + beta*p[i])
 		}
 		rr = rrNew
 	}
@@ -231,20 +263,23 @@ func SolveFisherCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter int) li
 // the lockstep property the ring requires. The cost relative to classic is
 // one extra operator application per solve (s0 = A p0 is computed fresh
 // rather than inherited), after which s = A p is maintained by the
-// recurrence s <- w + beta s with w = A r the fresh product.
+// recurrence s <- w + beta s with w = A r the fresh product. Like
+// SolveFisherCG this entry point allocates its vectors per call.
 func SolveFisherPipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol float64, maxIter int) linalg.CGResult {
-	n := len(b)
-	r := tensor.NewVector(n)
-	p := tensor.NewVector(n)
-	s := tensor.NewVector(n) // s = A p, maintained by recurrence
-	w := tensor.NewVector(n) // w = A r, the fresh product each iteration
+	return new(cgWork).solvePipelinedCG(op, b, x, tol, maxIter)
+}
+
+func (c *cgWork) solvePipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol float64, maxIter int) linalg.CGResult {
+	// s = A p is maintained by recurrence; w = A r is the fresh product of
+	// each iteration.
+	r, p, s, w := c.vectors(len(b))
 
 	// r0 = b - A x0; ||b|| is formed while the reduction is in flight.
 	op.StartApply(x)
 	bnorm := math.Sqrt(b.Dot(b))
 	op.FinishApply(x, w)
 	for i := range b {
-		r[i] = b[i] - w[i]
+		r[i] = flushTiny(b[i] - w[i])
 	}
 	if bnorm == 0 {
 		for i := range x {
@@ -269,8 +304,8 @@ func SolveFisherPipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol float64, m
 		}
 		alpha := gamma / delta
 		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * s[i]
+			x[i] = flushTiny(x[i] + alpha*p[i])
+			r[i] = flushTiny(r[i] - alpha*s[i])
 		}
 		// Kick off the one fresh Fisher product of the iteration, then run
 		// everything that does not depend on it — the residual norm, beta
@@ -279,11 +314,11 @@ func SolveFisherPipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol float64, m
 		gammaNew := r.Dot(r)
 		beta := gammaNew / gamma
 		for i := range p {
-			p[i] = r[i] + beta*p[i]
+			p[i] = flushTiny(r[i] + beta*p[i])
 		}
 		op.FinishApply(r, w)
 		for i := range s {
-			s[i] = w[i] + beta*s[i]
+			s[i] = flushTiny(w[i] + beta*s[i])
 		}
 		gamma = gammaNew
 	}

@@ -135,3 +135,157 @@ func TestSRClone(t *testing.T) {
 		t.Fatal("Clone must not share solver state")
 	}
 }
+
+// fisherPartialTwoLoops is FisherPartial as it was before the row-blocked
+// kernels: one Dot per row, then one accumulator update per row. Kept as the
+// reference the blocked sweep must reproduce bit for bit.
+func fisherPartialTwoLoops(ows *tensor.Batch, v tensor.Vector, acc, tbuf []float64) {
+	d := ows.Dim
+	for k := 0; k < ows.N; k++ {
+		tbuf[k] = ows.Sample(k).Dot(v)
+	}
+	for i := 0; i < d; i++ {
+		acc[i] = 0
+	}
+	for k := 0; k < ows.N; k++ {
+		tk := tbuf[k]
+		row := ows.Data[k*d : (k+1)*d]
+		for i := 0; i < d; i++ {
+			acc[i] += tk * row[i]
+		}
+	}
+	var s float64
+	for k := 0; k < ows.N; k++ {
+		s += tbuf[k] * tbuf[k]
+	}
+	acc[d] = s
+}
+
+// TestFisherPartialMatchesTwoLoopReference pins the row-blocked sweep to the
+// pre-change loops with exact bit equality, across quad tails, ragged
+// column splits and worker counts. acc starts as garbage: the sweep must
+// overwrite, not accumulate.
+func TestFisherPartialMatchesTwoLoopReference(t *testing.T) {
+	r := rng.New(17)
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 31, 32, 33} {
+		for _, d := range []int{1, 3, 64, 1270} {
+			ows := tensor.NewBatch(n, d)
+			r.FillUniform(ows.Data, -1, 1)
+			for i := 0; i < len(ows.Data); i += 5 {
+				ows.Data[i] = math.Copysign(0, float64(i%2)-0.5)
+			}
+			v := tensor.NewVector(d)
+			r.FillUniform(v, -1, 1)
+			want, wantT := make([]float64, d+1), make([]float64, n)
+			fisherPartialTwoLoops(ows, v, want, wantT)
+			for _, w := range []int{1, 2, 3, 4, 8} {
+				got, gotT := make([]float64, d+1), make([]float64, n)
+				r.FillUniform(got, -1, 1)
+				FisherPartial(ows, v, got, gotT, w)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("N=%d d=%d workers=%d: acc[%d] = %v, two-loop reference %v", n, d, w, i, got[i], want[i])
+					}
+				}
+				for k := range wantT {
+					if math.Float64bits(gotT[k]) != math.Float64bits(wantT[k]) {
+						t.Fatalf("N=%d d=%d workers=%d: t[%d] = %v, two-loop reference %v", n, d, w, k, gotT[k], wantT[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPreconditionOpSteadyStateAllocs: once the SR's workspace has grown, a
+// solve on the serial operator allocates nothing, with either solver. Tol 0
+// is never met, so every solve runs its full iteration budget.
+func TestPreconditionOpSteadyStateAllocs(t *testing.T) {
+	r := rng.New(18)
+	d, bs := 33, 64
+	ows := tensor.NewBatch(bs, d)
+	r.FillUniform(ows.Data, -1, 1)
+	grad := tensor.NewVector(d)
+	r.FillUniform(grad, -1, 1)
+	op := NewBatchFisher(ows, 1e-3, 1)
+	for _, solver := range []SolverKind{SolverCG, SolverPipelined} {
+		sr := NewSR(1e-3)
+		sr.Tol, sr.MaxIter, sr.Solver = 0, 6, solver
+		sr.PreconditionOp(op, grad)
+		allocs := testing.AllocsPerRun(20, func() { sr.PreconditionOp(op, grad) })
+		if it := sr.LastSolve().Iterations; it != 6 {
+			t.Fatalf("%v: solve ran %d iterations, want the full 6", solver, it)
+		}
+		if allocs != 0 {
+			t.Fatalf("%v: warmed PreconditionOp allocates %v times per solve, want 0", solver, allocs)
+		}
+	}
+}
+
+// watchOp records the smallest nonzero magnitude among all components the
+// solver ever hands to the operator.
+type watchOp struct {
+	SplitFisherOp
+	minSeen float64
+}
+
+func (w *watchOp) watch(v tensor.Vector) {
+	for _, x := range v {
+		if a := math.Abs(x); a != 0 && a < w.minSeen {
+			w.minSeen = a
+		}
+	}
+}
+func (w *watchOp) ApplyDot(v, out tensor.Vector) float64 {
+	w.watch(v)
+	return w.SplitFisherOp.ApplyDot(v, out)
+}
+func (w *watchOp) StartApply(v tensor.Vector) {
+	w.watch(v)
+	w.SplitFisherOp.StartApply(v)
+}
+
+// TestFisherCGFlushesDeadComponents pins the underflow rule of the two
+// solvers. A parameter no row of the batch depends on sees A = lambda*I and
+// a zero gradient, so its warm-started component only ever shrinks; left
+// alone it ends up pinned at a few subnormal ulps and every later sweep pays
+// for it. Over a warm-started run the component must decay through the small
+// magnitudes, never be stored or handed to the operator below cgTiny (it
+// comes to rest at zero or, once its residual lambda*x flushes, just above
+// the threshold), while the live components still solve the system.
+func TestFisherCGFlushesDeadComponents(t *testing.T) {
+	const d, bs, dead = 6, 12, 4
+	for _, solver := range []SolverKind{SolverCG, SolverPipelined} {
+		r := rng.New(21)
+		ows := tensor.NewBatch(bs, d)
+		r.FillUniform(ows.Data, -1, 1)
+		for k := 0; k < bs; k++ {
+			ows.Sample(k)[dead] = 0
+		}
+		op := &watchOp{SplitFisherOp: NewBatchFisher(ows, 0.1, 1).(SplitFisherOp), minSeen: math.Inf(1)}
+		sr := NewSR(0.1)
+		sr.Solver, sr.Tol, sr.MaxIter = solver, 1e-30, 40
+		sr.delta = tensor.NewVector(d)
+		sr.delta[dead] = 1e-3
+		grad := tensor.NewVector(d)
+		var x tensor.Vector
+		for step := 0; step < 400; step++ {
+			r.FillUniform(grad, -1, 1)
+			grad[dead] = 0
+			x = sr.PreconditionOp(op, grad)
+		}
+		if op.minSeen >= 1e-100 || op.minSeen < cgTiny {
+			t.Errorf("solver %v: smallest nonzero component applied is %g, want within [%g, 1e-100)", solver, op.minSeen, cgTiny)
+		}
+		if a := math.Abs(x[dead]); a >= 1e-100 || (a != 0 && a < cgTiny) {
+			t.Errorf("solver %v: dead component is %g after 400 warm-started solves, want 0 or within [%g, 1e-100)", solver, x[dead], cgTiny)
+		}
+		out := tensor.NewVector(d)
+		op.ApplyDot(x, out)
+		for i := range out {
+			if math.Abs(out[i]-grad[i]) > 1e-9 {
+				t.Errorf("solver %v: (A x)[%d] = %v, want %v", solver, i, out[i], grad[i])
+			}
+		}
+	}
+}

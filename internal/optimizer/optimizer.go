@@ -128,6 +128,7 @@ type SR struct {
 	MaxStepNorm float64
 	delta       tensor.Vector // warm start across iterations
 	last        linalg.CGResult
+	work        cgWork // solver scratch; not state (Clone/CaptureState skip it)
 }
 
 // NewSR returns an SR preconditioner with the paper's regularization and a
@@ -166,11 +167,11 @@ func (s *SR) PreconditionOp(op FisherOp, grad tensor.Vector) tensor.Vector {
 		maxIter = 200
 	}
 	if sp, ok := op.(SplitFisherOp); ok && s.Solver == SolverPipelined {
-		s.last = SolveFisherPipelinedCG(sp, grad, s.delta, s.Tol, maxIter)
+		s.last = s.work.solvePipelinedCG(sp, grad, s.delta, s.Tol, maxIter)
 	} else {
 		// Classic CG; also the fallback for ops that cannot split their
 		// application at the synchronization point.
-		s.last = SolveFisherCG(op, grad, s.delta, s.Tol, maxIter)
+		s.last = s.work.solveCG(op, grad, s.delta, s.Tol, maxIter)
 	}
 	if s.MaxStepNorm > 0 {
 		if n := s.delta.Norm2(); n > s.MaxStepNorm {
@@ -197,9 +198,7 @@ func (s *SR) DenseFisher(ows *tensor.Batch) []float64 {
 	d := ows.Dim
 	bs := float64(ows.N)
 	obar := tensor.NewVector(d)
-	for k := 0; k < ows.N; k++ {
-		obar.Add(ows.Sample(k))
-	}
+	ows.AddWeightedRows(obar, nil, 0, d)
 	obar.Scale(1 / bs)
 	m := make([]float64, d*d)
 	for k := 0; k < ows.N; k++ {
