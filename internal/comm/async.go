@@ -27,8 +27,8 @@ package comm
 // is visible in the buffer passed at initiation.
 type Handle struct {
 	c      *Comm
-	done   chan struct{}
-	err    error // written before done is closed, read after Wait observes it
+	done   chan struct{} // nil when the collective completed at initiation
+	err    error         // written before done is closed, read after Wait observes it
 	waited bool
 }
 
@@ -41,7 +41,9 @@ func (h *Handle) Wait() error {
 		panic("comm: Handle.Wait called twice")
 	}
 	h.waited = true
-	<-h.done
+	if h.done != nil {
+		<-h.done
+	}
 	h.c.end()
 	return h.err
 }
@@ -51,23 +53,22 @@ func (h *Handle) Wait() error {
 // must not be touched. The traffic moved is identical to AllReduceSum —
 // only the blocking point changes.
 func (c *Comm) IAllReduceSum(x []float64) *Handle {
-	h := &Handle{c: c, done: make(chan struct{})}
 	if err := c.begin(); err != nil {
 		// Failed initiation (dead rank or condemned group): hand back a
 		// completed handle carrying the error so the caller's
 		// Start/Finish discipline stays uniform.
-		h.err = err
-		close(h.done)
-		return h
+		return &Handle{c: c, err: err}
 	}
 	c.asyncColl++
 	if c.g.size == 1 {
 		// Nothing to exchange and RingAllReduceTime(p=1) is zero: complete
-		// immediately so single-rank groups stay goroutine-free and
-		// deterministic.
-		close(h.done)
-		return h
+		// immediately, on the one handle the rank reuses (at most one
+		// collective is in flight per rank), so single-rank groups stay
+		// goroutine-free, allocation-free and deterministic.
+		c.solo = Handle{c: c}
+		return &c.solo
 	}
+	h := &Handle{c: c, done: make(chan struct{})}
 	go func() {
 		if err := c.injectDelay(); err != nil {
 			h.err = err

@@ -108,6 +108,8 @@ type Comm struct {
 	// received slice belongs to its receiver, so it is the next send buffer
 	// and a steady-state all-reduce allocates nothing.
 	spare []float64
+	// solo is the pre-completed handle a single-rank IAllReduceSum returns.
+	solo Handle
 }
 
 // Rank returns this endpoint's rank.

@@ -98,7 +98,7 @@ func TestTrainerBatchedTrajectoryBitIdentical(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			scalar := buildEquivTrainer(7, 9, 64, workers, EvalScalar, useSR)
 			batched := buildEquivTrainer(7, 9, 64, workers, EvalAuto, useSR)
-			if batched.bev == nil {
+			if batched.step.bev == nil {
 				t.Fatal("batched trainer did not engage the batched evaluator")
 			}
 			hs := scalar.Train(50, nil)
@@ -153,7 +153,7 @@ func TestRBMTrainerBatchedTrajectoryBitIdentical(t *testing.T) {
 		for _, useSR := range []bool{false, true} {
 			scalar := buildRBMTrainer(gibbs, 2, EvalScalar, useSR)
 			batched := buildRBMTrainer(gibbs, 2, EvalAuto, useSR)
-			if batched.bev == nil {
+			if batched.step.bev == nil {
 				t.Fatal("RBM trainer did not engage the batched evaluator")
 			}
 			hs := scalar.Train(40, nil)
@@ -196,7 +196,7 @@ func TestGradientWorkerInvariance(t *testing.T) {
 		}
 		tr := New(h, m, &frozenSampler{src: fixed}, &nullOpt{}, cfg)
 		tr.Step()
-		return tr.grad.Clone()
+		return tr.lastGrad().Clone()
 	}
 
 	for _, useSR := range []bool{false, true} {

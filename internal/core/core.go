@@ -6,12 +6,19 @@
 // an optimizer step. The loop also tracks the standard deviation of the
 // stochastic objective, which vanishes at an exact eigenstate (Eq. 4) and is
 // the blue curve of the paper's Figure 2.
+//
+// The iteration is written once, as the step of one rank of a comm group
+// (ReplicaStep, step.go). Trainer drives it on a private 1-rank group, where
+// every collective is the identity; package dist drives L of them on
+// goroutines. There is no second, serial implementation.
 package core
 
 import (
+	"fmt"
 	"math"
 	"time"
 
+	"github.com/vqmc-scale/parvqmc/internal/comm"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
@@ -21,11 +28,14 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// Model is the wavefunction contract the trainer needs: amplitudes,
-// gradients and flip ratios.
+// Model is the wavefunction contract the step needs: amplitudes, per-worker
+// gradient evaluators, and flip caches for local energies. All four neural
+// families satisfy it, and any may ride the batched evaluation path when it
+// additionally implements nn.BatchEvaluatorBuilder.
 type Model interface {
 	nn.Wavefunction
 	nn.CacheBuilder
+	nn.GradEvaluatorBuilder
 }
 
 // LocalEnergies fills out[k] with the local energy of batch row k:
@@ -102,29 +112,16 @@ type Config struct {
 }
 
 // Trainer runs the VQMC loop for one (Hamiltonian, model, sampler,
-// optimizer) quadruple.
+// optimizer) quadruple: the 1-rank driver of ReplicaStep.
 type Trainer struct {
 	H     hamiltonian.Hamiltonian
 	Model Model
 	Smp   sampler.Sampler
 	Opt   optimizer.Optimizer
 
-	cfg     Config
-	batch   *sampler.Batch
-	locals  []float64
-	grad    tensor.Vector
-	ows     *tensor.Batch // per-sample O_k, allocated only under SR
-	evals   []nn.GradEvaluator
-	iter    int
-	timings Timings
-	// Batched evaluation state: bev is non-nil when the model provides a
-	// batched path and Config.Eval allows it; wbuf holds the per-sample
-	// gradient coefficients, gparts the fixed-block reduction partials,
-	// and slabOws the gradient slab for the batched streaming path.
-	bev     *BatchedEval
-	wbuf    []float64
-	gparts  *tensor.Batch
-	slabOws *tensor.Batch
+	cfg  Config
+	step *ReplicaStep
+	iter int
 	// Evaluation workspace, cached across EvaluateBest calls so TrainUntil
 	// (which evaluates after every iteration) allocates nothing per step.
 	evalBatch  *sampler.Batch
@@ -139,95 +136,42 @@ func New(h hamiltonian.Hamiltonian, model Model, smp sampler.Sampler, opt optimi
 	if cfg.Workers <= 0 {
 		cfg.Workers = parallel.MaxWorkers()
 	}
-	t := &Trainer{H: h, Model: model, Smp: smp, Opt: opt, cfg: cfg}
-	t.batch = sampler.NewBatch(cfg.BatchSize, h.N())
-	t.locals = make([]float64, cfg.BatchSize)
-	t.grad = tensor.NewVector(model.NumParams())
-	if cfg.SR != nil {
-		t.ows = tensor.NewBatch(cfg.BatchSize, model.NumParams())
-	}
-	t.evals = make([]nn.GradEvaluator, cfg.Workers)
-	for i := range t.evals {
-		t.evals[i] = newGradEvaluator(model)
-	}
-	t.bev = NewBatchedEval(model, cfg.Eval, cfg.Workers)
-	t.wbuf = make([]float64, cfg.BatchSize)
-	t.gparts = tensor.NewBatch(GradBlocks(cfg.BatchSize), model.NumParams())
-	return t
+	return &Trainer{H: h, Model: model, Smp: smp, Opt: opt, cfg: cfg,
+		step: NewReplicaStep(h, Replica{Model: model, Smp: smp, Opt: opt, SR: cfg.SR,
+			Workers: cfg.Workers, Eval: cfg.Eval}, comm.NewGroup(1).Rank(0), cfg.BatchSize)}
 }
-
-func newGradEvaluator(m Model) nn.GradEvaluator {
-	if b, ok := m.(nn.GradEvaluatorBuilder); ok {
-		return b.NewGradEvaluator()
-	}
-	return fallbackEvaluator{m}
-}
-
-type fallbackEvaluator struct{ m Model }
-
-func (f fallbackEvaluator) GradLogPsi(x []int, g tensor.Vector) { f.m.GradLogPsi(x, g) }
-func (f fallbackEvaluator) LogPsi(x []int) float64              { return f.m.LogPsi(x) }
-
-// PrewarmCaches forwards to the wrapped model so FillOws's coordinator-side
-// pre-warm reaches models with lazy parameter-derived caches.
-func (f fallbackEvaluator) PrewarmCaches() { nn.Prewarm(f.m) }
 
 // Config returns the effective configuration.
 func (t *Trainer) Config() Config { return t.cfg }
 
-// Timings returns cumulative per-phase wall-clock times.
-func (t *Trainer) Timings() Timings { return t.timings }
+// Timings returns cumulative per-phase wall-clock times: the step's six
+// phases folded onto four, Grad taking the (1-rank, identity) collectives
+// and Update the SR solve.
+func (t *Trainer) Timings() Timings {
+	p := t.step.Timings()
+	return Timings{Sample: p.Sample, Energy: p.Energy, Grad: p.Grad + p.Sync, Update: p.Precond + p.Update}
+}
 
-// Step runs one VQMC iteration and returns its statistics.
+// Step runs one VQMC iteration and returns its statistics. The private
+// 1-rank group has no peer to lose and no fault script, so its collectives
+// cannot fail; an error from one is a bug and panics with the cause.
 func (t *Trainer) Step() IterStats {
 	t.iter++
-	// Rebuild any stale parameter-derived caches once, on this goroutine,
-	// before the sampler or the evaluation paths fan work out to workers.
-	nn.Prewarm(t.Model)
-	t0 := time.Now()
-	t.Smp.Sample(t.batch)
-	t1 := time.Now()
-	t.timings.Sample += t1.Sub(t0)
-
-	if t.bev != nil {
-		t.bev.LocalEnergies(t.H, t.batch, t.cfg.Workers, t.locals)
-	} else {
-		LocalEnergies(t.H, t.Model, t.batch, t.cfg.Workers, t.locals)
+	st, err := t.step.Run(t.iter)
+	if err != nil {
+		panic(fmt.Errorf("core: step %d on the private 1-rank group: %w", t.iter, err))
 	}
-	mean, std := stats.MeanStd(t.locals)
-	t2 := time.Now()
-	t.timings.Energy += t2.Sub(t1)
-
-	t.computeGradient(mean)
-	t3 := time.Now()
-	t.timings.Grad += t3.Sub(t2)
-
-	step := t.grad
-	stats := IterStats{Iter: t.iter, Batch: t.cfg.BatchSize, Energy: mean, Std: std}
-	if t.cfg.SR != nil {
-		step = t.cfg.SR.Precondition(t.ows, t.grad)
-		solve := t.cfg.SR.LastSolve()
-		stats.SRIters, stats.SRResidual = solve.Iterations, solve.Residual
-	}
-	t.Opt.Step(t.Model.Params(), step)
-	// The in-place parameter update invalidates any parameter-derived
-	// cache (MADE's masked-weight product for the batched GEMM path).
-	nn.InvalidateParams(t.Model)
-	t.timings.Update += time.Since(t3)
-
-	return stats
+	return st
 }
 
 // FillOws evaluates GradLogPsi of every batch row into the corresponding
 // ows row, partitioning rows across the per-worker evaluators (evals must
 // hold at least as many evaluators as worker ranges). Rows are independent,
 // so the result is bitwise identical for every worker count — the property
-// the distributed trainer's two-level replica x worker scheme relies on.
+// the two-level replica x worker scheme relies on.
 func FillOws(evals []nn.GradEvaluator, b *sampler.Batch, ows *tensor.Batch, workers int) {
-	// Pre-warm through the first evaluator in case the per-worker
-	// evaluators share one underlying model with lazy caches (the fallback
-	// evaluator wraps the model directly; dedicated GradEvaluators own
-	// their scratch but may still read shared parameter-derived caches).
+	// Pre-warm through the first evaluator: dedicated GradEvaluators own
+	// their scratch but may still read shared parameter-derived caches.
 	if len(evals) > 0 {
 		nn.Prewarm(evals[0])
 	}
@@ -238,82 +182,6 @@ func FillOws(evals []nn.GradEvaluator, b *sampler.Batch, ows *tensor.Batch, work
 			ev.GradLogPsi(b.Row(k), ows.Sample(k))
 		}
 	})
-}
-
-// GradSlabRows is the sample-slab size of the batched streaming gradient
-// path (no materialized full O_k batch): a multiple of GradBlockSize, so
-// slab boundaries coincide with reduction-block boundaries and the slabbed
-// reduction is bitwise identical to one AddWeightedRows over the full
-// batch. Shared with the distributed trainer's REINFORCE path.
-const GradSlabRows = 128
-
-// computeGradient forms g = (2/B) sum_k (l_k - mean) O_k through the
-// fixed-block reduction of AddWeightedRows, so the result is bitwise
-// invariant to the worker count on every path. Under SR the per-sample O_k
-// rows are also stored for the Fisher solve; otherwise the rows are
-// produced slab by slab (batched) or block by block (scalar) and never
-// fully materialized.
-func (t *Trainer) computeGradient(mean float64) {
-	bs := t.batch.N
-	d := t.Model.NumParams()
-	for k := 0; k < bs; k++ {
-		t.wbuf[k] = 2 * (t.locals[k] - mean) / float64(bs)
-	}
-	for i := range t.grad {
-		t.grad[i] = 0
-	}
-	if t.ows != nil {
-		if t.bev != nil {
-			t.bev.FillOws(t.batch, t.ows)
-		} else {
-			FillOws(t.evals, t.batch, t.ows, t.cfg.Workers)
-		}
-		AddWeightedRows(t.grad, t.ows, t.wbuf, t.gparts, t.cfg.Workers)
-		return
-	}
-	if t.bev != nil {
-		// Batched streaming: evaluate O_k rows one GradSlabRows slab at a time
-		// through the fused GEMM forward, reducing each slab with the same
-		// fixed blocks the one-shot reduction uses.
-		if t.slabOws == nil {
-			t.slabOws = tensor.NewBatch(GradSlabRows, d)
-		}
-		for lo := 0; lo < bs; lo += GradSlabRows {
-			hi := lo + GradSlabRows
-			if hi > bs {
-				hi = bs
-			}
-			slab := &sampler.Batch{N: hi - lo, Sites: t.batch.Sites,
-				Bits: t.batch.Bits[lo*t.batch.Sites : hi*t.batch.Sites]}
-			rows := &tensor.Batch{N: hi - lo, Dim: d, Data: t.slabOws.Data[:(hi-lo)*d]}
-			t.bev.FillOws(slab, rows)
-			AddWeightedRows(t.grad, rows, t.wbuf[lo:hi], t.gparts, t.cfg.Workers)
-		}
-		return
-	}
-	// Scalar streaming: each worker owns a contiguous range of fixed
-	// blocks, computing the per-block partials that are then folded in
-	// ascending block order — the same bytes AddWeightedRows produces from
-	// materialized rows.
-	nb := GradBlocks(bs)
-	branges := parallel.Partition(nb, t.cfg.Workers)
-	parallel.ForEach(len(branges), t.cfg.Workers, func(w int) {
-		ev := t.evals[w]
-		gbuf := tensor.NewVector(d)
-		for bi := branges[w].Lo; bi < branges[w].Hi; bi++ {
-			p := t.gparts.Sample(bi)
-			p.Fill(0)
-			k1 := (bi + 1) * GradBlockSize
-			if k1 > bs {
-				k1 = bs
-			}
-			for k := bi * GradBlockSize; k < k1; k++ {
-				ev.GradLogPsi(t.batch.Row(k), gbuf)
-				p.AXPY(t.wbuf[k], gbuf)
-			}
-		}
-	})
-	foldParts(t.grad, t.gparts, nb)
 }
 
 // Train runs iters iterations, invoking cb (if non-nil) after each, and
@@ -351,11 +219,7 @@ func (t *Trainer) EvaluateBest(batchSize int) (mean, std, best float64, argBest 
 	}
 	b, locals := t.evalBatch, t.evalLocals
 	t.Smp.Sample(b)
-	if t.bev != nil {
-		t.bev.LocalEnergies(t.H, b, t.cfg.Workers, locals)
-	} else {
-		LocalEnergies(t.H, t.Model, b, t.cfg.Workers, locals)
-	}
+	t.step.LocalEnergies(b, locals)
 	mean, std = stats.MeanStd(locals)
 	best = locals[0]
 	kBest := 0
@@ -393,6 +257,3 @@ func (t *Trainer) TrainUntil(target float64, score func(meanEnergy float64) floa
 	mean, _ := t.Evaluate(evalBatch)
 	return HitResult{Hit: false, Iters: maxIters, TrainTime: trainTime, Score: score(mean)}
 }
-
-// GradientNorm returns the Euclidean norm of the last computed gradient.
-func (t *Trainer) GradientNorm() float64 { return t.grad.Norm2() }

@@ -1,0 +1,277 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"github.com/vqmc-scale/parvqmc/internal/comm"
+	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
+	"github.com/vqmc-scale/parvqmc/internal/nn"
+	"github.com/vqmc-scale/parvqmc/internal/optimizer"
+	"github.com/vqmc-scale/parvqmc/internal/sampler"
+	"github.com/vqmc-scale/parvqmc/internal/tensor"
+)
+
+// GradSlabRows is the sample-slab size of the streaming gradient (no
+// materialized full O_k batch): a multiple of GradBlockSize, so slab
+// boundaries coincide with reduction-block boundaries and the slabbed
+// reduction is bitwise identical to one AddWeightedRows over the full batch.
+const GradSlabRows = 128
+
+// PhaseTimings decomposes one rank's cumulative wall-clock time by phase —
+// the per-iteration breakdown behind the paper's Figure 3 discussion. Sync
+// covers the pre-solve all-reduces (and therefore any load-imbalance wait);
+// Precond covers the SR CG solve including the per-iteration collectives it
+// issues.
+type PhaseTimings struct {
+	Sample, Energy, Grad, Sync, Precond, Update time.Duration
+}
+
+// Total returns the summed time across phases.
+func (t PhaseTimings) Total() time.Duration {
+	return t.Sample + t.Energy + t.Grad + t.Sync + t.Precond + t.Update
+}
+
+// lap adds the time since *last to *d and moves *last to now.
+func lap(last *time.Time, d *time.Duration) {
+	now := time.Now()
+	*d += now.Sub(*last)
+	*last = now
+}
+
+// Replica is one rank's share of a run: a full copy of the model, a sampler
+// drawing from that copy with its own rng stream, and a private optimizer
+// instance.
+type Replica struct {
+	Model Model
+	Smp   sampler.Sampler
+	Opt   optimizer.Optimizer
+	// SR optionally preconditions the gradient with stochastic
+	// reconfiguration, sharded over the ranks of the group.
+	SR *optimizer.SR
+	// Workers fans this replica's local-energy and gradient evaluation
+	// across up to Workers goroutines (<=1 means serial). The worker count
+	// is a pure throughput knob: trained parameters are bitwise identical
+	// for any mix of worker counts across replicas.
+	Workers int
+	// Eval selects the replica's evaluation path (EvalAuto fuses local
+	// energies and gradients into blocked GEMMs over the mini-batch;
+	// EvalScalar forces per-sample evaluation). Like Workers it is a pure
+	// throughput knob — the batched path is bitwise identical to the scalar
+	// one, so replicas may even mix modes without diverging.
+	Eval EvalMode
+}
+
+// ReplicaStep is the VQMC iteration of ONE rank of a comm group, and the
+// only implementation of it: sample a private mini-batch, evaluate local
+// energies, reduce them to one-pass sums, form the centred gradient through
+// the fixed-block reduction, combine it across the group, optionally
+// precondition it with the sharded Fisher-CG solve, update, invalidate.
+// Trainer runs it inline on a private 1-rank group — where every collective
+// is the identity, the averaging multiplies by exactly 1.0, and the global
+// batch is the mini-batch — and dist.Trainer runs L of them on goroutines.
+//
+// Every quantity entering the update is reduced to identical bytes on every
+// rank first and the update is the last action of the step, after the last
+// collective: ranks that start bit-identical stay so with no broadcast, and
+// a step that returns an error has committed nothing. The workspace is
+// allocated once, so the steady-state loop allocates nothing of its own.
+type ReplicaStep struct {
+	h       hamiltonian.Hamiltonian
+	rep     Replica // Workers normalized to >= 1
+	cm      *comm.Comm
+	timings PhaseTimings
+
+	bev    *BatchedEval       // batched GEMM evaluation; nil = scalar path
+	evals  []nn.GradEvaluator // scalar path, one per worker
+	batch  *sampler.Batch
+	locals []float64
+	wbuf   []float64     // per-sample gradient coefficients
+	gparts *tensor.Batch // fixed-block reduction partials
+	// ows holds O_k rows: the whole mini-batch under SR (the Fisher solve
+	// sweeps them every CG iteration), one GradSlabRows slab otherwise.
+	ows *tensor.Batch
+	// pack is the gradient collective: [gradient (d) | energy sum, sum of
+	// squares] for REINFORCE, so one all-reduce moves everything; [gradient
+	// (d) | O-row sum (d)] under SR, where sums travels first in a
+	// collective of its own because the GLOBAL mean must exist before the
+	// gradient is formed. sums aliases pack's tail for REINFORCE.
+	pack   *comm.Packed
+	sums   []float64
+	fisher *optimizer.ShardedFisher
+}
+
+// NewReplicaStep assembles the step of rank cm over its replica. Every rank
+// of the group must use the same miniBatch.
+func NewReplicaStep(h hamiltonian.Hamiltonian, rep Replica, cm *comm.Comm, miniBatch int) *ReplicaStep {
+	rep.Workers = max(rep.Workers, 1)
+	d := rep.Model.NumParams()
+	s := &ReplicaStep{h: h, rep: rep, cm: cm,
+		bev:    NewBatchedEval(rep.Model, rep.Eval, rep.Workers),
+		batch:  sampler.NewBatch(miniBatch, h.N()),
+		locals: make([]float64, miniBatch),
+		wbuf:   make([]float64, miniBatch),
+	}
+	if s.bev == nil {
+		s.evals = make([]nn.GradEvaluator, rep.Workers)
+		for w := range s.evals {
+			s.evals[w] = rep.Model.NewGradEvaluator()
+		}
+	}
+	if rep.SR != nil {
+		s.ows = tensor.NewBatch(miniBatch, d)
+		s.pack = comm.NewPacked(d, d)
+		s.sums = make([]float64, 2)
+		s.fisher = optimizer.NewShardedFisher(cm, s.ows, rep.SR.Lambda, rep.Workers)
+	} else {
+		s.ows = tensor.NewBatch(min(GradSlabRows, miniBatch), d)
+		s.pack = comm.NewPacked(d, 2)
+		s.sums = s.pack.Section(1)
+	}
+	s.gparts = tensor.NewBatch(GradBlocks(s.ows.N), d)
+	return s
+}
+
+// Batched reports whether the step evaluates through the batched GEMM path.
+func (s *ReplicaStep) Batched() bool { return s.bev != nil }
+
+// Timings returns this rank's cumulative per-phase wall-clock times.
+func (s *ReplicaStep) Timings() PhaseTimings { return s.timings }
+
+// FisherApplies reports how many Fisher-vector collectives this rank's SR
+// solves have issued so far. Zero without SR.
+func (s *ReplicaStep) FisherApplies() int64 {
+	if s.fisher == nil {
+		return 0
+	}
+	return s.fisher.Applies()
+}
+
+// LocalEnergies fills out[k] with the local energy of row k of b under the
+// rank's model, through whichever evaluation path the step was built with.
+func (s *ReplicaStep) LocalEnergies(b *sampler.Batch, out []float64) {
+	if s.bev != nil {
+		s.bev.LocalEnergies(s.h, b, s.rep.Workers, out)
+	} else {
+		LocalEnergies(s.h, s.rep.Model, b, s.rep.Workers, out)
+	}
+}
+
+func (s *ReplicaStep) fillOws(b *sampler.Batch, ows *tensor.Batch) {
+	if s.bev != nil {
+		s.bev.FillOws(b, ows)
+	} else {
+		FillOws(s.evals, b, ows, s.rep.Workers)
+	}
+}
+
+// Run executes the rank's share of iteration iter and returns the GLOBAL
+// batch statistics (identical on every rank). A non-nil error means a
+// collective failed — peer lost, group aborted, or this rank killed by fault
+// injection — and the rank committed nothing.
+func (s *ReplicaStep) Run(iter int) (IterStats, error) {
+	last := time.Now()
+	mb, d := s.batch.N, s.rep.Model.NumParams()
+	ranks := s.cm.Size()
+	global := float64(ranks * mb)
+
+	// Rebuild any stale parameter-derived caches on this goroutine before
+	// the sampler or the evaluation paths fan work out to workers.
+	nn.Prewarm(s.rep.Model)
+	s.rep.Smp.Sample(s.batch)
+	lap(&last, &s.timings.Sample)
+
+	// Rows are independent, so the values are bitwise identical for every
+	// worker count and either evaluation path. The one-pass sums accumulate
+	// in sample order, exactly like stats.MeanStd.
+	s.LocalEnergies(s.batch, s.locals)
+	var e, e2 float64
+	for _, l := range s.locals {
+		e += l
+		e2 += l * l
+	}
+	lap(&last, &s.timings.Energy)
+
+	// REINFORCE centres with the LOCAL mean and averages the per-rank
+	// gradients (Eq. 5 per mini-batch); SR centres with the GLOBAL mean, so
+	// the update equals serial SR on the pooled batch.
+	mean, norm := e/float64(mb), float64(mb)
+	if s.rep.SR != nil {
+		s.sums[0], s.sums[1] = e, e2
+		if err := s.cm.AllReduceSum(s.sums); err != nil {
+			return IterStats{}, fmt.Errorf("energy reduction: %w", err)
+		}
+		lap(&last, &s.timings.Sync)
+		mean, norm = s.sums[0]/global, global
+	}
+	for k, l := range s.locals {
+		s.wbuf[k] = 2 * (l - mean) / norm
+	}
+
+	// g = sum_k w_k O_k, slab by slab through AddWeightedRows: block
+	// boundaries depend only on the sample index, so the bytes are invariant
+	// to the worker count, the evaluation path and the slab size (under SR
+	// the slab is the whole mini-batch and the rows stay for the solve).
+	s.pack.Zero()
+	grad, tail := tensor.Vector(s.pack.Section(0)), tensor.Vector(s.pack.Section(1))
+	for lo := 0; lo < mb; lo += s.ows.N {
+		hi := min(lo+s.ows.N, mb)
+		slab := &sampler.Batch{N: hi - lo, Sites: s.batch.Sites,
+			Bits: s.batch.Bits[lo*s.batch.Sites : hi*s.batch.Sites]}
+		rows := &tensor.Batch{N: hi - lo, Dim: d, Data: s.ows.Data[:(hi-lo)*d]}
+		s.fillOws(slab, rows)
+		AddWeightedRows(grad, rows, s.wbuf[lo:hi], s.gparts, s.rep.Workers)
+	}
+	if s.rep.SR != nil {
+		s.ows.AddWeightedRows(tail, nil, 0, d) // O-row sum, the Fisher operator's obar
+	} else {
+		tail[0], tail[1] = e, e2
+	}
+	lap(&last, &s.timings.Grad)
+
+	if err := s.pack.AllReduce(s.cm); err != nil {
+		return IterStats{}, fmt.Errorf("gradient reduction: %w", err)
+	}
+	lap(&last, &s.timings.Sync)
+
+	mean = s.sums[0] / global
+	v := s.sums[1]/global - mean*mean
+	if v < 0 {
+		v = 0 // cancellation guard, as in stats.MeanStd
+	}
+	st := IterStats{Iter: iter, Batch: ranks * mb, Energy: mean, Std: math.Sqrt(v)}
+	delta := grad
+	if s.rep.SR != nil {
+		var err error
+		if delta, err = s.precondition(grad, tail); err != nil {
+			return IterStats{}, err
+		}
+		solve := s.rep.SR.LastSolve()
+		st.SRIters, st.SRResidual = solve.Iterations, solve.Residual
+		lap(&last, &s.timings.Precond)
+	} else {
+		grad.Scale(1 / float64(ranks))
+	}
+
+	s.rep.Opt.Step(s.rep.Model.Params(), delta)
+	// The in-place parameter update invalidates any parameter-derived
+	// cache (MADE's masked-weight product for the batched GEMM path).
+	nn.InvalidateParams(s.rep.Model)
+	lap(&last, &s.timings.Update)
+	return st, nil
+}
+
+// precondition solves (S + lambda I) delta = grad on the rank's sharded
+// Fisher operator, whose batch mean of O comes from the reduced O-row sum.
+// A collective that failed inside the solve made the solver bail on the
+// poisoned operator and left a partial iterate: that is an error here, so
+// the step commits nothing and recovery rewinds the SR warm start.
+func (s *ReplicaStep) precondition(grad, osum tensor.Vector) (tensor.Vector, error) {
+	s.fisher.SetMean(osum)
+	delta := s.rep.SR.PreconditionOp(s.fisher, grad)
+	if err := s.fisher.Err(); err != nil {
+		return nil, fmt.Errorf("fisher solve: %w", err)
+	}
+	return delta, nil
+}

@@ -57,7 +57,7 @@ func TestDistBatchedTrajectoryBitIdentical(t *testing.T) {
 	for _, useSR := range []bool{false, true} {
 		scalar := buildEvalTrainer(t, core.EvalScalar, n, h, L, mb, 2, useSR)
 		batched := buildEvalTrainer(t, core.EvalAuto, n, h, L, mb, 2, useSR)
-		if batched.state[0].bev == nil {
+		if !batched.steps[0].Batched() {
 			t.Fatal("batched trainer did not engage the batched evaluator")
 		}
 		hs := mustTrain(t, scalar, steps)
@@ -111,7 +111,7 @@ func TestDistRBMBatchedTrajectoryBitIdentical(t *testing.T) {
 	}
 	scalar := build(core.EvalScalar)
 	batched := build(core.EvalAuto)
-	if batched.state[0].bev == nil {
+	if !batched.steps[0].Batched() {
 		t.Fatal("RBM replicas did not engage the batched evaluator")
 	}
 	hs := mustTrain(t, scalar, steps)

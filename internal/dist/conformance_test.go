@@ -240,7 +240,7 @@ func confDist(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, mode core
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode != core.EvalScalar && tr.state[0].bev == nil {
+	if mode != core.EvalScalar && !tr.steps[0].Batched() {
 		t.Fatalf("%s mode %s did not engage the batched evaluator", mc.name, evalModeName(mode))
 	}
 	hist := mustTrain(t, tr, confSteps)

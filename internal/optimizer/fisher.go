@@ -9,12 +9,15 @@
 // Neuscamman, Umrigar & Chan, arXiv:1108.0900). The FisherOp interface
 // carries exactly that split: ApplyDot produces both the operator output and
 // the p.Ap inner product from one pass over the rows, so a distributed
-// implementation needs a single collective per call.
+// implementation needs a single collective per call. There is one
+// implementation, ShardedFisher, over the ranks of a comm group; the serial
+// operator is its one-shard case on a 1-rank group.
 package optimizer
 
 import (
 	"math"
 
+	"github.com/vqmc-scale/parvqmc/internal/comm"
 	"github.com/vqmc-scale/parvqmc/internal/linalg"
 	"github.com/vqmc-scale/parvqmc/internal/parallel"
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
@@ -115,48 +118,130 @@ func FisherFinish(acc []float64, obar, v, out tensor.Vector, lambda, batchN floa
 	return acc[d]/batchN - ov*ov + lambda*v.Dot(v)
 }
 
-// batchFisher is the serial FisherOp: all O_k rows live in one batch on one
-// device.
-type batchFisher struct {
+// ShardedFisher is the Fisher operator over O_k rows sharded across the ranks
+// of a comm group: it holds one rank's private rows and combines the one-pass
+// partial statistics of every rank with a single packed ring all-reduce per
+// application, so all ranks run the CG recurrence in lockstep on
+// bit-identical reduced bytes. On a 1-rank group the all-reduce is the
+// identity and the operator is the serial one (see NewBatchFisher). Its
+// buffers are allocated once; a warmed solve allocates nothing.
+type ShardedFisher struct {
+	cm      *comm.Comm
 	ows     *tensor.Batch
+	pack    *comm.Packed // [ partial Fisher-vector product (d) | partial p.Ap scalar (1) ]
+	tbuf    []float64    // per-sample dot products of this rank's rows
 	obar    tensor.Vector
-	acc     []float64 // d+1 sweep output
-	tbuf    []float64 // N per-sample dot products
 	lambda  float64
+	batchN  float64 // global sample count: ranks x rows per rank
 	workers int
+	applies int64
+	handle  *comm.Handle // in-flight non-blocking reduction (pipelined solve)
+	// err is the sticky failure of a mid-solve collective. The FisherOp
+	// interface has no error return, so a failed reduction is surfaced by
+	// bailing the CG recurrence instead: ApplyDot/FinishApply zero out and
+	// return -1, which classic CG treats as loss of positive definiteness
+	// (pap <= 0) and the pipelined solve hits one iteration later through
+	// delta = p.Dot(s) = 0 on the zeroed direction product. -1, not NaN —
+	// NaN compares false against everything and would run the solve to
+	// maxIter. The caller inspects Err after the solve and propagates it
+	// before any parameter update.
+	err error
 }
 
-// NewBatchFisher builds the serial Fisher operator over a full O_k batch,
-// computing the batch mean obar up front. workers bounds the row sweep
-// parallelism inside ApplyDot.
-func NewBatchFisher(ows *tensor.Batch, lambda float64, workers int) FisherOp {
-	bs := float64(ows.N)
-	obar := tensor.NewVector(ows.Dim)
-	ows.AddWeightedRows(obar, nil, 0, ows.Dim)
-	obar.Scale(1 / bs)
-	return &batchFisher{ows: ows, obar: obar,
-		acc: make([]float64, ows.Dim+1), tbuf: make([]float64, ows.N),
-		lambda: lambda, workers: workers}
+// NewShardedFisher builds rank cm's operator over its private rows ows
+// (every rank of the group must hold the same number of rows). workers
+// bounds the row-sweep parallelism of an application. SetMean must install
+// the batch mean of O before the first solve.
+func NewShardedFisher(cm *comm.Comm, ows *tensor.Batch, lambda float64, workers int) *ShardedFisher {
+	return &ShardedFisher{cm: cm, ows: ows, pack: comm.NewPacked(ows.Dim, 1),
+		tbuf: make([]float64, ows.N), obar: tensor.NewVector(ows.Dim),
+		lambda: lambda, batchN: float64(cm.Size() * ows.N), workers: workers}
 }
+
+// NewBatchFisher builds the serial Fisher operator over a full O_k batch —
+// the one-shard case of ShardedFisher on a private 1-rank group — computing
+// the batch mean obar up front. workers bounds the row sweep parallelism
+// inside ApplyDot.
+func NewBatchFisher(ows *tensor.Batch, lambda float64, workers int) FisherOp {
+	f := NewShardedFisher(comm.NewGroup(1).Rank(0), ows, lambda, workers)
+	ows.AddWeightedRows(f.obar, nil, 0, ows.Dim)
+	f.SetMean(f.obar)
+	return f
+}
+
+// SetMean installs obar = osum/B from the sum of the O_k rows of EVERY rank
+// (already reduced across the group), B being the global sample count.
+func (f *ShardedFisher) SetMean(osum tensor.Vector) {
+	copy(f.obar, osum)
+	f.obar.Scale(1 / f.batchN)
+}
+
+// Err returns the first collective failure of any application, nil on a
+// healthy operator. A failed operator stays failed.
+func (f *ShardedFisher) Err() error { return f.err }
+
+// Applies counts the Fisher collectives this rank has issued (one per
+// ApplyDot or StartApply).
+func (f *ShardedFisher) Applies() int64 { return f.applies }
 
 // Dim implements FisherOp.
-func (f *batchFisher) Dim() int { return f.ows.Dim }
+func (f *ShardedFisher) Dim() int { return f.ows.Dim }
 
-// ApplyDot implements FisherOp.
-func (f *batchFisher) ApplyDot(v, out tensor.Vector) float64 {
-	f.StartApply(v)
-	return f.FinishApply(v, out)
+// fail records the first collective failure and poisons the operator
+// output: out is zeroed (garbage from a degraded reduction must not leak
+// NaNs into the CG vectors) and the returned -1 makes the solver bail.
+func (f *ShardedFisher) fail(err error, out tensor.Vector) float64 {
+	if f.err == nil {
+		f.err = err
+	}
+	out.Fill(0)
+	return -1
 }
 
-// StartApply implements SplitFisherOp: the serial operator has no
-// collective to launch, so the "start" is just the one-pass sweep.
-func (f *batchFisher) StartApply(v tensor.Vector) {
-	FisherPartial(f.ows, v, f.acc, f.tbuf, f.workers)
+// ApplyDot implements FisherOp: the local sweep writes straight into the
+// packed collective buffer and one BLOCKING all-reduce combines it.
+func (f *ShardedFisher) ApplyDot(v, out tensor.Vector) float64 {
+	if f.err != nil {
+		return f.fail(f.err, out)
+	}
+	FisherPartial(f.ows, v, f.pack.Buf(), f.tbuf, f.workers)
+	if err := f.pack.AllReduce(f.cm); err != nil {
+		return f.fail(err, out)
+	}
+	f.applies++
+	return FisherFinish(f.pack.Buf(), f.obar, v, out, f.lambda, f.batchN)
 }
 
-// FinishApply implements SplitFisherOp.
-func (f *batchFisher) FinishApply(v, out tensor.Vector) float64 {
-	return FisherFinish(f.acc, f.obar, v, out, f.lambda, float64(f.ows.N))
+// StartApply implements SplitFisherOp: the local sweep writes the packed
+// partials and the ring reduction is launched NON-blocking, so the
+// pipelined solve overlaps its recurrence updates with the in-flight
+// collective. The packed buffer is owned by the collective until
+// FinishApply. On a failed operator the launch is skipped (handle nil);
+// FinishApply reports the bail.
+func (f *ShardedFisher) StartApply(v tensor.Vector) {
+	if f.err != nil {
+		f.handle = nil
+		return
+	}
+	FisherPartial(f.ows, v, f.pack.Buf(), f.tbuf, f.workers)
+	f.handle = f.pack.IAllReduce(f.cm)
+	f.applies++
+}
+
+// FinishApply implements SplitFisherOp: it waits for the reduction started
+// by StartApply and assembles the operator output from the globally reduced
+// bytes — bit-identical on every rank, exactly as the blocking path. A
+// reduction that failed in flight bails the solve like ApplyDot does.
+func (f *ShardedFisher) FinishApply(v, out tensor.Vector) float64 {
+	if f.handle == nil {
+		return f.fail(f.err, out)
+	}
+	err := f.handle.Wait()
+	f.handle = nil
+	if err != nil {
+		return f.fail(err, out)
+	}
+	return FisherFinish(f.pack.Buf(), f.obar, v, out, f.lambda, f.batchN)
 }
 
 // SolveFisherCG runs conjugate gradients on A x = b through a FisherOp,

@@ -98,7 +98,7 @@ func TestPreconditionOpMatchesPrecondition(t *testing.T) {
 	a := NewSR(1e-3)
 	da := a.Precondition(ows, grad)
 	b := a.Clone()
-	db := b.PreconditionOp(NewBatchFisher(ows, b.Lambda, b.Workers), grad)
+	db := b.PreconditionOp(NewBatchFisher(ows, b.Lambda, 0), grad)
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("delta[%d]: Precondition %v != PreconditionOp %v", i, da[i], db[i])
@@ -115,7 +115,6 @@ func TestSRClone(t *testing.T) {
 	a.Tol = 1e-9
 	a.MaxIter = 123
 	a.MaxStepNorm = 7
-	a.Workers = 3
 	r := rng.New(15)
 	ows := tensor.NewBatch(20, 6)
 	r.FillUniform(ows.Data, -1, 1)
@@ -128,7 +127,7 @@ func TestSRClone(t *testing.T) {
 		t.Fatal("Clone returned the same instance")
 	}
 	if c.Lambda != a.Lambda || c.Tol != a.Tol || c.MaxIter != a.MaxIter ||
-		c.MaxStepNorm != a.MaxStepNorm || c.Workers != a.Workers {
+		c.MaxStepNorm != a.MaxStepNorm {
 		t.Fatalf("Clone config mismatch: %+v vs %+v", c, a)
 	}
 	if c.delta != nil || c.last.Iterations != 0 {

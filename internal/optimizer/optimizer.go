@@ -116,7 +116,6 @@ type SR struct {
 	Lambda  float64
 	Tol     float64
 	MaxIter int
-	Workers int
 	// Solver selects the CG variant: SolverCG (default) or
 	// SolverPipelined. In a distributed group every replica must carry the
 	// same kind — the solvers issue different collective schedules.
@@ -139,21 +138,21 @@ func NewSR(lambda float64) *SR {
 
 // Precondition solves (S + lambda I) delta = grad where S is estimated from
 // the per-sample log-derivative batch ows (one row per sample, dim =
-// len(grad)). The returned slice is reused across calls as a warm start.
+// len(grad)), through a freshly built serial operator swept on one
+// goroutine. The returned slice is reused across calls as a warm start. The
+// training step does not come through here: it keeps one operator for the
+// whole run and calls PreconditionOp.
 func (s *SR) Precondition(ows *tensor.Batch, grad tensor.Vector) tensor.Vector {
-	if ows.Dim != len(grad) {
-		panic("optimizer: SR dimension mismatch")
-	}
-	return s.PreconditionOp(NewBatchFisher(ows, s.Lambda, s.Workers), grad)
+	return s.PreconditionOp(NewBatchFisher(ows, s.Lambda, 1), grad)
 }
 
 // PreconditionOp solves (S + lambda I) delta = grad through an arbitrary
-// FisherOp — the entry point for the distributed trainer, whose operator
-// spans the O_k rows of every replica and performs one collective per CG
-// iteration. The warm-start delta, step-norm guard and solve statistics
-// behave exactly as in Precondition; in a distributed group every replica's
-// SR instance must carry identical (Lambda, Tol, MaxIter, MaxStepNorm) so
-// the lockstep CG takes identical branches everywhere.
+// FisherOp — the entry point of the training step, whose ShardedFisher
+// spans the O_k rows of every rank and performs one collective per CG
+// iteration. The returned warm-start delta is reused across calls; in a
+// multi-rank group every rank's SR instance must carry identical (Lambda,
+// Tol, MaxIter, MaxStepNorm, Solver) so the lockstep CG takes identical
+// branches everywhere.
 func (s *SR) PreconditionOp(op FisherOp, grad tensor.Vector) tensor.Vector {
 	d := op.Dim()
 	if len(grad) != d {
@@ -187,7 +186,7 @@ func (s *SR) PreconditionOp(op FisherOp, grad tensor.Vector) tensor.Vector {
 // identical configuration keeps the lockstep CG branch-consistent.
 func (s *SR) Clone() *SR {
 	return &SR{Lambda: s.Lambda, Tol: s.Tol, MaxIter: s.MaxIter,
-		Workers: s.Workers, MaxStepNorm: s.MaxStepNorm, Solver: s.Solver}
+		MaxStepNorm: s.MaxStepNorm, Solver: s.Solver}
 }
 
 // LastSolve reports the CG result of the most recent Precondition call.

@@ -365,73 +365,11 @@ func Train(p *Problem, o Options) (*Result, error) {
 		return nil, err
 	}
 	r := rng.New(o.Seed)
-	batched := o.batchedOn()
 
-	var model core.Model
-	var smp sampler.Sampler
-	mcmcCfg := sampler.MCMCConfig{Chains: o.MCMCChains, BurnIn: o.MCMCBurnIn, Thin: o.MCMCThin}
-	switch o.Model {
-	case "made":
-		m := nn.NewMADE(n, o.Hidden, r.Split())
-		model = m
-		switch o.Sampler {
-		case "auto":
-			// The batched ancestral mode draws bit-identical samples from
-			// the same streams; it only changes the loop order.
-			if batched {
-				smp = sampler.NewAutoBatched(n, m, o.Workers, r.Split())
-			} else {
-				smp = sampler.NewAutoMADE(m, true, o.Workers, r.Split())
-			}
-		case "auto-naive":
-			smp = sampler.NewAutoMADE(m, false, o.Workers, r.Split())
-		case "mcmc":
-			smp = sampler.NewMCMC(m, mcmcCfg, r.Split())
-		default:
-			return nil, fmt.Errorf("parvqmc: unknown sampler %q", o.Sampler)
-		}
-	case "nade":
-		m := nn.NewNADE(n, o.Hidden, r.Split())
-		model = m
-		switch o.Sampler {
-		case "auto":
-			if batched {
-				smp = sampler.NewAutoBatched(n, m, o.Workers, r.Split())
-			} else {
-				smp = sampler.NewAuto(n, m.NewIncrementalEvaluator, o.Workers, r.Split())
-			}
-		case "auto-naive": // NADE's scalar evaluation is inherently incremental
-			smp = sampler.NewAuto(n, m.NewIncrementalEvaluator, o.Workers, r.Split())
-		case "mcmc":
-			smp = sampler.NewMCMC(m, mcmcCfg, r.Split())
-		default:
-			return nil, fmt.Errorf("parvqmc: unknown sampler %q", o.Sampler)
-		}
-	case "rnn":
-		m := nn.NewRNN(n, o.Hidden, r.Split())
-		model = m
-		switch o.Sampler {
-		case "auto":
-			if batched {
-				smp = sampler.NewAutoBatched(n, m, o.Workers, r.Split())
-			} else {
-				smp = sampler.NewAuto(n, m.NewIncrementalEvaluator, o.Workers, r.Split())
-			}
-		case "auto-naive":
-			smp = sampler.NewAuto(n, m.NewIncrementalEvaluator, o.Workers, r.Split())
-		case "mcmc":
-			smp = sampler.NewMCMC(m, mcmcCfg, r.Split())
-		default:
-			return nil, fmt.Errorf("parvqmc: unknown sampler %q", o.Sampler)
-		}
-	case "rbm":
-		m := nn.NewRBM(n, o.Hidden, r.Split())
-		model = m
-		if o.Sampler == "gibbs" {
-			smp = sampler.NewGibbs(m, mcmcCfg, r.Split())
-		} else {
-			smp = sampler.NewMCMC(m, mcmcCfg, r.Split())
-		}
+	model := o.newModel(n, r.Split())
+	smp, err := o.newSampler(n, model, o.Sampler, o.Workers, r.Split())
+	if err != nil {
+		return nil, err
 	}
 
 	opt, sr := o.buildOptimizer()
@@ -460,43 +398,56 @@ func Train(p *Problem, o Options) (*Result, error) {
 	return res, nil
 }
 
-// distModel constructs one replica's wavefunction. Every replica is built
-// from an identical init stream, so parameters start bit-identical.
-func (o Options) distModel(n int) dist.Model {
-	init := rng.New(o.Seed + 12345)
+// newModel constructs the wavefunction Options.Model names from an init
+// stream.
+func (o Options) newModel(n int, init *rng.Rand) core.Model {
 	switch o.Model {
 	case "nade":
 		return nn.NewNADE(n, o.Hidden, init)
 	case "rnn":
 		return nn.NewRNN(n, o.Hidden, init)
+	case "rbm":
+		return nn.NewRBM(n, o.Hidden, init)
 	default:
 		return nn.NewMADE(n, o.Hidden, init)
 	}
 }
 
-// distSampler constructs the exact ancestral sampler for a distributed
-// replica's model, honoring the BatchedEval knob (both paths draw
-// bit-identical samples from the same stream).
-func (o Options) distSampler(n int, m dist.Model, stream *rng.Rand) (sampler.Sampler, error) {
+// newSampler constructs the sampler kind names over model m: "mcmc" for any
+// family; "gibbs" for the RBM (fill rejects it elsewhere); "auto" (exact ancestral sampling, incremental) and "auto-naive"
+// (MADE: Algorithm 1 verbatim, n forward passes per sample; NADE and the RNN
+// are inherently incremental) for the autoregressive ones. "auto" honors
+// the BatchedEval knob: the batched ancestral mode draws bit-identical
+// samples from the same streams and only changes the loop order.
+func (o Options) newSampler(n int, m core.Model, kind string, workers int, stream *rng.Rand) (sampler.Sampler, error) {
+	mcmc := sampler.MCMCConfig{Chains: o.MCMCChains, BurnIn: o.MCMCBurnIn, Thin: o.MCMCThin}
+	switch kind {
+	case "auto", "auto-naive":
+	case "mcmc":
+		return sampler.NewMCMC(m, mcmc, stream), nil
+	case "gibbs":
+		return sampler.NewGibbs(m.(*nn.RBM), mcmc, stream), nil
+	default:
+		return nil, fmt.Errorf("parvqmc: unknown sampler %q", kind)
+	}
+	var scalar sampler.EvaluatorFactory
 	switch mm := m.(type) {
 	case *nn.MADE:
-		if o.batchedOn() {
-			return sampler.NewAutoBatched(n, mm, 1, stream), nil
+		scalar = mm.NewIncrementalEvaluator
+		if kind == "auto-naive" {
+			scalar = mm.NewNaiveEvaluator
 		}
-		return sampler.NewAutoMADE(mm, true, 1, stream), nil
 	case *nn.NADE:
-		if o.batchedOn() {
-			return sampler.NewAutoBatched(n, mm, 1, stream), nil
-		}
-		return sampler.NewAuto(n, mm.NewIncrementalEvaluator, 1, stream), nil
+		scalar = mm.NewIncrementalEvaluator
 	case *nn.RNNWavefunction:
-		if o.batchedOn() {
-			return sampler.NewAutoBatched(n, mm, 1, stream), nil
-		}
-		return sampler.NewAuto(n, mm.NewIncrementalEvaluator, 1, stream), nil
+		scalar = mm.NewIncrementalEvaluator
 	default:
-		return nil, fmt.Errorf("parvqmc: no distributed sampler for model %T", m)
+		return nil, fmt.Errorf("parvqmc: no ancestral sampler for model %T", m)
 	}
+	if bb, ok := m.(nn.BatchAncestralBuilder); ok && kind == "auto" && o.batchedOn() {
+		return sampler.NewAutoBatched(n, bb, workers, stream), nil
+	}
+	return sampler.NewAuto(n, scalar, workers, stream), nil
 }
 
 // TrainDistributed runs the paper's data-parallel scheme: devices replicas
@@ -546,8 +497,10 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 	streams := rng.New(o.Seed).SplitN(devices)
 	reps := make([]dist.Replica, devices)
 	for rdev := 0; rdev < devices; rdev++ {
-		m := o.distModel(n)
-		smp, err := o.distSampler(n, m, streams[rdev])
+		// Every replica is built from an identical init stream, so
+		// parameters start bit-identical.
+		m := o.newModel(n, rng.New(o.Seed+12345))
+		smp, err := o.newSampler(n, m, "auto", 1, streams[rdev])
 		if err != nil {
 			return nil, err
 		}
@@ -575,7 +528,7 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 		// the dead rank's stream position anyway; an admitted (Grow) rank
 		// keeps this stream.
 		build := func(rank int, model dist.Model) (dist.Replica, error) {
-			smp, err := o.distSampler(n, model, rng.New(o.Seed+0x9E3779B9+uint64(rank)*0x1000003))
+			smp, err := o.newSampler(n, model, "auto", 1, rng.New(o.Seed+0x9E3779B9+uint64(rank)*0x1000003))
 			if err != nil {
 				return dist.Replica{}, err
 			}
