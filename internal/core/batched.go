@@ -10,24 +10,30 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// EvalMode selects between the batched GEMM evaluation path and the
-// per-sample scalar path for local energies and gradients.
+// EvalMode selects between the model's whole-batch evaluator and this
+// package's per-sample scalar loops for local energies and gradients.
 type EvalMode int
 
 const (
-	// EvalAuto (the default) uses the batched path whenever the model
-	// implements nn.BatchEvaluatorBuilder, falling back to scalar
-	// otherwise. The two paths are bitwise interchangeable.
+	// EvalAuto (the default) uses the model's nn.BatchEvaluator whenever it
+	// implements nn.BatchEvaluatorBuilder, falling back to the scalar loops
+	// otherwise. Each family's NewBatchEvaluator returns whichever of its
+	// kernels the committed benchmark record shows faster (GEMMs for MADE,
+	// the RBM and the RNN; for NADE the row adaptor, which is the scalar
+	// path itself), so EvalAuto never has to choose between them. The two
+	// paths are bitwise interchangeable.
 	EvalAuto EvalMode = iota
-	// EvalScalar forces the per-sample path (the A/B baseline).
+	// EvalScalar forces the per-sample loops of this package (LocalEnergies,
+	// FillOws): the reference the batched evaluators are pinned to and the
+	// A/B baseline.
 	EvalScalar
 	// EvalFullFlip selects the model's full-recompute flip oracle (every
 	// flip row re-evaluated from scratch instead of resuming from tail-only
-	// snapshots) when the model implements nn.FullFlipBatchEvaluatorBuilder,
-	// behaving like EvalAuto otherwise. The oracle is bitwise identical to
-	// the tail-only evaluator — this mode exists so the differential
-	// reference is a first-class cell in the conformance matrix (serial and
-	// distributed) rather than a test-local construction.
+	// snapshots) when the model implements nn.FullFlipBatchEvaluatorBuilder
+	// (MADE, RNN), behaving like EvalAuto otherwise (RBM, NADE). The oracle
+	// is bitwise identical to the tail-only evaluator — this mode exists so
+	// the differential reference is a first-class cell in the conformance
+	// matrix (serial and distributed) rather than a test-local construction.
 	EvalFullFlip
 )
 
@@ -60,8 +66,9 @@ func NewBatchedEval(model nn.Wavefunction, mode EvalMode, workers int) *BatchedE
 		if fb, ok := model.(nn.FullFlipBatchEvaluatorBuilder); ok {
 			return &BatchedEval{be: fb.NewFullFlipBatchEvaluator(workers)}
 		}
-		// No oracle (e.g. the RBM, whose incremental delta IS the only
-		// convention): behave like EvalAuto.
+		// No oracle (the RBM, whose incremental delta IS the only
+		// convention; NADE, whose batched path IS the scalar cache): behave
+		// like EvalAuto.
 	}
 	bb, ok := model.(nn.BatchEvaluatorBuilder)
 	if !ok {

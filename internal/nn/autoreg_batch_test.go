@@ -13,15 +13,18 @@ import (
 type batchModel interface {
 	Wavefunction
 	CacheBuilder
+	GradEvaluatorBuilder
 	BatchEvaluatorBuilder
-	FullFlipBatchEvaluatorBuilder
 	BatchAncestralBuilder
 	NewIncrementalEvaluator() ConditionalEvaluator
 }
 
 // autoregFamilies enumerates the autoregressive model families under the
 // batched bit-identity doctrine (MADE keeps its original suite in
-// batch_test.go; NADE/RNN joined in PR 7).
+// batch_test.go; NADE/RNN joined in PR 7). MADE and the RNN answer
+// NewBatchEvaluator with GEMM kernels, NADE with the row adaptor; MADE and
+// NADE answer NewBatchAncestralSampler with the row adaptor, the RNN with
+// its recurrent-GEMM sampler. The suites do not care which.
 var autoregFamilies = []struct {
 	name  string
 	build func(n, h int, r *rng.Rand) batchModel
@@ -71,7 +74,8 @@ func TestAutoregBatchForwardBitIdentical(t *testing.T) {
 }
 
 // TestAutoregFlipBatchBitIdentical is the tentpole acceptance matrix:
-// FlipLogPsiBatch must match the scalar FlipCache (base and deltas) AND the
+// FlipLogPsiBatch must match the scalar FlipCache (base and deltas) AND,
+// for the families that keep a tail-only GEMM kernel (MADE, RNN), the
 // full-recompute oracle evaluator byte for byte, over B in {1,3,64} x
 // workers in {1,2,5} x n in {1,2,7,19}, for every family.
 func TestAutoregFlipBatchBitIdentical(t *testing.T) {
@@ -86,7 +90,13 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 				}
 				for _, workers := range workerCounts {
 					tail := m.NewBatchEvaluator(workers)
-					full := m.NewFullFlipBatchEvaluator(workers)
+					// NADE has no oracle (its batched path is the scalar
+					// cache itself): full stays nil and only the FlipCache
+					// comparisons run.
+					var full BatchEvaluator
+					if fb, ok := m.(FullFlipBatchEvaluatorBuilder); ok {
+						full = fb.NewFullFlipBatchEvaluator(workers)
+					}
 					for _, bs := range batchSizes {
 						b := randomConfigs(bs, n, rng.New(uint64(31*bs+n)))
 						base := make([]float64, bs)
@@ -94,7 +104,9 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 						tail.FlipLogPsiBatch(b, flips, base, delta)
 						baseF := make([]float64, bs)
 						deltaF := make([]float64, bs*n)
-						full.FlipLogPsiBatch(b, flips, baseF, deltaF)
+						if full != nil {
+							full.FlipLogPsiBatch(b, flips, baseF, deltaF)
+						}
 						cache := m.NewFlipCache(b.Row(0))
 						for k := 0; k < bs; k++ {
 							if k > 0 {
@@ -104,7 +116,7 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 								t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != cache %v",
 									n, workers, bs, k, base[k], cache.LogPsi())
 							}
-							if base[k] != baseF[k] {
+							if full != nil && base[k] != baseF[k] {
 								t.Fatalf("n=%d w=%d B=%d row %d: tail base %v != oracle base %v",
 									n, workers, bs, k, base[k], baseF[k])
 							}
@@ -113,7 +125,7 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 									t.Fatalf("n=%d w=%d B=%d row %d flip %d: batched delta %v != cache %v",
 										n, workers, bs, k, bit, delta[k*n+f], want)
 								}
-								if delta[k*n+f] != deltaF[k*n+f] {
+								if full != nil && delta[k*n+f] != deltaF[k*n+f] {
 									t.Fatalf("n=%d w=%d B=%d row %d flip %d: tail delta %v != oracle %v",
 										n, workers, bs, k, bit, delta[k*n+f], deltaF[k*n+f])
 								}
@@ -178,8 +190,9 @@ func TestAutoregFlipBatchRandomSites(t *testing.T) {
 }
 
 // TestAutoregBatchAncestralBitIdentical: fed the same uniforms, each
-// family's batched site-major sampler must produce exactly the bits of its
-// scalar incremental evaluator walked sample-major.
+// family's batched sampler (site-major for the RNN, the row adaptor for MADE
+// and NADE) must produce exactly the bits of its scalar incremental
+// evaluator walked sample-major.
 func TestAutoregBatchAncestralBitIdentical(t *testing.T) {
 	for _, fam := range autoregFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -259,39 +272,145 @@ func TestAutoregTailFlipCacheExactRegression(t *testing.T) {
 	}
 }
 
-// TestNADETransposedCacheInvalidation: NADE's V^T/W^T caches must rebuild
-// after InvalidateParams and must poison results if it is NOT called — the
-// teeth that prove the version counter is load-bearing (the RNN needs no
-// such test: its batched path aliases theta directly).
-func TestNADETransposedCacheInvalidation(t *testing.T) {
+// rowFamilies is the input table of the row-evaluator grid: every family
+// with scalar kernels, the RBM included so the adaptor is covered on a
+// non-autoregressive (incremental ln-cosh) FlipCache.
+type rowFamily interface {
+	rowModel
+	BatchEvaluatorBuilder
+}
+
+var rowFamilies = []struct {
+	name  string
+	build func(n, h int, r *rng.Rand) rowFamily
+}{
+	{"MADE", func(n, h int, r *rng.Rand) rowFamily { return NewMADE(n, h, r) }},
+	{"NADE", func(n, h int, r *rng.Rand) rowFamily { return NewNADE(n, h, r) }},
+	{"RNN", func(n, h int, r *rng.Rand) rowFamily { return NewRNN(n, h, r) }},
+	{"RBM", func(n, h int, r *rng.Rand) rowFamily { return NewRBM(n, h, r) }},
+}
+
+// TestRowEvaluatorGrid pins the row adaptor — the scalar path behind the
+// BatchEvaluator interface — against every family's own NewBatchEvaluator
+// with exact ==, over the B x workers x n grid: where the family keeps a
+// GEMM kernel this is the batched-equals-scalar contract read from the
+// other side, and for NADE it is the adaptor against itself at a different
+// worker count.
+func TestRowEvaluatorGrid(t *testing.T) {
+	for _, fam := range rowFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			for _, n := range siteCounts {
+				m := fam.build(n, 5+n, rng.New(uint64(800+n)))
+				d := m.NumParams()
+				flips := make([]int, n)
+				for i := range flips {
+					flips[i] = n - 1 - i // descending: order must not matter
+				}
+				own := m.NewBatchEvaluator(3)
+				for _, workers := range workerCounts {
+					row := newRowEvaluator(m, workers)
+					for _, bs := range batchSizes {
+						b := randomConfigs(bs, n, rng.New(uint64(41*bs+n)))
+						got, want := make([]float64, bs), make([]float64, bs)
+						row.LogPsiBatch(b, got)
+						own.LogPsiBatch(b, want)
+						for k := range got {
+							if got[k] != want[k] {
+								t.Fatalf("n=%d w=%d B=%d row %d: adaptor logpsi %v != family %v", n, workers, bs, k, got[k], want[k])
+							}
+						}
+						gOws, wOws := tensor.NewBatch(bs, d), tensor.NewBatch(bs, d)
+						row.GradLogPsiBatch(b, gOws)
+						own.GradLogPsiBatch(b, wOws)
+						for i := range gOws.Data {
+							if gOws.Data[i] != wOws.Data[i] {
+								t.Fatalf("n=%d w=%d B=%d: adaptor grad element %d: %v != family %v", n, workers, bs, i, gOws.Data[i], wOws.Data[i])
+							}
+						}
+						gD, wD := make([]float64, bs*n), make([]float64, bs*n)
+						row.FlipLogPsiBatch(b, flips, got, gD)
+						own.FlipLogPsiBatch(b, flips, want, wD)
+						for k := range got {
+							if got[k] != want[k] {
+								t.Fatalf("n=%d w=%d B=%d row %d: adaptor flip base %v != family %v", n, workers, bs, k, got[k], want[k])
+							}
+						}
+						for i := range gD {
+							if gD[i] != wD[i] {
+								t.Fatalf("n=%d w=%d B=%d: adaptor delta %d: %v != family %v", n, workers, bs, i, gD[i], wD[i])
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRowAdaptorsAllocateNothingPerRow: the adaptors build their per-worker
+// caches and evaluators once, so a warmed call allocates only the handful
+// of closures its one parallel dispatch costs — the same count at 8 rows
+// and at 64, where a per-row or per-call buffer would show.
+func TestRowAdaptorsAllocateNothingPerRow(t *testing.T) {
+	const n, h = 9, 12
+	flips := []int{0, 4, 8}
+	nade, made := NewNADE(n, h, rng.New(93)), NewMADE(n, h, rng.New(94))
+	row := nade.NewBatchEvaluator(1)
+	nadeSmp, madeSmp := nade.NewBatchAncestralSampler(), made.NewBatchAncestralSampler()
+	allocs := func(bs int) map[string]float64 {
+		b := randomConfigs(bs, n, rng.New(91))
+		delta, out := make([]float64, bs*len(flips)), make([]float64, bs)
+		ows := tensor.NewBatch(bs, nade.NumParams())
+		u := make([]float64, bs*n)
+		rng.New(92).FillUniform(u, 0, 1)
+		got := map[string]float64{}
+		for name, call := range map[string]func(){
+			"flips":        func() { row.FlipLogPsiBatch(b, flips, nil, delta) },
+			"logpsi":       func() { row.LogPsiBatch(b, out) },
+			"grads":        func() { row.GradLogPsiBatch(b, ows) },
+			"nade sampler": func() { nadeSmp.Sample(b, u, 1) },
+			"made sampler": func() { madeSmp.Sample(b, u, 1) },
+		} {
+			call() // build the lazily created sampler evaluators
+			got[name] = testing.AllocsPerRun(10, call)
+		}
+		return got
+	}
+	small, large := allocs(8), allocs(64)
+	for name, a := range small {
+		if a != large[name] || a > 6 {
+			t.Errorf("%s: %v allocations per call at 8 rows, %v at 64; want equal and at most the dispatch closures", name, a, large[name])
+		}
+	}
+}
+
+// TestNADENoDerivedState: NADE keeps no parameter-derived caches, so an
+// evaluator and a sampler built BEFORE an in-place parameter write serve
+// the new parameters with no InvalidateParams in between — what the deleted
+// V^T/W^T layouts needed a version counter for now holds by construction
+// (the RNN has always had this property; the hot-swap test in swap_test.go
+// pins both).
+func TestNADENoDerivedState(t *testing.T) {
 	n := 6
 	m := NewNADE(n, 8, rng.New(15))
 	e := m.NewBatchEvaluator(2)
 	b := randomConfigs(4, n, rng.New(16))
 	out := make([]float64, 4)
-	e.LogPsiBatch(b, out) // builds the caches
+	e.LogPsiBatch(b, out)
+	before := append([]float64(nil), out...)
 
 	m.Params()[0] += 0.125
-	InvalidateParams(m)
 	e.LogPsiBatch(b, out)
+	moved := false
 	for k := 0; k < 4; k++ {
 		if want := m.LogPsi(b.Row(k)); out[k] != want {
-			t.Fatalf("after invalidation row %d: batched %v != scalar %v", k, out[k], want)
+			t.Fatalf("after in-place write row %d: batched %v != scalar %v", k, out[k], want)
 		}
+		moved = moved || out[k] != before[k]
 	}
-
-	m.Params()[0] += 0.125
-	e.LogPsiBatch(b, out)
-	stale := false
-	for k := 0; k < 4; k++ {
-		if out[k] != m.LogPsi(b.Row(k)) {
-			stale = true
-		}
+	if !moved {
+		t.Fatal("parameter write changed no amplitude; the test has no teeth")
 	}
-	if !stale {
-		t.Fatal("stale transposed cache still matched fresh weights; cache is not engaged")
-	}
-	InvalidateParams(m)
 }
 
 // FuzzNADEPrefixResume fuzzes the NADE prefix-resume invariant the tail-only

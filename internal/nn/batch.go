@@ -14,18 +14,30 @@ type ConfigBatch struct {
 // Row returns configuration i, aliasing the batch storage.
 func (b ConfigBatch) Row(i int) []int { return b.Bits[i*b.Sites : (i+1)*b.Sites] }
 
-// BatchEvaluator evaluates a whole batch of configurations through blocked
-// matrix products over the sample dimension instead of per-sample
-// matrix-vector calls — the evaluation fusion the paper's scalability
-// argument rests on (amplitude work is embarrassingly parallel across
-// samples, so it should saturate the hardware as GEMMs).
+// BatchEvaluator evaluates a whole batch of configurations in one call. A
+// family answers NewBatchEvaluator with whichever of its kernels the
+// committed record shows faster (nn.flip_batched_over_scalar in
+// bench/results, and the kernel-pair table in docs/ARCHITECTURE.md, "Which
+// kernel a family keeps"):
+//
+//   - MADE and the RBM fuse the per-sample matvecs into blocked matrix
+//     products over the sample dimension — the evaluation fusion the paper's
+//     scalability argument rests on (amplitude work is embarrassingly
+//     parallel across samples, so it should saturate the hardware as GEMMs);
+//   - the RNN fuses each recurrence step into one B-row GEMM against Wh;
+//   - NADE runs the row adaptor (row.go): its own scalar FlipCache and
+//     GradEvaluator, one row at a time, rows partitioned over per-worker
+//     instances. NADE's flips of one row share every prefix of the
+//     accumulation chain, and the scalar cache reuses them in place where a
+//     site-major slab kernel has to snapshot and re-read them.
 //
 // Bitwise-equivalence guarantee: every method produces EXACTLY the bytes
 // the corresponding scalar path produces — LogPsiBatch matches per-row
 // LogPsi, GradLogPsiBatch matches per-row GradLogPsi, and FlipLogPsiBatch
 // matches the model's FlipCache (base log-psi as Reset computes it, deltas
 // as Delta computes them) — and is invariant to the worker count the
-// evaluator was built with. Implementations achieve this by accumulating
+// evaluator was built with. The row adaptor holds this by construction (it
+// IS the scalar path); the GEMM implementations achieve it by accumulating
 // every fused product in the same fixed contraction order as the scalar
 // kernels (see tensor.MatMul and tensor.MatMulReLU, which MADE drives
 // against pre-transposed masked weights; tensor.MatMulT is the same
@@ -70,6 +82,45 @@ type BatchEvaluator interface {
 	FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64)
 }
 
+// The argument checks of the BatchEvaluator and BatchAncestralSampler
+// contracts, shared by every implementation (n sites, d parameters).
+
+func checkLogPsiBatch(n int, b ConfigBatch, out []float64) {
+	if b.Sites != n {
+		panic("nn: LogPsiBatch sites mismatch")
+	}
+	if len(out) != b.N {
+		panic("nn: LogPsiBatch output length mismatch")
+	}
+}
+
+func checkGradLogPsiBatch(n, d int, b ConfigBatch, ows *tensor.Batch) {
+	if b.Sites != n {
+		panic("nn: GradLogPsiBatch sites mismatch")
+	}
+	if ows.N != b.N || ows.Dim != d {
+		panic("nn: GradLogPsiBatch ows shape mismatch")
+	}
+}
+
+func checkFlipLogPsiBatch(n int, b ConfigBatch, flips []int, base, delta []float64) {
+	if b.Sites != n {
+		panic("nn: FlipLogPsiBatch sites mismatch")
+	}
+	if (base != nil && len(base) != b.N) || len(delta) != b.N*len(flips) {
+		panic("nn: FlipLogPsiBatch output length mismatch")
+	}
+}
+
+func checkAncestral(n int, b ConfigBatch, u []float64) {
+	if b.Sites != n {
+		panic("nn: batched ancestral sites mismatch")
+	}
+	if len(u) < b.N*n {
+		panic("nn: batched ancestral uniforms too short")
+	}
+}
+
 // BatchEvaluatorBuilder is implemented by wavefunctions that provide a
 // batched evaluation path. workers bounds the internal parallelism
 // (<= 0 means GOMAXPROCS); the returned evaluator is worker-count invariant
@@ -79,7 +130,8 @@ type BatchEvaluatorBuilder interface {
 }
 
 // FullFlipBatchEvaluatorBuilder is implemented by wavefunctions whose
-// batched path additionally provides a full-recompute flip oracle: a
+// batched path is a tail-only GEMM kernel (MADE, RNN) and additionally
+// provides a full-recompute flip oracle: a
 // BatchEvaluator whose FlipLogPsiBatch re-evaluates every flip row from
 // scratch instead of resuming from tail-only snapshots. The oracle produces
 // bitwise the same outputs as the tail-only evaluator (the tail resume is
@@ -90,16 +142,19 @@ type FullFlipBatchEvaluatorBuilder interface {
 	NewFullFlipBatchEvaluator(workers int) BatchEvaluator
 }
 
-// BatchAncestralSampler advances a whole batch of ancestral samples
-// site-major: one fused pass over the B x h hidden state per site instead
-// of B independent site loops, so the per-site weight column stays hot in
-// cache across the entire batch.
+// BatchAncestralSampler draws a whole batch of ancestral samples from
+// pre-drawn uniforms. The RNN advances all samples site-major — one B-row
+// GEMM against Wh per recurrence step over the resident B x h hidden state.
+// MADE and NADE have no cross-sample product in their ancestral step (each
+// conditional is one O(h) dot on the sample's own hidden state), so they
+// run the row adaptor (row.go): each worker walks its rows through one
+// ConditionalEvaluator while that row's state is hot.
 //
 // Sample fills b's bits from pre-drawn uniforms u (row-major, u[k*Sites+i]
 // drives bit i of sample k): bit = 1 iff u < P(x_i = 1 | x_<i). Because the
-// per-sample conditional arithmetic is identical to the scalar incremental
-// evaluator's (same ConditionalRow/AccumulateInput calls in the same
-// per-sample order), the sampled bits are bitwise identical to scalar
+// per-sample conditional arithmetic is the scalar incremental evaluator's
+// (the adaptor calls it; the RNN shares outputZ/stepActivate with it in the
+// same per-sample order), the sampled bits are bitwise identical to scalar
 // ancestral sampling fed the same uniforms.
 type BatchAncestralSampler interface {
 	Sample(b ConfigBatch, u []float64, workers int)
@@ -122,8 +177,8 @@ func InvalidateParams(w Wavefunction) {
 }
 
 // Prewarm materializes any lazy parameter-derived caches the model keeps
-// (MADE's masked-weight products, NADE's V^T/W^T layouts, the RBM's W^T;
-// the RNN has none) for the current parameter version. Coordinators call it
+// (MADE's masked-weight products, the RBM's W^T; NADE and the RNN have
+// none) for the current parameter version. Coordinators call it
 // before fanning evaluation out to workers so the rebuild happens once, up
 // front, on the coordinating goroutine instead of surprising the first
 // worker that needs it. Rebuilds are mutex-serialized inside each model, so

@@ -196,8 +196,8 @@ func TestFlipLogPsiBatchRandomSites(t *testing.T) {
 }
 
 // TestBatchAncestralBitIdentical: fed the same uniforms, the batched
-// site-major sampler must produce exactly the bits of the scalar
-// incremental evaluator walked sample-major.
+// sampler (the row adaptor, at every worker count) must produce exactly the
+// bits of the scalar incremental evaluator walked sample-major.
 func TestBatchAncestralBitIdentical(t *testing.T) {
 	for _, n := range siteCounts {
 		m := NewMADE(n, 6+n, rng.New(uint64(400+n)))

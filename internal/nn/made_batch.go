@@ -95,7 +95,7 @@ func (m *MADE) NewBatchEvaluator(workers int) BatchEvaluator {
 // bitwise the same outputs as NewBatchEvaluator — the tail-only path is
 // provably an exact suffix of the full fold — and exists as the
 // differential-testing oracle and the pre-tail-only (PR 4) performance
-// baseline for cmd/vqmcbench.
+// baseline.
 func (m *MADE) NewFullFlipBatchEvaluator(workers int) BatchEvaluator {
 	e := m.NewBatchEvaluator(workers).(*madeBatchEvaluator)
 	e.fullFlip = true
@@ -147,12 +147,7 @@ func (e *madeBatchEvaluator) forwardSlab(b ConfigBatch, lo, hi int, needPre bool
 // bitwise.
 func (e *madeBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 	m := e.m
-	if b.Sites != m.n {
-		panic("nn: LogPsiBatch sites mismatch")
-	}
-	if len(out) != b.N {
-		panic("nn: LogPsiBatch output length mismatch")
-	}
+	checkLogPsiBatch(m.n, b, out)
 	for lo := 0; lo < b.N; lo += batchSlabRows {
 		hi := lo + batchSlabRows
 		if hi > b.N {
@@ -172,12 +167,7 @@ func (e *madeBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 // (gradFromForward, the same code the scalar path runs) fills each ows row.
 func (e *madeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	m := e.m
-	if b.Sites != m.n {
-		panic("nn: GradLogPsiBatch sites mismatch")
-	}
-	if ows.N != b.N || ows.Dim != m.NumParams() {
-		panic("nn: GradLogPsiBatch ows shape mismatch")
-	}
+	checkGradLogPsiBatch(m.n, m.NumParams(), b, ows)
 	for lo := 0; lo < b.N; lo += batchSlabRows {
 		hi := lo + batchSlabRows
 		if hi > b.N {
@@ -211,12 +201,7 @@ func (e *madeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64) {
 	m := e.m
 	nf := len(flips)
-	if b.Sites != m.n {
-		panic("nn: FlipLogPsiBatch sites mismatch")
-	}
-	if (base != nil && len(base) != b.N) || len(delta) != b.N*nf {
-		panic("nn: FlipLogPsiBatch output length mismatch")
-	}
+	checkFlipLogPsiBatch(m.n, b, flips, base, delta)
 	if base == nil {
 		// MADE's deltas subtract the base log-psi, and the prefix fold
 		// computes it as a byproduct — stage it in a reusable buffer.
@@ -538,50 +523,14 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 	}
 }
 
-// madeBatchAncestral advances all samples of a batch site-by-site, keeping
-// the whole B x h hidden state resident and touching weight column i of
-// every sample before moving to site i+1. The per-sample arithmetic is
-// exactly the incremental evaluator's (ConditionalRow + AccumulateInput),
-// so given the same uniforms the sampled bits are identical to scalar
-// ancestral sampling.
-type madeBatchAncestral struct {
-	m   *MADE
-	buf []float64
-}
-
-// NewBatchAncestralSampler implements BatchAncestralBuilder.
+// NewBatchAncestralSampler implements BatchAncestralBuilder with the row
+// adaptor over NewIncrementalEvaluator: MADE's ancestral step has no
+// cross-sample product to fuse, and walking a sample's n sites while its
+// h-wide state is hot ties revisiting all B states once per site at n <= 32
+// on one thread and beats it beyond, and at two workers everywhere
+// (docs/ARCHITECTURE.md, "Which kernel a family keeps").
 func (m *MADE) NewBatchAncestralSampler() BatchAncestralSampler {
-	return &madeBatchAncestral{m: m}
-}
-
-// Sample implements BatchAncestralSampler.
-func (a *madeBatchAncestral) Sample(b ConfigBatch, u []float64, workers int) {
-	m := a.m
-	if b.Sites != m.n {
-		panic("nn: batched ancestral sites mismatch")
-	}
-	if len(u) < b.N*m.n {
-		panic("nn: batched ancestral uniforms too short")
-	}
-	z1 := growMat(&a.buf, b.N, m.h)
-	parallel.For(b.N, workers, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			copy(z1.Row(r), m.B1)
-		}
-	})
-	for i := 0; i < m.n; i++ {
-		parallel.For(b.N, workers, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				row := z1.Row(r)
-				bit := 0
-				if u[r*m.n+i] < m.ConditionalRow(row, i) {
-					bit = 1
-				}
-				b.Bits[r*b.Sites+i] = bit
-				m.AccumulateInput(row, i, bit)
-			}
-		})
-	}
+	return &rowAncestral{sites: m.n, newEval: m.NewIncrementalEvaluator}
 }
 
 var (

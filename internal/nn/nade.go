@@ -22,6 +22,10 @@ import (
 //
 // Parameters: W (h x n), c (h), V (n x h), b (n); d = 2hn + h + n, the same
 // count as MADE at equal width.
+//
+// Like the RNN, NADE keeps no parameter-derived state: every kernel reads
+// theta through the layer views, so an in-place parameter update is visible
+// to every evaluator at once and there is nothing to invalidate or pre-warm.
 type NADE struct {
 	n, h  int
 	theta tensor.Vector
@@ -29,18 +33,6 @@ type NADE struct {
 	C     tensor.Vector  // h, initial hidden state
 	V     *tensor.Matrix // n x h, per-site output weights
 	B     tensor.Vector  // n, output biases
-	// Transposed-layout caches for the batched GEMM path: vt holds V^T
-	// (h x n) so per-site conditional columns batch as column-range GEMMs,
-	// and wt holds W^T (n x h, row i = column i of W) so the batched
-	// accumulate adds one contiguous row per set bit. Both are materialized
-	// once per parameter version (the RBM weightsT idiom); version is bumped
-	// by InvalidateParams, tVersion records the build version (0 = never).
-	// cacheMu serializes rebuilds so concurrent first use builds once; see
-	// PrewarmCaches.
-	cacheMu  sync.Mutex
-	version  uint64
-	tVersion uint64
-	vt, wt   *tensor.Matrix
 	// pool recycles evaluation scratch for the convenience entry points
 	// (LogProb, Conditional, GradLogPsi), which previously allocated a fresh
 	// NADEScratch per call — a hidden per-sample allocation in any hot loop
@@ -50,12 +42,10 @@ type NADE struct {
 
 // NADEScratch holds per-worker evaluation buffers.
 type NADEScratch struct {
-	A    tensor.Vector // running hidden accumulator (h)
-	Relu tensor.Vector // relu(A) workspace (h)
+	A tensor.Vector // running hidden accumulator (h)
 	// backward workspaces
-	As  *tensor.Matrix // n x h: a_i before consuming site i (for backprop)
-	dA  tensor.Vector
-	buf []int
+	As *tensor.Matrix // n x h: a_i before consuming site i (for backprop)
+	dA tensor.Vector
 }
 
 // NewNADE builds a NADE with n sites and hidden width h.
@@ -82,18 +72,15 @@ func NewNADE(n, h int, r *rng.Rand) *NADE {
 	uniformInit(m.C, h, r)
 	uniformInit(m.V.Data, h, r)
 	uniformInit(m.B, n, r)
-	m.version = 1
 	return m
 }
 
 // NewScratch allocates evaluation buffers for one worker.
 func (m *NADE) NewScratch() *NADEScratch {
 	return &NADEScratch{
-		A:    tensor.NewVector(m.h),
-		Relu: tensor.NewVector(m.h),
-		As:   tensor.NewMatrix(m.n, m.h),
-		dA:   tensor.NewVector(m.h),
-		buf:  make([]int, m.n),
+		A:  tensor.NewVector(m.h),
+		As: tensor.NewMatrix(m.n, m.h),
+		dA: tensor.NewVector(m.h),
 	}
 }
 
@@ -120,55 +107,20 @@ func (m *NADE) NumParams() int { return len(m.theta) }
 // Params implements Wavefunction.
 func (m *NADE) Params() tensor.Vector { return m.theta }
 
-// InvalidateParams marks the transposed-layout caches stale. It must be
-// called after every in-place parameter mutation (optimizer steps,
-// checkpoint loads); trainers do this through nn.InvalidateParams.
-// Parameter mutation itself still requires evaluation quiescence — the
-// mutex below only makes cache rebuilds safe, not in-place Params() writes.
-func (m *NADE) InvalidateParams() {
-	m.cacheMu.Lock()
-	m.version++
-	m.cacheMu.Unlock()
-}
-
-// PrewarmCaches materializes the transposed-layout caches for the current
-// parameter version. Coordinators call it (via nn.Prewarm) before fanning
-// work out to workers so no worker pays the rebuild; rebuilds are
-// mutex-serialized either way, so this is a latency optimization, not a
-// safety requirement.
-func (m *NADE) PrewarmCaches() { m.transposed() }
-
-// transposed returns the cached V^T (h x n) and W^T (n x h) layouts the
-// batched paths contract against, rebuilding them if the parameters changed
-// since the last build. Safe for concurrent use: rebuilds are serialized by
-// cacheMu, and the cached matrices are immutable between InvalidateParams
-// calls (which require evaluation quiescence), so returned pointers stay
-// valid for the whole parallel section.
-func (m *NADE) transposed() (vt, wt *tensor.Matrix) {
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	if m.tVersion != m.version {
-		if m.vt == nil {
-			m.vt = tensor.NewMatrix(m.h, m.n)
-			m.wt = tensor.NewMatrix(m.n, m.h)
-		}
-		for i := 0; i < m.n; i++ {
-			for k := 0; k < m.h; k++ {
-				m.vt.Data[k*m.n+i] = m.V.Data[i*m.h+k]
-				m.wt.Data[i*m.h+k] = m.W.Data[k*m.n+i]
-			}
-		}
-		m.tVersion = m.version
-	}
-	return m.vt, m.wt
-}
-
 // conditionalZ computes the output pre-activation for site i given the
-// current hidden accumulator.
-func (m *NADE) conditionalZ(a tensor.Vector, relu tensor.Vector, i int) float64 {
-	copy(relu, a)
-	tensor.ReLU(relu)
-	return m.V.Row(i).Dot(relu) + m.B[i]
+// current hidden accumulator, V_i . relu(a) + b_i, with the ReLU applied as
+// a skip-on-nonpositive: a relu(a_k) = +0 term is an exact no-op in the
+// ascending dot chain (a sum that starts at +0 never becomes -0), so the
+// value is bitwise the dot over a materialized activation, and a trained
+// model's mostly-inactive hidden units cost a compare, not a multiply-add.
+func (m *NADE) conditionalZ(a tensor.Vector, i int) float64 {
+	var z float64
+	for k, v := range m.V.Row(i) {
+		if av := a[k]; av > 0 {
+			z += v * av
+		}
+	}
+	return z + m.B[i]
 }
 
 // accumulate folds site i's bit into the hidden state.
@@ -186,7 +138,7 @@ func (m *NADE) LogProbScratch(x []int, s *NADEScratch) float64 {
 	copy(s.A, m.C)
 	var lp float64
 	for i, b := range x {
-		z := m.conditionalZ(s.A, s.Relu, i)
+		z := m.conditionalZ(s.A, i)
 		lp += condTerm(z, b)
 		m.accumulate(s.A, i, b)
 	}
@@ -226,7 +178,7 @@ func (m *NADE) ConditionalScratch(x []int, i int, s *NADEScratch) float64 {
 	for j := 0; j < i; j++ {
 		m.accumulate(s.A, j, x[j])
 	}
-	return 1 / (1 + math.Exp(-m.conditionalZ(s.A, s.Relu, i)))
+	return 1 / (1 + math.Exp(-m.conditionalZ(s.A, i)))
 }
 
 // GradLogPsiScratch accumulates d log psi / d theta into grad (overwritten).
@@ -267,14 +219,16 @@ func (m *NADE) GradLogPsiScratch(x []int, grad tensor.Vector, s *NADEScratch) {
 			}
 		}
 		ai := s.As.Row(i)
-		z := m.conditionalZ(tensor.Vector(ai), s.Relu, i) // also fills s.Relu
+		z := m.conditionalZ(ai, i)
 		dz := float64(x[i]) - 1/(1+math.Exp(-z))
 		gB[i] += dz
 		vrow := m.V.Row(i)
 		base := i * h
-		for k := 0; k < h; k++ {
-			gV[base+k] += dz * s.Relu[k]
-			if ai[k] > 0 {
+		// Inactive units contribute dz * relu(a_k) = +/-0 to the (zeroed)
+		// V_i gradient and nothing to dA: skipping them leaves +0 in place.
+		for k, av := range ai {
+			if av > 0 {
+				gV[base+k] += dz * av
 				s.dA[k] += dz * vrow[k]
 			}
 		}
@@ -352,7 +306,7 @@ func (c *nadeFlipCache) rebase(from int) {
 	}
 	for i := from; i < m.n; i++ {
 		copy(s.As.Row(i), s.A)
-		c.z[i] = m.conditionalZ(s.A, s.Relu, i)
+		c.z[i] = m.conditionalZ(s.A, i)
 		c.p[i+1] = c.p[i] + condTerm(c.z[i], c.x[i])
 		m.accumulate(s.A, i, c.x[i])
 	}
@@ -372,7 +326,7 @@ func (c *nadeFlipCache) FlipLogPsi(bit int) float64 {
 	copy(s.A, s.As.Row(bit))
 	m.accumulate(s.A, bit, nb)
 	for j := bit + 1; j < m.n; j++ {
-		lp += condTerm(m.conditionalZ(s.A, s.Relu, j), c.x[j])
+		lp += condTerm(m.conditionalZ(s.A, j), c.x[j])
 		m.accumulate(s.A, j, c.x[j])
 	}
 	return 0.5 * lp
@@ -390,6 +344,21 @@ func (c *nadeFlipCache) State() []int { return c.x }
 func (c *nadeFlipCache) Reset(x []int) {
 	copy(c.x, x)
 	c.rebase(0)
+}
+
+// NewBatchEvaluator implements BatchEvaluatorBuilder with the row adaptor
+// over NewFlipCache and NewGradEvaluator: the prefix-reusing scalar flip
+// cache ties or beats a site-major slab kernel for this family at every
+// measured size and worker count (docs/ARCHITECTURE.md, "Which kernel a
+// family keeps"), so the scalar path is the batched path. workers bounds
+// the fan-out (<= 0 means GOMAXPROCS) and does not affect any output value.
+// The evaluator is not safe for concurrent use.
+func (m *NADE) NewBatchEvaluator(workers int) BatchEvaluator { return newRowEvaluator(m, workers) }
+
+// NewBatchAncestralSampler implements BatchAncestralBuilder with the row
+// adaptor over NewIncrementalEvaluator.
+func (m *NADE) NewBatchAncestralSampler() BatchAncestralSampler {
+	return &rowAncestral{sites: m.n, newEval: m.NewIncrementalEvaluator}
 }
 
 // NewIncrementalEvaluator returns the natural O(h)-per-bit NADE evaluator
@@ -414,7 +383,7 @@ func (e *nadeEvaluator) Reset() {
 }
 
 func (e *nadeEvaluator) Prob(i int) float64 {
-	return 1 / (1 + math.Exp(-e.m.conditionalZ(e.s.A, e.s.Relu, i)))
+	return 1 / (1 + math.Exp(-e.m.conditionalZ(e.s.A, i)))
 }
 
 func (e *nadeEvaluator) Fix(i, bit int) {
@@ -427,9 +396,11 @@ func (e *nadeEvaluator) Fix(i, bit int) {
 func (e *nadeEvaluator) ForwardPasses() int64 { return e.passes }
 
 var (
-	_ Autoregressive       = (*NADE)(nil)
-	_ CacheBuilder         = (*NADE)(nil)
-	_ GradEvaluatorBuilder = (*NADE)(nil)
-	_ ConditionalEvaluator = (*nadeEvaluator)(nil)
-	_ TailFlipCache        = (*nadeFlipCache)(nil)
+	_ Autoregressive        = (*NADE)(nil)
+	_ CacheBuilder          = (*NADE)(nil)
+	_ GradEvaluatorBuilder  = (*NADE)(nil)
+	_ BatchEvaluatorBuilder = (*NADE)(nil)
+	_ BatchAncestralBuilder = (*NADE)(nil)
+	_ ConditionalEvaluator  = (*nadeEvaluator)(nil)
+	_ TailFlipCache         = (*nadeFlipCache)(nil)
 )

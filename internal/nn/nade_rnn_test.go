@@ -237,6 +237,59 @@ func TestRNNFlipCacheConsistent(t *testing.T) {
 	}
 }
 
+// TestNADEConditionalZMatchesMaterializedReLU pins the skip-on-nonpositive
+// conditional against the formula it replaced — copy the accumulator, apply
+// ReLU, take the ascending dot with V_i, add the bias — with exact ==, on
+// accumulators with negative, zero, negative-zero and positive entries, and
+// the backward against the same formula spelled out, so the committed
+// trajectories (bench core.curve_hash) cannot move.
+func TestNADEConditionalZMatchesMaterializedReLU(t *testing.T) {
+	const n, h = 7, 12
+	m := NewNADE(n, h, rng.New(61))
+	r := rng.New(62)
+	a, relu := tensor.NewVector(h), tensor.NewVector(h)
+	for trial := 0; trial < 200; trial++ {
+		r.FillNorm(a, 1)
+		a[trial%h] = 0
+		a[(trial+3)%h] = math.Copysign(0, -1)
+		if trial%7 == 0 {
+			for k := range a {
+				a[k] = -math.Abs(a[k]) // every unit inactive
+			}
+		}
+		copy(relu, a)
+		tensor.ReLU(relu)
+		for i := 0; i < n; i++ {
+			want := m.V.Row(i).Dot(relu) + m.B[i]
+			if got := m.conditionalZ(a, i); got != want || math.Signbit(got) != math.Signbit(want) {
+				t.Fatalf("trial %d site %d: conditionalZ %v != materialized %v", trial, i, got, want)
+			}
+		}
+	}
+	// Backward: the V block of the gradient is 0.5 * dz_i * relu(a_i), the
+	// inactive entries exactly +0.
+	x := make([]int, n)
+	grad := tensor.NewVector(m.NumParams())
+	for trial := 0; trial < 20; trial++ {
+		r.FillBits(x)
+		m.GradLogPsi(x, grad)
+		copy(a, m.C)
+		for i, bit := range x {
+			copy(relu, a)
+			tensor.ReLU(relu)
+			dz := float64(bit) - 1/(1+math.Exp(-(m.V.Row(i).Dot(relu)+m.B[i])))
+			for k := 0; k < h; k++ {
+				want := 0.5 * (0 + dz*relu[k])
+				got := grad[h*n+h+i*h+k]
+				if got != want || math.Signbit(got) != math.Signbit(want) {
+					t.Fatalf("trial %d site %d unit %d: dV %v != materialized %v", trial, i, k, got, want)
+				}
+			}
+			m.accumulate(a, i, bit)
+		}
+	}
+}
+
 func TestNADEParamCountMatchesMADE(t *testing.T) {
 	// Same width, same budget: d = 2hn + h + n for both.
 	nade := NewNADE(10, 8, rng.New(13))

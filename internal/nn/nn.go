@@ -1,9 +1,11 @@
-// Package nn implements the two neural wavefunction families the paper
-// compares: the masked autoencoder MADE (autoregressive, normalized, exactly
-// sampleable) and the restricted Boltzmann machine RBM (unnormalized,
-// requires MCMC). Gradients are analytic closed forms of the 1-2 layer
-// architectures, standing in for the autograd engine of the paper's PyTorch
-// implementation; tests validate them against finite differences.
+// Package nn implements four neural wavefunction families: the two the
+// paper compares — the masked autoencoder MADE (autoregressive, normalized,
+// exactly sampleable) and the restricted Boltzmann machine RBM
+// (unnormalized, requires MCMC) — and two further autoregressive ones, NADE
+// (the architecture MADE improves on) and a recurrent (RNN) wavefunction.
+// Gradients are analytic closed forms of the 1-2 layer architectures,
+// standing in for the autograd engine of the paper's PyTorch implementation;
+// tests validate them against finite differences.
 //
 // Configurations are bit strings x in {0,1}^n. Every model stores its
 // parameters in one flat backing vector so optimizers can update in place;

@@ -12,9 +12,9 @@ import (
 // more interleavings to bite on.
 const raceGoroutines = 8
 
-// lazyCacheModels builds one instance of every model family. MADE, NADE and
-// the RBM keep lazy parameter-version caches (masked weights, V^T/W^T, W^T);
-// the RNN keeps none but rides along to pin that its batched path really has
+// lazyCacheModels builds one instance of every model family. MADE and the
+// RBM keep lazy parameter-version caches (masked weights, W^T); NADE and the
+// RNN keep none but ride along to pin that their batched paths really have
 // no shared mutable state either.
 func lazyCacheModels(n, h int) map[string]interface {
 	Wavefunction

@@ -60,12 +60,7 @@ func (e *rbmBatchEvaluator) thetaSlab(b ConfigBatch, lo, hi int) (sp, th *tensor
 // bitwise.
 func (e *rbmBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 	m := e.m
-	if b.Sites != m.n {
-		panic("nn: LogPsiBatch sites mismatch")
-	}
-	if len(out) != b.N {
-		panic("nn: LogPsiBatch output length mismatch")
-	}
+	checkLogPsiBatch(m.n, b, out)
 	for lo := 0; lo < b.N; lo += batchSlabRows {
 		hi := lo + batchSlabRows
 		if hi > b.N {
@@ -84,12 +79,7 @@ func (e *rbmBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 // then the shared closed-form gradient fills each ows row.
 func (e *rbmBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	m := e.m
-	if b.Sites != m.n {
-		panic("nn: GradLogPsiBatch sites mismatch")
-	}
-	if ows.N != b.N || ows.Dim != m.NumParams() {
-		panic("nn: GradLogPsiBatch ows shape mismatch")
-	}
+	checkGradLogPsiBatch(m.n, m.NumParams(), b, ows)
 	for lo := 0; lo < b.N; lo += batchSlabRows {
 		hi := lo + batchSlabRows
 		if hi > b.N {
@@ -113,12 +103,7 @@ func (e *rbmBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 func (e *rbmBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64) {
 	m := e.m
 	nf := len(flips)
-	if b.Sites != m.n {
-		panic("nn: FlipLogPsiBatch sites mismatch")
-	}
-	if (base != nil && len(base) != b.N) || len(delta) != b.N*nf {
-		panic("nn: FlipLogPsiBatch output length mismatch")
-	}
+	checkFlipLogPsiBatch(m.n, b, flips, base, delta)
 	for lo := 0; lo < b.N; lo += batchSlabRows {
 		hi := lo + batchSlabRows
 		if hi > b.N {

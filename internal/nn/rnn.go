@@ -46,7 +46,6 @@ type RNNScratch struct {
 	Ss   *tensor.Matrix // (n+1) x h recorded states for backprop
 	dS   tensor.Vector
 	dPre tensor.Vector
-	buf  []int
 }
 
 // NewRNN builds an RNN wavefunction with n sites and hidden width h.
@@ -89,7 +88,6 @@ func (m *RNNWavefunction) NewScratch() *RNNScratch {
 		Ss:   tensor.NewMatrix(m.n+1, m.h),
 		dS:   tensor.NewVector(m.h),
 		dPre: tensor.NewVector(m.h),
-		buf:  make([]int, m.n),
 	}
 }
 

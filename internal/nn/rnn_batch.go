@@ -37,7 +37,8 @@ type rnnBatchEvaluator struct {
 	bufZ, bufP, bufSnap []float64
 	bufSf, bufLp        []float64
 	bufBase             []float64
-	gs                  []*RNNScratch // per-worker backward scratch
+	grads               []GradEvaluator // per-worker scalar backward
+	needSnap            []bool          // per-call flip marks over sites
 }
 
 // NewBatchEvaluator implements BatchEvaluatorBuilder. workers bounds the
@@ -47,11 +48,8 @@ func (m *RNNWavefunction) NewBatchEvaluator(workers int) BatchEvaluator {
 	if workers <= 0 {
 		workers = parallel.MaxWorkers()
 	}
-	e := &rnnBatchEvaluator{m: m, workers: workers, gs: make([]*RNNScratch, workers)}
-	for w := 0; w < workers; w++ {
-		e.gs[w] = m.NewScratch()
-	}
-	return e
+	return &rnnBatchEvaluator{m: m, workers: workers,
+		grads: newGradEvaluators(m, workers), needSnap: make([]bool, m.n)}
 }
 
 // NewFullFlipBatchEvaluator implements FullFlipBatchEvaluatorBuilder: a
@@ -85,12 +83,7 @@ func (e *rnnBatchEvaluator) initRows(st *tensor.Matrix, s int) {
 // bitwise.
 func (e *rnnBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 	m := e.m
-	if b.Sites != m.n {
-		panic("nn: LogPsiBatch sites mismatch")
-	}
-	if len(out) != b.N {
-		panic("nn: LogPsiBatch output length mismatch")
-	}
+	checkLogPsiBatch(m.n, b, out)
 	vmat := e.vMat()
 	for lo := 0; lo < b.N; lo += batchSlabRows {
 		hi := lo + batchSlabRows
@@ -132,25 +125,11 @@ func (e *rnnBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 	}
 }
 
-// GradLogPsiBatch implements BatchEvaluator. The BPTT backward is
-// inherently per-row (the recorded states differ per sample), so the
-// batched path shares the scalar GradLogPsiScratch verbatim across
-// per-worker scratches — the rbm_batch.go shape.
+// GradLogPsiBatch implements BatchEvaluator through the shared per-row
+// scalar backward (gradRows): BPTT records per-sample states, so there is
+// no cross-row GEMM to fuse.
 func (e *rnnBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
-	m := e.m
-	if b.Sites != m.n {
-		panic("nn: GradLogPsiBatch sites mismatch")
-	}
-	if ows.N != b.N || ows.Dim != m.NumParams() {
-		panic("nn: GradLogPsiBatch ows shape mismatch")
-	}
-	ranges := parallel.Partition(b.N, e.workers)
-	parallel.ForEach(len(ranges), e.workers, func(w int) {
-		s := e.gs[w]
-		for r := ranges[w].Lo; r < ranges[w].Hi; r++ {
-			m.GradLogPsiScratch(b.Row(r), ows.Sample(r), s)
-		}
-	})
+	gradRows(e.m, e.grads, b, ows)
 }
 
 // FlipLogPsiBatch implements BatchEvaluator under the tail-only flip
@@ -168,12 +147,7 @@ func (e *rnnBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 func (e *rnnBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64) {
 	m := e.m
 	nf := len(flips)
-	if b.Sites != m.n {
-		panic("nn: FlipLogPsiBatch sites mismatch")
-	}
-	if (base != nil && len(base) != b.N) || len(delta) != b.N*nf {
-		panic("nn: FlipLogPsiBatch output length mismatch")
-	}
+	checkFlipLogPsiBatch(m.n, b, flips, base, delta)
 	if base == nil {
 		// The RNN's deltas subtract the base log-psi, and the prefix fold
 		// computes it as a byproduct — stage it in a reusable buffer.
@@ -183,7 +157,8 @@ func (e *rnnBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, de
 		base = e.bufBase[:b.N]
 	}
 	vmat := e.vMat()
-	needSnap := make([]bool, m.n)
+	needSnap := e.needSnap
+	clear(needSnap)
 	for _, bit := range flips {
 		needSnap[bit] = true
 	}
@@ -262,7 +237,7 @@ func (e *rnnBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, de
 				snapBand := snap.Data[bit*s*m.h : (bit+1)*s*m.h]
 				parallel.For(s, e.workers, func(slo, shi int) {
 					for si := slo; si < shi; si++ {
-						nb := 1 - b.Row(lo+si)[bit]
+						nb := 1 - b.Row(lo + si)[bit]
 						lpf.Data[si] = p.Row(si)[bit] + condTerm(z.Row(si)[bit], nb)
 						copy(sf.Row(si), snapBand[si*m.h:(si+1)*m.h])
 					}
@@ -271,7 +246,7 @@ func (e *rnnBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, de
 					tensor.MatMulT(pre, sf, m.Wh, e.workers)
 					parallel.For(s, e.workers, func(slo, shi int) {
 						for si := slo; si < shi; si++ {
-							nb := 1 - b.Row(lo+si)[bit]
+							nb := 1 - b.Row(lo + si)[bit]
 							m.stepActivate(sf.Row(si), pre.Row(si), nb)
 						}
 					})
@@ -322,12 +297,7 @@ func (m *RNNWavefunction) NewBatchAncestralSampler() BatchAncestralSampler {
 // Sample implements BatchAncestralSampler.
 func (a *rnnBatchAncestral) Sample(b ConfigBatch, u []float64, workers int) {
 	m := a.m
-	if b.Sites != m.n {
-		panic("nn: batched ancestral sites mismatch")
-	}
-	if len(u) < b.N*m.n {
-		panic("nn: batched ancestral uniforms too short")
-	}
+	checkAncestral(m.n, b, u)
 	vmat := &tensor.Matrix{Rows: 1, Cols: m.h, Data: m.V}
 	st := growMat(&a.bufS, b.N, m.h)
 	pre := growMat(&a.bufPre, b.N, m.h)

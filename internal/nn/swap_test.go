@@ -9,33 +9,58 @@ import (
 )
 
 // TestHotSwapParams pins the hot-swap primitive: after swapping a live
-// model onto a checkpoint's parameters, LogPsi must be bitwise equal to the
-// checkpoint source's LogPsi (the derived caches rebuild through
-// InvalidateParams, so the masked-weight products see the new version).
+// model onto a checkpoint's parameters, LogPsi — scalar, and through a
+// BatchEvaluator built and used BEFORE the swap, the serving layer's shape —
+// must be bitwise equal to the checkpoint source's LogPsi (MADE's and the
+// RBM's derived caches rebuild through InvalidateParams). The families with
+// no derived state (noCache: NADE, RNN) must serve the new parameters after
+// a bare copy into Params(), with no InvalidateParams involved at all.
 func TestHotSwapParams(t *testing.T) {
+	type model interface {
+		Wavefunction
+		BatchEvaluatorBuilder
+	}
 	cases := []struct {
-		name string
-		mk   func(seed uint64) Wavefunction
+		name    string
+		mk      func(seed uint64) model
+		noCache bool
 	}{
-		{"made", func(s uint64) Wavefunction { return NewMADE(9, 11, rng.New(s)) }},
-		{"rbm", func(s uint64) Wavefunction { return NewRBM(9, 11, rng.New(s)) }},
-		{"nade", func(s uint64) Wavefunction { return NewNADE(9, 11, rng.New(s)) }},
-		{"rnn", func(s uint64) Wavefunction { return NewRNN(9, 11, rng.New(s)) }},
+		{"made", func(s uint64) model { return NewMADE(9, 11, rng.New(s)) }, false},
+		{"rbm", func(s uint64) model { return NewRBM(9, 11, rng.New(s)) }, false},
+		{"nade", func(s uint64) model { return NewNADE(9, 11, rng.New(s)) }, true},
+		{"rnn", func(s uint64) model { return NewRNN(9, 11, rng.New(s)) }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			live, src := tc.mk(1), tc.mk(2)
-			x := make([]int, 9)
-			rng.New(5).FillBits(x)
+			b := randomConfigs(3, 9, rng.New(5))
+			x := b.Row(0)
 			// Force the live model's lazy caches to materialize on the OLD
 			// parameters first, so the swap's invalidation is load-bearing.
 			_ = live.LogPsi(x)
+			e := live.NewBatchEvaluator(2)
+			out := make([]float64, b.N)
+			e.LogPsiBatch(b, out)
+			check := func(how string) {
+				t.Helper()
+				if got, want := live.LogPsi(x), src.LogPsi(x); got != want {
+					t.Fatalf("%s after %s: LogPsi %v != source %v", tc.name, how, got, want)
+				}
+				e.LogPsiBatch(b, out)
+				for k := range out {
+					if want := src.LogPsi(b.Row(k)); out[k] != want {
+						t.Fatalf("%s after %s: pre-built evaluator row %d serves %v, source %v", tc.name, how, k, out[k], want)
+					}
+				}
+			}
+			if tc.noCache {
+				copy(live.Params(), src.Params())
+				check("bare copy")
+			}
 			if err := HotSwapParams(live, src); err != nil {
 				t.Fatalf("HotSwapParams: %v", err)
 			}
-			if got, want := live.LogPsi(x), src.LogPsi(x); got != want {
-				t.Fatalf("%s: post-swap LogPsi %v != source %v", tc.name, got, want)
-			}
+			check("HotSwapParams")
 		})
 	}
 }

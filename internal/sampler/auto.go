@@ -23,9 +23,9 @@ type Auto struct {
 	evals   []nn.ConditionalEvaluator
 	// Batched ancestral mode: when bsmp is non-nil, Sample pre-draws the
 	// whole batch's uniforms (in the same per-worker order the scalar loop
-	// consumes them) and advances all samples site-by-site through one
-	// fused pass per site. Bits are bitwise identical to the scalar
-	// incremental mode at the same worker count.
+	// consumes them) and hands them to the model's batched sampler. Bits
+	// are bitwise identical to the scalar incremental mode at the same
+	// worker count.
 	bsmp nn.BatchAncestralSampler
 	ubuf []float64
 	cost Cost
@@ -59,12 +59,14 @@ func NewAutoMADE(m *nn.MADE, incremental bool, workers int, r *rng.Rand) *Auto {
 	return NewAuto(m.NumSites(), f, workers, r)
 }
 
-// NewAutoBatched builds the batched ancestral sampler: all samples advance
-// together site-by-site through the model's BatchAncestralSampler (one
-// fused pass over the B x h hidden state per site). The RNG streams, their
-// per-worker slab assignment and the drawn bits are bitwise identical to
-// the scalar incremental sampler built with the same workers and r — the
-// batched mode changes memory layout and loop order, never a sampled bit.
+// NewAutoBatched builds the batched ancestral sampler: the whole batch's
+// uniforms are drawn up front and the model's nn.BatchAncestralSampler
+// turns them into bits (site-major recurrent GEMMs for the RNN; for MADE
+// and NADE the incremental evaluator walked row by row). The RNG streams,
+// their per-worker slab assignment and the drawn bits are bitwise identical
+// to the scalar incremental sampler built with the same workers and r — the
+// batched mode changes when uniforms are drawn and, at most, memory layout
+// and loop order, never a sampled bit.
 func NewAutoBatched(sites int, builder nn.BatchAncestralBuilder, workers int, r *rng.Rand) *Auto {
 	if workers <= 0 {
 		workers = parallel.MaxWorkers()
@@ -117,8 +119,8 @@ func (a *Auto) Sample(b *Batch) {
 
 // sampleBatched pre-draws every uniform the scalar loop would consume —
 // worker w drawing for its slab in (sample, site) order from its own
-// stream, exactly the scalar consumption order — then advances the whole
-// batch site-major through the model's fused per-site pass.
+// stream, exactly the scalar consumption order — then lets the model's
+// batched sampler turn them into bits.
 func (a *Auto) sampleBatched(b *Batch) {
 	if need := b.N * a.sites; cap(a.ubuf) < need {
 		a.ubuf = make([]float64, need)

@@ -59,7 +59,8 @@ func benchAutoSample(b *testing.B, batched bool, workers int) {
 }
 
 // BenchmarkAutoSampleScalar and BenchmarkAutoSampleBatched compare the
-// per-sample incremental ancestral sampler against the fused site-major
-// batched mode at the paper-scale working point (n=32, h=64, B=1024).
+// per-sample incremental ancestral sampler against the batched mode
+// (uniforms pre-drawn, then MADE's row adaptor over the same evaluator) at
+// the paper-scale working point (n=32, h=64, B=1024).
 func BenchmarkAutoSampleScalar(b *testing.B)  { benchAutoSample(b, false, 0) }
 func BenchmarkAutoSampleBatched(b *testing.B) { benchAutoSample(b, true, 0) }

@@ -69,10 +69,19 @@ func statusOf(err error) int {
 	}
 }
 
+// writeJSON marshals v before the status line goes out, so a value
+// encoding/json refuses — a non-finite amplitude or energy — is a 500 with
+// the error JSON rather than a 200 with a truncated body. A healthy
+// response is the bytes json.Encoder would write, trailing newline included.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, err error) {

@@ -9,6 +9,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -219,6 +220,34 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	// Energy without a Hamiltonian -> 400 (unsupported).
 	postJSON(t, ts, "/v1/models/m/energy", configsRequest{Configs: cfgs}, nil, http.StatusBadRequest)
+	// A non-finite value, which encoding/json refuses -> 500 carrying the
+	// error JSON, never a 200 with a truncated body.
+	poisoned := buildWF("made", n, h, 96)
+	poisoned.Params()[0] = math.NaN()
+	nn.InvalidateParams(poisoned)
+	if err := s.Register("nan", ModelSpec{WF: poisoned}); err != nil {
+		t.Fatal(err)
+	}
+	buf, _ := json.Marshal(configsRequest{Configs: [][]int{{1, 1, 1, 1, 1, 1, 1, 1}}})
+	resp, err = http.Post(ts.URL+"/v1/models/nan/logpsi", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorResponse
+	decErr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || decErr != nil || e.Error == "" {
+		t.Fatalf("NaN payload: status %d, body error %q (decode: %v); want 500 with an error body",
+			resp.StatusCode, e.Error, decErr)
+	}
+	// A healthy response is byte for byte what json.Encoder writes.
+	rec, want := httptest.NewRecorder(), new(bytes.Buffer)
+	healthy := valuesResponse{Values: []float64{-1.5, 0.1, 3e-9}}
+	writeJSON(rec, http.StatusOK, healthy)
+	_ = json.NewEncoder(want).Encode(healthy)
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("healthy body %q (status %d), want %q", rec.Body.Bytes(), rec.Code, want.Bytes())
+	}
 	// Drained server -> 503.
 	s.Close()
 	postJSON(t, ts, "/v1/models/m/logpsi", configsRequest{Configs: cfgs}, nil, http.StatusServiceUnavailable)

@@ -66,7 +66,7 @@ var (
 type Config struct {
 	// MaxBatch caps the rows folded into one dispatch (default 1024).
 	// MaxBatch = 1 disables coalescing: every request is its own dispatch
-	// (the A/B baseline the load harness measures against).
+	// (the per-request A/B baseline).
 	MaxBatch int
 	// Window bounds the queue delay: after a request opens a batch, the
 	// dispatcher waits at most Window for more arrivals before dispatching

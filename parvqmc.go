@@ -128,10 +128,13 @@ type Options struct {
 	// Hidden overrides the latent size (default: 5(ln n)^2 for MADE, n for
 	// RBM).
 	Hidden int
-	// Sampler selects "auto" (exact ancestral sampling, default for MADE;
-	// batched site-major when BatchedEval is on, incremental otherwise —
-	// same bits either way), "auto-naive" (Algorithm 1: n forward passes
-	// per sample), or "mcmc" (default for RBM).
+	// Sampler selects "auto" (exact ancestral sampling, default for the
+	// autoregressive models; with BatchedEval on, the whole batch's
+	// uniforms are pre-drawn and handed to the model's batched sampler —
+	// site-major recurrent GEMMs for the RNN, the same incremental
+	// evaluator walked row by row for MADE and NADE — same bits either
+	// way), "auto-naive" (Algorithm 1: n forward passes per sample), or
+	// "mcmc" (default for RBM).
 	Sampler string
 	// Optimizer is "adam" (default, lr 0.01) or "sgd" (lr 0.1).
 	Optimizer string
@@ -148,12 +151,15 @@ type Options struct {
 	// recurrence updates; serially it is the identical algorithm).
 	SRSolver string
 	// BatchedEval selects the evaluation path. nil or true (the default)
-	// fuses sampling, local-energy and gradient evaluation into blocked
-	// matrix products over the batch dimension whenever the model supports
-	// it (MADE); false forces the per-sample scalar path, kept reachable
-	// for A/B timing (the `batched` experiment, -batched-eval=false). The
-	// two paths are bitwise identical — same energies, same gradients,
-	// same sampled bits — so the knob never changes a result.
+	// runs sampling, local-energy and gradient evaluation through the
+	// model's whole-batch evaluator — for each family whichever kernel the
+	// committed benchmark record shows faster: blocked matrix products over
+	// the batch dimension for MADE, the RBM and the RNN, the scalar kernels
+	// themselves (rows partitioned over workers) for NADE; false forces the
+	// per-sample scalar loops of package core, kept reachable for A/B
+	// timing (the `batched` experiment, -batched-eval=false). The two
+	// paths are bitwise identical — same energies, same gradients, same
+	// sampled bits — so the knob never changes a result.
 	BatchedEval *bool
 	// BatchSize is samples per iteration (default 1024).
 	BatchSize int
@@ -418,7 +424,8 @@ func (o Options) newModel(n int, init *rng.Rand) core.Model {
 // (MADE: Algorithm 1 verbatim, n forward passes per sample; NADE and the RNN
 // are inherently incremental) for the autoregressive ones. "auto" honors
 // the BatchedEval knob: the batched ancestral mode draws bit-identical
-// samples from the same streams and only changes the loop order.
+// samples from the same streams and only changes when the uniforms are
+// drawn and, for the RNN, the loop order.
 func (o Options) newSampler(n int, m core.Model, kind string, workers int, stream *rng.Rand) (sampler.Sampler, error) {
 	mcmc := sampler.MCMCConfig{Chains: o.MCMCChains, BurnIn: o.MCMCBurnIn, Thin: o.MCMCThin}
 	switch kind {
