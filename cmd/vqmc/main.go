@@ -29,7 +29,7 @@ func main() {
 		n       = flag.Int("n", 16, "number of sites (matrix dimension is 2^n)")
 		seed    = flag.Uint64("seed", 1, "root random seed")
 		model   = flag.String("model", "made", "wavefunction: made, rbm, nade or rnn")
-		smp     = flag.String("sampler", "", "sampler: auto, auto-naive or mcmc (default by model)")
+		smp     = flag.String("sampler", "", "sampler: auto, auto-naive, mcmc or gibbs (default by model; gibbs needs -model rbm)")
 		opt     = flag.String("optimizer", "adam", "optimizer: adam or sgd")
 		lr      = flag.Float64("lr", 0, "learning rate (0 = optimizer default)")
 		sr      = flag.Bool("sr", false, "enable stochastic reconfiguration (natural gradient)")

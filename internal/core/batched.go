@@ -18,23 +18,16 @@ const (
 	// EvalAuto (the default) uses the model's nn.BatchEvaluator whenever it
 	// implements nn.BatchEvaluatorBuilder, falling back to the scalar loops
 	// otherwise. Each family's NewBatchEvaluator returns whichever of its
-	// kernels the committed benchmark record shows faster (GEMMs for MADE,
-	// the RBM and the RNN; for NADE the row adaptor, which is the scalar
-	// path itself), so EvalAuto never has to choose between them. The two
-	// paths are bitwise interchangeable.
+	// kernels the committed benchmark record shows faster (GEMMs for MADE
+	// and the RBM; for NADE and the RNN the row adaptor over their shared
+	// scalar skeleton, which is the scalar path itself), so EvalAuto never
+	// has to choose between them. The two paths are bitwise
+	// interchangeable.
 	EvalAuto EvalMode = iota
 	// EvalScalar forces the per-sample loops of this package (LocalEnergies,
 	// FillOws): the reference the batched evaluators are pinned to and the
 	// A/B baseline.
 	EvalScalar
-	// EvalFullFlip selects the model's full-recompute flip oracle (every
-	// flip row re-evaluated from scratch instead of resuming from tail-only
-	// snapshots) when the model implements nn.FullFlipBatchEvaluatorBuilder
-	// (MADE, RNN), behaving like EvalAuto otherwise (RBM, NADE). The oracle
-	// is bitwise identical to the tail-only evaluator — this mode exists so
-	// the differential reference is a first-class cell in the conformance
-	// matrix (serial and distributed) rather than a test-local construction.
-	EvalFullFlip
 )
 
 // configs reinterprets a sampler batch as the nn-side view, zero-copy.
@@ -62,14 +55,6 @@ func NewBatchedEval(model nn.Wavefunction, mode EvalMode, workers int) *BatchedE
 	if mode == EvalScalar {
 		return nil
 	}
-	if mode == EvalFullFlip {
-		if fb, ok := model.(nn.FullFlipBatchEvaluatorBuilder); ok {
-			return &BatchedEval{be: fb.NewFullFlipBatchEvaluator(workers)}
-		}
-		// No oracle (the RBM, whose incremental delta IS the only
-		// convention; NADE, whose batched path IS the scalar cache): behave
-		// like EvalAuto.
-	}
 	bb, ok := model.(nn.BatchEvaluatorBuilder)
 	if !ok {
 		return nil
@@ -78,8 +63,8 @@ func NewBatchedEval(model nn.Wavefunction, mode EvalMode, workers int) *BatchedE
 }
 
 // NewBatchedEvalWith wraps an explicitly constructed nn.BatchEvaluator —
-// the entry point benchmarks use to drive reference evaluators (e.g.
-// MADE's full-flip PR 4 baseline) through the same energy reduction.
+// the entry point tests and benchmarks use to drive reference evaluators
+// (MADE's full-recompute flip oracle) through the same energy reduction.
 func NewBatchedEvalWith(be nn.BatchEvaluator) *BatchedEval {
 	return &BatchedEval{be: be}
 }

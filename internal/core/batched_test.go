@@ -12,8 +12,9 @@ import (
 )
 
 // TestLocalEnergiesBatchedBitIdentical: the batched flip-super-batch path
-// must reproduce the scalar FlipCache path with exact ==, across the
-// acceptance grid of batch sizes, worker counts and site counts.
+// and MADE's full-recompute flip oracle must both reproduce the scalar
+// FlipCache path with exact ==, across the acceptance grid of batch sizes,
+// worker counts and site counts.
 func TestLocalEnergiesBatchedBitIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 19} {
 		r := rng.New(uint64(600 + n))
@@ -37,6 +38,14 @@ func TestLocalEnergiesBatchedBitIdentical(t *testing.T) {
 				for k := range got {
 					if got[k] != want[k] {
 						t.Fatalf("batched n=%d B=%d w=%d row %d: %v != %v", n, bs, workers, k, got[k], want[k])
+					}
+				}
+				// MADE's full-recompute flip oracle, through the same reduction.
+				clear(got)
+				NewBatchedEvalWith(m.NewFullFlipBatchEvaluator(workers)).LocalEnergies(h, b, workers, got)
+				for k := range got {
+					if got[k] != want[k] {
+						t.Fatalf("fullflip n=%d B=%d w=%d row %d: %v != %v", n, bs, workers, k, got[k], want[k])
 					}
 				}
 			}

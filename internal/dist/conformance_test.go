@@ -2,15 +2,14 @@ package dist
 
 // Conformance suite for the evaluation-path doctrine, now that every model
 // family (MADE, RBM, NADE, RNN) carries a batched evaluator: for each
-// model x Hamiltonian x topology cell, every evaluation mode — scalar,
-// batched (EvalAuto), and the full-recompute flip oracle (EvalFullFlip) —
-// must produce EXACTLY the same training trajectory (iteration stats and
-// final parameters, compared with ==, no tolerance). Distributed cells must
-// additionally stay replica-consistent. The file also extends the fail-stop
-// recovery acceptance bar (recover_test.go) to the two autoregressive
-// families that previously could not checkpoint: a NADE or RNN rank killed
-// mid-run must recover bit-identical through the kindNADE/kindRNN
-// checkpoint path.
+// model x Hamiltonian x topology cell, both evaluation modes — scalar and
+// batched (EvalAuto) — must produce EXACTLY the same training trajectory
+// (iteration stats and final parameters, compared with ==, no tolerance).
+// Distributed cells must additionally stay replica-consistent. The file
+// also extends the fail-stop recovery acceptance bar (recover_test.go) to
+// the two autoregressive families that previously could not checkpoint: a
+// NADE or RNN rank killed mid-run must recover bit-identical through the
+// kindNADE/kindRNN checkpoint path.
 
 import (
 	"errors"
@@ -161,8 +160,8 @@ type confModel struct {
 	name  string
 	build func(r *rng.Rand) Model
 	// smp returns the sampler matching the eval mode: autoregressive
-	// models pair EvalScalar with the scalar incremental sampler and the
-	// batched modes with the batched ancestral sampler (the pairing the
+	// models pair EvalScalar with the scalar incremental sampler and
+	// EvalAuto with the batched ancestral sampler (the pairing the
 	// production dispatch uses); the RBM always samples via MCMC.
 	smp func(m Model, mode core.EvalMode, stream *rng.Rand) sampler.Sampler
 }
@@ -171,7 +170,9 @@ type confModel struct {
 // both the scalar and batched ancestral interfaces.
 func autoregSampler(m Model, mode core.EvalMode, stream *rng.Rand) sampler.Sampler {
 	if mode == core.EvalScalar {
-		ce := m.(interface{ NewIncrementalEvaluator() nn.ConditionalEvaluator })
+		ce := m.(interface {
+			NewIncrementalEvaluator() nn.ConditionalEvaluator
+		})
 		return sampler.NewAuto(m.NumSites(), ce.NewIncrementalEvaluator, 1, stream)
 	}
 	return sampler.NewAutoBatched(m.NumSites(), m.(nn.BatchAncestralBuilder), 1, stream)
@@ -196,8 +197,6 @@ func evalModeName(mode core.EvalMode) string {
 		return "scalar"
 	case core.EvalAuto:
 		return "batched"
-	case core.EvalFullFlip:
-		return "fullflip"
 	}
 	return "unknown"
 }
@@ -302,11 +301,11 @@ func assertConfEqualWorkers(t *testing.T, ref, got confRun, mode core.EvalMode, 
 // the batched-stack work: model {MADE, RBM, NADE, RNN} x Hamiltonian
 // {transverse-field Ising, QUBO} x topology {serial trainer, distributed
 // L=1, distributed L=3}. Within every cell the scalar path is the
-// reference, and the batched path and the full-recompute flip oracle must
-// reproduce its trajectory with exact ==. (For the RBM, whose flip cache is
-// already its only evaluation path, EvalFullFlip deliberately falls back to
-// EvalAuto and the cell pins that fallback.) Topologies are NOT compared to
-// each other — they consume sampler streams differently by design.
+// reference, and the batched path must reproduce its trajectory with exact
+// ==. (MADE's full-recompute flip oracle is a reference implementation, not
+// an eval mode; the nn and core suites compare it directly.) Topologies are
+// NOT compared to each other — they consume sampler streams differently by
+// design.
 //
 // The Workers axis (confWorkerCounts) then re-runs the scalar and batched
 // paths of every cell at trainer/replica worker counts {1, 3, 4, 8} against
@@ -341,9 +340,7 @@ func TestEvalConformanceMatrix(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", mc.name, hc.name, tc.name), func(t *testing.T) {
 					ham := hc.build()
 					ref := tc.run(t, mc, ham, core.EvalScalar, confWorkers)
-					for _, mode := range []core.EvalMode{core.EvalAuto, core.EvalFullFlip} {
-						assertConfEqual(t, ref, tc.run(t, mc, ham, mode, confWorkers), mode)
-					}
+					assertConfEqual(t, ref, tc.run(t, mc, ham, core.EvalAuto, confWorkers), core.EvalAuto)
 					for _, w := range confWorkerCounts {
 						for _, mode := range []core.EvalMode{core.EvalScalar, core.EvalAuto} {
 							got := tc.run(t, mc, ham, mode, w)

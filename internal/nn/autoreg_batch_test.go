@@ -21,10 +21,10 @@ type batchModel interface {
 
 // autoregFamilies enumerates the autoregressive model families under the
 // batched bit-identity doctrine (MADE keeps its original suite in
-// batch_test.go; NADE/RNN joined in PR 7). MADE and the RNN answer
-// NewBatchEvaluator with GEMM kernels, NADE with the row adaptor; MADE and
-// NADE answer NewBatchAncestralSampler with the row adaptor, the RNN with
-// its recurrent-GEMM sampler. The suites do not care which.
+// batch_test.go; NADE/RNN joined in PR 7). MADE answers NewBatchEvaluator
+// with GEMM kernels, NADE and the RNN with the row adaptor over the scalar
+// skeleton they share (seq.go); all three answer NewBatchAncestralSampler
+// with the row adaptor. The suites do not care which.
 var autoregFamilies = []struct {
 	name  string
 	build func(n, h int, r *rng.Rand) batchModel
@@ -33,6 +33,9 @@ var autoregFamilies = []struct {
 	{"NADE", func(n, h int, r *rng.Rand) batchModel { return NewNADE(n, h, r) }},
 	{"RNN", func(n, h int, r *rng.Rand) batchModel { return NewRNN(n, h, r) }},
 }
+
+// seqFamilies are the two cells of the sequential skeleton (seq.go).
+var seqFamilies = autoregFamilies[1:]
 
 // TestAutoregBatchForwardBitIdentical: LogPsiBatch must equal per-row LogPsi
 // and GradLogPsiBatch per-row GradLogPsi with exact ==, for every family x
@@ -75,7 +78,7 @@ func TestAutoregBatchForwardBitIdentical(t *testing.T) {
 
 // TestAutoregFlipBatchBitIdentical is the tentpole acceptance matrix:
 // FlipLogPsiBatch must match the scalar FlipCache (base and deltas) AND,
-// for the families that keep a tail-only GEMM kernel (MADE, RNN), the
+// for the family that keeps a tail-only GEMM kernel (MADE), the
 // full-recompute oracle evaluator byte for byte, over B in {1,3,64} x
 // workers in {1,2,5} x n in {1,2,7,19}, for every family.
 func TestAutoregFlipBatchBitIdentical(t *testing.T) {
@@ -90,12 +93,12 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 				}
 				for _, workers := range workerCounts {
 					tail := m.NewBatchEvaluator(workers)
-					// NADE has no oracle (its batched path is the scalar
-					// cache itself): full stays nil and only the FlipCache
-					// comparisons run.
+					// NADE and the RNN have no oracle (their batched path is
+					// the scalar cache itself): full stays nil and only the
+					// FlipCache comparisons run.
 					var full BatchEvaluator
-					if fb, ok := m.(FullFlipBatchEvaluatorBuilder); ok {
-						full = fb.NewFullFlipBatchEvaluator(workers)
+					if made, ok := m.(*MADE); ok {
+						full = made.NewFullFlipBatchEvaluator(workers)
 					}
 					for _, bs := range batchSizes {
 						b := randomConfigs(bs, n, rng.New(uint64(31*bs+n)))
@@ -190,9 +193,9 @@ func TestAutoregFlipBatchRandomSites(t *testing.T) {
 }
 
 // TestAutoregBatchAncestralBitIdentical: fed the same uniforms, each
-// family's batched sampler (site-major for the RNN, the row adaptor for MADE
-// and NADE) must produce exactly the bits of its scalar incremental
-// evaluator walked sample-major.
+// family's batched sampler (the row adaptor, at every worker count) must
+// produce exactly the bits of its scalar incremental evaluator walked
+// sample-major.
 func TestAutoregBatchAncestralBitIdentical(t *testing.T) {
 	for _, fam := range autoregFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -294,8 +297,8 @@ var rowFamilies = []struct {
 // BatchEvaluator interface — against every family's own NewBatchEvaluator
 // with exact ==, over the B x workers x n grid: where the family keeps a
 // GEMM kernel this is the batched-equals-scalar contract read from the
-// other side, and for NADE it is the adaptor against itself at a different
-// worker count.
+// other side, and for NADE and the RNN it is the adaptor against itself at
+// a different worker count.
 func TestRowEvaluatorGrid(t *testing.T) {
 	for _, fam := range rowFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -354,23 +357,31 @@ func TestRowEvaluatorGrid(t *testing.T) {
 func TestRowAdaptorsAllocateNothingPerRow(t *testing.T) {
 	const n, h = 9, 12
 	flips := []int{0, 4, 8}
-	nade, made := NewNADE(n, h, rng.New(93)), NewMADE(n, h, rng.New(94))
-	row := nade.NewBatchEvaluator(1)
-	nadeSmp, madeSmp := nade.NewBatchAncestralSampler(), made.NewBatchAncestralSampler()
+	fams := map[string]batchModel{"nade": NewNADE(n, h, rng.New(93)), "rnn": NewRNN(n, h, rng.New(95)), "made": NewMADE(n, h, rng.New(94))}
+	rows, smps := map[string]BatchEvaluator{}, map[string]BatchAncestralSampler{}
+	for name, m := range fams {
+		if name != "made" { // MADE's evaluator is its GEMM kernel, not the adaptor
+			rows[name] = m.NewBatchEvaluator(1)
+		}
+		smps[name] = m.NewBatchAncestralSampler()
+	}
 	allocs := func(bs int) map[string]float64 {
 		b := randomConfigs(bs, n, rng.New(91))
 		delta, out := make([]float64, bs*len(flips)), make([]float64, bs)
-		ows := tensor.NewBatch(bs, nade.NumParams())
 		u := make([]float64, bs*n)
 		rng.New(92).FillUniform(u, 0, 1)
+		calls := map[string]func(){}
+		for name, row := range rows {
+			ows := tensor.NewBatch(bs, fams[name].NumParams())
+			calls[name+" flips"] = func() { row.FlipLogPsiBatch(b, flips, nil, delta) }
+			calls[name+" logpsi"] = func() { row.LogPsiBatch(b, out) }
+			calls[name+" grads"] = func() { row.GradLogPsiBatch(b, ows) }
+		}
+		for name, smp := range smps {
+			calls[name+" sampler"] = func() { smp.Sample(b, u, 1) }
+		}
 		got := map[string]float64{}
-		for name, call := range map[string]func(){
-			"flips":        func() { row.FlipLogPsiBatch(b, flips, nil, delta) },
-			"logpsi":       func() { row.LogPsiBatch(b, out) },
-			"grads":        func() { row.GradLogPsiBatch(b, ows) },
-			"nade sampler": func() { nadeSmp.Sample(b, u, 1) },
-			"made sampler": func() { madeSmp.Sample(b, u, 1) },
-		} {
+		for name, call := range calls {
 			call() // build the lazily created sampler evaluators
 			got[name] = testing.AllocsPerRun(10, call)
 		}
@@ -384,53 +395,59 @@ func TestRowAdaptorsAllocateNothingPerRow(t *testing.T) {
 	}
 }
 
-// TestNADENoDerivedState: NADE keeps no parameter-derived caches, so an
+// TestNADENoDerivedState: the sequential families (NADE and, since they
+// share one skeleton, the RNN) keep no parameter-derived caches, so an
 // evaluator and a sampler built BEFORE an in-place parameter write serve
-// the new parameters with no InvalidateParams in between — what the deleted
-// V^T/W^T layouts needed a version counter for now holds by construction
-// (the RNN has always had this property; the hot-swap test in swap_test.go
-// pins both).
+// the new parameters with no InvalidateParams in between — what NADE's
+// deleted V^T/W^T layouts needed a version counter for holds by
+// construction (the hot-swap test in swap_test.go pins both as well).
 func TestNADENoDerivedState(t *testing.T) {
 	n := 6
-	m := NewNADE(n, 8, rng.New(15))
-	e := m.NewBatchEvaluator(2)
-	b := randomConfigs(4, n, rng.New(16))
-	out := make([]float64, 4)
-	e.LogPsiBatch(b, out)
-	before := append([]float64(nil), out...)
+	for _, fam := range seqFamilies {
+		m := fam.build(n, 8, rng.New(15))
+		e := m.NewBatchEvaluator(2)
+		b := randomConfigs(4, n, rng.New(16))
+		out := make([]float64, 4)
+		e.LogPsiBatch(b, out)
+		before := append([]float64(nil), out...)
 
-	m.Params()[0] += 0.125
-	e.LogPsiBatch(b, out)
-	moved := false
-	for k := 0; k < 4; k++ {
-		if want := m.LogPsi(b.Row(k)); out[k] != want {
-			t.Fatalf("after in-place write row %d: batched %v != scalar %v", k, out[k], want)
+		m.Params()[0] += 0.125
+		e.LogPsiBatch(b, out)
+		moved := false
+		for k := 0; k < 4; k++ {
+			if want := m.LogPsi(b.Row(k)); out[k] != want {
+				t.Fatalf("%s after in-place write row %d: batched %v != scalar %v", fam.name, k, out[k], want)
+			}
+			moved = moved || out[k] != before[k]
 		}
-		moved = moved || out[k] != before[k]
-	}
-	if !moved {
-		t.Fatal("parameter write changed no amplitude; the test has no teeth")
+		if !moved {
+			t.Fatalf("%s: parameter write changed no amplitude; the test has no teeth", fam.name)
+		}
 	}
 }
 
-// FuzzNADEPrefixResume fuzzes the NADE prefix-resume invariant the tail-only
-// doctrine rests on: for any configuration and flip site, the cache's
-// resumed FlipLogPsi must equal a fresh LogPsi of the flipped configuration
-// with exact ==, and committing the flip must land the cache on exactly the
-// fresh base of the new configuration.
-func FuzzNADEPrefixResume(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint8(0))
-	f.Add(uint64(7), uint64(0x5a5a5a5a), uint8(3))
-	f.Add(uint64(19), uint64(0xffffffffffffffff), uint8(18))
-	f.Fuzz(func(t *testing.T, seed, xbits uint64, bitRaw uint8) {
+// FuzzSeqPrefixResume fuzzes the prefix-resume invariant the tail-only
+// doctrine rests on, over both cells of the sequential skeleton (family
+// byte even = NADE, odd = RNN): for any configuration and flip site, the
+// cache's resumed FlipLogPsi must equal a fresh LogPsi of the flipped
+// configuration with exact ==, and committing the flip (Flip, i.e.
+// rebase(bit)) must leave every record of the cache — states,
+// pre-activations, prefix sums — exactly as a Reset on the flipped
+// configuration builds them.
+func FuzzSeqPrefixResume(f *testing.F) {
+	f.Add(uint64(1), uint64(0), uint8(0), uint8(0))
+	f.Add(uint64(7), uint64(0x5a5a5a5a), uint8(3), uint8(1))
+	f.Add(uint64(19), uint64(0xffffffffffffffff), uint8(18), uint8(2))
+	f.Add(uint64(12), uint64(0x0f0f), uint8(11), uint8(3))
+	f.Fuzz(func(t *testing.T, seed, xbits uint64, bitRaw, family uint8) {
 		n := 1 + int(seed%19)
 		bit := int(bitRaw) % n
-		m := NewNADE(n, 5+n/2, rng.New(seed))
+		m := seqFamilies[family%2].build(n, 5+n/2, rng.New(seed))
 		x := make([]int, n)
 		for i := range x {
 			x[i] = int(xbits>>uint(i)) & 1
 		}
-		c := m.NewFlipCache(x).(TailFlipCache)
+		c := m.NewFlipCache(x).(*seqFlipCache)
 		y := make([]int, n)
 		copy(y, x)
 		y[bit] = 1 - y[bit]
@@ -440,6 +457,18 @@ func FuzzNADEPrefixResume(f *testing.F) {
 		c.Flip(bit)
 		if got, want := c.LogPsi(), m.LogPsi(y); got != want {
 			t.Fatalf("n=%d bit=%d: post-Flip LogPsi %v != fresh %v", n, bit, got, want)
+		}
+		fresh := m.NewFlipCache(x).(*seqFlipCache)
+		fresh.Reset(y)
+		for i := 0; i < n; i++ {
+			if c.z[i] != fresh.z[i] || c.p[i+1] != fresh.p[i+1] {
+				t.Fatalf("n=%d bit=%d site %d: rebased z, p = %v, %v; Reset builds %v, %v", n, bit, i, c.z[i], c.p[i+1], fresh.z[i], fresh.p[i+1])
+			}
+		}
+		for i, v := range fresh.s.States.Data {
+			if c.s.States.Data[i] != v {
+				t.Fatalf("n=%d bit=%d: rebased state element %d = %v; Reset builds %v", n, bit, i, c.s.States.Data[i], v)
+			}
 		}
 	})
 }

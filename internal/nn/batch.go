@@ -1,6 +1,10 @@
 package nn
 
-import "github.com/vqmc-scale/parvqmc/internal/tensor"
+import (
+	"sync"
+
+	"github.com/vqmc-scale/parvqmc/internal/tensor"
+)
 
 // ConfigBatch is a flat batch of n-bit configurations, row-major N x Sites.
 // It is structurally identical to sampler.Batch and exists so the batched
@@ -24,12 +28,13 @@ func (b ConfigBatch) Row(i int) []int { return b.Bits[i*b.Sites : (i+1)*b.Sites]
 //     products over the sample dimension — the evaluation fusion the paper's
 //     scalability argument rests on (amplitude work is embarrassingly
 //     parallel across samples, so it should saturate the hardware as GEMMs);
-//   - the RNN fuses each recurrence step into one B-row GEMM against Wh;
-//   - NADE runs the row adaptor (row.go): its own scalar FlipCache and
-//     GradEvaluator, one row at a time, rows partitioned over per-worker
-//     instances. NADE's flips of one row share every prefix of the
-//     accumulation chain, and the scalar cache reuses them in place where a
-//     site-major slab kernel has to snapshot and re-read them.
+//   - NADE and the RNN run the row adaptor (row.go) over the one scalar
+//     skeleton they share (seq.go): its FlipCache and GradEvaluator, one row
+//     at a time, rows partitioned over per-worker instances. The flips of
+//     one row share every prefix of the chain, and the scalar cache reuses
+//     them in place where a site-major slab kernel has to snapshot and
+//     re-read them — and pays one parallel dispatch per site per flip group
+//     where the adaptor pays one per call.
 //
 // Bitwise-equivalence guarantee: every method produces EXACTLY the bytes
 // the corresponding scalar path produces — LogPsiBatch matches per-row
@@ -129,32 +134,17 @@ type BatchEvaluatorBuilder interface {
 	NewBatchEvaluator(workers int) BatchEvaluator
 }
 
-// FullFlipBatchEvaluatorBuilder is implemented by wavefunctions whose
-// batched path is a tail-only GEMM kernel (MADE, RNN) and additionally
-// provides a full-recompute flip oracle: a
-// BatchEvaluator whose FlipLogPsiBatch re-evaluates every flip row from
-// scratch instead of resuming from tail-only snapshots. The oracle produces
-// bitwise the same outputs as the tail-only evaluator (the tail resume is
-// provably an exact suffix of the full fold) and exists as the
-// differential-testing reference and the A/B perf baseline; core.EvalFullFlip
-// selects it through this interface.
-type FullFlipBatchEvaluatorBuilder interface {
-	NewFullFlipBatchEvaluator(workers int) BatchEvaluator
-}
-
 // BatchAncestralSampler draws a whole batch of ancestral samples from
-// pre-drawn uniforms. The RNN advances all samples site-major — one B-row
-// GEMM against Wh per recurrence step over the resident B x h hidden state.
-// MADE and NADE have no cross-sample product in their ancestral step (each
-// conditional is one O(h) dot on the sample's own hidden state), so they
-// run the row adaptor (row.go): each worker walks its rows through one
-// ConditionalEvaluator while that row's state is hot.
+// pre-drawn uniforms. No autoregressive family has a cross-sample product
+// in its ancestral step that pays (each conditional is one O(h) dot, or for
+// the RNN one O(h^2) matvec, on the sample's own hidden state), so MADE,
+// NADE and the RNN all run the row adaptor (row.go): each worker walks its
+// rows through one ConditionalEvaluator while that row's state is hot.
 //
 // Sample fills b's bits from pre-drawn uniforms u (row-major, u[k*Sites+i]
 // drives bit i of sample k): bit = 1 iff u < P(x_i = 1 | x_<i). Because the
 // per-sample conditional arithmetic is the scalar incremental evaluator's
-// (the adaptor calls it; the RNN shares outputZ/stepActivate with it in the
-// same per-sample order), the sampled bits are bitwise identical to scalar
+// (the adaptor calls it), the sampled bits are bitwise identical to scalar
 // ancestral sampling fed the same uniforms.
 type BatchAncestralSampler interface {
 	Sample(b ConfigBatch, u []float64, workers int)
@@ -164,6 +154,38 @@ type BatchAncestralSampler interface {
 // provide a batched ancestral sampler.
 type BatchAncestralBuilder interface {
 	NewBatchAncestralSampler() BatchAncestralSampler
+}
+
+// derivedCache is the one stale/rebuild protocol of the families that keep
+// state derived from their parameters (MADE's masked-weight products, the
+// RBM's W^T); a model embeds it and supplies only the rebuild body. The
+// zero value is stale. The mutex serializes rebuilds, so concurrent first
+// use from several goroutines (two BatchEvaluators sharing one model)
+// builds once and shares the result; it does NOT make in-place writes to
+// Params() safe — those still require evaluation quiescence, which is also
+// why what a rebuild produced stays valid for a whole parallel section.
+type derivedCache struct {
+	mu    sync.Mutex
+	fresh bool
+}
+
+// InvalidateParams marks the derived state stale. It must be called after
+// any in-place mutation of Params() (optimizer steps, checkpoint loads);
+// trainers do this through nn.InvalidateParams.
+func (c *derivedCache) InvalidateParams() {
+	c.mu.Lock()
+	c.fresh = false
+	c.mu.Unlock()
+}
+
+// ensure runs rebuild if the parameters changed since the last build.
+func (c *derivedCache) ensure(rebuild func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.fresh {
+		rebuild()
+		c.fresh = true
+	}
 }
 
 // InvalidateParams notifies w, if it caches parameter-derived state (such

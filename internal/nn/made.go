@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"sync"
 
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
@@ -55,14 +54,9 @@ type MADE struct {
 	// layout lets the batched forward run as dst = X * (W.M)^T in the ikj
 	// loop order, which keeps independent accumulators per output column
 	// (throughput-bound instead of latency-bound) while still summing each
-	// element in the scalar kernels' ascending contraction order. version
-	// is bumped by InvalidateParams; wmVersion records the version the
-	// cache was built at (0 = never built). cacheMu serializes rebuilds so
-	// concurrent first use from several goroutines (e.g. two BatchEvaluators
-	// sharing one model) builds the cache exactly once; see PrewarmCaches.
-	cacheMu    sync.Mutex
-	version    uint64
-	wmVersion  uint64
+	// element in the scalar kernels' ascending contraction order. The
+	// embedded derivedCache says when they are stale; see PrewarmCaches.
+	derivedCache
 	wm1t, wm2t *tensor.Matrix
 }
 
@@ -145,26 +139,13 @@ func NewMADE(n, h int, r *rng.Rand) *MADE {
 	uniformInit(m.B1, n, r)
 	uniformInit(m.W2.Data, h, r)
 	uniformInit(m.B2, h, r)
-	m.version = 1
 	return m
 }
 
-// InvalidateParams marks the masked-weight cache stale. It must be called
-// after any in-place mutation of Params() (optimizer steps, checkpoint
-// loads); trainers do this through nn.InvalidateParams. Parameter mutation
-// itself still requires evaluation quiescence — the mutex below only makes
-// cache rebuilds safe, not in-place writes to Params().
-func (m *MADE) InvalidateParams() {
-	m.cacheMu.Lock()
-	m.version++
-	m.cacheMu.Unlock()
-}
-
 // PrewarmCaches materializes the masked-weight cache for the current
-// parameter version. Coordinators call it (via nn.Prewarm) before fanning
-// work out to workers so no worker pays the rebuild; rebuilds are
-// mutex-serialized either way, so this is a latency optimization, not a
-// safety requirement.
+// parameters. Coordinators call it (via nn.Prewarm) before fanning work out
+// to workers so no worker pays the rebuild; rebuilds are mutex-serialized
+// either way, so this is a latency optimization, not a safety requirement.
 func (m *MADE) PrewarmCaches() { m.maskedWeights() }
 
 // maskedWeights returns (W1.M1)^T and (W2.M2)^T, rebuilding the cached
@@ -173,15 +154,11 @@ func (m *MADE) PrewarmCaches() { m.maskedWeights() }
 // signed zero — bit-for-bit the first factor of the scalar kernel's w*m*x
 // product — so GEMMs over the cache reproduce MaskedMulVec exactly
 // (multiplication commutes bitwise, and transposition is pure layout).
-// Safe for concurrent use: rebuilds are serialized by cacheMu, so racing
-// first users build once and share the result. The cached matrices are
-// immutable between InvalidateParams calls, and InvalidateParams requires
-// evaluation quiescence, so returned pointers stay valid for the whole
-// parallel section.
+// Safe for concurrent use (see derivedCache): the cached matrices are
+// immutable between InvalidateParams calls, so returned pointers stay valid
+// for the whole parallel section.
 func (m *MADE) maskedWeights() (wm1t, wm2t *tensor.Matrix) {
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	if m.wmVersion != m.version {
+	m.ensure(func() {
 		if m.wm1t == nil {
 			m.wm1t = tensor.NewMatrix(m.n, m.h)
 			m.wm2t = tensor.NewMatrix(m.h, m.n)
@@ -196,8 +173,7 @@ func (m *MADE) maskedWeights() (wm1t, wm2t *tensor.Matrix) {
 				m.wm2t.Data[k*m.n+j] = m.W2.Data[j*m.h+k] * m.M2.Data[j*m.h+k]
 			}
 		}
-		m.wmVersion = m.version
-	}
+	})
 	return m.wm1t, m.wm2t
 }
 

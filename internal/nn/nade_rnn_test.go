@@ -261,8 +261,8 @@ func TestNADEConditionalZMatchesMaterializedReLU(t *testing.T) {
 		tensor.ReLU(relu)
 		for i := 0; i < n; i++ {
 			want := m.V.Row(i).Dot(relu) + m.B[i]
-			if got := m.conditionalZ(a, i); got != want || math.Signbit(got) != math.Signbit(want) {
-				t.Fatalf("trial %d site %d: conditionalZ %v != materialized %v", trial, i, got, want)
+			if got := m.siteZ(a, i); got != want || math.Signbit(got) != math.Signbit(want) {
+				t.Fatalf("trial %d site %d: siteZ %v != materialized %v", trial, i, got, want)
 			}
 		}
 	}
@@ -285,7 +285,7 @@ func TestNADEConditionalZMatchesMaterializedReLU(t *testing.T) {
 					t.Fatalf("trial %d site %d unit %d: dV %v != materialized %v", trial, i, k, got, want)
 				}
 			}
-			m.accumulate(a, i, bit)
+			m.consume(a, nil, i, bit)
 		}
 	}
 }

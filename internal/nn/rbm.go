@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"sync"
 
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
@@ -33,14 +32,10 @@ type RBM struct {
 	// GradLogPsiBatch/FlipLogPsiBatch can run theta = S * W^T as a blocked
 	// MatMul with per-column accumulators (transposition is pure layout;
 	// every product S_i * W_ki is the scalar MulVec product with operands
-	// commuted, which is bitwise identical). version is bumped by
-	// InvalidateParams; wtVersion records the build version (0 = never).
-	// cacheMu serializes rebuilds so concurrent first use builds once; see
-	// PrewarmCaches.
-	cacheMu   sync.Mutex
-	version   uint64
-	wtVersion uint64
-	wt        *tensor.Matrix
+	// commuted, which is bitwise identical). The embedded derivedCache says
+	// when it is stale; see PrewarmCaches.
+	derivedCache
+	wt *tensor.Matrix
 }
 
 // RBMScratch holds per-worker buffers for RBM evaluation.
@@ -69,37 +64,21 @@ func NewRBM(n, h int, r *rng.Rand) *RBM {
 	tensor.Vector(m.W.Data).Scale(0.1)
 	m.C.Scale(0.1)
 	m.A.Scale(0.1)
-	m.version = 1
 	return m
 }
 
-// InvalidateParams marks the transposed-weight cache stale. It must be
-// called after any in-place mutation of Params() (optimizer steps,
-// checkpoint loads); trainers do this through nn.InvalidateParams.
-// Parameter mutation itself still requires evaluation quiescence — the
-// mutex below only makes cache rebuilds safe, not in-place Params() writes.
-func (m *RBM) InvalidateParams() {
-	m.cacheMu.Lock()
-	m.version++
-	m.cacheMu.Unlock()
-}
-
 // PrewarmCaches materializes the transposed-weight cache for the current
-// parameter version. Coordinators call it (via nn.Prewarm) before fanning
-// work out to workers so no worker pays the rebuild; rebuilds are
-// mutex-serialized either way, so this is a latency optimization, not a
-// safety requirement.
+// parameters. Coordinators call it (via nn.Prewarm) before fanning work out
+// to workers so no worker pays the rebuild; rebuilds are mutex-serialized
+// either way, so this is a latency optimization, not a safety requirement.
 func (m *RBM) PrewarmCaches() { m.weightsT() }
 
 // weightsT returns W^T, rebuilding the cached transpose if the parameters
-// changed since the last build. Safe for concurrent use: rebuilds are
-// serialized by cacheMu, and the cached matrix is immutable between
-// InvalidateParams calls (which require evaluation quiescence), so the
+// changed since the last build. Safe for concurrent use (see derivedCache):
+// the cached matrix is immutable between InvalidateParams calls, so the
 // returned pointer stays valid for the whole parallel section.
 func (m *RBM) weightsT() *tensor.Matrix {
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	if m.wtVersion != m.version {
+	m.ensure(func() {
 		if m.wt == nil {
 			m.wt = tensor.NewMatrix(m.n, m.h)
 		}
@@ -108,8 +87,7 @@ func (m *RBM) weightsT() *tensor.Matrix {
 				m.wt.Data[i*m.h+k] = m.W.Data[k*m.n+i]
 			}
 		}
-		m.wtVersion = m.version
-	}
+	})
 	return m.wt
 }
 

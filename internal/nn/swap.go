@@ -23,9 +23,8 @@ func KindName(wf Wavefunction) string {
 // HotSwapParams replaces dst's parameters with src's in place and
 // invalidates dst's derived caches — the checkpoint hot-swap primitive the
 // serving layer uses to move a live model to a new checkpoint without
-// rebuilding evaluators: every BatchEvaluator holding dst sees the new
-// parameter version through the InvalidateParams counter and lazily
-// rebuilds its transposed-weight caches on next use.
+// rebuilding evaluators: every BatchEvaluator holding dst finds the
+// model's derived caches marked stale and rebuilds them on next use.
 //
 // The swap is legal only between models of the same family and
 // architecture; (kind, NumSites, NumParams) pins the hidden width for every

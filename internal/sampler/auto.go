@@ -61,12 +61,12 @@ func NewAutoMADE(m *nn.MADE, incremental bool, workers int, r *rng.Rand) *Auto {
 
 // NewAutoBatched builds the batched ancestral sampler: the whole batch's
 // uniforms are drawn up front and the model's nn.BatchAncestralSampler
-// turns them into bits (site-major recurrent GEMMs for the RNN; for MADE
-// and NADE the incremental evaluator walked row by row). The RNG streams,
-// their per-worker slab assignment and the drawn bits are bitwise identical
-// to the scalar incremental sampler built with the same workers and r — the
-// batched mode changes when uniforms are drawn and, at most, memory layout
-// and loop order, never a sampled bit.
+// turns them into bits (for every autoregressive family the incremental
+// evaluator walked row by row, rows partitioned over workers). The RNG
+// streams, their per-worker slab assignment and the drawn bits are bitwise
+// identical to the scalar incremental sampler built with the same workers
+// and r — the batched mode changes when uniforms are drawn, never a sampled
+// bit.
 func NewAutoBatched(sites int, builder nn.BatchAncestralBuilder, workers int, r *rng.Rand) *Auto {
 	if workers <= 0 {
 		workers = parallel.MaxWorkers()

@@ -140,15 +140,32 @@ func (m *Matrix) T() *Matrix {
 }
 
 // MulVec computes dst = m * x. dst must have length m.Rows and x length
-// m.Cols; dst must not alias x.
+// m.Cols; dst must not alias x. Four rows advance together, each through its
+// own accumulator in ascending column order, so every dst[i] is bitwise the
+// plain dot of row i with x while the four add chains overlap instead of
+// waiting on one another.
 func (m *Matrix) MulVec(dst, x Vector) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic("tensor: MulVec dimension mismatch")
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	c, i := m.Cols, 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[i*c : (i+1)*c][:len(x)]
+		r1 := m.Data[(i+1)*c : (i+2)*c][:len(x)]
+		r2 := m.Data[(i+2)*c : (i+3)*c][:len(x)]
+		r3 := m.Data[(i+3)*c : (i+4)*c][:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
 		var s float64
-		for j, w := range row {
+		for j, w := range m.Data[i*c : (i+1)*c] {
 			s += w * x[j]
 		}
 		dst[i] = s

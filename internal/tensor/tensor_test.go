@@ -63,10 +63,14 @@ func TestSumMaxNorm(t *testing.T) {
 	}
 }
 
+// TestMulVecAgainstNaive: MulVec advances four rows at a time, and every
+// element must still be bitwise the plain ascending dot of its row — the
+// scalar recurrence of the RNN and the RBM's theta rest on that — for row
+// counts of every remainder mod 4.
 func TestMulVecAgainstNaive(t *testing.T) {
 	r := rng.New(1)
-	for trial := 0; trial < 20; trial++ {
-		rows, cols := 1+r.Intn(20), 1+r.Intn(20)
+	for trial := 0; trial < 60; trial++ {
+		rows, cols := 1+trial%13, 1+r.Intn(20)
 		m := randMatrix(r, rows, cols)
 		x := randVector(r, cols)
 		got := NewVector(rows)
@@ -76,8 +80,8 @@ func TestMulVecAgainstNaive(t *testing.T) {
 			for j := 0; j < cols; j++ {
 				want += m.At(i, j) * x[j]
 			}
-			if math.Abs(got[i]-want) > 1e-12 {
-				t.Fatalf("MulVec[%d] = %v, want %v", i, got[i], want)
+			if got[i] != want {
+				t.Fatalf("%dx%d: MulVec[%d] = %v, want exactly %v", rows, cols, i, got[i], want)
 			}
 		}
 	}

@@ -78,7 +78,7 @@ func RandomQUBO(n int, seed uint64) *Problem {
 // Sites returns the number of binary sites n (the matrix dimension is 2^n).
 func (p *Problem) Sites() int { return p.ham.N() }
 
-// Kind returns "tim" or "maxcut".
+// Kind returns "tim", "maxcut" or "qubo".
 func (p *Problem) Kind() string { return p.kind }
 
 // TotalEdgeWeight returns the graph's total edge weight (Max-Cut only).
@@ -125,16 +125,16 @@ type Options struct {
 	// Model selects the wavefunction: "made" (default), "rbm", "nade" or
 	// "rnn".
 	Model string
-	// Hidden overrides the latent size (default: 5(ln n)^2 for MADE, n for
-	// RBM).
+	// Hidden overrides the latent size (default: DefaultHidden — 5(ln n)^2
+	// for MADE and NADE, half that for the RNN, n for the RBM).
 	Hidden int
 	// Sampler selects "auto" (exact ancestral sampling, default for the
 	// autoregressive models; with BatchedEval on, the whole batch's
 	// uniforms are pre-drawn and handed to the model's batched sampler —
-	// site-major recurrent GEMMs for the RNN, the same incremental
-	// evaluator walked row by row for MADE and NADE — same bits either
-	// way), "auto-naive" (Algorithm 1: n forward passes per sample), or
-	// "mcmc" (default for RBM).
+	// the same incremental evaluator walked row by row, rows partitioned
+	// over workers — same bits either way), "auto-naive" (Algorithm 1: n
+	// forward passes per sample), "mcmc" (default for RBM) or "gibbs"
+	// (block Gibbs, RBM only).
 	Sampler string
 	// Optimizer is "adam" (default, lr 0.01) or "sgd" (lr 0.1).
 	Optimizer string
@@ -154,12 +154,13 @@ type Options struct {
 	// runs sampling, local-energy and gradient evaluation through the
 	// model's whole-batch evaluator — for each family whichever kernel the
 	// committed benchmark record shows faster: blocked matrix products over
-	// the batch dimension for MADE, the RBM and the RNN, the scalar kernels
-	// themselves (rows partitioned over workers) for NADE; false forces the
-	// per-sample scalar loops of package core, kept reachable for A/B
-	// timing (the `batched` experiment, -batched-eval=false). The two
-	// paths are bitwise identical — same energies, same gradients, same
-	// sampled bits — so the knob never changes a result.
+	// the batch dimension for MADE and the RBM, the scalar kernels
+	// themselves (rows partitioned over workers) for NADE and the RNN;
+	// false forces the per-sample scalar loops of package core, kept
+	// reachable for A/B timing (the `batched` experiment,
+	// -batched-eval=false). The two paths are bitwise identical — same
+	// energies, same gradients, same sampled bits — so the knob never
+	// changes a result.
 	BatchedEval *bool
 	// BatchSize is samples per iteration (default 1024).
 	BatchSize int
@@ -215,19 +216,7 @@ func (o *Options) fill(n int) error {
 		return fmt.Errorf("parvqmc: the gibbs sampler requires the rbm model (bipartite structure)")
 	}
 	if o.Hidden <= 0 {
-		switch o.Model {
-		case "rbm":
-			o.Hidden = n
-		case "rnn":
-			// O(h^2) recurrence: a narrower default keeps the parameter
-			// budget comparable to MADE's 2hn.
-			o.Hidden = device.HiddenMADE(n) / 2
-			if o.Hidden < 4 {
-				o.Hidden = 4
-			}
-		default:
-			o.Hidden = device.HiddenMADE(n)
-		}
+		o.Hidden = DefaultHidden(o.Model, n)
 	}
 	if o.Optimizer == "" {
 		o.Optimizer = "adam"
@@ -420,12 +409,12 @@ func (o Options) newModel(n int, init *rng.Rand) core.Model {
 }
 
 // newSampler constructs the sampler kind names over model m: "mcmc" for any
-// family; "gibbs" for the RBM (fill rejects it elsewhere); "auto" (exact ancestral sampling, incremental) and "auto-naive"
-// (MADE: Algorithm 1 verbatim, n forward passes per sample; NADE and the RNN
-// are inherently incremental) for the autoregressive ones. "auto" honors
-// the BatchedEval knob: the batched ancestral mode draws bit-identical
-// samples from the same streams and only changes when the uniforms are
-// drawn and, for the RNN, the loop order.
+// family; "gibbs" for the RBM (fill rejects it elsewhere); "auto" (exact
+// ancestral sampling, incremental) and "auto-naive" (MADE: Algorithm 1
+// verbatim, n forward passes per sample; NADE and the RNN are inherently
+// incremental) for the autoregressive ones. "auto" honors the BatchedEval
+// knob: the batched ancestral mode draws bit-identical samples from the
+// same streams and only changes when the uniforms are drawn.
 func (o Options) newSampler(n int, m core.Model, kind string, workers int, stream *rng.Rand) (sampler.Sampler, error) {
 	mcmc := sampler.MCMCConfig{Chains: o.MCMCChains, BurnIn: o.MCMCBurnIn, Thin: o.MCMCThin}
 	switch kind {
@@ -437,19 +426,15 @@ func (o Options) newSampler(n int, m core.Model, kind string, workers int, strea
 	default:
 		return nil, fmt.Errorf("parvqmc: unknown sampler %q", kind)
 	}
-	var scalar sampler.EvaluatorFactory
-	switch mm := m.(type) {
-	case *nn.MADE:
-		scalar = mm.NewIncrementalEvaluator
-		if kind == "auto-naive" {
-			scalar = mm.NewNaiveEvaluator
-		}
-	case *nn.NADE:
-		scalar = mm.NewIncrementalEvaluator
-	case *nn.RNNWavefunction:
-		scalar = mm.NewIncrementalEvaluator
-	default:
+	inc, ok := m.(interface {
+		NewIncrementalEvaluator() nn.ConditionalEvaluator
+	})
+	if !ok {
 		return nil, fmt.Errorf("parvqmc: no ancestral sampler for model %T", m)
+	}
+	scalar := sampler.EvaluatorFactory(inc.NewIncrementalEvaluator)
+	if made, ok := m.(*nn.MADE); ok && kind == "auto-naive" {
+		scalar = made.NewNaiveEvaluator
 	}
 	if bb, ok := m.(nn.BatchAncestralBuilder); ok && kind == "auto" && o.batchedOn() {
 		return sampler.NewAutoBatched(n, bb, workers, stream), nil
@@ -619,10 +604,17 @@ func SolveMaxCutClassical(p *Problem, method string, seed uint64) (*ClassicalRes
 	return &ClassicalResult{Cut: res.Cut, Assignment: res.Assignment, SDPBound: res.SDPBound}, nil
 }
 
-// DefaultHidden returns the paper's latent-size rule for a model kind.
+// DefaultHidden returns the latent size Train uses when Options.Hidden is
+// unset: the paper's rule 5(ln n)^2 for MADE (and NADE, same parameter
+// count), n for the RBM, and half the MADE rule (minimum 4) for the RNN,
+// whose O(h^2) recurrence then keeps a parameter budget comparable to
+// MADE's 2hn.
 func DefaultHidden(model string, n int) int {
-	if strings.ToLower(model) == "rbm" {
+	switch strings.ToLower(model) {
+	case "rbm":
 		return n
+	case "rnn":
+		return max(device.HiddenMADE(n)/2, 4)
 	}
 	return device.HiddenMADE(n)
 }

@@ -251,6 +251,26 @@ func TestDefaultHidden(t *testing.T) {
 	if h := DefaultHidden("made", 100); h < 100 || h > 112 {
 		t.Fatalf("MADE default hidden = %d, want ~106", h)
 	}
+	if nade, made := DefaultHidden("nade", 100), DefaultHidden("made", 100); nade != made {
+		t.Fatalf("NADE default hidden = %d, want MADE's %d", nade, made)
+	}
+	if rnn, made := DefaultHidden("RNN", 100), DefaultHidden("made", 100); rnn != made/2 {
+		t.Fatalf("RNN default hidden = %d, want half of MADE's %d", rnn, made)
+	}
+	if h := DefaultHidden("rnn", 2); h != 4 {
+		t.Fatalf("RNN default hidden at n=2 = %d, want the floor 4", h)
+	}
+	// The helper must report the width Train actually builds.
+	const n = 6
+	for _, model := range []string{"made", "rbm", "nade", "rnn"} {
+		res, err := Train(TIM(n, 3), Options{Model: model, BatchSize: 8, Iterations: 1, EvalBatch: 8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.model.(interface{ Hidden() int }).Hidden(), DefaultHidden(model, n); got != want {
+			t.Errorf("%s: Train built hidden width %d, DefaultHidden says %d", model, got, want)
+		}
+	}
 }
 
 func TestExactGroundEnergyMaxCut(t *testing.T) {
