@@ -41,7 +41,6 @@ func main() {
 		burnIn  = flag.Int("mcmc-burnin", 0, "MCMC burn-in (0 = 3n+100)")
 		thin    = flag.Int("mcmc-thin", 0, "MCMC thinning (0 = none)")
 		chains  = flag.Int("mcmc-chains", 0, "MCMC chains (0 = 2)")
-		batched = flag.Bool("batched-eval", true, "fuse evaluation into blocked GEMMs over the batch (bitwise identical; false = per-sample scalar path for A/B timing)")
 		devices = flag.Int("devices", 1, "data-parallel device count (autoregressive models)")
 		workers = flag.Int("workers", 0, "CPU workers (serial: 0 = all cores; per replica with -devices: 0 = 1)")
 		mbs     = flag.Int("mbs", 0, "per-device mini-batch for -devices > 1")
@@ -69,8 +68,7 @@ func main() {
 		StochasticReconfig: *sr, SRSolver: *srSolve, Hidden: *hidden, BatchSize: *batch,
 		Iterations: *iters, EvalBatch: *evalB, Workers: *workers, Seed: *seed,
 		MCMCBurnIn: *burnIn, MCMCThin: *thin, MCMCChains: *chains,
-		BatchedEval: batched,
-		Elastic:     *elastic, MinReplicas: *minRep, CheckpointDir: *ckptDir,
+		Elastic: *elastic, MinReplicas: *minRep, CheckpointDir: *ckptDir,
 	}
 
 	var res *parvqmc.Result

@@ -1,12 +1,10 @@
-// RBM + MCMC with batched evaluation: train the Carleo–Troyer RBM
-// wavefunction on a 12-site transverse-field Ising chain, sampling with
-// Metropolis-Hastings, and let the batched evaluator fuse the local-energy
-// and gradient phases into blocked theta = S·Wᵀ GEMMs over the batch.
-//
-// The batched path (Options.BatchedEval, on by default) is bitwise
-// identical to the per-sample path — the demo proves it by training the
-// same seed both ways and comparing energies exactly — so switching it on
-// is pure throughput.
+// RBM + MCMC: train the Carleo–Troyer RBM wavefunction on a 12-site
+// transverse-field Ising chain, sampling with Metropolis-Hastings. The
+// sampler walks the RBM's scalar O(h) flip cache chain by chain; the
+// local-energy and gradient phases that follow run through the RBM's batch
+// evaluator, which fuses the per-sample theta = W s + c matvecs into blocked
+// theta = S·Wᵀ GEMMs over the batch — bitwise the values the scalar kernels
+// give, so the fusion is pure throughput.
 //
 //	go run ./examples/rbmmcmc
 package main
@@ -24,44 +22,28 @@ func main() {
 	problem := parvqmc.TIM(n, 3)
 	fmt.Printf("TIM instance with %d sites, RBM wavefunction, MCMC sampling\n", n)
 
-	run := func(batched bool) *parvqmc.Result {
-		res, err := parvqmc.Train(problem, parvqmc.Options{
-			Model:        "rbm",
-			Sampler:      "mcmc",
-			Hidden:       24,
-			BatchSize:    256,
-			Iterations:   400,
-			EvalBatch:    512,
-			Seed:         11,
-			LearningRate: 0.003,
-			BatchedEval:  &batched,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
+	res, err := parvqmc.Train(problem, parvqmc.Options{
+		Model:        "rbm",
+		Sampler:      "mcmc",
+		Hidden:       24,
+		BatchSize:    256,
+		Iterations:   400,
+		EvalBatch:    512,
+		Seed:         11,
+		LearningRate: 0.003,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	batched := run(true)
-	scalar := run(false)
-
-	fmt.Printf("batched eval: E = %.6f +- %.6f  (%v)\n",
-		batched.Energy, batched.Std, batched.TrainTime.Round(1e6))
-	fmt.Printf("scalar  eval: E = %.6f +- %.6f  (%v)\n",
-		scalar.Energy, scalar.Std, scalar.TrainTime.Round(1e6))
-	if batched.Energy == scalar.Energy && batched.Std == scalar.Std {
-		fmt.Println("paths are bitwise identical: the batched evaluator is a pure throughput knob")
-	} else {
-		log.Fatal("paths diverged — the BatchEvaluator contract is broken")
-	}
+	fmt.Printf("trained: E = %.6f +- %.6f  (%v)\n", res.Energy, res.Std, res.TrainTime.Round(1e6))
 
 	exact, err := problem.ExactGroundEnergy()
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The residual gap is a property of the RBM&MCMC pipeline itself, not
-	// of the evaluation path — the paper's comparison finds MADE with exact
-	// sampling (examples/quickstart) converges much tighter on TIM.
+	// The residual gap is a property of the RBM&MCMC pipeline itself — the
+	// paper's comparison finds MADE with exact sampling
+	// (examples/quickstart) converges much tighter on TIM.
 	fmt.Printf("exact energy: %.6f  (relative gap %.3f%%; see examples/quickstart for MADE&AUTO)\n",
-		exact, 100*(batched.Energy-exact)/(-exact))
+		exact, 100*(res.Energy-exact)/(-exact))
 }

@@ -10,25 +10,20 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// EvalMode selects between the model's whole-batch evaluator and this
-// package's per-sample scalar loops for local energies and gradients.
+// EvalMode is the type of NewBatchedEval's mode argument. It has the one
+// value EvalAuto; the argument exists because the benchmark under bench/
+// passes it.
 type EvalMode int
 
-const (
-	// EvalAuto (the default) uses the model's nn.BatchEvaluator whenever it
-	// implements nn.BatchEvaluatorBuilder, falling back to the scalar loops
-	// otherwise. Each family's NewBatchEvaluator returns whichever of its
-	// kernels the committed benchmark record shows faster (GEMMs for MADE
-	// and the RBM; for NADE and the RNN the row adaptor over their shared
-	// scalar skeleton, which is the scalar path itself), so EvalAuto never
-	// has to choose between them. The two paths are bitwise
-	// interchangeable.
-	EvalAuto EvalMode = iota
-	// EvalScalar forces the per-sample loops of this package (LocalEnergies,
-	// FillOws): the reference the batched evaluators are pinned to and the
-	// A/B baseline.
-	EvalScalar
-)
+// EvalAuto evaluates through the model's nn.BatchEvaluator — the only
+// evaluation path the step and the serving layer have. Each family's
+// NewBatchEvaluator returns whichever of its kernels the committed
+// benchmark record shows faster (GEMMs for MADE and the RBM; for NADE and
+// the RNN the row adaptor over their shared scalar skeleton, which is the
+// scalar path itself), one per worker behind nn's single row split, so
+// there is nothing here to choose. The package-level LocalEnergies is the
+// scalar reference the path is pinned to.
+const EvalAuto EvalMode = 0
 
 // configs reinterprets a sampler batch as the nn-side view, zero-copy.
 func configs(b *sampler.Batch) nn.ConfigBatch {
@@ -38,8 +33,8 @@ func configs(b *sampler.Batch) nn.ConfigBatch {
 // BatchedEval bundles a model's nn.BatchEvaluator with the reusable flip
 // and base log-psi buffers the energy phase needs, so the steady-state
 // training loop allocates nothing. Values produced through it are bitwise
-// identical to the scalar LocalEnergies/FillOws paths (see the
-// nn.BatchEvaluator contract); it is a pure throughput knob.
+// identical to the scalar LocalEnergies and per-row GradLogPsi (see the
+// nn.BatchEvaluator contract).
 type BatchedEval struct {
 	be   nn.BatchEvaluator
 	bits []int
@@ -47,14 +42,11 @@ type BatchedEval struct {
 	flip []float64
 }
 
-// NewBatchedEval returns a batched evaluation wrapper for the model, or nil
-// if the model has no batched path (mode EvalScalar also returns nil —
-// callers treat nil as "use the scalar path"). workers bounds the internal
-// fan-out and never affects a produced value.
-func NewBatchedEval(model nn.Wavefunction, mode EvalMode, workers int) *BatchedEval {
-	if mode == EvalScalar {
-		return nil
-	}
+// NewBatchedEval returns the evaluation wrapper for the model, or nil if
+// the model does not implement nn.BatchEvaluatorBuilder (every shipped
+// family does; the serving layer rejects a registration on nil). workers
+// bounds the fan-out and never affects a produced value.
+func NewBatchedEval(model nn.Wavefunction, _ EvalMode, workers int) *BatchedEval {
 	bb, ok := model.(nn.BatchEvaluatorBuilder)
 	if !ok {
 		return nil
@@ -69,15 +61,11 @@ func NewBatchedEvalWith(be nn.BatchEvaluator) *BatchedEval {
 	return &BatchedEval{be: be}
 }
 
-// Evaluator exposes the underlying nn.BatchEvaluator (benchmarks and the
-// gradient path use it directly).
-func (e *BatchedEval) Evaluator() nn.BatchEvaluator { return e.be }
-
-// LocalEnergies is the batched counterpart of the package-level
-// LocalEnergies: one FlipLogPsiBatch call evaluates the whole B x (F+1)
-// flip super-batch through blocked GEMMs, then the per-sample reduction
-// accumulates the flip terms in the same order as the scalar loop. Outputs
-// are bitwise identical to LocalEnergies on the same batch.
+// LocalEnergies is the step's local-energy evaluation: one FlipLogPsiBatch
+// call evaluates the whole B x (F+1) flip super-batch, then the per-sample
+// reduction accumulates the flip terms in the same order as the scalar
+// loop. Outputs are bitwise identical to the package-level LocalEnergies on
+// the same batch.
 func (e *BatchedEval) LocalEnergies(h hamiltonian.Hamiltonian, b *sampler.Batch, workers int, out []float64) {
 	flips := h.FlipTerms()
 	if len(flips) == 0 {
@@ -133,22 +121,11 @@ func (e *BatchedEval) LogPsi(b *sampler.Batch, out []float64) {
 	e.be.LogPsiBatch(configs(b), out)
 }
 
-// FillOws is the batched counterpart of FillOws: per-sample log-derivative
-// rows via one fused forward over the batch plus the shared analytic
-// backward. Bitwise identical to the scalar FillOws.
+// FillOws fills ows row k with grad log|psi(row k)| — the O_k rows of the
+// gradient estimator and the Fisher operator — bitwise the per-row scalar
+// GradLogPsi.
 func (e *BatchedEval) FillOws(b *sampler.Batch, ows *tensor.Batch) {
 	e.be.GradLogPsiBatch(configs(b), ows)
-}
-
-// LocalEnergiesBatched evaluates local energies through the model's batched
-// evaluator with a freshly built wrapper — the convenience entry point for
-// tests and benchmarks; training loops hold a BatchedEval instead.
-func LocalEnergiesBatched(h hamiltonian.Hamiltonian, model nn.Wavefunction, b *sampler.Batch, workers int, out []float64) {
-	e := NewBatchedEval(model, EvalAuto, workers)
-	if e == nil {
-		panic("core: model has no batched evaluation path")
-	}
-	e.LocalEnergies(h, b, workers, out)
 }
 
 // diagGrainRows is the minimum rows per parallel range for the cheap

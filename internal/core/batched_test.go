@@ -34,7 +34,7 @@ func TestLocalEnergiesBatchedBitIdentical(t *testing.T) {
 						t.Fatalf("scalar n=%d B=%d w=%d row %d: %v != %v", n, bs, workers, k, got[k], want[k])
 					}
 				}
-				LocalEnergiesBatched(h, m, b, workers, got)
+				NewBatchedEval(m, EvalAuto, workers).LocalEnergies(h, b, workers, got)
 				for k := range got {
 					if got[k] != want[k] {
 						t.Fatalf("batched n=%d B=%d w=%d row %d: %v != %v", n, bs, workers, k, got[k], want[k])
@@ -53,8 +53,8 @@ func TestLocalEnergiesBatchedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFillOwsBatchedBitIdentical: batched O_k rows equal the scalar rows
-// exactly for every worker count.
+// TestFillOwsBatchedBitIdentical: batched O_k rows equal the per-row scalar
+// GradLogPsi exactly for every worker count.
 func TestFillOwsBatchedBitIdentical(t *testing.T) {
 	n := 9
 	r := rng.New(61)
@@ -62,8 +62,9 @@ func TestFillOwsBatchedBitIdentical(t *testing.T) {
 	b := sampler.NewBatch(37, n)
 	r.FillBits(b.Bits)
 	want := tensor.NewBatch(b.N, m.NumParams())
-	evals := []nn.GradEvaluator{m.NewGradEvaluator()}
-	FillOws(evals, b, want, 1)
+	for k := 0; k < b.N; k++ {
+		m.GradLogPsi(b.Row(k), want.Sample(k))
+	}
 	for _, workers := range []int{1, 2, 5} {
 		e := NewBatchedEval(m, EvalAuto, workers)
 		got := tensor.NewBatch(b.N, m.NumParams())
@@ -76,118 +77,9 @@ func TestFillOwsBatchedBitIdentical(t *testing.T) {
 	}
 }
 
-// buildEquivTrainer assembles a trainer in the given eval mode whose
-// sampler matches the mode (batched ancestral vs scalar incremental) —
-// both stacks end to end, as parvqmc.Train wires them.
-func buildEquivTrainer(n, hsz, bs, workers int, mode EvalMode, useSR bool) *Trainer {
-	tim := hamiltonian.RandomTIM(n, rng.New(71))
-	m := nn.NewMADE(n, hsz, rng.New(72))
-	var smp sampler.Sampler
-	if mode == EvalScalar {
-		smp = sampler.NewAutoMADE(m, true, workers, rng.New(73))
-	} else {
-		smp = sampler.NewAutoBatched(n, m, workers, rng.New(73))
-	}
-	cfg := Config{BatchSize: bs, Workers: workers, Eval: mode}
-	var opt optimizer.Optimizer = optimizer.NewAdam(0.02)
-	if useSR {
-		opt = optimizer.NewSGD(0.1)
-		cfg.SR = optimizer.NewSR(1e-3)
-	}
-	return New(tim, m, smp, opt, cfg)
-}
-
-// TestTrainerBatchedTrajectoryBitIdentical: 50 full training steps of the
-// batched stack (batched sampler + batched energies + batched gradients)
-// must leave EXACTLY the parameters, energies and statistics of the scalar
-// stack — with and without stochastic reconfiguration, at several worker
-// counts.
-func TestTrainerBatchedTrajectoryBitIdentical(t *testing.T) {
-	for _, useSR := range []bool{false, true} {
-		for _, workers := range []int{1, 3} {
-			scalar := buildEquivTrainer(7, 9, 64, workers, EvalScalar, useSR)
-			batched := buildEquivTrainer(7, 9, 64, workers, EvalAuto, useSR)
-			if batched.step.bev == nil {
-				t.Fatal("batched trainer did not engage the batched evaluator")
-			}
-			hs := scalar.Train(50, nil)
-			hb := batched.Train(50, nil)
-			for i := range hs {
-				if hs[i] != hb[i] {
-					t.Fatalf("sr=%v w=%d iter %d: scalar %+v != batched %+v",
-						useSR, workers, i, hs[i], hb[i])
-				}
-			}
-			ps, pb := scalar.Model.Params(), batched.Model.Params()
-			for i := range ps {
-				if ps[i] != pb[i] {
-					t.Fatalf("sr=%v w=%d: param %d scalar %v != batched %v",
-						useSR, workers, i, ps[i], pb[i])
-				}
-			}
-		}
-	}
-}
-
-// buildRBMTrainer assembles an RBM trainer on the MCMC (or Gibbs) pipeline
-// in the given eval mode. The sampler is scalar in both modes (MCMC chains
-// are inherently sequential); the batched path fuses the local-energy and
-// gradient evaluation that follows it.
-func buildRBMTrainer(gibbs bool, workers int, mode EvalMode, useSR bool) *Trainer {
-	tim := hamiltonian.RandomTIM(6, rng.New(171))
-	m := nn.NewRBM(6, 8, rng.New(172))
-	var smp sampler.Sampler
-	if gibbs {
-		smp = sampler.NewGibbs(m, sampler.MCMCConfig{Chains: 2, BurnIn: 5}, rng.New(173))
-	} else {
-		smp = sampler.NewMCMC(m, sampler.MCMCConfig{Chains: 2, BurnIn: 30}, rng.New(173))
-	}
-	cfg := Config{BatchSize: 48, Workers: workers, Eval: mode}
-	var opt optimizer.Optimizer = optimizer.NewAdam(0.02)
-	if useSR {
-		opt = optimizer.NewSGD(0.1)
-		cfg.SR = optimizer.NewSR(1e-3)
-	}
-	return New(tim, m, smp, opt, cfg)
-}
-
-// TestRBMTrainerBatchedTrajectoryBitIdentical: with the RBM now satisfying
-// the BatchEvaluator contract, 40 full MCMC- and Gibbs-pipeline training
-// steps through the batched evaluator must leave EXACTLY the parameters and
-// statistics of the scalar path — the delta-based flip contract is what
-// makes exp(delta) interchangeable between the paths for an incremental
-// (non-fresh-forward) flip cache.
-func TestRBMTrainerBatchedTrajectoryBitIdentical(t *testing.T) {
-	for _, gibbs := range []bool{false, true} {
-		for _, useSR := range []bool{false, true} {
-			scalar := buildRBMTrainer(gibbs, 2, EvalScalar, useSR)
-			batched := buildRBMTrainer(gibbs, 2, EvalAuto, useSR)
-			if batched.step.bev == nil {
-				t.Fatal("RBM trainer did not engage the batched evaluator")
-			}
-			hs := scalar.Train(40, nil)
-			hb := batched.Train(40, nil)
-			for i := range hs {
-				if hs[i] != hb[i] {
-					t.Fatalf("gibbs=%v sr=%v iter %d: scalar %+v != batched %+v",
-						gibbs, useSR, i, hs[i], hb[i])
-				}
-			}
-			ps, pb := scalar.Model.Params(), batched.Model.Params()
-			for i := range ps {
-				if ps[i] != pb[i] {
-					t.Fatalf("gibbs=%v sr=%v: param %d scalar %v != batched %v",
-						gibbs, useSR, i, ps[i], pb[i])
-				}
-			}
-		}
-	}
-}
-
 // TestGradientWorkerInvariance pins the fixed-block reduction: the
 // gradient of one step on a frozen batch must be bitwise identical across
-// worker counts, on the scalar streaming, scalar materialized (SR) and
-// batched paths alike.
+// worker counts, streamed slab by slab and materialized whole (SR) alike.
 func TestGradientWorkerInvariance(t *testing.T) {
 	n := 8
 	r := rng.New(81)
@@ -195,9 +87,9 @@ func TestGradientWorkerInvariance(t *testing.T) {
 	fixed := sampler.NewBatch(70, n) // deliberately not a block multiple
 	r.FillBits(fixed.Bits)
 
-	grad := func(workers int, mode EvalMode, useSR bool) tensor.Vector {
+	grad := func(workers int, useSR bool) tensor.Vector {
 		m := nn.NewMADE(n, 10, rng.New(82))
-		cfg := Config{BatchSize: fixed.N, Workers: workers, Eval: mode}
+		cfg := Config{BatchSize: fixed.N, Workers: workers}
 		if useSR {
 			// SR materializes the O_k rows; nullOpt keeps params frozen so
 			// the raw gradient is comparable.
@@ -209,23 +101,14 @@ func TestGradientWorkerInvariance(t *testing.T) {
 	}
 
 	for _, useSR := range []bool{false, true} {
-		for _, mode := range []EvalMode{EvalScalar, EvalAuto} {
-			ref := grad(1, mode, useSR)
-			for _, workers := range []int{2, 5} {
-				got := grad(workers, mode, useSR)
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("sr=%v mode=%d: grad[%d] differs between workers 1 and %d: %v vs %v",
-							useSR, mode, i, workers, ref[i], got[i])
-					}
+		ref := grad(1, useSR)
+		for _, workers := range []int{2, 5} {
+			got := grad(workers, useSR)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("sr=%v: grad[%d] differs between workers 1 and %d: %v vs %v",
+						useSR, i, workers, ref[i], got[i])
 				}
-			}
-		}
-		// And across modes: the batched gradient equals the scalar one.
-		s, b := grad(3, EvalScalar, useSR), grad(2, EvalAuto, useSR)
-		for i := range s {
-			if s[i] != b[i] {
-				t.Fatalf("sr=%v: grad[%d] scalar %v != batched %v", useSR, i, s[i], b[i])
 			}
 		}
 	}
@@ -269,33 +152,21 @@ func BenchmarkLocalEnergiesScalar(b *testing.B)          { benchLocalEnergies(b,
 func BenchmarkLocalEnergiesBatched(b *testing.B)         { benchLocalEnergies(b, "batched", 0) }
 func BenchmarkLocalEnergiesBatchedFullFlip(b *testing.B) { benchLocalEnergies(b, "fullflip", 0) }
 
-func benchFillOws(b *testing.B, batched bool) {
-	b.Helper()
+// BenchmarkFillOwsBatched times the gradient (O_k) evaluation at the same
+// working point.
+func BenchmarkFillOwsBatched(b *testing.B) {
 	const n, hsz, bs = 32, 64, 1024
 	r := rng.New(2)
 	m := nn.NewMADE(n, hsz, r.Split())
 	batch := sampler.NewBatch(bs, n)
 	r.FillBits(batch.Bits)
 	ows := tensor.NewBatch(bs, m.NumParams())
-	evals := make([]nn.GradEvaluator, 8)
-	for i := range evals {
-		evals[i] = m.NewGradEvaluator()
-	}
 	bev := NewBatchedEval(m, EvalAuto, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if batched {
-			bev.FillOws(batch, ows)
-		} else {
-			FillOws(evals, batch, ows, 8)
-		}
+		bev.FillOws(batch, ows)
 	}
 }
-
-// BenchmarkFillOwsScalar and BenchmarkFillOwsBatched compare the gradient
-// (O_k) evaluation paths at the same working point.
-func BenchmarkFillOwsScalar(b *testing.B)  { benchFillOws(b, false) }
-func BenchmarkFillOwsBatched(b *testing.B) { benchFillOws(b, true) }
 
 // TestBatchedEvalLogPsiBitIdentical: the serving layer's shared amplitude
 // dispatch must reproduce per-row scalar LogPsi with exact ==, for every

@@ -25,24 +25,26 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/parallel"
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
 	"github.com/vqmc-scale/parvqmc/internal/stats"
-	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// Model is the wavefunction contract the step needs: amplitudes, per-worker
-// gradient evaluators, and flip caches for local energies. All four neural
-// families satisfy it, and any may ride the batched evaluation path when it
-// additionally implements nn.BatchEvaluatorBuilder.
+// Model is the wavefunction contract the step needs: amplitudes and the
+// batch evaluator the step runs its local energies and O_k rows through,
+// plus the scalar kernels — flip caches and gradient evaluators — that the
+// MCMC samplers walk and the reference LocalEnergies is written in. All four
+// neural families satisfy it.
 type Model interface {
 	nn.Wavefunction
 	nn.CacheBuilder
 	nn.GradEvaluatorBuilder
+	nn.BatchEvaluatorBuilder
 }
 
 // LocalEnergies fills out[k] with the local energy of batch row k:
-// l(x) = H_xx + sum_b H[x,x^b] * psi(x^b)/psi(x). Workers each own a
-// FlipCache so TIM's n flip ratios cost O(h) each for the RBM and one
-// forward pass each for MADE. For diagonal Hamiltonians (Max-Cut) no
-// wavefunction evaluation happens at all.
+// l(x) = H_xx + sum_b H[x,x^b] * psi(x^b)/psi(x), through the model's scalar
+// FlipCache, one per worker. It is the documented reference, not the step's
+// path: BatchedEval.LocalEnergies must reproduce it bit for bit, and the
+// plain-loop oracle and the dense-matrix test are written against it. For
+// diagonal Hamiltonians (Max-Cut) no wavefunction evaluation happens at all.
 func LocalEnergies(h hamiltonian.Hamiltonian, model nn.CacheBuilder, b *sampler.Batch, workers int, out []float64) {
 	// Materialize any lazy parameter-derived caches on this goroutine
 	// before fanning out, so no worker hits a first-use rebuild.
@@ -104,11 +106,6 @@ type Config struct {
 	BatchSize int // training batch size (paper: 1024)
 	Workers   int // CPU parallelism; <=0 means GOMAXPROCS
 	SR        *optimizer.SR
-	// Eval selects the evaluation path: EvalAuto (default) fuses local
-	// energies and gradients into blocked GEMMs over the batch dimension
-	// when the model supports it; EvalScalar forces the per-sample path.
-	// The choice never changes a produced bit.
-	Eval EvalMode
 }
 
 // Trainer runs the VQMC loop for one (Hamiltonian, model, sampler,
@@ -138,7 +135,7 @@ func New(h hamiltonian.Hamiltonian, model Model, smp sampler.Sampler, opt optimi
 	}
 	return &Trainer{H: h, Model: model, Smp: smp, Opt: opt, cfg: cfg,
 		step: NewReplicaStep(h, Replica{Model: model, Smp: smp, Opt: opt, SR: cfg.SR,
-			Workers: cfg.Workers, Eval: cfg.Eval}, comm.NewGroup(1).Rank(0), cfg.BatchSize)}
+			Workers: cfg.Workers}, comm.NewGroup(1).Rank(0), cfg.BatchSize)}
 }
 
 // Config returns the effective configuration.
@@ -162,26 +159,6 @@ func (t *Trainer) Step() IterStats {
 		panic(fmt.Errorf("core: step %d on the private 1-rank group: %w", t.iter, err))
 	}
 	return st
-}
-
-// FillOws evaluates GradLogPsi of every batch row into the corresponding
-// ows row, partitioning rows across the per-worker evaluators (evals must
-// hold at least as many evaluators as worker ranges). Rows are independent,
-// so the result is bitwise identical for every worker count — the property
-// the two-level replica x worker scheme relies on.
-func FillOws(evals []nn.GradEvaluator, b *sampler.Batch, ows *tensor.Batch, workers int) {
-	// Pre-warm through the first evaluator: dedicated GradEvaluators own
-	// their scratch but may still read shared parameter-derived caches.
-	if len(evals) > 0 {
-		nn.Prewarm(evals[0])
-	}
-	ranges := parallel.Partition(b.N, workers)
-	parallel.ForEach(len(ranges), workers, func(w int) {
-		ev := evals[w]
-		for k := ranges[w].Lo; k < ranges[w].Hi; k++ {
-			ev.GradLogPsi(b.Row(k), ows.Sample(k))
-		}
-	})
 }
 
 // Train runs iters iterations, invoking cb (if non-nil) after each, and

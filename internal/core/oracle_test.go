@@ -64,11 +64,22 @@ func (o *oracle) step() IterStats {
 
 // TestStepMatchesOracle pins the shipped step to the plain-loop oracle with
 // exact == on IterStats and parameters: REINFORCE and both SR solvers, every
-// autoregressive family (plus the RBM on MCMC for REINFORCE), workers 1 and
-// 3. Each side builds its own model and sampler from the same seeds.
+// family (the RBM on MCMC and on block Gibbs), workers 1 and 3, on a
+// transverse-field Ising and a QUBO Hamiltonian. The step evaluates through
+// the batch evaluators only; the oracle's LocalEnergies and per-row
+// GradLogPsi are the scalar kernels, so this is what holds every trajectory
+// — and, through the worker-count identities of dist's conformance matrix,
+// every topology — to scalar arithmetic. Each side builds its own model and
+// sampler from the same seeds.
 func TestStepMatchesOracle(t *testing.T) {
 	const n, hsz, bs, steps = 6, 7, 72, 12 // 72 rows: two full blocks and a ragged one
-	h := hamiltonian.RandomTIM(n, rng.New(301))
+	hams := []struct {
+		prefix string
+		h      hamiltonian.Hamiltonian
+	}{
+		{"", hamiltonian.RandomTIM(n, rng.New(301))},
+		{"qubo/", hamiltonian.RandomQUBO(n, rng.New(310))},
+	}
 	type family struct {
 		name  string
 		build func() (Model, sampler.Sampler)
@@ -90,6 +101,10 @@ func TestStepMatchesOracle(t *testing.T) {
 			m := nn.NewRBM(n, hsz, rng.New(308))
 			return m, sampler.NewMCMC(m, sampler.MCMCConfig{Chains: 2, BurnIn: 20}, rng.New(309))
 		}},
+		{"rbm-gibbs", func() (Model, sampler.Sampler) {
+			m := nn.NewRBM(n, hsz, rng.New(308))
+			return m, sampler.NewGibbs(m, sampler.MCMCConfig{Chains: 2, BurnIn: 5}, rng.New(309))
+		}},
 	}
 	type rule struct {
 		name string
@@ -109,30 +124,29 @@ func TestStepMatchesOracle(t *testing.T) {
 		{"sr-cg", sgd, newSR(optimizer.SolverCG)},
 		{"sr-pipelined", sgd, newSR(optimizer.SolverPipelined)},
 	}
-	for _, f := range families {
-		for _, ru := range rules {
-			if f.name == "rbm" && ru.name != "reinforce" {
-				continue
-			}
-			for _, workers := range []int{1, 3} {
-				t.Run(fmt.Sprintf("%s/%s/w%d", f.name, ru.name, workers), func(t *testing.T) {
-					rm, rs := f.build()
-					ref := newOracle(h, rm, rs, ru.opt(), ru.sr(), bs)
-					m, s := f.build()
-					tr := New(h, m, s, ru.opt(), Config{BatchSize: bs, Workers: workers, SR: ru.sr()})
-					for i := 0; i < steps; i++ {
-						want, got := ref.step(), tr.Step()
-						if got != want {
-							t.Fatalf("step %d: shipped %+v != oracle %+v", i+1, got, want)
-						}
-						pw, pg := rm.Params(), m.Params()
-						for j := range pw {
-							if pg[j] != pw[j] {
-								t.Fatalf("step %d: param %d shipped %v != oracle %v", i+1, j, pg[j], pw[j])
+	for _, hc := range hams {
+		for _, f := range families {
+			for _, ru := range rules {
+				for _, workers := range []int{1, 3} {
+					t.Run(fmt.Sprintf("%s%s/%s/w%d", hc.prefix, f.name, ru.name, workers), func(t *testing.T) {
+						rm, rs := f.build()
+						ref := newOracle(hc.h, rm, rs, ru.opt(), ru.sr(), bs)
+						m, s := f.build()
+						tr := New(hc.h, m, s, ru.opt(), Config{BatchSize: bs, Workers: workers, SR: ru.sr()})
+						for i := 0; i < steps; i++ {
+							want, got := ref.step(), tr.Step()
+							if got != want {
+								t.Fatalf("step %d: shipped %+v != oracle %+v", i+1, got, want)
+							}
+							pw, pg := rm.Params(), m.Params()
+							for j := range pw {
+								if pg[j] != pw[j] {
+									t.Fatalf("step %d: param %d shipped %v != oracle %v", i+1, j, pg[j], pw[j])
+								}
 							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

@@ -50,17 +50,14 @@ type Replica struct {
 	// SR optionally preconditions the gradient with stochastic
 	// reconfiguration, sharded over the ranks of the group.
 	SR *optimizer.SR
-	// Workers fans this replica's local-energy and gradient evaluation
-	// across up to Workers goroutines (<=1 means serial). The worker count
-	// is a pure throughput knob: trained parameters are bitwise identical
-	// for any mix of worker counts across replicas.
+	// Workers is how many ways this replica's mini-batch is shared out
+	// (<=1 means serial): the model's batch evaluator is built with that
+	// many single-threaded sub-evaluators, each taking one contiguous share
+	// of a call's rows, and the fixed-block gradient reduction and the
+	// Fisher sweep fan out as wide. The worker count is a pure throughput
+	// knob: trained parameters are bitwise identical for any mix of worker
+	// counts across replicas.
 	Workers int
-	// Eval selects the replica's evaluation path (EvalAuto fuses local
-	// energies and gradients into blocked GEMMs over the mini-batch;
-	// EvalScalar forces per-sample evaluation). Like Workers it is a pure
-	// throughput knob — the batched path is bitwise identical to the scalar
-	// one, so replicas may even mix modes without diverging.
-	Eval EvalMode
 }
 
 // ReplicaStep is the VQMC iteration of ONE rank of a comm group, and the
@@ -83,8 +80,7 @@ type ReplicaStep struct {
 	cm      *comm.Comm
 	timings PhaseTimings
 
-	bev    *BatchedEval       // batched GEMM evaluation; nil = scalar path
-	evals  []nn.GradEvaluator // scalar path, one per worker
+	bev    *BatchedEval // the model's batch evaluator, Workers wide
 	batch  *sampler.Batch
 	locals []float64
 	wbuf   []float64     // per-sample gradient coefficients
@@ -108,16 +104,10 @@ func NewReplicaStep(h hamiltonian.Hamiltonian, rep Replica, cm *comm.Comm, miniB
 	rep.Workers = max(rep.Workers, 1)
 	d := rep.Model.NumParams()
 	s := &ReplicaStep{h: h, rep: rep, cm: cm,
-		bev:    NewBatchedEval(rep.Model, rep.Eval, rep.Workers),
+		bev:    NewBatchedEval(rep.Model, EvalAuto, rep.Workers),
 		batch:  sampler.NewBatch(miniBatch, h.N()),
 		locals: make([]float64, miniBatch),
 		wbuf:   make([]float64, miniBatch),
-	}
-	if s.bev == nil {
-		s.evals = make([]nn.GradEvaluator, rep.Workers)
-		for w := range s.evals {
-			s.evals[w] = rep.Model.NewGradEvaluator()
-		}
 	}
 	if rep.SR != nil {
 		s.ows = tensor.NewBatch(miniBatch, d)
@@ -133,9 +123,6 @@ func NewReplicaStep(h hamiltonian.Hamiltonian, rep Replica, cm *comm.Comm, miniB
 	return s
 }
 
-// Batched reports whether the step evaluates through the batched GEMM path.
-func (s *ReplicaStep) Batched() bool { return s.bev != nil }
-
 // Timings returns this rank's cumulative per-phase wall-clock times.
 func (s *ReplicaStep) Timings() PhaseTimings { return s.timings }
 
@@ -149,21 +136,9 @@ func (s *ReplicaStep) FisherApplies() int64 {
 }
 
 // LocalEnergies fills out[k] with the local energy of row k of b under the
-// rank's model, through whichever evaluation path the step was built with.
+// rank's model.
 func (s *ReplicaStep) LocalEnergies(b *sampler.Batch, out []float64) {
-	if s.bev != nil {
-		s.bev.LocalEnergies(s.h, b, s.rep.Workers, out)
-	} else {
-		LocalEnergies(s.h, s.rep.Model, b, s.rep.Workers, out)
-	}
-}
-
-func (s *ReplicaStep) fillOws(b *sampler.Batch, ows *tensor.Batch) {
-	if s.bev != nil {
-		s.bev.FillOws(b, ows)
-	} else {
-		FillOws(s.evals, b, ows, s.rep.Workers)
-	}
+	s.bev.LocalEnergies(s.h, b, s.rep.Workers, out)
 }
 
 // Run executes the rank's share of iteration iter and returns the GLOBAL
@@ -183,8 +158,8 @@ func (s *ReplicaStep) Run(iter int) (IterStats, error) {
 	lap(&last, &s.timings.Sample)
 
 	// Rows are independent, so the values are bitwise identical for every
-	// worker count and either evaluation path. The one-pass sums accumulate
-	// in sample order, exactly like stats.MeanStd.
+	// worker count. The one-pass sums accumulate in sample order, exactly
+	// like stats.MeanStd.
 	s.LocalEnergies(s.batch, s.locals)
 	var e, e2 float64
 	for _, l := range s.locals {
@@ -211,8 +186,8 @@ func (s *ReplicaStep) Run(iter int) (IterStats, error) {
 
 	// g = sum_k w_k O_k, slab by slab through AddWeightedRows: block
 	// boundaries depend only on the sample index, so the bytes are invariant
-	// to the worker count, the evaluation path and the slab size (under SR
-	// the slab is the whole mini-batch and the rows stay for the solve).
+	// to the worker count and the slab size (under SR the slab is the whole
+	// mini-batch and the rows stay for the solve).
 	s.pack.Zero()
 	grad, tail := tensor.Vector(s.pack.Section(0)), tensor.Vector(s.pack.Section(1))
 	for lo := 0; lo < mb; lo += s.ows.N {
@@ -220,7 +195,7 @@ func (s *ReplicaStep) Run(iter int) (IterStats, error) {
 		slab := &sampler.Batch{N: hi - lo, Sites: s.batch.Sites,
 			Bits: s.batch.Bits[lo*s.batch.Sites : hi*s.batch.Sites]}
 		rows := &tensor.Batch{N: hi - lo, Dim: d, Data: s.ows.Data[:(hi-lo)*d]}
-		s.fillOws(slab, rows)
+		s.bev.FillOws(slab, rows)
 		AddWeightedRows(grad, rows, s.wbuf[lo:hi], s.gparts, s.rep.Workers)
 	}
 	if s.rep.SR != nil {

@@ -1,11 +1,13 @@
 package dist
 
-// Conformance suite for the evaluation-path doctrine, now that every model
-// family (MADE, RBM, NADE, RNN) carries a batched evaluator: for each
-// model x Hamiltonian x topology cell, both evaluation modes — scalar and
-// batched (EvalAuto) — must produce EXACTLY the same training trajectory
-// (iteration stats and final parameters, compared with ==, no tolerance).
-// Distributed cells must additionally stay replica-consistent. The file
+// Conformance suite for the one evaluation path: for each model x
+// Hamiltonian x topology cell, every worker count — every way nn's row
+// split can share a mini-batch out over single-threaded evaluators — must
+// produce EXACTLY the same training trajectory (iteration stats and final
+// parameters, compared with ==, no tolerance). Distributed cells must
+// additionally stay replica-consistent. What pins that trajectory to scalar
+// arithmetic is core's TestStepMatchesOracle (plain loops over the scalar
+// kernels, both Hamiltonians, every family). The file
 // also extends the fail-stop recovery acceptance bar (recover_test.go) to
 // the two autoregressive families that previously could not checkpoint: a
 // NADE or RNN rank killed mid-run must recover bit-identical through the
@@ -147,7 +149,7 @@ func TestRecoveryBitIdenticalRNN(t *testing.T) {
 
 // Conformance-matrix fixtures: one small problem per Hamiltonian family and
 // one constructor per model family, all built from pinned seeds so every
-// eval mode inside a cell sees exactly the same model, sampler stream and
+// run inside a cell sees exactly the same model, sampler stream and
 // Hamiltonian.
 const (
 	confN     = 6
@@ -159,26 +161,17 @@ const (
 type confModel struct {
 	name  string
 	build func(r *rng.Rand) Model
-	// smp returns the sampler matching the eval mode: autoregressive
-	// models pair EvalScalar with the scalar incremental sampler and
-	// EvalAuto with the batched ancestral sampler (the pairing the
-	// production dispatch uses); the RBM always samples via MCMC.
-	smp func(m Model, mode core.EvalMode, stream *rng.Rand) sampler.Sampler
+	// smp returns the sampler the production dispatch pairs with the
+	// family: batched ancestral for the autoregressive models, MCMC for the
+	// RBM.
+	smp func(m Model, stream *rng.Rand) sampler.Sampler
 }
 
-// autoregSampler builds the ancestral sampler for any model implementing
-// both the scalar and batched ancestral interfaces.
-func autoregSampler(m Model, mode core.EvalMode, stream *rng.Rand) sampler.Sampler {
-	if mode == core.EvalScalar {
-		ce := m.(interface {
-			NewIncrementalEvaluator() nn.ConditionalEvaluator
-		})
-		return sampler.NewAuto(m.NumSites(), ce.NewIncrementalEvaluator, 1, stream)
-	}
+func autoregSampler(m Model, stream *rng.Rand) sampler.Sampler {
 	return sampler.NewAutoBatched(m.NumSites(), m.(nn.BatchAncestralBuilder), 1, stream)
 }
 
-func mcmcSampler(m Model, _ core.EvalMode, stream *rng.Rand) sampler.Sampler {
+func mcmcSampler(m Model, stream *rng.Rand) sampler.Sampler {
 	return sampler.NewMCMC(m.(*nn.RBM), sampler.MCMCConfig{Chains: 2, BurnIn: 20}, stream)
 }
 
@@ -191,56 +184,42 @@ func confModels() []confModel {
 	}
 }
 
-func evalModeName(mode core.EvalMode) string {
-	switch mode {
-	case core.EvalScalar:
-		return "scalar"
-	case core.EvalAuto:
-		return "batched"
-	}
-	return "unknown"
-}
-
-// confRun is one cell-and-mode execution: the per-iteration history plus
-// the final parameters of every replica (one row for the serial topology).
+// confRun is one execution of a cell: the per-iteration history plus the
+// final parameters of every replica (one row for the serial topology).
 type confRun struct {
 	hist   []core.IterStats
 	params [][]float64
 }
 
-// confWorkers is the trainer/replica worker count of the reference cells.
-// The Workers axis below varies ONLY this knob: the samplers are built with
+// confWorkers is the trainer/replica worker count of each cell's reference
+// run. The Workers axis varies ONLY this knob: the samplers are built with
 // their own worker count pinned at 1, because sampler workers own RNG
 // sub-streams and slabs — a sampler-level worker change legitimately changes
 // which uniforms each sample consumes, while trainer workers must never
 // change anything.
 const confWorkers = 2
 
-func confSerial(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, mode core.EvalMode, workers int) confRun {
+func confSerial(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, workers int) confRun {
 	t.Helper()
 	m := mc.build(rng.New(703))
-	smp := mc.smp(m, mode, rng.New(704))
-	tr := core.New(ham, m, smp, optimizer.NewSGD(0.05),
-		core.Config{BatchSize: confMB, Workers: workers, Eval: mode})
+	tr := core.New(ham, m, mc.smp(m, rng.New(704)), optimizer.NewSGD(0.05),
+		core.Config{BatchSize: confMB, Workers: workers})
 	hist := tr.Train(confSteps, nil)
 	return confRun{hist: hist, params: [][]float64{append([]float64(nil), m.Params()...)}}
 }
 
-func confDist(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, mode core.EvalMode, L, workers int) confRun {
+func confDist(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, L, workers int) confRun {
 	t.Helper()
 	streams := rng.New(705).SplitN(L)
 	reps := make([]Replica, L)
 	for r := 0; r < L; r++ {
 		m := mc.build(rng.New(703))
-		reps[r] = Replica{Model: m, Smp: mc.smp(m, mode, streams[r]),
-			Opt: optimizer.NewSGD(0.05), Workers: workers, Eval: mode}
+		reps[r] = Replica{Model: m, Smp: mc.smp(m, streams[r]),
+			Opt: optimizer.NewSGD(0.05), Workers: workers}
 	}
 	tr, err := New(ham, reps, confMB)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if mode != core.EvalScalar && !tr.steps[0].Batched() {
-		t.Fatalf("%s mode %s did not engage the batched evaluator", mc.name, evalModeName(mode))
 	}
 	hist := mustTrain(t, tr, confSteps)
 	if err := tr.CheckConsistent(); err != nil {
@@ -253,65 +232,40 @@ func confDist(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, mode core
 	return out
 }
 
-func assertConfEqual(t *testing.T, ref, got confRun, mode core.EvalMode) {
+func assertConfEqual(t *testing.T, ref, got confRun, workers int) {
 	t.Helper()
 	if len(ref.hist) != len(got.hist) {
-		t.Fatalf("%s: history length %d, want %d", evalModeName(mode), len(got.hist), len(ref.hist))
+		t.Fatalf("workers=%d: history length %d, want %d", workers, len(got.hist), len(ref.hist))
 	}
 	for i := range ref.hist {
 		if ref.hist[i] != got.hist[i] {
-			t.Fatalf("%s iter %d: %+v != scalar %+v", evalModeName(mode), i, got.hist[i], ref.hist[i])
+			t.Fatalf("workers=%d iter %d: %+v != reference %+v (worker count perturbed the trajectory)",
+				workers, i, got.hist[i], ref.hist[i])
 		}
 	}
 	for r := range ref.params {
 		for i := range ref.params[r] {
 			if ref.params[r][i] != got.params[r][i] {
-				t.Fatalf("%s replica %d param %d: %v != scalar %v (bit-identity broken)",
-					evalModeName(mode), r, i, got.params[r][i], ref.params[r][i])
+				t.Fatalf("workers=%d replica %d param %d: %v != reference %v (bit-identity broken)",
+					workers, r, i, got.params[r][i], ref.params[r][i])
 			}
 		}
 	}
 }
 
-// assertConfEqualWorkers is assertConfEqual with the worker count in the
-// failure message, for the Workers-axis cells.
-func assertConfEqualWorkers(t *testing.T, ref, got confRun, mode core.EvalMode, workers int) {
-	t.Helper()
-	if len(ref.hist) != len(got.hist) {
-		t.Fatalf("%s workers=%d: history length %d, want %d",
-			evalModeName(mode), workers, len(got.hist), len(ref.hist))
-	}
-	for i := range ref.hist {
-		if ref.hist[i] != got.hist[i] {
-			t.Fatalf("%s workers=%d iter %d: %+v != reference %+v (worker count perturbed the trajectory)",
-				evalModeName(mode), workers, i, got.hist[i], ref.hist[i])
-		}
-	}
-	for r := range ref.params {
-		for i := range ref.params[r] {
-			if ref.params[r][i] != got.params[r][i] {
-				t.Fatalf("%s workers=%d replica %d param %d: %v != reference %v (bit-identity broken)",
-					evalModeName(mode), workers, r, i, got.params[r][i], ref.params[r][i])
-			}
-		}
-	}
-}
-
-// TestEvalConformanceMatrix is the table-driven conformance suite capping
-// the batched-stack work: model {MADE, RBM, NADE, RNN} x Hamiltonian
+// TestEvalConformanceMatrix is the table-driven conformance suite of the
+// evaluation stack: model {MADE, RBM, NADE, RNN} x Hamiltonian
 // {transverse-field Ising, QUBO} x topology {serial trainer, distributed
-// L=1, distributed L=3}. Within every cell the scalar path is the
-// reference, and the batched path must reproduce its trajectory with exact
-// ==. (MADE's full-recompute flip oracle is a reference implementation, not
-// an eval mode; the nn and core suites compare it directly.) Topologies are
-// NOT compared to each other — they consume sampler streams differently by
-// design.
-//
-// The Workers axis (confWorkerCounts) then re-runs the scalar and batched
-// paths of every cell at trainer/replica worker counts {1, 3, 4, 8} against
-// the same workers=2 reference: worker count is a pure throughput knob, so a
-// single diverging bit at any width is a doctrine violation. Sampler workers
-// stay pinned at 1 throughout — see confWorkers.
+// L=1, distributed L=3} x workers. Within every cell the workers=2 run is
+// the reference, and the runs at trainer/replica worker counts {1, 3, 4, 8}
+// — one share called directly, ragged shares of the 8-row mini-batch, one
+// row per share — must reproduce its trajectory with exact ==: worker count
+// is a pure throughput knob, so a single diverging bit at any width is a
+// doctrine violation. Sampler workers stay pinned at 1 throughout — see
+// confWorkers. Topologies are NOT compared to each other — they consume
+// sampler streams differently by design. (There is no evaluation-mode axis:
+// the step has one path. MADE's full-recompute flip oracle is a reference
+// implementation the nn and core suites compare directly.)
 var confWorkerCounts = []int{1, 3, 4, 8}
 
 func TestEvalConformanceMatrix(t *testing.T) {
@@ -324,14 +278,14 @@ func TestEvalConformanceMatrix(t *testing.T) {
 	}
 	topos := []struct {
 		name string
-		run  func(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, mode core.EvalMode, workers int) confRun
+		run  func(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, workers int) confRun
 	}{
 		{"serial", confSerial},
-		{"dist1", func(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, mode core.EvalMode, workers int) confRun {
-			return confDist(t, mc, ham, mode, 1, workers)
+		{"dist1", func(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, workers int) confRun {
+			return confDist(t, mc, ham, 1, workers)
 		}},
-		{"dist3", func(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, mode core.EvalMode, workers int) confRun {
-			return confDist(t, mc, ham, mode, 3, workers)
+		{"dist3", func(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, workers int) confRun {
+			return confDist(t, mc, ham, 3, workers)
 		}},
 	}
 	for _, mc := range confModels() {
@@ -339,13 +293,9 @@ func TestEvalConformanceMatrix(t *testing.T) {
 			for _, tc := range topos {
 				t.Run(fmt.Sprintf("%s/%s/%s", mc.name, hc.name, tc.name), func(t *testing.T) {
 					ham := hc.build()
-					ref := tc.run(t, mc, ham, core.EvalScalar, confWorkers)
-					assertConfEqual(t, ref, tc.run(t, mc, ham, core.EvalAuto, confWorkers), core.EvalAuto)
+					ref := tc.run(t, mc, ham, confWorkers)
 					for _, w := range confWorkerCounts {
-						for _, mode := range []core.EvalMode{core.EvalScalar, core.EvalAuto} {
-							got := tc.run(t, mc, ham, mode, w)
-							assertConfEqualWorkers(t, ref, got, mode, w)
-						}
+						assertConfEqual(t, ref, tc.run(t, mc, ham, w), w)
 					}
 				})
 			}

@@ -23,12 +23,13 @@
 //
 // Two levels of parallelism compose here, modeling node x GPU hierarchies:
 // the replicas are the outer data-parallel dimension, and each replica can
-// additionally fan its local-energy and gradient evaluation across Workers
-// goroutines. Worker partitioning only changes which goroutine computes
-// each independent row, and the per-sample reduction stays a deterministic
-// ordered loop, so the trained parameters are bitwise independent of every
-// replica's worker count — replicas with different Workers still stay
-// bit-identical to each other.
+// additionally share its local-energy and gradient evaluation out over
+// Workers goroutines (one contiguous share of the mini-batch each, see
+// core.Replica.Workers). Worker partitioning only changes which goroutine
+// computes each independent row, and the per-sample reduction stays a
+// deterministic ordered loop, so the trained parameters are bitwise
+// independent of every replica's worker count — replicas with different
+// Workers still stay bit-identical to each other.
 //
 // With a Replica.SR preconditioner set, the trainer runs *distributed
 // stochastic reconfiguration*: each replica keeps only its private O_k rows

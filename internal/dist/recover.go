@@ -43,8 +43,8 @@ import (
 // a checkpoint-loaded model. The builder supplies the replica skeleton —
 // sampler (any seed; Recover rewinds it to the dead rank's exact stream
 // position, so it only needs the same shape: worker/chain count and kind),
-// optimizer and SR (both replaced by survivor-derived state), Workers and
-// Eval (pure throughput knobs). It must set Model to the model it is given.
+// optimizer and SR (both replaced by survivor-derived state) and Workers (a
+// pure throughput knob). It must set Model to the model it is given.
 type ReplicaBuilder func(rank int, model Model) (Replica, error)
 
 // Recover builds a replacement trainer after a failed Step. dir, when

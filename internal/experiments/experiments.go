@@ -129,7 +129,6 @@ func All() []Experiment {
 		{"table3", "Ablation: latent size (cut and time)", Table3},
 		{"table4", "Ablation: MCMC sampling scheme (cut and time)", Table4},
 		{"table5", "Hitting time to target cut", Table5},
-		{"batched", "Batched GEMM evaluation vs per-sample path (A/B timing)", Batched},
 		{"distsr", "Distributed SR: energy, CG iterations, ring traffic", DistSR},
 		{"pipecg", "Pipelined CG: classic vs overlapped SR solve on a latency link", PipeCG},
 		{"table6", "Raw data: converged energy and time per GPU config", Table6},

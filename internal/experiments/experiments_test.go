@@ -24,7 +24,7 @@ func TestPresetByName(t *testing.T) {
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
-	want := []string{"table1", "fig2", "table2", "fig3", "fig4", "table3", "table4", "table5", "batched", "distsr", "pipecg", "table6", "table7", "eq14"}
+	want := []string{"table1", "fig2", "table2", "fig3", "fig4", "table3", "table4", "table5", "distsr", "pipecg", "table6", "table7", "eq14"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(got), len(want))

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/rng"
@@ -293,54 +294,60 @@ var rowFamilies = []struct {
 	{"RBM", func(n, h int, r *rng.Rand) rowFamily { return NewRBM(n, h, r) }},
 }
 
-// TestRowEvaluatorGrid pins the row adaptor — the scalar path behind the
-// BatchEvaluator interface — against every family's own NewBatchEvaluator
-// with exact ==, over the B x workers x n grid: where the family keeps a
-// GEMM kernel this is the batched-equals-scalar contract read from the
-// other side, and for NADE and the RNN it is the adaptor against itself at
-// a different worker count.
+// TestRowEvaluatorGrid pins the one parallel layer, splitRows, over every
+// family and both kinds of evaluator it fronts — the family's own
+// NewBatchEvaluator (GEMM kernels for MADE and the RBM, the row adaptor for
+// NADE and the RNN) and the row adaptor itself — on the W x B grid: one row
+// (fewer rows than workers), ragged shares, and a batch that takes each
+// sub-evaluator through more than one flip slab. Every output must equal,
+// with exact ==, both the one-worker evaluator's and the scalar
+// GradEvaluator / FlipCache values, with and without a base slice, for the
+// full flip set (descending: order must not matter) and a random one.
 func TestRowEvaluatorGrid(t *testing.T) {
 	for _, fam := range rowFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			for _, n := range siteCounts {
-				m := fam.build(n, 5+n, rng.New(uint64(800+n)))
-				d := m.NumParams()
-				flips := make([]int, n)
-				for i := range flips {
-					flips[i] = n - 1 - i // descending: order must not matter
+				r := rng.New(uint64(900 + n))
+				full := make([]int, n)
+				for i := range full {
+					full[i] = n - 1 - i
 				}
-				own := m.NewBatchEvaluator(3)
-				for _, workers := range workerCounts {
-					row := newRowEvaluator(m, workers)
-					for _, bs := range batchSizes {
-						b := randomConfigs(bs, n, rng.New(uint64(41*bs+n)))
-						got, want := make([]float64, bs), make([]float64, bs)
-						row.LogPsiBatch(b, got)
-						own.LogPsiBatch(b, want)
-						for k := range got {
-							if got[k] != want[k] {
-								t.Fatalf("n=%d w=%d B=%d row %d: adaptor logpsi %v != family %v", n, workers, bs, k, got[k], want[k])
-							}
+				some := make([]int, 1+r.Intn(n))
+				for i := range some {
+					some[i] = r.Intn(n)
+				}
+				for _, bs := range []int{1, 7, 64, 1000} {
+					h := 5 + n
+					if bs == 1000 {
+						// The multi-slab batch runs once, at the largest n (a
+						// flip slab holds 4096/(n+1) rows whatever h is) and
+						// a narrow hidden layer, which keeps the RNN's O(h^2)
+						// scalar reference cheap under the race detector.
+						if n != siteCounts[len(siteCounts)-1] {
+							continue
 						}
-						gOws, wOws := tensor.NewBatch(bs, d), tensor.NewBatch(bs, d)
-						row.GradLogPsiBatch(b, gOws)
-						own.GradLogPsiBatch(b, wOws)
-						for i := range gOws.Data {
-							if gOws.Data[i] != wOws.Data[i] {
-								t.Fatalf("n=%d w=%d B=%d: adaptor grad element %d: %v != family %v", n, workers, bs, i, gOws.Data[i], wOws.Data[i])
-							}
+						h = 4
+					}
+					m := fam.build(n, h, rng.New(uint64(800+n)))
+					ref := scalarRowOutputs(m, randomConfigs(bs, n, rng.New(uint64(41*bs+n))), full, some)
+					kinds := map[string]func(workers int) BatchEvaluator{"family": m.NewBatchEvaluator}
+					if _, isAdaptor := m.NewBatchEvaluator(1).(*rowEvaluator); !isAdaptor {
+						kinds["adaptor"] = func(w int) BatchEvaluator {
+							return splitRows(m, w, func() BatchEvaluator { return newRowEvaluator(m) })
 						}
-						gD, wD := make([]float64, bs*n), make([]float64, bs*n)
-						row.FlipLogPsiBatch(b, flips, got, gD)
-						own.FlipLogPsiBatch(b, flips, want, wD)
-						for k := range got {
-							if got[k] != want[k] {
-								t.Fatalf("n=%d w=%d B=%d row %d: adaptor flip base %v != family %v", n, workers, bs, k, got[k], want[k])
+					}
+					for kind, build := range kinds {
+						var one *rowOutputs
+						for _, workers := range []int{1, 2, 3, 8} {
+							got := batchedRowOutputs(m, build(workers), ref.b, full, some)
+							if workers == 1 {
+								one = got
 							}
-						}
-						for i := range gD {
-							if gD[i] != wD[i] {
-								t.Fatalf("n=%d w=%d B=%d: adaptor delta %d: %v != family %v", n, workers, bs, i, gD[i], wD[i])
+							if at := got.diff(one); at != "" {
+								t.Fatalf("%s n=%d B=%d w=%d: %s differs from the one-worker evaluator", kind, n, bs, workers, at)
+							}
+							if at := got.diff(ref); at != "" {
+								t.Fatalf("%s n=%d B=%d w=%d: %s differs from the scalar kernels", kind, n, bs, workers, at)
 							}
 						}
 					}
@@ -348,6 +355,78 @@ func TestRowEvaluatorGrid(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rowOutputs is everything a BatchEvaluator computes for one batch and two
+// flip sets; the nil-base calls fill deltas only.
+type rowOutputs struct {
+	b               ConfigBatch
+	logPsi          []float64
+	grads           *tensor.Batch
+	base            [2][]float64
+	delta, deltaNil [2][]float64
+}
+
+func newRowOutputs(m Wavefunction, b ConfigBatch, flipSets [2][]int) *rowOutputs {
+	o := &rowOutputs{b: b, logPsi: make([]float64, b.N), grads: tensor.NewBatch(b.N, m.NumParams())}
+	for i, flips := range flipSets {
+		o.base[i] = make([]float64, b.N)
+		o.delta[i] = make([]float64, b.N*len(flips))
+		o.deltaNil[i] = make([]float64, b.N*len(flips))
+	}
+	return o
+}
+
+// scalarRowOutputs computes the reference through the scalar kernels alone.
+func scalarRowOutputs(m rowModel, b ConfigBatch, full, some []int) *rowOutputs {
+	o := newRowOutputs(m, b, [2][]int{full, some})
+	cache := m.NewFlipCache(b.Row(0))
+	for k := 0; k < b.N; k++ {
+		o.logPsi[k] = m.LogPsi(b.Row(k))
+		m.GradLogPsi(b.Row(k), o.grads.Sample(k))
+		cache.Reset(b.Row(k))
+		for i, flips := range [2][]int{full, some} {
+			o.base[i][k] = cache.LogPsi()
+			for f, bit := range flips {
+				o.delta[i][k*len(flips)+f] = cache.Delta(bit)
+			}
+			copy(o.deltaNil[i][k*len(flips):], o.delta[i][k*len(flips):(k+1)*len(flips)])
+		}
+	}
+	return o
+}
+
+func batchedRowOutputs(m Wavefunction, e BatchEvaluator, b ConfigBatch, full, some []int) *rowOutputs {
+	o := newRowOutputs(m, b, [2][]int{full, some})
+	e.LogPsiBatch(b, o.logPsi)
+	e.GradLogPsiBatch(b, o.grads)
+	for i, flips := range [2][]int{full, some} {
+		e.FlipLogPsiBatch(b, flips, o.base[i], o.delta[i])
+		e.FlipLogPsiBatch(b, flips, nil, o.deltaNil[i])
+	}
+	return o
+}
+
+// diff names the first output where o and want differ in a bit, or "".
+func (o *rowOutputs) diff(want *rowOutputs) string {
+	fields := []struct {
+		name      string
+		got, want []float64
+	}{
+		{"logpsi", o.logPsi, want.logPsi}, {"grad", o.grads.Data, want.grads.Data},
+		{"full-flip base", o.base[0], want.base[0]}, {"full-flip delta", o.delta[0], want.delta[0]},
+		{"full-flip delta (nil base)", o.deltaNil[0], want.deltaNil[0]},
+		{"random-flip base", o.base[1], want.base[1]}, {"random-flip delta", o.delta[1], want.delta[1]},
+		{"random-flip delta (nil base)", o.deltaNil[1], want.deltaNil[1]},
+	}
+	for _, f := range fields {
+		for i := range f.want {
+			if f.got[i] != f.want[i] {
+				return fmt.Sprintf("%s[%d] %v != %v", f.name, i, f.got[i], f.want[i])
+			}
+		}
+	}
+	return ""
 }
 
 // TestRowAdaptorsAllocateNothingPerRow: the adaptors build their per-worker

@@ -18,6 +18,11 @@ type ConfigBatch struct {
 // Row returns configuration i, aliasing the batch storage.
 func (b ConfigBatch) Row(i int) []int { return b.Bits[i*b.Sites : (i+1)*b.Sites] }
 
+// rows returns configurations [lo, hi) as a batch, aliasing the storage.
+func (b ConfigBatch) rows(lo, hi int) ConfigBatch {
+	return ConfigBatch{N: hi - lo, Sites: b.Sites, Bits: b.Bits[lo*b.Sites : hi*b.Sites]}
+}
+
 // BatchEvaluator evaluates a whole batch of configurations in one call. A
 // family answers NewBatchEvaluator with whichever of its kernels the
 // committed record shows faster (nn.flip_batched_over_scalar in
@@ -30,26 +35,34 @@ func (b ConfigBatch) Row(i int) []int { return b.Bits[i*b.Sites : (i+1)*b.Sites]
 //     parallel across samples, so it should saturate the hardware as GEMMs);
 //   - NADE and the RNN run the row adaptor (row.go) over the one scalar
 //     skeleton they share (seq.go): its FlipCache and GradEvaluator, one row
-//     at a time, rows partitioned over per-worker instances. The flips of
-//     one row share every prefix of the chain, and the scalar cache reuses
-//     them in place where a site-major slab kernel has to snapshot and
-//     re-read them — and pays one parallel dispatch per site per flip group
-//     where the adaptor pays one per call.
+//     at a time. The flips of one row share every prefix of the chain, and
+//     the scalar cache reuses them in place where a site-major slab kernel
+//     has to snapshot and re-read them.
+//
+// Every implementation is single-threaded. The package goes parallel in one
+// place, splitRows (row.go): NewBatchEvaluator(workers) puts one evaluator
+// per worker behind it, a call's rows are cut into contiguous shares once,
+// and share w runs on evaluator w — one dispatch per call, where a dispatch
+// per site, flip group and column-range GEMM never amortised on a slab of a
+// few hundred rows.
 //
 // Bitwise-equivalence guarantee: every method produces EXACTLY the bytes
 // the corresponding scalar path produces — LogPsiBatch matches per-row
 // LogPsi, GradLogPsiBatch matches per-row GradLogPsi, and FlipLogPsiBatch
 // matches the model's FlipCache (base log-psi as Reset computes it, deltas
 // as Delta computes them) — and is invariant to the worker count the
-// evaluator was built with. The row adaptor holds this by construction (it
-// IS the scalar path); the GEMM implementations achieve it by accumulating
+// evaluator was built with (rows are independent and every contraction
+// order is per-row, so how the rows are shared out cannot reach a value).
+// The row adaptor holds this by construction (it IS the scalar path); the
+// GEMM implementations achieve it by accumulating
 // every fused product in the same fixed contraction order as the scalar
 // kernels (see tensor.MatMul and tensor.MatMulReLU, which MADE drives
 // against pre-transposed masked weights; tensor.MatMulT is the same
 // contract for untransposed operands) and by sharing the per-row reduction
 // code with the scalar path verbatim. The guarantee is load-bearing:
-// package dist checks replica consistency with exact ==, and the batched
-// and scalar paths must remain interchangeable underneath it.
+// package dist checks replica consistency with exact ==, replicas may run
+// different worker counts, and the scalar kernels remain the reference the
+// tests and core's plain-loop oracle compare against.
 //
 // Tail-only invariant (MADE): the flip super-batch is evaluated under the
 // mask-aware tail-only convention of MADE.NewFlipCache — for a flip of bit
@@ -60,8 +73,8 @@ func (b ConfigBatch) Row(i int) []int { return b.Bits[i*b.Sites : (i+1)*b.Sites]
 // layer-2 work and the log-sigmoid tail is therefore invisible in the
 // values: scalar FlipCache.Delta and the batched delta agree with exact ==.
 //
-// Implementations own growable scratch and are NOT safe for concurrent
-// use; they parallelize internally across the workers they were built with.
+// An evaluator owns growable scratch and is NOT safe for concurrent use;
+// one built with several workers fans each call out itself.
 type BatchEvaluator interface {
 	// LogPsiBatch fills out[k] = log|psi(row k)| for every row of b.
 	// len(out) must be b.N.
@@ -126,10 +139,11 @@ func checkAncestral(n int, b ConfigBatch, u []float64) {
 	}
 }
 
-// BatchEvaluatorBuilder is implemented by wavefunctions that provide a
-// batched evaluation path. workers bounds the internal parallelism
-// (<= 0 means GOMAXPROCS); the returned evaluator is worker-count invariant
-// in its VALUES, workers only set the fan-out.
+// BatchEvaluatorBuilder is implemented by every wavefunction family: the
+// evaluation path of the training step and the serving layer. workers is
+// how many single-threaded evaluators share the rows of each call (<= 0
+// means GOMAXPROCS); the returned evaluator is worker-count invariant in its
+// VALUES, workers only set the fan-out.
 type BatchEvaluatorBuilder interface {
 	NewBatchEvaluator(workers int) BatchEvaluator
 }

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"github.com/vqmc-scale/parvqmc/internal/parallel"
-	"github.com/vqmc-scale/parvqmc/internal/tensor"
-)
+import "github.com/vqmc-scale/parvqmc/internal/tensor"
 
 // batchSlabRows caps the number of network rows materialized at once by the
 // batched evaluator, bounding workspace memory independently of the batch
@@ -20,15 +17,6 @@ func growMat(buf *[]float64, rows, cols int) *tensor.Matrix {
 		*buf = make([]float64, need)
 	}
 	return &tensor.Matrix{Rows: rows, Cols: cols, Data: (*buf)[:need]}
-}
-
-// reluRows applies ReLU to every row of m in parallel.
-func reluRows(m *tensor.Matrix, workers int) {
-	parallel.For(m.Rows, workers, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			tensor.ReLU(m.Row(r))
-		}
-	})
 }
 
 // logProbFromZ2F is logProbFromZ2 for a float-encoded configuration (the
@@ -50,9 +38,10 @@ func logProbFromZ2F(xf []float64, z2 tensor.Vector) float64 {
 // masked matvecs of a whole batch into blocked GEMMs against the cached
 // masked weights (see MADE.maskedWeights), slab by slab. All values are
 // bitwise identical to the scalar paths; see the BatchEvaluator contract.
+// It is single-threaded: splitRows (row.go) puts one per worker behind the
+// package's one parallel dispatch.
 type madeBatchEvaluator struct {
-	m       *MADE
-	workers int
+	m *MADE
 	// fullFlip disables the tail-only flip evaluation and recomputes every
 	// flip row with full GEMMs and a full log-probability fold — the PR 4
 	// reference path. Outputs are bitwise identical to the tail-only path
@@ -68,25 +57,16 @@ type madeBatchEvaluator struct {
 	bufZB1, bufZB2, bufP      []float64
 	bufXB, bufPre, bufPre2    []float64
 	bufBase                   []float64
-	dz2, da                   []tensor.Vector // per-worker backward scratch
-	needSnap, needPre         []bool          // per-call flip marks over hidden units / sites
+	dz2, da                   tensor.Vector // backward scratch
+	needSnap, needPre         []bool        // per-call flip marks over hidden units / sites
 }
 
-// NewBatchEvaluator implements BatchEvaluatorBuilder. workers bounds the
-// internal fan-out (<= 0 means GOMAXPROCS) and does not affect any output
-// value. The evaluator is not safe for concurrent use.
+// NewBatchEvaluator implements BatchEvaluatorBuilder: one GEMM evaluator per
+// worker behind splitRows. workers bounds the fan-out (<= 0 means
+// GOMAXPROCS) and does not affect any output value. The evaluator is not
+// safe for concurrent use.
 func (m *MADE) NewBatchEvaluator(workers int) BatchEvaluator {
-	if workers <= 0 {
-		workers = parallel.MaxWorkers()
-	}
-	e := &madeBatchEvaluator{m: m, workers: workers,
-		dz2: make([]tensor.Vector, workers), da: make([]tensor.Vector, workers),
-		needSnap: make([]bool, m.h), needPre: make([]bool, m.n)}
-	for w := 0; w < workers; w++ {
-		e.dz2[w] = tensor.NewVector(m.n)
-		e.da[w] = tensor.NewVector(m.h)
-	}
-	return e
+	return splitRows(m, workers, func() BatchEvaluator { return m.newBatchEvaluator(false) })
 }
 
 // NewFullFlipBatchEvaluator returns a BatchEvaluator whose FlipLogPsiBatch
@@ -94,26 +74,26 @@ func (m *MADE) NewBatchEvaluator(workers int) BatchEvaluator {
 // plus a full log-sigmoid fold) instead of the mask-aware tail. It produces
 // bitwise the same outputs as NewBatchEvaluator — the tail-only path is
 // provably an exact suffix of the full fold — and exists as the reference
-// implementation the tests compare the tail-only kernel against (called
-// directly; no eval mode selects it) and the pre-tail-only (PR 4)
-// performance baseline.
+// implementation the tests compare the tail-only kernel against and the
+// pre-tail-only (PR 4) performance baseline.
 func (m *MADE) NewFullFlipBatchEvaluator(workers int) BatchEvaluator {
-	e := m.NewBatchEvaluator(workers).(*madeBatchEvaluator)
-	e.fullFlip = true
-	return e
+	return splitRows(m, workers, func() BatchEvaluator { return m.newBatchEvaluator(true) })
+}
+
+func (m *MADE) newBatchEvaluator(fullFlip bool) *madeBatchEvaluator {
+	return &madeBatchEvaluator{m: m, fullFlip: fullFlip,
+		dz2: tensor.NewVector(m.n), da: tensor.NewVector(m.h),
+		needSnap: make([]bool, m.h), needPre: make([]bool, m.n)}
 }
 
 // toFloats converts configuration rows [lo, hi) of b into xf rows [0, ...).
-func (e *madeBatchEvaluator) toFloats(b ConfigBatch, lo, hi int, xf *tensor.Matrix) {
-	parallel.For(hi-lo, e.workers, func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			x := b.Row(lo + r)
-			row := xf.Row(r)
-			for i, bit := range x {
-				row[i] = float64(bit)
-			}
+func toFloats(b ConfigBatch, lo, hi int, xf *tensor.Matrix) {
+	for r := 0; r < hi-lo; r++ {
+		row := xf.Row(r)
+		for i, bit := range b.Row(lo + r) {
+			row[i] = float64(bit)
 		}
-	})
+	}
 }
 
 // forwardSlab runs the dense two-GEMM forward for rows [lo, hi) of b,
@@ -126,21 +106,21 @@ func (e *madeBatchEvaluator) forwardSlab(b ConfigBatch, lo, hi int, needPre bool
 	xf = growMat(&e.bufXF, rows, m.n)
 	z1 = growMat(&e.bufZ1, rows, m.h)
 	z2 = growMat(&e.bufZ2, rows, m.n)
-	e.toFloats(b, lo, hi, xf)
-	tensor.MatMul(z1, xf, wm1t, e.workers)
-	tensor.AddRowBias(z1, m.B1, e.workers)
+	toFloats(b, lo, hi, xf)
+	tensor.MatMul(z1, xf, wm1t, 1)
+	tensor.AddRowBias(z1, m.B1)
 	if needPre {
 		// The backward pass needs the activation alongside the ReLU gate,
 		// so materialize it (the scalar Forward's copy+ReLU); otherwise the
 		// fused MatMulReLU consumes the pre-activation directly.
 		a = growMat(&e.bufA, rows, m.h)
 		copy(a.Data, z1.Data)
-		reluRows(a, e.workers)
+		tensor.ReLU(a.Data)
 	} else {
 		a = z1
 	}
-	tensor.MatMulReLU(z2, a, wm2t, e.workers)
-	tensor.AddRowBias(z2, m.B2, e.workers)
+	tensor.MatMulReLU(z2, a, wm2t, 1)
+	tensor.AddRowBias(z2, m.B2)
 	return xf, z1, a, z2
 }
 
@@ -155,11 +135,9 @@ func (e *madeBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 			hi = b.N
 		}
 		_, _, _, z2 := e.forwardSlab(b, lo, hi, false)
-		parallel.For(hi-lo, e.workers, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				out[lo+r] = 0.5 * logProbFromZ2(b.Row(lo+r), z2.Row(r))
-			}
-		})
+		for r := 0; r < hi-lo; r++ {
+			out[lo+r] = 0.5 * logProbFromZ2(b.Row(lo+r), z2.Row(r))
+		}
 	}
 }
 
@@ -175,15 +153,11 @@ func (e *madeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 			hi = b.N
 		}
 		_, z1, a, z2 := e.forwardSlab(b, lo, hi, true)
-		ranges := parallel.Partition(hi-lo, e.workers)
-		parallel.ForEach(len(ranges), e.workers, func(w int) {
-			dz2, da := e.dz2[w], e.da[w]
-			for r := ranges[w].Lo; r < ranges[w].Hi; r++ {
-				grad := ows.Sample(lo + r)
-				m.gradFromForward(b.Row(lo+r), z1.Row(r), a.Row(r), z2.Row(r), dz2, da, grad)
-				grad.Scale(0.5)
-			}
-		})
+		for r := 0; r < hi-lo; r++ {
+			grad := ows.Sample(lo + r)
+			m.gradFromForward(b.Row(lo+r), z1.Row(r), a.Row(r), z2.Row(r), e.dz2, e.da, grad)
+			grad.Scale(0.5)
+		}
 	}
 }
 
@@ -248,21 +222,14 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 		// fold adds wm1t row i to every sample with bit i set — exactly
 		// MatMul's ascending-k skip-zero / multiply-elided accumulation.
 		xfb := growMat(&e.bufXB, s, m.n)
-		e.toFloats(b, lo, hi, xfb)
+		toFloats(b, lo, hi, xfb)
 		zb1 := growMat(&e.bufZ1, s, m.h)
 		var pre *tensor.Matrix
 		if e.fullFlip || nf == 0 {
-			tensor.MatMul(zb1, xfb, wm1t, e.workers)
+			tensor.MatMul(zb1, xfb, wm1t, 1)
 		} else {
 			pre = growMat(&e.bufPre, m.n*s, m.h)
-			parallel.For(s, e.workers, func(slo, shi int) {
-				for si := slo; si < shi; si++ {
-					row := zb1.Row(si)
-					for k := range row {
-						row[k] = 0
-					}
-				}
-			})
+			clear(zb1.Data)
 			for i := 0; i < m.n; i++ {
 				if needPre[i] {
 					// Only sites actually flipped (with a non-empty run)
@@ -274,40 +241,31 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 				// only the support is bitwise MatMul's full-row add.
 				wrow := wm1t.Row(i)
 				iruns := m.flipRuns[i]
-				parallel.For(s, e.workers, func(slo, shi int) {
-					for si := slo; si < shi; si++ {
-						if xfb.Row(si)[i] == 1 {
-							drow := zb1.Row(si)
-							for _, run := range iruns {
-								dst := drow[run[0]:run[1]]
-								src := wrow[run[0]:run[1]]
-								for k := range dst {
-									dst[k] += src[k]
-								}
+				for si := 0; si < s; si++ {
+					if xfb.Row(si)[i] == 1 {
+						drow := zb1.Row(si)
+						for _, run := range iruns {
+							dst := drow[run[0]:run[1]]
+							src := wrow[run[0]:run[1]]
+							for k := range dst {
+								dst[k] += src[k]
 							}
 						}
 					}
-				})
+				}
 			}
 		}
-		tensor.AddRowBias(zb1, m.B1, e.workers)
+		tensor.AddRowBias(zb1, m.B1)
 		// Base layer 2, with the tail-only path running the explicit
 		// ascending-unit fold (bitwise MatMulReLU's chain) so it can
 		// snapshot the partial sums the flip rows resume from.
 		zb2 := growMat(&e.bufZ2, s, m.n)
 		var pre2 *tensor.Matrix
 		if e.fullFlip || nf == 0 || maxK0 < 0 {
-			tensor.MatMulReLU(zb2, zb1, wm2t, e.workers)
+			tensor.MatMulReLU(zb2, zb1, wm2t, 1)
 		} else {
 			pre2 = growMat(&e.bufPre2, (maxK0+1)*s, m.n)
-			parallel.For(s, e.workers, func(slo, shi int) {
-				for si := slo; si < shi; si++ {
-					row := zb2.Row(si)
-					for j := range row {
-						row[j] = 0
-					}
-				}
-			})
+			clear(zb2.Data)
 			for k := 0; k < m.h; k++ {
 				if k <= maxK0 && needSnap[k] {
 					copy(pre2.Data[k*s*m.n:(k+1)*s*m.n], zb2.Data[:s*m.n])
@@ -320,38 +278,34 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 					continue
 				}
 				wsub := wm2t.Row(k)[d0:]
-				parallel.For(s, e.workers, func(slo, shi int) {
-					for si := slo; si < shi; si++ {
-						if av := zb1.Row(si)[k]; av > 0 {
-							dsub := zb2.Row(si)[d0:]
-							for j, wv := range wsub {
-								dsub[j] += av * wv
-							}
+				for si := 0; si < s; si++ {
+					if av := zb1.Row(si)[k]; av > 0 {
+						dsub := zb2.Row(si)[d0:]
+						for j, wv := range wsub {
+							dsub[j] += av * wv
 						}
 					}
-				})
+				}
 			}
 		}
-		tensor.AddRowBias(zb2, m.B2, e.workers)
+		tensor.AddRowBias(zb2, m.B2)
 		p := growMat(&e.bufP, s, m.n+1)
-		parallel.For(s, e.workers, func(slo, shi int) {
-			for si := slo; si < shi; si++ {
-				x := b.Row(lo + si)
-				zrow := zb2.Row(si)
-				prow := p.Row(si)
-				var lp float64
-				prow[0] = 0
-				for j, xb := range x {
-					if xb == 1 {
-						lp += logSigmoid(zrow[j])
-					} else {
-						lp += logSigmoid(-zrow[j])
-					}
-					prow[j+1] = lp
+		for si := 0; si < s; si++ {
+			x := b.Row(lo + si)
+			zrow := zb2.Row(si)
+			prow := p.Row(si)
+			var lp float64
+			prow[0] = 0
+			for j, xb := range x {
+				if xb == 1 {
+					lp += logSigmoid(zrow[j])
+				} else {
+					lp += logSigmoid(-zrow[j])
 				}
-				base[lo+si] = 0.5 * lp
+				prow[j+1] = lp
 			}
-		})
+			base[lo+si] = 0.5 * lp
+		}
 		if nf == 0 {
 			continue
 		}
@@ -365,25 +319,23 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 		// mask hides from the flipped bit — and only the flipRuns columns
 		// are recomputed; the full-flip reference recomputes everything
 		// with whole-super-batch GEMMs (the PR 4 shape).
-		parallel.For(fr, e.workers, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				f, si := r/s, r%s
-				x := b.Row(lo + si)
-				row := xff.Row(r)
-				for i, xb := range x {
-					row[i] = float64(xb)
-				}
-				row[flips[f]] = float64(1 - x[flips[f]])
-				if !e.fullFlip {
-					copy(zf1.Row(r), zb1.Row(si))
-				}
+		for r := 0; r < fr; r++ {
+			f, si := r/s, r%s
+			x := b.Row(lo + si)
+			row := xff.Row(r)
+			for i, xb := range x {
+				row[i] = float64(xb)
 			}
-		})
+			row[flips[f]] = float64(1 - x[flips[f]])
+			if !e.fullFlip {
+				copy(zf1.Row(r), zb1.Row(si))
+			}
+		}
 		if e.fullFlip {
-			tensor.MatMul(zf1, xff, wm1t, e.workers)
-			tensor.AddRowBias(zf1, m.B1, e.workers)
-			tensor.MatMulReLU(zf2, zf1, wm2t, e.workers)
-			tensor.AddRowBias(zf2, m.B2, e.workers)
+			tensor.MatMul(zf1, xff, wm1t, 1)
+			tensor.AddRowBias(zf1, m.B1)
+			tensor.MatMulReLU(zf2, zf1, wm2t, 1)
+			tensor.AddRowBias(zf2, m.B2)
 		} else {
 			for f, bit := range flips {
 				xb := &tensor.Matrix{Rows: s, Cols: m.n, Data: xff.Data[f*s*m.n : (f+1)*s*m.n]}
@@ -395,132 +347,132 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 					// pre-activation is bitwise the base one; only the
 					// flipped site's term re-branches, which the fold stage
 					// reads from zb2 directly.
-					if bit+1 < m.n {
-						parallel.For(s, e.workers, func(slo, shi int) {
-							for si := slo; si < shi; si++ {
-								copy(z2b.Row(si)[bit+1:], zb2.Row(si)[bit+1:])
-							}
-						})
+					for si := 0; si < s; si++ {
+						copy(z2b.Row(si)[bit+1:], zb2.Row(si)[bit+1:])
 					}
 					continue
 				}
-				{
-					// Changed hidden columns: restart each element from the
-					// base fold's snapshot before site `bit`, re-run the
-					// suffix of the accumulation chain against the flipped
-					// float row (identical adds for every site > bit), then
-					// apply the bias — bitwise the fresh layer-1 fold at a
-					// fraction of its cost. Unchanged columns keep the base
-					// z1 bytes they were seeded with.
-					preBand := pre.Data[bit*s*m.h : (bit+1)*s*m.h]
-					parallel.For(s, e.workers, func(slo, shi int) {
-						for si := slo; si < shi; si++ {
-							zrow := z1b.Row(si)
-							prow := preBand[si*m.h : (si+1)*m.h]
-							for _, run := range runs {
-								copy(zrow[run[0]:run[1]], prow[run[0]:run[1]])
-							}
-							xrow := xb.Row(si)
-							for i := bit; i < m.n; i++ {
-								if xrow[i] != 1 {
-									continue
-								}
-								wrow := wm1t.Row(i)
-								off := 0
-								if m.runsAscending {
-									// Within an ascending run, input i's
-									// mask support is the suffix starting
-									// i-bit units in (the rest would add
-									// exact +/-0 terms).
-									off = i - bit
-								}
-								for _, run := range runs {
-									r0 := run[0] + off
-									if r0 >= run[1] {
-										continue
-									}
-									dst := zrow[r0:run[1]]
-									src := wrow[r0:run[1]]
-									for k := range dst {
-										dst[k] += src[k]
-									}
-								}
-							}
-						}
-					})
-					for _, run := range runs {
-						tensor.AddRowBiasCols(z1b, m.B1, run[0], run[1], e.workers)
-					}
+				// Changed hidden columns, then the layer-2 tail.
+				m.resumeLayer1(z1b, xb, pre.Data[bit*s*m.h:(bit+1)*s*m.h], wm1t, bit)
+				for _, run := range runs {
+					tensor.AddRowBiasCols(z1b, m.B1, run[0], run[1])
 				}
 				if bit+1 >= m.n {
 					continue
 				}
-				// Layer-2 tail: resume each element's fold from the base
-				// snapshot before the first changed hidden unit, then run
-				// the suffix against the flip row's activations (ReLU as
-				// the same skip-on-nonpositive MatMulReLU uses).
 				k0 := runs[0][0]
-				preBand2 := pre2.Data[k0*s*m.n : (k0+1)*s*m.n]
-				parallel.For(s, e.workers, func(slo, shi int) {
-					for si := slo; si < shi; si++ {
-						zrow := z2b.Row(si)[bit+1:]
-						copy(zrow, preBand2[si*m.n+bit+1:(si+1)*m.n])
-						arow := z1b.Row(si)
-						for k := k0; k < m.h; k++ {
-							av := arow[k]
-							if av <= 0 {
-								continue
-							}
-							// Unit k only feeds outputs j >= deg(k); the
-							// masked-out head of the row is +/-0.
-							lo2 := bit + 1
-							if d := m.deg[k]; d > lo2 {
-								lo2 = d
-							} else if d == 0 {
-								continue
-							}
-							if lo2 >= m.n {
-								continue
-							}
-							wsub := wm2t.Row(k)[lo2:]
-							dsub := zrow[lo2-bit-1:]
-							for j, wv := range wsub {
-								dsub[j] += av * wv
-							}
-						}
-					}
-				})
-				tensor.AddRowBiasCols(z2b, m.B2, bit+1, m.n, e.workers)
+				m.resumeLayer2(z2b, z1b, pre2.Data[k0*s*m.n:(k0+1)*s*m.n], wm2t, bit)
+				tensor.AddRowBiasCols(z2b, m.B2, bit+1, m.n)
 			}
 		}
 		// Fold the tails (full fold in fullFlip mode) and emit deltas.
-		parallel.For(fr, e.workers, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				f, si := r/s, r%s
-				bit := flips[f]
-				x := b.Row(lo + si)
-				var lp float64
-				if e.fullFlip {
-					lp = logProbFromZ2F(xff.Row(r), zf2.Row(r))
+		for r := 0; r < fr; r++ {
+			f, si := r/s, r%s
+			bit := flips[f]
+			x := b.Row(lo + si)
+			var lp float64
+			if e.fullFlip {
+				lp = logProbFromZ2F(xff.Row(r), zf2.Row(r))
+			} else {
+				lp = p.Row(si)[bit]
+				if x[bit] == 0 { // flipped value is 1
+					lp += logSigmoid(zb2.Row(si)[bit])
 				} else {
-					lp = p.Row(si)[bit]
-					if x[bit] == 0 { // flipped value is 1
-						lp += logSigmoid(zb2.Row(si)[bit])
+					lp += logSigmoid(-zb2.Row(si)[bit])
+				}
+				zrow := zf2.Row(r)
+				for j := bit + 1; j < m.n; j++ {
+					if x[j] == 1 {
+						lp += logSigmoid(zrow[j])
 					} else {
-						lp += logSigmoid(-zb2.Row(si)[bit])
-					}
-					zrow := zf2.Row(r)
-					for j := bit + 1; j < m.n; j++ {
-						if x[j] == 1 {
-							lp += logSigmoid(zrow[j])
-						} else {
-							lp += logSigmoid(-zrow[j])
-						}
+						lp += logSigmoid(-zrow[j])
 					}
 				}
-				delta[(lo+si)*nf+f] = 0.5*lp - base[lo+si]
 			}
-		})
+			delta[(lo+si)*nf+f] = 0.5*lp - base[lo+si]
+		}
+	}
+}
+
+// resumeLayer1 recomputes, for the flip group of site bit, the hidden
+// pre-activations the flip can reach (m.flipRuns[bit]) in every row of z1b:
+// each element restarts from the base fold's snapshot before site bit
+// (preBand, one h-wide row per sample) and re-runs the suffix of the
+// accumulation chain against the flipped float rows xb — identical adds for
+// every site > bit, so bitwise the fresh layer-1 fold at a fraction of its
+// cost. Columns outside the runs keep the base bytes they were seeded with;
+// the caller adds the bias. This loop and resumeLayer2 are ~40 % of a flip
+// call and are kept out of FlipLogPsiBatch's body so that what else that
+// function holds cannot reach their register allocation.
+func (m *MADE) resumeLayer1(z1b, xb *tensor.Matrix, preBand []float64, wm1t *tensor.Matrix, bit int) {
+	runs := m.flipRuns[bit]
+	for si := 0; si < z1b.Rows; si++ {
+		zrow := z1b.Row(si)
+		prow := preBand[si*m.h : (si+1)*m.h]
+		for _, run := range runs {
+			copy(zrow[run[0]:run[1]], prow[run[0]:run[1]])
+		}
+		xrow := xb.Row(si)
+		for i := bit; i < m.n; i++ {
+			if xrow[i] != 1 {
+				continue
+			}
+			wrow := wm1t.Row(i)
+			off := 0
+			if m.runsAscending {
+				// Within an ascending run, input i's mask support is the
+				// suffix starting i-bit units in (the rest would add exact
+				// +/-0 terms).
+				off = i - bit
+			}
+			for _, run := range runs {
+				r0 := run[0] + off
+				if r0 >= run[1] {
+					continue
+				}
+				dst := zrow[r0:run[1]]
+				src := wrow[r0:run[1]]
+				for k := range dst {
+					dst[k] += src[k]
+				}
+			}
+		}
+	}
+}
+
+// resumeLayer2 recomputes output sites j > bit of every row of z2b: each
+// element's fold resumes from the base snapshot before the first hidden
+// unit the flip can change (preBand2, one n-wide row per sample), then runs
+// the suffix against the flip row's activations z1b, with ReLU as the same
+// skip-on-nonpositive MatMulReLU uses. The caller adds the bias.
+func (m *MADE) resumeLayer2(z2b, z1b *tensor.Matrix, preBand2 []float64, wm2t *tensor.Matrix, bit int) {
+	k0 := m.flipRuns[bit][0][0]
+	for si := 0; si < z2b.Rows; si++ {
+		zrow := z2b.Row(si)[bit+1:]
+		copy(zrow, preBand2[si*m.n+bit+1:(si+1)*m.n])
+		arow := z1b.Row(si)
+		for k := k0; k < m.h; k++ {
+			av := arow[k]
+			if av <= 0 {
+				continue
+			}
+			// Unit k only feeds outputs j >= deg(k); the masked-out head of
+			// the row is +/-0.
+			lo2 := bit + 1
+			if d := m.deg[k]; d > lo2 {
+				lo2 = d
+			} else if d == 0 {
+				continue
+			}
+			if lo2 >= m.n {
+				continue
+			}
+			wsub := wm2t.Row(k)[lo2:]
+			dsub := zrow[lo2-bit-1:]
+			for j, wv := range wsub {
+				dsub[j] += av * wv
+			}
+		}
 	}
 }
 

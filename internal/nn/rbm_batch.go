@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"github.com/vqmc-scale/parvqmc/internal/parallel"
-	"github.com/vqmc-scale/parvqmc/internal/tensor"
-)
+import "github.com/vqmc-scale/parvqmc/internal/tensor"
 
 // rbmBatchEvaluator is the RBM's BatchEvaluator: the per-sample hidden
 // pre-activation MulVec (theta = W s + c) of a whole batch is fused into
@@ -17,21 +14,18 @@ import (
 // Spins never vanish (s_i = +/-1), so the GEMM's zero-skip never fires and
 // every element accumulates the same ascending-j product chain MulVec runs.
 type rbmBatchEvaluator struct {
-	m       *RBM
-	workers int
+	m *RBM
 	// Slab workspaces, grown on demand and reused across calls: bufS holds
 	// the float spin rows, bufTh the hidden pre-activation rows.
 	bufS, bufTh []float64
 }
 
-// NewBatchEvaluator implements BatchEvaluatorBuilder for the RBM. workers
-// bounds the internal fan-out (<= 0 means GOMAXPROCS) and does not affect
-// any output value. The evaluator is not safe for concurrent use.
+// NewBatchEvaluator implements BatchEvaluatorBuilder for the RBM: one GEMM
+// evaluator per worker behind splitRows. workers bounds the fan-out (<= 0
+// means GOMAXPROCS) and does not affect any output value. The evaluator is
+// not safe for concurrent use.
 func (m *RBM) NewBatchEvaluator(workers int) BatchEvaluator {
-	if workers <= 0 {
-		workers = parallel.MaxWorkers()
-	}
-	return &rbmBatchEvaluator{m: m, workers: workers}
+	return splitRows(m, workers, func() BatchEvaluator { return &rbmBatchEvaluator{m: m} })
 }
 
 // thetaSlab converts rows [lo, hi) of b to spins and runs the fused
@@ -42,17 +36,14 @@ func (e *rbmBatchEvaluator) thetaSlab(b ConfigBatch, lo, hi int) (sp, th *tensor
 	wt := m.weightsT()
 	sp = growMat(&e.bufS, rows, m.n)
 	th = growMat(&e.bufTh, rows, m.h)
-	parallel.For(rows, e.workers, func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			x := b.Row(lo + r)
-			row := sp.Row(r)
-			for i, bit := range x {
-				row[i] = float64(1 - 2*bit)
-			}
+	for r := 0; r < rows; r++ {
+		row := sp.Row(r)
+		for i, bit := range b.Row(lo + r) {
+			row[i] = float64(1 - 2*bit)
 		}
-	})
-	tensor.MatMul(th, sp, wt, e.workers)
-	tensor.AddRowBias(th, m.C, e.workers)
+	}
+	tensor.MatMul(th, sp, wt, 1)
+	tensor.AddRowBias(th, m.C)
 	return sp, th
 }
 
@@ -67,11 +58,9 @@ func (e *rbmBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 			hi = b.N
 		}
 		sp, th := e.thetaSlab(b, lo, hi)
-		parallel.For(hi-lo, e.workers, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				out[lo+r] = m.logPsiFromTheta(sp.Row(r), th.Row(r))
-			}
-		})
+		for r := 0; r < hi-lo; r++ {
+			out[lo+r] = m.logPsiFromTheta(sp.Row(r), th.Row(r))
+		}
 	}
 }
 
@@ -86,11 +75,9 @@ func (e *rbmBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 			hi = b.N
 		}
 		sp, th := e.thetaSlab(b, lo, hi)
-		parallel.For(hi-lo, e.workers, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				m.gradFromTheta(sp.Row(r), th.Row(r), ows.Sample(lo+r))
-			}
-		})
+		for r := 0; r < hi-lo; r++ {
+			m.gradFromTheta(sp.Row(r), th.Row(r), ows.Sample(lo+r))
+		}
 	}
 }
 
@@ -110,18 +97,16 @@ func (e *rbmBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, de
 			hi = b.N
 		}
 		sp, th := e.thetaSlab(b, lo, hi)
-		parallel.For(hi-lo, e.workers, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				srow, throw := sp.Row(r), th.Row(r)
-				if base != nil {
-					base[lo+r] = m.logPsiFromTheta(srow, throw)
-				}
-				drow := delta[(lo+r)*nf : (lo+r+1)*nf]
-				for f, bit := range flips {
-					drow[f] = m.flipDelta(srow, throw, bit)
-				}
+		for r := 0; r < hi-lo; r++ {
+			srow, throw := sp.Row(r), th.Row(r)
+			if base != nil {
+				base[lo+r] = m.logPsiFromTheta(srow, throw)
 			}
-		})
+			drow := delta[(lo+r)*nf : (lo+r+1)*nf]
+			for f, bit := range flips {
+				drow[f] = m.flipDelta(srow, throw, bit)
+			}
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// The RBM batched-evaluation suite mirrors batch_test.go: every method of
+// The RBM batched evaluation suite mirrors batch_test.go: every method of
 // the RBM's BatchEvaluator must reproduce the scalar path with exact ==
 // across the acceptance grid of batch sizes, worker counts and site counts.
 

@@ -15,28 +15,67 @@ func forRows(n, workers int, body func(w, lo, hi int)) {
 	})
 }
 
-// gradRows fills ows row k with grad log|psi(row k)| through the scalar
-// backward, worker w running evs[w] over its share of the rows. It is the
-// GradLogPsiBatch of every family whose backward is inherently per-row (the
-// RNN's BPTT and NADE's accumulation chain record per-sample states, so
-// there is no cross-row GEMM to fuse without changing the arithmetic).
-func gradRows(m Wavefunction, evs []GradEvaluator, b ConfigBatch, ows *tensor.Batch) {
-	checkGradLogPsiBatch(m.NumSites(), m.NumParams(), b, ows)
-	forRows(b.N, len(evs), func(w, lo, hi int) {
-		ev := evs[w]
-		for r := lo; r < hi; r++ {
-			ev.GradLogPsi(b.Row(r), ows.Sample(r))
-		}
+// splitEvaluator is the package's one parallel layer under BatchEvaluator:
+// it holds one single-threaded evaluator per worker and cuts every call into
+// contiguous row shares, share w going to evaluator w on its own goroutine.
+// Rows are independent and every kernel's contraction order is per-row, so
+// each output is the bytes the lone evaluator would have written, at every
+// worker count; with one share (one worker, or a batch of one row) the call
+// runs inline on the caller's goroutine. One dispatch per call is what lets a
+// second worker pay on a slab of a few hundred rows — a dispatch per site,
+// per flip group and per column-range GEMM never amortised (see
+// docs/ARCHITECTURE.md, "Which kernel a family keeps"). Sub-evaluators grow
+// their scratch to their own share, not to the whole batch.
+type splitEvaluator struct {
+	n, d int // sites and parameters, for the argument checks
+	subs []BatchEvaluator
+}
+
+// splitRows returns build() itself for one worker, and workers (<= 0 means
+// GOMAXPROCS) of them behind a splitEvaluator otherwise. It is how every
+// family implements NewBatchEvaluator.
+func splitRows(m Wavefunction, workers int, build func() BatchEvaluator) BatchEvaluator {
+	if workers <= 0 {
+		workers = parallel.MaxWorkers()
+	}
+	if workers == 1 {
+		return build()
+	}
+	s := &splitEvaluator{n: m.NumSites(), d: m.NumParams(), subs: make([]BatchEvaluator, workers)}
+	for w := range s.subs {
+		s.subs[w] = build()
+	}
+	return s
+}
+
+// LogPsiBatch implements BatchEvaluator.
+func (s *splitEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
+	checkLogPsiBatch(s.n, b, out)
+	forRows(b.N, len(s.subs), func(w, lo, hi int) {
+		s.subs[w].LogPsiBatch(b.rows(lo, hi), out[lo:hi])
 	})
 }
 
-// newGradEvaluators builds one scalar gradient evaluator per worker.
-func newGradEvaluators(m GradEvaluatorBuilder, workers int) []GradEvaluator {
-	evs := make([]GradEvaluator, workers)
-	for w := range evs {
-		evs[w] = m.NewGradEvaluator()
-	}
-	return evs
+// GradLogPsiBatch implements BatchEvaluator.
+func (s *splitEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
+	checkGradLogPsiBatch(s.n, s.d, b, ows)
+	forRows(b.N, len(s.subs), func(w, lo, hi int) {
+		s.subs[w].GradLogPsiBatch(b.rows(lo, hi),
+			&tensor.Batch{N: hi - lo, Dim: s.d, Data: ows.Data[lo*s.d : hi*s.d]})
+	})
+}
+
+// FlipLogPsiBatch implements BatchEvaluator.
+func (s *splitEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64) {
+	checkFlipLogPsiBatch(s.n, b, flips, base, delta)
+	nf := len(flips)
+	forRows(b.N, len(s.subs), func(w, lo, hi int) {
+		var share []float64
+		if base != nil {
+			share = base[lo:hi]
+		}
+		s.subs[w].FlipLogPsiBatch(b.rows(lo, hi), flips, share, delta[lo*nf:hi*nf])
+	})
 }
 
 // rowModel is what rowEvaluator needs of a family: its scalar kernels.
@@ -55,59 +94,49 @@ type rowModel interface {
 // site-major slab kernel can only imitate with snapshot traffic; where the
 // committed record shows the slab kernel losing, this is the batched path.
 type rowEvaluator struct {
-	m      rowModel
-	caches []FlipCache
-	grads  []GradEvaluator
+	m     rowModel
+	cache FlipCache
+	grad  GradEvaluator
 }
 
-// newRowEvaluator builds the adaptor with one FlipCache and one
-// GradEvaluator per worker (<= 0 means GOMAXPROCS); a call allocates nothing
-// but the closures of its one parallel dispatch.
-func newRowEvaluator(m rowModel, workers int) *rowEvaluator {
-	if workers <= 0 {
-		workers = parallel.MaxWorkers()
-	}
-	e := &rowEvaluator{m: m, caches: make([]FlipCache, workers), grads: newGradEvaluators(m, workers)}
-	zero := make([]int, m.NumSites())
-	for w := range e.caches {
-		e.caches[w] = m.NewFlipCache(zero)
-	}
-	return e
+// newRowEvaluator builds the adaptor over one FlipCache and one
+// GradEvaluator; a call allocates nothing.
+func newRowEvaluator(m rowModel) *rowEvaluator {
+	return &rowEvaluator{m: m, cache: m.NewFlipCache(make([]int, m.NumSites())), grad: m.NewGradEvaluator()}
 }
 
 // LogPsiBatch implements BatchEvaluator.
 func (e *rowEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 	checkLogPsiBatch(e.m.NumSites(), b, out)
-	forRows(b.N, len(e.grads), func(w, lo, hi int) {
-		ev := e.grads[w]
-		for r := lo; r < hi; r++ {
-			out[r] = ev.LogPsi(b.Row(r))
-		}
-	})
+	for r := range out {
+		out[r] = e.grad.LogPsi(b.Row(r))
+	}
 }
 
-// GradLogPsiBatch implements BatchEvaluator.
+// GradLogPsiBatch implements BatchEvaluator through the scalar backward: the
+// RNN's BPTT and NADE's accumulation chain record per-sample states, so
+// there is no cross-row GEMM to fuse without changing the arithmetic.
 func (e *rowEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
-	gradRows(e.m, e.grads, b, ows)
+	checkGradLogPsiBatch(e.m.NumSites(), e.m.NumParams(), b, ows)
+	for r := 0; r < b.N; r++ {
+		e.grad.GradLogPsi(b.Row(r), ows.Sample(r))
+	}
 }
 
-// FlipLogPsiBatch implements BatchEvaluator: each row rebases its worker's
-// FlipCache once and reads the base and every delta off it.
+// FlipLogPsiBatch implements BatchEvaluator: each row rebases the FlipCache
+// once and reads the base and every delta off it.
 func (e *rowEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64) {
 	checkFlipLogPsiBatch(e.m.NumSites(), b, flips, base, delta)
 	nf := len(flips)
-	forRows(b.N, len(e.caches), func(w, lo, hi int) {
-		c := e.caches[w]
-		for r := lo; r < hi; r++ {
-			c.Reset(b.Row(r))
-			if base != nil {
-				base[r] = c.LogPsi()
-			}
-			for f, bit := range flips {
-				delta[r*nf+f] = c.Delta(bit)
-			}
+	for r := 0; r < b.N; r++ {
+		e.cache.Reset(b.Row(r))
+		if base != nil {
+			base[r] = e.cache.LogPsi()
 		}
-	})
+		for f, bit := range flips {
+			delta[r*nf+f] = e.cache.Delta(bit)
+		}
+	}
 }
 
 // rowAncestral is the BatchAncestralSampler that walks each row through a

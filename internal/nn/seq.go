@@ -292,16 +292,16 @@ func (e *seqEvaluator) Fix(i, bit int) {
 func (e *seqEvaluator) ForwardPasses() int64 { return e.passes }
 
 // NewBatchEvaluator implements BatchEvaluatorBuilder with the row adaptor
-// over NewFlipCache and NewGradEvaluator: the flips of one row share every
-// prefix of the chain, the scalar cache reuses them in place, and rows
-// partition across workers with one dispatch per call — a site-major slab
-// kernel ties or loses to that for both families at every measured size and
-// worker count (docs/ARCHITECTURE.md, "Which kernel a family keeps"), so
-// the scalar path is the batched path. workers bounds the fan-out (<= 0
-// means GOMAXPROCS) and does not affect any output value. The evaluator is
-// not safe for concurrent use.
+// over NewFlipCache and NewGradEvaluator, one per worker behind splitRows:
+// the flips of one row share every prefix of the chain and the scalar cache
+// reuses them in place — a site-major slab kernel ties or loses to that for
+// both families at every measured size and worker count
+// (docs/ARCHITECTURE.md, "Which kernel a family keeps"), so the scalar path
+// is the batched path. workers bounds the fan-out (<= 0 means GOMAXPROCS)
+// and does not affect any output value. The evaluator is not safe for
+// concurrent use.
 func (m *seqModel) NewBatchEvaluator(workers int) BatchEvaluator {
-	return newRowEvaluator(m, workers)
+	return splitRows(m, workers, func() BatchEvaluator { return newRowEvaluator(m) })
 }
 
 // NewBatchAncestralSampler implements BatchAncestralBuilder with the row

@@ -331,14 +331,18 @@ func (c *cgWork) solveCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter i
 }
 
 // SolveFisherPipelinedCG runs Gropp's overlapped conjugate-gradient variant
-// (mirroring linalg.PipelinedCG) on A x = b through a SplitFisherOp. The
-// CG vectors are replicated on every rank of a distributed group, so the
-// inner products are free local arithmetic and the ONLY synchronization per
-// iteration is the operator application itself — which this solver issues
-// through StartApply/FinishApply so the ring reduction for iteration k's
+// on A x = b through a SplitFisherOp: the Krylov recurrence of classic CG
+// (linalg.CG, SolveFisherCG), restructured so that s = A p is carried by an
+// update instead of a product and each reduction is detached from its
+// consumer — same solution, iteration counts within one of CG's, and the
+// same best-effort return on a non-positive p.Ap curvature. The CG vectors
+// are replicated on every rank of a distributed group, so the inner products
+// are free local arithmetic and the ONLY synchronization per iteration is
+// the operator application itself — which this solver issues through
+// StartApply/FinishApply so the ring reduction for iteration k's
 // Fisher-vector product is in flight while the beta and search-direction
-// recurrences of the same iteration run. Classic SolveFisherCG blocks on
-// its collective at the point of maximal dependency (the p.Ap it needs
+// recurrences of the same iteration run. Classic SolveFisherCG blocks on its
+// collective at the point of maximal dependency (the p.Ap it needs
 // immediately); here every collective is non-blocking and the solve issues
 // ZERO blocking collectives, paying max(sweep-reduction, recurrence) per
 // iteration instead of their sum.

@@ -1,10 +1,9 @@
 // Package parallel provides small building blocks for data-parallel loops:
-// a parallel for with an optional grain threshold (ForGrain), index-range
-// partitioning, and per-worker reduction buffers. Parallel sections are
-// dispatched through a process-wide persistent worker pool so hot loops that
-// fan out every iteration (the trainer, the batched evaluators) do not pay
-// goroutine startup each time; callers never manage goroutine lifecycles
-// directly.
+// a parallel for with an optional grain threshold (ForGrain) and index-range
+// partitioning. Parallel sections are dispatched through a process-wide
+// persistent worker pool so hot loops that fan out every iteration (the
+// trainer, the batched evaluators) do not pay goroutine startup each time;
+// callers never manage goroutine lifecycles directly.
 //
 // Worker count is a throughput knob only: every helper invokes its body on
 // exactly the same index ranges for a given (n, workers) pair regardless of
@@ -158,106 +157,4 @@ func ForEach(n, workers int, body func(i int)) {
 			body(i)
 		}
 	})
-}
-
-// ReduceFloat64 runs body over a partition of [0,n), giving each worker a
-// private accumulator slice of length dim; partial results are summed into a
-// fresh slice in partition order, so the reduction is deterministic for a
-// given (n, workers) pair. It is the shared-nothing alternative to atomic
-// adds.
-func ReduceFloat64(n, workers, dim int, body func(lo, hi int, acc []float64)) []float64 {
-	if workers <= 0 {
-		workers = MaxWorkers()
-	}
-	ranges := Partition(n, workers)
-	if len(ranges) == 0 {
-		return make([]float64, dim)
-	}
-	parts := make([][]float64, len(ranges))
-	var wg sync.WaitGroup
-	wg.Add(len(ranges))
-	for w, r := range ranges {
-		w, r := w, r
-		dispatch(func() {
-			acc := make([]float64, dim)
-			body(r.Lo, r.Hi, acc)
-			parts[w] = acc
-		}, &wg)
-	}
-	wg.Wait()
-	total := make([]float64, dim)
-	for _, p := range parts {
-		for i, v := range p {
-			total[i] += v
-		}
-	}
-	return total
-}
-
-// Pool is a fixed-size worker pool for repeatedly dispatching batches of
-// closures; it amortizes goroutine startup across many small parallel
-// sections (e.g. one VQMC iteration).
-//
-// Contracts (enforced with panics, best-effort under racing misuse):
-//   - Run is single-caller: at most one Run may be in flight at a time.
-//     Concurrent Run calls would interleave their WaitGroup accounting and
-//     return before their own tasks finish.
-//   - Close may only be called when the pool is idle (no Run in flight) and
-//     at most once; tasks submitted after Close panic on the closed channel.
-type Pool struct {
-	tasks   chan func()
-	wg      sync.WaitGroup
-	size    int
-	running atomic.Bool
-	closed  atomic.Bool
-}
-
-// NewPool starts a pool with the given number of workers (<=0 means
-// MaxWorkers).
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = MaxWorkers()
-	}
-	p := &Pool{tasks: make(chan func(), workers), size: workers}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for task := range p.tasks {
-				task()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// Size reports the number of workers.
-func (p *Pool) Size() int { return p.size }
-
-// Run dispatches all tasks and waits for them to finish. It is single-caller:
-// concurrent Run calls on the same Pool panic.
-func (p *Pool) Run(tasks ...func()) {
-	if !p.running.CompareAndSwap(false, true) {
-		panic("parallel: concurrent Pool.Run calls (Run is single-caller)")
-	}
-	defer p.running.Store(false)
-	if p.closed.Load() {
-		panic("parallel: Pool.Run after Close")
-	}
-	p.wg.Add(len(tasks))
-	for _, t := range tasks {
-		p.tasks <- t
-	}
-	p.wg.Wait()
-}
-
-// Close shuts the pool down. The pool must be idle: Close panics if a Run is
-// in flight or the pool is already closed.
-func (p *Pool) Close() {
-	if p.running.Load() {
-		panic("parallel: Pool.Close while Run in flight (pool must be idle)")
-	}
-	if !p.closed.CompareAndSwap(false, true) {
-		panic("parallel: Pool.Close called twice")
-	}
-	close(p.tasks)
 }

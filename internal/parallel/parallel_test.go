@@ -74,60 +74,6 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestReduceFloat64MatchesSerial(t *testing.T) {
-	data := make([]float64, 777)
-	for i := range data {
-		data[i] = float64(i%13) * 0.5
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		got := ReduceFloat64(len(data), workers, 2, func(lo, hi int, acc []float64) {
-			for i := lo; i < hi; i++ {
-				acc[0] += data[i]
-				acc[1] += 1
-			}
-		})
-		var want float64
-		for _, v := range data {
-			want += v
-		}
-		if got[0] != want || got[1] != float64(len(data)) {
-			t.Fatalf("workers=%d got %v want [%v %v]", workers, got, want, len(data))
-		}
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	got := ReduceFloat64(0, 4, 3, func(lo, hi int, acc []float64) { acc[0] = 99 })
-	for _, v := range got {
-		if v != 0 {
-			t.Fatalf("empty reduce returned %v", got)
-		}
-	}
-}
-
-func TestPool(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	if p.Size() != 3 {
-		t.Fatalf("Size = %d", p.Size())
-	}
-	var total int64
-	tasks := make([]func(), 20)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() { atomic.AddInt64(&total, int64(i)) }
-	}
-	p.Run(tasks...)
-	if total != 190 {
-		t.Fatalf("total = %d, want 190", total)
-	}
-	// Pool is reusable.
-	p.Run(func() { atomic.AddInt64(&total, 10) })
-	if total != 200 {
-		t.Fatalf("total after reuse = %d", total)
-	}
-}
-
 func BenchmarkForOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		For(1024, 0, func(lo, hi int) {
@@ -238,50 +184,5 @@ func TestForPoolReuse(t *testing.T) {
 	}
 	if n := globalSpawned.Load(); n > maxPoolWorkers {
 		t.Fatalf("spawn counter %d exceeds cap %d", n, maxPoolWorkers)
-	}
-}
-
-func TestPoolCloseTwicePanics(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second Close did not panic")
-		}
-	}()
-	p.Close()
-}
-
-func TestPoolRunAfterClosePanics(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run after Close did not panic")
-		}
-	}()
-	p.Run(func() {})
-}
-
-func TestPoolConcurrentRunPanics(t *testing.T) {
-	p := NewPool(2)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	firstDone := make(chan struct{})
-	go func() {
-		defer close(firstDone)
-		p.Run(func() { close(started); <-release })
-	}()
-	<-started
-	panicked := false
-	func() {
-		defer func() { panicked = recover() != nil }()
-		p.Run(func() {})
-	}()
-	close(release)
-	<-firstDone
-	p.Close()
-	if !panicked {
-		t.Fatal("concurrent Run did not panic")
 	}
 }

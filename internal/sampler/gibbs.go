@@ -25,9 +25,8 @@ import (
 // single-bit-flip Metropolis, at O(nh) per sweep.
 //
 // Like MCMC, the sweeps are sequential per chain and stay scalar; the
-// local-energy and gradient phases downstream of the sampled batch
-// dispatch to the RBM's nn.BatchEvaluator under core.EvalAuto, bitwise
-// unchanged.
+// local-energy and gradient phases downstream of the sampled batch run
+// through the RBM's nn.BatchEvaluator, bitwise what the scalar kernels give.
 type Gibbs struct {
 	model  *nn.RBM
 	cfg    MCMCConfig // Chains/BurnIn/Thin carry over; BurnIn counts sweeps

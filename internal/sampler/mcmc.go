@@ -30,11 +30,10 @@ func DefaultBurnIn(n int) int { return 3*n + 100 }
 // targeting pi(x) proportional to psi(x)^2. It works with any wavefunction
 // exposing a FlipCache; with the RBM's O(h) cache each step costs O(h).
 //
-// Chains are inherently sequential, so sampling itself stays scalar in
-// every evaluation mode; the energy and gradient phases that consume the
-// sampled batch ride the model's nn.BatchEvaluator (the RBM's theta-GEMM
-// path) whenever the trainer's eval mode allows it, bitwise unchanged —
-// see core.NewBatchedEval and examples/rbmmcmc.
+// Chains are inherently sequential, so sampling itself walks the scalar
+// FlipCache; the energy and gradient phases that consume the sampled batch
+// run through the model's nn.BatchEvaluator (the RBM's theta-GEMM path),
+// bitwise what the scalar kernels give — see core.BatchedEval.
 type MCMC struct {
 	model interface {
 		nn.Wavefunction

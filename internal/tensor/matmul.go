@@ -283,62 +283,32 @@ func MatMulT(dst, a, b *Matrix, workers int) {
 	})
 }
 
-// rowGrain is the minimum number of rows per parallel range for cheap
-// O(cols)-per-row bodies (bias adds): small enough work per row that
-// dispatching a worker for a handful of rows costs more than the rows
-// themselves. Sized so one range covers at least ~2048 elements. Grain only
-// caps how finely rows are partitioned — each row's arithmetic is untouched,
-// so results stay bitwise identical at every worker count.
-func rowGrain(cols int) int {
-	if cols < 1 {
-		return 2048
-	}
-	g := 2048 / cols
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
-
-// AddRowBias adds bias to every row of m (bias length m.Cols), parallelized
-// over rows. Each element sees exactly one addition, performed after the
-// row's products are fully accumulated — the same "dot first, bias second"
-// order the scalar forward uses (MaskedMulVec followed by Vector.Add).
-func AddRowBias(m *Matrix, bias Vector, workers int) {
-	if len(bias) != m.Cols {
-		panic("tensor: AddRowBias length mismatch")
-	}
-	parallel.ForGrain(m.Rows, workers, rowGrain(m.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			for j, bv := range bias {
-				row[j] += bv
-			}
-		}
-	})
+// AddRowBias adds bias to every row of m (bias length m.Cols). Each element
+// sees exactly one addition, performed after the row's products are fully
+// accumulated — the same "dot first, bias second" order the scalar forward
+// uses (MaskedMulVec followed by Vector.Add). It is a plain loop: O(cols)
+// per row never pays for a dispatch, and its callers, nn's batch evaluators,
+// are single-threaded.
+func AddRowBias(m *Matrix, bias Vector) {
+	AddRowBiasCols(m, bias, 0, m.Cols)
 }
 
 // AddRowBiasCols adds bias[j0:j1) to columns [j0, j1) of every row of m,
 // the column-range restriction of AddRowBias (bias still has length m.Cols;
 // columns outside the range are untouched). Same one-addition-per-element,
 // dot-first-bias-second contract.
-func AddRowBiasCols(m *Matrix, bias Vector, j0, j1, workers int) {
+func AddRowBiasCols(m *Matrix, bias Vector, j0, j1 int) {
 	if len(bias) != m.Cols {
 		panic("tensor: AddRowBiasCols length mismatch")
 	}
 	if j0 < 0 || j1 > m.Cols || j0 > j1 {
 		panic("tensor: AddRowBiasCols column range out of bounds")
 	}
-	if j0 == j1 {
-		return
-	}
 	sub := bias[j0:j1]
-	parallel.ForGrain(m.Rows, workers, rowGrain(j1-j0), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*m.Cols+j0 : i*m.Cols+j1]
-			for j, bv := range sub {
-				row[j] += bv
-			}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols+j0 : i*m.Cols+j1]
+		for j, bv := range sub {
+			row[j] += bv
 		}
-	})
+	}
 }

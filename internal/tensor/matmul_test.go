@@ -155,9 +155,9 @@ func TestAddRowBiasCols(t *testing.T) {
 	bias := NewVector(7)
 	r.FillUniform(bias, -1, 1)
 	want := m.Clone()
-	AddRowBias(want, bias, 2)
+	AddRowBias(want, bias)
 	got := m.Clone()
-	AddRowBiasCols(got, bias, 2, 5, 3)
+	AddRowBiasCols(got, bias, 2, 5)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			idx := i*m.Cols + j
@@ -182,7 +182,7 @@ func TestAddRowBias(t *testing.T) {
 	for i := 0; i < want.Rows; i++ {
 		want.Row(i).Add(bias)
 	}
-	AddRowBias(m, bias, 3)
+	AddRowBias(m, bias)
 	matricesExactlyEqual(t, "AddRowBias", m, want)
 }
 

@@ -129,12 +129,12 @@ type Options struct {
 	// for MADE and NADE, half that for the RNN, n for the RBM).
 	Hidden int
 	// Sampler selects "auto" (exact ancestral sampling, default for the
-	// autoregressive models; with BatchedEval on, the whole batch's
-	// uniforms are pre-drawn and handed to the model's batched sampler —
-	// the same incremental evaluator walked row by row, rows partitioned
-	// over workers — same bits either way), "auto-naive" (Algorithm 1: n
-	// forward passes per sample), "mcmc" (default for RBM) or "gibbs"
-	// (block Gibbs, RBM only).
+	// autoregressive models: the whole batch's uniforms are pre-drawn and
+	// handed to the model's batched sampler, which walks the incremental
+	// evaluator row by row with the rows shared over Workers — the bits are
+	// those of sample-at-a-time ancestral sampling), "auto-naive"
+	// (Algorithm 1: n forward passes per sample), "mcmc" (default for RBM)
+	// or "gibbs" (block Gibbs, RBM only).
 	Sampler string
 	// Optimizer is "adam" (default, lr 0.01) or "sgd" (lr 0.1).
 	Optimizer string
@@ -150,25 +150,20 @@ type Options struct {
 	// every per-iteration collective is non-blocking and hidden behind the
 	// recurrence updates; serially it is the identical algorithm).
 	SRSolver string
-	// BatchedEval selects the evaluation path. nil or true (the default)
-	// runs sampling, local-energy and gradient evaluation through the
-	// model's whole-batch evaluator — for each family whichever kernel the
-	// committed benchmark record shows faster: blocked matrix products over
-	// the batch dimension for MADE and the RBM, the scalar kernels
-	// themselves (rows partitioned over workers) for NADE and the RNN;
-	// false forces the per-sample scalar loops of package core, kept
-	// reachable for A/B timing (the `batched` experiment,
-	// -batched-eval=false). The two paths are bitwise identical — same
-	// energies, same gradients, same sampled bits — so the knob never
-	// changes a result.
-	BatchedEval *bool
 	// BatchSize is samples per iteration (default 1024).
 	BatchSize int
 	// Iterations is the number of training steps (default 300).
 	Iterations int
 	// EvalBatch is the evaluation batch (default 1024).
 	EvalBatch int
-	// Workers bounds CPU parallelism (default GOMAXPROCS).
+	// Workers is how many ways each batch is shared out for sampling,
+	// local-energy and gradient evaluation (default GOMAXPROCS; 1 per
+	// replica in TrainDistributed): rows are cut into that many contiguous
+	// shares once per evaluator call and each share runs single-threaded.
+	// Evaluation is bitwise independent of it. Train's sampler also owns
+	// one random sub-stream per worker, so there a different Workers draws
+	// different (equally distributed) samples; TrainDistributed pins its
+	// samplers to one worker and its results do not depend on Workers.
 	Workers int
 	// Seed drives all randomness (default 1).
 	Seed uint64
@@ -258,17 +253,6 @@ func (o *Options) fill(n int) error {
 	return nil
 }
 
-// batchedOn resolves the BatchedEval knob (nil means on).
-func (o *Options) batchedOn() bool { return o.BatchedEval == nil || *o.BatchedEval }
-
-// evalMode maps the knob onto the trainer's evaluation mode.
-func (o *Options) evalMode() core.EvalMode {
-	if o.batchedOn() {
-		return core.EvalAuto
-	}
-	return core.EvalScalar
-}
-
 // IterationStat is one recorded training iteration.
 type IterationStat struct {
 	Iteration int
@@ -328,7 +312,8 @@ type ElasticStats struct {
 }
 
 // SaveModel writes the trained wavefunction to path in the library's
-// binary checkpoint format; reload it with LoadModelOptions.
+// binary checkpoint format; nn.LoadFile reads it back, and cmd/vqmcd serves
+// it.
 func (r *Result) SaveModel(path string) error {
 	if r.model == nil {
 		return fmt.Errorf("parvqmc: result carries no model")
@@ -369,7 +354,7 @@ func Train(p *Problem, o Options) (*Result, error) {
 
 	opt, sr := o.buildOptimizer()
 	tr := core.New(p.ham, model, smp, opt, core.Config{
-		BatchSize: o.BatchSize, Workers: o.Workers, SR: sr, Eval: o.evalMode()})
+		BatchSize: o.BatchSize, Workers: o.Workers, SR: sr})
 
 	start := time.Now()
 	curve := tr.Train(o.Iterations, nil)
@@ -412,9 +397,7 @@ func (o Options) newModel(n int, init *rng.Rand) core.Model {
 // family; "gibbs" for the RBM (fill rejects it elsewhere); "auto" (exact
 // ancestral sampling, incremental) and "auto-naive" (MADE: Algorithm 1
 // verbatim, n forward passes per sample; NADE and the RNN are inherently
-// incremental) for the autoregressive ones. "auto" honors the BatchedEval
-// knob: the batched ancestral mode draws bit-identical samples from the
-// same streams and only changes when the uniforms are drawn.
+// incremental) for the autoregressive ones.
 func (o Options) newSampler(n int, m core.Model, kind string, workers int, stream *rng.Rand) (sampler.Sampler, error) {
 	mcmc := sampler.MCMCConfig{Chains: o.MCMCChains, BurnIn: o.MCMCBurnIn, Thin: o.MCMCThin}
 	switch kind {
@@ -426,20 +409,21 @@ func (o Options) newSampler(n int, m core.Model, kind string, workers int, strea
 	default:
 		return nil, fmt.Errorf("parvqmc: unknown sampler %q", kind)
 	}
-	inc, ok := m.(interface {
+	anc, ok := m.(interface {
+		nn.BatchAncestralBuilder
 		NewIncrementalEvaluator() nn.ConditionalEvaluator
 	})
 	if !ok {
 		return nil, fmt.Errorf("parvqmc: no ancestral sampler for model %T", m)
 	}
-	scalar := sampler.EvaluatorFactory(inc.NewIncrementalEvaluator)
-	if made, ok := m.(*nn.MADE); ok && kind == "auto-naive" {
-		scalar = made.NewNaiveEvaluator
+	if kind == "auto" {
+		return sampler.NewAutoBatched(n, anc, workers, stream), nil
 	}
-	if bb, ok := m.(nn.BatchAncestralBuilder); ok && kind == "auto" && o.batchedOn() {
-		return sampler.NewAutoBatched(n, bb, workers, stream), nil
+	naive := sampler.EvaluatorFactory(anc.NewIncrementalEvaluator)
+	if made, ok := m.(*nn.MADE); ok {
+		naive = made.NewNaiveEvaluator
 	}
-	return sampler.NewAuto(n, scalar, workers, stream), nil
+	return sampler.NewAuto(n, naive, workers, stream), nil
 }
 
 // TrainDistributed runs the paper's data-parallel scheme: devices replicas
@@ -456,9 +440,9 @@ func (o Options) newSampler(n int, m core.Model, kind string, workers int, strea
 // non-blocking and hides them behind the CG recurrence updates (Gropp's
 // overlapped variant), without perturbing the result beyond solver
 // round-off. Options.Workers (default 1 in distributed mode) additionally
-// fans each replica's local-energy and gradient evaluation across that many
-// goroutines — the two-level replica x worker scheme modeling node x GPU
-// hierarchies. Neither knob perturbs the bit-identity of the replicas.
+// shares each replica's local-energy and gradient evaluation out over that
+// many goroutines — the two-level replica x worker scheme modeling node x
+// GPU hierarchies. Neither knob perturbs the bit-identity of the replicas.
 //
 // With Options.Elastic set, the run is supervised: a replica failure is
 // handled by replacement (bit-identical resume, bounded retries with
@@ -503,7 +487,6 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 			Opt:     opt,
 			SR:      sr,
 			Workers: workers,
-			Eval:    o.evalMode(),
 		}
 	}
 	tr, err := dist.New(p.ham, reps, miniBatch)
@@ -525,8 +508,7 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 				return dist.Replica{}, err
 			}
 			opt, sr := o.buildOptimizer()
-			return dist.Replica{Model: model, Smp: smp, Opt: opt, SR: sr,
-				Workers: workers, Eval: o.evalMode()}, nil
+			return dist.Replica{Model: model, Smp: smp, Opt: opt, SR: sr, Workers: workers}, nil
 		}
 		tr.SetCollectiveDeadline(30 * time.Second)
 		sup, err := elastic.New(tr, elastic.Policy{
@@ -564,7 +546,12 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 	if err != nil {
 		return nil, fmt.Errorf("parvqmc: distributed evaluation failed: %w", err)
 	}
-	res := &Result{Energy: mean, Std: std, TrainTime: elapsed, Elastic: estats}
+	// Replicas hold identical bytes by the step's contract, so rank 0's model
+	// is the trained model; sampling work is summed over whoever finished.
+	res := &Result{Energy: mean, Std: std, TrainTime: elapsed, Elastic: estats, model: tr.Reps[0].Model}
+	for _, rep := range tr.Reps {
+		res.ForwardPasses += rep.Smp.Cost().ForwardPasses
+	}
 	for _, s := range hist {
 		res.Curve = append(res.Curve, IterationStat{Iteration: s.Iter, Batch: s.Batch,
 			Energy: s.Energy, Std: s.Std, SRIters: s.SRIters, SRResidual: s.SRResidual})

@@ -4,6 +4,8 @@ import (
 	"math"
 	"os"
 	"testing"
+
+	"github.com/vqmc-scale/parvqmc/internal/nn"
 )
 
 func TestTrainTIMReachesGroundState(t *testing.T) {
@@ -422,17 +424,48 @@ func TestGibbsSamplerRoute(t *testing.T) {
 
 func TestSaveModel(t *testing.T) {
 	p := TIM(5, 31)
-	res, err := Train(p, Options{
-		BatchSize: 64, Iterations: 20, EvalBatch: 64, Workers: 1, Seed: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
+	o := Options{BatchSize: 64, Iterations: 20, EvalBatch: 64, Workers: 1, Seed: 32}
+	rows := []struct {
+		name  string
+		train func() (*Result, error)
+	}{
+		{"serial", func() (*Result, error) { return Train(p, o) }},
+		{"distributed", func() (*Result, error) { return TrainDistributed(p, o, 2, 8) }},
+		{"elastic", func() (*Result, error) {
+			eo := o
+			eo.Elastic = true
+			return TrainDistributed(p, eo, 2, 8)
+		}},
 	}
-	path := t.TempDir() + "/model.pvq"
-	if err := res.SaveModel(path); err != nil {
-		t.Fatal(err)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			res, err := row.train()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ForwardPasses <= 0 {
+				t.Fatalf("ForwardPasses = %d, want the sampling work of the run", res.ForwardPasses)
+			}
+			path := t.TempDir() + "/model.pvq"
+			if err := res.SaveModel(path); err != nil {
+				t.Fatal(err)
+			}
+			back, err := nn.LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := res.model.Params(), back.Params()
+			if len(got) != len(want) {
+				t.Fatalf("reloaded %d parameters, trained %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("param %d: reloaded %v != trained %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
-	if err := (&Result{}).SaveModel(path); err == nil {
+	if err := (&Result{}).SaveModel(t.TempDir() + "/model.pvq"); err == nil {
 		t.Fatal("empty result should refuse to save")
 	}
 }
