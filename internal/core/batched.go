@@ -128,6 +128,15 @@ func (e *BatchedEval) FillOws(b *sampler.Batch, ows *tensor.Batch) {
 	e.be.GradLogPsiBatch(configs(b), ows)
 }
 
+// AddWeightedGrad accumulates dst += sum_k w[k] * grad log|psi(row k)|, the
+// REINFORCE gradient, without writing an O-row where the family has a fused
+// weighted backward (MADE): bitwise FillOws into a B x d batch followed by
+// AddWeightedRows, at every worker count, by the nn.BatchEvaluator
+// weighted-reduce contract. dst is NOT zeroed first.
+func (e *BatchedEval) AddWeightedGrad(b *sampler.Batch, w []float64, dst tensor.Vector) {
+	e.be.AddWeightedGrad(configs(b), w, dst)
+}
+
 // diagGrainRows is the minimum rows per parallel range for the cheap
 // per-row loops (diagonal-only energies, flip-delta exponentiation): below
 // it, dispatching a worker costs more than its rows. Grain affects only how
@@ -141,8 +150,9 @@ const diagGrainRows = 64
 // serially in ascending block order. The block boundary depends only on
 // the row index — never on the worker count — so the reduced vector is
 // bitwise invariant to the worker count, the property the distributed
-// trainer's replica x worker bit-identity rests on.
-const GradBlockSize = 32
+// trainer's replica x worker bit-identity rests on. It is nn.GradBlockRows,
+// the granule of the evaluators' fused form of the same reduction.
+const GradBlockSize = nn.GradBlockRows
 
 // GradBlocks returns the partial count AddWeightedRows needs for n rows
 // (callers size the parts workspace once with it).

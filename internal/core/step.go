@@ -13,10 +13,14 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// GradSlabRows is the sample-slab size of the streaming gradient (no
-// materialized full O_k batch): a multiple of GradBlockSize, so slab
-// boundaries coincide with reduction-block boundaries and the slabbed
-// reduction is bitwise identical to one AddWeightedRows over the full batch.
+// GradSlabRows is the sample-slab size of the REFERENCE streaming gradient —
+// FillOws into a slab of this many O-rows, then AddWeightedRows — which the
+// benchmark's unrolled twin still runs and the step no longer does (REINFORCE
+// goes through BatchedEval.AddWeightedGrad and writes no O-row). It is a
+// multiple of GradBlockSize, so slab boundaries coincide with
+// reduction-block boundaries and the slabbed reduction is bitwise one
+// AddWeightedRows over the full batch, which in turn is bitwise
+// AddWeightedGrad.
 const GradSlabRows = 128
 
 // PhaseTimings decomposes one rank's cumulative wall-clock time by phase —
@@ -63,7 +67,9 @@ type Replica struct {
 // ReplicaStep is the VQMC iteration of ONE rank of a comm group, and the
 // only implementation of it: sample a private mini-batch, evaluate local
 // energies, reduce them to one-pass sums, form the centred gradient through
-// the fixed-block reduction, combine it across the group, optionally
+// the fixed-block reduction — fused into the model's backward pass for
+// REINFORCE (no O-row is written), over the stored O-rows the Fisher solve
+// needs under SR — combine it across the group, optionally
 // precondition it with the sharded Fisher-CG solve, update, invalidate.
 // Trainer runs it inline on a private 1-rank group — where every collective
 // is the identity, the averaging multiplies by exactly 1.0, and the global
@@ -73,7 +79,9 @@ type Replica struct {
 // rank first and the update is the last action of the step, after the last
 // collective: ranks that start bit-identical stay so with no broadcast, and
 // a step that returns an error has committed nothing. The workspace is
-// allocated once, so the steady-state loop allocates nothing of its own.
+// allocated once, so the steady-state loop allocates nothing of its own, and
+// without SR none of it is of order miniBatch x d or slab x d: the evaluator
+// owns O(Workers x d) partials plus its O(slab x (n + h)) activations.
 type ReplicaStep struct {
 	h       hamiltonian.Hamiltonian
 	rep     Replica // Workers normalized to >= 1
@@ -83,11 +91,11 @@ type ReplicaStep struct {
 	bev    *BatchedEval // the model's batch evaluator, Workers wide
 	batch  *sampler.Batch
 	locals []float64
-	wbuf   []float64     // per-sample gradient coefficients
-	gparts *tensor.Batch // fixed-block reduction partials
-	// ows holds O_k rows: the whole mini-batch under SR (the Fisher solve
-	// sweeps them every CG iteration), one GradSlabRows slab otherwise.
-	ows *tensor.Batch
+	wbuf   []float64 // per-sample gradient coefficients
+	// ows holds the mini-batch's O_k rows and gparts the fixed-block
+	// reduction partials over them: SR only (the Fisher solve sweeps the
+	// rows every CG iteration), nil otherwise.
+	ows, gparts *tensor.Batch
 	// pack is the gradient collective: [gradient (d) | energy sum, sum of
 	// squares] for REINFORCE, so one all-reduce moves everything; [gradient
 	// (d) | O-row sum (d)] under SR, where sums travels first in a
@@ -111,15 +119,14 @@ func NewReplicaStep(h hamiltonian.Hamiltonian, rep Replica, cm *comm.Comm, miniB
 	}
 	if rep.SR != nil {
 		s.ows = tensor.NewBatch(miniBatch, d)
+		s.gparts = tensor.NewBatch(GradBlocks(miniBatch), d)
 		s.pack = comm.NewPacked(d, d)
 		s.sums = make([]float64, 2)
 		s.fisher = optimizer.NewShardedFisher(cm, s.ows, rep.SR.Lambda, rep.Workers)
 	} else {
-		s.ows = tensor.NewBatch(min(GradSlabRows, miniBatch), d)
 		s.pack = comm.NewPacked(d, 2)
 		s.sums = s.pack.Section(1)
 	}
-	s.gparts = tensor.NewBatch(GradBlocks(s.ows.N), d)
 	return s
 }
 
@@ -184,23 +191,19 @@ func (s *ReplicaStep) Run(iter int) (IterStats, error) {
 		s.wbuf[k] = 2 * (l - mean) / norm
 	}
 
-	// g = sum_k w_k O_k, slab by slab through AddWeightedRows: block
-	// boundaries depend only on the sample index, so the bytes are invariant
-	// to the worker count and the slab size (under SR the slab is the whole
-	// mini-batch and the rows stay for the solve).
+	// g = sum_k w_k O_k through the fixed-block reduction: block boundaries
+	// depend only on the sample index, so the bytes are invariant to the
+	// worker count. REINFORCE has the evaluator reduce inside its backward
+	// pass; SR writes the O-rows, which stay for the solve, and reduces them
+	// — the same bytes, by the nn.BatchEvaluator weighted-reduce contract.
 	s.pack.Zero()
 	grad, tail := tensor.Vector(s.pack.Section(0)), tensor.Vector(s.pack.Section(1))
-	for lo := 0; lo < mb; lo += s.ows.N {
-		hi := min(lo+s.ows.N, mb)
-		slab := &sampler.Batch{N: hi - lo, Sites: s.batch.Sites,
-			Bits: s.batch.Bits[lo*s.batch.Sites : hi*s.batch.Sites]}
-		rows := &tensor.Batch{N: hi - lo, Dim: d, Data: s.ows.Data[:(hi-lo)*d]}
-		s.bev.FillOws(slab, rows)
-		AddWeightedRows(grad, rows, s.wbuf[lo:hi], s.gparts, s.rep.Workers)
-	}
 	if s.rep.SR != nil {
+		s.bev.FillOws(s.batch, s.ows)
+		AddWeightedRows(grad, s.ows, s.wbuf, s.gparts, s.rep.Workers)
 		s.ows.AddWeightedRows(tail, nil, 0, d) // O-row sum, the Fisher operator's obar
 	} else {
+		s.bev.AddWeightedGrad(s.batch, s.wbuf, grad)
 		tail[0], tail[1] = e, e2
 	}
 	lap(&last, &s.timings.Grad)

@@ -206,10 +206,25 @@ func (t *Trainer) EffectiveBatch() int { return len(t.Reps) * t.mb }
 // reconfiguration.
 func (t *Trainer) SREnabled() bool { return t.sr }
 
-// Timings returns replica 0's cumulative per-phase wall-clock times,
-// representative because the all-reduce barrier equalizes iteration time
-// across replicas.
+// Timings returns rank 0's cumulative per-phase wall-clock times: element 0
+// of RankTimings. The collectives equalize the ranks' iteration time, not
+// their phases — a rank that computes faster spends the difference waiting
+// in Sync — so one rank's split is not the others'; use RankTimings to see
+// them all.
 func (t *Trainer) Timings() Timings { return t.steps[0].Timings() }
+
+// RankTimings returns every live rank's cumulative per-phase wall-clock
+// times, indexed by rank: the same six phases as Timings, one entry per
+// replica of THIS trainer (a trainer returned by Recover, Shrink or Grow
+// starts its ranks' clocks afresh and reports as many entries as it has
+// replicas). The spread of Sync across ranks is the straggler signal.
+func (t *Trainer) RankTimings() []Timings {
+	out := make([]Timings, len(t.steps))
+	for r, s := range t.steps {
+		out[r] = s.Timings()
+	}
+	return out
+}
 
 // Traffic reports the cumulative all-reduce payload bytes and message count
 // summed over replicas — the communication side of the scaling story. Under

@@ -271,3 +271,50 @@ func TestTrafficAccounting(t *testing.T) {
 		t.Fatal("timings not accumulated")
 	}
 }
+
+// TestRankTimings: every rank reports its own six phases — each has spent
+// time in Grad after a step — Timings() is element 0, and the trainers a
+// shrink and a grow return report exactly their live ranks.
+func TestRankTimings(t *testing.T) {
+	const L, mb = 3, 8
+	check := func(tr *Trainer, what string) {
+		t.Helper()
+		rt := tr.RankTimings()
+		if len(rt) != tr.Devices() {
+			t.Fatalf("%s: RankTimings has %d entries for %d ranks", what, len(rt), tr.Devices())
+		}
+		for r, ph := range rt {
+			if ph.Grad <= 0 || ph.Sample <= 0 || ph.Total() < ph.Grad+ph.Sample {
+				t.Fatalf("%s: rank %d timings %+v after a step", what, r, ph)
+			}
+		}
+		if rt[0] != tr.Timings() {
+			t.Fatalf("%s: Timings() %+v is not RankTimings()[0] %+v", what, tr.Timings(), rt[0])
+		}
+	}
+	tr := buildTrainer(t, 8, 10, L, mb, 131, 132)
+	mustStep(t, tr, 1)
+	check(tr, "L=3")
+
+	grown, err := tr.Grow(t.TempDir(), 1, func(rank int, model Model) (Replica, error) {
+		m := model.(*nn.MADE)
+		return Replica{Model: m, Smp: sampler.NewAutoMADE(m, true, 1, rng.New(7)), Opt: optimizer.NewSGD(1)}, nil
+	})
+	if err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	mustStep(t, grown, 2)
+	check(grown, "grown to L=4")
+
+	grown.SetCollectiveDeadline(recoveryDeadline)
+	grown.InjectFailure(1, 1) // one collective per rank per step on the grown group: dies in step 3
+	if _, err := grown.Step(3); err == nil {
+		t.Fatal("scripted failure did not surface")
+	}
+	small, err := grown.Shrink()
+	if err != nil {
+		t.Fatalf("Shrink: %v", err)
+	}
+	mustStep(t, small, 3)
+	check(small, "shrunk to L=3")
+}

@@ -73,6 +73,21 @@ func (b ConfigBatch) rows(lo, hi int) ConfigBatch {
 // layer-2 work and the log-sigmoid tail is therefore invisible in the
 // values: scalar FlipCache.Delta and the batched delta agree with exact ==.
 //
+// Weighted-reduce contract: AddWeightedGrad is the REINFORCE gradient
+// g = sum_k w_k O_k without the O-rows. Its arithmetic is fixed to the byte —
+// dst += p_0 + p_1 + ..., one add per element and block in ascending block
+// order, where partial p_i starts at +0 and takes w_k * O_k for the
+// GradBlockRows rows of block i in ascending k, O_k being the bytes
+// GradLogPsiBatch writes for row k — which is what core.AddWeightedRows does
+// to a slab GradLogPsiBatch filled, so the two are interchangeable with ==
+// at every worker count. A family may skip a term only where it can prove
+// the term is +/-0: a partial that starts at +0 can never become -0 under
+// round-to-nearest (x + y is -0 only when both are), so p + (+/-0) == p
+// bitwise and the skip is invisible. MADE's fused backward rests on exactly
+// that (made_batch.go); the other families run blockGrad below, the contract
+// spelled out on a block-sized slab. Equality is claimed for finite
+// activations and weights (0 * Inf is not a zero).
+//
 // An evaluator owns growable scratch and is NOT safe for concurrent use;
 // one built with several workers fans each call out itself.
 type BatchEvaluator interface {
@@ -82,6 +97,12 @@ type BatchEvaluator interface {
 	// GradLogPsiBatch fills ows row k with grad log|psi(row k)|.
 	// ows must be b.N x NumParams.
 	GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch)
+	// AddWeightedGrad accumulates dst += sum_k w[k] * grad log|psi(row k)|
+	// in the fixed block order of the weighted-reduce contract above,
+	// without materializing a gradient row per sample where the family can
+	// avoid it. len(w) must be b.N and len(dst) NumParams; dst is NOT
+	// zeroed first.
+	AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector)
 	// FlipLogPsiBatch evaluates the B x (F+1) flip super-batch: base[k]
 	// receives log|psi(row k)| computed exactly as the model's FlipCache
 	// base (the fresh forward convention), and delta[k*len(flips)+f]
@@ -121,6 +142,15 @@ func checkGradLogPsiBatch(n, d int, b ConfigBatch, ows *tensor.Batch) {
 	}
 }
 
+func checkAddWeightedGrad(n, d int, b ConfigBatch, w []float64, dst tensor.Vector) {
+	if b.Sites != n {
+		panic("nn: AddWeightedGrad sites mismatch")
+	}
+	if len(w) != b.N || len(dst) != d {
+		panic("nn: AddWeightedGrad length mismatch")
+	}
+}
+
 func checkFlipLogPsiBatch(n int, b ConfigBatch, flips []int, base, delta []float64) {
 	if b.Sites != n {
 		panic("nn: FlipLogPsiBatch sites mismatch")
@@ -136,6 +166,42 @@ func checkAncestral(n int, b ConfigBatch, u []float64) {
 	}
 	if len(u) < b.N*n {
 		panic("nn: batched ancestral uniforms too short")
+	}
+}
+
+// GradBlockRows is the fixed granule of AddWeightedGrad's reduction: rows are
+// reduced into per-block partials in ascending row order and the partials
+// are added to the destination in ascending block order. The block boundary
+// depends only on the row index — never on a worker count or a slab size —
+// which is what makes the reduced vector bitwise invariant to both.
+const GradBlockRows = 32
+
+// blockGrad is AddWeightedGrad for the families without a fused weighted
+// backward — the RBM, and NADE and the RNN through the row adaptor: block by
+// block the evaluator's own GradLogPsiBatch fills a GradBlockRows-row slab,
+// tensor.Batch.AddWeightedRows collapses it into a partial that starts at
+// +0, and the partial is added to dst. That is the contract's arithmetic as
+// written, on O(GradBlockRows * d) scratch allocated at the first call (the
+// serving path never makes one).
+type blockGrad struct {
+	buf  []float64    // GradBlockRows * d
+	slab tensor.Batch // the current block's rows, a view over buf
+	part tensor.Vector
+}
+
+func (g *blockGrad) addWeightedGrad(e BatchEvaluator, m Wavefunction, b ConfigBatch, w []float64, dst tensor.Vector) {
+	d := m.NumParams()
+	checkAddWeightedGrad(m.NumSites(), d, b, w, dst)
+	if g.buf == nil {
+		g.buf, g.part = make([]float64, GradBlockRows*d), tensor.NewVector(d)
+	}
+	for lo := 0; lo < b.N; lo += GradBlockRows {
+		hi := min(lo+GradBlockRows, b.N)
+		g.slab = tensor.Batch{N: hi - lo, Dim: d, Data: g.buf[:(hi-lo)*d]}
+		e.GradLogPsiBatch(b.rows(lo, hi), &g.slab)
+		g.part.Fill(0)
+		g.slab.AddWeightedRows(g.part, w[lo:hi], 0, d)
+		dst.Add(g.part)
 	}
 }
 

@@ -18,6 +18,7 @@ type rbmBatchEvaluator struct {
 	// Slab workspaces, grown on demand and reused across calls: bufS holds
 	// the float spin rows, bufTh the hidden pre-activation rows.
 	bufS, bufTh []float64
+	wg          blockGrad
 }
 
 // NewBatchEvaluator implements BatchEvaluatorBuilder for the RBM: one GEMM
@@ -79,6 +80,12 @@ func (e *rbmBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 			m.gradFromTheta(sp.Row(r), th.Row(r), ows.Sample(lo+r))
 		}
 	}
+}
+
+// AddWeightedGrad implements BatchEvaluator through blockGrad: one theta GEMM
+// and the closed-form gradient per block of rows.
+func (e *rbmBatchEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector) {
+	e.wg.addWeightedGrad(e, e.m, b, w, dst)
 }
 
 // FlipLogPsiBatch implements BatchEvaluator: base[k] is the flip cache's

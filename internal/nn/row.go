@@ -29,6 +29,10 @@ func forRows(n, workers int, body func(w, lo, hi int)) {
 type splitEvaluator struct {
 	n, d int // sites and parameters, for the argument checks
 	subs []BatchEvaluator
+	// AddWeightedGrad's workspace, allocated at its first call: one block
+	// partial per worker, and the channels the fold token travels on.
+	parts *tensor.Batch
+	turn  []chan struct{}
 }
 
 // splitRows returns build() itself for one worker, and workers (<= 0 means
@@ -65,6 +69,44 @@ func (s *splitEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	})
 }
 
+// AddWeightedGrad implements BatchEvaluator in one dispatch. The reduction's
+// blocks are what is shared out: evaluator w takes blocks w, w+W, w+2W, ...,
+// reduces each into a zeroed partial of its own (0 + p is p exactly: a
+// partial is never -0) and adds it to dst when the token — the right to
+// fold, passed round the workers in block order — reaches it. dst therefore
+// takes the partials one at a time in ascending block order whatever W is,
+// at most W partials are live, and a worker only ever waits for the fold of
+// the block before its own.
+func (s *splitEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector) {
+	checkAddWeightedGrad(s.n, s.d, b, w, dst)
+	if s.parts == nil {
+		s.parts = tensor.NewBatch(len(s.subs), s.d)
+		s.turn = make([]chan struct{}, len(s.subs))
+		for i := range s.turn {
+			s.turn[i] = make(chan struct{}, 1) // holds the token between a pass and its pickup
+		}
+	}
+	nb := (b.N + GradBlockRows - 1) / GradBlockRows
+	workers := min(len(s.subs), nb)
+	if workers == 0 {
+		return
+	}
+	s.turn[0] <- struct{}{}
+	parallel.ForEach(workers, workers, func(i int) {
+		p := s.parts.Sample(i)
+		for blk := i; blk < nb; blk += workers {
+			lo := blk * GradBlockRows
+			hi := min(lo+GradBlockRows, b.N)
+			p.Fill(0)
+			s.subs[i].AddWeightedGrad(b.rows(lo, hi), w[lo:hi], p)
+			<-s.turn[i]
+			dst.Add(p)
+			s.turn[(i+1)%workers] <- struct{}{}
+		}
+	})
+	<-s.turn[nb%workers]
+}
+
 // FlipLogPsiBatch implements BatchEvaluator.
 func (s *splitEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64) {
 	checkFlipLogPsiBatch(s.n, b, flips, base, delta)
@@ -97,6 +139,7 @@ type rowEvaluator struct {
 	m     rowModel
 	cache FlipCache
 	grad  GradEvaluator
+	wg    blockGrad
 }
 
 // newRowEvaluator builds the adaptor over one FlipCache and one
@@ -121,6 +164,12 @@ func (e *rowEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	for r := 0; r < b.N; r++ {
 		e.grad.GradLogPsi(b.Row(r), ows.Sample(r))
 	}
+}
+
+// AddWeightedGrad implements BatchEvaluator through blockGrad: the scalar
+// backward one block of rows at a time.
+func (e *rowEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector) {
+	e.wg.addWeightedGrad(e, e.m, b, w, dst)
 }
 
 // FlipLogPsiBatch implements BatchEvaluator: each row rebases the FlipCache

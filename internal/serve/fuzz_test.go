@@ -84,7 +84,9 @@ func FuzzCoalescer(f *testing.F) {
 					if at(i+1)%2 == 0 {
 						src = wfB
 					}
-					if err := s.Swap(context.Background(), "m", src); err != nil && !errors.Is(err, ErrDraining) {
+					// A swap is a queue entry: a full queue sheds it like
+					// any submit (see Server.Swap).
+					if err := s.Swap(context.Background(), "m", src); err != nil && !errors.Is(err, ErrDraining) && !errors.Is(err, ErrOverloaded) {
 						errCh <- fmt.Errorf("op %d swap: %v", i, err)
 					}
 				}(i)

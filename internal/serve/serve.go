@@ -399,6 +399,12 @@ func (s *Server) Sample(ctx context.Context, model string, count int, seed uint6
 // the swap are evaluated on the old parameters, requests admitted after it
 // on the new — no batch ever mixes the two. The architectures must match
 // (nn.HotSwapParams validates kind, sites and parameter count).
+//
+// A swap is a queue entry like any other and may be shed like one: when the
+// model's queue is full it returns ErrOverloaded (HTTP 429) without touching
+// the live parameters, and ErrDraining once the server is closing. It
+// reserves no rows, so MaxPending never refuses it. The caller retries, as
+// for any shed request.
 func (s *Server) Swap(ctx context.Context, model string, wf nn.Wavefunction) error {
 	m, err := s.lookup(model)
 	if err != nil {
@@ -416,6 +422,8 @@ func (s *Server) Swap(ctx context.Context, model string, wf nn.Wavefunction) err
 // ServerConfig.CheckpointDir and must be local to it (relative, no ".."),
 // so a network client can only reach checkpoints the operator staged
 // there; with no CheckpointDir configured, file-based swaps are disabled.
+// The loaded swap queues as Swap's does and is shed the same way
+// (ErrOverloaded, HTTP 429, live model untouched) when the queue is full.
 func (s *Server) SwapFile(ctx context.Context, model, path string) error {
 	if s.cfg.CheckpointDir == "" {
 		return fmt.Errorf("%w: file-based swap disabled (no checkpoint directory configured)", ErrUnsupported)
