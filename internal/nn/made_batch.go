@@ -63,10 +63,7 @@ type madeBatchEvaluator struct {
 	bufBase                   []float64
 	dz2, da                   tensor.Vector // backward scratch
 	needSnap, needPre         []bool        // per-call flip marks over hidden units / sites
-	// AddWeightedGrad's block partial (d, allocated at its first call) and
-	// the current row's set-bit indices.
-	part tensor.Vector
-	ones []int
+	part                      tensor.Vector // AddWeightedGrad's block partial (d), allocated at its first call
 }
 
 // NewBatchEvaluator implements BatchEvaluatorBuilder: one GEMM evaluator per
@@ -180,24 +177,21 @@ func (e *madeBatchEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst ten
 	m := e.m
 	checkAddWeightedGrad(m.n, m.NumParams(), b, w, dst)
 	if e.part == nil {
-		e.part, e.ones = tensor.NewVector(m.NumParams()), make([]int, 0, m.n)
+		e.part = tensor.NewVector(m.NumParams())
 	}
 	_, wm2t := m.maskedWeights()
 	for lo := 0; lo < b.N; lo += batchSlabRows { // a multiple of GradBlockRows
 		hi := min(lo+batchSlabRows, b.N)
 		// The activation is not materialized: the backward reads a_k only
 		// where z1_k > 0, and there a_k is z1_k.
-		_, z1, _, dz2 := e.forwardSlab(b, lo, hi, false)
-		for r := 0; r < hi-lo; r++ {
-			zrow := dz2.Row(r)
-			for j, bit := range b.Row(lo + r) {
-				zrow[j] = float64(bit) - 1/(1+math.Exp(-zrow[j]))
-			}
+		xf, z1, _, dz2 := e.forwardSlab(b, lo, hi, false)
+		for i, x := range xf.Data { // dlogpi/dz2_j = x_j - sigma(z2_j), in place
+			dz2.Data[i] = x - 1/(1+math.Exp(-dz2.Data[i]))
 		}
 		for k0 := 0; k0 < hi-lo; k0 += GradBlockRows {
 			e.part.Fill(0)
 			for r := k0; r < min(k0+GradBlockRows, hi-lo); r++ {
-				e.ones = m.addWeightedRow(e.part, w[lo+r], b.Row(lo+r), z1.Row(r), dz2.Row(r), wm2t, e.ones[:0])
+				m.addWeightedRow(e.part, w[lo+r], xf.Row(r), z1.Row(r), dz2.Row(r), wm2t)
 			}
 			m.foldWeightedPartial(dst, e.part)
 		}
@@ -205,60 +199,50 @@ func (e *madeBatchEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst ten
 }
 
 // addWeightedRow adds w * O to the block partial part, O being the row
-// gradFromForward + Scale(0.5) writes for configuration x with hidden
-// pre-activations z1 and output deltas dz2. Every term keeps the reference's
-// rounding points — the element 0.5 * g first, then the product with w, then
-// one add — and a term is left out only where g is a zero the reference
-// stores: a ReLU-inactive unit (z1_k <= 0: a_k and dz1_k are zeros, so its
-// whole W1 row, b1 entry and W2 column are), a masked-out weight, an unset
-// input bit. Then w * (0.5 * g) is +/-0 and the partial, which is never -0,
-// does not see it. part is laid out like theta except that the W2 block is
-// TRANSPOSED (h x n): unit k's masked-in outputs j >= deg(k) are then one
-// contiguous run against dz2 and against row k of wm2t, so the same pass
-// over that run adds the W2 terms and contracts the hidden delta da_k =
-// sum_j (W2.M2)[j][k] * dz2_j — over j ascending, one product per term, which
-// is gradFromForward's chain (its masked-out and dz2_j == 0 terms would add
-// +/-0 to a sum that starts at +0). Only active units need da_k at all. ones
-// is scratch for the set bits of x and is returned for reuse.
-func (m *MADE) addWeightedRow(part tensor.Vector, w float64, x []int, z1, dz2 tensor.Vector, wm2t *tensor.Matrix, ones []int) []int {
+// gradFromForward + Scale(0.5) writes for the float-encoded configuration xf
+// with hidden pre-activations z1 and output deltas dz2. Every term keeps the
+// reference's rounding points — the element 0.5 * g first, then the product
+// with w, then one add — and a term is left out only where g is a zero the
+// reference stores: a ReLU-inactive unit (z1_k <= 0: a_k and dz1_k are
+// zeros, so its whole W1 row, b1 entry and W2 column are) and a masked-out
+// weight. Then w * (0.5 * g) is +/-0 and the partial, which is never -0,
+// does not see it; for the same reason an unset input bit may stay in the
+// W1 loop as the exact product c * 0. part is laid out like theta except
+// that the W2 block is TRANSPOSED (h x n): unit k's masked-in outputs
+// j >= deg(k) are then one contiguous run against dz2 and against row k of
+// wm2t, so the same pass over that run adds the W2 terms and contracts the
+// hidden delta da_k = sum_j (W2.M2)[j][k] * dz2_j — over j ascending, one
+// product per term, which is gradFromForward's chain (its masked-out and
+// dz2_j == 0 terms would add +/-0 to a sum that starts at +0). Only active
+// units need da_k at all.
+func (m *MADE) addWeightedRow(part tensor.Vector, w float64, xf, z1, dz2 tensor.Vector, wm2t *tensor.Matrix) {
 	h, n := m.h, m.n
 	gW1, gB1 := part[:h*n], part[h*n:h*n+h]
 	gW2T, gB2 := part[h*n+h:h*n+h+n*h], part[h*n+h+n*h:]
 	for j, dj := range dz2 {
 		gB2[j] += w * (0.5 * dj)
 	}
-	for i, bit := range x {
-		if bit == 1 {
-			ones = append(ones, i)
-		}
-	}
 	for k, ak := range z1 {
-		if ak <= 0 {
-			continue
+		dk := m.deg[k] // unit k sees inputs i < dk and feeds outputs j >= dk
+		if ak <= 0 || dk == 0 {
+			continue // inactive, or (n = 1) wired to nothing: every term is a zero
 		}
-		dk := m.deg[k] // unit k sees inputs i < dk and feeds outputs j >= dk; 0 means neither
+		zsub := dz2[dk:]
+		// [:len(zsub)] restates the lengths so the inner bounds checks drop.
+		dsub := gW2T[k*n+dk : (k+1)*n][:len(zsub)]
+		wsub := wm2t.Data[k*n+dk : (k+1)*n][:len(zsub)]
 		var dak float64
-		if dk > 0 {
-			zsub := dz2[dk:]
-			// [:len(zsub)] restates the lengths so the inner bounds checks drop.
-			dsub := gW2T[k*n+dk : (k+1)*n][:len(zsub)]
-			wsub := wm2t.Data[k*n+dk : (k+1)*n][:len(zsub)]
-			for j, dj := range zsub {
-				dsub[j] += w * (0.5 * (dj * ak))
-				dak += wsub[j] * dj
-			}
+		for j, dj := range zsub {
+			dsub[j] += w * (0.5 * (dj * ak))
+			dak += wsub[j] * dj
 		}
 		c := w * (0.5 * dak)
 		gB1[k] += c
 		row := gW1[k*n : k*n+dk]
-		for _, i := range ones {
-			if i >= dk {
-				break
-			}
-			row[i] += c
+		for i, xi := range xf[:dk] {
+			row[i] += c * xi
 		}
 	}
-	return ones
 }
 
 // foldWeightedPartial adds a block partial in addWeightedRow's layout to dst

@@ -25,7 +25,10 @@ func forRows(n, workers int, body func(w, lo, hi int)) {
 // second worker pay on a slab of a few hundred rows — a dispatch per site,
 // per flip group and per column-range GEMM never amortised (see
 // docs/ARCHITECTURE.md, "Which kernel a family keeps"). Sub-evaluators grow
-// their scratch to their own share, not to the whole batch.
+// their scratch to their own share, not to the whole batch. AddWeightedGrad
+// is the one method whose rows are not independent — they meet in a sum —
+// so it shares out the reduction's fixed blocks and orders their folds
+// instead; see there.
 type splitEvaluator struct {
 	n, d int // sites and parameters, for the argument checks
 	subs []BatchEvaluator
