@@ -129,10 +129,9 @@ func (e *BatchedEval) FillOws(b *sampler.Batch, ows *tensor.Batch) {
 }
 
 // AddWeightedGrad accumulates dst += sum_k w[k] * grad log|psi(row k)|, the
-// REINFORCE gradient, without writing an O-row where the family has a fused
-// weighted backward (MADE): bitwise FillOws into a B x d batch followed by
-// AddWeightedRows, at every worker count, by the nn.BatchEvaluator
-// weighted-reduce contract. dst is NOT zeroed first.
+// REINFORCE gradient, without the O-rows: bitwise FillOws into a B x d batch
+// followed by AddWeightedRows, at every worker count (the nn.BatchEvaluator
+// weighted-reduce contract). dst is NOT zeroed first.
 func (e *BatchedEval) AddWeightedGrad(b *sampler.Batch, w []float64, dst tensor.Vector) {
 	e.be.AddWeightedGrad(configs(b), w, dst)
 }

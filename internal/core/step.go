@@ -13,14 +13,11 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// GradSlabRows is the sample-slab size of the REFERENCE streaming gradient —
-// FillOws into a slab of this many O-rows, then AddWeightedRows — which the
-// benchmark's unrolled twin still runs and the step no longer does (REINFORCE
-// goes through BatchedEval.AddWeightedGrad and writes no O-row). It is a
-// multiple of GradBlockSize, so slab boundaries coincide with
-// reduction-block boundaries and the slabbed reduction is bitwise one
-// AddWeightedRows over the full batch, which in turn is bitwise
-// AddWeightedGrad.
+// GradSlabRows is the slab size of the REFERENCE streaming gradient — FillOws
+// into this many O-rows, then AddWeightedRows — which the benchmark's
+// unrolled twin still runs and the step no longer does. A multiple of
+// GradBlockSize, so the slabbed reduction is bitwise one AddWeightedRows over
+// the full batch, which in turn is bitwise BatchedEval.AddWeightedGrad.
 const GradSlabRows = 128
 
 // PhaseTimings decomposes one rank's cumulative wall-clock time by phase —

@@ -206,18 +206,15 @@ func (t *Trainer) EffectiveBatch() int { return len(t.Reps) * t.mb }
 // reconfiguration.
 func (t *Trainer) SREnabled() bool { return t.sr }
 
-// Timings returns rank 0's cumulative per-phase wall-clock times: element 0
+// Timings returns rank 0's cumulative per-phase wall-clock times, element 0
 // of RankTimings. The collectives equalize the ranks' iteration time, not
-// their phases — a rank that computes faster spends the difference waiting
-// in Sync — so one rank's split is not the others'; use RankTimings to see
-// them all.
+// their phases: a rank that computes faster waits the difference in Sync.
 func (t *Trainer) Timings() Timings { return t.steps[0].Timings() }
 
-// RankTimings returns every live rank's cumulative per-phase wall-clock
-// times, indexed by rank: the same six phases as Timings, one entry per
-// replica of THIS trainer (a trainer returned by Recover, Shrink or Grow
-// starts its ranks' clocks afresh and reports as many entries as it has
-// replicas). The spread of Sync across ranks is the straggler signal.
+// RankTimings returns every rank's cumulative per-phase wall-clock times,
+// indexed by rank: one entry per replica of THIS trainer (one returned by
+// Recover, Shrink or Grow starts its ranks' clocks afresh). The spread of
+// Sync across ranks is the straggler signal.
 func (t *Trainer) RankTimings() []Timings {
 	out := make([]Timings, len(t.steps))
 	for r, s := range t.steps {

@@ -82,11 +82,10 @@ func (b ConfigBatch) rows(lo, hi int) ConfigBatch {
 // to a slab GradLogPsiBatch filled, so the two are interchangeable with ==
 // at every worker count. A family may skip a term only where it can prove
 // the term is +/-0: a partial that starts at +0 can never become -0 under
-// round-to-nearest (x + y is -0 only when both are), so p + (+/-0) == p
-// bitwise and the skip is invisible. MADE's fused backward rests on exactly
-// that (made_batch.go); the other families run blockGrad below, the contract
-// spelled out on a block-sized slab. Equality is claimed for finite
-// activations and weights (0 * Inf is not a zero).
+// round-to-nearest, so p + (+/-0) == p bitwise and the skip is invisible.
+// MADE's fused backward rests on exactly that (made_batch.go); the other
+// families run blockGrad below. Equality is claimed for finite activations
+// and weights (0 * Inf is not a zero).
 //
 // An evaluator owns growable scratch and is NOT safe for concurrent use;
 // one built with several workers fans each call out itself.
@@ -98,10 +97,8 @@ type BatchEvaluator interface {
 	// ows must be b.N x NumParams.
 	GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch)
 	// AddWeightedGrad accumulates dst += sum_k w[k] * grad log|psi(row k)|
-	// in the fixed block order of the weighted-reduce contract above,
-	// without materializing a gradient row per sample where the family can
-	// avoid it. len(w) must be b.N and len(dst) NumParams; dst is NOT
-	// zeroed first.
+	// in the fixed block order of the weighted-reduce contract above.
+	// len(w) must be b.N and len(dst) NumParams; dst is NOT zeroed first.
 	AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector)
 	// FlipLogPsiBatch evaluates the B x (F+1) flip super-batch: base[k]
 	// receives log|psi(row k)| computed exactly as the model's FlipCache
@@ -169,20 +166,16 @@ func checkAncestral(n int, b ConfigBatch, u []float64) {
 	}
 }
 
-// GradBlockRows is the fixed granule of AddWeightedGrad's reduction: rows are
-// reduced into per-block partials in ascending row order and the partials
-// are added to the destination in ascending block order. The block boundary
-// depends only on the row index — never on a worker count or a slab size —
-// which is what makes the reduced vector bitwise invariant to both.
+// GradBlockRows is the fixed granule of AddWeightedGrad's reduction. A block
+// boundary depends only on the row index — never on a worker count or a slab
+// size — which is what makes the reduced vector bitwise invariant to both.
 const GradBlockRows = 32
 
 // blockGrad is AddWeightedGrad for the families without a fused weighted
-// backward — the RBM, and NADE and the RNN through the row adaptor: block by
-// block the evaluator's own GradLogPsiBatch fills a GradBlockRows-row slab,
-// tensor.Batch.AddWeightedRows collapses it into a partial that starts at
-// +0, and the partial is added to dst. That is the contract's arithmetic as
-// written, on O(GradBlockRows * d) scratch allocated at the first call (the
-// serving path never makes one).
+// backward — the RBM, and NADE and the RNN through the row adaptor: the
+// contract as written, block by block over the evaluator's own
+// GradLogPsiBatch, on O(GradBlockRows * d) scratch allocated at the first
+// call (the serving path never makes one).
 type blockGrad struct {
 	buf  []float64    // GradBlockRows * d
 	slab tensor.Batch // the current block's rows, a view over buf

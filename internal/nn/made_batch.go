@@ -168,11 +168,10 @@ func (e *madeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 
 // AddWeightedGrad implements BatchEvaluator with the fused weighted
 // backward: no O-row is written. Per slab the forward runs as the two GEMMs
-// of LogPsiBatch and dZ2 overwrites the output pre-activations row by row;
-// then every GradBlockRows block accumulates w_k * O_k into a d-sized
-// partial that starts at +0 (addWeightedRow) and the partial is added to dst
-// (foldWeightedPartial) — the contract's arithmetic, with only exact-zero
-// terms left out.
+// of LogPsiBatch and dZ2 overwrites the output pre-activations; then every
+// GradBlockRows block accumulates w_k * O_k into a d-sized partial that
+// starts at +0 (addWeightedRow) and the partial is added to dst
+// (foldWeightedPartial).
 func (e *madeBatchEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector) {
 	m := e.m
 	checkAddWeightedGrad(m.n, m.NumParams(), b, w, dst)
@@ -209,12 +208,10 @@ func (e *madeBatchEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst ten
 // does not see it; for the same reason an unset input bit may stay in the
 // W1 loop as the exact product c * 0. part is laid out like theta except
 // that the W2 block is TRANSPOSED (h x n): unit k's masked-in outputs
-// j >= deg(k) are then one contiguous run against dz2 and against row k of
-// wm2t, so the same pass over that run adds the W2 terms and contracts the
-// hidden delta da_k = sum_j (W2.M2)[j][k] * dz2_j — over j ascending, one
-// product per term, which is gradFromForward's chain (its masked-out and
-// dz2_j == 0 terms would add +/-0 to a sum that starts at +0). Only active
-// units need da_k at all.
+// j >= deg(k) are then one contiguous run against dz2 and row k of wm2t, and
+// one pass over it adds the W2 terms and contracts the hidden delta da_k =
+// sum_j (W2.M2)[j][k] * dz2_j, j ascending, one product per term:
+// gradFromForward's chain, whose other terms add +/-0 to a sum from +0.
 func (m *MADE) addWeightedRow(part tensor.Vector, w float64, xf, z1, dz2 tensor.Vector, wm2t *tensor.Matrix) {
 	h, n := m.h, m.n
 	gW1, gB1 := part[:h*n], part[h*n:h*n+h]

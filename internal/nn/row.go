@@ -76,10 +76,9 @@ func (s *splitEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 // blocks are what is shared out: evaluator w takes blocks w, w+W, w+2W, ...,
 // reduces each into a zeroed partial of its own (0 + p is p exactly: a
 // partial is never -0) and adds it to dst when the token — the right to
-// fold, passed round the workers in block order — reaches it. dst therefore
-// takes the partials one at a time in ascending block order whatever W is,
-// at most W partials are live, and a worker only ever waits for the fold of
-// the block before its own.
+// fold, passed round the workers in block order — reaches it. dst takes the
+// partials in ascending block order whatever W is, at most W are live, and a
+// worker only ever waits for the fold of the block before its own.
 func (s *splitEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector) {
 	checkAddWeightedGrad(s.n, s.d, b, w, dst)
 	if s.parts == nil {

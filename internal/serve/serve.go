@@ -402,9 +402,8 @@ func (s *Server) Sample(ctx context.Context, model string, count int, seed uint6
 //
 // A swap is a queue entry like any other and may be shed like one: when the
 // model's queue is full it returns ErrOverloaded (HTTP 429) without touching
-// the live parameters, and ErrDraining once the server is closing. It
-// reserves no rows, so MaxPending never refuses it. The caller retries, as
-// for any shed request.
+// the live parameters, and ErrDraining once the server is closing; the
+// caller retries, as for any shed request.
 func (s *Server) Swap(ctx context.Context, model string, wf nn.Wavefunction) error {
 	m, err := s.lookup(model)
 	if err != nil {
