@@ -6,7 +6,7 @@
 //	vqmcd -demo                                # serve a demo MADE model on :8089
 //	vqmcd -model psi=final.ckpt                # serve a trained checkpoint
 //	vqmcd -model a=a.ckpt -model b=b.ckpt      # several models, one server
-//	vqmcd -demo -window 500us -max-batch 256   # coalescer tuning
+//	vqmcd -demo -max-batch 256                 # coalescer tuning
 //
 // Endpoints (see internal/serve/http.go for payloads):
 //
@@ -70,7 +70,6 @@ func main() {
 		n          = flag.Int("n", 16, "demo model sites")
 		hidden     = flag.Int("hidden", 32, "demo model hidden width")
 		seed       = flag.Uint64("seed", 1, "demo model parameter seed")
-		window     = flag.Duration("window", 0, "coalescing window (0: default 100us)")
 		maxBatch   = flag.Int("max-batch", 0, "max rows per coalesced dispatch (0: default 1024)")
 		maxPending = flag.Int("max-pending", 0, "admission bound, rows queued+in-flight (0: default 4096)")
 		workers    = flag.Int("workers", 0, "eval workers per dispatch (0: GOMAXPROCS)")
@@ -86,7 +85,6 @@ func main() {
 	}
 	mcfg := serve.Config{
 		MaxBatch:   *maxBatch,
-		Window:     *window,
 		MaxPending: *maxPending,
 		Workers:    *workers,
 	}

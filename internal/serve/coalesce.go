@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
@@ -60,7 +60,6 @@ type modelService struct {
 	draining bool
 	reqCh    chan *request
 	done     chan struct{}
-	timer    *time.Timer
 
 	pendingRows atomic.Int64
 
@@ -86,7 +85,7 @@ func newModelService(name string, wf nn.Wavefunction, ham hamiltonian.Hamiltonia
 	if b, ok := wf.(nn.BatchAncestralBuilder); ok {
 		smp = b.NewBatchAncestralSampler()
 	}
-	m := &modelService{
+	return &modelService{
 		name:  name,
 		sites: wf.NumSites(),
 		wf:    wf,
@@ -99,11 +98,6 @@ func newModelService(name string, wf nn.Wavefunction, ham hamiltonian.Hamiltonia
 		reqCh: make(chan *request, cfg.MaxPending+16),
 		done:  make(chan struct{}),
 	}
-	m.timer = time.NewTimer(time.Hour)
-	if !m.timer.Stop() {
-		<-m.timer.C
-	}
-	return m
 }
 
 func (m *modelService) start() {
@@ -195,9 +189,9 @@ func (m *modelService) finish(r *request, err error) {
 	}
 }
 
-// run is the dispatcher loop: pull one request, coalesce a window's worth
-// of followers, evaluate the group as fused batches, repeat. Exits when
-// the queue is closed and drained.
+// run is the dispatcher loop: pull one request, fold in whatever else is
+// queued, evaluate the group as fused batches, repeat. Exits when the queue
+// is closed and drained.
 func (m *modelService) run() {
 	defer close(m.done)
 	for {
@@ -217,40 +211,23 @@ func (m *modelService) run() {
 	}
 }
 
-// collect folds queued requests after first into one group, up to MaxBatch
-// rows, waiting at most Window for stragglers. A swap in the queue ends
-// the group early and is returned to the caller — it must be applied
-// AFTER the group is dispatched (queue-barrier semantics: no batch mixes
-// parameter versions). A closed queue also ends the group; the outer loop
-// then observes the closure and exits after the drain.
+// collect folds the requests queued behind first into one group, up to
+// MaxBatch rows, and never waits for more. A group below MaxBatch first
+// yields the processor once, so that callers already runnable enqueue
+// before the drain (the package comment has why it is a yield and not a
+// timer). A swap in the queue ends the group early and is returned to the
+// caller — it must be applied AFTER the group is dispatched (queue-barrier
+// semantics: no batch mixes parameter versions). A closed queue also ends
+// the group; the outer loop then observes the closure and exits after the
+// drain.
 func (m *modelService) collect(first *request) (group []*request, swap *request) {
 	group = append(m.groupBuf[:0], first)
 	rows := first.rows
-	var timerC <-chan time.Time
-	fired := false
-	if m.cfg.Window > 0 && rows < m.cfg.MaxBatch {
-		m.timer.Reset(m.cfg.Window)
-		timerC = m.timer.C
+	if rows < m.cfg.MaxBatch {
+		runtime.Gosched()
 	}
 loop:
 	for rows < m.cfg.MaxBatch {
-		if timerC == nil {
-			select {
-			case r, ok := <-m.reqCh:
-				if !ok {
-					break loop
-				}
-				if r.kind == kindSwap {
-					swap = r
-					break loop
-				}
-				group = append(group, r)
-				rows += r.rows
-			default:
-				break loop
-			}
-			continue
-		}
 		select {
 		case r, ok := <-m.reqCh:
 			if !ok {
@@ -262,13 +239,9 @@ loop:
 			}
 			group = append(group, r)
 			rows += r.rows
-		case <-timerC:
-			fired = true
+		default:
 			break loop
 		}
-	}
-	if timerC != nil && !fired && !m.timer.Stop() {
-		<-m.timer.C
 	}
 	m.groupBuf = group
 	return group, swap

@@ -2,14 +2,18 @@ package serve
 
 // Property tests for the coalescer's lifecycle invariants: no request is
 // dropped, duplicated, or cross-wired under concurrent submit / cancel /
-// timeout, admission control rejects deterministically, and the pending
-// reservation always drains back to zero.
+// timeout, admission control rejects deterministically, the pending
+// reservation always drains back to zero, and the dispatcher's yield folds
+// a burst on one thread. Tests that need requests to sit in the queue park
+// the dispatcher (parkedModel) instead of racing it.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +35,36 @@ func directLogPsi(wf nn.Wavefunction, configs [][]int) []float64 {
 	return out
 }
 
+// parkedModel registers spec as "m" on a fresh server WITHOUT starting the
+// model's dispatcher: submits are admitted and queued and their callers
+// block on ready, so a test can build the exact queue it wants, observe it
+// through len(m.reqCh) / m.pendingRows, and then call start. Cleanup starts
+// the dispatcher if the test did not and closes the server.
+func parkedModel(t *testing.T, spec ModelSpec) (s *Server, m *modelService, start func()) {
+	t.Helper()
+	cfg := spec.Config.withDefaults()
+	m = newModelService("m", spec.WF, spec.Ham, core.NewBatchedEval(spec.WF, core.EvalAuto, cfg.Workers), cfg)
+	s = NewServer(ServerConfig{})
+	s.models["m"] = m
+	var once sync.Once
+	start = func() { once.Do(m.start) }
+	t.Cleanup(func() { start(); s.Close() })
+	return s, m, start
+}
+
+// waitFor polls cond until it holds; a condition that never comes true is
+// a hang, reported after a generous deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestCoalescerNoDropDupCrosswire floods one model from many clients whose
 // workloads all differ, with a mix of request sizes and kinds, and asserts
 // every single response carries exactly its own client's values — the
@@ -44,7 +78,7 @@ func TestCoalescerNoDropDupCrosswire(t *testing.T) {
 	ham := hamiltonian.RandomTIM(n, rng.New(8))
 	s := NewServer(ServerConfig{})
 	err := s.Register("m", ModelSpec{WF: wf, Ham: ham, Config: Config{
-		MaxBatch: 16, Window: 100 * time.Microsecond, MaxPending: 1 << 14,
+		MaxBatch: 16, MaxPending: 1 << 14,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -121,23 +155,17 @@ func TestCoalescerNoDropDupCrosswire(t *testing.T) {
 	}
 }
 
-// TestCoalescerCancelAndTimeout races cancellations against a slow window:
-// every submit must terminate with either its correct value or a context
-// error, never hang, and the admission reservation must drain to zero —
-// including for requests cancelled while waiting in the queue.
+// TestCoalescerCancelAndTimeout cancels requests while they sit in the
+// queue, then races cancellations against a live dispatcher: every submit
+// must terminate with either its correct value or a context error, never
+// hang, and the admission reservation must drain to zero — including for
+// requests whose callers abandoned them in the queue.
 func TestCoalescerCancelAndTimeout(t *testing.T) {
 	const n, h = 8, 10
 	wf := buildWF("made", n, h, 11)
-	s := NewServer(ServerConfig{})
-	// Wide window so a cancel deadline (shorter) reliably fires while
-	// requests sit in the open batch.
-	err := s.Register("m", ModelSpec{WF: wf, Config: Config{
-		MaxBatch: 1 << 12, Window: 20 * time.Millisecond, MaxPending: 1 << 14,
+	s, m, start := parkedModel(t, ModelSpec{WF: wf, Config: Config{
+		MaxBatch: 1 << 12, MaxPending: 1 << 14,
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 
 	const clients, iters = 32, 10
 	works := make([][][]int, clients)
@@ -146,47 +174,84 @@ func TestCoalescerCancelAndTimeout(t *testing.T) {
 		works[c] = clientConfigs(c, 1+c%3, n)
 		wants[c] = directLogPsi(wf, works[c])
 	}
+	var okCount, cancelCount atomic.Int64
+	errCh := make(chan error, 2*clients*iters)
+	// op is one submit of client c: plain, with a short deadline, or
+	// pre-cancelled, by it.
+	op := func(c, it int) {
+		ctx := context.Background()
+		var cancel context.CancelFunc
+		switch it % 3 {
+		case 1: // deadline: expires in the queue while parked, races the dispatcher when live
+			ctx, cancel = context.WithTimeout(ctx, time.Duration(c%5)*time.Millisecond)
+		case 2: // pre-cancelled
+			ctx, cancel = context.WithCancel(ctx)
+			cancel()
+		}
+		got, err := s.LogPsi(ctx, "m", works[c])
+		if cancel != nil {
+			cancel()
+		}
+		switch {
+		case err == nil:
+			for k := range got {
+				if got[k] != wants[c][k] {
+					errCh <- fmt.Errorf("client %d it %d row %d: %v != %v", c, it, k, got[k], wants[c][k])
+					return
+				}
+			}
+			okCount.Add(1)
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			cancelCount.Add(1)
+		default:
+			errCh <- fmt.Errorf("client %d it %d: unexpected error %v", c, it, err)
+		}
+	}
+
+	// Parked: every op is admitted and queued, the plain ones block, and the
+	// other two kinds return a context error with their request — and its
+	// reservation — still in the queue.
 	var wg sync.WaitGroup
-	var okCount, cancelCount int64
-	var mu sync.Mutex
-	errCh := make(chan error, clients)
+	var plain, doomed, rows int
+	for c := 0; c < clients; c++ {
+		for it := 0; it < iters; it++ {
+			if it%3 == 0 {
+				plain++
+			} else {
+				doomed++
+			}
+			rows += len(works[c])
+			wg.Add(1)
+			go func(c, it int) {
+				defer wg.Done()
+				op(c, it)
+			}(c, it)
+		}
+	}
+	waitFor(t, "every op queued and every doomed caller gone", func() bool {
+		return len(m.reqCh) == plain+doomed && cancelCount.Load() == int64(doomed)
+	})
+	if p := m.pendingRows.Load(); p != int64(rows) {
+		t.Fatalf("parked reservation %d rows, want %d (abandoned requests keep theirs until the dispatcher completes them)", p, rows)
+	}
+	start()
+	wg.Wait()
+	waitFor(t, "reservation drained", func() bool { return m.pendingRows.Load() == 0 })
+	st := m.stats()
+	if okCount.Load() != int64(plain) || st.Requests != uint64(plain) || st.Canceled != uint64(doomed) {
+		t.Fatalf("parked phase: ok=%d served=%d cancelled-in-queue=%d, want %d/%d/%d",
+			okCount.Load(), st.Requests, st.Canceled, plain, plain, doomed)
+	}
+
+	// Live: the same mix from closed-loop clients against the running
+	// dispatcher, where a deadline may fire before, during or after the
+	// dispatch that carries its request.
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				ctx := context.Background()
-				var cancel context.CancelFunc
-				switch it % 3 {
-				case 1: // deadline inside the window: times out in queue
-					ctx, cancel = context.WithTimeout(ctx, time.Duration(c%5)*time.Millisecond)
-				case 2: // pre-cancelled
-					ctx, cancel = context.WithCancel(ctx)
-					cancel()
-				}
-				got, err := s.LogPsi(ctx, "m", works[c])
-				if cancel != nil {
-					cancel()
-				}
-				switch {
-				case err == nil:
-					for k := range got {
-						if got[k] != wants[c][k] {
-							errCh <- fmt.Errorf("client %d it %d row %d: %v != %v", c, it, k, got[k], wants[c][k])
-							return
-						}
-					}
-					mu.Lock()
-					okCount++
-					mu.Unlock()
-				case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-					mu.Lock()
-					cancelCount++
-					mu.Unlock()
-				default:
-					errCh <- fmt.Errorf("client %d it %d: unexpected error %v", c, it, err)
-					return
-				}
+				op(c, it)
 			}
 		}(c)
 	}
@@ -195,44 +260,32 @@ func TestCoalescerCancelAndTimeout(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if okCount == 0 || cancelCount == 0 {
-		t.Fatalf("degenerate mix: ok=%d cancelled=%d", okCount, cancelCount)
+	if got := okCount.Load() + cancelCount.Load(); got != 2*clients*iters {
+		t.Fatalf("%d ops accounted for, want %d", got, 2*clients*iters)
 	}
 	// The dispatcher owns every admitted request to completion, so the
 	// reservation must drain even for abandoned waits.
-	m, _ := s.lookup("m")
-	deadline := time.Now().Add(2 * time.Second)
-	for m.pendingRows.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pending rows stuck at %d", m.pendingRows.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "reservation drained", func() bool { return m.pendingRows.Load() == 0 })
 }
 
 // TestAdmissionControl pins the rejection path: with a tiny MaxPending and
-// a dispatcher parked in a long window, exactly MaxPending rows are
-// admitted and the rest bounce with ErrOverloaded — and every admitted
-// request still completes correctly once the window fires.
+// a parked dispatcher, exactly MaxPending rows are admitted and the rest
+// bounce with ErrOverloaded — and every admitted request still completes
+// correctly once the dispatcher runs.
 func TestAdmissionControl(t *testing.T) {
 	const n, h = 8, 10
 	const maxPending = 8
 	const attempts = 24
 	wf := buildWF("made", n, h, 13)
-	s := NewServer(ServerConfig{})
-	err := s.Register("m", ModelSpec{WF: wf, Config: Config{
-		MaxBatch: 1 << 12, Window: 150 * time.Millisecond, MaxPending: maxPending,
+	s, m, start := parkedModel(t, ModelSpec{WF: wf, Config: Config{
+		MaxBatch: 1 << 12, MaxPending: maxPending,
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 
 	cfgs := clientConfigs(0, 1, n)
 	want := directLogPsi(wf, cfgs)
 
-	// Park the dispatcher: the first request opens the 150ms window, and
-	// nothing completes (releasing reservations) until it fires.
+	// Nothing completes (releasing reservations) while the dispatcher is
+	// parked, so the first maxPending attempts fill the bound.
 	results := make(chan error, attempts)
 	var wg sync.WaitGroup
 	for i := 0; i < attempts; i++ {
@@ -245,10 +298,16 @@ func TestAdmissionControl(t *testing.T) {
 			}
 			results <- err
 		}()
-		// Serialize admission decisions so exactly the first maxPending
-		// attempts win the reservation race.
-		time.Sleep(2 * time.Millisecond)
+		// Serialize admission decisions: attempt i is queued or rejected
+		// before attempt i+1 starts.
+		waitFor(t, "admission decision", func() bool {
+			return len(m.reqCh)+int(m.rejected.Load()) == i+1
+		})
 	}
+	if q, p := len(m.reqCh), m.pendingRows.Load(); q != maxPending || p != maxPending {
+		t.Fatalf("parked queue holds %d requests / %d rows, want %d", q, p, maxPending)
+	}
+	start()
 	wg.Wait()
 	close(results)
 	var ok, rejected int
@@ -273,8 +332,8 @@ func TestAdmissionControl(t *testing.T) {
 
 // TestSwapIsQueueBarrier pins the hot-swap ordering semantics directly on
 // the queue: requests enqueued before a swap see the old parameters,
-// requests enqueued after it see the new — even when they all sit in the
-// same window.
+// requests enqueued after it see the new — even when all three are queued
+// before the dispatcher takes the first, so one collect cycle meets them.
 func TestSwapIsQueueBarrier(t *testing.T) {
 	const n, h = 8, 10
 	live := buildWF("made", n, h, 21)
@@ -288,54 +347,39 @@ func TestSwapIsQueueBarrier(t *testing.T) {
 		}
 	}
 
-	s := NewServer(ServerConfig{})
-	// Long window: everything below lands in one collect cycle, forcing
-	// the barrier logic (not timing luck) to split the batch.
-	err := s.Register("m", ModelSpec{WF: live, Config: Config{
-		MaxBatch: 1 << 12, Window: 100 * time.Millisecond, MaxPending: 1 << 12,
+	s, m, start := parkedModel(t, ModelSpec{WF: live, Config: Config{
+		MaxBatch: 1 << 12, MaxPending: 1 << 12,
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 
 	type outcome struct {
 		got []float64
 		err error
 	}
-	submit := func() chan outcome {
+	// enqueue runs f on its own goroutine and returns once f's request is
+	// the queued-th entry of the parked queue.
+	enqueue := func(queued int, f func() outcome) chan outcome {
 		ch := make(chan outcome, 1)
-		go func() {
-			got, err := s.LogPsi(context.Background(), "m", cfgs)
-			ch <- outcome{got, err}
-		}()
+		go func() { ch <- f() }()
+		waitFor(t, "enqueue", func() bool { return len(m.reqCh) == queued })
 		return ch
 	}
-	// Enqueue strictly: request A, then the swap, then request B. The
-	// admission reservation becomes visible just before A's channel send,
-	// and the send itself is a handful of non-blocking instructions, so a
-	// generous settle after the reservation orders the swap behind A.
-	m, _ := s.lookup("m")
-	chA := submit()
-	deadline := time.Now().Add(2 * time.Second)
-	for m.pendingRows.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("request A never admitted")
-		}
-		time.Sleep(50 * time.Microsecond)
+	logPsi := func() outcome {
+		got, err := s.LogPsi(context.Background(), "m", cfgs)
+		return outcome{got, err}
 	}
-	time.Sleep(20 * time.Millisecond)
-	// Swap blocks until applied, which (queue barrier) happens only after
-	// A's group — still inside its 100ms window — is dispatched on the old
-	// parameters. B then trivially lands after the swap.
-	if err := s.Swap(context.Background(), "m", next); err != nil {
-		t.Fatalf("swap: %v", err)
-	}
-	a := <-chA
+	// Queue strictly: request A, then the swap, then request B. The barrier
+	// logic alone must split what would otherwise be one group.
+	chA := enqueue(1, logPsi)
+	chSwap := enqueue(2, func() outcome { return outcome{err: s.Swap(context.Background(), "m", next)} })
+	chB := enqueue(3, logPsi)
+	start()
+	a, sw, b := <-chA, <-chSwap, <-chB
 	if a.err != nil {
 		t.Fatalf("A: %v", a.err)
 	}
-	b := <-submit()
+	if sw.err != nil {
+		t.Fatalf("swap: %v", sw.err)
+	}
 	if b.err != nil {
 		t.Fatalf("B: %v", b.err)
 	}
@@ -350,7 +394,81 @@ func TestSwapIsQueueBarrier(t *testing.T) {
 		}
 	}
 	st, _ := s.ModelStats("m")
-	if st.Swaps != 1 {
-		t.Fatalf("swap counter %d, want 1", st.Swaps)
+	if st.Swaps != 1 || st.Batches != 2 {
+		t.Fatalf("swaps=%d batches=%d, want 1 swap between 2 batches", st.Swaps, st.Batches)
+	}
+}
+
+// TestYieldFoldsOnOneThread pins what the yield in collect buys. On one
+// thread the first send of a burst makes the dispatcher the next goroutine
+// to run, ahead of the burst's other callers; a collect that drained
+// without yielding would find the queue empty and dispatch about one row at
+// a time (the never-wait coalescer ROADMAP measured and rejected). With the
+// yield the runnable callers enqueue first and the burst folds. A serial
+// caller has nobody to fold with and must see one batch per request. Counts
+// only; no clocks.
+func TestYieldFoldsOnOneThread(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, h = 8, 10
+	const callers, perCaller = 64, 50
+	wf := buildWF("made", n, h, 17)
+	s := NewServer(ServerConfig{})
+	if err := s.Register("m", ModelSpec{WF: wf}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	works := make([][][]int, callers)
+	wants := make([][]float64, callers)
+	for c := range works {
+		works[c] = clientConfigs(c, 1, n)
+		wants[c] = directLogPsi(wf, works[c])
+	}
+	// closedLoop runs one caller and reports the first mismatch.
+	closedLoop := func(c, iters int) error {
+		for it := 0; it < iters; it++ {
+			got, err := s.LogPsi(context.Background(), "m", works[c])
+			if err != nil {
+				return fmt.Errorf("caller %d it %d: %w", c, it, err)
+			}
+			if got[0] != wants[c][0] {
+				return fmt.Errorf("caller %d it %d: served %v != direct %v", c, it, got[0], wants[c][0])
+			}
+		}
+		return nil
+	}
+
+	if err := closedLoop(0, 200); err != nil {
+		t.Fatal(err)
+	}
+	serial, _ := s.ModelStats("m")
+	if serial.Requests != 200 || serial.Batches != serial.Requests {
+		t.Fatalf("serial caller: %d requests in %d batches, want one batch each", serial.Requests, serial.Batches)
+	}
+
+	errCh := make(chan error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			if err := closedLoop(c, perCaller); err != nil {
+				errCh <- err
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	st, _ := s.ModelStats("m")
+	rows, batches := st.Rows-serial.Rows, st.Batches-serial.Batches
+	if rows != callers*perCaller {
+		t.Fatalf("served %d rows, want %d", rows, callers*perCaller)
+	}
+	t.Logf("%d closed-loop callers: %d rows in %d batches (%.1f rows/batch)", callers, rows, batches, float64(rows)/float64(batches))
+	if rows < 16*batches {
+		t.Fatalf("fold below 16 rows/batch: the dispatcher is running ahead of runnable callers")
 	}
 }

@@ -1,8 +1,9 @@
 package serve
 
-// FuzzCoalescer drives a live coalescer with a byte-string-derived
-// configuration and operation stream — concurrent submits, cancellations,
-// and hot-swaps against fuzzer-chosen window/batch/admission tuning — and
+// FuzzCoalescer drives a coalescer with a byte-string-derived configuration
+// and operation stream — concurrent submits, cancellations, and hot-swaps
+// against fuzzer-chosen batch/admission tuning and dispatcher lifecycle
+// (live, drained mid-stream, or parked until the queue has filled) — and
 // holds the lifecycle invariants: every operation terminates with either a
 // bitwise-correct value or a declared error (ErrOverloaded / ErrDraining /
 // context error), nothing hangs, and the admission reservation drains to
@@ -15,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/vqmc-scale/parvqmc/internal/nn"
 )
 
 func FuzzCoalescer(f *testing.F) {
@@ -29,33 +32,27 @@ func FuzzCoalescer(f *testing.F) {
 		const n, h = 7, 8
 		at := func(i int) byte { return ops[i%len(ops)] }
 
-		// Fuzzer-chosen tuning. Window spans the degenerate cases: never
-		// wait, tiny, and "longer than the test" (forcing MaxBatch or
-		// drain to close groups).
+		// Fuzzer-chosen tuning and lifecycle. The dispatcher runs from the
+		// start (live), runs and is drained while operations are in flight
+		// (drained), or stays parked until every operation has been queued
+		// or shed (parked) — the shape that fills the queue, so a stream
+		// with more swaps than queue slots must shed one.
 		maxBatch := 1 + int(at(0))%16
 		maxPending := 1 + int(at(1))%12
-		var window time.Duration
-		switch at(2) % 3 {
-		case 0:
-			window = ExplicitZeroWindow
-		case 1:
-			window = time.Duration(1+at(2)%100) * time.Microsecond
-		case 2:
-			window = time.Hour
-		}
+		const live, drained, parked = 0, 1, 2
+		lifecycle := at(2) % 3
 
 		wfA := buildWF("made", n, h, 71)
 		wfB := buildWF("made", n, h, 72)
-		live := buildWF("made", n, h, 73)
-		s := NewServer(ServerConfig{})
-		err := s.Register("m", ModelSpec{WF: live, Config: Config{
-			MaxBatch: maxBatch, Window: window, MaxPending: maxPending,
-		}})
-		if err != nil {
+		serving := buildWF("made", n, h, 73)
+		if err := nn.HotSwapParams(serving, wfA); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Swap(context.Background(), "m", wfA); err != nil {
-			t.Fatal(err)
+		s, m, start := parkedModel(t, ModelSpec{WF: serving, Config: Config{
+			MaxBatch: maxBatch, MaxPending: maxPending,
+		}})
+		if lifecycle != parked {
+			start()
 		}
 
 		// Per-workload references under both parameter sets: any served
@@ -109,15 +106,18 @@ func FuzzCoalescer(f *testing.F) {
 			}
 		}
 
-		// With an hour-long window the only thing that closes a partial
-		// group is MaxBatch or the drain — so the drain below is load-
-		// bearing: if it hangs, requests hang, and the fuzz run times out
-		// (a found bug, not flake).
+		// Every operation must terminate whatever the lifecycle: a hang here
+		// is a found bug, not flake.
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
-		if window == time.Hour {
-			time.Sleep(time.Millisecond)
+		switch lifecycle {
+		case drained:
 			s.Close()
+		case parked:
+			waitFor(t, "every op queued or shed", func() bool {
+				return len(m.reqCh)+int(m.rejected.Load()) == len(ops)
+			})
+			start()
 		}
 		select {
 		case <-done:
@@ -129,7 +129,6 @@ func FuzzCoalescer(f *testing.F) {
 		for err := range errCh {
 			t.Fatal(err)
 		}
-		m, _ := s.lookup("m")
 		if p := m.pendingRows.Load(); p != 0 {
 			t.Fatalf("pending rows did not drain: %d", p)
 		}

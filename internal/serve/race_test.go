@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/vqmc-scale/parvqmc/internal/nn"
 )
 
 // leakCheck asserts the goroutine count returns to (near) baseline, with
@@ -53,23 +55,21 @@ func TestHotSwapUnderLiveTraffic(t *testing.T) {
 		}
 	}
 
-	// Serve a third copy that starts on A's parameters, so the originals
-	// stay pristine references.
+	// Serve a third copy moved onto A's parameters, so the originals stay
+	// pristine references. The dispatcher starts parked: the first wave of
+	// client requests and the first swap are all queued before it runs.
 	live := buildWF("made", n, h, 33)
-	s := NewServer(ServerConfig{})
-	err := s.Register("m", ModelSpec{WF: live, Config: Config{
-		MaxBatch: 32, Window: 50 * time.Microsecond, MaxPending: 1 << 14,
+	if err := nn.HotSwapParams(live, wfA); err != nil {
+		t.Fatal(err)
+	}
+	s, m, start := parkedModel(t, ModelSpec{WF: live, Config: Config{
+		MaxBatch: 32, MaxPending: 1 << 14,
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Swap(context.Background(), "m", wfA); err != nil {
-		t.Fatal(err)
-	}
 
 	// Clients do a fixed amount of traffic; the swapper flips parameters
-	// as fast as the dispatcher lets it until all clients finish, so the
-	// interleaving is guaranteed regardless of scheduling order.
+	// as fast as the dispatcher lets it until all clients finish, and its
+	// first swap is queued among the first wave, so the interleaving is
+	// guaranteed regardless of scheduling order.
 	const clients, itersPerClient = 16, 30
 	var clientWG sync.WaitGroup
 	errCh := make(chan error, clients+1)
@@ -126,6 +126,8 @@ func TestHotSwapUnderLiveTraffic(t *testing.T) {
 			swaps++
 		}
 	}()
+	waitFor(t, "first wave and first swap queued", func() bool { return len(m.reqCh) == clients+1 })
+	start()
 	<-clientsDone
 	swapWG.Wait()
 	close(errCh)
@@ -133,8 +135,8 @@ func TestHotSwapUnderLiveTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := s.ModelStats("m")
-	if st.Swaps != swaps+1 {
-		t.Fatalf("swap counter %d, want %d", st.Swaps, swaps+1)
+	if st.Swaps != swaps {
+		t.Fatalf("swap counter %d, want %d", st.Swaps, swaps)
 	}
 	if want := uint64(clients * itersPerClient); st.Requests != want {
 		t.Fatalf("served %d requests, want %d", st.Requests, want)
@@ -157,25 +159,19 @@ func TestDrainDuringInFlight(t *testing.T) {
 	cfgs := clientConfigs(7, 2, n)
 	want := directLogPsi(wf, cfgs)
 
-	s := NewServer(ServerConfig{})
-	err := s.Register("m", ModelSpec{WF: wf, Config: Config{
-		MaxBatch: 64, Window: 500 * time.Microsecond, MaxPending: 1 << 14,
+	s, m, start := parkedModel(t, ModelSpec{WF: wf, Config: Config{
+		MaxBatch: 64, MaxPending: 1 << 14,
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const clients = 32
 	var served, drained atomic.Int64
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
-	start := make(chan struct{})
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			<-start
-			for i := 0; ; i++ {
+			for {
 				got, err := s.LogPsi(context.Background(), "m", cfgs)
 				switch {
 				case err == nil:
@@ -196,16 +192,19 @@ func TestDrainDuringInFlight(t *testing.T) {
 			}
 		}(c)
 	}
-	close(start)
-	time.Sleep(5 * time.Millisecond) // let batches get in flight
-	s.Close()                        // must not hang; drains queued work
+	// Every client has a request queued when the dispatcher starts and the
+	// drain begins right behind it, so Close meets both queued work and
+	// batches in flight. It must not hang, and it must serve what was queued.
+	waitFor(t, "every client queued", func() bool { return len(m.reqCh) == clients })
+	start()
+	s.Close()
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if served.Load() == 0 {
-		t.Fatal("no requests served before drain")
+	if served.Load() < clients {
+		t.Fatalf("%d requests served, want at least the %d queued before the drain", served.Load(), clients)
 	}
 	if drained.Load() != clients {
 		t.Fatalf("%d clients saw ErrDraining, want %d", drained.Load(), clients)
@@ -217,7 +216,8 @@ func TestDrainDuringInFlight(t *testing.T) {
 
 // TestAdmissionRejectionUnderRace floods a tiny-MaxPending model from many
 // goroutines at once (no pacing): the split between served and rejected is
-// nondeterministic, but every accepted answer must be bitwise correct,
+// nondeterministic beyond the first MaxPending, which are always admitted,
+// but every accepted answer must be bitwise correct,
 // rejections must be ErrOverloaded, the reservation must drain to zero, and
 // nothing may leak.
 func TestAdmissionRejectionUnderRace(t *testing.T) {
@@ -227,13 +227,10 @@ func TestAdmissionRejectionUnderRace(t *testing.T) {
 	cfgs := clientConfigs(2, 1, n)
 	want := directLogPsi(wf, cfgs)
 
-	s := NewServer(ServerConfig{})
-	err := s.Register("m", ModelSpec{WF: wf, Config: Config{
-		MaxBatch: 4, Window: time.Millisecond, MaxPending: 4,
+	const maxPending = 4
+	s, m, start := parkedModel(t, ModelSpec{WF: wf, Config: Config{
+		MaxBatch: 4, MaxPending: maxPending,
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const attempts = 256
 	var ok, rejected atomic.Int64
@@ -258,6 +255,10 @@ func TestAdmissionRejectionUnderRace(t *testing.T) {
 			}
 		}()
 	}
+	// The flood fills the bound against the parked dispatcher, which then
+	// starts mid-flood: the rest race live completions for the reservation.
+	waitFor(t, "admission bound filled", func() bool { return len(m.reqCh) == maxPending })
+	start()
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -266,17 +267,10 @@ func TestAdmissionRejectionUnderRace(t *testing.T) {
 	if ok.Load()+rejected.Load() != attempts {
 		t.Fatalf("accounting: ok=%d rejected=%d, want sum %d", ok.Load(), rejected.Load(), attempts)
 	}
-	if ok.Load() == 0 {
-		t.Fatal("everything rejected; admission too tight to exercise serving")
+	if ok.Load() < maxPending {
+		t.Fatalf("%d served, want at least the %d admitted before the dispatcher started", ok.Load(), maxPending)
 	}
-	m, _ := s.lookup("m")
-	deadline := time.Now().Add(2 * time.Second)
-	for m.pendingRows.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pending rows stuck at %d", m.pendingRows.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "reservation drained", func() bool { return m.pendingRows.Load() == 0 })
 	st, _ := s.ModelStats("m")
 	if st.Rejected != uint64(rejected.Load()) {
 		t.Fatalf("rejected counter %d, want %d", st.Rejected, rejected.Load())

@@ -22,6 +22,16 @@
 // its queue, so swaps are race-free barriers between batches and no lock
 // guards the hot path. Admission control is per model: a bounded count of
 // pending rows, with immediate ErrOverloaded rejection beyond it.
+//
+// A batch forms from the work that is ready and never waits for more: the
+// dispatcher takes the first queued request, yields the processor once,
+// drains the queue without blocking up to MaxBatch rows, and dispatches
+// (modelService.collect). Requests that arrive during a dispatch fold into
+// the next one, so the fold grows with load and a lone request pays no
+// queue delay. The yield replaces a 100us timer that cost a lone 64-row
+// request more than its evaluation; it cannot simply be dropped, because on
+// one thread the first send of a burst wakes the dispatcher ahead of the
+// burst's other callers and every dispatch would carry about one row.
 package serve
 
 import (
@@ -31,7 +41,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
@@ -62,17 +71,13 @@ var (
 
 // Config tunes one model's coalescer and admission control. Zero values
 // select the defaults; none of the knobs affect served VALUES, only
-// latency, throughput and rejection behavior.
+// latency, throughput and rejection behavior. None of them delays a
+// request: a dispatch folds what is already queued and never waits.
 type Config struct {
 	// MaxBatch caps the rows folded into one dispatch (default 1024).
 	// MaxBatch = 1 disables coalescing: every request is its own dispatch
 	// (the per-request A/B baseline).
 	MaxBatch int
-	// Window bounds the queue delay: after a request opens a batch, the
-	// dispatcher waits at most Window for more arrivals before dispatching
-	// a partial batch (default 100us). Window = 0 folds in only requests
-	// already queued, never waiting.
-	Window time.Duration
 	// MaxPending is the admission bound: the maximum rows queued or in
 	// flight for this model before submits are rejected with ErrOverloaded
 	// (default 4096). A single request larger than MaxPending is always
@@ -88,11 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1024
 	}
-	if c.Window < 0 {
-		c.Window = 0
-	} else if c.Window == 0 {
-		c.Window = 100 * time.Microsecond
-	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4096
 	}
@@ -101,10 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// ExplicitZeroWindow is the Window value selecting "never wait": collect
-// only the backlog already queued. (Config.Window == 0 means "default".)
-const ExplicitZeroWindow = -1 * time.Nanosecond
 
 // ModelSpec registers one model: the wavefunction, an optional Hamiltonian
 // for local-energy queries, and the coalescer tuning.
@@ -227,21 +223,15 @@ func (s *Server) Register(name string, spec ModelSpec) error {
 // queued requests complete, every dispatcher exits, and in-flight Max-Cut
 // solves finish. Close is idempotent and returns after the drain.
 func (s *Server) Close() {
+	// Setting the flag twice is harmless; a second caller still waits for
+	// the dispatchers below, so every Close returns after the drain.
 	s.mu.Lock()
-	if s.draining {
-		// Another Close already ran or is running; wait for dispatchers
-		// below so every caller returns after the drain.
-		s.mu.Unlock()
-	} else {
-		s.draining = true
-		s.mu.Unlock()
-	}
-	s.mu.RLock()
+	s.draining = true
 	ms := make([]*modelService, 0, len(s.models))
 	for _, m := range s.models {
 		ms = append(ms, m)
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	for _, m := range ms {
 		m.close()
 	}
