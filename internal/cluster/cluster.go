@@ -12,6 +12,7 @@ import (
 
 	"github.com/vqmc-scale/parvqmc/internal/comm"
 	"github.com/vqmc-scale/parvqmc/internal/device"
+	"github.com/vqmc-scale/parvqmc/internal/nn"
 )
 
 // Topology is a homogeneous GPU cluster.
@@ -78,7 +79,7 @@ type WeakScalingPoint struct {
 // and normalizes by the largest configuration's time, exactly as in
 // Figure 3. configs are (nodes, gpusPerNode) pairs.
 func WeakScaling(configs [][2]int, n, mbs, iters int) []WeakScalingPoint {
-	h := device.HiddenMADE(n)
+	h := nn.HiddenMADE(n)
 	pts := make([]WeakScalingPoint, len(configs))
 	for i, c := range configs {
 		topo := Default(c[0], c[1])

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/device"
+	"github.com/vqmc-scale/parvqmc/internal/nn"
 )
 
 func TestWeakScalingNearFlat(t *testing.T) {
@@ -53,14 +54,14 @@ func TestInterNodeCostsMoreThanIntraNode(t *testing.T) {
 	// spread-out topology pays the slower link.
 	oneNode := Default(1, 4)
 	fourNodes := Default(4, 1)
-	d := device.MADEParams(1000, device.HiddenMADE(1000))
+	d := device.MADEParams(1000, nn.HiddenMADE(1000))
 	if oneNode.AllReduceTime(d) >= fourNodes.AllReduceTime(d) {
 		t.Fatal("inter-node all-reduce should cost more than intra-node")
 	}
 }
 
 func TestIterTimeSingleVsMulti(t *testing.T) {
-	n, h := 1000, device.HiddenMADE(1000)
+	n, h := 1000, nn.HiddenMADE(1000)
 	single := Default(1, 1).IterTime(n, h, 512, n)
 	multi := Default(2, 2).IterTime(n, h, 512, n)
 	if multi <= single {
@@ -76,16 +77,16 @@ func TestIterTimeSingleVsMulti(t *testing.T) {
 func TestTable6TimesGrowWithDimension(t *testing.T) {
 	// Fixed mbs=4 across dimensions (Table 6): time grows ~linearly in n
 	// because sampling is n sequential passes.
-	prev := Default(1, 1).TrainingTime(20, device.HiddenMADE(20), 4, 20, 300)
+	prev := Default(1, 1).TrainingTime(20, nn.HiddenMADE(20), 4, 20, 300)
 	for _, n := range []int{50, 100, 200, 500, 1000, 2000, 5000, 10000} {
-		cur := Default(1, 1).TrainingTime(n, device.HiddenMADE(n), 4, n, 300)
+		cur := Default(1, 1).TrainingTime(n, nn.HiddenMADE(n), 4, n, 300)
 		if cur <= prev {
 			t.Fatalf("training time not increasing at n=%d", n)
 		}
 		prev = cur
 	}
 	// Modeled 10K-dim run should land near the paper's ~1070 s.
-	t10k := Default(1, 1).TrainingTime(10000, device.HiddenMADE(10000), 4, 10000, 300)
+	t10k := Default(1, 1).TrainingTime(10000, nn.HiddenMADE(10000), 4, 10000, 300)
 	if t10k.Seconds() < 500 || t10k.Seconds() > 2200 {
 		t.Fatalf("10K-dim modeled time %.0fs, paper ~1070s", t10k.Seconds())
 	}

@@ -81,7 +81,7 @@ func newTIMTrainer(t *testing.T, n int, seed uint64, useSR bool) (*Trainer, floa
 		t.Fatal(err)
 	}
 	m := nn.NewMADE(n, 16, r.Split())
-	smp := sampler.NewAutoMADE(m, true, 2, r.Split())
+	smp := sampler.NewAutoBatched(m.NumSites(), m, 2, r.Split())
 	var opt optimizer.Optimizer
 	cfg := Config{BatchSize: 256, Workers: 2}
 	if useSR {
@@ -155,7 +155,7 @@ func TestMaxCutTrainingFindsGoodCut(t *testing.T) {
 	}
 	bestCut := mc.CutFromEnergy(bestE)
 	m := nn.NewMADE(n, 12, r.Split())
-	smp := sampler.NewAutoMADE(m, true, 2, r.Split())
+	smp := sampler.NewAutoBatched(m.NumSites(), m, 2, r.Split())
 	tr := New(mc, m, smp, optimizer.NewAdam(0.05), Config{BatchSize: 256, Workers: 2})
 	tr.Train(300, nil)
 	mean, _ := tr.Evaluate(512)
@@ -184,7 +184,7 @@ func TestTrainUntilHitsTarget(t *testing.T) {
 	g := graph.RandomBernoulli(n, r)
 	mc := hamiltonian.NewMaxCut(g)
 	m := nn.NewMADE(n, 10, r.Split())
-	smp := sampler.NewAutoMADE(m, true, 2, r.Split())
+	smp := sampler.NewAutoBatched(m.NumSites(), m, 2, r.Split())
 	tr := New(mc, m, smp, optimizer.NewAdam(0.05), Config{BatchSize: 128, Workers: 2})
 	// Random cut achieves ~|E|/2; target modestly above it.
 	target := 0.55 * g.TotalWeight()
@@ -265,7 +265,7 @@ func BenchmarkTrainerStepMADE(b *testing.B) {
 	n := 50
 	h := hamiltonian.RandomTIM(n, r)
 	m := nn.NewMADE(n, 20, r.Split())
-	smp := sampler.NewAutoMADE(m, true, 0, r.Split())
+	smp := sampler.NewAutoBatched(m.NumSites(), m, 0, r.Split())
 	tr := New(h, m, smp, optimizer.NewAdam(0.01), Config{BatchSize: 64})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,7 +19,7 @@ func TestEvaluateBestReusesWorkspace(t *testing.T) {
 	tim := hamiltonian.RandomTIM(n, rng.New(3))
 	r := rng.New(4)
 	m := nn.NewMADE(n, 12, r.Split())
-	smp := sampler.NewAutoMADE(m, true, 1, r.Split())
+	smp := sampler.NewAutoBatched(m.NumSites(), m, 1, r.Split())
 	tr := New(tim, m, smp, optimizer.NewAdam(0.01), Config{BatchSize: 32, Workers: 1})
 
 	mean1, _, best1, arg1 := tr.EvaluateBest(64)

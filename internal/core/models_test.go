@@ -39,15 +39,15 @@ func TestAllWavefunctionFamiliesSolveTIM(t *testing.T) {
 
 	made := nn.NewMADE(n, 14, rng.New(1))
 	setups = append(setups, setup{"MADE+AUTO", made,
-		sampler.NewAutoMADE(made, true, 2, rng.New(2)), 0.05, 0.06})
+		sampler.NewAutoBatched(made.NumSites(), made, 2, rng.New(2)), 0.05, 0.06})
 
 	nade := nn.NewNADE(n, 14, rng.New(3))
 	setups = append(setups, setup{"NADE+AUTO", nade,
-		sampler.NewAuto(n, nade.NewIncrementalEvaluator, 2, rng.New(4)), 0.05, 0.06})
+		sampler.NewAutoBatched(n, nade, 2, rng.New(4)), 0.05, 0.06})
 
 	rnn := nn.NewRNN(n, 12, rng.New(5))
 	setups = append(setups, setup{"RNN+AUTO", rnn,
-		sampler.NewAuto(n, rnn.NewIncrementalEvaluator, 2, rng.New(6)), 0.02, 0.06})
+		sampler.NewAutoBatched(n, rnn, 2, rng.New(6)), 0.02, 0.06})
 
 	rbm := nn.NewRBM(n, n, rng.New(7))
 	setups = append(setups, setup{"RBM+MCMC", rbm,

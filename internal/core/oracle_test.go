@@ -87,15 +87,15 @@ func TestStepMatchesOracle(t *testing.T) {
 	families := []family{
 		{"made", func() (Model, sampler.Sampler) {
 			m := nn.NewMADE(n, hsz, rng.New(302))
-			return m, sampler.NewAutoMADE(m, true, 1, rng.New(303))
+			return m, sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(303))
 		}},
 		{"nade", func() (Model, sampler.Sampler) {
 			m := nn.NewNADE(n, hsz, rng.New(304))
-			return m, sampler.NewAuto(n, m.NewIncrementalEvaluator, 1, rng.New(305))
+			return m, sampler.NewAutoBatched(n, m, 1, rng.New(305))
 		}},
 		{"rnn", func() (Model, sampler.Sampler) {
 			m := nn.NewRNN(n, hsz, rng.New(306))
-			return m, sampler.NewAuto(n, m.NewIncrementalEvaluator, 1, rng.New(307))
+			return m, sampler.NewAutoBatched(n, m, 1, rng.New(307))
 		}},
 		{"rbm", func() (Model, sampler.Sampler) {
 			m := nn.NewRBM(n, hsz, rng.New(308))
@@ -162,7 +162,7 @@ func TestSerialSRSolveAllocatesNothing(t *testing.T) {
 	const n = 6
 	h := hamiltonian.RandomTIM(n, rng.New(311))
 	m := nn.NewMADE(n, 7, rng.New(312))
-	tr := New(h, m, sampler.NewAutoMADE(m, true, 1, rng.New(313)), optimizer.NewSGD(0.1),
+	tr := New(h, m, sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(313)), optimizer.NewSGD(0.1),
 		Config{BatchSize: 64, Workers: 1, SR: optimizer.NewSR(1e-3)})
 	tr.Train(3, nil)
 	s := tr.step

@@ -75,7 +75,7 @@ func TestReinforceStepFootprint(t *testing.T) {
 
 	var m0, m1, m2 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	tr := New(mc, m, sampler.NewAutoMADE(m, true, workers, r.Split()), optimizer.NewAdam(0.01),
+	tr := New(mc, m, sampler.NewAutoBatched(m.NumSites(), m, workers, r.Split()), optimizer.NewAdam(0.01),
 		Config{BatchSize: bs, Workers: workers})
 	tr.Step()
 	runtime.ReadMemStats(&m1)

@@ -55,8 +55,10 @@ type Replica struct {
 	// (<=1 means serial): the model's batch evaluator is built with that
 	// many single-threaded sub-evaluators, each taking one contiguous share
 	// of a call's rows, and the fixed-block gradient reduction and the
-	// Fisher sweep fan out as wide. The worker count is a pure throughput
-	// knob: trained parameters are bitwise identical for any mix of worker
+	// Fisher sweep fan out as wide. Smp carries its own fan-out (the
+	// facade builds it Workers wide too); sampler.Auto draws from one
+	// stream at any width. The worker count is a pure throughput knob:
+	// trained parameters are bitwise identical for any mix of worker
 	// counts across replicas.
 	Workers int
 }

@@ -15,13 +15,10 @@
 //     to 2^2 at n=10000).
 //
 // The latency/throughput constants are calibrated once against the paper's
-// Table 1 and Table 6 (see EXPERIMENTS.md); they are not fit per-experiment.
+// Table 1 and Table 6; they are not fit per-experiment.
 package device
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Device is a modeled accelerator.
 type Device struct {
@@ -70,16 +67,6 @@ func MADEParams(n, h int) int { return 2*h*n + h + n }
 
 // RBMParams is the parameter count d = hn + h + n + 1 of the paper's RBM.
 func RBMParams(n, h int) int { return h*n + h + n + 1 }
-
-// HiddenMADE is the paper's latent-size rule h = 5 (ln n)^2, rounded.
-func HiddenMADE(n int) int {
-	l := math.Log(float64(n))
-	h := int(math.Round(5 * l * l))
-	if h < 1 {
-		h = 1
-	}
-	return h
-}
 
 // MaxBatchTIM returns the largest power-of-two batch whose TIM local-energy
 // flip workspace bs * n^2 words fits the device budget. It reproduces the

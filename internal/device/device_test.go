@@ -3,17 +3,19 @@ package device
 import (
 	"testing"
 	"time"
+
+	"github.com/vqmc-scale/parvqmc/internal/nn"
 )
 
 func TestHiddenMADE(t *testing.T) {
 	// h = 5 (ln n)^2: spot values.
 	cases := map[int]int{20: 45, 100: 106, 500: 193, 10000: 424}
 	for n, want := range cases {
-		if got := HiddenMADE(n); got < want-2 || got > want+2 {
-			t.Errorf("HiddenMADE(%d) = %d, want ~%d", n, got, want)
+		if got := nn.HiddenMADE(n); got < want-2 || got > want+2 {
+			t.Errorf("nn.HiddenMADE(%d) = %d, want ~%d", n, got, want)
 		}
 	}
-	if HiddenMADE(1) < 1 {
+	if nn.HiddenMADE(1) < 1 {
 		t.Error("HiddenMADE must be >= 1")
 	}
 }
@@ -71,8 +73,8 @@ func TestMADEAutoIterLinearInN(t *testing.T) {
 	// With fixed bs, MADE+AUTO iteration time must grow ~linearly in n
 	// (Table 1 behaviour: latency-dominated sequential sampling).
 	d := V100()
-	t100 := d.MADEAutoIter(100, HiddenMADE(100), 1024, 100).Total()
-	t500 := d.MADEAutoIter(500, HiddenMADE(500), 1024, 500).Total()
+	t100 := d.MADEAutoIter(100, nn.HiddenMADE(100), 1024, 100).Total()
+	t500 := d.MADEAutoIter(500, nn.HiddenMADE(500), 1024, 500).Total()
 	ratio := float64(t500) / float64(t100)
 	if ratio < 3.5 || ratio > 9 {
 		t.Fatalf("time ratio 500/100 = %v, want ~5 (linear)", ratio)
@@ -85,7 +87,7 @@ func TestTable1ShapeMADEVsRBM(t *testing.T) {
 	d := V100()
 	prevRatio := 1e9
 	for _, n := range []int{20, 50, 100, 200, 500} {
-		made := TrainingTime(d.MADEAutoIter(n, HiddenMADE(n), 1024, n), 300)
+		made := TrainingTime(d.MADEAutoIter(n, nn.HiddenMADE(n), 1024, n), 300)
 		rbm := TrainingTime(d.RBMMCMCIter(n, n, 1024, 2, 3*n+100, 1, n), 300)
 		if rbm <= made {
 			t.Fatalf("n=%d: RBM (%v) not slower than MADE (%v)", n, rbm, made)
@@ -104,7 +106,7 @@ func TestTable1AbsoluteCalibration(t *testing.T) {
 	paperMADE := map[int]float64{20: 2.85, 50: 5.74, 100: 10.63, 200: 20.45, 500: 49.62}
 	paperRBM := map[int]float64{20: 135.64, 50: 154.25, 100: 189.91, 200: 249.40, 500: 456.68}
 	for n, want := range paperMADE {
-		got := TrainingTime(d.MADEAutoIter(n, HiddenMADE(n), 1024, n), 300).Seconds()
+		got := TrainingTime(d.MADEAutoIter(n, nn.HiddenMADE(n), 1024, n), 300).Seconds()
 		if got < want/2 || got > want*2 {
 			t.Errorf("MADE n=%d modeled %.2fs, paper %.2fs (off >2x)", n, got, want)
 		}

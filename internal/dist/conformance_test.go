@@ -37,7 +37,7 @@ func nadeBuilder(rank int, model Model) (Replica, error) {
 	}
 	return Replica{
 		Model:   m,
-		Smp:     sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(0xDEAD)),
+		Smp:     sampler.NewAutoBatched(m.NumSites(), m, 2, rng.New(0xDEAD)),
 		Opt:     optimizer.NewSGD(1),
 		Workers: 2,
 	}, nil
@@ -51,7 +51,7 @@ func rnnBuilder(rank int, model Model) (Replica, error) {
 	}
 	return Replica{
 		Model:   m,
-		Smp:     sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(0xDEAD)),
+		Smp:     sampler.NewAutoBatched(m.NumSites(), m, 2, rng.New(0xDEAD)),
 		Opt:     optimizer.NewSGD(1),
 		Workers: 2,
 	}, nil
@@ -71,7 +71,7 @@ func TestRecoveryBitIdenticalNADE(t *testing.T) {
 		reps := make([]Replica, L)
 		for r := 0; r < L; r++ {
 			m := nn.NewNADE(n, h, rng.New(613))
-			smp := sampler.NewAutoBatched(n, m, 1, streams[r])
+			smp := sampler.NewAutoBatched(n, m, 2, streams[r])
 			reps[r] = Replica{Model: m, Smp: smp, Opt: optimizer.NewSGD(0.1),
 				SR: optimizer.NewSR(1e-3), Workers: 2}
 		}
@@ -122,7 +122,7 @@ func TestRecoveryBitIdenticalRNN(t *testing.T) {
 		reps := make([]Replica, L)
 		for r := 0; r < L; r++ {
 			m := nn.NewRNN(n, h, rng.New(623))
-			smp := sampler.NewAutoBatched(n, m, 1, streams[r])
+			smp := sampler.NewAutoBatched(n, m, 2, streams[r])
 			reps[r] = Replica{Model: m, Smp: smp, Opt: optimizer.NewSGD(0.1),
 				Workers: 2}
 		}
@@ -162,16 +162,16 @@ type confModel struct {
 	name  string
 	build func(r *rng.Rand) Model
 	// smp returns the sampler the production dispatch pairs with the
-	// family: batched ancestral for the autoregressive models, MCMC for the
-	// RBM.
-	smp func(m Model, stream *rng.Rand) sampler.Sampler
+	// family: ancestral for the autoregressive models, at the cell's worker
+	// count, and MCMC (which has no worker knob) for the RBM.
+	smp func(m Model, workers int, stream *rng.Rand) sampler.Sampler
 }
 
-func autoregSampler(m Model, stream *rng.Rand) sampler.Sampler {
-	return sampler.NewAutoBatched(m.NumSites(), m.(nn.BatchAncestralBuilder), 1, stream)
+func autoregSampler(m Model, workers int, stream *rng.Rand) sampler.Sampler {
+	return sampler.NewAutoBatched(m.NumSites(), m.(nn.BatchAncestralBuilder), workers, stream)
 }
 
-func mcmcSampler(m Model, stream *rng.Rand) sampler.Sampler {
+func mcmcSampler(m Model, _ int, stream *rng.Rand) sampler.Sampler {
 	return sampler.NewMCMC(m.(*nn.RBM), sampler.MCMCConfig{Chains: 2, BurnIn: 20}, stream)
 }
 
@@ -191,18 +191,16 @@ type confRun struct {
 	params [][]float64
 }
 
-// confWorkers is the trainer/replica worker count of each cell's reference
-// run. The Workers axis varies ONLY this knob: the samplers are built with
-// their own worker count pinned at 1, because sampler workers own RNG
-// sub-streams and slabs — a sampler-level worker change legitimately changes
-// which uniforms each sample consumes, while trainer workers must never
-// change anything.
+// confWorkers is the worker count of each cell's reference run. The Workers
+// axis moves the trainer/replica knob and the ancestral sampler's fan-out
+// together, as Train and TrainDistributed do: the sampler draws from one
+// stream whatever its worker count, so neither may change anything.
 const confWorkers = 2
 
 func confSerial(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, workers int) confRun {
 	t.Helper()
 	m := mc.build(rng.New(703))
-	tr := core.New(ham, m, mc.smp(m, rng.New(704)), optimizer.NewSGD(0.05),
+	tr := core.New(ham, m, mc.smp(m, workers, rng.New(704)), optimizer.NewSGD(0.05),
 		core.Config{BatchSize: confMB, Workers: workers})
 	hist := tr.Train(confSteps, nil)
 	return confRun{hist: hist, params: [][]float64{append([]float64(nil), m.Params()...)}}
@@ -214,7 +212,7 @@ func confDist(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, L, worker
 	reps := make([]Replica, L)
 	for r := 0; r < L; r++ {
 		m := mc.build(rng.New(703))
-		reps[r] = Replica{Model: m, Smp: mc.smp(m, streams[r]),
+		reps[r] = Replica{Model: m, Smp: mc.smp(m, workers, streams[r]),
 			Opt: optimizer.NewSGD(0.05), Workers: workers}
 	}
 	tr, err := New(ham, reps, confMB)
@@ -261,9 +259,9 @@ func assertConfEqual(t *testing.T, ref, got confRun, workers int) {
 // — one share called directly, ragged shares of the 8-row mini-batch, one
 // row per share — must reproduce its trajectory with exact ==: worker count
 // is a pure throughput knob, so a single diverging bit at any width is a
-// doctrine violation. Sampler workers stay pinned at 1 throughout — see
-// confWorkers. Topologies are NOT compared to each other — they consume
-// sampler streams differently by design. (There is no evaluation-mode axis:
+// doctrine violation. The ancestral samplers are built at the cell's worker
+// count too — see confWorkers. Topologies are NOT compared to each other —
+// they consume sampler streams differently by design. (There is no evaluation-mode axis:
 // the step has one path. MADE's full-recompute flip oracle is a reference
 // implementation the nn and core suites compare directly.)
 var confWorkerCounts = []int{1, 3, 4, 8}

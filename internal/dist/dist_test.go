@@ -25,7 +25,7 @@ func buildTrainer(t testing.TB, n, h, L, mb int, initSeed, streamSeed uint64) *T
 		m := nn.NewMADE(n, h, rng.New(initSeed))
 		reps[r] = Replica{
 			Model: m,
-			Smp:   sampler.NewAutoMADE(m, true, 1, streams[r]),
+			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, streams[r]),
 			Opt:   optimizer.NewAdam(0.01),
 		}
 	}
@@ -129,14 +129,14 @@ func TestSingleDeviceEquivalence(t *testing.T) {
 
 	mRef := nn.NewMADE(n, h, rng.New(initSeed))
 	ref := core.New(tim, mRef,
-		sampler.NewAutoMADE(mRef, true, 1, rng.New(smpSeed)),
+		sampler.NewAutoBatched(mRef.NumSites(), mRef, 1, rng.New(smpSeed)),
 		optimizer.NewAdam(0.01), core.Config{BatchSize: bs, Workers: 1})
 	want := ref.Train(iters, nil)
 
 	mDist := nn.NewMADE(n, h, rng.New(initSeed))
 	tr, err := New(tim, []Replica{{
 		Model: mDist,
-		Smp:   sampler.NewAutoMADE(mDist, true, 1, rng.New(smpSeed)),
+		Smp:   sampler.NewAutoBatched(mDist.NumSites(), mDist, 1, rng.New(smpSeed)),
 		Opt:   optimizer.NewAdam(0.01),
 	}}, bs)
 	if err != nil {
@@ -216,7 +216,7 @@ func TestNewValidation(t *testing.T) {
 		m := nn.NewMADE(n, h, rng.New(seed))
 		return Replica{
 			Model: m,
-			Smp:   sampler.NewAutoMADE(m, true, 1, rng.New(seed+100)),
+			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(seed+100)),
 			Opt:   optimizer.NewAdam(0.01),
 		}
 	}
@@ -238,7 +238,7 @@ func TestNewValidation(t *testing.T) {
 	other := nn.NewMADE(n+1, 8, rng.New(1))
 	if _, err := New(tim, []Replica{{
 		Model: other,
-		Smp:   sampler.NewAutoMADE(other, true, 1, rng.New(2)),
+		Smp:   sampler.NewAutoBatched(other.NumSites(), other, 1, rng.New(2)),
 		Opt:   optimizer.NewAdam(0.01),
 	}}, 4); err == nil {
 		t.Fatal("site-count mismatch with Hamiltonian should error")
@@ -298,7 +298,7 @@ func TestRankTimings(t *testing.T) {
 
 	grown, err := tr.Grow(t.TempDir(), 1, func(rank int, model Model) (Replica, error) {
 		m := model.(*nn.MADE)
-		return Replica{Model: m, Smp: sampler.NewAutoMADE(m, true, 1, rng.New(7)), Opt: optimizer.NewSGD(1)}, nil
+		return Replica{Model: m, Smp: sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(7)), Opt: optimizer.NewSGD(1)}, nil
 	})
 	if err != nil {
 		t.Fatalf("Grow: %v", err)

@@ -190,7 +190,7 @@ func TestGrowBitIdenticalREINFORCE(t *testing.T) {
 		}
 		return Replica{
 			Model: m,
-			Smp:   sampler.NewAutoMADE(m, true, 1, rng.New(newSeed)),
+			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(newSeed)),
 			Opt:   optimizer.NewSGD(1), // replaced by the rank-0 clone
 		}, nil
 	}
@@ -232,7 +232,7 @@ func TestGrowBitIdenticalREINFORCE(t *testing.T) {
 	}
 	reps := append(append([]Replica(nil), ref.Reps...), Replica{
 		Model: m3,
-		Smp:   sampler.NewAutoMADE(m3, true, 1, rng.New(newSeed)),
+		Smp:   sampler.NewAutoBatched(m3.NumSites(), m3, 1, rng.New(newSeed)),
 		Opt:   opt3,
 	})
 	refGrown, err := New(ref.H, reps, mb)
@@ -257,7 +257,7 @@ func TestGrowBitIdenticalSR(t *testing.T) {
 		m := model.(*nn.MADE)
 		return Replica{
 			Model: m,
-			Smp:   sampler.NewAutoMADE(m, true, 1, rng.New(newSeed)),
+			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(newSeed)),
 			Opt:   optimizer.NewSGD(1),
 		}, nil
 	}
@@ -291,7 +291,7 @@ func TestGrowBitIdenticalSR(t *testing.T) {
 	sr3.RestoreState(ref.Reps[0].SR.CaptureState())
 	reps := append(append([]Replica(nil), ref.Reps...), Replica{
 		Model: m3,
-		Smp:   sampler.NewAutoMADE(m3, true, 1, rng.New(newSeed)),
+		Smp:   sampler.NewAutoBatched(m3.NumSites(), m3, 1, rng.New(newSeed)),
 		Opt:   opt3,
 		SR:    sr3,
 	})

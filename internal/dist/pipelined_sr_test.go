@@ -34,7 +34,7 @@ func tightPipelinedSR() *optimizer.SR {
 func runSerialSRRef(tb testing.TB, tim hamiltonian.Hamiltonian, n, h, B, steps int, sr *optimizer.SR) (*nn.MADE, []core.IterStats, []*sampler.Batch) {
 	tb.Helper()
 	m := nn.NewMADE(n, h, rng.New(21))
-	rec := &recordingSampler{inner: sampler.NewAutoMADE(m, true, 1, rng.New(22))}
+	rec := &recordingSampler{inner: sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(22))}
 	tr := core.New(tim, m, rec, optimizer.NewSGD(0.1), core.Config{
 		BatchSize: B, Workers: 1, SR: sr})
 	hist := tr.Train(steps, nil)
@@ -194,7 +194,7 @@ func buildPipelinedSRTrainer(tb testing.TB, tim hamiltonian.Hamiltonian, n, h, m
 		sr.Solver = optimizer.SolverPipelined
 		reps[r] = Replica{
 			Model:   m,
-			Smp:     sampler.NewAutoMADE(m, true, 1, streams[r]),
+			Smp:     sampler.NewAutoBatched(m.NumSites(), m, 1, streams[r]),
 			Opt:     optimizer.NewSGD(0.1),
 			SR:      sr,
 			Workers: workers[r],
@@ -268,7 +268,7 @@ func TestPipelinedSolverValidation(t *testing.T) {
 		m := nn.NewMADE(n, h, rng.New(3))
 		return Replica{
 			Model: m,
-			Smp:   sampler.NewAutoMADE(m, true, 1, rng.New(seed)),
+			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(seed)),
 			Opt:   optimizer.NewSGD(0.1),
 			SR:    sr,
 		}

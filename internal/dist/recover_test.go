@@ -42,7 +42,7 @@ func madeBuilder(rank int, model Model) (Replica, error) {
 	}
 	return Replica{
 		Model: m,
-		Smp:   sampler.NewAutoMADE(m, true, 1, rng.New(0xDEAD)),
+		Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(0xDEAD)),
 		Opt:   optimizer.NewSGD(1), // replaced by the survivor clone
 	}, nil
 }

@@ -55,7 +55,7 @@ func (p *playbackSampler) Cost() sampler.Cost { return sampler.Cost{} }
 func runSerialSR(t *testing.T, tim hamiltonian.Hamiltonian, n, h, B, steps int) (*nn.MADE, []core.IterStats, []*sampler.Batch) {
 	t.Helper()
 	m := nn.NewMADE(n, h, rng.New(21))
-	rec := &recordingSampler{inner: sampler.NewAutoMADE(m, true, 1, rng.New(22))}
+	rec := &recordingSampler{inner: sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(22))}
 	sr := tightSR()
 	tr := core.New(tim, m, rec, optimizer.NewSGD(0.1), core.Config{
 		BatchSize: B, Workers: 1, SR: sr})
@@ -212,7 +212,7 @@ func buildSRTrainer(t testing.TB, tim hamiltonian.Hamiltonian, n, h, mb int, wor
 		m := nn.NewMADE(n, h, rng.New(initSeed))
 		reps[r] = Replica{
 			Model:   m,
-			Smp:     sampler.NewAutoMADE(m, true, 1, streams[r]),
+			Smp:     sampler.NewAutoBatched(m.NumSites(), m, 1, streams[r]),
 			Opt:     optimizer.NewSGD(0.1),
 			SR:      optimizer.NewSR(1e-3),
 			Workers: workers[r],
@@ -308,7 +308,7 @@ func TestSRValidation(t *testing.T) {
 		m := nn.NewMADE(n, h, rng.New(3))
 		return Replica{
 			Model: m,
-			Smp:   sampler.NewAutoMADE(m, true, 1, rng.New(seed)),
+			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(seed)),
 			Opt:   optimizer.NewSGD(0.1),
 			SR:    sr,
 		}

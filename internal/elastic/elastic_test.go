@@ -34,7 +34,7 @@ func buildTrainer(t testing.TB, n, h, L, mb int, initSeed, streamSeed uint64) *d
 		m := nn.NewMADE(n, h, rng.New(initSeed))
 		reps[r] = dist.Replica{
 			Model: m,
-			Smp:   sampler.NewAutoMADE(m, true, 1, streams[r]),
+			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, streams[r]),
 			Opt:   optimizer.NewAdam(0.01),
 		}
 	}
@@ -54,7 +54,7 @@ func madeBuilder(rank int, model dist.Model) (dist.Replica, error) {
 	}
 	return dist.Replica{
 		Model: m,
-		Smp:   sampler.NewAutoMADE(m, true, 1, rng.New(0xDEAD+uint64(rank))),
+		Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(0xDEAD+uint64(rank))),
 		Opt:   optimizer.NewSGD(1),
 	}, nil
 }

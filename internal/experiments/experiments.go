@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (see the per-experiment index in DESIGN.md).
+// evaluation section (cmd/experiments -list prints the index).
 //
 // Two presets control scale. "paper" uses the paper's dimensions and
 // iteration counts — faithful but extremely slow without the original GPU
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
-	"github.com/vqmc-scale/parvqmc/internal/device"
 	"github.com/vqmc-scale/parvqmc/internal/graph"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
@@ -64,7 +63,7 @@ func PaperPreset() Preset {
 }
 
 // CIPreset shrinks everything to minutes of CPU time while keeping every
-// comparison qualitative: it is the preset EXPERIMENTS.md records.
+// comparison qualitative.
 func CIPreset() Preset {
 	return Preset{
 		Name:       "ci",
@@ -157,7 +156,7 @@ func Run(id string, p Preset, out io.Writer, csvDir string) error {
 
 // hiddenMADE applies the paper's latent rule, with a floor for tiny CI dims.
 func hiddenMADE(n int) int {
-	h := device.HiddenMADE(n)
+	h := nn.HiddenMADE(n)
 	if h < 8 {
 		h = 8
 	}
@@ -216,7 +215,7 @@ func train(spec runSpec) runResult {
 			hsz = hiddenMADE(n)
 		}
 		m := nn.NewMADE(n, hsz, r.Split())
-		model, smp = m, sampler.NewAutoMADE(m, true, spec.workers, r.Split())
+		model, smp = m, sampler.NewAutoBatched(m.NumSites(), m, spec.workers, r.Split())
 	case "RBM":
 		hsz := spec.latent
 		if hsz <= 0 {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/vqmc-scale/parvqmc/internal/comm"
 	"github.com/vqmc-scale/parvqmc/internal/device"
+	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
 	"github.com/vqmc-scale/parvqmc/internal/trace"
 )
@@ -94,7 +95,7 @@ func PipeCG(p Preset, out io.Writer, csvDir string) error {
 		"Modeled per-iteration ring latency vs the recurrence window that hides it (V100, payload d+1 doubles)",
 		"n", "params d", "L=4 ring", "L=16 ring", "overlap window", "hidden @ L=16")
 	for _, n := range p.BigDims {
-		d := device.MADEParams(n, device.HiddenMADE(n))
+		d := device.MADEParams(n, nn.HiddenMADE(n))
 		payload := float64(d+1) * 8
 		window := time.Duration(4 * float64(d) / dev.Throughput * float64(time.Second))
 		ring16 := comm.RingAllReduceTime(payload, 16, pipeLink)

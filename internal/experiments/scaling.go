@@ -97,7 +97,7 @@ func buildDistTrainer(n, hsz, L, mbs, workers int, srLambda float64, solver opti
 		}
 		reps[r] = dist.Replica{
 			Model:   m,
-			Smp:     sampler.NewAutoMADE(m, true, 1, streams[r]),
+			Smp:     sampler.NewAutoBatched(m.NumSites(), m, 1, streams[r]),
 			Opt:     opt,
 			SR:      sr,
 			Workers: workers,
@@ -226,7 +226,7 @@ func Table6(p Preset, out io.Writer, csvDir string) error {
 		topo := cluster.Default(c[0], c[1])
 		row := []interface{}{topo.String(), topo.GPUs()}
 		for _, n := range p.BigDims {
-			t := topo.TrainingTime(n, device.HiddenMADE(n), p.MBS, n, 300)
+			t := topo.TrainingTime(n, nn.HiddenMADE(n), p.MBS, n, 300)
 			row = append(row, fmt.Sprintf("%.2f", t.Seconds()))
 		}
 		timeTbl.AddRow(row...)
@@ -296,7 +296,7 @@ func Table7(p Preset, out io.Writer, csvDir string) error {
 		topo := cluster.Default(c[0], c[1])
 		row := []interface{}{topo.String(), topo.GPUs()}
 		for _, n := range p.BigDims {
-			t := topo.TrainingTime(n, device.HiddenMADE(n), dev.MaxBatchTIM(n), n, 300)
+			t := topo.TrainingTime(n, nn.HiddenMADE(n), dev.MaxBatchTIM(n), n, 300)
 			row = append(row, fmt.Sprintf("%.2f", t.Seconds()))
 		}
 		tbl.AddRow(row...)

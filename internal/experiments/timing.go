@@ -31,7 +31,7 @@ func Table1(p Preset, out io.Writer, csvDir string) error {
 	madeRow := []interface{}{"MADE", "ADAM", "AUTO"}
 	for _, n := range dims {
 		rbm := device.TrainingTime(dev.RBMMCMCIter(n, n, 1024, 2, 3*n+100, 1, n), 300)
-		made := device.TrainingTime(dev.MADEAutoIter(n, device.HiddenMADE(n), 1024, n), 300)
+		made := device.TrainingTime(dev.MADEAutoIter(n, nn.HiddenMADE(n), 1024, n), 300)
 		rbmRow = append(rbmRow, fmt.Sprintf("%.2f", rbm.Seconds()))
 		madeRow = append(madeRow, fmt.Sprintf("%.2f", made.Seconds()))
 	}
@@ -97,7 +97,7 @@ func Table5(p Preset, out io.Writer, csvDir string) error {
 			res := buildAndHit(spec, target, p)
 			var perIter float64
 			if modelName == "MADE" {
-				perIter = dev.MADEAutoIter(n, device.HiddenMADE(n), p.BatchSize, 0).Total().Seconds()
+				perIter = dev.MADEAutoIter(n, nn.HiddenMADE(n), p.BatchSize, 0).Total().Seconds()
 			} else {
 				perIter = dev.RBMMCMCIter(n, n, p.BatchSize, 2, 3*n+100, 1, 0).Total().Seconds()
 			}
@@ -131,7 +131,7 @@ func buildAndHit(spec runSpec, target float64, p Preset) hitOutcome {
 	var tr *core.Trainer
 	if spec.model == "MADE" {
 		m := nn.NewMADE(n, hiddenMADE(n), r.Split())
-		smp := sampler.NewAutoMADE(m, true, spec.workers, r.Split())
+		smp := sampler.NewAutoBatched(m.NumSites(), m, spec.workers, r.Split())
 		tr = core.New(spec.h, m, smp, opt, cfg)
 	} else {
 		m := nn.NewRBM(n, n, r.Split())

@@ -217,10 +217,15 @@ type BatchEvaluatorBuilder interface {
 // Sample fills b's bits from pre-drawn uniforms u (row-major, u[k*Sites+i]
 // drives bit i of sample k): bit = 1 iff u < P(x_i = 1 | x_<i). Because the
 // per-sample conditional arithmetic is the scalar incremental evaluator's
-// (the adaptor calls it), the sampled bits are bitwise identical to scalar
-// ancestral sampling fed the same uniforms.
+// (the adaptor calls it), the sampled bits are bitwise identical to
+// sample-at-a-time ancestral sampling fed the same uniforms, at every
+// worker count.
 type BatchAncestralSampler interface {
 	Sample(b ConfigBatch, u []float64, workers int)
+	// ForwardPasses reports the cumulative number of full-network forward
+	// passes Sample has consumed (the paper's cost unit for Figure 1): one
+	// per sample for an incremental evaluator, n for Algorithm 1.
+	ForwardPasses() int64
 }
 
 // BatchAncestralBuilder is implemented by autoregressive models that

@@ -31,10 +31,21 @@ type naiveEvaluator struct {
 	passes int64
 }
 
-// NewNaiveEvaluator returns the paper-faithful evaluator (one full forward
-// pass per conditional).
-func (m *MADE) NewNaiveEvaluator() ConditionalEvaluator {
+func (m *MADE) newNaiveEvaluator() ConditionalEvaluator {
 	return &naiveEvaluator{m: m, s: m.NewScratch(), x: make([]int, m.n)}
+}
+
+// NaiveAncestral returns the builder of the paper's Algorithm 1 as a
+// batched sampler: the row adaptor of NewBatchAncestralSampler over the
+// naive evaluator, n forward passes per sample where the incremental one
+// charges one. Both evaluate the same conditionals; this one is kept as the
+// paper's reference (the "auto-naive" sampler).
+func (m *MADE) NaiveAncestral() BatchAncestralBuilder { return naiveAncestral{m} }
+
+type naiveAncestral struct{ m *MADE }
+
+func (b naiveAncestral) NewBatchAncestralSampler() BatchAncestralSampler {
+	return &rowAncestral{sites: b.m.n, newEval: b.m.newNaiveEvaluator}
 }
 
 func (e *naiveEvaluator) Reset() {
@@ -54,9 +65,9 @@ func (e *naiveEvaluator) Fix(i, bit int) { e.x[i] = bit }
 func (e *naiveEvaluator) ForwardPasses() int64 { return e.passes }
 
 // incrementalEvaluator maintains the running hidden pre-activation so each
-// conditional costs O(h) instead of O(hn): the optimization ablated in
-// DESIGN.md. One full forward-pass-equivalent is charged per completed
-// sample (n Fix calls), matching its true O(hn) total cost.
+// conditional costs O(h) instead of O(hn). One full forward-pass-equivalent
+// is charged per completed sample (n Fix calls), matching its true O(hn)
+// total cost.
 type incrementalEvaluator struct {
 	m      *MADE
 	z1     tensor.Vector

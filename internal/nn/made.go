@@ -71,6 +71,13 @@ type MADEScratch struct {
 	flipBuf []int         // n, scratch configuration for flip evaluation
 }
 
+// HiddenMADE is the paper's latent-size rule h = 5 (ln n)^2, rounded (at
+// least 1).
+func HiddenMADE(n int) int {
+	l := math.Log(float64(n))
+	return max(int(math.Round(5*l*l)), 1)
+}
+
 // NewMADE builds a MADE with n input sites and hidden width h, with masks
 // assigned deterministically (degrees cycle through 1..n-1) and weights
 // initialized U(-1/sqrt(fan-in), +1/sqrt(fan-in)) from r.

@@ -174,8 +174,8 @@ func BenchmarkRBMLogPsi(b *testing.B) {
 	}
 }
 
-// BenchmarkRBMRatioCacheVsRecompute quantifies the ablation called out in
-// DESIGN.md: O(h) cached flip ratios vs O(hn) full re-evaluation.
+// BenchmarkRBMRatioCache and BenchmarkRBMRatioRecompute quantify the flip
+// ablation: O(h) cached flip ratios vs O(hn) full re-evaluation.
 func BenchmarkRBMRatioCache(b *testing.B) {
 	m := NewRBM(200, 200, rng.New(1))
 	x := make([]int, 200)

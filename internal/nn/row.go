@@ -191,8 +191,8 @@ func (e *rowEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta [
 }
 
 // rowAncestral is the BatchAncestralSampler that walks each row through a
-// per-worker ConditionalEvaluator — scalar ancestral sampling over the
-// pre-drawn uniforms. Evaluators are built on first use of a worker slot
+// per-worker ConditionalEvaluator — sample-at-a-time ancestral sampling over
+// the pre-drawn uniforms. Evaluators are built on first use of a worker slot
 // and kept.
 type rowAncestral struct {
 	sites   int
@@ -225,4 +225,14 @@ func (a *rowAncestral) Sample(b ConfigBatch, u []float64, workers int) {
 			}
 		}
 	})
+}
+
+// ForwardPasses implements BatchAncestralSampler: what the evaluators
+// counted.
+func (a *rowAncestral) ForwardPasses() int64 {
+	var passes int64
+	for _, ev := range a.evals {
+		passes += ev.ForwardPasses()
+	}
+	return passes
 }

@@ -175,8 +175,8 @@ func BenchmarkAdamStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSRSolverCG quantifies the matrix-free CG solve ablated in
-// DESIGN.md against materializing the dense Fisher matrix.
+// BenchmarkSRSolverCG quantifies the matrix-free CG solve, the alternative
+// to materializing the dense Fisher matrix.
 func BenchmarkSRSolverCG(b *testing.B) {
 	r := rng.New(1)
 	d, bs := 200, 256

@@ -1,66 +1,111 @@
 package sampler
 
 import (
+	"math"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 )
 
-// TestAutoBatchedBitIdentical: for the same root seed and worker count the
-// batched ancestral mode must fill batches with exactly the bits of the
-// scalar incremental mode — across batch sizes, worker counts, site counts
-// and consecutive Sample calls (stream continuity).
+// referenceSample is sample-at-a-time ancestral sampling, the definition
+// Auto is held to: one uniform drawn per site as the site is reached, from
+// the sampler's one stream.
+func referenceSample(ev nn.ConditionalEvaluator, rnd *rng.Rand, b *Batch) {
+	for s := 0; s < b.N; s++ {
+		row := b.Row(s)
+		ev.Reset()
+		for i := range row {
+			p := ev.Prob(i)
+			bit := 0
+			if rnd.Float64() < p {
+				bit = 1
+			}
+			row[i] = bit
+			ev.Fix(i, bit)
+		}
+	}
+}
+
+// algorithm1 is the paper's Algorithm 1 written against MADE's public
+// forward pass: every conditional reruns the whole network.
+type algorithm1 struct {
+	m      *nn.MADE
+	s      *nn.MADEScratch
+	x      []int
+	passes int64
+}
+
+func (e *algorithm1) Reset() { clear(e.x) }
+
+func (e *algorithm1) Prob(i int) float64 {
+	e.m.Forward(e.x, e.s)
+	e.passes++
+	return 1 / (1 + math.Exp(-e.s.Z2[i]))
+}
+
+func (e *algorithm1) Fix(i, bit int)       { e.x[i] = bit }
+func (e *algorithm1) ForwardPasses() int64 { return e.passes }
+
+// TestAutoBatchedBitIdentical: for every family, and for MADE's naive
+// evaluator, Auto must fill batches with exactly the bits — and charge
+// exactly the forward passes — of the sample-at-a-time reference loop drawing
+// from r.SplitN(1)[0], at every worker count, across batch sizes, site
+// counts and consecutive Sample calls (stream continuity).
 func TestAutoBatchedBitIdentical(t *testing.T) {
+	type family struct {
+		name    string
+		builder nn.BatchAncestralBuilder
+		newEval func() nn.ConditionalEvaluator
+	}
 	for _, n := range []int{1, 2, 7, 19} {
-		m := nn.NewMADE(n, 6+n, rng.New(uint64(500+n)))
-		for _, workers := range []int{1, 2, 5} {
-			for _, bs := range []int{1, 3, 64} {
-				seed := uint64(1000*n + 10*workers + bs)
-				scalar := NewAutoMADE(m, true, workers, rng.New(seed))
-				batched := NewAutoBatched(n, m, workers, rng.New(seed))
-				for call := 0; call < 3; call++ {
-					bs1 := NewBatch(bs, n)
-					bs2 := NewBatch(bs, n)
-					scalar.Sample(bs1)
-					batched.Sample(bs2)
-					for i := range bs1.Bits {
-						if bs1.Bits[i] != bs2.Bits[i] {
-							t.Fatalf("n=%d w=%d B=%d call %d: bit %d scalar %d batched %d",
-								n, workers, bs, call, i, bs1.Bits[i], bs2.Bits[i])
+		made := nn.NewMADE(n, 6+n, rng.New(uint64(500+n)))
+		nade := nn.NewNADE(n, 5+n, rng.New(uint64(600+n)))
+		rnn := nn.NewRNN(n, 4+n, rng.New(uint64(700+n)))
+		for _, c := range []family{
+			{"made", made, made.NewIncrementalEvaluator},
+			{"made-naive", made.NaiveAncestral(), func() nn.ConditionalEvaluator {
+				return &algorithm1{m: made, s: made.NewScratch(), x: make([]int, n)}
+			}},
+			{"nade", nade, nade.NewIncrementalEvaluator},
+			{"rnn", rnn, rnn.NewIncrementalEvaluator},
+		} {
+			for _, workers := range []int{1, 2, 3, 8} {
+				for _, bs := range []int{1, 3, 64} {
+					seed := uint64(1000*n + 10*workers + bs)
+					ev, stream := c.newEval(), rng.New(seed).SplitN(1)[0]
+					auto := NewAutoBatched(n, c.builder, workers, rng.New(seed))
+					for call := 0; call < 3; call++ {
+						want, got := NewBatch(bs, n), NewBatch(bs, n)
+						referenceSample(ev, stream, want)
+						auto.Sample(got)
+						for i := range want.Bits {
+							if want.Bits[i] != got.Bits[i] {
+								t.Fatalf("%s n=%d w=%d B=%d call %d: bit %d reference %d auto %d",
+									c.name, n, workers, bs, call, i, want.Bits[i], got.Bits[i])
+							}
 						}
 					}
-				}
-				if scalar.Cost().ForwardPasses != batched.Cost().ForwardPasses {
-					t.Fatalf("n=%d w=%d B=%d: pass accounting scalar %d batched %d",
-						n, workers, bs,
-						scalar.Cost().ForwardPasses, batched.Cost().ForwardPasses)
+					if want, got := ev.ForwardPasses(), auto.Cost().ForwardPasses; want != got {
+						t.Fatalf("%s n=%d w=%d B=%d: pass accounting reference %d auto %d",
+							c.name, n, workers, bs, want, got)
+					}
 				}
 			}
 		}
 	}
 }
 
-func benchAutoSample(b *testing.B, batched bool, workers int) {
-	b.Helper()
+// BenchmarkAutoSampleBatched times Auto (uniforms pre-drawn, then MADE's row
+// adaptor over the incremental evaluator) at the paper-scale working point
+// (n=32, h=64, B=1024).
+func BenchmarkAutoSampleBatched(b *testing.B) {
 	const n, h, bs = 32, 64, 1024
 	m := nn.NewMADE(n, h, rng.New(1))
-	var smp Sampler
-	if batched {
-		smp = NewAutoBatched(n, m, workers, rng.New(2))
-	} else {
-		smp = NewAutoMADE(m, true, workers, rng.New(2))
-	}
+	smp := NewAutoBatched(n, m, 0, rng.New(2))
 	batch := NewBatch(bs, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		smp.Sample(batch)
 	}
 }
-
-// BenchmarkAutoSampleScalar and BenchmarkAutoSampleBatched compare the
-// per-sample incremental ancestral sampler against the batched mode
-// (uniforms pre-drawn, then MADE's row adaptor over the same evaluator) at
-// the paper-scale working point (n=32, h=64, B=1024).
-func BenchmarkAutoSampleScalar(b *testing.B)  { benchAutoSample(b, false, 0) }
-func BenchmarkAutoSampleBatched(b *testing.B) { benchAutoSample(b, true, 0) }

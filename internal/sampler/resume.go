@@ -13,13 +13,13 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 )
 
-// State is a sampler's complete stream position: one RNG state per worker
-// or chain, plus (for Markov samplers) the persistent per-chain
-// configurations. Restoring it replays sampling bit-identically from the
-// captured point. The zero value is not a valid state.
+// State is a sampler's complete stream position: Auto's one RNG state or a
+// Markov sampler's one per chain, plus (for Markov samplers) the persistent
+// per-chain configurations. Restoring it replays sampling bit-identically
+// from the captured point. The zero value is not a valid state.
 type State struct {
-	// Rngs holds the per-worker (Auto) or per-chain (MCMC, Gibbs) generator
-	// states, in worker/chain order.
+	// Rngs holds the generator states: Auto's single stream, or one per
+	// chain (MCMC, Gibbs) in chain order.
 	Rngs []rng.State
 	// Chains holds the persistent chain configurations for Markov samplers,
 	// deep-copied; nil for samplers without chain state (Auto).
@@ -33,7 +33,7 @@ type Resumable interface {
 	// state shares no storage with the sampler.
 	Snapshot() State
 	// Restore rewinds the sampler to a previously captured position. It
-	// panics if the state's shape (worker/chain count, sites) does not
+	// panics if the state's shape (stream/chain count, sites) does not
 	// match the sampler's.
 	Restore(State)
 }
@@ -84,14 +84,14 @@ func restoreChains(dst, src [][]int, kind string) {
 }
 
 // Snapshot implements Resumable: an Auto sampler's whole position is its
-// per-worker RNG streams (ancestral sampling keeps no cross-call state).
+// one RNG stream (ancestral sampling keeps no cross-call state).
 func (a *Auto) Snapshot() State {
-	return State{Rngs: snapshotRngs(a.rngs)}
+	return State{Rngs: []rng.State{a.rnd.State()}}
 }
 
 // Restore implements Resumable.
 func (a *Auto) Restore(s State) {
-	restoreRngs(a.rngs, s.Rngs, "auto")
+	restoreRngs([]*rng.Rand{a.rnd}, s.Rngs, "auto")
 }
 
 // Snapshot implements Resumable: per-chain RNG streams plus the persistent

@@ -46,13 +46,29 @@ func resumableRoundTrip(t *testing.T, s Sampler, n int) {
 func TestAutoResumable(t *testing.T) {
 	n := 8
 	m := nn.NewMADE(n, 10, rng.New(41))
-	resumableRoundTrip(t, NewAutoMADE(m, true, 3, rng.New(42)), n)
+	resumableRoundTrip(t, NewAutoBatched(n, m, 3, rng.New(42)), n)
+	resumableRoundTrip(t, NewAutoBatched(n, m.NaiveAncestral(), 2, rng.New(42)), n)
 }
 
+// TestAutoBatchedResumable: Auto's position is one stream whatever its
+// worker count, so a state captured at one worker restores into a sampler
+// built at three (and from another seed) and replays the same batches — a
+// replacement replica need not match the lost one's Workers.
 func TestAutoBatchedResumable(t *testing.T) {
 	n := 8
-	m := nn.NewMADE(n, 10, rng.New(41))
-	resumableRoundTrip(t, NewAutoBatched(n, m, 3, rng.New(42)), n)
+	m := nn.NewNADE(n, 10, rng.New(41))
+	resumableRoundTrip(t, NewAutoBatched(n, m, 1, rng.New(42)), n)
+
+	lost, repl := NewAutoBatched(n, m, 1, rng.New(42)), NewAutoBatched(n, m, 3, rng.New(99))
+	warm := NewBatch(32, n)
+	lost.Sample(warm)
+	repl.Restore(lost.Snapshot())
+	want, got := NewBatch(32, n), NewBatch(32, n)
+	lost.Sample(want)
+	repl.Sample(got)
+	if !batchesEqual(want, got) {
+		t.Fatal("state captured at 1 worker did not replay at 3")
+	}
 }
 
 func TestMCMCResumable(t *testing.T) {

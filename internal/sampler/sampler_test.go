@@ -69,7 +69,7 @@ func TestAutoNaiveSamplesExactDistribution(t *testing.T) {
 		m.Params()[i] += r.Uniform(-0.8, 0.8)
 	}
 	pi := exactDist(m)
-	a := NewAutoMADE(m, false, 2, rng.New(2))
+	a := NewAutoBatched(n, m.NaiveAncestral(), 2, rng.New(2))
 	const total = 40000
 	counts := sampleCounts(a, n, 40, total/40)
 	chi := chiSquare(counts, pi, total)
@@ -87,7 +87,7 @@ func TestAutoIncrementalSamplesExactDistribution(t *testing.T) {
 		m.Params()[i] += r.Uniform(-0.8, 0.8)
 	}
 	pi := exactDist(m)
-	a := NewAutoMADE(m, true, 2, rng.New(4))
+	a := NewAutoBatched(n, m, 2, rng.New(4))
 	const total = 40000
 	counts := sampleCounts(a, n, 40, total/40)
 	chi := chiSquare(counts, pi, total)
@@ -97,13 +97,14 @@ func TestAutoIncrementalSamplesExactDistribution(t *testing.T) {
 }
 
 func TestAutoNaiveAndIncrementalIdenticalStreams(t *testing.T) {
-	// With the same RNG seed and worker count, both evaluators must produce
-	// bit-identical samples: they compute the same conditionals.
+	// With the same RNG seed both evaluators must produce bit-identical
+	// samples, whatever their worker counts: they compute the same
+	// conditionals from the same stream.
 	r := rng.New(5)
 	n := 9
 	m := nn.NewMADE(n, 12, r)
-	a1 := NewAutoMADE(m, false, 3, rng.New(6))
-	a2 := NewAutoMADE(m, true, 3, rng.New(6))
+	a1 := NewAutoBatched(n, m.NaiveAncestral(), 3, rng.New(6))
+	a2 := NewAutoBatched(n, m, 2, rng.New(6))
 	b1 := NewBatch(64, n)
 	b2 := NewBatch(64, n)
 	a1.Sample(b1)
@@ -120,14 +121,14 @@ func TestAutoForwardPassAccounting(t *testing.T) {
 	r := rng.New(7)
 	n := 6
 	m := nn.NewMADE(n, 5, r)
-	a := NewAutoMADE(m, false, 1, rng.New(8))
+	a := NewAutoBatched(n, m.NaiveAncestral(), 1, rng.New(8))
 	b := NewBatch(10, n)
 	a.Sample(b)
 	if got := a.Cost().ForwardPasses; got != int64(10*n) {
 		t.Fatalf("forward passes = %d, want %d", got, 10*n)
 	}
 	// Incremental charges one pass-equivalent per sample.
-	ai := NewAutoMADE(m, true, 1, rng.New(9))
+	ai := NewAutoBatched(n, m, 1, rng.New(9))
 	ai.Sample(b)
 	if got := ai.Cost().ForwardPasses; got != 10 {
 		t.Fatalf("incremental passes = %d, want 10", got)
@@ -239,7 +240,7 @@ func TestMCMCPersistentKeepsState(t *testing.T) {
 
 func TestSampleSitesMismatchPanics(t *testing.T) {
 	m := nn.NewMADE(4, 3, rng.New(19))
-	a := NewAutoMADE(m, false, 1, rng.New(20))
+	a := NewAutoBatched(4, m.NaiveAncestral(), 1, rng.New(20))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on sites mismatch")
@@ -250,7 +251,7 @@ func TestSampleSitesMismatchPanics(t *testing.T) {
 
 func BenchmarkAutoNaive(b *testing.B) {
 	m := nn.NewMADE(100, 107, rng.New(1))
-	a := NewAutoMADE(m, false, 1, rng.New(2))
+	a := NewAutoBatched(100, m.NaiveAncestral(), 1, rng.New(2))
 	batch := NewBatch(32, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -260,7 +261,7 @@ func BenchmarkAutoNaive(b *testing.B) {
 
 func BenchmarkAutoIncremental(b *testing.B) {
 	m := nn.NewMADE(100, 107, rng.New(1))
-	a := NewAutoMADE(m, true, 1, rng.New(2))
+	a := NewAutoBatched(100, m, 1, rng.New(2))
 	batch := NewBatch(32, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -344,11 +344,12 @@ func (s *Server) LocalEnergy(ctx context.Context, model string, configs [][]int)
 
 // Sample serves count exact ancestral samples from an autoregressive
 // model. The sampled bits are bitwise == to a direct
-// sampler.NewAutoBatched(sites, model, 1, rng.New(seed)) draw of a
-// count-row batch: the server pre-draws the same uniforms in the same
-// order at submit time, and per-sample bits are batch-composition- and
-// worker-invariant by the nn.BatchAncestralSampler contract, so coalescing
-// with strangers never changes a sampled bit.
+// sampler.NewAutoBatched(sites, model, w, rng.New(seed)) draw of a
+// count-row batch, at any worker count w: the server pre-draws the same
+// uniforms from the same single stream at submit time, and per-sample bits
+// are batch-composition- and worker-invariant by the
+// nn.BatchAncestralSampler contract, so coalescing with strangers never
+// changes a sampled bit.
 func (s *Server) Sample(ctx context.Context, model string, count int, seed uint64) ([][]int, error) {
 	m, err := s.lookup(model)
 	if err != nil {
@@ -369,7 +370,7 @@ func (s *Server) Sample(ctx context.Context, model string, count int, seed uint6
 		return nil, fmt.Errorf("%w: sample count %d exceeds admission bound %d", ErrOverloaded, count, m.cfg.MaxPending)
 	}
 	u := make([]float64, count*m.sites)
-	stream := rng.New(seed).SplitN(1)[0]
+	stream := rng.New(seed).Split() // sampler.Auto's one stream
 	for i := range u {
 		u[i] = stream.Float64()
 	}

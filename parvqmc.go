@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
-	"github.com/vqmc-scale/parvqmc/internal/device"
 	"github.com/vqmc-scale/parvqmc/internal/dist"
 	"github.com/vqmc-scale/parvqmc/internal/elastic"
 	"github.com/vqmc-scale/parvqmc/internal/exact"
@@ -129,12 +128,14 @@ type Options struct {
 	// for MADE and NADE, half that for the RNN, n for the RBM).
 	Hidden int
 	// Sampler selects "auto" (exact ancestral sampling, default for the
-	// autoregressive models: the whole batch's uniforms are pre-drawn and
-	// handed to the model's batched sampler, which walks the incremental
-	// evaluator row by row with the rows shared over Workers — the bits are
-	// those of sample-at-a-time ancestral sampling), "auto-naive"
-	// (Algorithm 1: n forward passes per sample), "mcmc" (default for RBM)
-	// or "gibbs" (block Gibbs, RBM only).
+	// autoregressive models: the whole batch's uniforms are pre-drawn from
+	// one stream and handed to the model's batched sampler, which walks the
+	// incremental evaluator row by row with the rows shared over Workers —
+	// the bits are those of sample-at-a-time ancestral sampling, at every
+	// Workers), "auto-naive" (the same sampler over Algorithm 1's evaluator:
+	// n forward passes per sample; MADE only, the other families are
+	// inherently incremental), "mcmc" (default for RBM) or "gibbs" (block
+	// Gibbs, RBM only). TrainDistributed supports "auto" only.
 	Sampler string
 	// Optimizer is "adam" (default, lr 0.01) or "sgd" (lr 0.1).
 	Optimizer string
@@ -160,10 +161,10 @@ type Options struct {
 	// local-energy and gradient evaluation (default GOMAXPROCS; 1 per
 	// replica in TrainDistributed): rows are cut into that many contiguous
 	// shares once per evaluator call and each share runs single-threaded.
-	// Evaluation is bitwise independent of it. Train's sampler also owns
-	// one random sub-stream per worker, so there a different Workers draws
-	// different (equally distributed) samples; TrainDistributed pins its
-	// samplers to one worker and its results do not depend on Workers.
+	// It is a pure throughput knob: ancestral sampling draws from one
+	// random stream whatever Workers is and evaluation is bitwise
+	// independent of it, so no result of Train with an "auto" sampler or of
+	// TrainDistributed depends on it. (The Markov samplers do not use it.)
 	Workers int
 	// Seed drives all randomness (default 1).
 	Seed uint64
@@ -395,9 +396,9 @@ func (o Options) newModel(n int, init *rng.Rand) core.Model {
 
 // newSampler constructs the sampler kind names over model m: "mcmc" for any
 // family; "gibbs" for the RBM (fill rejects it elsewhere); "auto" (exact
-// ancestral sampling, incremental) and "auto-naive" (MADE: Algorithm 1
-// verbatim, n forward passes per sample; NADE and the RNN are inherently
-// incremental) for the autoregressive ones.
+// ancestral sampling, incremental) and "auto-naive" (the same sampler over
+// MADE's Algorithm-1 evaluator, n forward passes per sample; NADE and the
+// RNN are inherently incremental) for the autoregressive ones.
 func (o Options) newSampler(n int, m core.Model, kind string, workers int, stream *rng.Rand) (sampler.Sampler, error) {
 	mcmc := sampler.MCMCConfig{Chains: o.MCMCChains, BurnIn: o.MCMCBurnIn, Thin: o.MCMCThin}
 	switch kind {
@@ -409,21 +410,14 @@ func (o Options) newSampler(n int, m core.Model, kind string, workers int, strea
 	default:
 		return nil, fmt.Errorf("parvqmc: unknown sampler %q", kind)
 	}
-	anc, ok := m.(interface {
-		nn.BatchAncestralBuilder
-		NewIncrementalEvaluator() nn.ConditionalEvaluator
-	})
+	anc, ok := m.(nn.BatchAncestralBuilder)
 	if !ok {
 		return nil, fmt.Errorf("parvqmc: no ancestral sampler for model %T", m)
 	}
-	if kind == "auto" {
-		return sampler.NewAutoBatched(n, anc, workers, stream), nil
+	if made, ok := m.(*nn.MADE); ok && kind == "auto-naive" {
+		anc = made.NaiveAncestral()
 	}
-	naive := sampler.EvaluatorFactory(anc.NewIncrementalEvaluator)
-	if made, ok := m.(*nn.MADE); ok {
-		naive = made.NewNaiveEvaluator
-	}
-	return sampler.NewAuto(n, naive, workers, stream), nil
+	return sampler.NewAutoBatched(n, anc, workers, stream), nil
 }
 
 // TrainDistributed runs the paper's data-parallel scheme: devices replicas
@@ -440,9 +434,11 @@ func (o Options) newSampler(n int, m core.Model, kind string, workers int, strea
 // non-blocking and hides them behind the CG recurrence updates (Gropp's
 // overlapped variant), without perturbing the result beyond solver
 // round-off. Options.Workers (default 1 in distributed mode) additionally
-// shares each replica's local-energy and gradient evaluation out over that
-// many goroutines — the two-level replica x worker scheme modeling node x
-// GPU hierarchies. Neither knob perturbs the bit-identity of the replicas.
+// shares each replica's sampling, local-energy and gradient evaluation out
+// over that many goroutines — the two-level replica x worker scheme modeling
+// node x GPU hierarchies. Neither knob perturbs the bit-identity of the
+// replicas, and Workers changes no result. Options.Sampler must be "auto"
+// (the default); any other sampler is an error.
 //
 // With Options.Elastic set, the run is supervised: a replica failure is
 // handled by replacement (bit-identical resume, bounded retries with
@@ -461,6 +457,9 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 	default:
 		return nil, fmt.Errorf("parvqmc: distributed training supports the autoregressive models (made, nade, rnn)")
 	}
+	if o.Sampler != "auto" {
+		return nil, fmt.Errorf("parvqmc: distributed training supports the auto sampler only, not %q", o.Sampler)
+	}
 	if devices <= 0 || miniBatch <= 0 {
 		return nil, fmt.Errorf("parvqmc: devices and miniBatch must be positive")
 	}
@@ -476,7 +475,7 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 		// Every replica is built from an identical init stream, so
 		// parameters start bit-identical.
 		m := o.newModel(n, rng.New(o.Seed+12345))
-		smp, err := o.newSampler(n, m, "auto", 1, streams[rdev])
+		smp, err := o.newSampler(n, m, o.Sampler, workers, streams[rdev])
 		if err != nil {
 			return nil, err
 		}
@@ -503,7 +502,7 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 		// the dead rank's stream position anyway; an admitted (Grow) rank
 		// keeps this stream.
 		build := func(rank int, model dist.Model) (dist.Replica, error) {
-			smp, err := o.newSampler(n, model, "auto", 1, rng.New(o.Seed+0x9E3779B9+uint64(rank)*0x1000003))
+			smp, err := o.newSampler(n, model, o.Sampler, workers, rng.New(o.Seed+0x9E3779B9+uint64(rank)*0x1000003))
 			if err != nil {
 				return dist.Replica{}, err
 			}
@@ -601,7 +600,7 @@ func DefaultHidden(model string, n int) int {
 	case "rbm":
 		return n
 	case "rnn":
-		return max(device.HiddenMADE(n)/2, 4)
+		return max(nn.HiddenMADE(n)/2, 4)
 	}
-	return device.HiddenMADE(n)
+	return nn.HiddenMADE(n)
 }

@@ -3,6 +3,8 @@ package parvqmc
 import (
 	"math"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/nn"
@@ -75,6 +77,14 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := Train(p, Options{Sampler: "hamiltonian-mc"}); err == nil {
 		t.Fatal("unknown sampler should error")
+	}
+	// TrainDistributed samples with "auto" and must say so, not train with
+	// it under another sampler's name.
+	for _, smp := range []string{"mcmc", "auto-naive"} {
+		_, err := TrainDistributed(p, Options{Sampler: smp, Iterations: 2}, 2, 8)
+		if err == nil || !strings.Contains(err.Error(), smp) {
+			t.Fatalf("distributed %s should error naming the sampler, got %v", smp, err)
+		}
 	}
 }
 
@@ -315,6 +325,33 @@ func TestNaiveAutoSamplerRoute(t *testing.T) {
 	wantMin := int64(6 * 64 * 30)
 	if res.ForwardPasses < wantMin {
 		t.Fatalf("forward passes %d < %d", res.ForwardPasses, wantMin)
+	}
+}
+
+// TestWorkersIsAThroughputKnob: Train's ancestral sampler draws from one
+// stream whatever Workers is, so Workers changes no number of the result;
+// and "auto-naive" is that same sampler over Algorithm 1's evaluator, at n
+// times the forward passes.
+func TestWorkersIsAThroughputKnob(t *testing.T) {
+	const n = 6
+	p := TIM(n, 21)
+	run := func(smp string, workers int) *Result {
+		res, err := Train(p, Options{
+			Sampler: smp, Hidden: 8, BatchSize: 48, Iterations: 12, EvalBatch: 48,
+			Workers: workers, Seed: 22,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	w1, w3 := run("auto", 1), run("auto", 3)
+	if !reflect.DeepEqual(w1.Curve, w3.Curve) || w1.Energy != w3.Energy || w1.ForwardPasses != w3.ForwardPasses {
+		t.Fatalf("Workers 1 and 3 disagree: energy %v vs %v, %d vs %d forward passes",
+			w1.Energy, w3.Energy, w1.ForwardPasses, w3.ForwardPasses)
+	}
+	if naive := run("auto-naive", 2); naive.ForwardPasses != n*w1.ForwardPasses {
+		t.Fatalf("auto-naive: %d forward passes, want %d x %d", naive.ForwardPasses, n, w1.ForwardPasses)
 	}
 }
 
