@@ -80,6 +80,9 @@ func main() {
 		}
 		res, err = parvqmc.TrainDistributed(p, o, *devices, m)
 	} else {
+		if *elastic || *ckptDir != "" {
+			log.Fatal("-elastic and -checkpoint-dir supervise a distributed run and need -devices > 1")
+		}
 		res, err = parvqmc.Train(p, o)
 	}
 	if err != nil {

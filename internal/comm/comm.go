@@ -53,6 +53,9 @@ type Group struct {
 // it must not race with in-flight collectives.
 func (g *Group) SetLink(l Link) { g.link = l }
 
+// Link returns the attached link model (the zero Link: ideal network).
+func (g *Group) Link() Link { return g.link }
+
 // NewGroup creates a communicator group of the given size.
 func NewGroup(size int) *Group {
 	if size < 1 {

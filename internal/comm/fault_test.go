@@ -30,7 +30,7 @@ func collectiveKinds() []collectiveKind {
 		{"Barrier", func(c *Comm, x []float64) error { return c.Barrier() }},
 		{"IAllReduceSum", func(c *Comm, x []float64) error { return c.IAllReduceSum(x).Wait() }},
 		{"PackedAllReduce", func(c *Comm, x []float64) error {
-			p := NewPacked(len(x) - 1, 1)
+			p := NewPacked(len(x)-1, 1)
 			copy(p.Buf(), x)
 			return p.AllReduce(c)
 		}},

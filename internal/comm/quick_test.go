@@ -94,7 +94,7 @@ func TestPackedAllReduceProperty(t *testing.T) {
 					}
 				}
 				for i := 0; i < ns; i++ {
-					if math.Abs(packs[rank].Section(1+i)[0]-scals[rank][i][0]) > 1e-8 {
+					if math.Abs(packs[rank].Section(1 + i)[0]-scals[rank][i][0]) > 1e-8 {
 						return false
 					}
 				}

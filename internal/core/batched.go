@@ -25,11 +25,6 @@ type EvalMode int
 // scalar reference the path is pinned to.
 const EvalAuto EvalMode = 0
 
-// configs reinterprets a sampler batch as the nn-side view, zero-copy.
-func configs(b *sampler.Batch) nn.ConfigBatch {
-	return nn.ConfigBatch{N: b.N, Sites: b.Sites, Bits: b.Bits}
-}
-
 // BatchedEval bundles a model's nn.BatchEvaluator with the reusable flip
 // and base log-psi buffers the energy phase needs, so the steady-state
 // training loop allocates nothing. Values produced through it are bitwise
@@ -91,7 +86,7 @@ func (e *BatchedEval) LocalEnergies(h hamiltonian.Hamiltonian, b *sampler.Batch,
 	delta := e.flip[:b.N*nf]
 	// nil base: the energy reduction exponentiates the deltas directly, so
 	// the evaluator may skip base-only work (the RBM's ln-cosh fold).
-	e.be.FlipLogPsiBatch(configs(b), bits, nil, delta)
+	e.be.FlipLogPsiBatch(*b, bits, nil, delta)
 	// Per row the reduction is nf exponentials — cheap next to the GEMMs
 	// above, so small batches stay inline instead of paying dispatch.
 	parallel.ForGrain(b.N, workers, diagGrainRows, func(lo, hi int) {
@@ -118,14 +113,14 @@ func (e *BatchedEval) LocalEnergies(h hamiltonian.Hamiltonian, b *sampler.Batch,
 // the batch, which is what makes request coalescing invisible in served
 // values. len(out) must be b.N.
 func (e *BatchedEval) LogPsi(b *sampler.Batch, out []float64) {
-	e.be.LogPsiBatch(configs(b), out)
+	e.be.LogPsiBatch(*b, out)
 }
 
 // FillOws fills ows row k with grad log|psi(row k)| — the O_k rows of the
 // gradient estimator and the Fisher operator — bitwise the per-row scalar
 // GradLogPsi.
 func (e *BatchedEval) FillOws(b *sampler.Batch, ows *tensor.Batch) {
-	e.be.GradLogPsiBatch(configs(b), ows)
+	e.be.GradLogPsiBatch(*b, ows)
 }
 
 // AddWeightedGrad accumulates dst += sum_k w[k] * grad log|psi(row k)|, the
@@ -133,7 +128,7 @@ func (e *BatchedEval) FillOws(b *sampler.Batch, ows *tensor.Batch) {
 // followed by AddWeightedRows, at every worker count (the nn.BatchEvaluator
 // weighted-reduce contract). dst is NOT zeroed first.
 func (e *BatchedEval) AddWeightedGrad(b *sampler.Batch, w []float64, dst tensor.Vector) {
-	e.be.AddWeightedGrad(configs(b), w, dst)
+	e.be.AddWeightedGrad(*b, w, dst)
 }
 
 // diagGrainRows is the minimum rows per parallel range for the cheap

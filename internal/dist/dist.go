@@ -97,25 +97,19 @@ type Trainer struct {
 	// to it, run on replica r's goroutine.
 	comms []*comm.Comm
 	steps []*core.ReplicaStep
-	// link mirrors the group's simulated link so Recover can re-apply it to
-	// the rebuilt group (comm exposes no getter).
-	link comm.Link
-	// Recovery state (see recover.go). Step captures every replica's
+	// Recovery state (see membership.go): Step captures every replica's
 	// sampler stream position and SR solver state at entry — before any
-	// draw or collective — so a mid-step failure leaves a consistent rewind
-	// point: no rank commits a parameter update until after its last
-	// collective, so all survivors still hold the previous step's
-	// parameters and optimizer state, and only the consumed RNG draws and
-	// polluted SR warm starts need rewinding. notRecoverable (non-nil when
-	// a sampler is not Resumable or an optimizer not a StateCloner)
-	// disables snapshotting and Recover with a reason.
+	// draw or collective — as the rewind point of a mid-step failure.
+	// notRecoverable (non-nil when a sampler is not Resumable or an
+	// optimizer not a StateCloner) disables snapshotting and every
+	// membership change with a reason.
 	notRecoverable error
 	snapSmp        []sampler.State
 	snapSR         []optimizer.SRState
 	snapValid      bool
 	snapIter       int
 	failedIter     int
-	// Elastic-membership state (see elastic.go): plan re-arms the next
+	// Elastic-membership state (see membership.go): plan re-arms the next
 	// generation of scripted faults on every rebuilt group, and history
 	// accumulates one forensic record per failed step ACROSS rebuilds —
 	// DeadRanks/FailedStep describe only the current incarnation, so a
@@ -289,10 +283,7 @@ func (t *Trainer) CollectivesBalanced() error {
 // group (see comm.Group.SetLink): every collective then costs the modeled
 // ring time in wall clock, so classic-vs-pipelined timing comparisons show
 // the latency that overlap hides. Call before training starts.
-func (t *Trainer) SetLink(l comm.Link) {
-	t.link = l
-	t.group.SetLink(l)
-}
+func (t *Trainer) SetLink(l comm.Link) { t.group.SetLink(l) }
 
 // SetCollectiveDeadline bounds every blocking point of every collective the
 // trainer issues (see comm.Group.SetDeadline): a replica that stops

@@ -421,6 +421,9 @@ func TestElasticGuards(t *testing.T) {
 	if _, err := tr3.Shrink(); err == nil {
 		t.Fatal("Shrink with zero survivors succeeded")
 	}
+	if _, err := tr3.Recover("", madeBuilder); err == nil {
+		t.Fatal("Recover with zero survivors succeeded")
+	}
 
 	// Condemned before any Step: no snapshot to rewind to.
 	tr4 := buildTrainer(t, 6, 8, 2, 4, 147, 148)
@@ -436,10 +439,28 @@ func TestElasticGuards(t *testing.T) {
 	// Growth checkpoint into an unwritable directory fails cleanly and the
 	// trainer remains usable.
 	tr5 := buildTrainer(t, 6, 8, 2, 4, 149, 150)
-	mustTrain(t, tr5, 2)
+	got5 := mustTrain(t, tr5, 2)
 	bogus := filepath.Join(t.TempDir(), "does", "not", "exist")
 	if _, err := tr5.Grow(bogus, 1, madeBuilder); err == nil {
 		t.Fatal("Grow into a nonexistent directory succeeded")
 	}
-	mustStep(t, tr5, 3)
+	// Likewise a builder that fails on the second admitted rank, after the
+	// first was built: the receiver then steps bit-identically to a trainer
+	// that never tried (the supervisor's maybeGrow keeps running on it).
+	failSecond := func(rank int, model Model) (Replica, error) {
+		if rank == 3 {
+			return Replica{}, errors.New("no capacity for rank 3")
+		}
+		return madeBuilder(rank, model)
+	}
+	if _, err := tr5.Grow("", 2, failSecond); err == nil {
+		t.Fatal("Grow with a builder failing on the second admitted rank succeeded")
+	}
+	ref5 := buildTrainer(t, 6, 8, 2, 4, 149, 150)
+	hist5 := mustTrain(t, ref5, 2)
+	for i := 3; i <= 6; i++ {
+		hist5 = append(hist5, mustStep(t, ref5, i))
+		got5 = append(got5, mustStep(t, tr5, i))
+	}
+	assertIdenticalRun(t, hist5, got5, ref5, tr5)
 }

@@ -294,6 +294,14 @@ func TestRecoverGuards(t *testing.T) {
 	if _, err := pb.Recover("", madeBuilder); err == nil {
 		t.Fatal("Recover with non-resumable samplers succeeded")
 	}
+	// The same reason refuses the other two membership changes: Shrink on
+	// the condemned trainer, Grow on a healthy one of the same kind.
+	if _, err := pb.Shrink(); err == nil {
+		t.Fatal("Shrink with non-resumable samplers succeeded")
+	}
+	if _, err := buildSRPlayback(t, tim, rec, 6, 10, 2, 4).Grow("", 1, madeBuilder); err == nil {
+		t.Fatal("Grow with non-resumable samplers succeeded")
+	}
 
 	// Condemned before any Step: no snapshot to rewind to.
 	tr2 := buildTrainer(t, 6, 8, 2, 4, 303, 304)
@@ -319,6 +327,23 @@ func TestRecoverGuards(t *testing.T) {
 	}
 	if _, err := tr3.Recover("", madeBuilder); err == nil {
 		t.Fatal("Recover with no dead rank succeeded")
+	}
+
+	// Nil builder with a dead rank to replace: an error, not a nil
+	// dereference, and the trainer is still recoverable afterwards.
+	tr4 := buildTrainer(t, 6, 8, 2, 4, 307, 308)
+	tr4.SetCollectiveDeadline(recoveryDeadline)
+	tr4.InjectFailure(1, 2)
+	if _, err := tr4.Train(4, nil); err == nil {
+		t.Fatal("injected failure did not surface")
+	}
+	if _, err := tr4.Recover("", nil); err == nil {
+		t.Fatal("Recover with a nil builder succeeded")
+	}
+	if nt, err := tr4.Recover("", madeBuilder); err != nil {
+		t.Fatalf("Recover after a refused attempt: %v", err)
+	} else if err := nt.CheckConsistent(); err != nil {
+		t.Fatal(err)
 	}
 }
 

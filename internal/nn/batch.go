@@ -6,13 +6,12 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// ConfigBatch is a flat batch of n-bit configurations, row-major N x Sites.
-// It is structurally identical to sampler.Batch and exists so the batched
-// evaluation contract can live here without an import cycle; callers
-// holding a sampler.Batch alias its storage zero-copy.
+// ConfigBatch is a flat batch of n-bit configurations, row-major N x Sites
+// (sampler.Batch is an alias of it).
 type ConfigBatch struct {
-	N, Sites int
-	Bits     []int
+	N     int // number of configurations
+	Sites int // bits per configuration
+	Bits  []int
 }
 
 // Row returns configuration i, aliasing the batch storage.

@@ -188,10 +188,10 @@ func TestCheckpointCorruptHeaders(t *testing.T) {
 		{"truncated payload RNN", header("PVQ1", 4, 4, 3, 25, 24)},
 		// 2*(2^31-1)*(2^31-1) params claimed: must fail the derived-count
 		// check in int64 arithmetic without ever allocating.
-		{"absurd dims MADE", header("PVQ1", 1, 1<<31 - 1, 1<<31 - 1, 1<<31 - 1, 0)},
-		{"absurd dims RBM", header("PVQ1", 2, 1<<31 - 1, 1<<31 - 1, 1<<31 - 1, 0)},
-		{"absurd dims NADE", header("PVQ1", 3, 1<<31 - 1, 1<<31 - 1, 1<<31 - 1, 0)},
-		{"absurd dims RNN", header("PVQ1", 4, 1<<31 - 1, 1<<31 - 1, 1<<31 - 1, 0)},
+		{"absurd dims MADE", header("PVQ1", 1, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
+		{"absurd dims RBM", header("PVQ1", 2, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
+		{"absurd dims NADE", header("PVQ1", 3, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
+		{"absurd dims RNN", header("PVQ1", 4, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
 		// Dims whose derived count is internally consistent but past the
 		// plausibility cap (MADE 2^14 x 2^14: d = 2*2^28 + 2^15 > 2^28).
 		{"over cap consistent MADE", header("PVQ1", 1, 1<<14, 1<<14, 0, 0)},

@@ -25,7 +25,7 @@ func TestSolveFisherPipelinedCGMatchesClassic(t *testing.T) {
 		bs := 2*d + 5
 		op, _ := randFisherOp(uint64(100+d), bs, d, 1e-2)
 		b := tensor.NewVector(d)
-		rng.New(uint64(200 + d)).FillUniform(b, -1, 1)
+		rng.New(uint64(200+d)).FillUniform(b, -1, 1)
 
 		xC := tensor.NewVector(d)
 		xP := tensor.NewVector(d)

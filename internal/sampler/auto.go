@@ -46,7 +46,7 @@ func (a *Auto) Sample(b *Batch) {
 		u[i] = a.rnd.Float64()
 	}
 	before := a.smp.ForwardPasses()
-	a.smp.Sample(nn.ConfigBatch{N: b.N, Sites: b.Sites, Bits: b.Bits}, u, a.workers)
+	a.smp.Sample(*b, u, a.workers)
 	a.cost.addPasses(a.smp.ForwardPasses() - before)
 	a.cost.addSteps(int64(b.N) * int64(a.sites))
 }

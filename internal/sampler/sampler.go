@@ -5,22 +5,20 @@
 // pi_theta(x) = psi_theta(x)^2 / <psi,psi>.
 package sampler
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// Batch is a batch of n-bit configurations stored flat for cache locality.
-type Batch struct {
-	N     int // number of samples
-	Sites int // bits per sample
-	Bits  []int
-}
+	"github.com/vqmc-scale/parvqmc/internal/nn"
+)
+
+// Batch is a batch of n-bit configurations stored flat for cache locality:
+// the one configuration-batch type, shared with the evaluators.
+type Batch = nn.ConfigBatch
 
 // NewBatch allocates a zeroed batch.
 func NewBatch(n, sites int) *Batch {
 	return &Batch{N: n, Sites: sites, Bits: make([]int, n*sites)}
 }
-
-// Row returns sample i, aliasing batch storage.
-func (b *Batch) Row(i int) []int { return b.Bits[i*b.Sites : (i+1)*b.Sites] }
 
 // Cost accumulates sampling work in the paper's units: full-network forward
 // passes and raw Markov-chain steps. Counters are cumulative across Sample

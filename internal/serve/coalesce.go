@@ -354,7 +354,7 @@ func (m *modelService) evalSamples(reqs []*request) {
 		copy(u[pos*m.sites:], r.u)
 		pos += r.rows
 	}
-	m.smp.Sample(nn.ConfigBatch{N: total, Sites: m.sites, Bits: bits}, u, m.cfg.Workers)
+	m.smp.Sample(sampler.Batch{N: total, Sites: m.sites, Bits: bits}, u, m.cfg.Workers)
 	m.batches.Add(1)
 	m.rowsDone.Add(uint64(total))
 	pos = 0
