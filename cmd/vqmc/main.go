@@ -52,6 +52,11 @@ func main() {
 		save    = flag.String("save", "", "write the trained model checkpoint to this path")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if msg := ignoredFlag(set, *devices, *elastic, *ckptDir); msg != "" {
+		log.Fatal(msg)
+	}
 
 	var p *parvqmc.Problem
 	switch *problem {
@@ -80,9 +85,6 @@ func main() {
 		}
 		res, err = parvqmc.TrainDistributed(p, o, *devices, m)
 	} else {
-		if *elastic || *ckptDir != "" {
-			log.Fatal("-elastic and -checkpoint-dir supervise a distributed run and need -devices > 1")
-		}
 		res, err = parvqmc.Train(p, o)
 	}
 	if err != nil {
@@ -122,6 +124,24 @@ func main() {
 		fmt.Printf("model saved  %s\n", *save)
 	}
 	os.Exit(0)
+}
+
+// ignoredFlag names a flag the chosen mode would silently ignore, "" when
+// there is none. set holds the flags given on the command line
+// (flag.Visit), so a default never trips it.
+func ignoredFlag(set map[string]bool, devices int, elastic bool, ckptDir string) string {
+	distributed := devices > 1
+	switch {
+	case !distributed && (elastic || ckptDir != ""):
+		return "-elastic and -checkpoint-dir supervise a distributed run and need -devices > 1"
+	case !distributed && set["mbs"]:
+		return "-mbs is the per-device mini-batch and needs -devices > 1"
+	case distributed && set["batch"]:
+		return "-batch is the serial batch size; with -devices > 1 the global batch is devices x -mbs"
+	case !elastic && set["min-replicas"]:
+		return "-min-replicas is the elastic membership floor and needs -elastic"
+	}
+	return ""
 }
 
 func abs(v float64) float64 {

@@ -60,13 +60,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/comm"
 	"github.com/vqmc-scale/parvqmc/internal/core"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
+	"github.com/vqmc-scale/parvqmc/internal/parallel"
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
@@ -107,7 +107,7 @@ type Trainer struct {
 	snapSmp        []sampler.State
 	snapSR         []optimizer.SRState
 	snapValid      bool
-	snapIter       int
+	snapIter       int // the last iteration begun, snapshotted or not
 	failedIter     int
 	// Elastic-membership state (see membership.go): plan re-arms the next
 	// generation of scripted faults on every rebuilt group, and history
@@ -326,8 +326,9 @@ func (t *Trainer) GroupErr() error { return t.group.Err() }
 // only after a failed Step has returned.
 func (t *Trainer) DeadRanks() []int { return t.group.DeadRanks() }
 
-// FailedStep returns the iteration number of the Step that first returned
-// an error (0 if none has).
+// FailedStep returns the iteration number of the Step that returned an
+// error — for a failed Evaluate, of the last Step begun before it (0 if
+// nothing has failed, or an Evaluate failed before any Step).
 func (t *Trainer) FailedStep() int { return t.failedIter }
 
 // CheckConsistent verifies that all replicas hold bit-identical parameter
@@ -373,38 +374,46 @@ func (t *Trainer) Step(iter int) (core.IterStats, error) {
 	// Every replica returns the same statistics of the reduced payload;
 	// keep replica 0's.
 	var out core.IterStats
-	errs := make([]error, len(t.Reps))
-	var wg sync.WaitGroup
-	wg.Add(len(t.Reps))
-	for r := range t.Reps {
-		go func(r int) {
-			defer wg.Done()
-			st, err := t.steps[r].Run(iter)
-			if err != nil {
-				errs[r] = fmt.Errorf("dist: replica %d: %w", r, err)
-			} else if r == 0 {
-				out = st
-			}
-		}(r)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		// Condemn the group even if the failure never reached a deadline
-		// (e.g. the killed rank's own immediate error): every rank must see
-		// subsequent collectives fail fast.
-		t.group.Abort(err)
-		if t.failedIter == 0 {
-			t.failedIter = iter
-			// Record the forensics NOW, while this incarnation's group still
-			// owns them: a later Recover/Shrink rebuild starts a fresh group
-			// whose DeadRanks/FailedStep describe only its own failure.
-			// Reading DeadRanks here is safe — wg.Wait joined the replica
-			// goroutines that set the death flags.
-			t.history = append(t.history, FailureRecord{Step: iter, Dead: t.group.DeadRanks()})
+	err := t.eachRank(iter, func(r int) error {
+		st, err := t.steps[r].Run(iter)
+		if err == nil && r == 0 {
+			out = st
 		}
+		return err
+	})
+	if err != nil {
 		return core.IterStats{}, fmt.Errorf("dist: step %d failed: %w", iter, err)
 	}
 	return out, nil
+}
+
+// eachRank is the trainer's one launch-and-join: fn runs once per rank, all
+// L at the same time (they meet in collectives), and the ranks' errors come
+// back joined, each naming its replica. A failure condemns the group — even
+// one that never reached a deadline (the killed rank's own immediate error),
+// so every rank sees subsequent collectives fail fast — and is recorded
+// under iter. Callers enter on a healthy group only, so a trainer
+// incarnation records at most one failure.
+func (t *Trainer) eachRank(iter int, fn func(rank int) error) error {
+	l := len(t.Reps)
+	errs := make([]error, l)
+	parallel.ForEach(l, l, func(r int) {
+		if err := fn(r); err != nil {
+			errs[r] = fmt.Errorf("dist: replica %d: %w", r, err)
+		}
+	})
+	err := errors.Join(errs...)
+	if err != nil {
+		t.group.Abort(err)
+		t.failedIter = iter
+		// Record the forensics NOW, while this incarnation's group still owns
+		// them: a later Recover/Shrink rebuild starts a fresh group whose
+		// DeadRanks/FailedStep describe only its own failure. Reading
+		// DeadRanks here is safe — ForEach joined the rank goroutines that
+		// set the death flags.
+		t.history = append(t.history, FailureRecord{Step: iter, Dead: t.group.DeadRanks()})
+	}
+	return err
 }
 
 // snapshot captures every replica's sampler stream position and SR solver
@@ -412,6 +421,7 @@ func (t *Trainer) Step(iter int) (core.IterStats, error) {
 // It runs serially before the replica goroutines launch, so no capture
 // races a draw. No-op on trainers that cannot recover (see notRecoverable).
 func (t *Trainer) snapshot(iter int) {
+	t.snapIter = iter
 	if t.notRecoverable != nil {
 		return
 	}
@@ -421,7 +431,6 @@ func (t *Trainer) snapshot(iter int) {
 			t.snapSR[r] = rep.SR.CaptureState()
 		}
 	}
-	t.snapIter = iter
 	t.snapValid = true
 }
 
@@ -452,7 +461,8 @@ func (t *Trainer) Train(iters int, cb func(core.IterStats)) ([]core.IterStats, e
 // with its own workers), and the statistics are combined with the same ring
 // collective as training. Error semantics follow Step: a degraded group
 // makes every replica's collective return promptly and Evaluate reports the
-// cause.
+// cause, condemns the group and records the failure in FailureHistory under
+// the last iteration begun.
 func (t *Trainer) Evaluate(batch int) (mean, std float64, err error) {
 	if gerr := t.group.Err(); gerr != nil {
 		return 0, 0, fmt.Errorf("dist: evaluate on condemned group (Recover first): %w", gerr)
@@ -462,47 +472,35 @@ func (t *Trainer) Evaluate(batch int) (mean, std float64, err error) {
 	}
 	l := len(t.Reps)
 	// After the all-reduce every rank holds identical sums; keep rank 0's.
-	var reduced tensor.Vector
-	errs := make([]error, l)
-	var wg sync.WaitGroup
-	wg.Add(l)
-	for r := 0; r < l; r++ {
-		go func(r int) {
-			defer wg.Done()
-			// Replica r evaluates rows [r*batch/l, (r+1)*batch/l).
-			cnt := (r+1)*batch/l - r*batch/l
-			acc := tensor.NewVector(3)
-			if cnt > 0 {
-				b := sampler.NewBatch(cnt, t.H.N())
-				t.Reps[r].Smp.Sample(b)
-				locals := make([]float64, cnt)
-				t.steps[r].LocalEnergies(b, locals)
-				for _, e := range locals {
-					acc[0] += e
-					acc[1] += e * e
-				}
-				acc[2] = float64(cnt)
+	var sum tensor.Vector
+	err = t.eachRank(t.snapIter, func(r int) error {
+		// Replica r evaluates rows [r*batch/l, (r+1)*batch/l).
+		cnt := (r+1)*batch/l - r*batch/l
+		acc := tensor.NewVector(3)
+		if cnt > 0 {
+			b := sampler.NewBatch(cnt, t.H.N())
+			t.Reps[r].Smp.Sample(b)
+			locals := make([]float64, cnt)
+			t.steps[r].LocalEnergies(b, locals)
+			for _, e := range locals {
+				acc[0] += e
+				acc[1] += e * e
 			}
-			if rerr := t.comms[r].AllReduceSum(acc); rerr != nil {
-				errs[r] = fmt.Errorf("dist: replica %d: evaluate reduction: %w", r, rerr)
-				return
-			}
-			if r == 0 {
-				reduced = acc
-			}
-		}(r)
+			acc[2] = float64(cnt)
+		}
+		if rerr := t.comms[r].AllReduceSum(acc); rerr != nil {
+			return fmt.Errorf("evaluate reduction: %w", rerr)
+		}
+		if r == 0 {
+			sum = acc
+		}
+		return nil
+	})
+	if err != nil || sum[2] == 0 {
+		return 0, 0, err
 	}
-	wg.Wait()
-	if jerr := errors.Join(errs...); jerr != nil {
-		t.group.Abort(jerr)
-		return 0, 0, jerr
-	}
-	acc := reduced
-	if acc[2] == 0 {
-		return 0, 0, nil
-	}
-	mean = acc[0] / acc[2]
-	v := acc[1]/acc[2] - mean*mean
+	mean = sum[0] / sum[2]
+	v := sum[1]/sum[2] - mean*mean
 	if v < 0 {
 		v = 0
 	}

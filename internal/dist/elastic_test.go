@@ -316,7 +316,10 @@ func TestForensicsStableAcrossConsecutiveFailures(t *testing.T) {
 		Generation(comm.FaultSpec{Rank: 1, After: f1 - 1}).
 		// The rebuilt trainer replays step f1, so step f2 is its
 		// (f2-f1+1)-th collective per rank.
-		Generation(comm.FaultSpec{Rank: 2, After: f2 - f1})
+		Generation(comm.FaultSpec{Rank: 2, After: f2 - f1}).
+		// The shrunken trainer replays step f2; its second collective is
+		// the Evaluate after it.
+		Generation(comm.FaultSpec{Rank: 0, After: 1})
 	tr := buildTrainer(t, 8, 10, L, mb, 131, 132)
 	tr.SetCollectiveDeadline(recoveryDeadline)
 	tr.SetFaultPlan(plan)
@@ -375,6 +378,22 @@ func TestForensicsStableAcrossConsecutiveFailures(t *testing.T) {
 		t.Fatalf("shrunken trainer FailureHistory() lost records: %+v", got)
 	}
 	mustStep(t, small, f2) // the shrunken trainer is live
+
+	// A rank death during Evaluate is a failure like any other: recorded
+	// under the last iteration begun, not dropped from the post-mortem.
+	if _, _, err := small.Evaluate(16); err == nil {
+		t.Fatal("third scripted failure (during Evaluate) did not surface")
+	}
+	if got := small.DeadRanks(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("third incarnation DeadRanks() = %v, want [0]", got)
+	}
+	if got := small.FailedStep(); got != f2 {
+		t.Fatalf("failed Evaluate: FailedStep() = %d, want %d", got, f2)
+	}
+	histRecs = small.FailureHistory()
+	if len(histRecs) != 3 || histRecs[2].Step != f2 || len(histRecs[2].Dead) != 1 || histRecs[2].Dead[0] != 0 {
+		t.Fatalf("FailureHistory() after a failed Evaluate = %+v, want a third record {%d [0]}", histRecs, f2)
+	}
 }
 
 // TestElasticGuards exercises every refusal path of Shrink and Grow.

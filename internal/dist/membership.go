@@ -62,8 +62,8 @@ type ReplicaBuilder func(rank int, model Model) (Replica, error)
 // FailureRecord is one failed step's forensics, kept across trainer
 // rebuilds (see Trainer.FailureHistory).
 type FailureRecord struct {
-	// Step is the iteration whose Step call first returned an error on that
-	// trainer incarnation.
+	// Step is the iteration whose Step call returned an error on that
+	// trainer incarnation; for a failed Evaluate, the last iteration begun.
 	Step int
 	// Dead lists the ranks whose deaths had fired by then, ascending; empty
 	// when the group was condemned without a rank death (explicit abort, or

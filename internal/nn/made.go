@@ -229,11 +229,7 @@ func (m *MADE) Forward(x []int, s *MADEScratch) {
 func logProbFromZ2(x []int, z2 tensor.Vector) float64 {
 	var lp float64
 	for j, b := range x {
-		if b == 1 {
-			lp += logSigmoid(z2[j])
-		} else {
-			lp += logSigmoid(-z2[j])
-		}
+		lp += condTerm(z2[j], b)
 	}
 	return lp
 }
@@ -483,18 +479,10 @@ func (c *madeFlipCache) tailLogProb(bit int, za tensor.Vector) float64 {
 	lp := c.p[bit]
 	// Site bit: pre-activation unchanged by the mask, term re-branches on
 	// the flipped value.
-	if nb == 1 {
-		lp += logSigmoid(c.s.Z2[bit])
-	} else {
-		lp += logSigmoid(-c.s.Z2[bit])
-	}
+	lp += condTerm(c.s.Z2[bit], nb)
 	for j := bit + 1; j < m.n; j++ {
 		z := m.freshOutputUnit(j, za)
-		if c.x[j] == 1 {
-			lp += logSigmoid(z)
-		} else {
-			lp += logSigmoid(-z)
-		}
+		lp += condTerm(z, c.x[j])
 	}
 	return lp
 }
@@ -529,20 +517,12 @@ func (c *madeFlipCache) Flip(bit int) {
 		}
 	}
 	lp := c.p[bit]
-	if nb == 1 {
-		lp += logSigmoid(c.s.Z2[bit])
-	} else {
-		lp += logSigmoid(-c.s.Z2[bit])
-	}
+	lp += condTerm(c.s.Z2[bit], nb)
 	c.p[bit+1] = lp
 	for j := bit + 1; j < m.n; j++ {
 		z := m.freshOutputUnit(j, c.s.A)
 		c.s.Z2[j] = z
-		if c.x[j] == 1 {
-			lp += logSigmoid(z)
-		} else {
-			lp += logSigmoid(-z)
-		}
+		lp += condTerm(z, c.x[j])
 		c.p[j+1] = lp
 	}
 	c.logPsi = 0.5 * lp
@@ -556,11 +536,7 @@ func (c *madeFlipCache) Reset(x []int) {
 	var lp float64
 	c.p[0] = 0
 	for j, b := range c.x {
-		if b == 1 {
-			lp += logSigmoid(c.s.Z2[j])
-		} else {
-			lp += logSigmoid(-c.s.Z2[j])
-		}
+		lp += condTerm(c.s.Z2[j], b)
 		c.p[j+1] = lp
 	}
 	c.logPsi = 0.5 * lp

@@ -29,11 +29,7 @@ func growMat(buf *[]float64, rows, cols int) *tensor.Matrix {
 func logProbFromZ2F(xf []float64, z2 tensor.Vector) float64 {
 	var lp float64
 	for j, b := range xf {
-		if b == 1 {
-			lp += logSigmoid(z2[j])
-		} else {
-			lp += logSigmoid(-z2[j])
-		}
+		lp += condTerm(z2[j], int(b))
 	}
 	return lp
 }
@@ -395,11 +391,7 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 			var lp float64
 			prow[0] = 0
 			for j, xb := range x {
-				if xb == 1 {
-					lp += logSigmoid(zrow[j])
-				} else {
-					lp += logSigmoid(-zrow[j])
-				}
+				lp += condTerm(zrow[j], xb)
 				prow[j+1] = lp
 			}
 			base[lo+si] = 0.5 * lp
@@ -473,18 +465,10 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 				lp = logProbFromZ2F(xff.Row(r), zf2.Row(r))
 			} else {
 				lp = p.Row(si)[bit]
-				if x[bit] == 0 { // flipped value is 1
-					lp += logSigmoid(zb2.Row(si)[bit])
-				} else {
-					lp += logSigmoid(-zb2.Row(si)[bit])
-				}
+				lp += condTerm(zb2.Row(si)[bit], 1-x[bit])
 				zrow := zf2.Row(r)
 				for j := bit + 1; j < m.n; j++ {
-					if x[j] == 1 {
-						lp += logSigmoid(zrow[j])
-					} else {
-						lp += logSigmoid(-zrow[j])
-					}
+					lp += condTerm(zrow[j], x[j])
 				}
 			}
 			delta[(lo+si)*nf+f] = 0.5*lp - base[lo+si]

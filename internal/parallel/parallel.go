@@ -1,23 +1,23 @@
-// Package parallel provides small building blocks for data-parallel loops:
-// a parallel for with an optional grain threshold (ForGrain) and index-range
-// partitioning. Parallel sections are dispatched through a process-wide
-// persistent worker pool so hot loops that fan out every iteration (the
-// trainer, the batched evaluators) do not pay goroutine startup each time;
-// callers never manage goroutine lifecycles directly.
+// Package parallel is the one fork–join of the shipped code: a parallel for
+// with an optional grain threshold (ForGrain) and index-range partitioning.
+// A section runs its first range on the caller and one plain goroutine per
+// further range, and returns when all have: no pool, no queue, no goroutine
+// outliving the call. Every concurrent section of a training step, the L
+// ranks of a distributed step and the chains of a Markov sampler go through
+// For, so callers never manage goroutine lifecycles themselves.
 //
 // Worker count is a throughput knob only: every helper invokes its body on
 // exactly the same index ranges for a given (n, workers) pair regardless of
-// how the ranges are scheduled, so results stay bitwise identical whether
-// ranges run inline, on pooled workers, or on freshly spawned goroutines.
+// how the ranges are scheduled, so results stay bitwise identical at any
+// worker count.
 package parallel
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// MaxWorkers is the default worker count for For and Map.
+// MaxWorkers is the default worker count: what workers <= 0 asks For for.
 func MaxWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Range is a half-open index interval [Lo, Hi).
@@ -43,68 +43,13 @@ func Partition(n, parts int) []Range {
 	return out
 }
 
-// poolTask is one unit of work handed to a persistent pool worker.
-type poolTask struct {
-	fn   func()
-	done *sync.WaitGroup
-}
-
-// poolWorker is a persistent goroutine that runs tasks one at a time and
-// re-registers itself as idle after each.
-type poolWorker struct {
-	tasks chan poolTask
-}
-
-func (w *poolWorker) loop() {
-	for t := range w.tasks {
-		t.fn()
-		// Re-register before signalling completion so back-to-back parallel
-		// sections can reclaim this worker immediately. The idle channel is
-		// sized to the spawn cap, so the send never blocks.
-		globalIdle <- w
-		t.done.Done()
-	}
-}
-
-// maxPoolWorkers caps the persistent pool. Sections wider than the cap fall
-// back to one-shot goroutines for the overflow, so nothing queues and nested
-// For calls can never deadlock: work is only ever handed to a worker that is
-// provably idle.
-const maxPoolWorkers = 64
-
-var (
-	globalIdle    = make(chan *poolWorker, maxPoolWorkers)
-	globalSpawned atomic.Int32
-)
-
-// dispatch runs fn on a persistent pool worker when one is idle, growing the
-// pool on demand up to maxPoolWorkers, and falls back to a fresh goroutine
-// beyond the cap. wg.Done is called exactly once when fn returns.
-func dispatch(fn func(), wg *sync.WaitGroup) {
-	select {
-	case w := <-globalIdle:
-		w.tasks <- poolTask{fn, wg}
-		return
-	default:
-	}
-	if globalSpawned.Add(1) <= maxPoolWorkers {
-		w := &poolWorker{tasks: make(chan poolTask, 1)}
-		go w.loop()
-		w.tasks <- poolTask{fn, wg}
-		return
-	}
-	globalSpawned.Add(-1)
-	go func() {
-		fn()
-		wg.Done()
-	}()
-}
-
 // For runs body(lo, hi) over a partition of [0,n) using up to workers
 // concurrent executors. workers <= 0 means MaxWorkers. With one worker or
 // tiny n the loop runs inline, so For is safe to use unconditionally on hot
-// paths; wider sections are dispatched through the persistent process-wide
-// pool, spawning goroutines only when the pool is saturated.
+// paths. Every range gets an executor of its own — the caller takes the
+// first, a fresh goroutine each of the rest — so bodies may wait on one
+// another (the ranks of a collective do) and nested sections cannot
+// deadlock.
 func For(n, workers int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -120,8 +65,10 @@ func For(n, workers int, body func(lo, hi int)) {
 	var wg sync.WaitGroup
 	wg.Add(len(ranges) - 1)
 	for _, r := range ranges[1:] {
-		r := r
-		dispatch(func() { body(r.Lo, r.Hi) }, &wg)
+		go func() {
+			defer wg.Done()
+			body(r.Lo, r.Hi)
+		}()
 	}
 	body(ranges[0].Lo, ranges[0].Hi)
 	wg.Wait()

@@ -1,10 +1,12 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPartitionCovers(t *testing.T) {
@@ -151,10 +153,9 @@ func TestForGrainSameRangesAsFor(t *testing.T) {
 	}
 }
 
-// TestForNestedNoDeadlock exercises nested fan-out through the persistent
-// pool: inner For calls run while every outer range occupies an executor.
-// The pool hands work only to provably idle workers (spawning otherwise), so
-// this must complete rather than deadlock.
+// TestForNestedNoDeadlock exercises nested fan-out: inner For calls run
+// while every outer range occupies an executor. Every range gets a goroutine
+// of its own, so this must complete rather than deadlock.
 func TestForNestedNoDeadlock(t *testing.T) {
 	var total int64
 	For(16, 16, func(lo, hi int) {
@@ -169,10 +170,34 @@ func TestForNestedNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestForPoolReuse pins that repeated parallel sections are served by the
-// persistent pool rather than unbounded goroutine growth: after a warm-up
-// sweep, thousands of For calls must not push the spawn counter past the cap.
-func TestForPoolReuse(t *testing.T) {
+// TestForRunsRangesConcurrently pins the contract the distributed trainer's
+// rank launch relies on: ForEach(n, n, ...) runs all n bodies at once, so
+// bodies that wait for one another (here at a barrier, there in a
+// collective) return. A section that queued any range behind another would
+// hang here.
+func TestForRunsRangesConcurrently(t *testing.T) {
+	const n = 65
+	var barrier sync.WaitGroup
+	barrier.Add(n)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ForEach(n, n, func(int) {
+			barrier.Done()
+			barrier.Wait()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("65 bodies meeting at a barrier did not all run concurrently")
+	}
+}
+
+// TestForLeavesNoGoroutines pins that a section's goroutines end with it:
+// after thousands of For calls the process is back at its baseline count.
+func TestForLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
 	for i := 0; i < 2000; i++ {
 		For(256, 8, func(lo, hi int) {
 			s := 0.0
@@ -182,7 +207,13 @@ func TestForPoolReuse(t *testing.T) {
 			_ = s
 		})
 	}
-	if n := globalSpawned.Load(); n > maxPoolWorkers {
-		t.Fatalf("spawn counter %d exceeds cap %d", n, maxPoolWorkers)
+	// wg.Done is a goroutine's last statement, not its exit: give the
+	// stragglers of the final section a moment to unwind.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after 2000 sections, %d before", got, base)
 	}
 }

@@ -2,7 +2,6 @@ package sampler
 
 import (
 	"math"
-	"sync"
 
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
@@ -27,47 +26,32 @@ import (
 // Like MCMC, the sweeps are sequential per chain and stay scalar; the
 // local-energy and gradient phases downstream of the sampled batch run
 // through the RBM's nn.BatchEvaluator, bitwise what the scalar kernels give.
-type Gibbs struct {
-	model  *nn.RBM
-	cfg    MCMCConfig // Chains/BurnIn/Thin carry over; BurnIn counts sweeps
-	rngs   []*rng.Rand
-	states [][]int
-	cost   Cost
-}
+type Gibbs struct{ *markov }
 
-// NewGibbs builds a block Gibbs sampler over an RBM. Zero-valued config
-// fields get defaults: 2 chains, burn-in 20 sweeps (full-coordinate sweeps
-// mix far faster than single flips), no thinning.
+// NewGibbs builds a block Gibbs sampler over an RBM. MCMCConfig carries
+// over with BurnIn counted in sweeps; zero-valued fields get defaults: 2
+// chains, burn-in 20 sweeps (full-coordinate sweeps mix far faster than
+// single flips), no thinning.
 func NewGibbs(model *nn.RBM, cfg MCMCConfig, r *rng.Rand) *Gibbs {
-	if cfg.Chains <= 0 {
-		cfg.Chains = 2
-	}
-	if cfg.BurnIn == 0 {
-		cfg.BurnIn = 20
-	} else if cfg.BurnIn < 0 {
-		cfg.BurnIn = 0
-	}
-	if cfg.Thin <= 0 {
-		cfg.Thin = 1
-	}
-	g := &Gibbs{model: model, cfg: cfg}
-	g.rngs = r.SplitN(cfg.Chains)
-	g.states = make([][]int, cfg.Chains)
-	for c := range g.states {
-		st := make([]int, model.NumSites())
-		g.rngs[c].FillBits(st)
-		g.states[c] = st
-	}
-	return g
+	return &Gibbs{newMarkov(model.NumSites(), blockGibbs(model), cfg, 20, r)}
 }
 
-// Config returns the effective configuration.
-func (g *Gibbs) Config() MCMCConfig { return g.cfg }
+// blockGibbs is the block-update kernel: every transition is one sweep over
+// x in place, and a Gibbs move is always accepted.
+func blockGibbs(m *nn.RBM) kernel {
+	return func(x []int, rnd *rng.Rand) (func() bool, func() []int) {
+		spins := make([]float64, m.NumSites())
+		hsum := make([]float64, m.Hidden())
+		return func() bool {
+			sweep(m, x, spins, hsum, rnd)
+			return true
+		}, func() []int { return x }
+	}
+}
 
 // sweep performs one full block update (all hidden, then all visible).
 // spins and hsum are workspaces of length n and h respectively.
-func (g *Gibbs) sweep(x []int, spins, hsum []float64, rnd *rng.Rand) {
-	m := g.model
+func sweep(m *nn.RBM, x []int, spins, hsum []float64, rnd *rng.Rand) {
 	n, h := m.NumSites(), m.Hidden()
 	for i, b := range x {
 		spins[i] = float64(1 - 2*b)
@@ -110,50 +94,5 @@ func (g *Gibbs) sweep(x []int, spins, hsum []float64, rnd *rng.Rand) {
 		}
 	}
 }
-
-// Sample implements Sampler.
-func (g *Gibbs) Sample(b *Batch) {
-	n := g.model.NumSites()
-	if b.Sites != n {
-		panic("sampler: batch sites mismatch")
-	}
-	chains := g.cfg.Chains
-	var wg sync.WaitGroup
-	wg.Add(chains)
-	for c := 0; c < chains; c++ {
-		go func(c int) {
-			defer wg.Done()
-			lo := c * b.N / chains
-			hi := (c + 1) * b.N / chains
-			rnd := g.rngs[c]
-			if !g.cfg.Persistent {
-				rnd.FillBits(g.states[c])
-			}
-			x := g.states[c]
-			spins := make([]float64, n)
-			hsum := make([]float64, g.model.Hidden())
-			var sweeps int64
-			for i := 0; i < g.cfg.BurnIn; i++ {
-				g.sweep(x, spins, hsum, rnd)
-				sweeps++
-			}
-			for s := lo; s < hi; s++ {
-				for t := 0; t < g.cfg.Thin; t++ {
-					g.sweep(x, spins, hsum, rnd)
-					sweeps++
-				}
-				copy(b.Row(s), x)
-			}
-			g.cost.addSteps(sweeps)
-			// One sweep evaluates every hidden and visible unit once:
-			// comparable to one forward pass.
-			g.cost.addPasses(sweeps)
-		}(c)
-	}
-	wg.Wait()
-}
-
-// Cost implements Sampler.
-func (g *Gibbs) Cost() Cost { return g.cost }
 
 var _ Sampler = (*Gibbs)(nil)

@@ -2,7 +2,6 @@ package sampler
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"github.com/vqmc-scale/parvqmc/internal/nn"
@@ -34,19 +33,7 @@ func DefaultBurnIn(n int) int { return 3*n + 100 }
 // FlipCache; the energy and gradient phases that consume the sampled batch
 // run through the model's nn.BatchEvaluator (the RBM's theta-GEMM path),
 // bitwise what the scalar kernels give — see core.BatchedEval.
-type MCMC struct {
-	model interface {
-		nn.Wavefunction
-		nn.CacheBuilder
-	}
-	cfg    MCMCConfig
-	rngs   []*rng.Rand
-	states [][]int // persistent chain states
-	cost   Cost
-	// acceptance tracking
-	accepted int64
-	proposed int64
-}
+type MCMC struct{ *markov }
 
 // NewMCMC builds an MCMC sampler. Zero-valued config fields get the paper's
 // defaults.
@@ -54,100 +41,36 @@ func NewMCMC(model interface {
 	nn.Wavefunction
 	nn.CacheBuilder
 }, cfg MCMCConfig, r *rng.Rand) *MCMC {
-	if cfg.Chains <= 0 {
-		cfg.Chains = 2
-	}
-	if cfg.BurnIn < 0 {
-		cfg.BurnIn = 0
-	} else if cfg.BurnIn == 0 {
-		cfg.BurnIn = DefaultBurnIn(model.NumSites())
-	}
-	if cfg.Thin <= 0 {
-		cfg.Thin = 1
-	}
-	m := &MCMC{model: model, cfg: cfg}
-	m.rngs = r.SplitN(cfg.Chains)
-	m.states = make([][]int, cfg.Chains)
-	for c := range m.states {
-		st := make([]int, model.NumSites())
-		m.rngs[c].FillBits(st)
-		m.states[c] = st
-	}
-	return m
+	n := model.NumSites()
+	return &MCMC{newMarkov(n, metropolis(n, model), cfg, DefaultBurnIn(n), r)}
 }
 
-// Config returns the effective configuration after defaulting.
-func (m *MCMC) Config() MCMCConfig { return m.cfg }
-
-// Sample implements Sampler: each chain burns in, then records every
-// Thin-th state until its share of the batch is filled. Chains run
-// concurrently; the batch is split into contiguous chain slabs so output is
-// deterministic given the seed and chain count.
-func (m *MCMC) Sample(b *Batch) {
-	n := m.model.NumSites()
-	if b.Sites != n {
-		panic("sampler: batch sites mismatch")
+// metropolis is the single-bit-flip Metropolis-Hastings kernel over n sites:
+// propose a uniform bit, accept with min(1, pi(y)/pi(x)) = min(1, exp(2d))
+// for d = log psi(y) - log psi(x). The walk lives in the model's FlipCache.
+func metropolis(n int, model nn.CacheBuilder) kernel {
+	return func(x []int, rnd *rng.Rand) (func() bool, func() []int) {
+		cache := model.NewFlipCache(x)
+		return func() bool {
+			bit := rnd.Intn(n)
+			d := cache.Delta(bit)
+			if d >= 0 || rnd.Float64() < math.Exp(2*d) {
+				cache.Flip(bit)
+				return true
+			}
+			return false
+		}, cache.State
 	}
-	chains := m.cfg.Chains
-	var wg sync.WaitGroup
-	wg.Add(chains)
-	for c := 0; c < chains; c++ {
-		go func(c int) {
-			defer wg.Done()
-			lo := c * b.N / chains
-			hi := (c + 1) * b.N / chains
-			rnd := m.rngs[c]
-			if !m.cfg.Persistent {
-				rnd.FillBits(m.states[c])
-			}
-			cache := m.model.NewFlipCache(m.states[c])
-			var steps, acc, prop int64
-			step := func() {
-				bit := rnd.Intn(n)
-				d := cache.Delta(bit)
-				prop++
-				// Accept with min(1, pi(y)/pi(x)) = min(1, exp(2*d)).
-				if d >= 0 || rnd.Float64() < exp2d(d) {
-					cache.Flip(bit)
-					acc++
-				}
-				steps++
-			}
-			for i := 0; i < m.cfg.BurnIn; i++ {
-				step()
-			}
-			for s := lo; s < hi; s++ {
-				for t := 0; t < m.cfg.Thin; t++ {
-					step()
-				}
-				copy(b.Row(s), cache.State())
-			}
-			copy(m.states[c], cache.State())
-			m.cost.addSteps(steps)
-			// Each MH step needs one amplitude evaluation; count it as a
-			// forward pass for cost parity with AUTO (Figure 1).
-			m.cost.addPasses(steps)
-			atomic.AddInt64(&m.accepted, acc)
-			atomic.AddInt64(&m.proposed, prop)
-		}(c)
-	}
-	wg.Wait()
 }
 
-// exp2d converts a log-psi difference to the pi ratio exp(2d) used in the
-// acceptance test.
-func exp2d(d float64) float64 { return math.Exp(2 * d) }
-
-// Cost implements Sampler.
-func (m *MCMC) Cost() Cost { return m.cost }
-
-// AcceptanceRate returns the fraction of proposals accepted so far.
+// AcceptanceRate returns the fraction of proposals accepted so far; every
+// step is one proposal.
 func (m *MCMC) AcceptanceRate() float64 {
-	p := atomic.LoadInt64(&m.proposed)
+	p := atomic.LoadInt64(&m.cost.Steps)
 	if p == 0 {
 		return 0
 	}
-	return float64(atomic.LoadInt64(&m.accepted)) / float64(p)
+	return float64(m.accepted.Load()) / float64(p)
 }
 
 var _ Sampler = (*MCMC)(nil)

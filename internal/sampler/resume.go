@@ -38,15 +38,6 @@ type Resumable interface {
 	Restore(State)
 }
 
-// snapshotRngs deep-copies a generator slice's states.
-func snapshotRngs(rngs []*rng.Rand) []rng.State {
-	out := make([]rng.State, len(rngs))
-	for i, r := range rngs {
-		out[i] = r.State()
-	}
-	return out
-}
-
 // restoreRngs rewinds a generator slice, enforcing matching counts.
 func restoreRngs(rngs []*rng.Rand, states []rng.State, kind string) {
 	if len(states) != len(rngs) {
@@ -55,31 +46,6 @@ func restoreRngs(rngs []*rng.Rand, states []rng.State, kind string) {
 	}
 	for i, s := range states {
 		rngs[i].SetState(s)
-	}
-}
-
-// snapshotChains deep-copies persistent chain configurations.
-func snapshotChains(states [][]int) [][]int {
-	out := make([][]int, len(states))
-	for i, st := range states {
-		out[i] = append([]int(nil), st...)
-	}
-	return out
-}
-
-// restoreChains copies captured chain configurations back in place,
-// enforcing matching shapes.
-func restoreChains(dst, src [][]int, kind string) {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("sampler: restoring %d chains into %s sampler with %d",
-			len(src), kind, len(dst)))
-	}
-	for i, st := range src {
-		if len(st) != len(dst[i]) {
-			panic(fmt.Sprintf("sampler: %s chain %d has %d sites, snapshot has %d",
-				kind, i, len(dst[i]), len(st)))
-		}
-		copy(dst[i], st)
 	}
 }
 
@@ -92,30 +58,6 @@ func (a *Auto) Snapshot() State {
 // Restore implements Resumable.
 func (a *Auto) Restore(s State) {
 	restoreRngs([]*rng.Rand{a.rnd}, s.Rngs, "auto")
-}
-
-// Snapshot implements Resumable: per-chain RNG streams plus the persistent
-// chain configurations (which seed the next call's walk under Persistent,
-// and whose refill draws are part of the stream otherwise).
-func (m *MCMC) Snapshot() State {
-	return State{Rngs: snapshotRngs(m.rngs), Chains: snapshotChains(m.states)}
-}
-
-// Restore implements Resumable.
-func (m *MCMC) Restore(s State) {
-	restoreRngs(m.rngs, s.Rngs, "mcmc")
-	restoreChains(m.states, s.Chains, "mcmc")
-}
-
-// Snapshot implements Resumable.
-func (g *Gibbs) Snapshot() State {
-	return State{Rngs: snapshotRngs(g.rngs), Chains: snapshotChains(g.states)}
-}
-
-// Restore implements Resumable.
-func (g *Gibbs) Restore(s State) {
-	restoreRngs(g.rngs, s.Rngs, "gibbs")
-	restoreChains(g.states, s.Chains, "gibbs")
 }
 
 var (

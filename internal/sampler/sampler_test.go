@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -229,11 +230,46 @@ func TestMCMCPersistentKeepsState(t *testing.T) {
 	mc := NewMCMC(m, MCMCConfig{Chains: 1, BurnIn: 1, Thin: 1, Persistent: true}, rng.New(18))
 	b := NewBatch(4, n)
 	mc.Sample(b)
-	st := append([]int(nil), mc.states[0]...)
+	st := mc.Snapshot().Chains[0]
 	// The last recorded sample equals the persistent state.
 	for i, v := range b.Row(3) {
 		if st[i] != v {
 			t.Fatal("persistent state does not match last sample")
+		}
+	}
+}
+
+// TestMarkovStreamsPinned pins the bits the Markov samplers draw — three
+// consecutive Sample calls over a fixed RBM and seed, ragged chain slabs,
+// burn-in and thinning both on — to constants recorded before MCMC and
+// Gibbs were rebuilt over one chain driver: each chain must keep consuming
+// its stream in exactly that order.
+func TestMarkovStreamsPinned(t *testing.T) {
+	const n = 6
+	m := nn.NewRBM(n, 4, rng.New(61))
+	cfg := MCMCConfig{Chains: 3, BurnIn: 7, Thin: 2}
+	persistent := cfg
+	persistent.Persistent = true
+	for _, tc := range []struct {
+		name string
+		s    Sampler
+		want uint64
+	}{
+		{"mcmc", NewMCMC(m, cfg, rng.New(62)), 0x90486a9cca0806},
+		{"mcmc-persistent", NewMCMC(m, persistent, rng.New(62)), 0xfda3a57639a3146d},
+		{"gibbs", NewGibbs(m, cfg, rng.New(62)), 0xc52e68297c3214a3},
+		{"gibbs-persistent", NewGibbs(m, persistent, rng.New(62)), 0x7e31ae228c77adc9},
+	} {
+		h := fnv.New64a()
+		b := NewBatch(10, n)
+		for call := 0; call < 3; call++ {
+			tc.s.Sample(b)
+			for _, bit := range b.Bits {
+				h.Write([]byte{byte(bit)})
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: stream hash %#x, want %#x", tc.name, got, tc.want)
 		}
 	}
 }
