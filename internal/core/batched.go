@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"math"
+	"slices"
 
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
@@ -26,15 +29,30 @@ type EvalMode int
 const EvalAuto EvalMode = 0
 
 // BatchedEval bundles a model's nn.BatchEvaluator with the reusable flip
-// and base log-psi buffers the energy phase needs, so the steady-state
-// training loop allocates nothing. Values produced through it are bitwise
-// identical to the scalar LocalEnergies and per-row GradLogPsi (see the
+// and base log-psi buffers the energy phase needs and the workspace of the
+// distinct-row pass, so the steady-state training loop allocates nothing.
+// Values produced through it are bitwise identical to the scalar
+// LocalEnergies and per-row GradLogPsi and LogPsi (see the
 // nn.BatchEvaluator contract).
+//
+// LocalEnergies, FillOws and LogPsi evaluate each distinct configuration of
+// a batch once: every value they produce is a function of its row alone
+// (the row-locality the nn.BatchEvaluator contract pins and the serving
+// coalescer already relies on), so a duplicate row's value is a copy of its
+// first occurrence's, byte for byte. A trained wavefunction is sharply
+// peaked, so late in training most of a batch is duplicates (see
+// docs/ARCHITECTURE.md, "Distinct rows"). AddWeightedGrad stays per row: its
+// contract fixes one add per row, and merging duplicates' weights would
+// change the sum.
 type BatchedEval struct {
 	be   nn.BatchEvaluator
 	bits []int
 	amps []float64
 	flip []float64
+	uniq distinctRows
+	// owsHead is FillOws's view of the first B' O-rows, kept here so that
+	// handing it to the evaluator allocates nothing.
+	owsHead tensor.Batch
 }
 
 // NewBatchedEval returns the evaluation wrapper for the model, or nil if
@@ -46,27 +64,41 @@ func NewBatchedEval(model nn.Wavefunction, _ EvalMode, workers int) *BatchedEval
 	if !ok {
 		return nil
 	}
-	return &BatchedEval{be: bb.NewBatchEvaluator(workers)}
+	return NewBatchedEvalWith(bb.NewBatchEvaluator(workers))
 }
 
 // NewBatchedEvalWith wraps an explicitly constructed nn.BatchEvaluator —
 // the entry point tests and benchmarks use to drive reference evaluators
 // (MADE's full-recompute flip oracle) through the same energy reduction.
 func NewBatchedEvalWith(be nn.BatchEvaluator) *BatchedEval {
-	return &BatchedEval{be: be}
+	return &BatchedEval{be: be, uniq: distinctRows{seed: maphash.MakeSeed()}}
 }
 
 // LocalEnergies is the step's local-energy evaluation: one FlipLogPsiBatch
-// call evaluates the whole B x (F+1) flip super-batch, then the per-sample
-// reduction accumulates the flip terms in the same order as the scalar
-// loop. Outputs are bitwise identical to the package-level LocalEnergies on
-// the same batch.
+// call evaluates the B' x (F+1) flip super-batch of the batch's B' distinct
+// rows, the per-sample reduction accumulates the flip terms in the same
+// order as the scalar loop, and each duplicate row receives its first
+// occurrence's energy. A diagonal-only Hamiltonian evaluates its diagonal
+// once per distinct row the same way. Outputs are bitwise identical to the
+// package-level LocalEnergies on the same batch. len(out) must be b.N.
 func (e *BatchedEval) LocalEnergies(h hamiltonian.Hamiltonian, b *sampler.Batch, workers int, out []float64) {
+	out = out[:b.N]
+	u := e.uniq.find(b)
+	e.localEnergies(h, u, workers, out)
+	if u != b {
+		e.uniq.spread(out)
+	}
+}
+
+// localEnergies fills out[:u.N] with the local energies of u's rows; its
+// flip workspace is sized for len(out) rows, the full batch, so it is grown
+// once however many of them are distinct.
+func (e *BatchedEval) localEnergies(h hamiltonian.Hamiltonian, u *sampler.Batch, workers int, out []float64) {
 	flips := h.FlipTerms()
 	if len(flips) == 0 {
-		parallel.ForGrain(b.N, workers, diagGrainRows, func(lo, hi int) {
+		parallel.ForGrain(u.N, workers, diagGrainRows, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				out[k] = h.Diagonal(b.Row(k))
+				out[k] = h.Diagonal(u.Row(k))
 			}
 		})
 		return
@@ -80,18 +112,18 @@ func (e *BatchedEval) LocalEnergies(h hamiltonian.Hamiltonian, b *sampler.Batch,
 	for f, ft := range flips {
 		bits[f], amps[f] = ft.Bit, ft.Amp
 	}
-	if cap(e.flip) < b.N*nf {
-		e.flip = make([]float64, b.N*nf)
+	if cap(e.flip) < len(out)*nf {
+		e.flip = make([]float64, len(out)*nf)
 	}
-	delta := e.flip[:b.N*nf]
+	delta := e.flip[:u.N*nf]
 	// nil base: the energy reduction exponentiates the deltas directly, so
 	// the evaluator may skip base-only work (the RBM's ln-cosh fold).
-	e.be.FlipLogPsiBatch(*b, bits, nil, delta)
+	e.be.FlipLogPsiBatch(*u, bits, nil, delta)
 	// Per row the reduction is nf exponentials — cheap next to the GEMMs
 	// above, so small batches stay inline instead of paying dispatch.
-	parallel.ForGrain(b.N, workers, diagGrainRows, func(lo, hi int) {
+	parallel.ForGrain(u.N, workers, diagGrainRows, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			l := h.Diagonal(b.Row(k))
+			l := h.Diagonal(u.Row(k))
 			row := delta[k*nf : (k+1)*nf]
 			for f := range row {
 				// The evaluator emits the flip DELTAS under the model's own
@@ -104,31 +136,151 @@ func (e *BatchedEval) LocalEnergies(h hamiltonian.Hamiltonian, b *sampler.Batch,
 	})
 }
 
-// LogPsi fills out[k] = log|psi(row k)| through the batched GEMM path —
-// bitwise identical to per-row scalar model.LogPsi calls by the
-// nn.BatchEvaluator contract. It is the shared amplitude dispatch the
-// serving layer folds coalesced cross-request batches through: because
-// every row's value is pinned to the scalar LogPsi of that row alone, the
-// result for a given configuration is invariant to which other rows share
-// the batch, which is what makes request coalescing invisible in served
-// values. len(out) must be b.N.
+// LogPsi fills out[k] = log|psi(row k)| through the batched GEMM path,
+// once per distinct row — bitwise identical to per-row scalar model.LogPsi
+// calls by the nn.BatchEvaluator contract. It is the shared amplitude
+// dispatch the serving layer folds coalesced cross-request batches through:
+// because every row's value is pinned to the scalar LogPsi of that row
+// alone, the result for a given configuration is invariant to which other
+// rows share the batch, which is what makes request coalescing — and the
+// distinct-row pass — invisible in served values. len(out) must be b.N.
 func (e *BatchedEval) LogPsi(b *sampler.Batch, out []float64) {
-	e.be.LogPsiBatch(*b, out)
+	if len(out) != b.N {
+		panic("core: LogPsi output length mismatch")
+	}
+	u := e.uniq.find(b)
+	e.be.LogPsiBatch(*u, out[:u.N])
+	if u != b {
+		e.uniq.spread(out)
+	}
 }
 
 // FillOws fills ows row k with grad log|psi(row k)| — the O_k rows of the
 // gradient estimator and the Fisher operator — bitwise the per-row scalar
-// GradLogPsi.
+// GradLogPsi. The evaluator writes rows [0, B') for the batch's B' distinct
+// rows and each duplicate row is then a copy of its first occurrence's.
+// ows must be b.N x NumParams.
 func (e *BatchedEval) FillOws(b *sampler.Batch, ows *tensor.Batch) {
-	e.be.GradLogPsiBatch(*b, ows)
+	if ows.N != b.N {
+		panic("core: FillOws ows shape mismatch")
+	}
+	u := e.uniq.find(b)
+	if u == b {
+		e.be.GradLogPsiBatch(*b, ows)
+		return
+	}
+	e.owsHead = tensor.Batch{N: u.N, Dim: ows.Dim, Data: ows.Data[:u.N*ows.Dim]}
+	e.be.GradLogPsiBatch(*u, &e.owsHead)
+	e.uniq.spreadRows(ows)
 }
 
 // AddWeightedGrad accumulates dst += sum_k w[k] * grad log|psi(row k)|, the
 // REINFORCE gradient, without the O-rows: bitwise FillOws into a B x d batch
 // followed by AddWeightedRows, at every worker count (the nn.BatchEvaluator
-// weighted-reduce contract). dst is NOT zeroed first.
+// weighted-reduce contract). dst is NOT zeroed first. It runs on every row,
+// duplicates included: the contract fixes one add per row.
 func (e *BatchedEval) AddWeightedGrad(b *sampler.Batch, w []float64, dst tensor.Vector) {
 	e.be.AddWeightedGrad(*b, w, dst)
+}
+
+// distinctRows is the workspace of the distinct-row pass: an
+// open-addressing hash table over a batch's rows, every slice grown once
+// and reused.
+//
+// Rows are matched by comparing them exactly; the hash only picks the probe
+// slot, so a collision costs a comparison and never a wrong match. The hash
+// is maphash under a seed drawn once per BatchedEval, so rows a caller
+// chooses (vqmcd evaluates request bodies through this pass) cannot steer
+// probe sequences: the pass is O(B·n) expected whatever the rows are.
+type distinctRows struct {
+	seed maphash.Seed
+	// of[k] is the compact index of batch row k. Compact rows are numbered
+	// in first-occurrence order, so of[k] <= k.
+	of []int
+	// first[j] is the batch row where compact row j first occurs and
+	// sums[j] its hash.
+	first []int
+	sums  []uint64
+	slots []int32 // compact index + 1 per table slot; 0 is empty
+	key   []byte
+	rows  sampler.Batch // the compact batch
+}
+
+// find returns the batch to evaluate in b's place: b itself when every row
+// is distinct, otherwise the compact batch of b's distinct rows in
+// first-occurrence order. Either way it records of.
+func (d *distinctRows) find(b *sampler.Batch) *sampler.Batch {
+	n := b.Sites
+	size := 1
+	for size < 2*b.N {
+		size <<= 1
+	}
+	if cap(d.of) < b.N || cap(d.rows.Bits) < b.N*n {
+		d.of = make([]int, b.N)
+		d.first = make([]int, b.N)
+		d.sums = make([]uint64, b.N)
+		d.slots = make([]int32, size)
+		d.rows.Bits = make([]int, b.N*n)
+	}
+	d.of = d.of[:b.N]
+	slots, mask := d.slots[:size], uint64(size-1)
+	clear(slots)
+	nu := 0
+	for k := range b.N {
+		row := b.Row(k)
+		h := d.hash(row)
+		for s := h & mask; ; s = (s + 1) & mask {
+			j := int(slots[s]) - 1
+			if j < 0 {
+				slots[s] = int32(nu + 1)
+				d.first[nu], d.sums[nu], d.of[k] = k, h, nu
+				nu++
+				break
+			}
+			if d.sums[j] == h && slices.Equal(b.Row(d.first[j]), row) {
+				d.of[k] = j
+				break
+			}
+		}
+	}
+	if nu == b.N {
+		return b
+	}
+	d.rows = sampler.Batch{N: nu, Sites: n, Bits: d.rows.Bits[:nu*n]}
+	for j, k := range d.first[:nu] {
+		copy(d.rows.Row(j), b.Row(k))
+	}
+	return &d.rows
+}
+
+// hash keys a row by its entries, eight bytes each: a key no two different
+// rows share, whatever values they hold.
+func (d *distinctRows) hash(row []int) uint64 {
+	key := d.key[:0]
+	for _, v := range row {
+		key = binary.LittleEndian.AppendUint64(key, uint64(v))
+	}
+	d.key = key
+	return maphash.Bytes(d.seed, key)
+}
+
+// spread copies the compact rows' values, out[:B'], out to every batch row:
+// out[k] = out[of[k]] for k from B-1 down to 0. Since of[k] <= k and step k
+// writes only out[k], the source of every copy still holds its compact
+// value when it is read.
+func (d *distinctRows) spread(out []float64) {
+	for k := len(out) - 1; k >= 0; k-- {
+		out[k] = out[d.of[k]]
+	}
+}
+
+// spreadRows is spread for the rows of ows.
+func (d *distinctRows) spreadRows(ows *tensor.Batch) {
+	for k := ows.N - 1; k >= 0; k-- {
+		if j := d.of[k]; j != k {
+			copy(ows.Sample(k), ows.Sample(j))
+		}
+	}
 }
 
 // diagGrainRows is the minimum rows per parallel range for the cheap

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"github.com/vqmc-scale/parvqmc/internal/graph"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
@@ -11,10 +13,47 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
+// dupBatches returns duplicate-heavy batches over n sites in the order one
+// reused BatchedEval takes them: all rows distinct (random), a 3-row
+// pattern repeated to a ragged B, every row equal, every other row from the
+// pattern, then random rows again — so the distinct count falls and rises,
+// and stale distinct-pass or workspace state shows as a wrong value.
+func dupBatches(n int, r *rng.Rand) []*sampler.Batch {
+	fresh := func(bs int) *sampler.Batch {
+		b := sampler.NewBatch(bs, n)
+		r.FillBits(b.Bits)
+		return b
+	}
+	pattern := fresh(3)
+	repeat := func(bs int, src *sampler.Batch) *sampler.Batch {
+		b := sampler.NewBatch(bs, n)
+		for k := range bs {
+			copy(b.Row(k), src.Row(k%src.N))
+		}
+		return b
+	}
+	mixed := fresh(50)
+	for k := 0; k < mixed.N; k += 2 {
+		copy(mixed.Row(k), pattern.Row(k%3))
+	}
+	return []*sampler.Batch{fresh(64), repeat(67, pattern), repeat(40, fresh(1)), mixed, fresh(70)}
+}
+
+// nans returns n NaNs: an output buffer in which an unwritten row cannot
+// pass for a value.
+func nans(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	return out
+}
+
 // TestLocalEnergiesBatchedBitIdentical: the batched flip-super-batch path
 // and MADE's full-recompute flip oracle must both reproduce the scalar
 // FlipCache path with exact ==, across the acceptance grid of batch sizes,
-// worker counts and site counts.
+// worker counts and site counts, and on duplicate-heavy batches through one
+// reused evaluator — for TIM and for a diagonal-only Max-Cut Hamiltonian.
 func TestLocalEnergiesBatchedBitIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 19} {
 		r := rng.New(uint64(600 + n))
@@ -50,28 +89,59 @@ func TestLocalEnergiesBatchedBitIdentical(t *testing.T) {
 				}
 			}
 		}
+		mc := hamiltonian.NewMaxCut(graph.RandomBernoulli(n, r))
+		dups := dupBatches(n, r)
+		for _, workers := range []int{1, 2, 5} {
+			evals := []struct {
+				name string
+				e    *BatchedEval
+			}{
+				{"batched", NewBatchedEval(m, EvalAuto, workers)},
+				{"fullflip", NewBatchedEvalWith(m.NewFullFlipBatchEvaluator(workers))},
+			}
+			for i, b := range dups {
+				for _, ham := range []hamiltonian.Hamiltonian{h, mc} {
+					want := make([]float64, b.N)
+					LocalEnergies(ham, m, b, 1, want)
+					for _, ev := range evals {
+						got := nans(b.N)
+						ev.e.LocalEnergies(ham, b, workers, got)
+						for k := range got {
+							if got[k] != want[k] {
+								t.Fatalf("%s %T n=%d w=%d dup batch %d row %d: %v != %v",
+									ev.name, ham, n, workers, i, k, got[k], want[k])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestFillOwsBatchedBitIdentical: batched O_k rows equal the per-row scalar
-// GradLogPsi exactly for every worker count.
+// GradLogPsi exactly for every worker count, on a random batch and on
+// duplicate-heavy batches through one reused evaluator.
 func TestFillOwsBatchedBitIdentical(t *testing.T) {
 	n := 9
 	r := rng.New(61)
 	m := nn.NewMADE(n, 11, r.Split())
 	b := sampler.NewBatch(37, n)
 	r.FillBits(b.Bits)
-	want := tensor.NewBatch(b.N, m.NumParams())
-	for k := 0; k < b.N; k++ {
-		m.GradLogPsi(b.Row(k), want.Sample(k))
-	}
+	batches := append([]*sampler.Batch{b}, dupBatches(n, r)...)
 	for _, workers := range []int{1, 2, 5} {
 		e := NewBatchedEval(m, EvalAuto, workers)
-		got := tensor.NewBatch(b.N, m.NumParams())
-		e.FillOws(b, got)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("w=%d: ows element %d batched %v != scalar %v", workers, i, got.Data[i], want.Data[i])
+		for bi, b := range batches {
+			want := tensor.NewBatch(b.N, m.NumParams())
+			for k := 0; k < b.N; k++ {
+				m.GradLogPsi(b.Row(k), want.Sample(k))
+			}
+			got := &tensor.Batch{N: b.N, Dim: m.NumParams(), Data: nans(b.N * m.NumParams())}
+			e.FillOws(b, got)
+			for i := range got.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("w=%d batch %d: ows element %d batched %v != scalar %v", workers, bi, i, got.Data[i], want.Data[i])
+				}
 			}
 		}
 	}
@@ -171,7 +241,9 @@ func BenchmarkFillOwsBatched(b *testing.B) {
 // TestBatchedEvalLogPsiBitIdentical: the serving layer's shared amplitude
 // dispatch must reproduce per-row scalar LogPsi with exact ==, for every
 // model family and independent of batch composition — the row-local
-// property the cross-request coalescer's invariance rests on.
+// property the cross-request coalescer's invariance and the distinct-row
+// pass rest on — including duplicate-heavy batches through one reused
+// evaluator at every worker count.
 func TestBatchedEvalLogPsiBitIdentical(t *testing.T) {
 	const n = 9
 	models := []struct {
@@ -206,6 +278,19 @@ func TestBatchedEvalLogPsiBitIdentical(t *testing.T) {
 			e.LogPsi(one, solo)
 			if solo[0] != got[bs-1] {
 				t.Fatalf("%s: solo %v != coalesced %v", mc.name, solo[0], got[bs-1])
+			}
+		}
+		dups := dupBatches(n, rng.New(920))
+		for _, workers := range []int{1, 2, 5} {
+			e := NewBatchedEval(mc.wf, EvalAuto, workers)
+			for i, b := range dups {
+				got := nans(b.N)
+				e.LogPsi(b, got)
+				for k := 0; k < b.N; k++ {
+					if want := mc.wf.LogPsi(b.Row(k)); got[k] != want {
+						t.Fatalf("%s w=%d dup batch %d row %d: batched %v != scalar %v", mc.name, workers, i, k, got[k], want)
+					}
+				}
 			}
 		}
 	}

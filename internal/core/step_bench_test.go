@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,9 +19,11 @@ import (
 // 0.01) at one and two workers, after 24 untimed steps so the ReLU and bit
 // sparsity the kernels key on has settled, and reports where the step went
 // from Trainer.Timings(): sample, energy and grad milliseconds per step
-// beside ns/op. It is the per-phase attribution the benchmark's end-to-end
-// numbers are explained with (docs/ARCHITECTURE.md, "The REINFORCE gradient
-// writes no O-row"); use -benchtime Nx.
+// beside ns/op, and distinct/op, the mean number of distinct rows per step
+// the energy phase evaluated. It is the per-phase attribution the
+// benchmark's end-to-end numbers are explained with (docs/ARCHITECTURE.md,
+// "The REINFORCE gradient writes no O-row" and "Distinct rows"); use
+// -benchtime Nx.
 func BenchmarkStepPhases(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -44,9 +47,14 @@ func BenchmarkStepPhases(b *testing.B) {
 					tr.Step()
 				}
 				t0 := tr.Timings()
+				distinct := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					tr.Step()
+					// Compact rows are numbered in first-occurrence order, so
+					// the largest compact index of the step's energy batch is
+					// its distinct count less one.
+					distinct += slices.Max(tr.step.bev.uniq.of) + 1
 				}
 				b.StopTimer()
 				t1 := tr.Timings()
@@ -54,6 +62,7 @@ func BenchmarkStepPhases(b *testing.B) {
 				b.ReportMetric(per(t1.Sample-t0.Sample), "sample_ms/op")
 				b.ReportMetric(per(t1.Energy-t0.Energy), "energy_ms/op")
 				b.ReportMetric(per(t1.Grad-t0.Grad), "grad_ms/op")
+				b.ReportMetric(float64(distinct)/float64(b.N), "distinct/op")
 			})
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -94,20 +95,28 @@ func writeErr(w http.ResponseWriter, err error) {
 // with 413 instead of being read to arbitrary length.
 const maxBodyBytes = 8 << 20
 
+// decodeBody decodes a body that is exactly one JSON value, allowing
+// surrounding whitespace: trailing bytes — garbage or a second value — are
+// a 400 like any other malformed body, never silently dropped.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
 		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
 		return false
 	}
-	return true
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
+	return false
 }
 
 // NewHandler wraps a Server in the JSON HTTP API above. The handler does

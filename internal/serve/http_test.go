@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
@@ -208,15 +209,27 @@ func TestHTTPErrorMapping(t *testing.T) {
 	postJSON(t, ts, "/v1/models/nope/logpsi", configsRequest{Configs: cfgs}, nil, http.StatusNotFound)
 	// Bad configs -> 400.
 	postJSON(t, ts, "/v1/models/m/logpsi", configsRequest{Configs: [][]int{{0, 2}}}, nil, http.StatusBadRequest)
-	// Unknown JSON field -> 400.
-	resp, err := http.Post(ts.URL+"/v1/models/m/logpsi", "application/json",
-		bytes.NewReader([]byte(`{"configs": [[0,1,0,1,0,1,0,1]], "bogus": 1}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
+	// Unknown JSON field, or anything but whitespace after the one JSON
+	// value -> 400 bad JSON; trailing whitespace is fine.
+	for _, c := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/models/m/logpsi", `{"configs": [[0,1,0,1,0,1,0,1]], "bogus": 1}`, http.StatusBadRequest},
+		{"/v1/models/m/sample", `{"count":2,"seed":1} trailing-garbage`, http.StatusBadRequest},
+		{"/v1/models/m/sample", `{"count":2,"seed":1}{"count":3}`, http.StatusBadRequest},
+		{"/v1/models/m/sample", "{\"count\":2,\"seed\":1} \r\n\t", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader([]byte(c.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != c.want || (c.want != http.StatusOK && !strings.HasPrefix(e.Error, "bad JSON")) {
+			t.Fatalf("body %q: status %d (%q), want %d", c.body, resp.StatusCode, e.Error, c.want)
+		}
 	}
 	// Energy without a Hamiltonian -> 400 (unsupported).
 	postJSON(t, ts, "/v1/models/m/energy", configsRequest{Configs: cfgs}, nil, http.StatusBadRequest)
@@ -229,7 +242,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf, _ := json.Marshal(configsRequest{Configs: [][]int{{1, 1, 1, 1, 1, 1, 1, 1}}})
-	resp, err = http.Post(ts.URL+"/v1/models/nan/logpsi", "application/json", bytes.NewReader(buf))
+	resp, err := http.Post(ts.URL+"/v1/models/nan/logpsi", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
