@@ -4,43 +4,50 @@
 // documentation doctrine of docs/ARCHITECTURE.md — conventions like the
 // flip-cache tail-only invariant and the BatchEvaluator bitwise guarantee
 // live in doc comments, so an undocumented export is a broken contract,
-// not a style nit.
+// not a style nit. An argument ending in .md is a Markdown file instead:
+// every relative link in it must resolve to an existing path.
 //
-//	go run ./cmd/doccheck ./internal/nn ./internal/tensor ./internal/dist
+//	go run ./cmd/doccheck ./internal/nn ./internal/tensor ./internal/dist README.md
 //
-// Exits non-zero listing every undocumented exported symbol. Test files
-// are ignored.
+// Exits non-zero listing every undocumented exported symbol and every dead
+// link. Test files are ignored.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck <package-dir> [package-dir...]")
+		fmt.Fprintln(os.Stderr, "usage: doccheck <package-dir|file.md> [...]")
 		os.Exit(2)
 	}
-	var missing []string
-	for _, dir := range os.Args[1:] {
-		m, err := checkDir(dir)
+	var problems []string
+	for _, arg := range os.Args[1:] {
+		check := checkDir
+		if strings.HasSuffix(arg, ".md") {
+			check = checkLinks
+		}
+		m, err := check(arg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 			os.Exit(2)
 		}
-		missing = append(missing, m...)
+		problems = append(problems, m...)
 	}
-	if len(missing) > 0 {
-		for _, m := range missing {
+	if len(problems) > 0 {
+		for _, m := range problems {
 			fmt.Println(m)
 		}
-		fmt.Fprintf(os.Stderr, "doccheck: %d exported symbol(s) missing doc comments\n", len(missing))
+		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
 }
@@ -73,6 +80,30 @@ func checkDir(dir string) ([]string, error) {
 					checkGenDecl(d, flag)
 				}
 			}
+		}
+	}
+	return out, nil
+}
+
+// linkTarget matches an inline Markdown link, [text](target#fragment),
+// capturing the target without its fragment.
+var linkTarget = regexp.MustCompile(`\]\(([^)\s#]*)[^)\s]*\)`)
+
+// checkLinks returns one line per relative link in the Markdown file at path
+// whose target, resolved against the file's directory, does not exist.
+func checkLinks(path string) ([]string, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, m := range linkTarget.FindAllSubmatchIndex(src, -1) {
+		target := string(src[m[2]:m[3]])
+		if target == "" || strings.Contains(target, ":") {
+			continue // same-file anchor or URL
+		}
+		if _, err := os.Stat(filepath.Join(filepath.Dir(path), target)); err != nil {
+			out = append(out, fmt.Sprintf("%s:%d: dead link %s", path, 1+bytes.Count(src[:m[0]], []byte("\n")), target))
 		}
 	}
 	return out, nil

@@ -12,7 +12,8 @@
 // group. This package owns what is genuinely distributed — validating that
 // L replicas form one consistent run, launching and joining the L steps,
 // condemning the group when one fails, the step-entry snapshot behind
-// Recover/Shrink/Grow, and the traffic and collective counters.
+// Recover/Shrink/Grow (membership.go), the Supervisor that drives them
+// through failures (supervise.go), and the traffic and collective counters.
 //
 // Because the ring all-reduce leaves bit-identical bytes in every rank
 // (each chunk is reduced on exactly one owner and then circulated by copy,
@@ -462,7 +463,8 @@ func (t *Trainer) Train(iters int, cb func(core.IterStats)) ([]core.IterStats, e
 // collective as training. Error semantics follow Step: a degraded group
 // makes every replica's collective return promptly and Evaluate reports the
 // cause, condemns the group and records the failure in FailureHistory under
-// the last iteration begun.
+// the last iteration begun. Its draws invalidate the last Step's snapshot,
+// so after a failed Evaluate, Recover and Shrink refuse.
 func (t *Trainer) Evaluate(batch int) (mean, std float64, err error) {
 	if gerr := t.group.Err(); gerr != nil {
 		return 0, 0, fmt.Errorf("dist: evaluate on condemned group (Recover first): %w", gerr)
@@ -470,6 +472,7 @@ func (t *Trainer) Evaluate(batch int) (mean, std float64, err error) {
 	if batch <= 0 {
 		batch = 1024
 	}
+	t.snapValid = false
 	l := len(t.Reps)
 	// After the all-reduce every rank holds identical sums; keep rank 0's.
 	var sum tensor.Vector

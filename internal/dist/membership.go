@@ -37,7 +37,7 @@ package dist
 //     (L+add)-rank run from the admission point onward.
 //
 // None of them owns the policy of WHEN to replace, shrink, grow, retry or
-// give up; that lives in package elastic.
+// give up; that is the Supervisor's, in supervise.go.
 
 import (
 	"bytes"
@@ -146,7 +146,7 @@ func (t *Trainer) rebuild(op, dir string, replace bool, add int, build ReplicaBu
 			return nil, fmt.Errorf("dist: group is healthy; nothing to %s from", op)
 		}
 		if !t.snapValid {
-			return nil, fmt.Errorf("dist: no step snapshot to rewind to (group condemned before any Step?): %w", condemned)
+			return nil, fmt.Errorf("dist: no step snapshot to rewind to (group condemned before any Step, or in Evaluate): %w", condemned)
 		}
 		ranks := t.group.DeadRanks()
 		if len(ranks) == 0 {

@@ -314,6 +314,24 @@ func TestRecoverGuards(t *testing.T) {
 		t.Fatal("Recover without a step snapshot succeeded")
 	}
 
+	// A rank dies in Evaluate after completed steps: the samplers drew past
+	// the last Step's entry snapshot while the parameters hold that step's
+	// update, so rewinding to the snapshot would not be a replay. Recover
+	// and Shrink must refuse.
+	tr5 := buildTrainer(t, 6, 8, 2, 4, 309, 310)
+	tr5.SetCollectiveDeadline(recoveryDeadline)
+	tr5.InjectFailure(1, 2)
+	mustTrain(t, tr5, 2)
+	if _, _, err := tr5.Evaluate(16); err == nil {
+		t.Fatal("evaluate with dead rank succeeded")
+	}
+	if _, err := tr5.Recover("", madeBuilder); err == nil {
+		t.Fatal("Recover from a stale snapshot after a failed Evaluate succeeded")
+	}
+	if _, err := tr5.Shrink(); err == nil {
+		t.Fatal("Shrink from a stale snapshot after a failed Evaluate succeeded")
+	}
+
 	// Aborted without a dead rank (straggler past the deadline): there is
 	// no replica to replace, so Recover must refuse rather than guess.
 	tr3 := buildTrainer(t, 6, 8, 2, 4, 305, 306)

@@ -1,111 +1,85 @@
-// Package elastic supervises a distributed trainer through rank failures,
-// owning the POLICY the dist mechanisms deliberately do not: when to retry a
-// replacement, when to give up and shrink to the survivors, when to re-admit
-// ranks, and when the membership has fallen so low the run must stop.
+package dist
+
+// Supervision: the POLICY over the membership changes of membership.go.
+// On every failed step the Supervisor applies one decision tree:
 //
-// The decision tree, applied on every failed step:
+//  1. REPLACE — with a ReplicaBuilder, Recover (bit-identical resume at the
+//     original width), retried up to maxRetries times with backoff; a failed
+//     attempt leaves the condemned trainer exactly as it found it.
+//  2. SHRINK — otherwise, with at least MinReplicas survivors, Shrink to
+//     them and continue as a legal smaller run.
+//  3. ABORT — below the floor, or condemned without a dead rank: write a
+//     final checkpoint of the last committed parameters, return the cause.
 //
-//  1. REPLACE — if a ReplicaBuilder is configured, attempt dist.Recover
-//     (bit-identical resume at the original width) with bounded retries and
-//     exponential backoff. Recovery is retry-safe: a failed attempt leaves
-//     the condemned trainer exactly as it found it.
-//  2. SHRINK — if replacement is unavailable or exhausted and the survivor
-//     count is at or above MinReplicas, dist.Shrink to the survivors and
-//     continue as a legal smaller run.
-//  3. ABORT — below the MinReplicas floor (or when the group was condemned
-//     without a dead rank, leaving no membership fix), write a final atomic
-//     checkpoint of the last committed parameters and return the cause.
-//
-// Every path terminates: the trainer's bounded-wait collectives guarantee a
-// failed step SURFACES within the deadline, and the supervisor guarantees
-// what happens next is a rebuild or a clean, checkpointed exit — never a
-// hang, including failure during recovery and multi-rank simultaneous death.
-//
-// When capacity returns, the supervisor re-grows: after GrowAfter
-// consecutive clean steps below the original width it attempts dist.Grow
-// back to the width it started with.
-package elastic
+// Every path terminates: the collective deadline (NewSupervisor sets one
+// when the caller did not) makes a failed step surface, and what follows is
+// a rebuild or a checkpointed exit. After growAfter clean steps below the
+// starting width it Grows back to that width.
 
 import (
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
-	"github.com/vqmc-scale/parvqmc/internal/dist"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 )
 
-// Policy configures the supervisor's failure-handling behavior.
+// The supervisor's fixed schedule: maxRetries EXTRA Recover attempts after
+// a failed one, waiting backoff before the first and doubling up to
+// backoffMax; a re-grow after growAfter clean steps; and the collective
+// deadline of a trainer whose caller set none.
+const (
+	maxRetries         = 2
+	backoff            = 100 * time.Millisecond
+	backoffMax         = 2 * time.Second
+	growAfter          = 10
+	supervisedDeadline = 30 * time.Second
+)
+
+// Policy configures the supervisor's failure handling.
 type Policy struct {
 	// MinReplicas is the membership floor: a failure that would leave fewer
 	// survivors aborts the run (with a final checkpoint) instead of
 	// shrinking. Zero means 1 — shrink as long as anyone survives.
 	MinReplicas int
-
-	// MaxRetries is how many EXTRA replacement attempts follow a failed
-	// dist.Recover before the supervisor falls back to shrinking. Zero means
-	// one attempt, no retries.
-	MaxRetries int
-
-	// Backoff is the wait before the first retry; it doubles per retry, capped
-	// at BackoffMax (when positive). Zero disables waiting.
-	Backoff time.Duration
-
-	// BackoffMax caps the exponential backoff. Zero means uncapped.
-	BackoffMax time.Duration
-
 	// CheckpointDir, when non-empty, is where recovery, growth and final
 	// checkpoints are written (atomically, via nn.SaveFile). Empty keeps
 	// recovery checkpoints in memory and skips the final artifact.
 	CheckpointDir string
-
-	// Builder constructs replacement replicas for dist.Recover and admitted
-	// replicas for dist.Grow. Nil disables both — every failure falls through
-	// to shrink-or-abort, and the run never re-grows.
-	Builder dist.ReplicaBuilder
-
-	// GrowAfter is how many consecutive clean steps below the starting width
-	// trigger a re-grow attempt back to it. Zero disables re-growing.
-	GrowAfter int
+	// Builder constructs replacement replicas for Recover and admitted
+	// replicas for Grow. Nil disables both — every failure falls through to
+	// shrink-or-abort, and the run never re-grows.
+	Builder ReplicaBuilder
 }
 
-// Stats counts what the supervisor did, for observability and tests.
-type Stats struct {
-	// Failures is the number of failed steps handled.
-	Failures int
-	// Replacements is the number of successful dist.Recover rebuilds.
-	Replacements int
-	// Retries is the number of EXTRA recovery attempts after a failed one.
-	Retries int
-	// BackoffWaits is the number of backoff sleeps taken before retries.
-	BackoffWaits int
-	// BackoffTotal is the summed duration of those sleeps.
+// SupervisorStats counts what the supervisor did, for observability and
+// tests.
+type SupervisorStats struct {
+	// Failures counts failed steps handled; Replacements, Shrinks and Grows
+	// the successful rebuilds of each kind; Retries the EXTRA Recover
+	// attempts after a failed one; GrowAttempts every re-grow tried.
+	Failures, Replacements, Shrinks, Grows, Retries, GrowAttempts int
+	// BackoffTotal is the summed wait before those retries.
 	BackoffTotal time.Duration
-	// Shrinks is the number of successful shrink-to-survivors rebuilds.
-	Shrinks int
-	// Grows is the number of successful re-grow rebuilds.
-	Grows int
-	// GrowAttempts is the number of re-grows attempted (successful or not).
-	GrowAttempts int
 	// FloorAborts is 1 when the run stopped at the MinReplicas floor.
 	FloorAborts int
-	// FinalCheckpoint is the path of the final checkpoint artifact, set when
-	// CheckpointDir is configured and the supervised run has ended (cleanly
-	// or by abort).
+	// FinalCheckpoint is the final checkpoint's path, set when CheckpointDir
+	// is configured and the run has ended (cleanly or by abort).
 	FinalCheckpoint string
 }
 
-// Supervisor drives a dist.Trainer through a training run, rebuilding it
-// across failures per its Policy. It is not safe for concurrent use.
+// Supervisor drives a Trainer through a training run, rebuilding it across
+// failures per its Policy. It is not safe for concurrent use.
 type Supervisor struct {
-	tr     *dist.Trainer
+	tr     *Trainer
 	policy Policy
 	// target is the starting width — the membership Grow steers back toward.
 	target int
-	stats  Stats
+	stats  SupervisorStats
 	// clean counts consecutive completed steps since the last failure or
 	// membership change; re-grow triggers on it.
 	clean int
@@ -116,39 +90,41 @@ type Supervisor struct {
 	sleep func(time.Duration)
 }
 
-// New wraps tr in a supervisor. The trainer's current width becomes the
-// re-grow target. The policy is validated: MinReplicas defaults to 1 and
-// must not exceed the trainer's width.
-func New(tr *dist.Trainer, p Policy) (*Supervisor, error) {
+// NewSupervisor wraps tr in a supervisor. The trainer's current width
+// becomes the re-grow target. MinReplicas defaults to 1 and must not exceed
+// the trainer's width. A trainer without a collective deadline gets
+// supervisedDeadline (30 s), so every failed step surfaces; a deadline the
+// caller set is kept.
+func NewSupervisor(tr *Trainer, p Policy) (*Supervisor, error) {
 	if tr == nil {
-		return nil, errors.New("elastic: nil trainer")
+		return nil, errors.New("dist: nil trainer")
 	}
 	if p.MinReplicas <= 0 {
 		p.MinReplicas = 1
 	}
 	if p.MinReplicas > tr.Devices() {
-		return nil, fmt.Errorf("elastic: MinReplicas %d exceeds trainer width %d", p.MinReplicas, tr.Devices())
-	}
-	if p.MaxRetries < 0 {
-		return nil, fmt.Errorf("elastic: negative MaxRetries %d", p.MaxRetries)
+		return nil, fmt.Errorf("dist: MinReplicas %d exceeds trainer width %d", p.MinReplicas, tr.Devices())
 	}
 	if p.CheckpointDir != "" {
 		// Fail at construction, not at the first failure, if the artifact
 		// directory cannot exist.
 		if err := os.MkdirAll(p.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("elastic: checkpoint directory: %w", err)
+			return nil, fmt.Errorf("dist: checkpoint directory: %w", err)
 		}
+	}
+	if tr.group.Deadline() == 0 {
+		tr.SetCollectiveDeadline(supervisedDeadline)
 	}
 	return &Supervisor{tr: tr, policy: p, target: tr.Devices(), sleep: time.Sleep}, nil
 }
 
 // Trainer returns the CURRENT trainer incarnation — after a supervised run
 // this is the trainer that executed the final steps (possibly shrunken or
-// re-grown relative to the one New was given).
-func (s *Supervisor) Trainer() *dist.Trainer { return s.tr }
+// re-grown relative to the one NewSupervisor was given).
+func (s *Supervisor) Trainer() *Trainer { return s.tr }
 
 // Stats returns a snapshot of the supervisor's counters.
-func (s *Supervisor) Stats() Stats { return s.stats }
+func (s *Supervisor) Stats() SupervisorStats { return s.stats }
 
 // Train runs iters supervised steps, invoking cb (when non-nil) after each
 // completed one. On a failed step it applies the replace → shrink → abort
@@ -180,18 +156,18 @@ func (s *Supervisor) Train(iters int, cb func(core.IterStats)) ([]core.IterStats
 		i++
 	}
 	if err := s.finalCheckpoint(); err != nil {
-		return hist, fmt.Errorf("elastic: final checkpoint: %w", err)
+		return hist, fmt.Errorf("dist: final checkpoint: %w", err)
 	}
 	return hist, nil
 }
 
 // maybeGrow attempts to re-admit ranks back to the starting width once
-// GrowAfter consecutive clean steps have passed below it. A failed attempt
+// growAfter consecutive clean steps have passed below it. A failed attempt
 // (no capacity, bad builder) leaves the trainer untouched and resets the
 // clean-step counter, so attempts stay paced rather than firing every step.
 func (s *Supervisor) maybeGrow() {
 	p := &s.policy
-	if p.GrowAfter <= 0 || p.Builder == nil || s.tr.Devices() >= s.target || s.clean < p.GrowAfter {
+	if p.Builder == nil || s.tr.Devices() >= s.target || s.clean < growAfter {
 		return
 	}
 	s.stats.GrowAttempts++
@@ -215,25 +191,19 @@ func (s *Supervisor) handleFailure(cause error) error {
 	if len(dead) == 0 {
 		// Condemned without a dead rank (explicit abort, straggler past the
 		// deadline): there is no membership fix for this.
-		return s.abort(fmt.Errorf("elastic: group condemned without a dead rank: %w", cause))
+		return s.abort(fmt.Errorf("dist: group condemned without a dead rank: %w", cause))
 	}
 
 	// 1. REPLACE: bounded retries with exponential backoff.
 	var lastRecover error
 	if s.policy.Builder != nil {
-		backoff := s.policy.Backoff
-		for attempt := 0; attempt <= s.policy.MaxRetries; attempt++ {
+		wait := backoff
+		for attempt := 0; attempt <= maxRetries; attempt++ {
 			if attempt > 0 {
 				s.stats.Retries++
-				if backoff > 0 {
-					s.stats.BackoffWaits++
-					s.stats.BackoffTotal += backoff
-					s.sleep(backoff)
-					backoff *= 2
-					if s.policy.BackoffMax > 0 && backoff > s.policy.BackoffMax {
-						backoff = s.policy.BackoffMax
-					}
-				}
+				s.stats.BackoffTotal += wait
+				s.sleep(wait)
+				wait = min(2*wait, backoffMax)
 			}
 			nt, err := s.tr.Recover(s.policy.CheckpointDir, s.policy.Builder)
 			if err == nil {
@@ -249,7 +219,7 @@ func (s *Supervisor) handleFailure(cause error) error {
 	if survivors := s.tr.Devices() - len(dead); survivors < s.policy.MinReplicas {
 		s.stats.FloorAborts++
 		return s.abort(errors.Join(
-			fmt.Errorf("elastic: %d survivors below MinReplicas floor %d: %w", survivors, s.policy.MinReplicas, cause),
+			fmt.Errorf("dist: %d survivors below MinReplicas floor %d: %w", survivors, s.policy.MinReplicas, cause),
 			lastRecover))
 	}
 	nt, err := s.tr.Shrink()
@@ -266,7 +236,7 @@ func (s *Supervisor) handleFailure(cause error) error {
 // the cause is returned for Train to surface.
 func (s *Supervisor) abort(cause error) error {
 	if err := s.finalCheckpoint(); err != nil {
-		return errors.Join(cause, fmt.Errorf("elastic: final checkpoint: %w", err))
+		return errors.Join(cause, fmt.Errorf("dist: final checkpoint: %w", err))
 	}
 	return cause
 }
@@ -279,16 +249,9 @@ func (s *Supervisor) finalCheckpoint() error {
 	if s.policy.CheckpointDir == "" {
 		return nil
 	}
-	deadSet := make(map[int]bool)
-	for _, r := range s.tr.DeadRanks() {
-		deadSet[r] = true
-	}
-	src := 0
-	for r := range s.tr.Reps {
-		if !deadSet[r] {
-			src = r
-			break
-		}
+	dead, src := s.tr.DeadRanks(), 0
+	for slices.Contains(dead, src) && src+1 < len(s.tr.Reps) {
+		src++
 	}
 	path := filepath.Join(s.policy.CheckpointDir, fmt.Sprintf("final-step%04d.pvq", s.last))
 	if err := nn.SaveFile(path, s.tr.Reps[src].Model); err != nil {

@@ -1,4 +1,4 @@
-package elastic
+package dist
 
 import (
 	"errors"
@@ -9,101 +9,39 @@ import (
 
 	"github.com/vqmc-scale/parvqmc/internal/comm"
 	"github.com/vqmc-scale/parvqmc/internal/core"
-	"github.com/vqmc-scale/parvqmc/internal/dist"
-	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
-	"github.com/vqmc-scale/parvqmc/internal/optimizer"
-	"github.com/vqmc-scale/parvqmc/internal/rng"
-	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
 
 // supervisionDeadline bounds every collective in these tests so a scripted
 // death surfaces fast; the wall-clock assertions key off it.
 const supervisionDeadline = 250 * time.Millisecond
 
-// buildTrainer mirrors the dist package's test fixture: L MADE replicas with
-// identical initial parameters (initSeed) and split sampler streams
-// (streamSeed), Adam, REINFORCE gradients — one collective per rank per
-// step, so FailAt(victim, k-1) kills exactly step k.
-func buildTrainer(t testing.TB, n, h, L, mb int, initSeed, streamSeed uint64) *dist.Trainer {
+// supervisedTrainer is buildTrainer with supervisionDeadline set, which
+// NewSupervisor keeps in place of its own 30 s default.
+func supervisedTrainer(t testing.TB, n, h, L, mb int, initSeed, streamSeed uint64) *Trainer {
 	t.Helper()
-	tim := hamiltonian.RandomTIM(n, rng.New(77))
-	streams := rng.New(streamSeed).SplitN(L)
-	reps := make([]dist.Replica, L)
-	for r := range reps {
-		m := nn.NewMADE(n, h, rng.New(initSeed))
-		reps[r] = dist.Replica{
-			Model: m,
-			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, streams[r]),
-			Opt:   optimizer.NewAdam(0.01),
-		}
-	}
-	tr, err := dist.New(tim, reps, mb)
-	if err != nil {
-		t.Fatalf("dist.New: %v", err)
-	}
+	tr := buildTrainer(t, n, h, L, mb, initSeed, streamSeed)
 	tr.SetCollectiveDeadline(supervisionDeadline)
 	return tr
-}
-
-// madeBuilder is a working ReplicaBuilder for replacements and admissions.
-func madeBuilder(rank int, model dist.Model) (dist.Replica, error) {
-	m, ok := model.(*nn.MADE)
-	if !ok {
-		return dist.Replica{}, errors.New("checkpoint did not round-trip a *MADE")
-	}
-	return dist.Replica{
-		Model: m,
-		Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(0xDEAD+uint64(rank))),
-		Opt:   optimizer.NewSGD(1),
-	}, nil
 }
 
 // scriptedBuilder consumes one outcome per call: true delegates to
 // madeBuilder, false fails. It lets a test script exactly which recovery and
 // growth attempts succeed.
-func scriptedBuilder(t testing.TB, outcomes []bool) dist.ReplicaBuilder {
+func scriptedBuilder(t testing.TB, outcomes []bool) ReplicaBuilder {
 	t.Helper()
 	i := 0
-	return func(rank int, model dist.Model) (dist.Replica, error) {
+	return func(rank int, model Model) (Replica, error) {
 		if i >= len(outcomes) {
 			t.Errorf("builder called %d times, scripted for %d", i+1, len(outcomes))
-			return dist.Replica{}, errors.New("elastic test: builder outcome script exhausted")
+			return Replica{}, errors.New("supervise test: builder outcome script exhausted")
 		}
 		ok := outcomes[i]
 		i++
 		if !ok {
-			return dist.Replica{}, errors.New("elastic test: scripted builder failure")
+			return Replica{}, errors.New("supervise test: scripted builder failure")
 		}
 		return madeBuilder(rank, model)
-	}
-}
-
-func assertSameHistory(t *testing.T, ref, got []core.IterStats) {
-	t.Helper()
-	if len(ref) != len(got) {
-		t.Fatalf("history length %d, want %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if ref[i] != got[i] {
-			t.Fatalf("iter %d stats diverge: got %+v, want %+v", i+1, got[i], ref[i])
-		}
-	}
-}
-
-func assertSameParams(t *testing.T, ref, got *dist.Trainer) {
-	t.Helper()
-	if err := got.CheckConsistent(); err != nil {
-		t.Fatalf("supervised trainer inconsistent: %v", err)
-	}
-	pr, pg := ref.Reps[0].Model.Params(), got.Reps[0].Model.Params()
-	if len(pr) != len(pg) {
-		t.Fatalf("param count %d, want %d", len(pg), len(pr))
-	}
-	for i := range pr {
-		if pr[i] != pg[i] {
-			t.Fatalf("param %d diverges: got %v, want %v", i, pg[i], pr[i])
-		}
 	}
 }
 
@@ -112,9 +50,9 @@ func assertSameParams(t *testing.T, ref, got *dist.Trainer) {
 // the uninterrupted one.
 func TestSupervisedReplaceBitIdentical(t *testing.T) {
 	const L, mb, steps, failStep = 4, 8, 16, 7
-	tr := buildTrainer(t, 8, 10, L, mb, 201, 202)
+	tr := supervisedTrainer(t, 8, 10, L, mb, 201, 202)
 	tr.InjectFailure(2, failStep-1)
-	sup, err := New(tr, Policy{Builder: madeBuilder, CheckpointDir: t.TempDir()})
+	sup, err := NewSupervisor(tr, Policy{Builder: madeBuilder, CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +61,12 @@ func TestSupervisedReplaceBitIdentical(t *testing.T) {
 		t.Fatalf("supervised Train: %v", err)
 	}
 
-	ref := buildTrainer(t, 8, 10, L, mb, 201, 202)
+	ref := supervisedTrainer(t, 8, 10, L, mb, 201, 202)
 	refHist, err := ref.Train(steps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameHistory(t, refHist, hist)
-	assertSameParams(t, ref, sup.Trainer())
+	assertIdenticalRun(t, refHist, hist, ref, sup.Trainer())
 	st := sup.Stats()
 	if st.Failures != 1 || st.Replacements != 1 || st.Shrinks != 0 || st.Retries != 0 {
 		t.Fatalf("stats = %+v, want 1 failure handled by 1 replacement", st)
@@ -147,9 +84,9 @@ func TestSupervisedReplaceBitIdentical(t *testing.T) {
 // bit-for-bit.
 func TestSupervisedShrinkFallback(t *testing.T) {
 	const L, mb, steps, failStep = 4, 8, 16, 7
-	tr := buildTrainer(t, 8, 10, L, mb, 211, 212)
+	tr := supervisedTrainer(t, 8, 10, L, mb, 211, 212)
 	tr.InjectFailure(1, failStep-1)
-	sup, err := New(tr, Policy{MinReplicas: 2})
+	sup, err := NewSupervisor(tr, Policy{MinReplicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +96,7 @@ func TestSupervisedShrinkFallback(t *testing.T) {
 	}
 
 	// Reference: the same failure handled by hand at the dist layer.
-	ref := buildTrainer(t, 8, 10, L, mb, 211, 212)
+	ref := supervisedTrainer(t, 8, 10, L, mb, 211, 212)
 	ref.InjectFailure(1, failStep-1)
 	var refHist []core.IterStats
 	for i := 1; i < failStep; i++ {
@@ -183,8 +120,7 @@ func TestSupervisedShrinkFallback(t *testing.T) {
 		}
 		refHist = append(refHist, s)
 	}
-	assertSameHistory(t, refHist, hist)
-	assertSameParams(t, refSmall, sup.Trainer())
+	assertIdenticalRun(t, refHist, hist, refSmall, sup.Trainer())
 	st := sup.Stats()
 	if st.Failures != 1 || st.Shrinks != 1 || st.Replacements != 0 {
 		t.Fatalf("stats = %+v, want 1 failure handled by 1 shrink", st)
@@ -195,20 +131,27 @@ func TestSupervisedShrinkFallback(t *testing.T) {
 }
 
 // TestRetryBackoffCounters scripts two failed replacement attempts before a
-// successful third and checks every retry/backoff counter, with the sleeps
-// intercepted so the test stays fast and exact.
+// successful third and checks every retry/backoff counter against the fixed
+// schedule, with the sleeps intercepted so the test stays fast and exact. It
+// also pins the supervisor's deadline rule: a caller's deadline is kept, and
+// a trainer without one gets supervisedDeadline.
 func TestRetryBackoffCounters(t *testing.T) {
 	const L, mb, steps, failStep = 3, 4, 8, 4
-	tr := buildTrainer(t, 6, 8, L, mb, 221, 222)
+	tr := supervisedTrainer(t, 6, 8, L, mb, 221, 222)
 	tr.InjectFailure(0, failStep-1)
-	sup, err := New(tr, Policy{
-		Builder:    scriptedBuilder(t, []bool{false, false, true}),
-		MaxRetries: 2,
-		Backoff:    time.Millisecond,
-		BackoffMax: 10 * time.Millisecond,
-	})
+	sup, err := NewSupervisor(tr, Policy{Builder: scriptedBuilder(t, []bool{false, false, true})})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := tr.group.Deadline(); got != supervisionDeadline {
+		t.Fatalf("NewSupervisor changed the caller's deadline to %v, want %v", got, supervisionDeadline)
+	}
+	bare := buildTrainer(t, 6, 8, L, mb, 221, 222)
+	if _, err := NewSupervisor(bare, Policy{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := bare.group.Deadline(); got != supervisedDeadline {
+		t.Fatalf("unbounded trainer supervised with deadline %v, want %v", got, supervisedDeadline)
 	}
 	var slept []time.Duration
 	sup.sleep = func(d time.Duration) { slept = append(slept, d) }
@@ -224,20 +167,19 @@ func TestRetryBackoffCounters(t *testing.T) {
 	if st.Failures != 1 || st.Retries != 2 || st.Replacements != 1 || st.Shrinks != 0 {
 		t.Fatalf("stats = %+v, want failure resolved on the second retry", st)
 	}
-	if st.BackoffWaits != 2 || st.BackoffTotal != 3*time.Millisecond {
-		t.Fatalf("backoff stats = %d waits / %v total, want 2 / 3ms", st.BackoffWaits, st.BackoffTotal)
+	if st.BackoffTotal != 300*time.Millisecond {
+		t.Fatalf("BackoffTotal = %v, want 300ms", st.BackoffTotal)
 	}
-	if len(slept) != 2 || slept[0] != time.Millisecond || slept[1] != 2*time.Millisecond {
-		t.Fatalf("sleeps = %v, want [1ms 2ms] (exponential)", slept)
+	if len(slept) != 2 || slept[0] != 100*time.Millisecond || slept[1] != 200*time.Millisecond {
+		t.Fatalf("sleeps = %v, want [100ms 200ms] (exponential)", slept)
 	}
 	// The replacement rebuild is bit-identical to the uninterrupted run.
-	ref := buildTrainer(t, 6, 8, L, mb, 221, 222)
+	ref := supervisedTrainer(t, 6, 8, L, mb, 221, 222)
 	refHist, err := ref.Train(steps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameHistory(t, refHist, hist)
-	assertSameParams(t, ref, sup.Trainer())
+	assertIdenticalRun(t, refHist, hist, ref, sup.Trainer())
 }
 
 // TestFloorAbortWritesFinalCheckpoint: a failure below the MinReplicas
@@ -246,9 +188,9 @@ func TestRetryBackoffCounters(t *testing.T) {
 func TestFloorAbortWritesFinalCheckpoint(t *testing.T) {
 	const L, mb, steps, failStep = 2, 4, 10, 5
 	dir := t.TempDir()
-	tr := buildTrainer(t, 6, 8, L, mb, 231, 232)
+	tr := supervisedTrainer(t, 6, 8, L, mb, 231, 232)
 	tr.InjectFailure(1, failStep-1)
-	sup, err := New(tr, Policy{MinReplicas: 2, CheckpointDir: dir})
+	sup, err := NewSupervisor(tr, Policy{MinReplicas: 2, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +232,8 @@ func TestFloorAbortWritesFinalCheckpoint(t *testing.T) {
 func TestAbortWithoutDeadRank(t *testing.T) {
 	const L, mb = 2, 4
 	dir := t.TempDir()
-	tr := buildTrainer(t, 6, 8, L, mb, 241, 242)
-	sup, err := New(tr, Policy{Builder: madeBuilder, CheckpointDir: dir})
+	tr := supervisedTrainer(t, 6, 8, L, mb, 241, 242)
+	sup, err := NewSupervisor(tr, Policy{Builder: madeBuilder, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +271,14 @@ func TestSupervisedFullSchedule(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
 
-	tr := buildTrainer(t, 6, 8, L, mb, 251, 252)
-	// Five incarnations, one fault generation each:
-	//   gen0: rank 1 dies at step 3            -> builder ok   -> replace (L=4)
-	//   gen1: rank 3 dies at step 6 (replay+3) -> builder fail -> shrink  (L=3)
-	//   gen2: fault-free; 3 clean steps        -> builder ok   -> grow    (L=4)
-	//   gen3: ranks 0+2 die at step 10         -> builder fail -> shrink  (L=2)
-	//   gen4: rank 1 dies replaying step 10    -> builder fail -> 1 < floor 2 -> abort
+	tr := supervisedTrainer(t, 6, 8, L, mb, 251, 252)
+	// Five incarnations, one fault generation each (a failed replacement is
+	// 1 + maxRetries builder failures):
+	//   gen0: rank 1 dies at step 3            -> builder ok      -> replace (L=4)
+	//   gen1: rank 3 dies at step 6 (replay+3) -> builder fail x3 -> shrink  (L=3)
+	//   gen2: fault-free; growAfter=10 clean   -> builder ok      -> grow    (L=4)
+	//   gen3: ranks 0+2 die at step 17         -> builder fail x3 -> shrink  (L=2)
+	//   gen4: rank 1 dies replaying step 17    -> builder fail x3 -> 1 < floor 2 -> abort
 	plan := comm.NewFaultPlan().
 		Generation(comm.FaultSpec{Rank: 1, After: 2}).
 		Generation(comm.FaultSpec{Rank: 3, After: 3}).
@@ -344,15 +287,16 @@ func TestSupervisedFullSchedule(t *testing.T) {
 		Generation(comm.FaultSpec{Rank: 1, After: 0})
 	tr.SetFaultPlan(plan)
 
-	sup, err := New(tr, Policy{
+	script := []bool{true, false, false, false, true, false, false, false, false, false, false}
+	sup, err := NewSupervisor(tr, Policy{
 		MinReplicas:   2,
-		Builder:       scriptedBuilder(t, []bool{true, false, true, false, false}),
-		GrowAfter:     3,
+		Builder:       scriptedBuilder(t, script),
 		CheckpointDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sup.sleep = func(time.Duration) {}
 	start := time.Now()
 	hist, err := sup.Train(20, nil)
 	if err == nil {
@@ -365,8 +309,8 @@ func TestSupervisedFullSchedule(t *testing.T) {
 		t.Fatalf("fault plan has %d unconsumed generations", plan.Remaining())
 	}
 
-	// Nine steps committed; the batch column tells the membership story.
-	wantBatch := []int{16, 16, 16, 16, 16, 12, 12, 12, 16}
+	// Sixteen steps committed; the batch column tells the membership story.
+	wantBatch := []int{16, 16, 16, 16, 16, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 16}
 	if len(hist) != len(wantBatch) {
 		t.Fatalf("history has %d steps, want %d", len(hist), len(wantBatch))
 	}
@@ -379,17 +323,17 @@ func TestSupervisedFullSchedule(t *testing.T) {
 
 	st := sup.Stats()
 	if st.Failures != 4 || st.Replacements != 1 || st.Shrinks != 2 ||
-		st.Grows != 1 || st.GrowAttempts != 1 || st.FloorAborts != 1 || st.Retries != 0 {
+		st.Grows != 1 || st.GrowAttempts != 1 || st.FloorAborts != 1 || st.Retries != 3*maxRetries {
 		t.Fatalf("stats = %+v, want 4 failures: replace, shrink, (grow), shrink, floor-abort", st)
 	}
 
 	// Complete forensics across every incarnation.
 	recs := sup.Trainer().FailureHistory()
-	wantRecs := []dist.FailureRecord{
+	wantRecs := []FailureRecord{
 		{Step: 3, Dead: []int{1}},
 		{Step: 6, Dead: []int{3}},
-		{Step: 10, Dead: []int{0, 2}},
-		{Step: 10, Dead: []int{1}},
+		{Step: 17, Dead: []int{0, 2}},
+		{Step: 17, Dead: []int{1}},
 	}
 	if len(recs) != len(wantRecs) {
 		t.Fatalf("FailureHistory() = %+v, want %+v", recs, wantRecs)
@@ -407,7 +351,7 @@ func TestSupervisedFullSchedule(t *testing.T) {
 	}
 
 	// The final checkpoint is the last committed step's parameters.
-	want := filepath.Join(dir, "final-step0009.pvq")
+	want := filepath.Join(dir, "final-step0016.pvq")
 	if st.FinalCheckpoint != want {
 		t.Fatalf("FinalCheckpoint = %q, want %q", st.FinalCheckpoint, want)
 	}

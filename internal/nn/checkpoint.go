@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -110,6 +111,13 @@ func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 		return nil, fmt.Errorf("nn: checkpoint dims n=%d h=%d imply %d params, over the %d cap",
 			n, h, want, int64(maxParams))
 	}
+	// Read the payload before constructing the model: the buffer grows with
+	// the bytes actually read, so a header claiming more parameters than the
+	// stream holds cannot allocate for them.
+	var payload bytes.Buffer
+	if _, err := io.CopyN(&payload, br, 8*int64(d)); err != nil {
+		return nil, err
+	}
 	// Construct with an arbitrary seed; every parameter is overwritten by
 	// the checkpoint payload (masks are deterministic in (n, h)).
 	var wf Wavefunction
@@ -127,12 +135,9 @@ func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 	if len(params) != d {
 		return nil, fmt.Errorf("nn: checkpoint has %d params, model needs %d", d, len(params))
 	}
-	buf := make([]byte, 8)
+	raw := payload.Bytes()
 	for i := range params {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
-		}
-		params[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		params[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	InvalidateParams(wf)
 	return wf, nil

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/rng"
@@ -192,6 +193,10 @@ func TestCheckpointCorruptHeaders(t *testing.T) {
 		{"absurd dims RBM", header("PVQ1", 2, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
 		{"absurd dims NADE", header("PVQ1", 3, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
 		{"absurd dims RNN", header("PVQ1", 4, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
+		// Under the cap (d = 2*2048^2 + 4096 ≈ 8.4 M) but with no payload:
+		// the loader must fail on the missing bytes without first building
+		// the ~67 MB model.
+		{"empty payload large MADE", header("PVQ1", 1, 2048, 2048, 2*2048*2048+2*2048, 0)},
 		// Dims whose derived count is internally consistent but past the
 		// plausibility cap (MADE 2^14 x 2^14: d = 2*2^28 + 2^15 > 2^28).
 		{"over cap consistent MADE", header("PVQ1", 1, 1<<14, 1<<14, 0, 0)},
@@ -208,12 +213,51 @@ func TestCheckpointCorruptHeaders(t *testing.T) {
 	binary.LittleEndian.PutUint32(cases[len(cases)-1].raw[13:], uint32(want))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			wf, err := LoadWavefunction(bytes.NewReader(tc.raw))
+			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatalf("corrupt checkpoint accepted, loaded %T", wf)
 			}
+			// Allocation is bounded by the bytes present, not the header.
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("rejecting %d bytes allocated %d, want < 1 MiB", len(tc.raw), got)
+			}
 		})
 	}
+}
+
+// FuzzLoadWavefunction feeds arbitrary bytes to the loader: it either
+// errors without panicking or loads a model whose re-saved checkpoint equals
+// the consumed input, byte for byte. Seeds are a valid checkpoint of each
+// kind, whole and truncated at the end of every header field.
+func FuzzLoadWavefunction(f *testing.F) {
+	r := rng.New(31)
+	for _, m := range []Wavefunction{NewMADE(4, 3, r), NewRBM(4, 3, r), NewNADE(4, 3, r), NewRNN(4, 3, r)} {
+		var buf bytes.Buffer
+		if err := SaveWavefunction(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		// magic (4), kind (1), n, h, d (4 each).
+		for _, cut := range []int{0, 4, 5, 9, 13, 17} {
+			f.Add(buf.Bytes()[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wf, err := LoadWavefunction(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveWavefunction(&out, wf); err != nil {
+			t.Fatalf("re-saving a loaded %T: %v", wf, err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("loaded %T does not round-trip its %d input bytes", wf, len(data))
+		}
+	})
 }
 
 // TestSaveFileAtomic: overwriting an existing checkpoint must leave either

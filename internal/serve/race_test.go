@@ -19,7 +19,7 @@ import (
 )
 
 // leakCheck asserts the goroutine count returns to (near) baseline, with
-// the retry loop from internal/elastic: scheduler stragglers get a grace
+// the retry loop of dist's supervisor tests: scheduler stragglers get a grace
 // window, real leaks fail.
 func leakCheck(t *testing.T, before int) {
 	t.Helper()

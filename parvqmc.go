@@ -26,7 +26,6 @@ import (
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
 	"github.com/vqmc-scale/parvqmc/internal/dist"
-	"github.com/vqmc-scale/parvqmc/internal/elastic"
 	"github.com/vqmc-scale/parvqmc/internal/exact"
 	"github.com/vqmc-scale/parvqmc/internal/graph"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
@@ -509,15 +508,8 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 			opt, sr := o.buildOptimizer()
 			return dist.Replica{Model: model, Smp: smp, Opt: opt, SR: sr, Workers: workers}, nil
 		}
-		tr.SetCollectiveDeadline(30 * time.Second)
-		sup, err := elastic.New(tr, elastic.Policy{
-			MinReplicas:   o.MinReplicas,
-			MaxRetries:    2,
-			Backoff:       100 * time.Millisecond,
-			BackoffMax:    2 * time.Second,
-			CheckpointDir: o.CheckpointDir,
-			Builder:       build,
-			GrowAfter:     10,
+		sup, err := dist.NewSupervisor(tr, dist.Policy{
+			MinReplicas: o.MinReplicas, CheckpointDir: o.CheckpointDir, Builder: build,
 		})
 		if err != nil {
 			return nil, err
