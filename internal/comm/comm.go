@@ -428,22 +428,3 @@ func NaiveAllReduceTime(nBytes float64, p int, link Link) time.Duration {
 	}
 	return time.Duration(2*(p-1)) * link.Transfer(nBytes)
 }
-
-// HierarchicalAllReduceTime models the two-level collective used on
-// L1 nodes x L2 GPUs-per-node clusters: ring reduce within each node over
-// the fast intra link, ring across node leaders over the slow inter link,
-// then an intra-node broadcast.
-func HierarchicalAllReduceTime(nBytes float64, nodes, perNode int, intra, inter Link) time.Duration {
-	var t time.Duration
-	if perNode > 1 {
-		t += RingAllReduceTime(nBytes, perNode, intra)
-	}
-	if nodes > 1 {
-		t += RingAllReduceTime(nBytes, nodes, inter)
-	}
-	if perNode > 1 && nodes > 1 {
-		// Leaders rebroadcast the cross-node result inside each node.
-		t += intra.Transfer(nBytes)
-	}
-	return t
-}

@@ -284,25 +284,6 @@ func TestRingTimeModel(t *testing.T) {
 	}
 }
 
-func TestHierarchicalTimeModel(t *testing.T) {
-	intra := Link{Latency: 5 * time.Microsecond, Bandwidth: 100e9}
-	inter := Link{Latency: 20 * time.Microsecond, Bandwidth: 10e9}
-	single := HierarchicalAllReduceTime(1e6, 1, 1, intra, inter)
-	if single != 0 {
-		t.Fatal("1x1 should cost nothing")
-	}
-	intraOnly := HierarchicalAllReduceTime(1e6, 1, 4, intra, inter)
-	multi := HierarchicalAllReduceTime(1e6, 4, 4, intra, inter)
-	if multi <= intraOnly {
-		t.Fatal("adding inter-node stage should cost more")
-	}
-	// Inter-node stage should dominate: slower link.
-	interOnly := HierarchicalAllReduceTime(1e6, 4, 1, intra, inter)
-	if interOnly <= intraOnly {
-		t.Fatal("inter-node ring should be slower than intra-node ring")
-	}
-}
-
 func TestRankBounds(t *testing.T) {
 	g := NewGroup(2)
 	defer func() {

@@ -4,21 +4,18 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"path/filepath"
 
-	"github.com/vqmc-scale/parvqmc/internal/device"
 	"github.com/vqmc-scale/parvqmc/internal/maxcut"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
-	"github.com/vqmc-scale/parvqmc/internal/trace"
 )
 
-// Figure2 records the training curves (mean local energy and its std-dev
+// figure2 records the training curves (mean local energy and its std-dev
 // per iteration) for RBM&MCMC and MADE&AUTO on TIM instances, the data
 // behind the paper's Figure 2. Full curves go to CSV; the table summarizes
 // start/end energy and std so the stability comparison is visible in text.
-func Figure2(p Preset, out io.Writer, csvDir string) error {
-	tbl := trace.NewTable(
+func figure2(p Preset, out io.Writer, csvDir string) error {
+	tbl := newTable(
 		fmt.Sprintf("Figure 2 summary: TIM training curves (preset %s, %d iters)", p.Name, p.Iters),
 		"Method", "n", "E first", "E last", "std first", "std last", "stable")
 	for _, n := range realDims(p) {
@@ -43,39 +40,27 @@ func Figure2(p Preset, out io.Writer, csvDir string) error {
 			}
 			tbl.AddRow(method, n, first.Energy, last.Energy, first.Std, last.Std,
 				fmt.Sprintf("%v", stable))
-			if csvDir != "" {
-				c := trace.NewCurve(fmt.Sprintf("%s_n%d", method, n))
-				for _, s := range res.Curve {
-					c.Append(s.Iter, map[string]float64{"energy": s.Energy, "std": s.Std})
-				}
-				path := filepath.Join(csvDir, fmt.Sprintf("fig2_%s_n%d.csv", model, n))
-				if err := c.WriteCSV(path); err != nil {
-					return err
-				}
+			name := fmt.Sprintf("fig2_%s_n%d.csv", model, n)
+			if err := saveCSV(csvDir, name, curveTable(res.Curve)); err != nil {
+				return err
 			}
 		}
 	}
-	if err := tbl.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		return tbl.WriteCSV(filepath.Join(csvDir, "fig2_summary.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "fig2_summary.csv", tbl)
 }
 
-// Table2 reproduces the converged-objective comparison: classical Max-Cut
+// table2 reproduces the converged-objective comparison: classical Max-Cut
 // baselines (Random, Goemans-Williamson, Burer-Monteiro) against
 // {RBM&MCMC, MADE&AUTO} x {SGD, ADAM, SGD+SR}, on both Max-Cut (maximize
 // cut) and TIM (minimize energy), averaged over seeds.
-func Table2(p Preset, out io.Writer, csvDir string) error {
+func table2(p Preset, out io.Writer, csvDir string) error {
 	dims := realDims(p)
-	tbl := trace.NewTable(
+	tbl := newTable(
 		fmt.Sprintf("Table 2: optimized objectives (preset %s, %d seeds)", p.Name, p.Seeds),
 		append([]string{"Problem", "Model", "Sampler", "Optimizer"}, dimHeaders(dims)...)...)
 
 	addRow := func(problem, model, smp, opt string, cells []string) {
-		row := []interface{}{problem, model, smp, opt}
+		row := []any{problem, model, smp, opt}
 		for _, c := range cells {
 			row = append(row, c)
 		}
@@ -152,41 +137,33 @@ func Table2(p Preset, out io.Writer, csvDir string) error {
 			addRow("TIM", model, smpName, opt, cells)
 		}
 	}
-
-	if err := tbl.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		return tbl.WriteCSV(filepath.Join(csvDir, "table2.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "table2.csv", tbl)
 }
 
-// Table3 runs the latent-size ablation: converged cut (real runs) and
+// table3 runs the latent-size ablation: converged cut (real runs) and
 // training time (modeled V100 seconds) across hidden sizes
 // {(ln n)^2, 3(ln n)^2, 5(ln n)^2, n, 5n} for MADE and
 // {(ln n)^2, 3(ln n)^2, n, 5n} for RBM on Max-Cut with Adam.
-func Table3(p Preset, out io.Writer, csvDir string) error {
-	dev := device.V100()
+func table3(p Preset, out io.Writer, csvDir string) error {
+	dev := v100()
 	latents := func(n int) map[string]int {
 		l2 := math.Log(float64(n)) * math.Log(float64(n))
 		return map[string]int{
-			"(ln n)^2":  maxInt(2, int(math.Round(l2))),
-			"3(ln n)^2": maxInt(2, int(math.Round(3*l2))),
-			"5(ln n)^2": maxInt(2, int(math.Round(5*l2))),
+			"(ln n)^2":  max(2, int(math.Round(l2))),
+			"3(ln n)^2": max(2, int(math.Round(3*l2))),
+			"5(ln n)^2": max(2, int(math.Round(5*l2))),
 			"n":         n,
 			"5n":        5 * n,
 		}
 	}
 	order := []string{"(ln n)^2", "3(ln n)^2", "5(ln n)^2", "n", "5n"}
 
-	tbl := trace.NewTable(
+	tbl := newTable(
 		fmt.Sprintf("Table 3: latent-size ablation on Max-Cut (preset %s)", p.Name),
 		"Model", "n", "latent", "h", "cut", "modeled V100 s")
 	for _, model := range []string{"MADE", "RBM"} {
 		for _, n := range realDims(p) {
-			g, mc := maxCutInstance(n)
-			_ = g
+			_, mc := maxCutInstance(n)
 			for _, name := range order {
 				if model == "RBM" && name == "5(ln n)^2" {
 					continue // paper omits this cell for RBM
@@ -199,30 +176,24 @@ func Table3(p Preset, out io.Writer, csvDir string) error {
 				cut := mc.CutFromEnergy(res.EvalEnergy)
 				var modeled float64
 				if model == "MADE" {
-					modeled = device.TrainingTime(dev.MADEAutoIter(n, h, 1024, 0), 300).Seconds()
+					modeled = trainingTime(dev.MADEAutoIter(n, h, 1024, 0), 300).Seconds()
 				} else {
-					modeled = device.TrainingTime(dev.RBMMCMCIter(n, h, 1024, 2, 3*n+100, 1, 0), 300).Seconds()
+					modeled = trainingTime(dev.RBMMCMCIter(n, h, 1024, 2, 3*n+100, 1, 0), 300).Seconds()
 				}
 				tbl.AddRow(model, n, name, h, cut, fmt.Sprintf("%.2f", modeled))
 			}
 		}
 	}
-	if err := tbl.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		return tbl.WriteCSV(filepath.Join(csvDir, "table3.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "table3.csv", tbl)
 }
 
-// Table4 runs the MCMC sampling-scheme ablation: burn-in {n, 3n+100, 10n}
+// table4 runs the MCMC sampling-scheme ablation: burn-in {n, 3n+100, 10n}
 // (Scheme 1) and thinning {x2, x5, x10} (Scheme 2) for RBM&ADAM on Max-Cut.
 // Cut values are real runs; times are modeled V100 seconds, which reproduce
 // the paper's observation that time scales with the chain length only.
-func Table4(p Preset, out io.Writer, csvDir string) error {
-	dev := device.V100()
-	tbl := trace.NewTable(
+func table4(p Preset, out io.Writer, csvDir string) error {
+	dev := v100()
+	tbl := newTable(
 		fmt.Sprintf("Table 4: MCMC sampling-scheme ablation (preset %s)", p.Name),
 		"Scheme", "n", "burn-in", "thin", "cut", "modeled V100 s")
 	type scheme struct {
@@ -251,23 +222,10 @@ func Table4(p Preset, out io.Writer, csvDir string) error {
 				workers: p.Workers, seed: 51}
 			res := train(spec)
 			cut := mc.CutFromEnergy(res.EvalEnergy)
-			modeled := device.TrainingTime(
+			modeled := trainingTime(
 				dev.RBMMCMCIter(n, n, 1024, 2, k, sc.thin, 0), 300).Seconds()
 			tbl.AddRow(sc.name, n, k, sc.thin, cut, fmt.Sprintf("%.2f", modeled))
 		}
 	}
-	if err := tbl.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		return tbl.WriteCSV(filepath.Join(csvDir, "table4.csv"))
-	}
-	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return emit(out, csvDir, "table4.csv", tbl)
 }

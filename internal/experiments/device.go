@@ -1,6 +1,10 @@
-// Package device models the GPU the paper ran on (NVIDIA Tesla V100,
-// 32 GB). Real hardware is not available to this reproduction, so the
-// model captures the three effects that shape the paper's timing tables:
+package experiments
+
+import "time"
+
+// device is a modeled accelerator. It stands in for the GPU the paper ran
+// on (NVIDIA Tesla V100, 32 GB), which this reproduction does not have, and
+// captures the three effects that shape the paper's timing tables:
 //
 //  1. Kernel-launch / framework latency: each of the n sequential
 //     autoregressive sampling steps, and each MCMC step, pays a fixed
@@ -16,13 +20,7 @@
 //
 // The latency/throughput constants are calibrated once against the paper's
 // Table 1 and Table 6; they are not fit per-experiment.
-package device
-
-import "time"
-
-// Device is a modeled accelerator.
-type Device struct {
-	Name string
+type device struct {
 	// WorkspaceBytes is the memory budget available for the activation /
 	// flip-configuration workspace (a fraction of total device memory).
 	WorkspaceBytes float64
@@ -40,13 +38,12 @@ type Device struct {
 	BytesPerWord float64
 }
 
-// V100 returns the model calibrated against the paper's testbed
+// v100 returns the model calibrated against the paper's testbed
 // (Tesla V100, 32 GB): KernelLatency 0.3 ms and MCMCStepLatency 0.65 ms
 // reproduce Table 1 within ~15%, and the 4.2 GB flip workspace reproduces
 // the exact memory-saturating batch ladder of Table 7.
-func V100() Device {
-	return Device{
-		Name:            "V100-32GB(model)",
+func v100() device {
+	return device{
 		WorkspaceBytes:  4.2e9,
 		Throughput:      5e12,
 		KernelLatency:   300 * time.Microsecond,
@@ -56,33 +53,33 @@ func V100() Device {
 	}
 }
 
-// ForwardFlops is the flop count of one MADE/RBM-style forward pass over a
+// forwardFlops is the flop count of one MADE/RBM-style forward pass over a
 // batch: two dense layers of shape (h x n) and (n x h) at 2 flops per MAC.
-func ForwardFlops(n, h, bs int) float64 {
+func forwardFlops(n, h, bs int) float64 {
 	return 4 * float64(h) * float64(n) * float64(bs)
 }
 
-// MADEParams is the parameter count d = 2hn + h + n of the paper's MADE.
-func MADEParams(n, h int) int { return 2*h*n + h + n }
+// madeParams is the parameter count d = 2hn + h + n of the paper's MADE.
+func madeParams(n, h int) int { return 2*h*n + h + n }
 
-// RBMParams is the parameter count d = hn + h + n + 1 of the paper's RBM.
-func RBMParams(n, h int) int { return h*n + h + n + 1 }
+// rbmParams is the parameter count d = hn + h + n + 1 of the paper's RBM.
+func rbmParams(n, h int) int { return h*n + h + n + 1 }
 
 // MaxBatchTIM returns the largest power-of-two batch whose TIM local-energy
 // flip workspace bs * n^2 words fits the device budget. It reproduces the
 // paper's Table 7 ladder exactly: 2^19 at n=20 ... 2^2 at n=10000.
-func (d Device) MaxBatchTIM(n int) int {
+func (d device) MaxBatchTIM(n int) int {
 	perSample := float64(n) * float64(n) * d.BytesPerWord
-	max := d.WorkspaceBytes / perSample
+	fits := d.WorkspaceBytes / perSample
 	bs := 1
-	for bs*2 <= d.MaxBatch && float64(bs*2) <= max {
+	for bs*2 <= d.MaxBatch && float64(bs*2) <= fits {
 		bs *= 2
 	}
 	return bs
 }
 
-// IterCost decomposes one modeled training iteration.
-type IterCost struct {
+// iterCost decomposes one modeled training iteration.
+type iterCost struct {
 	Sample time.Duration // drawing the batch
 	Energy time.Duration // local-energy measurement
 	Grad   time.Duration // backward pass
@@ -90,9 +87,9 @@ type IterCost struct {
 }
 
 // Total is the summed iteration time.
-func (c IterCost) Total() time.Duration { return c.Sample + c.Energy + c.Grad + c.Update }
+func (c iterCost) Total() time.Duration { return c.Sample + c.Energy + c.Grad + c.Update }
 
-func (d Device) flopTime(flops float64) time.Duration {
+func (d device) flopTime(flops float64) time.Duration {
 	return time.Duration(flops / d.Throughput * float64(time.Second))
 }
 
@@ -101,20 +98,20 @@ func (d Device) flopTime(flops float64) time.Duration {
 // evaluation over bs*(flips+1) configurations, and a backward pass.
 // flips is the number of off-diagonal terms per row (n for TIM, 0 for
 // Max-Cut).
-func (d Device) MADEAutoIter(n, h, bs, flips int) IterCost {
-	var c IterCost
-	c.Sample = time.Duration(n)*d.KernelLatency + d.flopTime(float64(n)*ForwardFlops(n, h, bs))
+func (d device) MADEAutoIter(n, h, bs, flips int) iterCost {
+	var c iterCost
+	c.Sample = time.Duration(n)*d.KernelLatency + d.flopTime(float64(n)*forwardFlops(n, h, bs))
 	evals := bs * (flips + 1)
-	c.Energy = 2*d.KernelLatency + d.flopTime(ForwardFlops(n, h, evals))
-	c.Grad = 2*d.KernelLatency + d.flopTime(2*ForwardFlops(n, h, bs))
-	c.Update = d.KernelLatency + d.flopTime(float64(MADEParams(n, h)))
+	c.Energy = 2*d.KernelLatency + d.flopTime(forwardFlops(n, h, evals))
+	c.Grad = 2*d.KernelLatency + d.flopTime(2*forwardFlops(n, h, bs))
+	c.Update = d.KernelLatency + d.flopTime(float64(madeParams(n, h)))
 	return c
 }
 
 // RBMMCMCIter models one RBM+MCMC iteration: (burnIn + thin*bs/chains)
 // sequential MH steps (chains advance in lockstep on-device, so wall time
 // scales with steps per chain), then the same measurement/backward phases.
-func (d Device) RBMMCMCIter(n, h, bs, chains, burnIn, thin int, flips int) IterCost {
+func (d device) RBMMCMCIter(n, h, bs, chains, burnIn, thin int, flips int) iterCost {
 	if chains < 1 {
 		chains = 1
 	}
@@ -122,18 +119,18 @@ func (d Device) RBMMCMCIter(n, h, bs, chains, burnIn, thin int, flips int) IterC
 		thin = 1
 	}
 	steps := burnIn + thin*bs/chains
-	var c IterCost
+	var c iterCost
 	// Each MH step evaluates an O(h) amplitude ratio per chain.
 	stepFlops := 4 * float64(h) * float64(chains)
 	c.Sample = time.Duration(steps)*d.MCMCStepLatency + d.flopTime(float64(steps)*stepFlops)
 	evals := bs * (flips + 1)
-	c.Energy = 2*d.KernelLatency + d.flopTime(ForwardFlops(n, h, evals))
-	c.Grad = 2*d.KernelLatency + d.flopTime(2*ForwardFlops(n, h, bs))
-	c.Update = d.KernelLatency + d.flopTime(float64(RBMParams(n, h)))
+	c.Energy = 2*d.KernelLatency + d.flopTime(forwardFlops(n, h, evals))
+	c.Grad = 2*d.KernelLatency + d.flopTime(2*forwardFlops(n, h, bs))
+	c.Update = d.KernelLatency + d.flopTime(float64(rbmParams(n, h)))
 	return c
 }
 
-// TrainingTime is the modeled wall time for iters iterations.
-func TrainingTime(c IterCost, iters int) time.Duration {
+// trainingTime is the modeled wall time for iters iterations.
+func trainingTime(c iterCost, iters int) time.Duration {
 	return time.Duration(iters) * c.Total()
 }

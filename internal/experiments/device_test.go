@@ -1,4 +1,4 @@
-package device
+package experiments
 
 import (
 	"testing"
@@ -21,21 +21,21 @@ func TestHiddenMADE(t *testing.T) {
 }
 
 func TestParamCounts(t *testing.T) {
-	if MADEParams(10000, 500) != 2*500*10000+500+10000 {
+	if madeParams(10000, 500) != 2*500*10000+500+10000 {
 		t.Fatal("MADE param formula wrong")
 	}
 	// The paper's memory anecdote: ~10M parameters at n=10K, h=500.
-	if p := MADEParams(10000, 500); p < 10_000_000 || p > 10_100_000 {
+	if p := madeParams(10000, 500); p < 10_000_000 || p > 10_100_000 {
 		t.Fatalf("10K-dim model has %d params, expected ~10M", p)
 	}
-	if RBMParams(5, 3) != 3*5+3+5+1 {
+	if rbmParams(5, 3) != 3*5+3+5+1 {
 		t.Fatal("RBM param formula wrong")
 	}
 }
 
 func TestMaxBatchLadderMatchesPaperTable7(t *testing.T) {
 	// The paper saturates GPU memory with these per-GPU batch sizes.
-	d := V100()
+	d := v100()
 	want := map[int]int{
 		20:    1 << 19,
 		50:    1 << 17,
@@ -55,7 +55,7 @@ func TestMaxBatchLadderMatchesPaperTable7(t *testing.T) {
 }
 
 func TestMaxBatchMonotone(t *testing.T) {
-	d := V100()
+	d := v100()
 	prev := d.MaxBatchTIM(10)
 	for _, n := range []int{20, 50, 100, 1000, 10000} {
 		cur := d.MaxBatchTIM(n)
@@ -72,7 +72,7 @@ func TestMaxBatchMonotone(t *testing.T) {
 func TestMADEAutoIterLinearInN(t *testing.T) {
 	// With fixed bs, MADE+AUTO iteration time must grow ~linearly in n
 	// (Table 1 behaviour: latency-dominated sequential sampling).
-	d := V100()
+	d := v100()
 	t100 := d.MADEAutoIter(100, nn.HiddenMADE(100), 1024, 100).Total()
 	t500 := d.MADEAutoIter(500, nn.HiddenMADE(500), 1024, 500).Total()
 	ratio := float64(t500) / float64(t100)
@@ -84,11 +84,11 @@ func TestMADEAutoIterLinearInN(t *testing.T) {
 func TestTable1ShapeMADEVsRBM(t *testing.T) {
 	// RBM+MCMC must be slower than MADE+AUTO at every paper dimension, by
 	// a factor that shrinks as n grows (paper: 47x at n=20, 9x at n=500).
-	d := V100()
+	d := v100()
 	prevRatio := 1e9
 	for _, n := range []int{20, 50, 100, 200, 500} {
-		made := TrainingTime(d.MADEAutoIter(n, nn.HiddenMADE(n), 1024, n), 300)
-		rbm := TrainingTime(d.RBMMCMCIter(n, n, 1024, 2, 3*n+100, 1, n), 300)
+		made := trainingTime(d.MADEAutoIter(n, nn.HiddenMADE(n), 1024, n), 300)
+		rbm := trainingTime(d.RBMMCMCIter(n, n, 1024, 2, 3*n+100, 1, n), 300)
 		if rbm <= made {
 			t.Fatalf("n=%d: RBM (%v) not slower than MADE (%v)", n, rbm, made)
 		}
@@ -102,17 +102,17 @@ func TestTable1ShapeMADEVsRBM(t *testing.T) {
 
 func TestTable1AbsoluteCalibration(t *testing.T) {
 	// Within 2x of the paper's reported seconds for 300 iterations.
-	d := V100()
+	d := v100()
 	paperMADE := map[int]float64{20: 2.85, 50: 5.74, 100: 10.63, 200: 20.45, 500: 49.62}
 	paperRBM := map[int]float64{20: 135.64, 50: 154.25, 100: 189.91, 200: 249.40, 500: 456.68}
 	for n, want := range paperMADE {
-		got := TrainingTime(d.MADEAutoIter(n, nn.HiddenMADE(n), 1024, n), 300).Seconds()
+		got := trainingTime(d.MADEAutoIter(n, nn.HiddenMADE(n), 1024, n), 300).Seconds()
 		if got < want/2 || got > want*2 {
 			t.Errorf("MADE n=%d modeled %.2fs, paper %.2fs (off >2x)", n, got, want)
 		}
 	}
 	for n, want := range paperRBM {
-		got := TrainingTime(d.RBMMCMCIter(n, n, 1024, 2, 3*n+100, 1, n), 300).Seconds()
+		got := trainingTime(d.RBMMCMCIter(n, n, 1024, 2, 3*n+100, 1, n), 300).Seconds()
 		if got < want/2 || got > want*2 {
 			t.Errorf("RBM n=%d modeled %.2fs, paper %.2fs (off >2x)", n, got, want)
 		}
@@ -122,7 +122,7 @@ func TestTable1AbsoluteCalibration(t *testing.T) {
 func TestMCMCChainTradeoff(t *testing.T) {
 	// More chains shorten the per-iteration wall time (bs/c steps) but
 	// burn-in stays sequential: the paper's Eq. 14 structure.
-	d := V100()
+	d := v100()
 	t1 := d.RBMMCMCIter(100, 100, 1024, 1, 400, 1, 100).Sample
 	t4 := d.RBMMCMCIter(100, 100, 1024, 4, 400, 1, 100).Sample
 	if t4 >= t1 {
@@ -137,7 +137,7 @@ func TestMCMCChainTradeoff(t *testing.T) {
 }
 
 func TestThinningScalesTime(t *testing.T) {
-	d := V100()
+	d := v100()
 	base := d.RBMMCMCIter(100, 100, 1024, 2, 0, 1, 100).Sample
 	x5 := d.RBMMCMCIter(100, 100, 1024, 2, 0, 5, 100).Sample
 	ratio := float64(x5) / float64(base)
@@ -147,7 +147,7 @@ func TestThinningScalesTime(t *testing.T) {
 }
 
 func TestDiagonalHamiltonianCheaperEnergy(t *testing.T) {
-	d := V100()
+	d := v100()
 	tim := d.MADEAutoIter(200, 120, 1024, 200)
 	mc := d.MADEAutoIter(200, 120, 1024, 0)
 	if mc.Energy >= tim.Energy {
@@ -156,7 +156,7 @@ func TestDiagonalHamiltonianCheaperEnergy(t *testing.T) {
 }
 
 func TestIterCostComponentsPositive(t *testing.T) {
-	d := V100()
+	d := v100()
 	c := d.MADEAutoIter(50, 76, 256, 50)
 	for _, v := range []time.Duration{c.Sample, c.Energy, c.Grad, c.Update} {
 		if v <= 0 {

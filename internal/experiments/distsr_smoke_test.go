@@ -10,7 +10,7 @@ import (
 // sanity-checks that the table reports nonzero CG work and traffic.
 func TestDistSRSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	p := SmokePreset()
+	p := smokePreset()
 	p.Iters = 10
 	p.GPUCounts = []int{1, 2}
 	if err := Run("distsr", p, &buf, ""); err != nil {

@@ -3,18 +3,14 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"path/filepath"
-
-	"github.com/vqmc-scale/parvqmc/internal/cluster"
-	"github.com/vqmc-scale/parvqmc/internal/trace"
 )
 
-// Eq14 is a supplementary artifact (not a numbered paper table): it
+// eq14 is a supplementary artifact (not a numbered paper table): it
 // tabulates the paper's Equation 14, the parallel efficiency of MCMC
 // sampling with burn-in k and thinning j across L computing units. As k
 // grows, the efficiency slope decays from 1 (perfect scaling) toward 1/L —
 // the analytic statement of why MCMC cannot weak-scale and AUTO can.
-func Eq14(p Preset, out io.Writer, csvDir string) error {
+func eq14(p Preset, out io.Writer, csvDir string) error {
 	samplesPerUnit := 512
 	burnIns := []int{0, 100, 1000, 10000, 100000}
 	units := []int{2, 4, 8, 16, 24}
@@ -23,21 +19,15 @@ func Eq14(p Preset, out io.Writer, csvDir string) error {
 	for _, L := range units {
 		header = append(header, fmt.Sprintf("L=%d", L))
 	}
-	tbl := trace.NewTable(
+	tbl := newTable(
 		fmt.Sprintf("Eq. 14: MCMC parallel efficiency (j=1, n=%d samples/unit)", samplesPerUnit),
 		header...)
 	for _, k := range burnIns {
-		row := []interface{}{k}
+		row := []any{k}
 		for _, L := range units {
-			row = append(row, fmt.Sprintf("%.4f", cluster.MCMCParallelEfficiency(k, 1, samplesPerUnit, L)))
+			row = append(row, fmt.Sprintf("%.4f", mcmcParallelEfficiency(k, 1, samplesPerUnit, L)))
 		}
 		tbl.AddRow(row...)
 	}
-	if err := tbl.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		return tbl.WriteCSV(filepath.Join(csvDir, "eq14.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "eq14.csv", tbl)
 }

@@ -7,7 +7,9 @@
 // on a laptop-class CPU in minutes while preserving the comparisons each
 // table is about (who wins, how costs scale). Timing columns that the paper
 // measured on V100 GPUs are additionally reported from the calibrated
-// device model (internal/device), which is dimension-faithful at any scale.
+// device and cluster models (device.go, cluster.go), which are
+// dimension-faithful at any scale. The package exports only what
+// cmd/experiments calls.
 package experiments
 
 import (
@@ -24,7 +26,6 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
-	"github.com/vqmc-scale/parvqmc/internal/trace"
 )
 
 // Preset bundles the scale knobs of a full experiment sweep.
@@ -44,9 +45,9 @@ type Preset struct {
 	Workers    int // CPU workers per run
 }
 
-// PaperPreset reproduces the paper's exact parameters. Expect days of CPU
+// paperPreset reproduces the paper's exact parameters. Expect days of CPU
 // time at the large dimensions.
-func PaperPreset() Preset {
+func paperPreset() Preset {
 	return Preset{
 		Name:       "paper",
 		Dims:       []int{20, 50, 100, 200, 500},
@@ -62,9 +63,9 @@ func PaperPreset() Preset {
 	}
 }
 
-// CIPreset shrinks everything to minutes of CPU time while keeping every
+// ciPreset shrinks everything to minutes of CPU time while keeping every
 // comparison qualitative.
-func CIPreset() Preset {
+func ciPreset() Preset {
 	return Preset{
 		Name:       "ci",
 		Dims:       []int{12, 16, 24},
@@ -80,8 +81,8 @@ func CIPreset() Preset {
 	}
 }
 
-// SmokePreset is the tiny preset used by unit tests of this package.
-func SmokePreset() Preset {
+// smokePreset is the tiny preset used by unit tests of this package.
+func smokePreset() Preset {
 	return Preset{
 		Name:       "smoke",
 		Dims:       []int{8, 10},
@@ -101,11 +102,11 @@ func SmokePreset() Preset {
 func PresetByName(name string) (Preset, error) {
 	switch name {
 	case "paper":
-		return PaperPreset(), nil
+		return paperPreset(), nil
 	case "ci", "":
-		return CIPreset(), nil
+		return ciPreset(), nil
 	case "smoke":
-		return SmokePreset(), nil
+		return smokePreset(), nil
 	}
 	return Preset{}, fmt.Errorf("experiments: unknown preset %q", name)
 }
@@ -120,19 +121,19 @@ type Experiment struct {
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Training time, 300 iterations, one GPU (TIM)", Table1},
-		{"fig2", "Training curves for TIM (energy and std-dev)", Figure2},
-		{"table2", "Converged objective values (Max-Cut and TIM)", Table2},
-		{"fig3", "Weak scaling of sampling time across GPU configurations", Figure3},
-		{"fig4", "Converged energy vs number of GPUs (effective batch)", Figure4},
-		{"table3", "Ablation: latent size (cut and time)", Table3},
-		{"table4", "Ablation: MCMC sampling scheme (cut and time)", Table4},
-		{"table5", "Hitting time to target cut", Table5},
-		{"distsr", "Distributed SR: energy, CG iterations, ring traffic", DistSR},
-		{"pipecg", "Pipelined CG: classic vs overlapped SR solve on a latency link", PipeCG},
-		{"table6", "Raw data: converged energy and time per GPU config", Table6},
-		{"table7", "Raw data: weak-scaling times at memory-saturating batch", Table7},
-		{"eq14", "Supplementary: Eq. 14 MCMC parallel efficiency", Eq14},
+		{"table1", "Training time, 300 iterations, one GPU (TIM)", table1},
+		{"fig2", "Training curves for TIM (energy and std-dev)", figure2},
+		{"table2", "Converged objective values (Max-Cut and TIM)", table2},
+		{"fig3", "Weak scaling of sampling time across GPU configurations", figure3},
+		{"fig4", "Converged energy vs number of GPUs (effective batch)", figure4},
+		{"table3", "Ablation: latent size (cut and time)", table3},
+		{"table4", "Ablation: MCMC sampling scheme (cut and time)", table4},
+		{"table5", "Hitting time to target cut", table5},
+		{"distsr", "Distributed SR: energy, CG iterations, ring traffic", distSR},
+		{"pipecg", "Pipelined CG: classic vs overlapped SR solve on a latency link", pipeCG},
+		{"table6", "Raw data: converged energy and time per GPU config", table6},
+		{"table7", "Raw data: weak-scaling times at memory-saturating batch", table7},
+		{"eq14", "Supplementary: Eq. 14 MCMC parallel efficiency", eq14},
 	}
 }
 
@@ -155,13 +156,7 @@ func Run(id string, p Preset, out io.Writer, csvDir string) error {
 // ---- shared run helpers ----
 
 // hiddenMADE applies the paper's latent rule, with a floor for tiny CI dims.
-func hiddenMADE(n int) int {
-	h := nn.HiddenMADE(n)
-	if h < 8 {
-		h = 8
-	}
-	return h
-}
+func hiddenMADE(n int) int { return max(nn.HiddenMADE(n), 8) }
 
 // runSpec describes one VQMC training run.
 type runSpec struct {
@@ -180,10 +175,8 @@ type runSpec struct {
 // runResult is the outcome of one training run.
 type runResult struct {
 	EvalEnergy float64
-	EvalStd    float64
 	Curve      []core.IterStats
 	TrainTime  time.Duration
-	Trainer    *core.Trainer
 }
 
 // buildOptimizer maps a spec name to an optimizer and optional SR.
@@ -199,8 +192,8 @@ func buildOptimizer(name string) (optimizer.Optimizer, *optimizer.SR) {
 	panic("experiments: unknown optimizer " + name)
 }
 
-// train executes a run spec end to end.
-func train(spec runSpec) runResult {
+// newTrainer builds the serial trainer a run spec describes.
+func newTrainer(spec runSpec) *core.Trainer {
 	n := spec.h.N()
 	r := rng.New(spec.seed)
 	opt, sr := buildOptimizer(spec.opt)
@@ -227,12 +220,17 @@ func train(spec runSpec) runResult {
 		panic("experiments: unknown model " + spec.model)
 	}
 
-	tr := core.New(spec.h, model, smp, opt, cfg)
+	return core.New(spec.h, model, smp, opt, cfg)
+}
+
+// train executes a run spec end to end.
+func train(spec runSpec) runResult {
+	tr := newTrainer(spec)
 	start := time.Now()
 	curve := tr.Train(spec.iters, nil)
 	elapsed := time.Since(start)
-	mean, std := tr.Evaluate(spec.evalBatch)
-	return runResult{EvalEnergy: mean, EvalStd: std, Curve: curve, TrainTime: elapsed, Trainer: tr}
+	mean, _ := tr.Evaluate(spec.evalBatch)
+	return runResult{EvalEnergy: mean, Curve: curve, TrainTime: elapsed}
 }
 
 // maxCutInstance builds the fixed problem instance for a dimension: the
@@ -259,5 +257,5 @@ func meanStdOver(values []float64) string {
 		s += (v - m) * (v - m)
 	}
 	s = math.Sqrt(s / float64(len(values)))
-	return trace.MeanStd(m, s)
+	return meanStd(m, s)
 }

@@ -3,14 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/comm"
-	"github.com/vqmc-scale/parvqmc/internal/device"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
-	"github.com/vqmc-scale/parvqmc/internal/trace"
 )
 
 // pipeLink is the simulated interconnect for the pipelined-CG comparison: a
@@ -18,7 +15,7 @@ import (
 // per-iteration SR collective in once the network saturates.
 var pipeLink = comm.Link{Latency: 100 * time.Microsecond}
 
-// PipeCG compares the classic and pipelined distributed SR Fisher solves on
+// pipeCG compares the classic and pipelined distributed SR Fisher solves on
 // a simulated-latency interconnect. Classic CG blocks on one ring
 // all-reduce per iteration, so solve wall-time carries iters x ring
 // latency; Gropp's pipelined variant issues the same reductions
@@ -29,7 +26,7 @@ var pipeLink = comm.Link{Latency: 100 * time.Microsecond}
 // step, the blocking vs non-blocking collective split, ring traffic, and
 // the converged energy (which must agree between solvers — same Krylov
 // process).
-func PipeCG(p Preset, out io.Writer, csvDir string) error {
+func pipeCG(p Preset, out io.Writer, csvDir string) error {
 	dims := realDims(p)
 	if len(dims) > 1 {
 		dims = dims[:1] // one runnable dimension carries the comparison
@@ -48,7 +45,7 @@ func PipeCG(p Preset, out io.Writer, csvDir string) error {
 		iters = 6
 	}
 
-	tbl := trace.NewTable(
+	tbl := newTable(
 		fmt.Sprintf("Pipelined CG: blocking collectives off the critical path (link latency %v, mbs=%d, preset %s)",
 			pipeLink.Latency, p.MBS, p.Name),
 		"n", "L", "solver", "ms/step", "blocking/step", "async/step", "MB/step", "energy")
@@ -78,7 +75,7 @@ func PipeCG(p Preset, out io.Writer, csvDir string) error {
 			}
 		}
 	}
-	if err := tbl.Render(out); err != nil {
+	if err := emit(out, csvDir, "pipecg.csv", tbl); err != nil {
 		return err
 	}
 
@@ -90,12 +87,12 @@ func PipeCG(p Preset, out io.Writer, csvDir string) error {
 	// exactly the regime whose latency wall this solver attacks; at
 	// laptop-test dimensions the measured win is the blocking count, not
 	// wall clock.
-	dev := device.V100()
-	model := trace.NewTable(
+	dev := v100()
+	model := newTable(
 		"Modeled per-iteration ring latency vs the recurrence window that hides it (V100, payload d+1 doubles)",
 		"n", "params d", "L=4 ring", "L=16 ring", "overlap window", "hidden @ L=16")
 	for _, n := range p.BigDims {
-		d := device.MADEParams(n, nn.HiddenMADE(n))
+		d := madeParams(n, nn.HiddenMADE(n))
 		payload := float64(d+1) * 8
 		window := time.Duration(4 * float64(d) / dev.Throughput * float64(time.Second))
 		ring16 := comm.RingAllReduceTime(payload, 16, pipeLink)
@@ -107,11 +104,5 @@ func PipeCG(p Preset, out io.Writer, csvDir string) error {
 			comm.RingAllReduceTime(payload, 4, pipeLink).String(),
 			ring16.String(), window.String(), fmt.Sprintf("%.0f%%", 100*hidden))
 	}
-	if err := model.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		return tbl.WriteCSV(filepath.Join(csvDir, "pipecg.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "pipecg_model.csv", model)
 }

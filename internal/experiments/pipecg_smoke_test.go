@@ -11,7 +11,7 @@ import (
 // collective split the experiment exists to show.
 func TestPipeCGSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	p := SmokePreset()
+	p := smokePreset()
 	p.Iters = 60 // /10 -> 6 measured steps per configuration
 	p.GPUCounts = []int{1, 2}
 	if err := Run("pipecg", p, &buf, ""); err != nil {

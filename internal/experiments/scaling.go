@@ -3,29 +3,25 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 
-	"github.com/vqmc-scale/parvqmc/internal/cluster"
-	"github.com/vqmc-scale/parvqmc/internal/device"
 	"github.com/vqmc-scale/parvqmc/internal/dist"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
 	"github.com/vqmc-scale/parvqmc/internal/stats"
-	"github.com/vqmc-scale/parvqmc/internal/trace"
 )
 
 // fig3MBS maps the paper's Figure 3 dimensions to their per-GPU batch
 // (chosen to saturate GPU memory; the device model reproduces the ladder).
-func fig3MBS(n int) int { return device.V100().MaxBatchTIM(n) }
+func fig3MBS(n int) int { return v100().MaxBatchTIM(n) }
 
-// Figure3 evaluates the weak-scaling panels of the paper's Figure 3:
+// figure3 evaluates the weak-scaling panels of the paper's Figure 3:
 // normalized training time across GPU configurations for the large TIM
 // dimensions, from the cluster model (compute + hierarchical ring
 // all-reduce). The numbers should hover near 1.0 — near-optimal weak
 // scaling.
-func Figure3(p Preset, out io.Writer, csvDir string) error {
+func figure3(p Preset, out io.Writer, csvDir string) error {
 	dims := []int{}
 	for _, n := range p.BigDims {
 		if n >= 1000 {
@@ -35,42 +31,33 @@ func Figure3(p Preset, out io.Writer, csvDir string) error {
 	if len(dims) == 0 {
 		dims = []int{1000, 2000, 5000, 10000}
 	}
-	configs := cluster.PaperConfigs()
+	configs := paperConfigs()
 	header := []string{"config", "GPUs"}
 	for _, n := range dims {
 		header = append(header, fmt.Sprintf("n=%d (mbs=%d)", n, fig3MBS(n)))
 	}
-	tbl := trace.NewTable(
+	tbl := newTable(
 		"Figure 3: normalized execution time (modeled cluster, 300 iters)", header...)
 
-	perDim := make([][]cluster.WeakScalingPoint, len(dims))
+	perDim := make([][]weakScalingPoint, len(dims))
 	for j, n := range dims {
-		perDim[j] = cluster.WeakScaling(configs, n, fig3MBS(n), 300)
+		perDim[j] = weakScaling(configs, n, fig3MBS(n), 300)
 	}
 	for i, c := range configs {
-		row := []interface{}{fmt.Sprintf("%dx%d", c[0], c[1]), c[0] * c[1]}
+		row := []any{fmt.Sprintf("%dx%d", c[0], c[1]), c[0] * c[1]}
 		for j := range dims {
 			row = append(row, fmt.Sprintf("%.4f", perDim[j][i].Normalized))
 		}
 		tbl.AddRow(row...)
 	}
-	if err := tbl.Render(out); err != nil {
+	if err := emit(out, csvDir, "fig3.csv", tbl); err != nil {
 		return err
 	}
-	eff := trace.NewTable("Weak-scaling efficiency T(1x1)/T(max)", "n", "efficiency")
+	eff := newTable("Weak-scaling efficiency T(1x1)/T(max)", "n", "efficiency")
 	for j, n := range dims {
-		eff.AddRow(n, fmt.Sprintf("%.4f", cluster.Efficiency(perDim[j])))
+		eff.AddRow(n, fmt.Sprintf("%.4f", efficiency(perDim[j])))
 	}
-	if err := eff.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		if err := tbl.WriteCSV(filepath.Join(csvDir, "fig3.csv")); err != nil {
-			return err
-		}
-		return eff.WriteCSV(filepath.Join(csvDir, "fig3_efficiency.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "fig3_efficiency.csv", eff)
 }
 
 // buildDistTrainer assembles L identical replicas with independent sampler
@@ -106,15 +93,15 @@ func buildDistTrainer(n, hsz, L, mbs, workers int, srLambda float64, solver opti
 	return dist.New(tim, reps, mbs)
 }
 
-// DistSR evaluates the distributed stochastic-reconfiguration path: for a
+// distSR evaluates the distributed stochastic-reconfiguration path: for a
 // sweep of replica counts at fixed per-replica batch, it reports the
 // converged energy, the mean CG iteration count of the Fisher solves, and
 // the measured ring traffic per step — the communication cost the
 // one-collective-per-CG-iteration packing keeps linear in the parameter
 // count.
-func DistSR(p Preset, out io.Writer, csvDir string) error {
+func distSR(p Preset, out io.Writer, csvDir string) error {
 	dims := realDims(p)
-	tbl := trace.NewTable(
+	tbl := newTable(
 		fmt.Sprintf("Distributed SR: energy, CG iterations and traffic (mbs=%d, workers=2, preset %s)", p.MBS, p.Name),
 		"n", "L", "energy", "mean CG iters", "last residual", "MB/step", "fisher collectives")
 	for _, n := range dims {
@@ -140,98 +127,93 @@ func DistSR(p Preset, out io.Writer, csvDir string) error {
 				tr.FisherApplies())
 		}
 	}
-	if err := tbl.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		return tbl.WriteCSV(filepath.Join(csvDir, "distsr.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "distsr.csv", tbl)
 }
 
-// Figure4 reproduces the batch-size-vs-convergence result: with a fixed
+// convergedEnergy trains the plain data-parallel MADE on the TIM instance
+// of dimension n over L replicas at the preset's per-replica batch, and
+// averages the final quarter of the energies to damp small-batch noise.
+func convergedEnergy(p Preset, n, L int, seed uint64) (float64, error) {
+	tr, err := buildDistTrainer(n, hiddenMADE(n), L, p.MBS, 1, 0, optimizer.SolverCG, seed)
+	if err != nil {
+		return 0, err
+	}
+	hist, err := tr.Train(p.Iters, nil)
+	if err != nil {
+		return 0, err
+	}
+	q := len(hist) / 4
+	var e float64
+	for _, s := range hist[len(hist)-q:] {
+		e += s.Energy
+	}
+	return e / float64(q), nil
+}
+
+// figure4 reproduces the batch-size-vs-convergence result: with a fixed
 // per-device batch (mbs=4), more devices mean a larger effective batch and
 // a better converged energy, saturating for small problems. Runs are real
 // distributed training with goroutine devices and ring all-reduce.
-func Figure4(p Preset, out io.Writer, csvDir string) error {
+func figure4(p Preset, out io.Writer, csvDir string) error {
 	dims := realDims(p)
 	header := []string{"n"}
 	for _, L := range p.GPUCounts {
 		header = append(header, fmt.Sprintf("L=%d (bs=%d)", L, L*p.MBS))
 	}
-	tbl := trace.NewTable(fmt.Sprintf(
+	tbl := newTable(fmt.Sprintf(
 		"Figure 4: normalized converged energy vs #GPUs (mbs=%d, preset %s)", p.MBS, p.Name),
 		header...)
-	raw := trace.NewTable("Figure 4 raw energies", header...)
+	raw := newTable("Figure 4 raw energies", header...)
 
 	for _, n := range dims {
 		energies := make([]float64, len(p.GPUCounts))
 		for i, L := range p.GPUCounts {
-			tr, err := buildDistTrainer(n, hiddenMADE(n), L, p.MBS, 1, 0, optimizer.SolverCG, uint64(60+i))
+			e, err := convergedEnergy(p, n, L, uint64(60+i))
 			if err != nil {
 				return err
 			}
-			hist, err := tr.Train(p.Iters, nil)
-			if err != nil {
-				return err
-			}
-			// Average the final quarter to damp small-batch noise.
-			q := len(hist) / 4
-			var e float64
-			for _, s := range hist[len(hist)-q:] {
-				e += s.Energy
-			}
-			energies[i] = e / float64(q)
+			energies[i] = e
 		}
-		rawRow := []interface{}{n}
+		rawRow := []any{n}
 		for _, e := range energies {
 			rawRow = append(rawRow, e)
 		}
 		raw.AddRow(rawRow...)
 		norm := append([]float64(nil), energies...)
 		stats.Normalize(norm)
-		row := []interface{}{n}
+		row := []any{n}
 		for _, e := range norm {
 			row = append(row, fmt.Sprintf("%.4f", e))
 		}
 		tbl.AddRow(row...)
 	}
-	if err := tbl.Render(out); err != nil {
+	if err := emit(out, csvDir, "fig4.csv", tbl); err != nil {
 		return err
 	}
-	if err := raw.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		if err := tbl.WriteCSV(filepath.Join(csvDir, "fig4.csv")); err != nil {
-			return err
-		}
-		return raw.WriteCSV(filepath.Join(csvDir, "fig4_raw.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "fig4_raw.csv", raw)
 }
 
-// Table6 regenerates the appendix raw data: converged energy (real
+// table6 regenerates the appendix raw data: converged energy (real
 // distributed runs at runnable dimensions) and modeled training time for
 // every GPU configuration and dimension, at fixed mbs=4.
-func Table6(p Preset, out io.Writer, csvDir string) error {
-	configs := cluster.PaperConfigs()
+func table6(p Preset, out io.Writer, csvDir string) error {
+	configs := paperConfigs()
 	timeHeader := []string{"config", "GPUs"}
 	for _, n := range p.BigDims {
 		timeHeader = append(timeHeader, fmt.Sprintf("n=%d", n))
 	}
-	timeTbl := trace.NewTable(
+	timeTbl := newTable(
 		fmt.Sprintf("Table 6 (time side): modeled seconds, 300 iters, mbs=%d", p.MBS), timeHeader...)
 	for _, c := range configs {
-		topo := cluster.Default(c[0], c[1])
-		row := []interface{}{topo.String(), topo.GPUs()}
+		topo := newTopology(c[0], c[1])
+		row := []any{topo.String(), topo.GPUs()}
 		for _, n := range p.BigDims {
 			t := topo.TrainingTime(n, nn.HiddenMADE(n), p.MBS, n, 300)
 			row = append(row, fmt.Sprintf("%.2f", t.Seconds()))
 		}
 		timeTbl.AddRow(row...)
 	}
-	if err := timeTbl.Render(out); err != nil {
+	if err := emit(out, csvDir, "table6_time.csv", timeTbl); err != nil {
 		return err
 	}
 
@@ -241,71 +223,47 @@ func Table6(p Preset, out io.Writer, csvDir string) error {
 	for _, n := range dims {
 		energyHeader = append(energyHeader, fmt.Sprintf("n=%d", n))
 	}
-	energyTbl := trace.NewTable(
+	energyTbl := newTable(
 		fmt.Sprintf("Table 6 (energy side): converged energy, real runs (preset %s)", p.Name),
 		energyHeader...)
 	for _, L := range p.GPUCounts {
-		row := []interface{}{L}
+		row := []any{L}
 		for _, n := range dims {
-			tr, err := buildDistTrainer(n, hiddenMADE(n), L, p.MBS, 1, 0, optimizer.SolverCG, uint64(70+L))
+			e, err := convergedEnergy(p, n, L, uint64(70+L))
 			if err != nil {
 				return err
 			}
-			hist, err := tr.Train(p.Iters, nil)
-			if err != nil {
-				return err
-			}
-			q := len(hist) / 4
-			var e float64
-			for _, s := range hist[len(hist)-q:] {
-				e += s.Energy
-			}
-			row = append(row, e/float64(q))
+			row = append(row, e)
 		}
 		energyTbl.AddRow(row...)
 	}
-	if err := energyTbl.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		if err := timeTbl.WriteCSV(filepath.Join(csvDir, "table6_time.csv")); err != nil {
-			return err
-		}
-		return energyTbl.WriteCSV(filepath.Join(csvDir, "table6_energy.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "table6_energy.csv", energyTbl)
 }
 
-// Table7 regenerates the weak-scaling raw data at memory-saturating batch
+// table7 regenerates the weak-scaling raw data at memory-saturating batch
 // sizes: the per-GPU sample ladder (from the device memory model) and the
 // modeled training time per configuration and dimension.
-func Table7(p Preset, out io.Writer, csvDir string) error {
-	dev := device.V100()
-	configs := cluster.PaperConfigs()
+func table7(p Preset, out io.Writer, csvDir string) error {
+	dev := v100()
+	configs := paperConfigs()
 	header := []string{"config", "GPUs"}
 	for _, n := range p.BigDims {
 		header = append(header, fmt.Sprintf("n=%d", n))
 	}
-	tbl := trace.NewTable("Table 7: modeled seconds, 300 iters, memory-saturating mbs", header...)
-	ladder := []interface{}{"samples/GPU", "-"}
+	tbl := newTable("Table 7: modeled seconds, 300 iters, memory-saturating mbs", header...)
+	ladder := []any{"samples/GPU", "-"}
 	for _, n := range p.BigDims {
 		ladder = append(ladder, fmt.Sprintf("%d", dev.MaxBatchTIM(n)))
 	}
 	tbl.AddRow(ladder...)
 	for _, c := range configs {
-		topo := cluster.Default(c[0], c[1])
-		row := []interface{}{topo.String(), topo.GPUs()}
+		topo := newTopology(c[0], c[1])
+		row := []any{topo.String(), topo.GPUs()}
 		for _, n := range p.BigDims {
 			t := topo.TrainingTime(n, nn.HiddenMADE(n), dev.MaxBatchTIM(n), n, 300)
 			row = append(row, fmt.Sprintf("%.2f", t.Seconds()))
 		}
 		tbl.AddRow(row...)
 	}
-	if err := tbl.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		return tbl.WriteCSV(filepath.Join(csvDir, "table7.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "table7.csv", tbl)
 }

@@ -1,17 +1,23 @@
-package trace
+package experiments
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/vqmc-scale/parvqmc/internal/core"
 )
 
 func TestTableRender(t *testing.T) {
-	tb := NewTable("Demo", "model", "n", "value")
+	tb := newTable("Demo", "model", "n", "value")
 	tb.AddRow("MADE", 20, 42.4)
 	tb.AddRow("RBM", 500, -976.25)
-	s := tb.String()
+	var b strings.Builder
+	if err := tb.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	s := b.String()
 	if !strings.Contains(s, "Demo") || !strings.Contains(s, "MADE") {
 		t.Fatalf("render missing content:\n%s", s)
 	}
@@ -33,21 +39,21 @@ func TestFormatFloat(t *testing.T) {
 		0.025:   "0.0250",
 	}
 	for v, want := range cases {
-		if got := FormatFloat(v); got != want {
-			t.Errorf("FormatFloat(%v) = %q, want %q", v, got, want)
+		if got := formatFloat(v); got != want {
+			t.Errorf("formatFloat(%v) = %q, want %q", v, got, want)
 		}
 	}
 }
 
 func TestMeanStd(t *testing.T) {
-	if got := MeanStd(42.4, 0.8); got != "42.40 +- 0.8000" {
-		t.Fatalf("MeanStd = %q", got)
+	if got := meanStd(42.4, 0.8); got != "42.40 +- 0.8000" {
+		t.Fatalf("meanStd = %q", got)
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
 	dir := t.TempDir()
-	tb := NewTable("x", "a", "b")
+	tb := newTable("x", "a", "b")
 	tb.AddRow("hello, world", 1.5)
 	tb.AddRow(`quote"d`, 2)
 	path := filepath.Join(dir, "sub", "out.csv")
@@ -70,28 +76,22 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
+// TestCurve pins the curve CSV's column order, iter,energy,std, on each of
+// 100 builds: an order taken from a map's iteration would vary between
+// builds.
 func TestCurve(t *testing.T) {
-	c := NewCurve("run")
-	c.Append(1, map[string]float64{"energy": -1.5, "std": 0.3})
-	c.Append(2, map[string]float64{"energy": -2.0, "std": 0.2})
-	if len(c.Iter) != 2 || len(c.Series["energy"]) != 2 {
-		t.Fatal("curve did not record")
-	}
-	keys := c.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("keys = %v", keys)
-	}
+	curve := []core.IterStats{{Iter: 1, Energy: -1.5, Std: 0.3}, {Iter: 2, Energy: -2.0, Std: 0.2}}
 	dir := t.TempDir()
-	path := filepath.Join(dir, "curve.csv")
-	if err := c.WriteCSV(path); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	if !strings.Contains(string(data), "iter") {
-		t.Fatalf("curve csv missing header: %s", data)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("curve csv rows = %d", len(lines))
+	for k := 0; k < 100; k++ {
+		if err := saveCSV(dir, "curve.csv", curveTable(curve)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "curve.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "iter,energy,std\n1,-1.50,0.3000\n2,-2,0.2000\n"; string(data) != want {
+			t.Fatalf("build %d: curve csv\n%s\nwant\n%s", k, data, want)
+		}
 	}
 }

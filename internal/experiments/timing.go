@@ -3,51 +3,48 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
-	"github.com/vqmc-scale/parvqmc/internal/device"
 	"github.com/vqmc-scale/parvqmc/internal/graph"
+	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/maxcut"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
-	"github.com/vqmc-scale/parvqmc/internal/sampler"
-	"github.com/vqmc-scale/parvqmc/internal/trace"
 )
 
-// Table1 reproduces the paper's Table 1: training time for 300 iterations
+// table1 reproduces the paper's Table 1: training time for 300 iterations
 // of RBM&MCMC vs MADE&AUTO on TIM across dimensions. The V100 columns come
 // from the calibrated device model (we have no GPU); the CPU columns are
 // real wall-clock measurements at the preset's runnable dimensions, showing
 // the same ordering.
-func Table1(p Preset, out io.Writer, csvDir string) error {
-	dev := device.V100()
-	dims := PaperPreset().Dims // the modeled columns always use paper dims
+func table1(p Preset, out io.Writer, csvDir string) error {
+	dev := v100()
+	dims := paperPreset().Dims // the modeled columns always use paper dims
 
-	modelTable := trace.NewTable(
+	modelTable := newTable(
 		fmt.Sprintf("Table 1 (modeled V100 seconds, %d iterations, bs=%d)", 300, 1024),
 		append([]string{"Model", "Optimizer", "Sampler"}, dimHeaders(dims)...)...)
-	rbmRow := []interface{}{"RBM", "ADAM", "MCMC"}
-	madeRow := []interface{}{"MADE", "ADAM", "AUTO"}
+	rbmRow := []any{"RBM", "ADAM", "MCMC"}
+	madeRow := []any{"MADE", "ADAM", "AUTO"}
 	for _, n := range dims {
-		rbm := device.TrainingTime(dev.RBMMCMCIter(n, n, 1024, 2, 3*n+100, 1, n), 300)
-		made := device.TrainingTime(dev.MADEAutoIter(n, nn.HiddenMADE(n), 1024, n), 300)
+		rbm := trainingTime(dev.RBMMCMCIter(n, n, 1024, 2, 3*n+100, 1, n), 300)
+		made := trainingTime(dev.MADEAutoIter(n, nn.HiddenMADE(n), 1024, n), 300)
 		rbmRow = append(rbmRow, fmt.Sprintf("%.2f", rbm.Seconds()))
 		madeRow = append(madeRow, fmt.Sprintf("%.2f", made.Seconds()))
 	}
 	modelTable.AddRow(rbmRow...)
 	modelTable.AddRow(madeRow...)
-	if err := modelTable.Render(out); err != nil {
+	if err := emit(out, csvDir, "table1_modeled.csv", modelTable); err != nil {
 		return err
 	}
 
 	// Real CPU measurements at runnable dimensions.
-	cpuTable := trace.NewTable(
+	cpuTable := newTable(
 		fmt.Sprintf("Table 1 (measured CPU seconds, %d iterations, bs=%d, preset %s)",
 			p.Iters, p.BatchSize, p.Name),
 		append([]string{"Model", "Optimizer", "Sampler"}, dimHeaders(realDims(p))...)...)
-	rbmCPU := []interface{}{"RBM", "ADAM", "MCMC"}
-	madeCPU := []interface{}{"MADE", "ADAM", "AUTO"}
+	rbmCPU := []any{"RBM", "ADAM", "MCMC"}
+	madeCPU := []any{"MADE", "ADAM", "AUTO"}
 	for _, n := range realDims(p) {
 		tim := timInstance(n)
 		spec := runSpec{h: tim, model: "RBM", opt: "ADAM", iters: p.Iters,
@@ -58,27 +55,17 @@ func Table1(p Preset, out io.Writer, csvDir string) error {
 	}
 	cpuTable.AddRow(rbmCPU...)
 	cpuTable.AddRow(madeCPU...)
-	if err := cpuTable.Render(out); err != nil {
-		return err
-	}
-
-	if csvDir != "" {
-		if err := modelTable.WriteCSV(filepath.Join(csvDir, "table1_modeled.csv")); err != nil {
-			return err
-		}
-		return cpuTable.WriteCSV(filepath.Join(csvDir, "table1_cpu.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "table1_cpu.csv", cpuTable)
 }
 
-// Table5 reproduces the hitting-time comparison: iterations and time until
+// table5 reproduces the hitting-time comparison: iterations and time until
 // a fresh evaluation batch's mean cut surpasses a target. Targets are set
 // from a Burer-Monteiro reference cut, mirroring the paper's heuristically
 // chosen targets. Reported times: measured CPU seconds and modeled V100
 // seconds (measured iterations x modeled per-iteration cost).
-func Table5(p Preset, out io.Writer, csvDir string) error {
-	dev := device.V100()
-	tbl := trace.NewTable(
+func table5(p Preset, out io.Writer, csvDir string) error {
+	dev := v100()
+	tbl := newTable(
 		fmt.Sprintf("Table 5: time to reach target cut (preset %s)", p.Name),
 		"Method", "n", "target", "hit", "iters", "CPU s", "modeled V100 s")
 
@@ -88,58 +75,28 @@ func Table5(p Preset, out io.Writer, csvDir string) error {
 		for _, method := range []string{"MADE+AUTO", "RBM+MCMC"} {
 			spec := runSpec{h: mc, iters: p.Iters, batchSize: p.BatchSize,
 				evalBatch: p.EvalBatch, workers: p.Workers, seed: 21, opt: "ADAM"}
-			var modelName string
-			if method == "MADE+AUTO" {
-				spec.model, modelName = "MADE", "MADE"
-			} else {
-				spec.model, modelName = "RBM", "RBM"
-			}
-			res := buildAndHit(spec, target, p)
 			var perIter float64
-			if modelName == "MADE" {
+			if method == "MADE+AUTO" {
+				spec.model = "MADE"
 				perIter = dev.MADEAutoIter(n, nn.HiddenMADE(n), p.BatchSize, 0).Total().Seconds()
 			} else {
+				spec.model = "RBM"
 				perIter = dev.RBMMCMCIter(n, n, p.BatchSize, 2, 3*n+100, 1, 0).Total().Seconds()
 			}
-			tbl.AddRow(method, n, target, fmt.Sprintf("%v", res.hit),
-				res.iters, fmt.Sprintf("%.2f", res.cpuSeconds),
-				fmt.Sprintf("%.2f", float64(res.iters)*perIter))
+			res := buildAndHit(spec, mc, target)
+			tbl.AddRow(method, n, target, fmt.Sprintf("%v", res.Hit),
+				res.Iters, fmt.Sprintf("%.2f", res.TrainTime.Seconds()),
+				fmt.Sprintf("%.2f", float64(res.Iters)*perIter))
 		}
 	}
-	if err := tbl.Render(out); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		return tbl.WriteCSV(filepath.Join(csvDir, "table5.csv"))
-	}
-	return nil
+	return emit(out, csvDir, "table5.csv", tbl)
 }
 
-type hitOutcome struct {
-	hit        bool
-	iters      int
-	cpuSeconds float64
-}
-
-// buildAndHit constructs a trainer per the spec and runs TrainUntil.
-func buildAndHit(spec runSpec, target float64, p Preset) hitOutcome {
-	mc := spec.h.(interface{ CutFromEnergy(float64) float64 })
-	n := spec.h.N()
-	r := rng.New(spec.seed)
-	opt, sr := buildOptimizer(spec.opt)
-	cfg := core.Config{BatchSize: spec.batchSize, Workers: spec.workers, SR: sr}
-	var tr *core.Trainer
-	if spec.model == "MADE" {
-		m := nn.NewMADE(n, hiddenMADE(n), r.Split())
-		smp := sampler.NewAutoBatched(m.NumSites(), m, spec.workers, r.Split())
-		tr = core.New(spec.h, m, smp, opt, cfg)
-	} else {
-		m := nn.NewRBM(n, n, r.Split())
-		smp := sampler.NewMCMC(m, sampler.MCMCConfig{}, r.Split())
-		tr = core.New(spec.h, m, smp, opt, cfg)
-	}
-	res := tr.TrainUntil(target, mc.CutFromEnergy, p.Iters*3, p.EvalBatch)
-	return hitOutcome{hit: res.Hit, iters: res.Iters, cpuSeconds: res.TrainTime.Seconds()}
+// buildAndHit constructs a trainer per the spec and trains it until the
+// cut of a fresh evaluation batch reaches target, for at most three times
+// the spec's iterations.
+func buildAndHit(spec runSpec, mc *hamiltonian.MaxCut, target float64) core.HitResult {
+	return newTrainer(spec).TrainUntil(target, mc.CutFromEnergy, spec.iters*3, spec.evalBatch)
 }
 
 // targetCut picks a target the way the paper did: heuristically just below

@@ -10,14 +10,24 @@ package serve
 // zero. Runs in CI's fuzz smoke alongside FuzzChunkBounds.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/vqmc-scale/parvqmc/internal/core"
+	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
+	"github.com/vqmc-scale/parvqmc/internal/rng"
+	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
 
 func FuzzCoalescer(f *testing.F) {
@@ -160,4 +170,118 @@ func checkOutcome(errCh chan<- error, i int, got []float64, err error, a, b []fl
 	default:
 		errCh <- fmt.Errorf("op %d: undeclared error %v", i, err)
 	}
+}
+
+// FuzzHTTPDecode posts hostile bytes to the logpsi, energy and sample
+// endpoints of a small MADE registered with a TIM Hamiltonian. Whatever the
+// body, the handler must not panic and must answer 200, 400, 413 or 429
+// with exactly one JSON value. A 200 must also be right: a logpsi or energy
+// body carries one value per submitted row, each == the direct
+// core.BatchedEval value, and a sample body carries count rows of n bits.
+func FuzzHTTPDecode(f *testing.F) {
+	const n, h = 4, 6
+	wf := buildWF("made", n, h, 5)
+	ham := hamiltonian.RandomTIM(n, rng.New(6))
+	s := NewServer(ServerConfig{})
+	if err := s.Register("m", ModelSpec{WF: wf, Ham: ham, Config: Config{MaxPending: 64}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	handler := NewHandler(s)
+	ref := core.NewBatchedEval(wf, core.EvalAuto, 1)
+	endpoints := []string{"logpsi", "energy", "sample"}
+
+	for _, body := range []string{
+		`{"configs":[[0,1,0,1],[1,1,0,0]]}`,
+		`{"configs":[[0,1,0]]}`,
+		`{"configs":[[0,1,0,1,1]]}`,
+		`{"configs":[[2,0,0,0]]}`,
+		`{"configs":[[-1,0,0,0]]}`,
+		`{"configs":[[1.5,0,0,0]]}`,
+		`{"configs":[[1e400,0,0,0]]}`,
+		`{"count":3,"seed":7}`,
+		`{"count":65,"seed":7}`,
+		`null`,
+		`[]`,
+		`{"configs":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+		`{"configs":[[0,0,0,0]],"bogus":1}`,
+		`{"count":2,"seed":1}{"count":3}`,
+		``,
+	} {
+		for e := range endpoints {
+			f.Add(byte(e), []byte(body))
+		}
+	}
+	f.Fuzz(func(t *testing.T, endpoint byte, body []byte) {
+		path := endpoints[int(endpoint)%len(endpoints)]
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/m/"+path, bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("%s %q: status %d (%s)", path, body, rec.Code, rec.Body.Bytes())
+		}
+		dec := json.NewDecoder(bytes.NewReader(rec.Body.Bytes()))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("%s %q: response is not JSON: %v (%q)", path, body, err, rec.Body.Bytes())
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			t.Fatalf("%s %q: response is more than one JSON value (%q)", path, body, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+
+		if path == "sample" {
+			var req sampleRequest
+			var resp sampleResponse
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("sample %q served 200 but does not decode: %v", body, err)
+			}
+			if err := json.Unmarshal(v, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Configs) != req.Count {
+				t.Fatalf("sample %q: %d rows, want %d", body, len(resp.Configs), req.Count)
+			}
+			for k, row := range resp.Configs {
+				if len(row) != n {
+					t.Fatalf("sample %q: row %d has %d sites, want %d", body, k, len(row), n)
+				}
+				for _, bit := range row {
+					if bit != 0 && bit != 1 {
+						t.Fatalf("sample %q: row %d = %v is not bits", body, k, row)
+					}
+				}
+			}
+			return
+		}
+		var req configsRequest
+		var resp valuesResponse
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%s %q served 200 but does not decode: %v", path, body, err)
+		}
+		if err := json.Unmarshal(v, &resp); err != nil {
+			t.Fatal(err)
+		}
+		b := sampler.NewBatch(len(req.Configs), n)
+		for k, row := range req.Configs {
+			copy(b.Row(k), row)
+		}
+		want := make([]float64, b.N)
+		if path == "logpsi" {
+			ref.LogPsi(b, want)
+		} else {
+			ref.LocalEnergies(ham, b, 1, want)
+		}
+		if len(resp.Values) != len(want) {
+			t.Fatalf("%s %q: %d values for %d rows", path, body, len(resp.Values), len(want))
+		}
+		for k := range want {
+			if resp.Values[k] != want[k] {
+				t.Fatalf("%s %q: row %d served %v != direct %v", path, body, k, resp.Values[k], want[k])
+			}
+		}
+	})
 }

@@ -261,6 +261,18 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
 		t.Fatalf("healthy body %q (status %d), want %q", rec.Body.Bytes(), rec.Code, want.Bytes())
 	}
+	// A repeated vertex pair -> 400, in either orientation and whatever
+	// its weights: served, it would leave the edge list the cut reads
+	// disagreeing with the adjacency local search reads.
+	for _, algo := range []string{"random", "gw", "bm"} {
+		for _, edges := range [][]MaxCutEdge{
+			{{U: 0, V: 1, W: 1}, {U: 1, V: 0, W: 1}},
+			{{U: 0, V: 1, W: 3}, {U: 0, V: 1, W: -1}, {U: 1, V: 2, W: 1}},
+		} {
+			req := MaxCutRequest{N: 3, Edges: edges, Algorithm: algo, Seed: 3}
+			postJSON(t, ts, "/v1/maxcut", req, nil, http.StatusBadRequest)
+		}
+	}
 	// Drained server -> 503.
 	s.Close()
 	postJSON(t, ts, "/v1/models/m/logpsi", configsRequest{Configs: cfgs}, nil, http.StatusServiceUnavailable)

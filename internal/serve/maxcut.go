@@ -16,7 +16,9 @@ type MaxCutEdge struct {
 	W float64 `json:"w"`
 }
 
-// MaxCutRequest describes one Max-Cut solve. Algorithm selects the solver
+// MaxCutRequest describes one Max-Cut solve. Edges names each unordered
+// vertex pair at most once; a repeat, in either orientation, is
+// ErrBadRequest. Algorithm selects the solver
 // ("random", "gw" Goemans-Williamson, "bm" Burer-Monteiro; default "gw");
 // the remaining knobs mirror maxcut.GWConfig/BMConfig with zero-value
 // defaults. Seed pins the RNG: the same request always produces the same
@@ -72,13 +74,22 @@ func validateMaxCut(req MaxCutRequest, maxNodes int) (string, error) {
 	return algo, nil
 }
 
-// buildGraph assembles a validated request's graph.
-func buildGraph(req MaxCutRequest) *graph.Graph {
+// buildGraph assembles a validated request's graph inside a pool slot. A
+// repeated unordered pair, in either orientation, is a bad request:
+// graph.AddEdge takes one add per pair, and a repeat would leave the edge
+// list the cut reads disagreeing with the adjacency local search reads.
+func buildGraph(req MaxCutRequest) (*graph.Graph, error) {
 	g := graph.New(req.N)
-	for _, e := range req.Edges {
-		g.AddEdge(e.U, e.V, e.W)
+	seen := make([]bool, req.N*req.N)
+	for i, e := range req.Edges {
+		u, v := min(e.U, e.V), max(e.U, e.V)
+		if seen[u*req.N+v] {
+			return nil, fmt.Errorf("%w: edge %d repeats the pair (%d,%d)", ErrBadRequest, i, u, v)
+		}
+		seen[u*req.N+v] = true
+		g.AddEdge(u, v, e.W)
 	}
-	return g
+	return g, nil
 }
 
 // SolveMaxCut runs one Max-Cut solve through the solver pool. Concurrency
@@ -115,7 +126,10 @@ func (s *Server) SolveMaxCut(ctx context.Context, req MaxCutRequest) (MaxCutResu
 	if err := ctx.Err(); err != nil {
 		return MaxCutResult{}, err
 	}
-	g := buildGraph(req)
+	g, err := buildGraph(req)
+	if err != nil {
+		return MaxCutResult{}, err
+	}
 	r := rng.New(req.Seed)
 	var res maxcut.Result
 	switch algo {
