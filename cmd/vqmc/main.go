@@ -6,9 +6,9 @@
 //	vqmc -problem tim -n 16 -iters 300 -batch 512
 //	vqmc -problem maxcut -n 50 -model rbm -optimizer sgd -sr
 //	vqmc -problem tim -n 12 -exact            # compare against Lanczos
-//	vqmc -problem tim -n 20 -devices 4 -mbs 4 # data-parallel training
-//	vqmc -problem tim -n 14 -devices 4 -mbs 16 -optimizer sgd -sr -sr-solver pipelined
-//	vqmc -problem tim -n 16 -devices 4 -mbs 8 -elastic -min-replicas 2 -checkpoint-dir ckpt
+//	vqmc -problem tim -n 20 -devices 4 -batch 4 # data-parallel training
+//	vqmc -problem tim -n 14 -devices 4 -batch 16 -optimizer sgd -sr -sr-solver pipelined
+//	vqmc -problem tim -n 16 -devices 4 -batch 8 -elastic -min-replicas 2 -checkpoint-dir ckpt
 package main
 
 import (
@@ -35,18 +35,17 @@ func main() {
 		sr      = flag.Bool("sr", false, "enable stochastic reconfiguration (natural gradient)")
 		srSolve = flag.String("sr-solver", "cg", "SR Fisher solver: cg (classic) or pipelined (overlapped collectives)")
 		hidden  = flag.Int("hidden", 0, "latent size (0 = paper rule)")
-		batch   = flag.Int("batch", 1024, "training batch size")
+		batch   = flag.Int("batch", 1024, "training batch per device (the global batch is devices x batch)")
 		iters   = flag.Int("iters", 300, "training iterations")
 		evalB   = flag.Int("eval-batch", 1024, "evaluation batch size")
 		burnIn  = flag.Int("mcmc-burnin", 0, "MCMC burn-in (0 = 3n+100)")
 		thin    = flag.Int("mcmc-thin", 0, "MCMC thinning (0 = none)")
 		chains  = flag.Int("mcmc-chains", 0, "MCMC chains (0 = 2)")
-		devices = flag.Int("devices", 1, "data-parallel device count (autoregressive models)")
-		workers = flag.Int("workers", 0, "CPU workers (serial: 0 = all cores; per replica with -devices: 0 = 1)")
-		mbs     = flag.Int("mbs", 0, "per-device mini-batch for -devices > 1")
-		elastic = flag.Bool("elastic", false, "supervise distributed training: replace failed replicas, shrink to survivors, re-grow")
-		minRep  = flag.Int("min-replicas", 1, "elastic membership floor; below it the run aborts with a final checkpoint")
-		ckptDir = flag.String("checkpoint-dir", "", "directory for elastic recovery/final checkpoints (empty = in-memory)")
+		devices = flag.Int("devices", 1, "data-parallel device count")
+		workers = flag.Int("workers", 0, "CPU workers per device (0 = cores / devices, at least 1)")
+		elastic = flag.Bool("elastic", false, "supervise training: replace failed replicas, shrink to survivors, re-grow")
+		minRep  = flag.Int("min-replicas", 1, "elastic membership floor; below it the run aborts with a final checkpoint (needs -elastic)")
+		ckptDir = flag.String("checkpoint-dir", "", "directory for elastic recovery/final checkpoints (needs -elastic; empty = in-memory)")
 		doExact = flag.Bool("exact", false, "also compute the exact ground energy (small n)")
 		curve   = flag.Bool("curve", false, "print the per-iteration training curve")
 		save    = flag.String("save", "", "write the trained model checkpoint to this path")
@@ -54,7 +53,7 @@ func main() {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if msg := ignoredFlag(set, *devices, *elastic, *ckptDir); msg != "" {
+	if msg := ignoredFlag(set, *elastic); msg != "" {
 		log.Fatal(msg)
 	}
 
@@ -70,23 +69,13 @@ func main() {
 
 	o := parvqmc.Options{
 		Model: *model, Sampler: *smp, Optimizer: *opt, LearningRate: *lr,
-		StochasticReconfig: *sr, SRSolver: *srSolve, Hidden: *hidden, BatchSize: *batch,
+		StochasticReconfig: *sr, SRSolver: *srSolve, Hidden: *hidden,
 		Iterations: *iters, EvalBatch: *evalB, Workers: *workers, Seed: *seed,
 		MCMCBurnIn: *burnIn, MCMCThin: *thin, MCMCChains: *chains,
 		Elastic: *elastic, MinReplicas: *minRep, CheckpointDir: *ckptDir,
 	}
 
-	var res *parvqmc.Result
-	var err error
-	if *devices > 1 {
-		m := *mbs
-		if m <= 0 {
-			m = 4
-		}
-		res, err = parvqmc.TrainDistributed(p, o, *devices, m)
-	} else {
-		res, err = parvqmc.Train(p, o)
-	}
+	res, err := parvqmc.TrainDistributed(p, o, *devices, *batch)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,20 +115,12 @@ func main() {
 	os.Exit(0)
 }
 
-// ignoredFlag names a flag the chosen mode would silently ignore, "" when
-// there is none. set holds the flags given on the command line
-// (flag.Visit), so a default never trips it.
-func ignoredFlag(set map[string]bool, devices int, elastic bool, ckptDir string) string {
-	distributed := devices > 1
-	switch {
-	case !distributed && (elastic || ckptDir != ""):
-		return "-elastic and -checkpoint-dir supervise a distributed run and need -devices > 1"
-	case !distributed && set["mbs"]:
-		return "-mbs is the per-device mini-batch and needs -devices > 1"
-	case distributed && set["batch"]:
-		return "-batch is the serial batch size; with -devices > 1 the global batch is devices x -mbs"
-	case !elastic && set["min-replicas"]:
-		return "-min-replicas is the elastic membership floor and needs -elastic"
+// ignoredFlag names a flag the run would silently ignore, "" when there is
+// none. set holds the flags given on the command line (flag.Visit), so a
+// default never trips it.
+func ignoredFlag(set map[string]bool, elastic bool) string {
+	if !elastic && (set["checkpoint-dir"] || set["min-replicas"]) {
+		return "-checkpoint-dir and -min-replicas configure the elastic supervisor and need -elastic"
 	}
 	return ""
 }

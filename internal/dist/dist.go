@@ -61,6 +61,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/comm"
@@ -157,8 +158,7 @@ func New(h hamiltonian.Hamiltonian, reps []Replica, miniBatch int) (*Trainer, er
 			}
 			seenSR[rep.SR] = r
 			if rep.SR.Lambda != sr0.Lambda || rep.SR.Tol != sr0.Tol ||
-				rep.SR.MaxIter != sr0.MaxIter || rep.SR.MaxStepNorm != sr0.MaxStepNorm ||
-				rep.SR.Solver != sr0.Solver {
+				rep.SR.MaxIter != sr0.MaxIter || rep.SR.Solver != sr0.Solver {
 				return nil, fmt.Errorf("dist: replica %d SR configuration differs from replica 0; the lockstep CG needs identical settings", r)
 			}
 		}
@@ -466,8 +466,18 @@ func (t *Trainer) Train(iters int, cb func(core.IterStats)) ([]core.IterStats, e
 // the last iteration begun. Its draws invalidate the last Step's snapshot,
 // so after a failed Evaluate, Recover and Shrink refuse.
 func (t *Trainer) Evaluate(batch int) (mean, std float64, err error) {
+	mean, std, _, _, err = t.EvaluateBest(batch)
+	return mean, std, err
+}
+
+// EvaluateBest is Evaluate that also returns the lowest local energy in the
+// global batch and the configuration achieving it. Ties go to the lowest
+// rank, then the lowest row. Each rank's candidate is read after the ranks
+// join, as Step reads rank 0's statistics, so no collective carries it. On
+// one replica the result is core.Trainer.EvaluateBest's, byte for byte.
+func (t *Trainer) EvaluateBest(batch int) (mean, std, best float64, argBest []int, err error) {
 	if gerr := t.group.Err(); gerr != nil {
-		return 0, 0, fmt.Errorf("dist: evaluate on condemned group (Recover first): %w", gerr)
+		return 0, 0, 0, nil, fmt.Errorf("dist: evaluate on condemned group (Recover first): %w", gerr)
 	}
 	if batch <= 0 {
 		batch = 1024
@@ -476,6 +486,9 @@ func (t *Trainer) Evaluate(batch int) (mean, std float64, err error) {
 	l := len(t.Reps)
 	// After the all-reduce every rank holds identical sums; keep rank 0's.
 	var sum tensor.Vector
+	// bests[r] and rows[r] are rank r's lowest local energy and its row; a
+	// rank that drew no row leaves rows[r] nil.
+	bests, rows := make([]float64, l), make([][]int, l)
 	err = t.eachRank(t.snapIter, func(r int) error {
 		// Replica r evaluates rows [r*batch/l, (r+1)*batch/l).
 		cnt := (r+1)*batch/l - r*batch/l
@@ -485,11 +498,16 @@ func (t *Trainer) Evaluate(batch int) (mean, std float64, err error) {
 			t.Reps[r].Smp.Sample(b)
 			locals := make([]float64, cnt)
 			t.steps[r].LocalEnergies(b, locals)
-			for _, e := range locals {
+			k := 0
+			for i, e := range locals {
 				acc[0] += e
 				acc[1] += e * e
+				if e < locals[k] {
+					k = i
+				}
 			}
 			acc[2] = float64(cnt)
+			bests[r], rows[r] = locals[k], slices.Clone(b.Row(k))
 		}
 		if rerr := t.comms[r].AllReduceSum(acc); rerr != nil {
 			return fmt.Errorf("evaluate reduction: %w", rerr)
@@ -499,13 +517,18 @@ func (t *Trainer) Evaluate(batch int) (mean, std float64, err error) {
 		}
 		return nil
 	})
-	if err != nil || sum[2] == 0 {
-		return 0, 0, err
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
+	for r, row := range rows {
+		if row != nil && (argBest == nil || bests[r] < best) {
+			best, argBest = bests[r], row
+		}
 	}
 	mean = sum[0] / sum[2]
 	v := sum[1]/sum[2] - mean*mean
 	if v < 0 {
 		v = 0
 	}
-	return mean, math.Sqrt(v), nil
+	return mean, math.Sqrt(v), best, argBest, nil
 }

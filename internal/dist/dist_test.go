@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,6 +162,14 @@ func TestSingleDeviceEquivalence(t *testing.T) {
 			t.Fatalf("final param %d: dist %v != core %v", i, p, mRef.Params()[i])
 		}
 	}
+	wm, ws, wb, wrow := ref.EvaluateBest(128)
+	gm, gs, gb, grow, err := tr.EvaluateBest(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gm != wm || gs != ws || gb != wb || !slices.Equal(grow, wrow) {
+		t.Fatalf("EvaluateBest: dist (%v, %v, %v, %v) != core (%v, %v, %v, %v)", gm, gs, gb, grow, wm, ws, wb, wrow)
+	}
 }
 
 // TestTrainImprovesEnergy: a short distributed run on a small TIM must
@@ -198,6 +207,19 @@ func TestEvaluate(t *testing.T) {
 	// TIM ground energy is negative; a trained model should be below zero.
 	if mean >= 0 {
 		t.Fatalf("trained TIM energy %v should be negative", mean)
+	}
+	// The best row over the 4 ranks' shares evaluates, through the scalar
+	// reference, to the best energy, and no sample lies below it.
+	bm, _, best, row, err := tr.EvaluateBest(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sampler.NewBatch(1, tr.H.N())
+	copy(b.Row(0), row)
+	ref := make([]float64, 1)
+	core.LocalEnergies(tr.H, tr.Reps[0].Model, b, 1, ref)
+	if ref[0] != best || best > bm {
+		t.Fatalf("EvaluateBest: row evaluates to %v, best %v, mean %v", ref[0], best, bm)
 	}
 	m2, s2 := mustEval(t, tr, 3) // fewer samples than the 4 replicas
 	if math.IsNaN(m2) || math.IsNaN(s2) {

@@ -114,7 +114,6 @@ func TestSRClone(t *testing.T) {
 	a := NewSR(1e-2)
 	a.Tol = 1e-9
 	a.MaxIter = 123
-	a.MaxStepNorm = 7
 	r := rng.New(15)
 	ows := tensor.NewBatch(20, 6)
 	r.FillUniform(ows.Data, -1, 1)
@@ -126,8 +125,7 @@ func TestSRClone(t *testing.T) {
 	if c == a {
 		t.Fatal("Clone returned the same instance")
 	}
-	if c.Lambda != a.Lambda || c.Tol != a.Tol || c.MaxIter != a.MaxIter ||
-		c.MaxStepNorm != a.MaxStepNorm {
+	if c.Lambda != a.Lambda || c.Tol != a.Tol || c.MaxIter != a.MaxIter {
 		t.Fatalf("Clone config mismatch: %+v vs %+v", c, a)
 	}
 	if c.delta != nil || c.last.Iterations != 0 {

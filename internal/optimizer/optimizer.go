@@ -49,18 +49,26 @@ func (s *SGD) Step(params, grad tensor.Vector) {
 // Name implements Optimizer.
 func (s *SGD) Name() string { return "SGD" }
 
+// Adam's standard moment decay rates and denominator guard. They are typed
+// float64 constants on purpose: Go folds constant expressions exactly, so an
+// untyped 1 - 0.9 would be float64(0.1), while 1 - beta1 here is the
+// subtraction of the rounded float64 values, as at run time.
+const (
+	beta1 float64 = 0.9
+	beta2 float64 = 0.999
+	eps   float64 = 1e-8
+)
+
 // Adam is the Adam optimizer with standard defaults (beta1=0.9,
 // beta2=0.999, eps=1e-8); the paper's default learning rate is 0.01.
 type Adam struct {
-	LR, Beta1, Beta2, Eps float64
-	m, v                  tensor.Vector
-	t                     int
+	LR   float64
+	m, v tensor.Vector
+	t    int
 }
 
 // NewAdam returns Adam with standard moment decay rates.
-func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
+func NewAdam(lr float64) *Adam { return &Adam{LR: lr} }
 
 // Step implements Optimizer.
 func (a *Adam) Step(params, grad tensor.Vector) {
@@ -69,15 +77,15 @@ func (a *Adam) Step(params, grad tensor.Vector) {
 		a.v = tensor.NewVector(len(params))
 	}
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1 := 1 - math.Pow(beta1, float64(a.t))
+	c2 := 1 - math.Pow(beta2, float64(a.t))
 	for i := range params {
 		g := grad[i]
-		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
-		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
+		a.m[i] = beta1*a.m[i] + (1-beta1)*g
+		a.v[i] = beta2*a.v[i] + (1-beta2)*g*g
 		mHat := a.m[i] / c1
 		vHat := a.v[i] / c2
-		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + eps)
 	}
 }
 
@@ -120,20 +128,21 @@ type SR struct {
 	// SolverPipelined. In a distributed group every replica must carry the
 	// same kind — the solvers issue different collective schedules.
 	Solver SolverKind
-	// MaxStepNorm caps ||delta||: with small lambda the solve can amplify
-	// gradient components lying in the Fisher matrix's near-null space by
-	// up to 1/lambda, which blows up training when the sample covariance
-	// is rank-deficient (correlated MCMC batches). 0 disables the guard.
-	MaxStepNorm float64
-	delta       tensor.Vector // warm start across iterations
-	last        linalg.CGResult
-	work        cgWork // solver scratch; not state (Clone/CaptureState skip it)
+	delta  tensor.Vector // warm start across iterations
+	last   linalg.CGResult
+	work   cgWork // solver scratch; not state (Clone/CaptureState skip it)
 }
 
-// NewSR returns an SR preconditioner with the paper's regularization and a
-// conservative step-norm guard that only engages on pathological solves.
+// maxStepNorm caps ||delta||: with small lambda the solve can amplify
+// gradient components lying in the Fisher matrix's near-null space by up to
+// 1/lambda, which blows up training when the sample covariance is
+// rank-deficient (correlated MCMC batches). The cap is conservative and
+// only engages on pathological solves.
+const maxStepNorm float64 = 100
+
+// NewSR returns an SR preconditioner with the paper's regularization.
 func NewSR(lambda float64) *SR {
-	return &SR{Lambda: lambda, Tol: 1e-6, MaxIter: 200, MaxStepNorm: 100}
+	return &SR{Lambda: lambda, Tol: 1e-6, MaxIter: 200}
 }
 
 // Precondition solves (S + lambda I) delta = grad where S is estimated from
@@ -151,8 +160,8 @@ func (s *SR) Precondition(ows *tensor.Batch, grad tensor.Vector) tensor.Vector {
 // spans the O_k rows of every rank and performs one collective per CG
 // iteration. The returned warm-start delta is reused across calls; in a
 // multi-rank group every rank's SR instance must carry identical (Lambda,
-// Tol, MaxIter, MaxStepNorm, Solver) so the lockstep CG takes identical
-// branches everywhere.
+// Tol, MaxIter, Solver) so the lockstep CG takes identical branches
+// everywhere.
 func (s *SR) PreconditionOp(op FisherOp, grad tensor.Vector) tensor.Vector {
 	d := op.Dim()
 	if len(grad) != d {
@@ -172,10 +181,8 @@ func (s *SR) PreconditionOp(op FisherOp, grad tensor.Vector) tensor.Vector {
 		// application at the synchronization point.
 		s.last = s.work.solveCG(op, grad, s.delta, s.Tol, maxIter)
 	}
-	if s.MaxStepNorm > 0 {
-		if n := s.delta.Norm2(); n > s.MaxStepNorm {
-			s.delta.Scale(s.MaxStepNorm / n)
-		}
+	if n := s.delta.Norm2(); n > maxStepNorm {
+		s.delta.Scale(maxStepNorm / n)
 	}
 	return s.delta
 }
@@ -185,8 +192,7 @@ func (s *SR) PreconditionOp(op FisherOp, grad tensor.Vector) tensor.Vector {
 // private clone so their warm-start vectors evolve independently while the
 // identical configuration keeps the lockstep CG branch-consistent.
 func (s *SR) Clone() *SR {
-	return &SR{Lambda: s.Lambda, Tol: s.Tol, MaxIter: s.MaxIter,
-		MaxStepNorm: s.MaxStepNorm, Solver: s.Solver}
+	return &SR{Lambda: s.Lambda, Tol: s.Tol, MaxIter: s.MaxIter, Solver: s.Solver}
 }
 
 // LastSolve reports the CG result of the most recent Precondition call.

@@ -41,7 +41,7 @@ func (s *SGD) CloneState() Optimizer {
 // and the step counter (which drives bias correction — dropping it would
 // change every subsequent update).
 func (a *Adam) CloneState() Optimizer {
-	c := &Adam{LR: a.LR, Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps, t: a.t}
+	c := &Adam{LR: a.LR, t: a.t}
 	if a.m != nil {
 		c.m = append(tensor.Vector(nil), a.m...)
 		c.v = append(tensor.Vector(nil), a.v...)
@@ -81,7 +81,7 @@ func (s *SR) CaptureState() SRState {
 }
 
 // RestoreState rewinds the solver to a captured snapshot. The SR's
-// configuration (Lambda, Tol, MaxIter, MaxStepNorm, Solver) is not part of
+// configuration (Lambda, Tol, MaxIter, Solver) is not part of
 // the snapshot and must already match the capture-time configuration for
 // bit-identical replay.
 func (s *SR) RestoreState(st SRState) {

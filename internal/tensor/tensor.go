@@ -288,9 +288,6 @@ func Sigmoid(v Vector) {
 	}
 }
 
-// AddBias computes v += b elementwise.
-func AddBias(v, b Vector) { v.Add(b) }
-
 // Equal reports whether two vectors differ by at most tol elementwise.
 func Equal(a, b Vector, tol float64) bool {
 	if len(a) != len(b) {

@@ -32,6 +32,7 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/maxcut"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
+	"github.com/vqmc-scale/parvqmc/internal/parallel"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
@@ -134,7 +135,7 @@ type Options struct {
 	// Workers), "auto-naive" (the same sampler over Algorithm 1's evaluator:
 	// n forward passes per sample; MADE only, the other families are
 	// inherently incremental), "mcmc" (default for RBM) or "gibbs" (block
-	// Gibbs, RBM only). TrainDistributed supports "auto" only.
+	// Gibbs, RBM only).
 	Sampler string
 	// Optimizer is "adam" (default, lr 0.01) or "sgd" (lr 0.1).
 	Optimizer string
@@ -150,39 +151,39 @@ type Options struct {
 	// every per-iteration collective is non-blocking and hidden behind the
 	// recurrence updates; serially it is the identical algorithm).
 	SRSolver string
-	// BatchSize is samples per iteration (default 1024).
+	// BatchSize is Train's samples per iteration (default 1024).
+	// TrainDistributed takes its per-device mini-batch as an argument.
 	BatchSize int
 	// Iterations is the number of training steps (default 300).
 	Iterations int
 	// EvalBatch is the evaluation batch (default 1024).
 	EvalBatch int
-	// Workers is how many ways each batch is shared out for sampling,
-	// local-energy and gradient evaluation (default GOMAXPROCS; 1 per
-	// replica in TrainDistributed): rows are cut into that many contiguous
-	// shares once per evaluator call and each share runs single-threaded.
-	// It is a pure throughput knob: ancestral sampling draws from one
-	// random stream whatever Workers is and evaluation is bitwise
-	// independent of it, so no result of Train with an "auto" sampler or of
-	// TrainDistributed depends on it. (The Markov samplers do not use it.)
+	// Workers is how many ways each device's batch is shared out for
+	// sampling, local-energy and gradient evaluation (default GOMAXPROCS /
+	// devices, at least 1): rows are cut into that many contiguous shares
+	// once per evaluator call and each share runs single-threaded. It is a
+	// pure throughput knob: ancestral sampling draws from one random stream
+	// whatever Workers is, the Markov samplers do not use it, and
+	// evaluation is bitwise independent of it, so no result depends on it.
 	Workers int
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// MCMC settings (zero values = paper defaults: 2 chains, burn-in
 	// 3n+100, no thinning).
 	MCMCChains, MCMCBurnIn, MCMCThin int
-	// Elastic enables supervised fault handling in TrainDistributed: on a
-	// replica failure the run replaces the dead rank (bit-identical resume,
-	// with bounded retries), falls back to continuing on the survivors as a
-	// legal smaller run, re-grows to the original width after a stretch of
-	// clean steps, and aborts with a final checkpoint only below the
-	// MinReplicas floor. Ignored by serial Train.
+	// Elastic enables supervised fault handling: on a replica failure the
+	// run replaces the dead rank (bit-identical resume, with bounded
+	// retries), falls back to continuing on the survivors as a legal
+	// smaller run, re-grows to the original width after a stretch of clean
+	// steps, and aborts with a final checkpoint only below the MinReplicas
+	// floor.
 	Elastic bool
 	// MinReplicas is the elastic membership floor (default 1: shrink as
 	// long as anyone survives).
 	MinReplicas int
 	// CheckpointDir, when non-empty, is where elastic recovery, growth and
-	// final checkpoints are written. Empty keeps recovery checkpoints in
-	// memory and skips the final artifact.
+	// final checkpoints are written; it requires Elastic. Empty keeps
+	// recovery checkpoints in memory and skips the final artifact.
 	CheckpointDir string
 }
 
@@ -238,8 +239,8 @@ func (o *Options) fill(n int) error {
 	default:
 		return fmt.Errorf("parvqmc: unknown SR solver %q (want cg or pipelined)", o.SRSolver)
 	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 1024
+	if o.CheckpointDir != "" && !o.Elastic {
+		return fmt.Errorf("parvqmc: Options.CheckpointDir is set without Options.Elastic; only the elastic supervisor writes checkpoints")
 	}
 	if o.Iterations <= 0 {
 		o.Iterations = 300
@@ -288,14 +289,14 @@ type Result struct {
 	// ForwardPasses counts sampling work in the paper's Figure 1 units.
 	ForwardPasses int64
 	// Elastic summarizes supervised fault handling; nil unless
-	// Options.Elastic was set on a TrainDistributed run.
+	// Options.Elastic was set.
 	Elastic *ElasticStats
 
 	model nn.Wavefunction
 }
 
-// ElasticStats summarizes what the elastic supervisor did during a
-// TrainDistributed run with Options.Elastic set.
+// ElasticStats summarizes what the elastic supervisor did during a run
+// with Options.Elastic set.
 type ElasticStats struct {
 	// Failures is the number of failed steps handled.
 	Failures int
@@ -338,44 +339,13 @@ func (o Options) buildOptimizer() (optimizer.Optimizer, *optimizer.SR) {
 	return opt, sr
 }
 
-// Train runs VQMC on the problem and returns the result.
+// Train runs VQMC on the problem and returns the result: TrainDistributed
+// at one device, with Options.BatchSize (default 1024) as the mini-batch.
 func Train(p *Problem, o Options) (*Result, error) {
-	n := p.Sites()
-	if err := o.fill(n); err != nil {
-		return nil, err
+	if o.BatchSize <= 0 {
+		o.BatchSize = 1024
 	}
-	r := rng.New(o.Seed)
-
-	model := o.newModel(n, r.Split())
-	smp, err := o.newSampler(n, model, o.Sampler, o.Workers, r.Split())
-	if err != nil {
-		return nil, err
-	}
-
-	opt, sr := o.buildOptimizer()
-	tr := core.New(p.ham, model, smp, opt, core.Config{
-		BatchSize: o.BatchSize, Workers: o.Workers, SR: sr})
-
-	start := time.Now()
-	curve := tr.Train(o.Iterations, nil)
-	elapsed := time.Since(start)
-	mean, std, best, argBest := tr.EvaluateBest(o.EvalBatch)
-
-	res := &Result{
-		Energy: mean, Std: std, BestEnergy: best, BestConfig: argBest,
-		TrainTime:     elapsed,
-		ForwardPasses: smp.Cost().ForwardPasses,
-		model:         model,
-	}
-	for _, s := range curve {
-		res.Curve = append(res.Curve, IterationStat{Iteration: s.Iter, Batch: s.Batch,
-			Energy: s.Energy, Std: s.Std, SRIters: s.SRIters, SRResidual: s.SRResidual})
-	}
-	if cut, ok := p.CutOf(mean); ok {
-		res.Cut = cut
-		res.BestCut, _ = p.CutOf(best)
-	}
-	return res, nil
+	return TrainDistributed(p, o, 1, o.BatchSize)
 }
 
 // newModel constructs the wavefunction Options.Model names from an init
@@ -393,27 +363,27 @@ func (o Options) newModel(n int, init *rng.Rand) core.Model {
 	}
 }
 
-// newSampler constructs the sampler kind names over model m: "mcmc" for any
-// family; "gibbs" for the RBM (fill rejects it elsewhere); "auto" (exact
-// ancestral sampling, incremental) and "auto-naive" (the same sampler over
-// MADE's Algorithm-1 evaluator, n forward passes per sample; NADE and the
-// RNN are inherently incremental) for the autoregressive ones.
-func (o Options) newSampler(n int, m core.Model, kind string, workers int, stream *rng.Rand) (sampler.Sampler, error) {
+// newSampler constructs the sampler Options.Sampler names over model m:
+// "mcmc" for any family; "gibbs" for the RBM (fill rejects it elsewhere);
+// "auto" (exact ancestral sampling, incremental) and "auto-naive" (the same
+// sampler over MADE's Algorithm-1 evaluator, n forward passes per sample;
+// NADE and the RNN are inherently incremental) for the autoregressive ones.
+func (o Options) newSampler(n int, m core.Model, workers int, stream *rng.Rand) (sampler.Sampler, error) {
 	mcmc := sampler.MCMCConfig{Chains: o.MCMCChains, BurnIn: o.MCMCBurnIn, Thin: o.MCMCThin}
-	switch kind {
+	switch o.Sampler {
 	case "auto", "auto-naive":
 	case "mcmc":
 		return sampler.NewMCMC(m, mcmc, stream), nil
 	case "gibbs":
 		return sampler.NewGibbs(m.(*nn.RBM), mcmc, stream), nil
 	default:
-		return nil, fmt.Errorf("parvqmc: unknown sampler %q", kind)
+		return nil, fmt.Errorf("parvqmc: unknown sampler %q", o.Sampler)
 	}
 	anc, ok := m.(nn.BatchAncestralBuilder)
 	if !ok {
 		return nil, fmt.Errorf("parvqmc: no ancestral sampler for model %T", m)
 	}
-	if made, ok := m.(*nn.MADE); ok && kind == "auto-naive" {
+	if made, ok := m.(*nn.MADE); ok && o.Sampler == "auto-naive" {
 		anc = made.NaiveAncestral()
 	}
 	return sampler.NewAutoBatched(n, anc, workers, stream), nil
@@ -422,9 +392,12 @@ func (o Options) newSampler(n int, m core.Model, kind string, workers int, strea
 // TrainDistributed runs the paper's data-parallel scheme: devices replicas
 // (goroutines) each sample miniBatch configurations per iteration, gradients
 // are combined with a ring all-reduce, and every replica applies the same
-// update. The effective batch is devices*miniBatch. The autoregressive
-// families (made, nade, rnn) are supported, each with exact ancestral
-// sampling, matching the paper's scalability experiments.
+// update. The effective batch is devices*miniBatch. Every model and sampler
+// Train accepts is supported; Train is this function at one device.
+//
+// Every rank's parameters are drawn from the first split of the seed's
+// stream and rank k's samples from the (k+2)-th, so a rank's draws depend
+// on Seed and its rank only: rank 0 of any run samples what Train samples.
 //
 // With Options.StochasticReconfig set, the gradient is preconditioned by
 // distributed SR: each replica keeps only its private O_k rows and the
@@ -432,12 +405,11 @@ func (o Options) newSampler(n int, m core.Model, kind string, workers int, strea
 // iteration; Options.SRSolver "pipelined" issues those collectives
 // non-blocking and hides them behind the CG recurrence updates (Gropp's
 // overlapped variant), without perturbing the result beyond solver
-// round-off. Options.Workers (default 1 in distributed mode) additionally
-// shares each replica's sampling, local-energy and gradient evaluation out
-// over that many goroutines — the two-level replica x worker scheme modeling
-// node x GPU hierarchies. Neither knob perturbs the bit-identity of the
-// replicas, and Workers changes no result. Options.Sampler must be "auto"
-// (the default); any other sampler is an error.
+// round-off. Options.Workers additionally shares each replica's sampling,
+// local-energy and gradient evaluation out over that many goroutines — the
+// two-level replica x worker scheme modeling node x GPU hierarchies.
+// Neither knob perturbs the bit-identity of the replicas, and Workers
+// changes no result.
 //
 // With Options.Elastic set, the run is supervised: a replica failure is
 // handled by replacement (bit-identical resume, bounded retries with
@@ -451,40 +423,30 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 	if err := o.fill(n); err != nil {
 		return nil, err
 	}
-	switch o.Model {
-	case "made", "nade", "rnn":
-	default:
-		return nil, fmt.Errorf("parvqmc: distributed training supports the autoregressive models (made, nade, rnn)")
-	}
-	if o.Sampler != "auto" {
-		return nil, fmt.Errorf("parvqmc: distributed training supports the auto sampler only, not %q", o.Sampler)
-	}
 	if devices <= 0 || miniBatch <= 0 {
 		return nil, fmt.Errorf("parvqmc: devices and miniBatch must be positive")
 	}
-	// In distributed mode the replicas are the primary parallel dimension,
-	// so per-replica workers default to 1 rather than GOMAXPROCS.
 	workers := o.Workers
-	if workers < 1 {
-		workers = 1
+	if workers <= 0 {
+		workers = max(1, parallel.MaxWorkers()/devices)
 	}
-	streams := rng.New(o.Seed).SplitN(devices)
-	reps := make([]dist.Replica, devices)
-	for rdev := 0; rdev < devices; rdev++ {
-		// Every replica is built from an identical init stream, so
-		// parameters start bit-identical.
-		m := o.newModel(n, rng.New(o.Seed+12345))
-		smp, err := o.newSampler(n, m, o.Sampler, workers, streams[rdev])
+	// build is the one replica builder: it makes the starting ranks and the
+	// elastic supervisor's replacement and admitted ones. Recover rewinds a
+	// replacement to the dead rank's stream position anyway; an admitted
+	// (Grow) rank keeps this stream.
+	build := func(rank int, model dist.Model) (dist.Replica, error) {
+		smp, err := o.newSampler(n, model, workers, rng.New(o.Seed).SplitN(rank + 2)[rank+1])
 		if err != nil {
-			return nil, err
+			return dist.Replica{}, err
 		}
 		opt, sr := o.buildOptimizer()
-		reps[rdev] = dist.Replica{
-			Model:   m,
-			Smp:     smp,
-			Opt:     opt,
-			SR:      sr,
-			Workers: workers,
+		return dist.Replica{Model: model, Smp: smp, Opt: opt, SR: sr, Workers: workers}, nil
+	}
+	reps := make([]dist.Replica, devices)
+	for r := range reps {
+		var err error
+		if reps[r], err = build(r, o.newModel(n, rng.New(o.Seed).Split())); err != nil {
+			return nil, err
 		}
 	}
 	tr, err := dist.New(p.ham, reps, miniBatch)
@@ -496,18 +458,6 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 	var estats *ElasticStats
 	start := time.Now()
 	if o.Elastic {
-		// Replacement and admitted ranks get their own deterministic sampler
-		// streams, keyed by rank and seed. Recover rewinds a replacement to
-		// the dead rank's stream position anyway; an admitted (Grow) rank
-		// keeps this stream.
-		build := func(rank int, model dist.Model) (dist.Replica, error) {
-			smp, err := o.newSampler(n, model, o.Sampler, workers, rng.New(o.Seed+0x9E3779B9+uint64(rank)*0x1000003))
-			if err != nil {
-				return dist.Replica{}, err
-			}
-			opt, sr := o.buildOptimizer()
-			return dist.Replica{Model: model, Smp: smp, Opt: opt, SR: sr, Workers: workers}, nil
-		}
 		sup, err := dist.NewSupervisor(tr, dist.Policy{
 			MinReplicas: o.MinReplicas, CheckpointDir: o.CheckpointDir, Builder: build,
 		})
@@ -518,7 +468,7 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 		tr = sup.Trainer()
 		st := sup.Stats()
 		if err != nil {
-			return nil, fmt.Errorf("parvqmc: supervised distributed training aborted after %d steps (final checkpoint %q): %w",
+			return nil, fmt.Errorf("parvqmc: supervised training aborted after %d steps (final checkpoint %q): %w",
 				len(hist), st.FinalCheckpoint, err)
 		}
 		estats = &ElasticStats{
@@ -529,17 +479,22 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 	} else {
 		hist, err = tr.Train(o.Iterations, nil)
 		if err != nil {
-			return nil, fmt.Errorf("parvqmc: distributed training failed: %w", err)
+			return nil, fmt.Errorf("parvqmc: training failed: %w", err)
 		}
 	}
 	elapsed := time.Since(start)
-	mean, std, err := tr.Evaluate(o.EvalBatch)
+	mean, std, best, argBest, err := tr.EvaluateBest(o.EvalBatch)
 	if err != nil {
-		return nil, fmt.Errorf("parvqmc: distributed evaluation failed: %w", err)
+		return nil, fmt.Errorf("parvqmc: evaluation failed: %w", err)
 	}
 	// Replicas hold identical bytes by the step's contract, so rank 0's model
-	// is the trained model; sampling work is summed over whoever finished.
-	res := &Result{Energy: mean, Std: std, TrainTime: elapsed, Elastic: estats, model: tr.Reps[0].Model}
+	// is the trained model; checking it costs one pass over the parameters.
+	// Sampling work is summed over whoever finished.
+	if err := tr.CheckConsistent(); err != nil {
+		return nil, fmt.Errorf("parvqmc: replicas diverged: %w", err)
+	}
+	res := &Result{Energy: mean, Std: std, BestEnergy: best, BestConfig: argBest,
+		TrainTime: elapsed, Elastic: estats, model: tr.Reps[0].Model}
 	for _, rep := range tr.Reps {
 		res.ForwardPasses += rep.Smp.Cost().ForwardPasses
 	}
@@ -549,6 +504,7 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 	}
 	if cut, ok := p.CutOf(mean); ok {
 		res.Cut = cut
+		res.BestCut, _ = p.CutOf(best)
 	}
 	return res, nil
 }

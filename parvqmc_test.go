@@ -4,10 +4,13 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/vqmc-scale/parvqmc/internal/core"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
+	"github.com/vqmc-scale/parvqmc/internal/rng"
 )
 
 func TestTrainTIMReachesGroundState(t *testing.T) {
@@ -78,13 +81,17 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := Train(p, Options{Sampler: "hamiltonian-mc"}); err == nil {
 		t.Fatal("unknown sampler should error")
 	}
-	// TrainDistributed samples with "auto" and must say so, not train with
-	// it under another sampler's name.
-	for _, smp := range []string{"mcmc", "auto-naive"} {
-		_, err := TrainDistributed(p, Options{Sampler: smp, Iterations: 2}, 2, 8)
-		if err == nil || !strings.Contains(err.Error(), smp) {
-			t.Fatalf("distributed %s should error naming the sampler, got %v", smp, err)
+	// Only the elastic supervisor writes checkpoints: a CheckpointDir without
+	// Elastic is an error naming the field, not an option dropped silently.
+	o := Options{CheckpointDir: t.TempDir(), BatchSize: 8, Iterations: 2, EvalBatch: 8}
+	for devices := 1; devices <= 2; devices++ {
+		_, err := TrainDistributed(p, o, devices, 8)
+		if err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
+			t.Fatalf("%d devices: CheckpointDir without Elastic should error naming the field, got %v", devices, err)
 		}
+	}
+	if _, err := Train(p, o); err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
+		t.Fatalf("Train: CheckpointDir without Elastic should error naming the field, got %v", err)
 	}
 }
 
@@ -123,12 +130,33 @@ func TestTrainDistributed(t *testing.T) {
 	if gap > 0.15 {
 		t.Fatalf("distributed energy %v vs exact %v", res.Energy, exactE)
 	}
-	// Validation errors.
-	if _, err := TrainDistributed(p, Options{Model: "rbm"}, 2, 4); err == nil {
-		t.Fatal("rbm distributed should error")
-	}
 	if _, err := TrainDistributed(p, Options{}, 0, 4); err == nil {
 		t.Fatal("zero devices should error")
+	}
+	// Every route Train takes also runs at 2 devices. A nil error means the
+	// replicas ended bit-identical (TrainDistributed checks CheckConsistent
+	// before returning rank 0's model), and on Max-Cut, where the local
+	// energy is the diagonal, BestConfig must evaluate to BestEnergy.
+	mc := MaxCut(8, 13)
+	for _, o := range []Options{
+		{Model: "rbm", Sampler: "mcmc"},
+		{Model: "rbm", Sampler: "gibbs"},
+		{Model: "made", Sampler: "auto-naive"},
+	} {
+		o.Hidden, o.Iterations, o.EvalBatch, o.Seed = 8, 10, 64, 14
+		res, err := TrainDistributed(mc, o, 2, 16)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", o.Model, o.Sampler, err)
+		}
+		if len(res.Curve) != 10 || res.Curve[0].Batch != 2*16 {
+			t.Fatalf("%s/%s: curve of %d steps at batch %d", o.Model, o.Sampler, len(res.Curve), res.Curve[0].Batch)
+		}
+		if got := mc.ham.Diagonal(res.BestConfig); got != res.BestEnergy {
+			t.Fatalf("%s/%s: BestConfig evaluates to %v, BestEnergy is %v", o.Model, o.Sampler, got, res.BestEnergy)
+		}
+		if cut, _ := mc.CutOf(res.BestEnergy); cut != res.BestCut {
+			t.Fatalf("%s/%s: BestCut %v, the cut of BestEnergy is %v", o.Model, o.Sampler, res.BestCut, cut)
+		}
 	}
 }
 
@@ -352,6 +380,108 @@ func TestWorkersIsAThroughputKnob(t *testing.T) {
 	}
 	if naive := run("auto-naive", 2); naive.ForwardPasses != n*w1.ForwardPasses {
 		t.Fatalf("auto-naive: %d forward passes, want %d x %d", naive.ForwardPasses, n, w1.ForwardPasses)
+	}
+	// The same at 2 devices, for the ancestral and for a Markov sampler.
+	for _, model := range []string{"made", "rbm"} {
+		runDist := func(workers int) *Result {
+			res, err := TrainDistributed(p, Options{
+				Model: model, Hidden: 8, Iterations: 12, EvalBatch: 48, Workers: workers, Seed: 22,
+			}, 2, 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		w1, w3 := runDist(1), runDist(3)
+		if !slices.Equal(w1.Curve, w3.Curve) || w1.Energy != w3.Energy ||
+			!slices.Equal(w1.BestConfig, w3.BestConfig) || w1.ForwardPasses != w3.ForwardPasses {
+			t.Fatalf("%s at 2 devices: Workers 1 and 3 disagree: energy %v vs %v, %d vs %d forward passes",
+				model, w1.Energy, w3.Energy, w1.ForwardPasses, w3.ForwardPasses)
+		}
+	}
+}
+
+// coreTrain is Train as the facade wrote it before Train became
+// TrainDistributed at one device: a core.Trainer over the first two splits
+// of the seed's stream, model init from the first and samples from the
+// second.
+func coreTrain(t *testing.T, p *Problem, o Options) *Result {
+	t.Helper()
+	n := p.Sites()
+	if err := o.fill(n); err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(o.Seed)
+	model := o.newModel(n, r.Split())
+	smp, err := o.newSampler(n, model, o.Workers, r.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, sr := o.buildOptimizer()
+	tr := core.New(p.ham, model, smp, opt, core.Config{BatchSize: o.BatchSize, Workers: o.Workers, SR: sr})
+	curve := tr.Train(o.Iterations, nil)
+	mean, std, best, argBest := tr.EvaluateBest(o.EvalBatch)
+	res := &Result{Energy: mean, Std: std, BestEnergy: best, BestConfig: argBest,
+		ForwardPasses: smp.Cost().ForwardPasses}
+	for _, s := range curve {
+		res.Curve = append(res.Curve, IterationStat{Iteration: s.Iter, Batch: s.Batch,
+			Energy: s.Energy, Std: s.Std, SRIters: s.SRIters, SRResidual: s.SRResidual})
+	}
+	if cut, ok := p.CutOf(mean); ok {
+		res.Cut = cut
+		res.BestCut, _ = p.CutOf(best)
+	}
+	return res
+}
+
+// TestTrainKeepsSerialBytes: Train runs on the distributed engine at one
+// device, and every field of its Result equals what a core.Trainer built as
+// the facade built one returns — on every route, at Workers 1 and 3, on TIM
+// and on Max-Cut. TrainDistributed at one device with BatchSize as its
+// mini-batch is Train.
+func TestTrainKeepsSerialBytes(t *testing.T) {
+	routes := []struct {
+		name string
+		o    Options
+	}{
+		{"made/auto", Options{}},
+		{"made/auto-naive", Options{Sampler: "auto-naive"}},
+		{"made/mcmc", Options{Sampler: "mcmc"}},
+		{"rbm/mcmc", Options{Model: "rbm"}},
+		{"rbm/gibbs", Options{Model: "rbm", Sampler: "gibbs"}},
+		{"nade", Options{Model: "nade"}},
+		{"rnn", Options{Model: "rnn"}},
+		{"made/sr-cg", Options{Optimizer: "sgd", StochasticReconfig: true}},
+		{"made/sr-pipelined", Options{Optimizer: "sgd", StochasticReconfig: true, SRSolver: "pipelined"}},
+	}
+	problems := []struct {
+		name string
+		p    *Problem
+	}{{"tim", TIM(6, 3)}, {"maxcut", MaxCut(7, 4)}}
+	same := func(a, b *Result) bool {
+		return slices.Equal(a.Curve, b.Curve) && a.Energy == b.Energy && a.Std == b.Std &&
+			a.BestEnergy == b.BestEnergy && slices.Equal(a.BestConfig, b.BestConfig) &&
+			a.Cut == b.Cut && a.BestCut == b.BestCut && a.ForwardPasses == b.ForwardPasses
+	}
+	for _, rt := range routes {
+		for _, pb := range problems {
+			for _, workers := range []int{1, 3} {
+				o := rt.o
+				o.Hidden, o.BatchSize, o.Iterations, o.EvalBatch, o.Workers, o.Seed = 8, 32, 6, 32, workers, 5
+				want := coreTrain(t, pb.p, o)
+				got, err := Train(pb.p, o)
+				if err != nil {
+					t.Fatalf("%s/%s/w%d: %v", rt.name, pb.name, workers, err)
+				}
+				if !same(got, want) {
+					t.Fatalf("%s/%s/w%d: Train %+v\nwant the core.Trainer's %+v", rt.name, pb.name, workers, *got, *want)
+				}
+				one, err := TrainDistributed(pb.p, o, 1, o.BatchSize)
+				if err != nil || !same(one, got) {
+					t.Fatalf("%s/%s/w%d: TrainDistributed at one device differs from Train (err %v)", rt.name, pb.name, workers, err)
+				}
+			}
+		}
 	}
 }
 
