@@ -21,20 +21,19 @@ func main() {
 		n, problem.TotalEdgeWeight())
 	fmt.Printf("%-22s %s\n", "method", "cut")
 
-	for _, method := range []string{"random", "gw", "bm"} {
-		res, err := parvqmc.SolveMaxCutClassical(problem, method, 3)
+	for _, m := range []struct{ method, label string }{
+		{"random", "Random assignment"},
+		{"gw", "Goemans-Williamson"},
+		{"bm", "Burer-Monteiro (RTR)"},
+	} {
+		res, err := parvqmc.SolveMaxCutClassical(problem, m.method, 3)
 		if err != nil {
 			log.Fatal(err)
 		}
-		name := map[string]string{
-			"random": "Random assignment",
-			"gw":     "Goemans-Williamson",
-			"bm":     "Burer-Monteiro (RTR)",
-		}[method]
 		if res.SDPBound > 0 {
-			fmt.Printf("%-22s %.0f   (SDP upper bound %.1f)\n", name, res.Cut, res.SDPBound)
+			fmt.Printf("%-22s %.0f   (SDP upper bound %.1f)\n", m.label, res.Cut, res.SDPBound)
 		} else {
-			fmt.Printf("%-22s %.0f\n", name, res.Cut)
+			fmt.Printf("%-22s %.0f\n", m.label, res.Cut)
 		}
 	}
 

@@ -1,7 +1,9 @@
 // Package exact computes exact ground states of the paper's Hamiltonians by
-// matrix-free Lanczos iteration over the full 2^n-dimensional space. It is
-// the reference oracle the VQMC tests validate against, practical up to
-// about n = 20 (a 1M-dimensional eigenproblem).
+// matrix-free Lanczos iteration over the full 2^n-dimensional space
+// (lanczos.go: Lanczos with full reorthogonalization over an implicit-QL
+// tridiagonal eigensolver). It is the reference oracle the VQMC tests
+// validate against, practical up to about n = 20 (a 1M-dimensional
+// eigenproblem).
 package exact
 
 import (
@@ -9,7 +11,6 @@ import (
 	"fmt"
 
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
-	"github.com/vqmc-scale/parvqmc/internal/linalg"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 )
 
@@ -41,15 +42,15 @@ func GroundState(h hamiltonian.Hamiltonian, maxKrylov int, seed uint64) (Result,
 	v0 := make([]float64, dim)
 	rng.New(seed).FillUniform(v0, 0.1, 1) // positive start overlaps the PF ground state
 	mv := func(v, out []float64) { hamiltonian.Apply(h, v, out) }
-	res, err := linalg.LanczosMin(mv, dim, v0, maxKrylov, 1e-10)
+	res, err := lanczosMin(mv, dim, v0, maxKrylov, 1e-10)
 	if err != nil {
 		return Result{}, err
 	}
-	if !res.Converged && maxKrylov < dim {
-		return Result{Energy: res.Eigenvalue, Vector: res.Eigenvector},
+	if !res.converged && maxKrylov < dim {
+		return Result{Energy: res.eigenvalue, Vector: res.eigenvector},
 			errors.New("exact: Lanczos did not reach tolerance; increase maxKrylov")
 	}
-	return Result{Energy: res.Eigenvalue, Vector: res.Eigenvector}, nil
+	return Result{Energy: res.eigenvalue, Vector: res.eigenvector}, nil
 }
 
 // GroundStateDiagonal exactly minimizes a diagonal Hamiltonian (such as

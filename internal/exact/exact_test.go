@@ -6,7 +6,6 @@ import (
 
 	"github.com/vqmc-scale/parvqmc/internal/graph"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
-	"github.com/vqmc-scale/parvqmc/internal/linalg"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 )
 
@@ -26,7 +25,7 @@ func TestGroundStateMatchesDenseJacobi(t *testing.T) {
 	r := rng.New(2)
 	tim := hamiltonian.RandomTIM(6, r)
 	dense := hamiltonian.Dense(tim)
-	want, _, err := linalg.MinEigDense(dense, 1<<6)
+	want, _, err := minEigDense(dense, 1<<6)
 	if err != nil {
 		t.Fatal(err)
 	}

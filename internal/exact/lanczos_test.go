@@ -1,6 +1,7 @@
-package linalg
+package exact
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -26,7 +27,7 @@ func randSPD(r *rng.Rand, n int) []float64 {
 	return a
 }
 
-func denseMV(a []float64, n int) MatVec {
+func denseMV(a []float64, n int) func(v, out []float64) {
 	return func(v, out []float64) {
 		for i := 0; i < n; i++ {
 			var s float64
@@ -38,56 +39,102 @@ func denseMV(a []float64, n int) MatVec {
 	}
 }
 
-func TestCGSolvesSPD(t *testing.T) {
-	r := rng.New(1)
-	for _, n := range []int{1, 2, 5, 20, 50} {
-		a := randSPD(r, n)
-		xTrue := make([]float64, n)
-		r.FillUniform(xTrue, -1, 1)
-		b := make([]float64, n)
-		denseMV(a, n)(xTrue, b)
-		x := make([]float64, n)
-		res := CG(denseMV(a, n), b, x, 1e-12, 10*n)
-		if !res.Converged {
-			t.Fatalf("n=%d CG did not converge: %+v", n, res)
+// tridiagEigen diagonalizes a symmetric tridiagonal matrix given its
+// diagonal diag and subdiagonal sub (len(sub) == len(diag)-1) through
+// tqli. It returns the eigenvalues and the row-major eigenvector matrix
+// (column k for eigenvalue k).
+func tridiagEigen(diag, sub []float64) ([]float64, []float64, error) {
+	n := len(diag)
+	d := make([]float64, n)
+	e := make([]float64, n)
+	copy(d, diag)
+	for i := 0; i < n-1; i++ {
+		e[i+1] = sub[i]
+	}
+	z := identity(n)
+	if err := tqli(d, e, n, z); err != nil {
+		return nil, nil, err
+	}
+	return d, z, nil
+}
+
+// jacobiEigen diagonalizes a dense symmetric matrix (row-major n x n) with
+// the cyclic Jacobi method: the dense reference Lanczos is checked
+// against. It returns eigenvalues (unsorted) and the row-major eigenvector
+// matrix (column k for eigenvalue k).
+func jacobiEigen(a []float64, n int) ([]float64, []float64, error) {
+	m := make([]float64, len(a))
+	copy(m, a)
+	v := identity(n)
+	for sweep := 0; sweep < 100; sweep++ {
+		var off float64
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				off += m[i*n+j] * m[i*n+j]
+			}
 		}
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-6 {
-				t.Fatalf("n=%d x[%d]=%v want %v", n, i, x[i], xTrue[i])
+		if off < 1e-22 {
+			d := make([]float64, n)
+			for i := 0; i < n; i++ {
+				d[i] = m[i*n+i]
+			}
+			return d, v, nil
+		}
+		for p := 0; p < n; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := m[p*n+q]
+				if math.Abs(apq) < 1e-18 {
+					continue
+				}
+				app, aqq := m[p*n+p], m[q*n+q]
+				theta := (aqq - app) / (2 * apq)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				for k := 0; k < n; k++ {
+					akp, akq := m[k*n+p], m[k*n+q]
+					m[k*n+p] = c*akp - s*akq
+					m[k*n+q] = s*akp + c*akq
+				}
+				for k := 0; k < n; k++ {
+					apk, aqk := m[p*n+k], m[q*n+k]
+					m[p*n+k] = c*apk - s*aqk
+					m[q*n+k] = s*apk + c*aqk
+				}
+				for k := 0; k < n; k++ {
+					vkp, vkq := v[k*n+p], v[k*n+q]
+					v[k*n+p] = c*vkp - s*vkq
+					v[k*n+q] = s*vkp + c*vkq
+				}
 			}
 		}
 	}
+	return nil, nil, errors.New("exact: Jacobi failed to converge")
 }
 
-func TestCGZeroRHS(t *testing.T) {
-	a := []float64{2, 0, 0, 3}
-	x := []float64{5, -7}
-	res := CG(denseMV(a, 2), []float64{0, 0}, x, 1e-10, 10)
-	if !res.Converged || x[0] != 0 || x[1] != 0 {
-		t.Fatalf("zero RHS: x=%v res=%+v", x, res)
+// minEigDense returns the minimal eigenvalue and its eigenvector of a dense
+// symmetric matrix via Jacobi.
+func minEigDense(a []float64, n int) (float64, []float64, error) {
+	d, v, err := jacobiEigen(a, n)
+	if err != nil {
+		return 0, nil, err
 	}
-}
-
-func TestCGWarmStart(t *testing.T) {
-	r := rng.New(2)
-	n := 10
-	a := randSPD(r, n)
-	b := make([]float64, n)
-	r.FillUniform(b, -1, 1)
-	cold := make([]float64, n)
-	CG(denseMV(a, n), b, cold, 1e-12, 100)
-	// Warm start from the exact answer should converge immediately.
-	warm := make([]float64, n)
-	copy(warm, cold)
-	res := CG(denseMV(a, n), b, warm, 1e-10, 100)
-	if res.Iterations > 1 {
-		t.Fatalf("warm start took %d iterations", res.Iterations)
+	k := 0
+	for i := 1; i < n; i++ {
+		if d[i] < d[k] {
+			k = i
+		}
 	}
+	vec := make([]float64, n)
+	for i := 0; i < n; i++ {
+		vec[i] = v[i*n+k]
+	}
+	return d[k], vec, nil
 }
 
 func TestTridiagEigenKnown(t *testing.T) {
 	// Tridiagonal [[2,-1,0],[-1,2,-1],[0,-1,2]] has eigenvalues 2-sqrt2, 2, 2+sqrt2.
-	d, _, err := TridiagEigen([]float64{2, 2, 2}, []float64{-1, -1})
+	d, _, err := tridiagEigen([]float64{2, 2, 2}, []float64{-1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +150,7 @@ func TestTridiagEigenKnown(t *testing.T) {
 func TestTridiagEigenVectors(t *testing.T) {
 	diag := []float64{1, -2, 0.5, 3}
 	sub := []float64{0.3, -0.7, 1.1}
-	d, z, err := TridiagEigen(diag, sub)
+	d, z, err := tridiagEigen(diag, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +175,7 @@ func TestTridiagEigenVectors(t *testing.T) {
 
 func TestJacobiEigenAgainstKnown(t *testing.T) {
 	// [[2,1],[1,2]] -> 1, 3.
-	d, _, err := JacobiEigen([]float64{2, 1, 1, 2}, 2)
+	d, _, err := jacobiEigen([]float64{2, 1, 1, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +189,7 @@ func TestJacobiEigenpairs(t *testing.T) {
 	r := rng.New(3)
 	n := 12
 	a := randSPD(r, n)
-	d, v, err := JacobiEigen(a, n)
+	d, v, err := jacobiEigen(a, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,22 +230,22 @@ func TestLanczosMinMatchesJacobi(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a[i*n+i] -= 3
 		}
-		want, _, err := MinEigDense(a, n)
+		want, _, err := minEigDense(a, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := LanczosMin(denseMV(a, n), n, nil, n, 1e-10)
+		res, err := lanczosMin(denseMV(a, n), n, nil, n, 1e-10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.Eigenvalue-want) > 1e-7 {
-			t.Fatalf("n=%d Lanczos %v vs Jacobi %v", n, res.Eigenvalue, want)
+		if math.Abs(res.eigenvalue-want) > 1e-7 {
+			t.Fatalf("n=%d Lanczos %v vs Jacobi %v", n, res.eigenvalue, want)
 		}
 		// Residual check on the eigenvector.
 		av := make([]float64, n)
-		denseMV(a, n)(res.Eigenvector, av)
+		denseMV(a, n)(res.eigenvector, av)
 		for i := range av {
-			if math.Abs(av[i]-res.Eigenvalue*res.Eigenvector[i]) > 1e-6 {
+			if math.Abs(av[i]-res.eigenvalue*res.eigenvector[i]) > 1e-6 {
 				t.Fatalf("n=%d eigenvector residual too large at %d", n, i)
 			}
 		}
@@ -216,7 +263,7 @@ func TestLanczosDiagonalMatrix(t *testing.T) {
 			out[i] = diag[i] * v[i]
 		}
 	}
-	res, err := LanczosMin(mv, n, nil, n, 1e-12)
+	res, err := lanczosMin(mv, n, nil, n, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,32 +273,18 @@ func TestLanczosDiagonalMatrix(t *testing.T) {
 			minD = d
 		}
 	}
-	if math.Abs(res.Eigenvalue-minD) > 1e-8 {
-		t.Fatalf("Lanczos %v, want %v", res.Eigenvalue, minD)
+	if math.Abs(res.eigenvalue-minD) > 1e-8 {
+		t.Fatalf("Lanczos %v, want %v", res.eigenvalue, minD)
 	}
 }
 
 func TestLanczosBadInput(t *testing.T) {
 	mv := func(v, out []float64) { copy(out, v) }
-	if _, err := LanczosMin(mv, 4, nil, 1, 1e-8); err == nil {
+	if _, err := lanczosMin(mv, 4, nil, 1, 1e-8); err == nil {
 		t.Fatal("maxKrylov=1 should error")
 	}
-	if _, err := LanczosMin(mv, 4, []float64{0, 0, 0, 0}, 4, 1e-8); err == nil {
+	if _, err := lanczosMin(mv, 4, []float64{0, 0, 0, 0}, 4, 1e-8); err == nil {
 		t.Fatal("zero start vector should error")
-	}
-}
-
-func BenchmarkCG100(b *testing.B) {
-	r := rng.New(1)
-	n := 100
-	a := randSPD(r, n)
-	rhs := make([]float64, n)
-	r.FillUniform(rhs, -1, 1)
-	mv := denseMV(a, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := make([]float64, n)
-		CG(mv, rhs, x, 1e-8, 200)
 	}
 }
 
@@ -262,7 +295,7 @@ func BenchmarkLanczos64(b *testing.B) {
 	mv := denseMV(a, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LanczosMin(mv, n, nil, 30, 1e-8); err != nil {
+		if _, err := lanczosMin(mv, n, nil, 30, 1e-8); err != nil {
 			b.Fatal(err)
 		}
 	}

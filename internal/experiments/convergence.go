@@ -67,34 +67,24 @@ func table2(p Preset, out io.Writer, csvDir string) error {
 		tbl.AddRow(row...)
 	}
 
-	// --- Max-Cut section: classical baselines ---
-	classical := []struct {
-		name string
-		run  func(n int, seed uint64) float64
-	}{
-		{"Random", func(n int, seed uint64) float64 {
-			g, _ := maxCutInstance(n)
-			return maxcut.Random(g, rng.New(seed)).Cut
-		}},
-		{"Goemans-Williamson", func(n int, seed uint64) float64 {
-			g, _ := maxCutInstance(n)
-			return maxcut.GoemansWilliamson(g, maxcut.GWConfig{}, rng.New(seed)).Cut
-		}},
-		{"Burer-Monteiro", func(n int, seed uint64) float64 {
-			g, _ := maxCutInstance(n)
-			return maxcut.BurerMonteiro(g, maxcut.BMConfig{}, rng.New(seed)).Cut
-		}},
-	}
-	for _, c := range classical {
+	// --- Max-Cut section: classical baselines, labelled in the order of
+	// maxcut.Methods (random, gw, bm) ---
+	labels := []string{"Random", "Goemans-Williamson", "Burer-Monteiro"}
+	for i, method := range maxcut.Methods() {
 		cells := []string{}
 		for _, n := range dims {
+			g, _ := maxCutInstance(n)
 			vals := make([]float64, p.Seeds)
 			for s := 0; s < p.Seeds; s++ {
-				vals[s] = c.run(n, uint64(100+s))
+				res, err := maxcut.Solve(g, method, maxcut.Config{}, rng.New(uint64(100+s)))
+				if err != nil {
+					return err
+				}
+				vals[s] = res.Cut
 			}
 			cells = append(cells, meanStdOver(vals))
 		}
-		addRow("Max-Cut", "Classical: "+c.name, "-", "-", cells)
+		addRow("Max-Cut", "Classical: "+labels[i], "-", "-", cells)
 	}
 
 	// --- Max-Cut section: VQMC ---

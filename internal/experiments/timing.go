@@ -71,7 +71,10 @@ func table5(p Preset, out io.Writer, csvDir string) error {
 
 	for _, n := range realDims(p) {
 		g, mc := maxCutInstance(n)
-		target := targetCut(g, n)
+		target, err := targetCut(g, n)
+		if err != nil {
+			return err
+		}
 		for _, method := range []string{"MADE+AUTO", "RBM+MCMC"} {
 			spec := runSpec{h: mc, iters: p.Iters, batchSize: p.BatchSize,
 				evalBatch: p.EvalBatch, workers: p.Workers, seed: 21, opt: "ADAM"}
@@ -102,14 +105,14 @@ func buildAndHit(spec runSpec, mc *hamiltonian.MaxCut, target float64) core.HitR
 // targetCut picks a target the way the paper did: heuristically just below
 // a strong solver's result — 95% of the Burer-Monteiro cut for the same
 // instance (the paper's targets sit 95-98% below its Table 2 values).
-func targetCut(g *graph.Graph, n int) float64 {
+func targetCut(g *graph.Graph, n int) (float64, error) {
 	if n > 64 {
 		// BM is too slow to serve as an oracle at large n; fall back to a
 		// fixed fraction above the random baseline.
-		return 0.55 * g.TotalWeight()
+		return 0.55 * g.TotalWeight(), nil
 	}
-	ref := maxcut.BurerMonteiro(g, maxcut.BMConfig{MaxIter: 60, Rounds: 50}, rng.New(uint64(n)))
-	return 0.95 * ref.Cut
+	ref, err := maxcut.Solve(g, "bm", maxcut.Config{MaxIter: 60, Rounds: 50}, rng.New(uint64(n)))
+	return 0.95 * ref.Cut, err
 }
 
 func dimHeaders(dims []int) []string {

@@ -1,14 +1,18 @@
 // Package maxcut assembles the classical Max-Cut baselines of the paper's
-// Table 2: the random 0.5-approximation, the Goemans-Williamson SDP
-// rounding algorithm, and the Burer-Monteiro low-rank pipeline with
-// Riemannian trust-region optimization, plus the 1-swap local search used
-// to polish rounded cuts.
+// Table 2 behind one entry point, Solve: the random 0.5-approximation
+// ("random"), Goemans-Williamson SDP rounding ("gw") and the
+// Burer-Monteiro low-rank pipeline with Riemannian trust-region
+// optimization ("bm"), plus the 1-swap local search used to polish
+// rounded cuts. The semidefinite relaxation both SDP methods solve lives
+// in sdp.go.
 package maxcut
 
 import (
+	"fmt"
+	"strings"
+
 	"github.com/vqmc-scale/parvqmc/internal/graph"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
-	"github.com/vqmc-scale/parvqmc/internal/sdp"
 )
 
 // Result is a cut produced by one of the solvers.
@@ -20,96 +24,123 @@ type Result struct {
 	SDPBound float64
 }
 
-// Random assigns each vertex to a side uniformly at random: the classical
+// Config tunes the SDP methods; "random" ignores it. Zero values select
+// each method's defaults.
+type Config struct {
+	Rank    int // factorization rank (default ceil(sqrt(2n))+1)
+	Rounds  int // random hyperplanes tried (default: gw 50, bm 200)
+	MaxIter int // gw: Riemannian GD iterations (default 500); bm: trust-region outer iterations (default 200)
+	// LocalSwap polishes gw's rounded cut with 1-swap local search; bm
+	// always polishes.
+	LocalSwap bool
+}
+
+// solvers is the one list of method names Solve accepts.
+var solvers = []struct {
+	name  string
+	solve func(*graph.Graph, Config, *rng.Rand) Result
+}{
+	{"random", random},
+	{"gw", goemansWilliamson},
+	{"bm", burerMonteiro},
+}
+
+// Methods returns the names Solve accepts, in a fixed order: "random",
+// "gw" (Goemans-Williamson) and "bm" (Burer-Monteiro).
+func Methods() []string {
+	names := make([]string, len(solvers))
+	for i, s := range solvers {
+		names[i] = s.name
+	}
+	return names
+}
+
+// Solve runs the named method on g, drawing every random number from r:
+// the same graph, method, configuration and stream give the same Result,
+// bit for bit. An unknown name is an error.
+func Solve(g *graph.Graph, method string, cfg Config, r *rng.Rand) (Result, error) {
+	for _, s := range solvers {
+		if s.name == method {
+			return s.solve(g, cfg, r), nil
+		}
+	}
+	return Result{}, fmt.Errorf("maxcut: unknown method %q (want %s)", method, strings.Join(Methods(), ", "))
+}
+
+// random assigns each vertex to a side uniformly at random: the classical
 // 0.5-approximation (in expectation it cuts half the total weight).
-func Random(g *graph.Graph, r *rng.Rand) Result {
+func random(g *graph.Graph, _ Config, r *rng.Rand) Result {
 	x := make([]int, g.N)
 	r.FillBits(x)
 	return Result{Cut: g.CutValue(x), Assignment: x}
 }
 
-// GWConfig tunes GoemansWilliamson. Zero values select defaults.
-type GWConfig struct {
-	Rank      int // factorization rank (default ceil(sqrt(2n))+1)
-	Rounds    int // random hyperplanes tried (default 50)
-	MaxIter   int // Riemannian GD iterations for the SDP solve (default 500)
-	LocalSwap bool
+// withDefaults fills cfg's zero knobs with a method's defaults on an
+// n-vertex graph.
+func (cfg Config) withDefaults(n, rounds, maxIter int) Config {
+	if cfg.Rank <= 0 {
+		cfg.Rank = defaultRank(n)
+	}
+	if cfg.Rounds <= 0 {
+		cfg.Rounds = rounds
+	}
+	if cfg.MaxIter <= 0 {
+		cfg.MaxIter = maxIter
+	}
+	return cfg
 }
 
-// GoemansWilliamson solves the Max-Cut SDP relaxation (via the
+// goemansWilliamson solves the Max-Cut SDP relaxation (via the
 // Burer-Monteiro factorization and Riemannian gradient descent, replacing
 // the paper's CVXPY interior-point solver) and rounds with random
 // hyperplanes, keeping the best cut.
-func GoemansWilliamson(g *graph.Graph, cfg GWConfig, r *rng.Rand) Result {
-	if cfg.Rank <= 0 {
-		cfg.Rank = sdp.DefaultRank(g.N)
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 50
-	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 500
-	}
-	p := &sdp.Problem{G: g}
-	f := sdp.NewRandom(g.N, cfg.Rank, r)
-	p.GradientDescent(f, cfg.MaxIter, 1e-5)
+func goemansWilliamson(g *graph.Graph, cfg Config, r *rng.Rand) Result {
+	cfg = cfg.withDefaults(g.N, 50, 500)
+	p := &problem{g: g}
+	f := newFactorization(g.N, cfg.Rank, r)
+	p.gradientDescent(f, cfg.MaxIter, 1e-5)
 	res := roundBest(g, p, f, cfg.Rounds, r)
 	if cfg.LocalSwap {
-		res.Cut = LocalSearch(g, res.Assignment)
+		res.Cut = localSearch(g, res.Assignment)
 	}
 	return res
 }
 
-// BMConfig tunes BurerMonteiro. Zero values select defaults.
-type BMConfig struct {
-	Rank    int // default ceil(sqrt(2n))+1
-	Rounds  int // default 200
-	MaxIter int // trust-region outer iterations (default 200)
-}
-
-// BurerMonteiro runs the stronger baseline: the same low-rank SDP solved to
+// burerMonteiro runs the stronger baseline: the same low-rank SDP solved to
 // higher accuracy with the Riemannian trust-region method (Manopt's
 // algorithm), many roundings, and 1-swap local search — mirroring the
 // paper's near-deterministic BM results.
-func BurerMonteiro(g *graph.Graph, cfg BMConfig, r *rng.Rand) Result {
-	if cfg.Rank <= 0 {
-		cfg.Rank = sdp.DefaultRank(g.N)
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 200
-	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 200
-	}
-	p := &sdp.Problem{G: g}
-	f := sdp.NewRandom(g.N, cfg.Rank, r)
+func burerMonteiro(g *graph.Graph, cfg Config, r *rng.Rand) Result {
+	cfg = cfg.withDefaults(g.N, 200, 200)
+	p := &problem{g: g}
+	f := newFactorization(g.N, cfg.Rank, r)
 	// Warm start with a little gradient descent, then polish with RTR.
-	p.GradientDescent(f, 50, 1e-2)
-	p.TrustRegion(f, sdp.TRConfig{MaxOuter: cfg.MaxIter, Tol: 1e-7})
+	p.gradientDescent(f, 50, 1e-2)
+	p.trustRegion(f, cfg.MaxIter, 1e-7)
 	res := roundBest(g, p, f, cfg.Rounds, r)
-	res.Cut = LocalSearch(g, res.Assignment)
+	res.Cut = localSearch(g, res.Assignment)
 	return res
 }
 
-func roundBest(g *graph.Graph, p *sdp.Problem, f *sdp.Factorization, rounds int, r *rng.Rand) Result {
+func roundBest(g *graph.Graph, p *problem, f *factorization, rounds int, r *rng.Rand) Result {
 	x := make([]int, g.N)
 	best := make([]int, g.N)
 	bestCut := -1.0
 	for t := 0; t < rounds; t++ {
-		sdp.RoundHyperplane(f, r, x)
+		roundHyperplane(f, r, x)
 		if c := g.CutValue(x); c > bestCut {
 			bestCut = c
 			copy(best, x)
 		}
 	}
-	return Result{Cut: bestCut, Assignment: best, SDPBound: p.SDPCutBound(f)}
+	return Result{Cut: bestCut, Assignment: best, SDPBound: p.cutBound(f)}
 }
 
-// LocalSearch greedily flips single vertices while any flip improves the
+// localSearch greedily flips single vertices while any flip improves the
 // cut, modifying x in place and returning the final cut value. Each sweep
 // costs O(n^2) on dense graphs; it terminates because the cut strictly
 // increases.
-func LocalSearch(g *graph.Graph, x []int) float64 {
+func localSearch(g *graph.Graph, x []int) float64 {
 	n := g.N
 	// gain[i] = cut(x with i flipped) - cut(x)
 	gain := make([]float64, n)

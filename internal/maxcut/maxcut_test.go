@@ -1,6 +1,7 @@
 package maxcut
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/graph"
@@ -26,7 +27,7 @@ func TestRandomCutNearHalf(t *testing.T) {
 	var total float64
 	const runs = 50
 	for i := 0; i < runs; i++ {
-		total += Random(g, r).Cut
+		total += random(g, Config{}, r).Cut
 	}
 	mean := total / runs
 	want := g.TotalWeight() / 2
@@ -39,7 +40,7 @@ func TestGWBeatsRandomAndRespectsOptimum(t *testing.T) {
 	r := rng.New(2)
 	g := graph.RandomBernoulli(14, r)
 	opt := exhaustiveMaxCut(g)
-	res := GoemansWilliamson(g, GWConfig{}, r)
+	res := goemansWilliamson(g, Config{}, r)
 	if res.Cut > opt {
 		t.Fatalf("GW cut %v exceeds optimum %v", res.Cut, opt)
 	}
@@ -58,7 +59,7 @@ func TestBMFindsOptimumOnSmallGraphs(t *testing.T) {
 		r := rng.New(seed)
 		g := graph.RandomBernoulli(12, r)
 		opt := exhaustiveMaxCut(g)
-		res := BurerMonteiro(g, BMConfig{}, r)
+		res := burerMonteiro(g, Config{}, r)
 		if res.Cut != opt {
 			t.Fatalf("seed %d: BM cut %v, optimum %v", seed, res.Cut, opt)
 		}
@@ -68,8 +69,8 @@ func TestBMFindsOptimumOnSmallGraphs(t *testing.T) {
 func TestBMAtLeastGW(t *testing.T) {
 	r1, r2 := rng.New(7), rng.New(7)
 	g := graph.RandomBernoulli(20, rng.New(8))
-	gw := GoemansWilliamson(g, GWConfig{}, r1)
-	bm := BurerMonteiro(g, BMConfig{}, r2)
+	gw := goemansWilliamson(g, Config{}, r1)
+	bm := burerMonteiro(g, Config{}, r2)
 	if bm.Cut < gw.Cut {
 		t.Fatalf("BM (%v) worse than GW (%v)", bm.Cut, gw.Cut)
 	}
@@ -81,7 +82,7 @@ func TestLocalSearchNeverDecreases(t *testing.T) {
 	x := make([]int, g.N)
 	r.FillBits(x)
 	before := g.CutValue(x)
-	after := LocalSearch(g, x)
+	after := localSearch(g, x)
 	if after < before {
 		t.Fatalf("local search decreased cut: %v -> %v", before, after)
 	}
@@ -98,7 +99,7 @@ func TestLocalSearchReachesHalfGuarantee(t *testing.T) {
 	r := rng.New(10)
 	g := graph.RandomBernoulli(40, r)
 	x := make([]int, g.N)
-	cut := LocalSearch(g, x) // start from all-zero (cut 0)
+	cut := localSearch(g, x) // start from all-zero (cut 0)
 	if cut < g.TotalWeight()/2 {
 		t.Fatalf("local optimum %v below W/2 = %v", cut, g.TotalWeight()/2)
 	}
@@ -108,9 +109,9 @@ func TestAssignmentsAreValid(t *testing.T) {
 	r := rng.New(11)
 	g := graph.RandomBernoulli(10, r)
 	for _, res := range []Result{
-		Random(g, r),
-		GoemansWilliamson(g, GWConfig{Rounds: 5, MaxIter: 50}, r),
-		BurerMonteiro(g, BMConfig{Rounds: 5, MaxIter: 20}, r),
+		random(g, Config{}, r),
+		goemansWilliamson(g, Config{Rounds: 5, MaxIter: 50}, r),
+		burerMonteiro(g, Config{Rounds: 5, MaxIter: 20}, r),
 	} {
 		if len(res.Assignment) != g.N {
 			t.Fatal("wrong assignment length")
@@ -121,11 +122,42 @@ func TestAssignmentsAreValid(t *testing.T) {
 	}
 }
 
+// TestSolveMatchesNamedSolver pins Solve to the solver each name selects:
+// under the zero Config and a non-zero one, cut, assignment and bound are
+// == those of the direct call on the same stream. Unknown and empty names
+// are errors.
+func TestSolveMatchesNamedSolver(t *testing.T) {
+	g := graph.RandomBernoulli(16, rng.New(12))
+	named := map[string]func(*graph.Graph, Config, *rng.Rand) Result{
+		"random": random, "gw": goemansWilliamson, "bm": burerMonteiro,
+	}
+	if got := Methods(); !slices.Equal(got, []string{"random", "gw", "bm"}) {
+		t.Fatalf("Methods() = %v", got)
+	}
+	for _, method := range Methods() {
+		for _, cfg := range []Config{{}, {Rank: 3, Rounds: 7, MaxIter: 30, LocalSwap: true}} {
+			got, err := Solve(g, method, cfg, rng.New(13))
+			if err != nil {
+				t.Fatalf("%s %+v: %v", method, cfg, err)
+			}
+			want := named[method](g, cfg, rng.New(13))
+			if got.Cut != want.Cut || got.SDPBound != want.SDPBound || !slices.Equal(got.Assignment, want.Assignment) {
+				t.Fatalf("%s %+v: Solve %+v != direct %+v", method, cfg, got, want)
+			}
+		}
+	}
+	for _, method := range []string{"quantum", "", "GW"} {
+		if _, err := Solve(g, method, Config{}, rng.New(1)); err == nil {
+			t.Fatalf("method %q: want an error", method)
+		}
+	}
+}
+
 func BenchmarkBurerMonteiro100(b *testing.B) {
 	g := graph.RandomBernoulli(100, rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BurerMonteiro(g, BMConfig{MaxIter: 40, Rounds: 30}, rng.New(uint64(i)))
+		burerMonteiro(g, Config{MaxIter: 40, Rounds: 30}, rng.New(uint64(i)))
 	}
 }
 
@@ -133,6 +165,6 @@ func BenchmarkGoemansWilliamson100(b *testing.B) {
 	g := graph.RandomBernoulli(100, rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GoemansWilliamson(g, GWConfig{MaxIter: 200, Rounds: 30}, rng.New(uint64(i)))
+		goemansWilliamson(g, Config{MaxIter: 200, Rounds: 30}, rng.New(uint64(i)))
 	}
 }

@@ -1,4 +1,4 @@
-package sdp
+package maxcut
 
 import (
 	"math"
@@ -9,22 +9,22 @@ import (
 )
 
 func TestRowsUnitNorm(t *testing.T) {
-	f := NewRandom(20, 5, rng.New(1))
-	for i := 0; i < f.N; i++ {
-		if math.Abs(norm(f.Row(i))-1) > 1e-12 {
-			t.Fatalf("row %d norm %v", i, norm(f.Row(i)))
+	f := newFactorization(20, 5, rng.New(1))
+	for i := 0; i < f.n; i++ {
+		if math.Abs(norm(f.row(i))-1) > 1e-12 {
+			t.Fatalf("row %d norm %v", i, norm(f.row(i)))
 		}
 	}
 }
 
 func TestRetractKeepsManifold(t *testing.T) {
 	r := rng.New(2)
-	f := NewRandom(10, 4, r)
+	f := newFactorization(10, 4, r)
 	u := make([]float64, 40)
 	r.FillNorm(u, 1)
-	f.Retract(u, 0.3)
-	for i := 0; i < f.N; i++ {
-		if math.Abs(norm(f.Row(i))-1) > 1e-12 {
+	f.retract(u, 0.3)
+	for i := 0; i < f.n; i++ {
+		if math.Abs(norm(f.row(i))-1) > 1e-12 {
 			t.Fatal("retraction left the sphere product")
 		}
 	}
@@ -33,18 +33,18 @@ func TestRetractKeepsManifold(t *testing.T) {
 func TestEuclideanGradFiniteDifference(t *testing.T) {
 	r := rng.New(3)
 	g := graph.RandomBernoulli(8, r)
-	p := &Problem{G: g}
-	f := NewRandom(8, 3, r)
-	grad := make([]float64, len(f.V))
-	p.EuclideanGrad(f, grad)
+	p := &problem{g: g}
+	f := newFactorization(8, 3, r)
+	grad := make([]float64, len(f.v))
+	p.euclideanGrad(f, grad)
 	const eps = 1e-6
-	for i := range f.V {
-		orig := f.V[i]
-		f.V[i] = orig + eps
-		fp := p.Objective(f)
-		f.V[i] = orig - eps
-		fm := p.Objective(f)
-		f.V[i] = orig
+	for i := range f.v {
+		orig := f.v[i]
+		f.v[i] = orig + eps
+		fp := p.objective(f)
+		f.v[i] = orig - eps
+		fm := p.objective(f)
+		f.v[i] = orig
 		fd := (fp - fm) / (2 * eps)
 		if math.Abs(fd-grad[i]) > 1e-5 {
 			t.Fatalf("coordinate %d: grad %v vs fd %v", i, grad[i], fd)
@@ -55,13 +55,13 @@ func TestEuclideanGradFiniteDifference(t *testing.T) {
 func TestRiemannianGradIsTangent(t *testing.T) {
 	r := rng.New(4)
 	g := graph.RandomBernoulli(10, r)
-	p := &Problem{G: g}
-	f := NewRandom(10, 4, r)
-	grad := make([]float64, len(f.V))
-	p.EuclideanGrad(f, grad)
-	p.RiemannianGrad(f, grad)
-	for i := 0; i < f.N; i++ {
-		if d := dot(grad[i*f.R:(i+1)*f.R], f.Row(i)); math.Abs(d) > 1e-12 {
+	p := &problem{g: g}
+	f := newFactorization(10, 4, r)
+	grad := make([]float64, len(f.v))
+	p.euclideanGrad(f, grad)
+	p.riemannianGrad(f, grad)
+	for i := 0; i < f.n; i++ {
+		if d := dot(grad[i*f.r:(i+1)*f.r], f.row(i)); math.Abs(d) > 1e-12 {
 			t.Fatalf("gradient not tangent at row %d: %v", i, d)
 		}
 	}
@@ -71,30 +71,30 @@ func TestHessVecSymmetry(t *testing.T) {
 	// <u, Hess w> == <w, Hess u> for tangent u, w.
 	r := rng.New(5)
 	g := graph.RandomBernoulli(8, r)
-	p := &Problem{G: g}
-	f := NewRandom(8, 3, r)
-	av := make([]float64, len(f.V))
-	p.EuclideanGrad(f, av)
+	p := &problem{g: g}
+	f := newFactorization(8, 3, r)
+	av := make([]float64, len(f.v))
+	p.euclideanGrad(f, av)
 	project := func(u []float64) {
-		for i := 0; i < f.N; i++ {
-			vi := f.Row(i)
-			ui := u[i*f.R : (i+1)*f.R]
+		for i := 0; i < f.n; i++ {
+			vi := f.row(i)
+			ui := u[i*f.r : (i+1)*f.r]
 			c := dot(ui, vi)
 			for k := range ui {
 				ui[k] -= c * vi[k]
 			}
 		}
 	}
-	u := make([]float64, len(f.V))
-	w := make([]float64, len(f.V))
+	u := make([]float64, len(f.v))
+	w := make([]float64, len(f.v))
 	r.FillNorm(u, 1)
 	r.FillNorm(w, 1)
 	project(u)
 	project(w)
-	hu := make([]float64, len(f.V))
-	hw := make([]float64, len(f.V))
-	p.HessVec(f, u, av, hu)
-	p.HessVec(f, w, av, hw)
+	hu := make([]float64, len(f.v))
+	hw := make([]float64, len(f.v))
+	p.hessVec(f, u, av, hu)
+	p.hessVec(f, w, av, hw)
 	if math.Abs(dot(u, hw)-dot(w, hu)) > 1e-9 {
 		t.Fatalf("Hessian not symmetric: %v vs %v", dot(u, hw), dot(w, hu))
 	}
@@ -103,25 +103,25 @@ func TestHessVecSymmetry(t *testing.T) {
 func TestGradientDescentDecreasesObjective(t *testing.T) {
 	r := rng.New(6)
 	g := graph.RandomBernoulli(15, r)
-	p := &Problem{G: g}
-	f := NewRandom(15, DefaultRank(15), r)
-	before := p.Objective(f)
-	res := p.GradientDescent(f, 300, 1e-4)
-	if res.Objective > before {
-		t.Fatalf("GD increased objective: %v -> %v", before, res.Objective)
+	p := &problem{g: g}
+	f := newFactorization(15, defaultRank(15), r)
+	before := p.objective(f)
+	res := p.gradientDescent(f, 300, 1e-4)
+	if res.objective > before {
+		t.Fatalf("GD increased objective: %v -> %v", before, res.objective)
 	}
-	if res.GradNorm > 1 {
-		t.Fatalf("GD left large gradient: %v", res.GradNorm)
+	if res.gradNorm > 1 {
+		t.Fatalf("GD left large gradient: %v", res.gradNorm)
 	}
 }
 
 func TestTrustRegionReachesStationarity(t *testing.T) {
 	r := rng.New(7)
 	g := graph.RandomBernoulli(12, r)
-	p := &Problem{G: g}
-	f := NewRandom(12, DefaultRank(12), r)
-	res := p.TrustRegion(f, TRConfig{MaxOuter: 200, Tol: 1e-6})
-	if !res.Converged && res.GradNorm > 1e-3 {
+	p := &problem{g: g}
+	f := newFactorization(12, defaultRank(12), r)
+	res := p.trustRegion(f, 200, 1e-6)
+	if !res.converged && res.gradNorm > 1e-3 {
 		t.Fatalf("RTR did not approach stationarity: %+v", res)
 	}
 }
@@ -129,13 +129,13 @@ func TestTrustRegionReachesStationarity(t *testing.T) {
 func TestTrustRegionAtLeastAsGoodAsGD(t *testing.T) {
 	r := rng.New(8)
 	g := graph.RandomBernoulli(14, r)
-	p := &Problem{G: g}
-	fGD := NewRandom(14, DefaultRank(14), rng.New(100))
-	fTR := NewRandom(14, DefaultRank(14), rng.New(100))
-	gd := p.GradientDescent(fGD, 400, 1e-8)
-	tr := p.TrustRegion(fTR, TRConfig{MaxOuter: 200, Tol: 1e-8})
-	if tr.Objective > gd.Objective+1e-3 {
-		t.Fatalf("RTR (%v) worse than GD (%v)", tr.Objective, gd.Objective)
+	p := &problem{g: g}
+	fGD := newFactorization(14, defaultRank(14), rng.New(100))
+	fTR := newFactorization(14, defaultRank(14), rng.New(100))
+	gd := p.gradientDescent(fGD, 400, 1e-8)
+	tr := p.trustRegion(fTR, 200, 1e-8)
+	if tr.objective > gd.objective+1e-3 {
+		t.Fatalf("RTR (%v) worse than GD (%v)", tr.objective, gd.objective)
 	}
 }
 
@@ -144,10 +144,10 @@ func TestSDPBoundDominatesAnyCut(t *testing.T) {
 	// cut, in particular the best exhaustive cut.
 	r := rng.New(9)
 	g := graph.RandomBernoulli(10, r)
-	p := &Problem{G: g}
-	f := NewRandom(10, DefaultRank(10), r)
-	p.TrustRegion(f, TRConfig{MaxOuter: 300, Tol: 1e-8})
-	bound := p.SDPCutBound(f)
+	p := &problem{g: g}
+	f := newFactorization(10, defaultRank(10), r)
+	p.trustRegion(f, 300, 1e-8)
+	bound := p.cutBound(f)
 	x := make([]int, 10)
 	best := 0.0
 	for ix := 0; ix < 1<<10; ix++ {
@@ -165,9 +165,9 @@ func TestSDPBoundDominatesAnyCut(t *testing.T) {
 
 func TestRoundHyperplaneValidAssignment(t *testing.T) {
 	r := rng.New(10)
-	f := NewRandom(9, 4, r)
+	f := newFactorization(9, 4, r)
 	x := make([]int, 9)
-	RoundHyperplane(f, r, x)
+	roundHyperplane(f, r, x)
 	for _, b := range x {
 		if b != 0 && b != 1 {
 			t.Fatalf("invalid side %d", b)
@@ -178,10 +178,10 @@ func TestRoundHyperplaneValidAssignment(t *testing.T) {
 func BenchmarkTrustRegion50(b *testing.B) {
 	r := rng.New(1)
 	g := graph.RandomBernoulli(50, r)
-	p := &Problem{G: g}
+	p := &problem{g: g}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewRandom(50, DefaultRank(50), rng.New(uint64(i)))
-		p.TrustRegion(f, TRConfig{MaxOuter: 60, Tol: 1e-5})
+		f := newFactorization(50, defaultRank(50), rng.New(uint64(i)))
+		p.trustRegion(f, 60, 1e-5)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"github.com/vqmc-scale/parvqmc/internal/comm"
-	"github.com/vqmc-scale/parvqmc/internal/linalg"
 	"github.com/vqmc-scale/parvqmc/internal/parallel"
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
@@ -244,16 +243,24 @@ func (f *ShardedFisher) FinishApply(v, out tensor.Vector) float64 {
 	return FisherFinish(f.pack.Buf(), f.obar, v, out, f.lambda, f.batchN)
 }
 
+// CGResult reports the outcome of a conjugate-gradient solve.
+type CGResult struct {
+	Iterations int
+	Residual   float64 // final ||Ax-b|| / ||b||
+	Converged  bool
+}
+
 // SolveFisherCG runs conjugate gradients on A x = b through a FisherOp,
-// starting from the current contents of x. It mirrors linalg.CG exactly
-// (same update order, same stopping rules) but sources the p.Ap inner
-// product from ApplyDot, so a distributed op pays one collective per
-// iteration instead of two. All control flow depends only on replicated
-// values, so every rank of a distributed group takes identical branches and
-// issues the same number of collectives — the lockstep property the ring
-// all-reduce requires. This entry point allocates the solve's d-vectors per
-// call; SR.PreconditionOp runs the same solve on workspace it keeps.
-func SolveFisherCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter int) linalg.CGResult {
+// starting from the current contents of x. It mirrors referenceCG of
+// cg_test.go exactly (same update order, same stopping rules) but sources
+// the p.Ap inner product from ApplyDot, so a distributed op pays one
+// collective per iteration instead of two. All control flow depends only on
+// replicated values, so every rank of a distributed group takes identical
+// branches and issues the same number of collectives — the lockstep
+// property the ring all-reduce requires. This entry point allocates the
+// solve's d-vectors per call; SR.PreconditionOp runs the same solve on
+// workspace it keeps.
+func SolveFisherCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter int) CGResult {
 	return new(cgWork).solveCG(op, b, x, tol, maxIter)
 }
 
@@ -288,7 +295,7 @@ func flushTiny(v float64) float64 {
 	return v
 }
 
-func (c *cgWork) solveCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter int) linalg.CGResult {
+func (c *cgWork) solveCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter int) CGResult {
 	r, p, ap, _ := c.vectors(len(b))
 
 	op.ApplyDot(x, ap)
@@ -302,18 +309,18 @@ func (c *cgWork) solveCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter i
 		for i := range x {
 			x[i] = 0
 		}
-		return linalg.CGResult{Converged: true}
+		return CGResult{Converged: true}
 	}
 	copy(p, r)
 	rr := r.Dot(r)
 	for k := 0; k < maxIter; k++ {
 		if math.Sqrt(rr)/bnorm < tol {
-			return linalg.CGResult{Iterations: k, Residual: math.Sqrt(rr) / bnorm, Converged: true}
+			return CGResult{Iterations: k, Residual: math.Sqrt(rr) / bnorm, Converged: true}
 		}
 		pap := op.ApplyDot(p, ap)
 		if pap <= 0 {
 			// Not positive definite along p; bail out with best iterate.
-			return linalg.CGResult{Iterations: k, Residual: math.Sqrt(rr) / bnorm, Converged: false}
+			return CGResult{Iterations: k, Residual: math.Sqrt(rr) / bnorm, Converged: false}
 		}
 		alpha := rr / pap
 		for i := range x {
@@ -327,12 +334,12 @@ func (c *cgWork) solveCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter i
 		}
 		rr = rrNew
 	}
-	return linalg.CGResult{Iterations: maxIter, Residual: math.Sqrt(rr) / bnorm, Converged: math.Sqrt(rr)/bnorm < tol}
+	return CGResult{Iterations: maxIter, Residual: math.Sqrt(rr) / bnorm, Converged: math.Sqrt(rr)/bnorm < tol}
 }
 
 // SolveFisherPipelinedCG runs Gropp's overlapped conjugate-gradient variant
 // on A x = b through a SplitFisherOp: the Krylov recurrence of classic CG
-// (linalg.CG, SolveFisherCG), restructured so that s = A p is carried by an
+// (SolveFisherCG), restructured so that s = A p is carried by an
 // update instead of a product and each reduction is detached from its
 // consumer — same solution, iteration counts within one of CG's, and the
 // same best-effort return on a non-positive p.Ap curvature. The CG vectors
@@ -354,11 +361,11 @@ func (c *cgWork) solveCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter i
 // rather than inherited), after which s = A p is maintained by the
 // recurrence s <- w + beta s with w = A r the fresh product. Like
 // SolveFisherCG this entry point allocates its vectors per call.
-func SolveFisherPipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol float64, maxIter int) linalg.CGResult {
+func SolveFisherPipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol float64, maxIter int) CGResult {
 	return new(cgWork).solvePipelinedCG(op, b, x, tol, maxIter)
 }
 
-func (c *cgWork) solvePipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol float64, maxIter int) linalg.CGResult {
+func (c *cgWork) solvePipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol float64, maxIter int) CGResult {
 	// s = A p is maintained by recurrence; w = A r is the fresh product of
 	// each iteration.
 	r, p, s, w := c.vectors(len(b))
@@ -374,7 +381,7 @@ func (c *cgWork) solvePipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol floa
 		for i := range x {
 			x[i] = 0
 		}
-		return linalg.CGResult{Converged: true}
+		return CGResult{Converged: true}
 	}
 	copy(p, r)
 	// s0 = A p0, overlapped with gamma0 = (r0, r0).
@@ -384,12 +391,12 @@ func (c *cgWork) solvePipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol floa
 
 	for k := 0; k < maxIter; k++ {
 		if math.Sqrt(gamma)/bnorm < tol {
-			return linalg.CGResult{Iterations: k, Residual: math.Sqrt(gamma) / bnorm, Converged: true}
+			return CGResult{Iterations: k, Residual: math.Sqrt(gamma) / bnorm, Converged: true}
 		}
 		delta := p.Dot(s)
 		if delta <= 0 {
 			// Not positive definite along p; bail out with best iterate.
-			return linalg.CGResult{Iterations: k, Residual: math.Sqrt(gamma) / bnorm, Converged: false}
+			return CGResult{Iterations: k, Residual: math.Sqrt(gamma) / bnorm, Converged: false}
 		}
 		alpha := gamma / delta
 		for i := range x {
@@ -411,5 +418,5 @@ func (c *cgWork) solvePipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol floa
 		}
 		gamma = gammaNew
 	}
-	return linalg.CGResult{Iterations: maxIter, Residual: math.Sqrt(gamma) / bnorm, Converged: math.Sqrt(gamma)/bnorm < tol}
+	return CGResult{Iterations: maxIter, Residual: math.Sqrt(gamma) / bnorm, Converged: math.Sqrt(gamma)/bnorm < tol}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/vqmc-scale/parvqmc/internal/linalg"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
@@ -55,7 +54,7 @@ func TestFisherApplyDotConsistent(t *testing.T) {
 }
 
 // TestSolveFisherCGMatchesLinalgCG cross-validates the FisherOp-driven CG
-// against the generic linalg.CG on the same SPD system.
+// against the generic reference CG (cg_test.go) on the same SPD system.
 func TestSolveFisherCGMatchesLinalgCG(t *testing.T) {
 	r := rng.New(13)
 	d, bs := 14, 40
@@ -72,10 +71,10 @@ func TestSolveFisherCGMatchesLinalgCG(t *testing.T) {
 		op.ApplyDot(tensor.Vector(v), tensor.Vector(out))
 	}
 	x2 := tensor.NewVector(d)
-	res2 := linalg.CG(mv, b, x2, 1e-12, 500)
+	res2 := referenceCG(mv, b, x2, 1e-12, 500)
 
 	if !res1.Converged || !res2.Converged {
-		t.Fatalf("CG did not converge: fisher %+v linalg %+v", res1, res2)
+		t.Fatalf("CG did not converge: fisher %+v reference %+v", res1, res2)
 	}
 	for i := range x1 {
 		if math.Abs(x1[i]-x2[i]) > 1e-9 {

@@ -7,7 +7,6 @@ package optimizer
 import (
 	"math"
 
-	"github.com/vqmc-scale/parvqmc/internal/linalg"
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
@@ -129,7 +128,7 @@ type SR struct {
 	// same kind — the solvers issue different collective schedules.
 	Solver SolverKind
 	delta  tensor.Vector // warm start across iterations
-	last   linalg.CGResult
+	last   CGResult
 	work   cgWork // solver scratch; not state (Clone/CaptureState skip it)
 }
 
@@ -196,7 +195,7 @@ func (s *SR) Clone() *SR {
 }
 
 // LastSolve reports the CG result of the most recent Precondition call.
-func (s *SR) LastSolve() linalg.CGResult { return s.last }
+func (s *SR) LastSolve() CGResult { return s.last }
 
 // DenseFisher materializes S + lambda I for validation in tests.
 func (s *SR) DenseFisher(ows *tensor.Batch) []float64 {

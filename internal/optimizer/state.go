@@ -11,7 +11,6 @@ package optimizer
 import (
 	"fmt"
 
-	"github.com/vqmc-scale/parvqmc/internal/linalg"
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
@@ -66,7 +65,7 @@ type SRState struct {
 	// Delta is a deep copy of the warm-start vector carried across solves.
 	Delta tensor.Vector
 	// Last is the most recent solve's CG statistics.
-	Last linalg.CGResult
+	Last CGResult
 }
 
 // CaptureState snapshots the solver's warm-start and statistics; restoring

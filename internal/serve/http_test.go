@@ -301,14 +301,9 @@ func TestHTTPMaxCutMatchesDirect(t *testing.T) {
 	for _, algo := range []string{"random", "gw", "bm"} {
 		var got MaxCutResult
 		postJSON(t, ts, "/v1/maxcut", MaxCutRequest{N: nVerts, Edges: edges, Algorithm: algo, Seed: seed}, &got, http.StatusOK)
-		var want maxcut.Result
-		switch algo {
-		case "random":
-			want = maxcut.Random(g, rng.New(seed))
-		case "gw":
-			want = maxcut.GoemansWilliamson(g, maxcut.GWConfig{}, rng.New(seed))
-		case "bm":
-			want = maxcut.BurerMonteiro(g, maxcut.BMConfig{}, rng.New(seed))
+		want, err := maxcut.Solve(g, algo, maxcut.Config{}, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
 		}
 		if got.Cut != want.Cut {
 			t.Fatalf("%s: served cut %v != direct %v", algo, got.Cut, want.Cut)
@@ -360,6 +355,26 @@ func TestHTTPResourceBounds(t *testing.T) {
 	postJSON(t, ts, "/v1/maxcut",
 		MaxCutRequest{N: 64, Edges: []MaxCutEdge{{U: 0, V: 1, W: 1}}, Algorithm: "random", Seed: 1},
 		nil, http.StatusOK)
+	// The solver knobs are bounded before admission: a rank above n would
+	// size the n x rank factorization past the adjacency (rank 2^33 at n=2
+	// is a 137 GB block), and unbounded rounds or iterations would hold a
+	// solver slot indefinitely. The rows sit just outside the bounds, so
+	// each is cheap to solve should validation ever admit it; just inside
+	// the bounds it solves.
+	tiny := []MaxCutEdge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}}
+	for _, req := range []MaxCutRequest{
+		{Rank: 4}, {Rank: -1},
+		{Rounds: 10_001}, {Rounds: -1}, {Rounds: 10_001, Algorithm: "bm"},
+		{MaxIter: 10_001}, {MaxIter: 10_001, Algorithm: "bm"}, {MaxIter: -1},
+	} {
+		req.N, req.Edges, req.Seed = 3, tiny, 1
+		postJSON(t, ts, "/v1/maxcut", req, nil, http.StatusBadRequest)
+	}
+	for _, algo := range []string{"gw", "bm"} {
+		postJSON(t, ts, "/v1/maxcut",
+			MaxCutRequest{N: 3, Edges: tiny, Algorithm: algo, Rank: 3, Rounds: 10_000, MaxIter: 100, Seed: 1},
+			nil, http.StatusOK)
+	}
 
 	// A huge sample count is shed with 429 before the count*sites buffers
 	// and uniform draws (1e9 rows would be tens of GB).

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/vqmc-scale/parvqmc/internal/graph"
 	"github.com/vqmc-scale/parvqmc/internal/maxcut"
@@ -18,11 +19,12 @@ type MaxCutEdge struct {
 
 // MaxCutRequest describes one Max-Cut solve. Edges names each unordered
 // vertex pair at most once; a repeat, in either orientation, is
-// ErrBadRequest. Algorithm selects the solver
+// ErrBadRequest. Algorithm selects the solver, one of maxcut.Methods
 // ("random", "gw" Goemans-Williamson, "bm" Burer-Monteiro; default "gw");
-// the remaining knobs mirror maxcut.GWConfig/BMConfig with zero-value
-// defaults. Seed pins the RNG: the same request always produces the same
-// cut, bitwise — the serving doctrine applied to the solver endpoint.
+// the remaining knobs are maxcut.Config's, with zero-value defaults, and
+// are bounded: Rank to [0, N], Rounds and MaxIter to [0, 10 000].
+// Seed pins the RNG: the same request always produces the same cut,
+// bitwise — the serving doctrine applied to the solver endpoint.
 type MaxCutRequest struct {
 	N         int          `json:"n"`
 	Edges     []MaxCutEdge `json:"edges"`
@@ -42,11 +44,16 @@ type MaxCutResult struct {
 	Algorithm  string  `json:"algorithm"`
 }
 
+// maxCutIters bounds a MaxCutRequest's Rounds and MaxIter, so that no
+// request can hold a solver slot indefinitely.
+const maxCutIters = 10_000
+
 // validateMaxCut checks the request shape without allocating anything
 // request-sized: vertex bounds (including the server's MaxCutNodes cap —
 // the solvers hold O(n^2) state, so n must be vetted before graph.New can
-// be asked for it), edge endpoints, and the algorithm name. It returns
-// the resolved algorithm.
+// be asked for it), edge endpoints, the knob bounds (a rank of at most n
+// keeps the n x rank factorization no larger than the adjacency) and the
+// algorithm name. It returns the resolved algorithm.
 func validateMaxCut(req MaxCutRequest, maxNodes int) (string, error) {
 	if req.N < 2 {
 		return "", fmt.Errorf("%w: maxcut n=%d", ErrBadRequest, req.N)
@@ -62,13 +69,17 @@ func validateMaxCut(req MaxCutRequest, maxNodes int) (string, error) {
 			return "", fmt.Errorf("%w: edge %d (%d,%d) out of range for n=%d", ErrBadRequest, i, e.U, e.V, req.N)
 		}
 	}
+	if req.Rank < 0 || req.Rank > req.N {
+		return "", fmt.Errorf("%w: maxcut rank %d outside [0, n=%d]", ErrBadRequest, req.Rank, req.N)
+	}
+	if req.Rounds < 0 || req.Rounds > maxCutIters || req.MaxIter < 0 || req.MaxIter > maxCutIters {
+		return "", fmt.Errorf("%w: maxcut rounds %d / max_iter %d outside [0, %d]", ErrBadRequest, req.Rounds, req.MaxIter, maxCutIters)
+	}
 	algo := req.Algorithm
 	if algo == "" {
 		algo = "gw"
 	}
-	switch algo {
-	case "random", "gw", "bm":
-	default:
+	if !slices.Contains(maxcut.Methods(), algo) {
 		return "", fmt.Errorf("%w: unknown algorithm %q", ErrBadRequest, algo)
 	}
 	return algo, nil
@@ -98,9 +109,8 @@ func buildGraph(req MaxCutRequest) (*graph.Graph, error) {
 // ErrOverloaded rather than queued without bound), and admission happens
 // before the graph's O(n^2) adjacency is built, so even the largest
 // admissible instance only allocates inside a pool slot. The result is
-// bitwise identical to a direct
-// maxcut.Random/GoemansWilliamson/BurerMonteiro call with the same
-// configuration and rng.New(req.Seed).
+// bitwise identical to a direct maxcut.Solve with the same configuration
+// and rng.New(req.Seed).
 func (s *Server) SolveMaxCut(ctx context.Context, req MaxCutRequest) (MaxCutResult, error) {
 	algo, err := validateMaxCut(req, s.cfg.MaxCutNodes)
 	if err != nil {
@@ -130,19 +140,11 @@ func (s *Server) SolveMaxCut(ctx context.Context, req MaxCutRequest) (MaxCutResu
 	if err != nil {
 		return MaxCutResult{}, err
 	}
-	r := rng.New(req.Seed)
-	var res maxcut.Result
-	switch algo {
-	case "random":
-		res = maxcut.Random(g, r)
-	case "gw":
-		res = maxcut.GoemansWilliamson(g, maxcut.GWConfig{
-			Rank: req.Rank, Rounds: req.Rounds, MaxIter: req.MaxIter, LocalSwap: req.LocalSwap,
-		}, r)
-	case "bm":
-		res = maxcut.BurerMonteiro(g, maxcut.BMConfig{
-			Rank: req.Rank, Rounds: req.Rounds, MaxIter: req.MaxIter,
-		}, r)
+	res, err := maxcut.Solve(g, algo, maxcut.Config{
+		Rank: req.Rank, Rounds: req.Rounds, MaxIter: req.MaxIter, LocalSwap: req.LocalSwap,
+	}, rng.New(req.Seed))
+	if err != nil {
+		return MaxCutResult{}, err
 	}
 	return MaxCutResult{Cut: res.Cut, Assignment: res.Assignment, SDPBound: res.SDPBound, Algorithm: algo}, nil
 }

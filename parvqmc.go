@@ -144,8 +144,6 @@ type Options struct {
 	// StochasticReconfig preconditions gradients with the Fisher matrix
 	// (SR; natural gradient). The paper pairs it with SGD.
 	StochasticReconfig bool
-	// SRLambda is the SR regularization (default 1e-3).
-	SRLambda float64
 	// SRSolver selects the Fisher CG variant: "cg" (classic, default) or
 	// "pipelined" (Gropp's overlapped variant — in distributed training
 	// every per-iteration collective is non-blocking and hidden behind the
@@ -227,9 +225,6 @@ func (o *Options) fill(n int) error {
 		} else {
 			o.LearningRate = 0.1
 		}
-	}
-	if o.SRLambda <= 0 {
-		o.SRLambda = 1e-3
 	}
 	switch strings.ToLower(o.SRSolver) {
 	case "", "cg", "classic":
@@ -322,6 +317,9 @@ func (r *Result) SaveModel(path string) error {
 	return nn.SaveFile(path, r.model)
 }
 
+// srLambda is the SR regularization lambda of (S + lambda I) delta = g.
+const srLambda = 1e-3
+
 func (o Options) buildOptimizer() (optimizer.Optimizer, *optimizer.SR) {
 	var opt optimizer.Optimizer
 	if o.Optimizer == "adam" {
@@ -331,7 +329,7 @@ func (o Options) buildOptimizer() (optimizer.Optimizer, *optimizer.SR) {
 	}
 	var sr *optimizer.SR
 	if o.StochasticReconfig {
-		sr = optimizer.NewSR(o.SRLambda)
+		sr = optimizer.NewSR(srLambda)
 		if o.SRSolver == "pipelined" {
 			sr.Solver = optimizer.SolverPipelined
 		}
@@ -517,23 +515,16 @@ type ClassicalResult struct {
 }
 
 // SolveMaxCutClassical runs one of the paper's baselines on a Max-Cut
-// problem: "random", "gw" (Goemans-Williamson) or "bm" (Burer-Monteiro with
-// Riemannian trust region).
+// problem at its default configuration: "random", "gw"
+// (Goemans-Williamson) or "bm" (Burer-Monteiro with Riemannian trust
+// region), in any letter case.
 func SolveMaxCutClassical(p *Problem, method string, seed uint64) (*ClassicalResult, error) {
 	if p.g == nil {
 		return nil, fmt.Errorf("parvqmc: %q is not a Max-Cut problem", p.kind)
 	}
-	r := rng.New(seed)
-	var res maxcut.Result
-	switch strings.ToLower(method) {
-	case "random":
-		res = maxcut.Random(p.g, r)
-	case "gw", "goemans-williamson":
-		res = maxcut.GoemansWilliamson(p.g, maxcut.GWConfig{}, r)
-	case "bm", "burer-monteiro":
-		res = maxcut.BurerMonteiro(p.g, maxcut.BMConfig{}, r)
-	default:
-		return nil, fmt.Errorf("parvqmc: unknown classical method %q", method)
+	res, err := maxcut.Solve(p.g, strings.ToLower(method), maxcut.Config{}, rng.New(seed))
+	if err != nil {
+		return nil, fmt.Errorf("parvqmc: %w", err)
 	}
 	return &ClassicalResult{Cut: res.Cut, Assignment: res.Assignment, SDPBound: res.SDPBound}, nil
 }

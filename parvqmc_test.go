@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
+	"github.com/vqmc-scale/parvqmc/internal/maxcut"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 )
@@ -252,6 +253,21 @@ func TestSolveMaxCutClassical(t *testing.T) {
 		if c, ok := p.CutOfAssignment(res.Assignment); !ok || c != res.Cut {
 			t.Fatalf("%s: assignment/cut mismatch", m)
 		}
+		// The facade is maxcut.Solve at the default configuration, and
+		// takes the name in any letter case.
+		want, err := maxcut.Solve(p.g, m, maxcut.Config{}, rng.New(14))
+		if err != nil {
+			t.Fatal(err)
+		}
+		upper, err := SolveMaxCutClassical(p, strings.ToUpper(m), 14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*ClassicalResult{res, upper} {
+			if got.Cut != want.Cut || got.SDPBound != want.SDPBound || !slices.Equal(got.Assignment, want.Assignment) {
+				t.Fatalf("%s: facade %+v != maxcut.Solve %+v", m, got, want)
+			}
+		}
 		cuts = append(cuts, res.Cut)
 	}
 	// Expected ordering: random <= gw <= bm on average; enforce loosely.
@@ -262,8 +278,10 @@ func TestSolveMaxCutClassical(t *testing.T) {
 	if _, err := SolveMaxCutClassical(TIM(5, 1), "gw", 1); err == nil {
 		t.Fatal("classical solver on TIM should error")
 	}
-	if _, err := SolveMaxCutClassical(p, "quantum", 1); err == nil {
-		t.Fatal("unknown method should error")
+	for _, m := range []string{"quantum", "", "goemans-williamson", "burer-monteiro"} {
+		if _, err := SolveMaxCutClassical(p, m, 1); err == nil {
+			t.Fatalf("unknown method %q should error", m)
+		}
 	}
 }
 
