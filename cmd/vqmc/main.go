@@ -56,6 +56,9 @@ func main() {
 	if msg := ignoredFlag(set, *elastic); msg != "" {
 		log.Fatal(msg)
 	}
+	if *n < 1 {
+		log.Fatalf("-n %d: a problem needs at least one site", *n)
+	}
 
 	var p *parvqmc.Problem
 	switch *problem {

@@ -8,9 +8,11 @@
 // the blue curve of the paper's Figure 2.
 //
 // The iteration is written once, as the step of one rank of a comm group
-// (ReplicaStep, step.go). Trainer drives it on a private 1-rank group, where
-// every collective is the identity; package dist drives L of them on
-// goroutines. There is no second, serial implementation.
+// (ReplicaStep, step.go). Package dist drives L of them on goroutines, and
+// is the one engine the library and the experiments train on (at L = 1 for
+// a single device). Trainer drives one ReplicaStep on a private 1-rank
+// group, where every collective is the identity; only the benchmark and
+// tests still build it. There is no second, serial implementation.
 package core
 
 import (
@@ -29,13 +31,11 @@ import (
 
 // Model is the wavefunction contract the step needs: amplitudes and the
 // batch evaluator the step runs its local energies and O_k rows through,
-// plus the scalar kernels — flip caches and gradient evaluators — that the
-// MCMC samplers walk and the reference LocalEnergies is written in. All four
-// neural families satisfy it.
+// plus the scalar flip cache that the MCMC samplers walk and the reference
+// LocalEnergies is written in. All four neural families satisfy it.
 type Model interface {
 	nn.Wavefunction
 	nn.CacheBuilder
-	nn.GradEvaluatorBuilder
 	nn.BatchEvaluatorBuilder
 }
 
@@ -109,7 +109,8 @@ type Config struct {
 }
 
 // Trainer runs the VQMC loop for one (Hamiltonian, model, sampler,
-// optimizer) quadruple: the 1-rank driver of ReplicaStep.
+// optimizer) quadruple: the 1-rank driver of ReplicaStep, bitwise equal to
+// a one-replica dist.Trainer and kept for the benchmark and tests.
 type Trainer struct {
 	H     hamiltonian.Hamiltonian
 	Model Model
@@ -119,10 +120,6 @@ type Trainer struct {
 	cfg  Config
 	step *ReplicaStep
 	iter int
-	// Evaluation workspace, cached across EvaluateBest calls so TrainUntil
-	// (which evaluates after every iteration) allocates nothing per step.
-	evalBatch  *sampler.Batch
-	evalLocals []float64
 }
 
 // New assembles a trainer. BatchSize defaults to 1024.
@@ -190,11 +187,7 @@ func (t *Trainer) EvaluateBest(batchSize int) (mean, std, best float64, argBest 
 	if batchSize <= 0 {
 		batchSize = 1024
 	}
-	if t.evalBatch == nil || t.evalBatch.N != batchSize {
-		t.evalBatch = sampler.NewBatch(batchSize, t.H.N())
-		t.evalLocals = make([]float64, batchSize)
-	}
-	b, locals := t.evalBatch, t.evalLocals
+	b, locals := sampler.NewBatch(batchSize, t.H.N()), make([]float64, batchSize)
 	t.Smp.Sample(b)
 	t.step.LocalEnergies(b, locals)
 	mean, std = stats.MeanStd(locals)
@@ -207,30 +200,4 @@ func (t *Trainer) EvaluateBest(batchSize int) (mean, std, best float64, argBest 
 	}
 	argBest = append([]int(nil), b.Row(kBest)...)
 	return mean, std, best, argBest
-}
-
-// HitResult reports a hitting-time run (the paper's Table 5 protocol).
-type HitResult struct {
-	Hit       bool
-	Iters     int
-	TrainTime time.Duration // training time only; evaluation excluded
-	Score     float64       // final evaluation score
-}
-
-// TrainUntil trains until score(evalEnergy) >= target, evaluating a fresh
-// batch after every iteration. Evaluation time is excluded from TrainTime,
-// matching the paper's measurement protocol.
-func (t *Trainer) TrainUntil(target float64, score func(meanEnergy float64) float64, maxIters, evalBatch int) HitResult {
-	var trainTime time.Duration
-	for i := 0; i < maxIters; i++ {
-		start := time.Now()
-		t.Step()
-		trainTime += time.Since(start)
-		mean, _ := t.Evaluate(evalBatch)
-		if s := score(mean); s >= target {
-			return HitResult{Hit: true, Iters: i + 1, TrainTime: trainTime, Score: s}
-		}
-	}
-	mean, _ := t.Evaluate(evalBatch)
-	return HitResult{Hit: false, Iters: maxIters, TrainTime: trainTime, Score: score(mean)}
 }

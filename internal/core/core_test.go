@@ -178,25 +178,6 @@ func TestVariationalInequalityDuringTraining(t *testing.T) {
 	}
 }
 
-func TestTrainUntilHitsTarget(t *testing.T) {
-	r := rng.New(13)
-	n := 8
-	g := graph.RandomBernoulli(n, r)
-	mc := hamiltonian.NewMaxCut(g)
-	m := nn.NewMADE(n, 10, r.Split())
-	smp := sampler.NewAutoBatched(m.NumSites(), m, 2, r.Split())
-	tr := New(mc, m, smp, optimizer.NewAdam(0.05), Config{BatchSize: 128, Workers: 2})
-	// Random cut achieves ~|E|/2; target modestly above it.
-	target := 0.55 * g.TotalWeight()
-	res := tr.TrainUntil(target, mc.CutFromEnergy, 400, 256)
-	if !res.Hit {
-		t.Fatalf("did not reach target %v; final score %v", target, res.Score)
-	}
-	if res.TrainTime <= 0 || res.Iters <= 0 {
-		t.Fatalf("bogus hit result %+v", res)
-	}
-}
-
 func TestTimingsAccumulate(t *testing.T) {
 	tr, _ := newTIMTrainer(t, 6, 15, false)
 	tr.Train(3, nil)

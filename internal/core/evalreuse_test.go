@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
@@ -10,10 +11,10 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
 
-// TestEvaluateBestReusesWorkspace pins the evaluation-workspace cache:
-// same-size calls must reuse one batch and locals buffer (TrainUntil
-// evaluates every iteration, so per-call allocation was a real cost), while
-// a size change reallocates, and results stay valid throughout.
+// TestEvaluateBestReusesWorkspace: EvaluateBest evaluates on the step's own
+// batch evaluator at any evaluation size, and what it returns stays valid
+// across calls — best is the local energy of argBest, and argBest is a copy
+// that a later call does not overwrite.
 func TestEvaluateBestReusesWorkspace(t *testing.T) {
 	n := 8
 	tim := hamiltonian.RandomTIM(n, rng.New(3))
@@ -21,37 +22,33 @@ func TestEvaluateBestReusesWorkspace(t *testing.T) {
 	m := nn.NewMADE(n, 12, r.Split())
 	smp := sampler.NewAutoBatched(m.NumSites(), m, 1, r.Split())
 	tr := New(tim, m, smp, optimizer.NewAdam(0.01), Config{BatchSize: 32, Workers: 1})
+	bev := tr.step.bev
 
-	mean1, _, best1, arg1 := tr.EvaluateBest(64)
-	first := tr.evalBatch
-	if first == nil || first.N != 64 || len(tr.evalLocals) != 64 {
-		t.Fatalf("workspace not cached: %+v", tr.evalBatch)
-	}
-	mean2, _, best2, arg2 := tr.EvaluateBest(64)
-	if tr.evalBatch != first {
-		t.Fatal("same-size EvaluateBest reallocated the cached batch")
-	}
-	if best1 > mean1 {
-		t.Fatalf("best %v above mean %v", best1, mean1)
-	}
-	if len(arg1) != n || len(arg2) != n {
-		t.Fatalf("argBest lengths %d, %d", len(arg1), len(arg2))
-	}
-	// The returned configuration must be a copy, not an alias into the
-	// reused workspace (the next call overwrites the batch).
-	copy1 := append([]int(nil), arg2...)
-	tr.EvaluateBest(64)
-	for i := range arg2 {
-		if arg2[i] != copy1[i] {
-			t.Fatal("argBest aliases the reused evaluation workspace")
+	check := func(size int) []int {
+		mean, _, best, arg := tr.EvaluateBest(size)
+		if best > mean {
+			t.Fatalf("size %d: best %v above mean %v", size, best, mean)
 		}
+		if len(arg) != n {
+			t.Fatalf("size %d: argBest has %d sites", size, len(arg))
+		}
+		b := sampler.NewBatch(1, n)
+		copy(b.Row(0), arg)
+		got := make([]float64, 1)
+		LocalEnergies(tim, m, b, 1, got)
+		if got[0] != best {
+			t.Fatalf("size %d: argBest's local energy %v, best %v", size, got[0], best)
+		}
+		if tr.step.bev != bev {
+			t.Fatalf("size %d: EvaluateBest replaced the step's evaluator", size)
+		}
+		return arg
 	}
-	_ = mean2
-	_ = best2
-
-	// A different batch size must resize the workspace.
-	tr.EvaluateBest(16)
-	if tr.evalBatch == first || tr.evalBatch.N != 16 {
-		t.Fatalf("size change did not resize workspace: N=%d", tr.evalBatch.N)
+	arg := check(64)
+	kept := slices.Clone(arg)
+	check(64)
+	check(16)
+	if !slices.Equal(arg, kept) {
+		t.Fatal("a later EvaluateBest overwrote an earlier argBest")
 	}
 }

@@ -8,8 +8,9 @@
 // update through its own optimizer instance.
 //
 // The iteration itself is not written here: each replica goroutine runs
-// core.ReplicaStep, the same step core.Trainer runs inline on a 1-rank
-// group. This package owns what is genuinely distributed — validating that
+// core.ReplicaStep, the one implementation of the step; at L = 1 the
+// group's collectives are the identity and this is the serial trainer that
+// the library and the experiments run. This package owns what is genuinely distributed — validating that
 // L replicas form one consistent run, launching and joining the L steps,
 // condemning the group when one fails, the step-entry snapshot behind
 // Recover/Shrink/Grow (membership.go), the Supervisor that drives them
@@ -436,8 +437,8 @@ func (t *Trainer) snapshot(iter int) {
 }
 
 // Train runs iters iterations, invoking cb (if non-nil) after each, and
-// returns the per-iteration history. Iterations are numbered from 1 as in
-// core.Trainer. On a failed step it returns the history of the completed
+// returns the per-iteration history. Iterations are numbered from 1. On a
+// failed step it returns the history of the completed
 // steps alongside the error; the failed step committed nothing (see Step)
 // and Recover can rebuild a trainer to finish the remaining iterations
 // bit-identically.
@@ -474,7 +475,8 @@ func (t *Trainer) Evaluate(batch int) (mean, std float64, err error) {
 // global batch and the configuration achieving it. Ties go to the lowest
 // rank, then the lowest row. Each rank's candidate is read after the ranks
 // join, as Step reads rank 0's statistics, so no collective carries it. On
-// one replica the result is core.Trainer.EvaluateBest's, byte for byte.
+// one replica the statistics are the serial batch mean and standard
+// deviation, byte for byte.
 func (t *Trainer) EvaluateBest(batch int) (mean, std, best float64, argBest []int, err error) {
 	if gerr := t.group.Err(); gerr != nil {
 		return 0, 0, 0, nil, fmt.Errorf("dist: evaluate on condemned group (Recover first): %w", gerr)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/maxcut"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
@@ -23,7 +24,10 @@ func figure2(p Preset, out io.Writer, csvDir string) error {
 		for _, model := range []string{"RBM", "MADE"} {
 			spec := runSpec{h: tim, model: model, opt: "ADAM", iters: p.Iters,
 				batchSize: p.BatchSize, evalBatch: p.EvalBatch, workers: p.Workers, seed: 31}
-			res := train(spec)
+			res, err := train(spec)
+			if err != nil {
+				return err
+			}
 			first, last := res.Curve[0], res.Curve[len(res.Curve)-1]
 			// "Stable" means monotone-ish: the last-quarter mean energy is
 			// below the first-quarter mean.
@@ -87,44 +91,40 @@ func table2(p Preset, out io.Writer, csvDir string) error {
 		addRow("Max-Cut", "Classical: "+labels[i], "-", "-", cells)
 	}
 
-	// --- Max-Cut section: VQMC ---
-	for _, model := range []string{"RBM", "MADE"} {
-		smpName := map[string]string{"RBM": "MCMC", "MADE": "AUTO"}[model]
-		for _, opt := range []string{"SGD", "ADAM", "SGD+SR"} {
-			cells := []string{}
-			for _, n := range dims {
-				_, mc := maxCutInstance(n)
-				vals := make([]float64, p.Seeds)
-				for s := 0; s < p.Seeds; s++ {
-					spec := runSpec{h: mc, model: model, opt: opt, iters: p.Iters,
-						batchSize: p.BatchSize, evalBatch: p.EvalBatch,
-						workers: p.Workers, seed: uint64(200 + s)}
-					res := train(spec)
-					vals[s] = mc.CutFromEnergy(res.EvalEnergy)
+	// --- VQMC on both problems: the cut on Max-Cut, the energy on TIM ---
+	for _, problem := range []struct {
+		name     string
+		seed     uint64
+		instance func(n int) (hamiltonian.Hamiltonian, func(energy float64) float64)
+	}{
+		{"Max-Cut", 200, func(n int) (hamiltonian.Hamiltonian, func(float64) float64) {
+			_, mc := maxCutInstance(n)
+			return mc, mc.CutFromEnergy
+		}},
+		{"TIM", 300, func(n int) (hamiltonian.Hamiltonian, func(float64) float64) {
+			return timInstance(n), func(energy float64) float64 { return energy }
+		}},
+	} {
+		for _, model := range []string{"RBM", "MADE"} {
+			smpName := map[string]string{"RBM": "MCMC", "MADE": "AUTO"}[model]
+			for _, opt := range []string{"SGD", "ADAM", "SGD+SR"} {
+				cells := []string{}
+				for _, n := range dims {
+					h, objective := problem.instance(n)
+					vals := make([]float64, p.Seeds)
+					for s := range vals {
+						res, err := train(runSpec{h: h, model: model, opt: opt, iters: p.Iters,
+							batchSize: p.BatchSize, evalBatch: p.EvalBatch,
+							workers: p.Workers, seed: problem.seed + uint64(s)})
+						if err != nil {
+							return err
+						}
+						vals[s] = objective(res.EvalEnergy)
+					}
+					cells = append(cells, meanStdOver(vals))
 				}
-				cells = append(cells, meanStdOver(vals))
+				addRow(problem.name, model, smpName, opt, cells)
 			}
-			addRow("Max-Cut", model, smpName, opt, cells)
-		}
-	}
-
-	// --- TIM section: VQMC ---
-	for _, model := range []string{"RBM", "MADE"} {
-		smpName := map[string]string{"RBM": "MCMC", "MADE": "AUTO"}[model]
-		for _, opt := range []string{"SGD", "ADAM", "SGD+SR"} {
-			cells := []string{}
-			for _, n := range dims {
-				tim := timInstance(n)
-				vals := make([]float64, p.Seeds)
-				for s := 0; s < p.Seeds; s++ {
-					spec := runSpec{h: tim, model: model, opt: opt, iters: p.Iters,
-						batchSize: p.BatchSize, evalBatch: p.EvalBatch,
-						workers: p.Workers, seed: uint64(300 + s)}
-					vals[s] = train(spec).EvalEnergy
-				}
-				cells = append(cells, meanStdOver(vals))
-			}
-			addRow("TIM", model, smpName, opt, cells)
 		}
 	}
 	return emit(out, csvDir, "table2.csv", tbl)
@@ -162,7 +162,10 @@ func table3(p Preset, out io.Writer, csvDir string) error {
 				spec := runSpec{h: mc, model: model, opt: "ADAM", latent: h,
 					iters: p.Iters, batchSize: p.BatchSize, evalBatch: p.EvalBatch,
 					workers: p.Workers, seed: 41}
-				res := train(spec)
+				res, err := train(spec)
+				if err != nil {
+					return err
+				}
 				cut := mc.CutFromEnergy(res.EvalEnergy)
 				var modeled float64
 				if model == "MADE" {
@@ -210,7 +213,10 @@ func table4(p Preset, out io.Writer, csvDir string) error {
 			spec := runSpec{h: mc, model: "RBM", opt: "ADAM", mcmc: mcfg,
 				iters: p.Iters, batchSize: p.BatchSize, evalBatch: p.EvalBatch,
 				workers: p.Workers, seed: 51}
-			res := train(spec)
+			res, err := train(spec)
+			if err != nil {
+				return err
+			}
 			cut := mc.CutFromEnergy(res.EvalEnergy)
 			modeled := trainingTime(
 				dev.RBMMCMCIter(n, n, 1024, 2, k, sc.thin, 0), 300).Seconds()

@@ -20,10 +20,12 @@ import (
 	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
+	"github.com/vqmc-scale/parvqmc/internal/dist"
 	"github.com/vqmc-scale/parvqmc/internal/graph"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
+	"github.com/vqmc-scale/parvqmc/internal/parallel"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
@@ -192,14 +194,18 @@ func buildOptimizer(name string) (optimizer.Optimizer, *optimizer.SR) {
 	panic("experiments: unknown optimizer " + name)
 }
 
-// newTrainer builds the serial trainer a run spec describes.
-func newTrainer(spec runSpec) *core.Trainer {
+// newTrainer builds the one-replica trainer a run spec describes: the
+// model from the seed's first split, the sampler from its second.
+func newTrainer(spec runSpec) (*dist.Trainer, error) {
 	n := spec.h.N()
 	r := rng.New(spec.seed)
 	opt, sr := buildOptimizer(spec.opt)
-	cfg := core.Config{BatchSize: spec.batchSize, Workers: spec.workers, SR: sr}
+	workers := spec.workers
+	if workers <= 0 {
+		workers = parallel.MaxWorkers()
+	}
 
-	var model core.Model
+	var model dist.Model
 	var smp sampler.Sampler
 	switch spec.model {
 	case "MADE":
@@ -220,17 +226,23 @@ func newTrainer(spec runSpec) *core.Trainer {
 		panic("experiments: unknown model " + spec.model)
 	}
 
-	return core.New(spec.h, model, smp, opt, cfg)
+	return dist.New(spec.h, []dist.Replica{{Model: model, Smp: smp, Opt: opt, SR: sr, Workers: workers}}, spec.batchSize)
 }
 
 // train executes a run spec end to end.
-func train(spec runSpec) runResult {
-	tr := newTrainer(spec)
+func train(spec runSpec) (runResult, error) {
+	tr, err := newTrainer(spec)
+	if err != nil {
+		return runResult{}, err
+	}
 	start := time.Now()
-	curve := tr.Train(spec.iters, nil)
+	curve, err := tr.Train(spec.iters, nil)
+	if err != nil {
+		return runResult{}, err
+	}
 	elapsed := time.Since(start)
-	mean, _ := tr.Evaluate(spec.evalBatch)
-	return runResult{EvalEnergy: mean, Curve: curve, TrainTime: elapsed}
+	mean, _, err := tr.Evaluate(spec.evalBatch)
+	return runResult{EvalEnergy: mean, Curve: curve, TrainTime: elapsed}, err
 }
 
 // maxCutInstance builds the fixed problem instance for a dimension: the

@@ -247,7 +247,7 @@ func TestAutoregTailFlipCacheExactRegression(t *testing.T) {
 				m := fam.build(n, 5+n, r.Split())
 				x := make([]int, n)
 				r.FillBits(x)
-				c := m.NewFlipCache(x).(TailFlipCache)
+				c := m.NewFlipCache(x).(tailFlipCache)
 				y := make([]int, n)
 				for trial := 0; trial < 200; trial++ {
 					if c.LogPsi() != m.LogPsi(c.State()) {

@@ -246,10 +246,10 @@ type derivedCache struct {
 	fresh bool
 }
 
-// InvalidateParams marks the derived state stale. It must be called after
+// invalidateParams marks the derived state stale. It must be called after
 // any in-place mutation of Params() (optimizer steps, checkpoint loads);
 // trainers do this through nn.InvalidateParams.
-func (c *derivedCache) InvalidateParams() {
+func (c *derivedCache) invalidateParams() {
 	c.mu.Lock()
 	c.fresh = false
 	c.mu.Unlock()
@@ -270,8 +270,8 @@ func (c *derivedCache) ensure(rebuild func()) {
 // mutated in place. Trainers must call this after every optimizer step;
 // it is a no-op for models without derived caches.
 func InvalidateParams(w Wavefunction) {
-	if v, ok := w.(interface{ InvalidateParams() }); ok {
-		v.InvalidateParams()
+	if v, ok := w.(interface{ invalidateParams() }); ok {
+		v.invalidateParams()
 	}
 }
 
@@ -286,7 +286,7 @@ func InvalidateParams(w Wavefunction) {
 // Wavefunction) so call sites that only hold a narrower view of the model
 // (CacheBuilder, GradEvaluator) can still pre-warm it.
 func Prewarm(model any) {
-	if p, ok := model.(interface{ PrewarmCaches() }); ok {
-		p.PrewarmCaches()
+	if p, ok := model.(interface{ prewarmCaches() }); ok {
+		p.prewarmCaches()
 	}
 }

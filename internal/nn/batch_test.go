@@ -32,9 +32,9 @@ func TestLogPsiBatchBitIdentical(t *testing.T) {
 				b := randomConfigs(bs, n, rng.New(uint64(7*bs+n)))
 				out := make([]float64, bs)
 				e.LogPsiBatch(b, out)
-				s := m.NewScratch()
+				s := m.newScratch()
 				for k := 0; k < bs; k++ {
-					want := m.LogPsiScratch(b.Row(k), s)
+					want := m.logPsiScratch(b.Row(k), s)
 					if out[k] != want {
 						t.Fatalf("n=%d w=%d B=%d row %d: batched %v != scalar %v",
 							n, workers, bs, k, out[k], want)
@@ -57,10 +57,10 @@ func TestGradLogPsiBatchBitIdentical(t *testing.T) {
 				b := randomConfigs(bs, n, rng.New(uint64(13*bs+n)))
 				ows := tensor.NewBatch(bs, d)
 				e.GradLogPsiBatch(b, ows)
-				s := m.NewScratch()
+				s := m.newScratch()
 				want := tensor.NewVector(d)
 				for k := 0; k < bs; k++ {
-					m.GradLogPsiScratch(b.Row(k), want, s)
+					m.gradLogPsiScratch(b.Row(k), want, s)
 					row := ows.Sample(k)
 					for i := range want {
 						if row[i] != want[i] {
@@ -94,7 +94,7 @@ func TestFlipLogPsiBatchBitIdentical(t *testing.T) {
 				delta := make([]float64, bs*n)
 				e.FlipLogPsiBatch(b, flips, base, delta)
 				cache := m.NewFlipCache(b.Row(0))
-				s := m.NewScratch()
+				s := m.newScratch()
 				for k := 0; k < bs; k++ {
 					if k > 0 {
 						cache.Reset(b.Row(k))
@@ -103,7 +103,7 @@ func TestFlipLogPsiBatchBitIdentical(t *testing.T) {
 						t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != cache %v",
 							n, workers, bs, k, base[k], cache.LogPsi())
 					}
-					if want := m.LogPsiScratch(b.Row(k), s); base[k] != want {
+					if want := m.logPsiScratch(b.Row(k), s); base[k] != want {
 						t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != fresh LogPsi %v",
 							n, workers, bs, k, base[k], want)
 					}
@@ -164,7 +164,7 @@ func TestFlipLogPsiBatchRandomSites(t *testing.T) {
 	for _, n := range siteCounts {
 		m := NewMADE(n, 6+n, r.Split())
 		e := m.NewBatchEvaluator(3)
-		s := m.NewScratch()
+		s := m.newScratch()
 		y := make([]int, n)
 		for _, bs := range batchSizes {
 			nf := 1 + r.Intn(n)
@@ -177,14 +177,14 @@ func TestFlipLogPsiBatchRandomSites(t *testing.T) {
 			delta := make([]float64, bs*nf)
 			e.FlipLogPsiBatch(b, flips, base, delta)
 			for k := 0; k < bs; k++ {
-				baseWant := m.LogPsiScratch(b.Row(k), s)
+				baseWant := m.logPsiScratch(b.Row(k), s)
 				if base[k] != baseWant {
 					t.Fatalf("n=%d B=%d row %d: base %v != fresh %v", n, bs, k, base[k], baseWant)
 				}
 				for f, bit := range flips {
 					copy(y, b.Row(k))
 					y[bit] = 1 - y[bit]
-					want := m.LogPsiScratch(y, s) - baseWant
+					want := m.logPsiScratch(y, s) - baseWant
 					if delta[k*nf+f] != want {
 						t.Fatalf("n=%d B=%d row %d flip site %d: delta %v != fresh %v",
 							n, bs, k, bit, delta[k*nf+f], want)
@@ -284,7 +284,7 @@ func TestTailFlipCacheExactRegression(t *testing.T) {
 		m := NewMADE(n, 5+n, r.Split())
 		x := make([]int, n)
 		r.FillBits(x)
-		c := m.NewFlipCache(x).(TailFlipCache)
+		c := m.NewFlipCache(x).(tailFlipCache)
 		y := make([]int, n)
 		for trial := 0; trial < 200; trial++ {
 			if c.LogPsi() != m.LogPsi(c.State()) {

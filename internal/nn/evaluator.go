@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
@@ -26,13 +24,13 @@ type ConditionalEvaluator interface {
 // exactly Algorithm 1 of the paper, n forward passes per sample.
 type naiveEvaluator struct {
 	m      *MADE
-	s      *MADEScratch
+	s      *madeScratch
 	x      []int
 	passes int64
 }
 
 func (m *MADE) newNaiveEvaluator() ConditionalEvaluator {
-	return &naiveEvaluator{m: m, s: m.NewScratch(), x: make([]int, m.n)}
+	return &naiveEvaluator{m: m, s: m.newScratch(), x: make([]int, m.n)}
 }
 
 // NaiveAncestral returns the builder of the paper's Algorithm 1 as a
@@ -55,9 +53,8 @@ func (e *naiveEvaluator) Reset() {
 }
 
 func (e *naiveEvaluator) Prob(i int) float64 {
-	e.m.Forward(e.x, e.s)
 	e.passes++
-	return 1 / (1 + math.Exp(-e.s.Z2[i]))
+	return e.m.conditional(e.x, i, e.s)
 }
 
 func (e *naiveEvaluator) Fix(i, bit int) { e.x[i] = bit }
@@ -86,11 +83,11 @@ func (e *incrementalEvaluator) Reset() {
 }
 
 func (e *incrementalEvaluator) Prob(i int) float64 {
-	return e.m.ConditionalRow(e.z1, i)
+	return e.m.conditionalRow(e.z1, i)
 }
 
 func (e *incrementalEvaluator) Fix(i, bit int) {
-	e.m.AccumulateInput(e.z1, i, bit)
+	e.m.accumulateInput(e.z1, i, bit)
 	if e.fixed++; e.fixed == e.m.n {
 		e.passes++
 	}

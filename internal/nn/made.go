@@ -55,14 +55,14 @@ type MADE struct {
 	// loop order, which keeps independent accumulators per output column
 	// (throughput-bound instead of latency-bound) while still summing each
 	// element in the scalar kernels' ascending contraction order. The
-	// embedded derivedCache says when they are stale; see PrewarmCaches.
+	// embedded derivedCache says when they are stale; see prewarmCaches.
 	derivedCache
 	wm1t, wm2t *tensor.Matrix
 }
 
-// MADEScratch holds per-worker forward/backward buffers so concurrent
+// madeScratch holds per-worker forward/backward buffers so concurrent
 // evaluation never shares mutable state.
-type MADEScratch struct {
+type madeScratch struct {
 	Z1, A   tensor.Vector // hidden pre-activation and activation (h)
 	Z2      tensor.Vector // output pre-activation (n)
 	dZ2     tensor.Vector // n
@@ -149,11 +149,11 @@ func NewMADE(n, h int, r *rng.Rand) *MADE {
 	return m
 }
 
-// PrewarmCaches materializes the masked-weight cache for the current
+// prewarmCaches materializes the masked-weight cache for the current
 // parameters. Coordinators call it (via nn.Prewarm) before fanning work out
 // to workers so no worker pays the rebuild; rebuilds are mutex-serialized
 // either way, so this is a latency optimization, not a safety requirement.
-func (m *MADE) PrewarmCaches() { m.maskedWeights() }
+func (m *MADE) prewarmCaches() { m.maskedWeights() }
 
 // maskedWeights returns (W1.M1)^T and (W2.M2)^T, rebuilding the cached
 // products if the parameters changed since the last build. Because the
@@ -184,9 +184,9 @@ func (m *MADE) maskedWeights() (wm1t, wm2t *tensor.Matrix) {
 	return m.wm1t, m.wm2t
 }
 
-// NewScratch allocates evaluation buffers for one worker.
-func (m *MADE) NewScratch() *MADEScratch {
-	return &MADEScratch{
+// newScratch allocates evaluation buffers for one worker.
+func (m *MADE) newScratch() *madeScratch {
+	return &madeScratch{
 		Z1:      tensor.NewVector(m.h),
 		A:       tensor.NewVector(m.h),
 		Z2:      tensor.NewVector(m.n),
@@ -209,10 +209,10 @@ func (m *MADE) NumParams() int { return len(m.theta) }
 // Params implements Wavefunction; the returned vector aliases the model.
 func (m *MADE) Params() tensor.Vector { return m.theta }
 
-// Forward runs the masked network on x, filling s.Z1, s.A and s.Z2.
+// forward runs the masked network on x, filling s.Z1, s.A and s.Z2.
 // Output probabilities are sigma(s.Z2) but are not materialized; the
 // log-probability path works on pre-activations for numerical stability.
-func (m *MADE) Forward(x []int, s *MADEScratch) {
+func (m *MADE) forward(x []int, s *madeScratch) {
 	for i, b := range x {
 		s.xf[i] = float64(b)
 	}
@@ -234,42 +234,38 @@ func logProbFromZ2(x []int, z2 tensor.Vector) float64 {
 	return lp
 }
 
-// LogProbScratch evaluates log pi(x) using caller-owned buffers.
-func (m *MADE) LogProbScratch(x []int, s *MADEScratch) float64 {
-	m.Forward(x, s)
+// logProbScratch evaluates log pi(x) using caller-owned buffers.
+func (m *MADE) logProbScratch(x []int, s *madeScratch) float64 {
+	m.forward(x, s)
 	return logProbFromZ2(x, s.Z2)
 }
 
 // LogProb implements Normalized. It allocates scratch; hot paths should use
-// LogProbScratch with a per-worker scratch.
+// logProbScratch with a per-worker scratch.
 func (m *MADE) LogProb(x []int) float64 {
-	return m.LogProbScratch(x, m.NewScratch())
+	return m.logProbScratch(x, m.newScratch())
 }
 
 // LogPsi implements Wavefunction: log psi = (1/2) log pi.
 func (m *MADE) LogPsi(x []int) float64 { return 0.5 * m.LogProb(x) }
 
-// LogPsiScratch is the buffer-reusing variant of LogPsi.
-func (m *MADE) LogPsiScratch(x []int, s *MADEScratch) float64 {
-	return 0.5 * m.LogProbScratch(x, s)
+// logPsiScratch is the buffer-reusing variant of LogPsi.
+func (m *MADE) logPsiScratch(x []int, s *madeScratch) float64 {
+	return 0.5 * m.logProbScratch(x, s)
 }
 
-// Conditional implements Autoregressive: P(x_i = 1 | x_<i). Bits at
-// positions >= i are ignored by masking.
-func (m *MADE) Conditional(x []int, i int) float64 {
-	return m.ConditionalScratch(x, i, m.NewScratch())
-}
-
-// ConditionalScratch is the buffer-reusing variant of Conditional.
-func (m *MADE) ConditionalScratch(x []int, i int, s *MADEScratch) float64 {
-	m.Forward(x, s)
+// conditional returns P(x_i = 1 | x_<i) on caller-owned buffers: one full
+// forward pass, the paper's Algorithm 1 step. Bits at positions >= i are
+// ignored by masking.
+func (m *MADE) conditional(x []int, i int, s *madeScratch) float64 {
+	m.forward(x, s)
 	return 1 / (1 + math.Exp(-s.Z2[i]))
 }
 
-// ConditionalRow computes P(x_i = 1 | x_<i) in O(h) given hidden
+// conditionalRow computes P(x_i = 1 | x_<i) in O(h) given hidden
 // pre-activations z1 that already reflect x_<i (the incremental sampling
 // fast path used by NewIncrementalEvaluator).
-func (m *MADE) ConditionalRow(z1 tensor.Vector, i int) float64 {
+func (m *MADE) conditionalRow(z1 tensor.Vector, i int) float64 {
 	row := m.W2.Row(i)
 	mrow := m.M2.Row(i)
 	z := m.B2[i]
@@ -284,9 +280,9 @@ func (m *MADE) ConditionalRow(z1 tensor.Vector, i int) float64 {
 	return 1 / (1 + math.Exp(-z))
 }
 
-// AccumulateInput adds bit i's contribution to the hidden pre-activation
+// accumulateInput adds bit i's contribution to the hidden pre-activation
 // vector z1 (incremental sampling fast path). z1 must start as a copy of B1.
-func (m *MADE) AccumulateInput(z1 tensor.Vector, i, bit int) {
+func (m *MADE) accumulateInput(z1 tensor.Vector, i, bit int) {
 	if bit == 0 {
 		return
 	}
@@ -295,12 +291,6 @@ func (m *MADE) AccumulateInput(z1 tensor.Vector, i, bit int) {
 			z1[k] += m.W1.At(k, i)
 		}
 	}
-}
-
-// GradLogProbScratch accumulates d log pi / d theta into grad (overwritten).
-func (m *MADE) GradLogProbScratch(x []int, grad tensor.Vector, s *MADEScratch) {
-	m.Forward(x, s)
-	m.gradFromForward(x, s.Z1, s.A, s.Z2, s.dZ2, s.dA, grad)
 }
 
 // gradFromForward runs the analytic backward pass from an already computed
@@ -375,19 +365,21 @@ func (m *MADE) gradFromForward(x []int, z1, a, z2, dz2, da, grad tensor.Vector) 
 
 // GradLogPsi implements Wavefunction: grad log psi = (1/2) grad log pi.
 func (m *MADE) GradLogPsi(x []int, grad tensor.Vector) {
-	m.GradLogPsiScratch(x, grad, m.NewScratch())
+	m.gradLogPsiScratch(x, grad, m.newScratch())
 }
 
-// GradLogPsiScratch is the buffer-reusing variant of GradLogPsi.
-func (m *MADE) GradLogPsiScratch(x []int, grad tensor.Vector, s *MADEScratch) {
-	m.GradLogProbScratch(x, grad, s)
+// gradLogPsiScratch is the buffer-reusing variant of GradLogPsi: the
+// backward pass of log pi, halved.
+func (m *MADE) gradLogPsiScratch(x []int, grad tensor.Vector, s *madeScratch) {
+	m.forward(x, s)
+	m.gradFromForward(x, s.Z1, s.A, s.Z2, s.dZ2, s.dA, grad)
 	grad.Scale(0.5)
 }
 
 // freshHiddenUnit recomputes hidden pre-activation k of the fresh forward
 // pass for the float-encoded configuration xf: the masked row dot in
 // ascending input order followed by the bias, exactly the per-element
-// arithmetic of MaskedMulVec + Vector.Add in Forward. Used by the tail-only
+// arithmetic of MaskedMulVec + Vector.Add in forward. Used by the tail-only
 // flip evaluation to refresh only the hidden units whose mask sees the
 // flipped bit.
 func (m *MADE) freshHiddenUnit(k int, xf tensor.Vector) float64 {
@@ -401,7 +393,7 @@ func (m *MADE) freshHiddenUnit(k int, xf tensor.Vector) float64 {
 }
 
 // freshOutputUnit recomputes output pre-activation j of the fresh forward
-// pass from hidden activations a, mirroring Forward's layer-2 MaskedMulVec
+// pass from hidden activations a, mirroring forward's layer-2 MaskedMulVec
 // + bias element for element.
 func (m *MADE) freshOutputUnit(j int, a tensor.Vector) float64 {
 	row := m.W2.Row(j)
@@ -417,7 +409,7 @@ func (m *MADE) freshOutputUnit(j int, a tensor.Vector) float64 {
 //
 // Flip-cache convention (load-bearing; the batched FlipLogPsiBatch path
 // reproduces it bit for bit): the cache holds the base configuration's
-// FRESH forward state — z1/a/z2 exactly as Forward computes them — plus the
+// FRESH forward state — z1/a/z2 exactly as forward computes them — plus the
 // prefix sums p[j] of the log-probability fold, p[j] = sum of the first j
 // log-sigmoid terms accumulated in the ascending site order logProbFromZ2
 // uses. LogPsi() is therefore bitwise identical to a fresh LogPsi(x).
@@ -431,10 +423,10 @@ func (m *MADE) freshOutputUnit(j int, a tensor.Vector) float64 {
 // on the flipped bit), and resume the log-probability fold from p[b] —
 // halving layer-2 work and the log-sigmoid tail on average while staying
 // bitwise identical to a fresh forward pass of the flipped configuration.
-// The cache also implements TailFlipCache: FlipLogPsi(b) returns that
+// The cache also implements tailFlipCache: FlipLogPsi(b) returns that
 // absolute flipped log-psi, and Delta(b) = FlipLogPsi(b) - LogPsi().
 func (m *MADE) NewFlipCache(x []int) FlipCache {
-	c := &madeFlipCache{m: m, s: m.NewScratch(), x: make([]int, m.n),
+	c := &madeFlipCache{m: m, s: m.newScratch(), x: make([]int, m.n),
 		p:  tensor.NewVector(m.n + 1),
 		za: tensor.NewVector(m.h), xff: tensor.NewVector(m.n)}
 	c.Reset(x)
@@ -443,7 +435,7 @@ func (m *MADE) NewFlipCache(x []int) FlipCache {
 
 type madeFlipCache struct {
 	m *MADE
-	s *MADEScratch // s.Z1, s.A, s.Z2 hold the base FRESH forward state
+	s *madeScratch // s.Z1, s.A, s.Z2 hold the base FRESH forward state
 	x []int
 	// p[j] is the log-probability fold after the first j sites, in
 	// logProbFromZ2's exact accumulation order; p[n] = log pi(x).
@@ -459,7 +451,7 @@ func (c *madeFlipCache) LogPsi() float64 { return c.logPsi }
 // evaluating only the tail: hidden units seeing the bit are refreshed from
 // a fresh masked dot, output sites j > bit are refreshed from the mixed
 // activations, and the fold resumes from the cached prefix p[bit]. The
-// result is bitwise identical to a fresh Forward + logProbFromZ2 of the
+// result is bitwise identical to a fresh forward + logProbFromZ2 of the
 // flipped configuration. za receives the flipped activations (length h).
 func (c *madeFlipCache) tailLogProb(bit int, za tensor.Vector) float64 {
 	m := c.m
@@ -487,7 +479,7 @@ func (c *madeFlipCache) tailLogProb(bit int, za tensor.Vector) float64 {
 	return lp
 }
 
-// FlipLogPsi implements TailFlipCache: the absolute log psi of the current
+// FlipLogPsi implements tailFlipCache: the absolute log psi of the current
 // configuration with bit flipped, bitwise identical to a fresh LogPsi.
 func (c *madeFlipCache) FlipLogPsi(bit int) float64 {
 	return 0.5 * c.tailLogProb(bit, c.za)
@@ -532,7 +524,7 @@ func (c *madeFlipCache) State() []int { return c.x }
 
 func (c *madeFlipCache) Reset(x []int) {
 	copy(c.x, x)
-	c.m.Forward(c.x, c.s)
+	c.m.forward(c.x, c.s)
 	var lp float64
 	c.p[0] = 0
 	for j, b := range c.x {
@@ -544,27 +536,10 @@ func (c *madeFlipCache) Reset(x []int) {
 
 // NewGradEvaluator implements GradEvaluatorBuilder.
 func (m *MADE) NewGradEvaluator() GradEvaluator {
-	return &madeGradEvaluator{m: m, s: m.NewScratch()}
+	return scratchGrad[*madeScratch]{m, m.newScratch()}
 }
-
-type madeGradEvaluator struct {
-	m *MADE
-	s *MADEScratch
-}
-
-func (e *madeGradEvaluator) GradLogPsi(x []int, grad tensor.Vector) {
-	e.m.GradLogPsiScratch(x, grad, e.s)
-}
-
-func (e *madeGradEvaluator) LogPsi(x []int) float64 {
-	return e.m.LogPsiScratch(x, e.s)
-}
-
-// Degrees exposes the hidden-unit degree assignment (for tests).
-func (m *MADE) Degrees() []int { return m.deg }
 
 var (
-	_ Autoregressive = (*MADE)(nil)
-	_ CacheBuilder   = (*MADE)(nil)
-	_ TailFlipCache  = (*madeFlipCache)(nil)
+	_ CacheBuilder  = (*MADE)(nil)
+	_ tailFlipCache = (*madeFlipCache)(nil)
 )

@@ -99,7 +99,7 @@ func toFloats(b ConfigBatch, lo, hi int, xf *tensor.Matrix) {
 
 // forwardSlab runs the dense two-GEMM forward for rows [lo, hi) of b,
 // returning the xf/z1/a/z2 slab views (z1 is the pre-activation, a the
-// ReLU activation). The arithmetic per row is exactly MADE.Forward's.
+// ReLU activation). The arithmetic per row is exactly MADE.forward's.
 func (e *madeBatchEvaluator) forwardSlab(b ConfigBatch, lo, hi int, needPre bool) (xf, z1, a, z2 *tensor.Matrix) {
 	m := e.m
 	rows := hi - lo
@@ -112,7 +112,7 @@ func (e *madeBatchEvaluator) forwardSlab(b ConfigBatch, lo, hi int, needPre bool
 	tensor.AddRowBias(z1, m.B1)
 	if needPre {
 		// The backward pass needs the activation alongside the ReLU gate,
-		// so materialize it (the scalar Forward's copy+ReLU); otherwise the
+		// so materialize it (the scalar forward's copy+ReLU); otherwise the
 		// fused MatMulReLU consumes the pre-activation directly.
 		a = growMat(&e.bufA, rows, m.h)
 		copy(a.Data, z1.Data)

@@ -53,7 +53,7 @@ func TestMADEAutoregressiveProperty(t *testing.T) {
 	r := rng.New(3)
 	n, h := 7, 11
 	m := NewMADE(n, h, r)
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, n)
 	y := make([]int, n)
 	for trial := 0; trial < 200; trial++ {
@@ -66,9 +66,9 @@ func TestMADEAutoregressiveProperty(t *testing.T) {
 				y[i] = 1 - y[i]
 			}
 		}
-		m.Forward(x, s)
+		m.forward(x, s)
 		zx := s.Z2[j]
-		m.Forward(y, s)
+		m.forward(y, s)
 		zy := s.Z2[j]
 		if zx != zy {
 			t.Fatalf("output %d depends on inputs >= %d: %v vs %v", j, j, zx, zy)
@@ -81,21 +81,21 @@ func TestMADEConditionalConsistency(t *testing.T) {
 	r := rng.New(4)
 	n := 6
 	m := NewMADE(n, 9, r)
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, n)
 	for trial := 0; trial < 50; trial++ {
 		r.FillBits(x)
 		var lp float64
 		for i := 0; i < n; i++ {
-			p := m.ConditionalScratch(x, i, s)
+			p := m.conditional(x, i, s)
 			if x[i] == 1 {
 				lp += math.Log(p)
 			} else {
 				lp += math.Log(1 - p)
 			}
 		}
-		if math.Abs(lp-m.LogProbScratch(x, s)) > 1e-10 {
-			t.Fatalf("chain-rule product %v != LogProb %v", lp, m.LogProbScratch(x, s))
+		if math.Abs(lp-m.logProbScratch(x, s)) > 1e-10 {
+			t.Fatalf("chain-rule product %v != LogProb %v", lp, m.logProbScratch(x, s))
 		}
 	}
 }
@@ -106,17 +106,17 @@ func TestMADEConditionalRowMatchesForward(t *testing.T) {
 	r := rng.New(5)
 	n, h := 8, 13
 	m := NewMADE(n, h, r)
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, n)
 	r.FillBits(x)
 	z1 := m.B1.Clone()
 	for i := 0; i < n; i++ {
-		fast := m.ConditionalRow(z1, i)
-		slow := m.ConditionalScratch(x, i, s)
+		fast := m.conditionalRow(z1, i)
+		slow := m.conditional(x, i, s)
 		if math.Abs(fast-slow) > 1e-12 {
 			t.Fatalf("bit %d: incremental %v vs forward %v", i, fast, slow)
 		}
-		m.AccumulateInput(z1, i, x[i])
+		m.accumulateInput(z1, i, x[i])
 	}
 }
 
@@ -124,18 +124,18 @@ func TestMADEGradMatchesFiniteDifference(t *testing.T) {
 	r := rng.New(6)
 	n, h := 5, 4
 	m := NewMADE(n, h, r)
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := []int{1, 0, 1, 1, 0}
 	grad := tensor.NewVector(m.NumParams())
-	m.GradLogPsiScratch(x, grad, s)
+	m.gradLogPsiScratch(x, grad, s)
 	const eps = 1e-6
 	p := m.Params()
 	for i := 0; i < m.NumParams(); i++ {
 		orig := p[i]
 		p[i] = orig + eps
-		fp := m.LogPsiScratch(x, s)
+		fp := m.logPsiScratch(x, s)
 		p[i] = orig - eps
-		fm := m.LogPsiScratch(x, s)
+		fm := m.logPsiScratch(x, s)
 		p[i] = orig
 		fd := (fp - fm) / (2 * eps)
 		if math.Abs(fd-grad[i]) > 1e-5 {
@@ -147,12 +147,13 @@ func TestMADEGradMatchesFiniteDifference(t *testing.T) {
 func TestMADEGradLogProbIsTwiceGradLogPsi(t *testing.T) {
 	r := rng.New(7)
 	m := NewMADE(6, 5, r)
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := []int{0, 1, 1, 0, 1, 0}
 	g1 := tensor.NewVector(m.NumParams())
 	g2 := tensor.NewVector(m.NumParams())
-	m.GradLogProbScratch(x, g1, s)
-	m.GradLogPsiScratch(x, g2, s)
+	m.forward(x, s)
+	m.gradFromForward(x, s.Z1, s.A, s.Z2, s.dZ2, s.dA, g1)
+	m.gradLogPsiScratch(x, g2, s)
 	for i := range g1 {
 		if math.Abs(g1[i]-2*g2[i]) > 1e-14 {
 			t.Fatalf("grad log pi != 2 grad log psi at %d", i)
@@ -192,7 +193,7 @@ func TestMADEFlipCache(t *testing.T) {
 func TestMADEDegreesValid(t *testing.T) {
 	for _, n := range []int{2, 3, 10} {
 		m := NewMADE(n, 17, rng.New(uint64(n)))
-		for _, d := range m.Degrees() {
+		for _, d := range m.deg {
 			if d < 1 || d > n-1 {
 				t.Fatalf("n=%d degree %d out of range [1,%d]", n, d, n-1)
 			}
@@ -204,13 +205,13 @@ func TestMADEFirstOutputIsConstant(t *testing.T) {
 	// p_0 has degree 1 and must not depend on any input.
 	r := rng.New(9)
 	m := NewMADE(6, 8, r)
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, 6)
-	m.Forward(x, s)
+	m.forward(x, s)
 	z0 := s.Z2[0]
 	for trial := 0; trial < 20; trial++ {
 		r.FillBits(x)
-		m.Forward(x, s)
+		m.forward(x, s)
 		if s.Z2[0] != z0 {
 			t.Fatal("output 0 depends on inputs")
 		}
@@ -231,23 +232,23 @@ func TestMADESingleSite(t *testing.T) {
 
 func BenchmarkMADEForward(b *testing.B) {
 	m := NewMADE(100, 107, rng.New(1))
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, 100)
 	rng.New(2).FillBits(x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(x, s)
+		m.forward(x, s)
 	}
 }
 
 func BenchmarkMADEGrad(b *testing.B) {
 	m := NewMADE(100, 107, rng.New(1))
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, 100)
 	rng.New(2).FillBits(x)
 	g := tensor.NewVector(m.NumParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.GradLogPsiScratch(x, g, s)
+		m.gradLogPsiScratch(x, g, s)
 	}
 }

@@ -94,7 +94,7 @@ func (m *NADE) consume(a, _ tensor.Vector, i, bit int) {
 // backward implements seqCell. Backprop through the accumulation chain:
 // dz_i flows to V_i, b_i and relu(a_i); the hidden-state gradient dS is then
 // pushed back through every earlier accumulation step.
-func (m *NADE) backward(x []int, grad tensor.Vector, s *SeqScratch) {
+func (m *NADE) backward(x []int, grad tensor.Vector, s *seqScratch) {
 	h, n := m.h, m.n
 	gW := grad[0 : h*n]
 	gC := grad[h*n : h*n+h]

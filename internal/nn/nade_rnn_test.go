@@ -9,11 +9,15 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// autoregressiveModel is what these shared tests need.
-type autoregressiveModel interface {
-	Autoregressive
-	GradEvaluatorBuilder
-	CacheBuilder
+// conditional is the reference P(x_i = 1 | x_<i) of both sequential
+// families: the state folded afresh over the bits before i.
+func (m *seqModel) conditional(x []int, i int, s *seqScratch) float64 {
+	c := m.cell
+	c.initState(s.S)
+	for j := 0; j < i; j++ {
+		m.advance(s, j, x[j])
+	}
+	return 1 / (1 + math.Exp(-c.siteZ(s.S, i)))
 }
 
 func perturb(m Wavefunction, r *rng.Rand, scale float64) {
@@ -61,7 +65,7 @@ func TestNADEChainRuleConsistency(t *testing.T) {
 		r.FillBits(x)
 		var lp float64
 		for i := 0; i < 6; i++ {
-			p := m.Conditional(x, i)
+			p := m.conditional(x, i, m.newScratch())
 			if x[i] == 1 {
 				lp += math.Log(p)
 			} else {
@@ -82,7 +86,7 @@ func TestRNNChainRuleConsistency(t *testing.T) {
 		r.FillBits(x)
 		var lp float64
 		for i := 0; i < 6; i++ {
-			p := m.Conditional(x, i)
+			p := m.conditional(x, i, m.newScratch())
 			if x[i] == 1 {
 				lp += math.Log(p)
 			} else {
@@ -107,7 +111,7 @@ func TestNADEConditionalIgnoresFutureBits(t *testing.T) {
 		for j := i; j < 7; j++ {
 			y[j] = r.Bit()
 		}
-		if m.Conditional(x, i) != m.Conditional(y, i) {
+		if m.conditional(x, i, m.newScratch()) != m.conditional(y, i, m.newScratch()) {
 			t.Fatal("NADE conditional depends on future bits")
 		}
 	}
@@ -125,7 +129,7 @@ func TestRNNConditionalIgnoresFutureBits(t *testing.T) {
 		for j := i; j < 7; j++ {
 			y[j] = r.Bit()
 		}
-		if m.Conditional(x, i) != m.Conditional(y, i) {
+		if m.conditional(x, i, m.newScratch()) != m.conditional(y, i, m.newScratch()) {
 			t.Fatal("RNN conditional depends on future bits")
 		}
 	}
@@ -172,7 +176,7 @@ func TestNADEIncrementalEvaluatorMatchesConditional(t *testing.T) {
 	r.FillBits(x)
 	e.Reset()
 	for i := 0; i < 8; i++ {
-		if math.Abs(e.Prob(i)-m.Conditional(x, i)) > 1e-12 {
+		if math.Abs(e.Prob(i)-m.conditional(x, i, m.newScratch())) > 1e-12 {
 			t.Fatalf("NADE evaluator diverges at bit %d", i)
 		}
 		e.Fix(i, x[i])
@@ -190,7 +194,7 @@ func TestRNNIncrementalEvaluatorMatchesConditional(t *testing.T) {
 	r.FillBits(x)
 	e.Reset()
 	for i := 0; i < 8; i++ {
-		if math.Abs(e.Prob(i)-m.Conditional(x, i)) > 1e-12 {
+		if math.Abs(e.Prob(i)-m.conditional(x, i, m.newScratch())) > 1e-12 {
 			t.Fatalf("RNN evaluator diverges at bit %d", i)
 		}
 		e.Fix(i, x[i])
@@ -313,24 +317,22 @@ func TestRNNParamCount(t *testing.T) {
 
 func BenchmarkNADELogProb(b *testing.B) {
 	m := NewNADE(100, 107, rng.New(1))
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, 100)
 	rng.New(2).FillBits(x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.LogProbScratch(x, s)
+		m.logProbScratch(x, s)
 	}
 }
 
 func BenchmarkRNNLogProb(b *testing.B) {
 	m := NewRNN(100, 32, rng.New(1))
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, 100)
 	rng.New(2).FillBits(x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.LogProbScratch(x, s)
+		m.logProbScratch(x, s)
 	}
 }
-
-var _ = []autoregressiveModel{(*NADE)(nil), (*RNNWavefunction)(nil)}

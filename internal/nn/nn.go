@@ -45,16 +45,6 @@ type Normalized interface {
 	LogProb(x []int) float64
 }
 
-// Autoregressive is implemented by models that factor pi(x) into a product
-// of conditionals in site order and can therefore be sampled exactly
-// (Algorithm 1 of the paper).
-type Autoregressive interface {
-	Normalized
-	// Conditional returns P(x_i = 1 | x_0..x_{i-1}). Only bits before i
-	// are read.
-	Conditional(x []int, i int) float64
-}
-
 // FlipCache evaluates log-psi differences under single-bit flips of a fixed
 // base configuration; it is the kernel of both Metropolis-Hastings and
 // local-energy evaluation. Implementations are not safe for concurrent use.
@@ -76,14 +66,14 @@ type CacheBuilder interface {
 	NewFlipCache(x []int) FlipCache
 }
 
-// TailFlipCache is implemented by flip caches whose Delta is derived from
+// tailFlipCache is implemented by flip caches whose Delta is derived from
 // an absolute flipped log-psi that is bitwise identical to a fresh LogPsi
 // of the flipped configuration (MADE's tail-only cache: the autoregressive
 // mask leaves conditionals j < b untouched under a flip of bit b, so only
 // output sites j >= b are re-evaluated and the log-probability fold resumes
 // from a cached prefix sum). Delta(b) == FlipLogPsi(b) - LogPsi() exactly,
 // by construction.
-type TailFlipCache interface {
+type tailFlipCache interface {
 	FlipCache
 	// FlipLogPsi returns log |psi| of the current configuration with bit
 	// flipped, without changing state — bitwise equal to a fresh LogPsi.
@@ -101,6 +91,24 @@ type GradEvaluator interface {
 type GradEvaluatorBuilder interface {
 	NewGradEvaluator() GradEvaluator
 }
+
+// scratchKernels is a family's scalar log-psi and gradient kernels over
+// caller-owned scratch S.
+type scratchKernels[S any] interface {
+	logPsiScratch(x []int, s S) float64
+	gradLogPsiScratch(x []int, grad tensor.Vector, s S)
+}
+
+// scratchGrad is every family's GradEvaluator: its kernels on one private
+// scratch.
+type scratchGrad[S any] struct {
+	m scratchKernels[S]
+	s S
+}
+
+func (e scratchGrad[S]) GradLogPsi(x []int, grad tensor.Vector) { e.m.gradLogPsiScratch(x, grad, e.s) }
+
+func (e scratchGrad[S]) LogPsi(x []int) float64 { return e.m.logPsiScratch(x, e.s) }
 
 // softplus computes ln(1+e^z) stably.
 func softplus(z float64) float64 {

@@ -33,13 +33,13 @@ type RBM struct {
 	// MatMul with per-column accumulators (transposition is pure layout;
 	// every product S_i * W_ki is the scalar MulVec product with operands
 	// commuted, which is bitwise identical). The embedded derivedCache says
-	// when it is stale; see PrewarmCaches.
+	// when it is stale; see prewarmCaches.
 	derivedCache
 	wt *tensor.Matrix
 }
 
-// RBMScratch holds per-worker buffers for RBM evaluation.
-type RBMScratch struct {
+// rbmScratch holds per-worker buffers for RBM evaluation.
+type rbmScratch struct {
 	S     tensor.Vector // spins (n)
 	Theta tensor.Vector // hidden pre-activations (h)
 }
@@ -67,11 +67,11 @@ func NewRBM(n, h int, r *rng.Rand) *RBM {
 	return m
 }
 
-// PrewarmCaches materializes the transposed-weight cache for the current
+// prewarmCaches materializes the transposed-weight cache for the current
 // parameters. Coordinators call it (via nn.Prewarm) before fanning work out
 // to workers so no worker pays the rebuild; rebuilds are mutex-serialized
 // either way, so this is a latency optimization, not a safety requirement.
-func (m *RBM) PrewarmCaches() { m.weightsT() }
+func (m *RBM) prewarmCaches() { m.weightsT() }
 
 // weightsT returns W^T, rebuilding the cached transpose if the parameters
 // changed since the last build. Safe for concurrent use (see derivedCache):
@@ -91,9 +91,9 @@ func (m *RBM) weightsT() *tensor.Matrix {
 	return m.wt
 }
 
-// NewScratch allocates evaluation buffers for one worker.
-func (m *RBM) NewScratch() *RBMScratch {
-	return &RBMScratch{S: tensor.NewVector(m.n), Theta: tensor.NewVector(m.h)}
+// newScratch allocates evaluation buffers for one worker.
+func (m *RBM) newScratch() *rbmScratch {
+	return &rbmScratch{S: tensor.NewVector(m.n), Theta: tensor.NewVector(m.h)}
 }
 
 // NumSites implements Wavefunction.
@@ -109,7 +109,7 @@ func (m *RBM) NumParams() int { return len(m.theta) }
 func (m *RBM) Params() tensor.Vector { return m.theta }
 
 // hiddenPre fills s.S with spins and s.Theta with w_k.s + c_k.
-func (m *RBM) hiddenPre(x []int, s *RBMScratch) {
+func (m *RBM) hiddenPre(x []int, s *rbmScratch) {
 	for i, b := range x {
 		s.S[i] = float64(1 - 2*b)
 	}
@@ -170,23 +170,23 @@ func (m *RBM) gradFromTheta(spins, theta tensor.Vector, grad tensor.Vector) {
 	grad[len(grad)-1] = 1
 }
 
-// LogPsiScratch evaluates log psi(x) with caller-owned buffers.
-func (m *RBM) LogPsiScratch(x []int, s *RBMScratch) float64 {
+// logPsiScratch evaluates log psi(x) with caller-owned buffers.
+func (m *RBM) logPsiScratch(x []int, s *rbmScratch) float64 {
 	m.hiddenPre(x, s)
 	return m.logPsiFromTheta(s.S, s.Theta)
 }
 
-// LogPsi implements Wavefunction. Hot paths should use LogPsiScratch.
-func (m *RBM) LogPsi(x []int) float64 { return m.LogPsiScratch(x, m.NewScratch()) }
+// LogPsi implements Wavefunction. Hot paths should use logPsiScratch.
+func (m *RBM) LogPsi(x []int) float64 { return m.logPsiScratch(x, m.newScratch()) }
 
 // GradLogPsi implements Wavefunction.
 func (m *RBM) GradLogPsi(x []int, grad tensor.Vector) {
-	m.GradLogPsiScratch(x, grad, m.NewScratch())
+	m.gradLogPsiScratch(x, grad, m.newScratch())
 }
 
-// GradLogPsiScratch accumulates d log psi / d theta into grad
+// gradLogPsiScratch accumulates d log psi / d theta into grad
 // (overwritten), through the shared gradFromTheta closed form.
-func (m *RBM) GradLogPsiScratch(x []int, grad tensor.Vector, s *RBMScratch) {
+func (m *RBM) gradLogPsiScratch(x []int, grad tensor.Vector, s *rbmScratch) {
 	m.hiddenPre(x, s)
 	m.gradFromTheta(s.S, s.Theta, grad)
 }
@@ -195,16 +195,16 @@ func (m *RBM) GradLogPsiScratch(x []int, grad tensor.Vector, s *RBMScratch) {
 // hidden pre-activations theta_k = w_k.s + c_k are maintained under spin
 // flips, so Metropolis proposals and TIM local energies cost O(h) each.
 func (m *RBM) NewFlipCache(x []int) FlipCache {
-	c := &rbmFlipCache{m: m, x: make([]int, m.n), s: m.NewScratch()}
+	c := &rbmFlipCache{m: m, x: make([]int, m.n), s: m.newScratch()}
 	copy(c.x, x)
-	c.logPsi = m.LogPsiScratch(c.x, c.s)
+	c.logPsi = m.logPsiScratch(c.x, c.s)
 	return c
 }
 
 type rbmFlipCache struct {
 	m      *RBM
 	x      []int
-	s      *RBMScratch // s.S and s.Theta track the current configuration
+	s      *rbmScratch // s.S and s.Theta track the current configuration
 	logPsi float64
 }
 
@@ -231,25 +231,12 @@ func (c *rbmFlipCache) State() []int { return c.x }
 
 func (c *rbmFlipCache) Reset(x []int) {
 	copy(c.x, x)
-	c.logPsi = c.m.LogPsiScratch(c.x, c.s)
+	c.logPsi = c.m.logPsiScratch(c.x, c.s)
 }
 
 // NewGradEvaluator implements GradEvaluatorBuilder.
 func (m *RBM) NewGradEvaluator() GradEvaluator {
-	return &rbmGradEvaluator{m: m, s: m.NewScratch()}
-}
-
-type rbmGradEvaluator struct {
-	m *RBM
-	s *RBMScratch
-}
-
-func (e *rbmGradEvaluator) GradLogPsi(x []int, grad tensor.Vector) {
-	e.m.GradLogPsiScratch(x, grad, e.s)
-}
-
-func (e *rbmGradEvaluator) LogPsi(x []int) float64 {
-	return e.m.LogPsiScratch(x, e.s)
+	return scratchGrad[*rbmScratch]{m, m.newScratch()}
 }
 
 var (

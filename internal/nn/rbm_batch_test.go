@@ -12,7 +12,7 @@ import (
 // across the acceptance grid of batch sizes, worker counts and site counts.
 
 // TestRBMLogPsiBatchBitIdentical: LogPsiBatch must equal per-row
-// LogPsiScratch with exact ==.
+// logPsiScratch with exact ==.
 func TestRBMLogPsiBatchBitIdentical(t *testing.T) {
 	for _, n := range siteCounts {
 		m := NewRBM(n, 6+n, rng.New(uint64(500+n)))
@@ -22,9 +22,9 @@ func TestRBMLogPsiBatchBitIdentical(t *testing.T) {
 				b := randomConfigs(bs, n, rng.New(uint64(29*bs+n)))
 				out := make([]float64, bs)
 				e.LogPsiBatch(b, out)
-				s := m.NewScratch()
+				s := m.newScratch()
 				for k := 0; k < bs; k++ {
-					if want := m.LogPsiScratch(b.Row(k), s); out[k] != want {
+					if want := m.logPsiScratch(b.Row(k), s); out[k] != want {
 						t.Fatalf("n=%d w=%d B=%d row %d: batched %v != scalar %v",
 							n, workers, bs, k, out[k], want)
 					}
@@ -35,7 +35,7 @@ func TestRBMLogPsiBatchBitIdentical(t *testing.T) {
 }
 
 // TestRBMGradLogPsiBatchBitIdentical: every ows row must equal the scalar
-// GradLogPsiScratch of that configuration with exact ==.
+// gradLogPsiScratch of that configuration with exact ==.
 func TestRBMGradLogPsiBatchBitIdentical(t *testing.T) {
 	for _, n := range siteCounts {
 		m := NewRBM(n, 5+n/2, rng.New(uint64(600+n)))
@@ -46,10 +46,10 @@ func TestRBMGradLogPsiBatchBitIdentical(t *testing.T) {
 				b := randomConfigs(bs, n, rng.New(uint64(31*bs+n)))
 				ows := tensor.NewBatch(bs, d)
 				e.GradLogPsiBatch(b, ows)
-				s := m.NewScratch()
+				s := m.newScratch()
 				want := tensor.NewVector(d)
 				for k := 0; k < bs; k++ {
-					m.GradLogPsiScratch(b.Row(k), want, s)
+					m.gradLogPsiScratch(b.Row(k), want, s)
 					row := ows.Sample(k)
 					for i := range want {
 						if row[i] != want[i] {

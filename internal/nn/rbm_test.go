@@ -89,18 +89,18 @@ func TestSoftplusAndLogSigmoid(t *testing.T) {
 func TestRBMGradMatchesFiniteDifference(t *testing.T) {
 	r := rng.New(3)
 	m := NewRBM(5, 4, r)
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := []int{1, 0, 0, 1, 1}
 	grad := tensor.NewVector(m.NumParams())
-	m.GradLogPsiScratch(x, grad, s)
+	m.gradLogPsiScratch(x, grad, s)
 	const eps = 1e-6
 	p := m.Params()
 	for i := 0; i < m.NumParams(); i++ {
 		orig := p[i]
 		p[i] = orig + eps
-		fp := m.LogPsiScratch(x, s)
+		fp := m.logPsiScratch(x, s)
 		p[i] = orig - eps
-		fm := m.LogPsiScratch(x, s)
+		fm := m.logPsiScratch(x, s)
 		p[i] = orig
 		fd := (fp - fm) / (2 * eps)
 		if math.Abs(fd-grad[i]) > 1e-5 {
@@ -165,12 +165,12 @@ func TestRBMDeterministicInit(t *testing.T) {
 
 func BenchmarkRBMLogPsi(b *testing.B) {
 	m := NewRBM(100, 100, rng.New(1))
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, 100)
 	rng.New(2).FillBits(x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.LogPsiScratch(x, s)
+		m.logPsiScratch(x, s)
 	}
 }
 
@@ -189,16 +189,16 @@ func BenchmarkRBMRatioCache(b *testing.B) {
 
 func BenchmarkRBMRatioRecompute(b *testing.B) {
 	m := NewRBM(200, 200, rng.New(1))
-	s := m.NewScratch()
+	s := m.newScratch()
 	x := make([]int, 200)
 	rng.New(2).FillBits(x)
-	base := m.LogPsiScratch(x, s)
+	base := m.logPsiScratch(x, s)
 	y := make([]int, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(y, x)
 		bit := i % 200
 		y[bit] = 1 - y[bit]
-		_ = m.LogPsiScratch(y, s) - base
+		_ = m.logPsiScratch(y, s) - base
 	}
 }

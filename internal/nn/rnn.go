@@ -89,7 +89,7 @@ func (m *RNNWavefunction) consume(s, pre tensor.Vector, _, bit int) {
 
 // backward implements seqCell: backpropagation through time over the
 // recorded states.
-func (m *RNNWavefunction) backward(x []int, grad tensor.Vector, s *SeqScratch) {
+func (m *RNNWavefunction) backward(x []int, grad tensor.Vector, s *seqScratch) {
 	h, n := m.h, m.n
 	gWh := grad[0 : h*h]
 	gWx := grad[h*h : h*h+h]

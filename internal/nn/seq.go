@@ -21,7 +21,7 @@ type seqCell interface {
 	consume(s, pre tensor.Vector, i, bit int)
 	// backward adds d log pi(x) / d theta into the zeroed grad. sc.States
 	// row i holds the state site i read and sc.dS arrives zeroed.
-	backward(x []int, grad tensor.Vector, sc *SeqScratch)
+	backward(x []int, grad tensor.Vector, sc *seqScratch)
 }
 
 // seqModel is the skeleton NADE and RNNWavefunction embed: everything about
@@ -34,22 +34,22 @@ type seqModel struct {
 	theta tensor.Vector
 	cell  seqCell
 	// pool recycles scratch for the convenience entry points (LogProb,
-	// Conditional, GradLogPsi), which would otherwise allocate per call in
+	// GradLogPsi), which would otherwise allocate per call in
 	// any loop driving the model through the interface types.
 	pool sync.Pool
 }
 
-// SeqScratch holds one worker's evaluation buffers for a NADE or an RNN.
-type SeqScratch struct {
+// seqScratch holds one worker's evaluation buffers for a NADE or an RNN.
+type seqScratch struct {
 	S        tensor.Vector  // running state (h)
 	Pre      tensor.Vector  // cell workspace (h): the RNN's pre-activation
 	States   *tensor.Matrix // n x h: row i is the state site i's conditional reads
 	dS, dPre tensor.Vector  // backward workspaces (h)
 }
 
-// NewScratch allocates evaluation buffers for one worker.
-func (m *seqModel) NewScratch() *SeqScratch {
-	return &SeqScratch{
+// newScratch allocates evaluation buffers for one worker.
+func (m *seqModel) newScratch() *seqScratch {
+	return &seqScratch{
 		S:      tensor.NewVector(m.h),
 		Pre:    tensor.NewVector(m.h),
 		States: tensor.NewMatrix(m.n, m.h),
@@ -60,10 +60,10 @@ func (m *seqModel) NewScratch() *SeqScratch {
 
 // pooled runs f on a scratch borrowed from the model's pool
 // (concurrency-safe; allocation-free in steady state).
-func (m *seqModel) pooled(f func(s *SeqScratch)) {
-	s, ok := m.pool.Get().(*SeqScratch)
+func (m *seqModel) pooled(f func(s *seqScratch)) {
+	s, ok := m.pool.Get().(*seqScratch)
 	if !ok {
-		s = m.NewScratch()
+		s = m.newScratch()
 	}
 	f(s)
 	m.pool.Put(s)
@@ -71,7 +71,7 @@ func (m *seqModel) pooled(f func(s *SeqScratch)) {
 
 // advance moves s.S past site i holding bit. Nothing reads the state past
 // the last site, so it is not advanced there.
-func (m *seqModel) advance(s *SeqScratch, i, bit int) {
+func (m *seqModel) advance(s *seqScratch, i, bit int) {
 	if i < m.n-1 {
 		m.cell.consume(s.S, s.Pre, i, bit)
 	}
@@ -89,8 +89,8 @@ func (m *seqModel) NumParams() int { return len(m.theta) }
 // Params implements Wavefunction.
 func (m *seqModel) Params() tensor.Vector { return m.theta }
 
-// LogProbScratch evaluates log pi(x): one siteZ and one advance per site.
-func (m *seqModel) LogProbScratch(x []int, s *SeqScratch) float64 {
+// logProbScratch evaluates log pi(x): one siteZ and one advance per site.
+func (m *seqModel) logProbScratch(x []int, s *seqScratch) float64 {
 	c := m.cell
 	c.initState(s.S)
 	var lp float64
@@ -103,41 +103,24 @@ func (m *seqModel) LogProbScratch(x []int, s *SeqScratch) float64 {
 
 // LogProb implements Normalized. It borrows pooled scratch, so repeated
 // calls do not allocate; hot paths with a per-worker scratch should still
-// prefer LogProbScratch.
+// prefer logProbScratch.
 func (m *seqModel) LogProb(x []int) (lp float64) {
-	m.pooled(func(s *SeqScratch) { lp = m.LogProbScratch(x, s) })
+	m.pooled(func(s *seqScratch) { lp = m.logProbScratch(x, s) })
 	return lp
 }
 
 // LogPsi implements Wavefunction: psi = sqrt(pi).
 func (m *seqModel) LogPsi(x []int) float64 { return 0.5 * m.LogProb(x) }
 
-// LogPsiScratch is the buffer-reusing variant of LogPsi.
-func (m *seqModel) LogPsiScratch(x []int, s *SeqScratch) float64 {
-	return 0.5 * m.LogProbScratch(x, s)
+// logPsiScratch is the buffer-reusing variant of LogPsi.
+func (m *seqModel) logPsiScratch(x []int, s *seqScratch) float64 {
+	return 0.5 * m.logProbScratch(x, s)
 }
 
-// Conditional implements Autoregressive: P(x_i = 1 | x_<i). It borrows
-// pooled scratch; hot paths should use ConditionalScratch.
-func (m *seqModel) Conditional(x []int, i int) (p float64) {
-	m.pooled(func(s *SeqScratch) { p = m.ConditionalScratch(x, i, s) })
-	return p
-}
-
-// ConditionalScratch is the buffer-reusing variant of Conditional.
-func (m *seqModel) ConditionalScratch(x []int, i int, s *SeqScratch) float64 {
-	c := m.cell
-	c.initState(s.S)
-	for j := 0; j < i; j++ {
-		m.advance(s, j, x[j])
-	}
-	return 1 / (1 + math.Exp(-c.siteZ(s.S, i)))
-}
-
-// GradLogPsiScratch overwrites grad with d log psi / d theta: a forward
+// gradLogPsiScratch overwrites grad with d log psi / d theta: a forward
 // pass recording the state every site read, then the cell's backward
 // through those records, halved because psi = sqrt(pi).
-func (m *seqModel) GradLogPsiScratch(x []int, grad tensor.Vector, s *SeqScratch) {
+func (m *seqModel) gradLogPsiScratch(x []int, grad tensor.Vector, s *seqScratch) {
 	if len(grad) != m.NumParams() {
 		panic("nn: gradient buffer has wrong length")
 	}
@@ -156,26 +139,15 @@ func (m *seqModel) GradLogPsiScratch(x []int, grad tensor.Vector, s *SeqScratch)
 // GradLogPsi implements Wavefunction. It borrows pooled scratch; hot paths
 // use NewGradEvaluator's per-worker instances instead.
 func (m *seqModel) GradLogPsi(x []int, grad tensor.Vector) {
-	m.pooled(func(s *SeqScratch) { m.GradLogPsiScratch(x, grad, s) })
+	m.pooled(func(s *seqScratch) { m.gradLogPsiScratch(x, grad, s) })
 }
 
 // NewGradEvaluator implements GradEvaluatorBuilder.
 func (m *seqModel) NewGradEvaluator() GradEvaluator {
-	return &seqGradEvaluator{m: m, s: m.NewScratch()}
+	return scratchGrad[*seqScratch]{m, m.newScratch()}
 }
 
-type seqGradEvaluator struct {
-	m *seqModel
-	s *SeqScratch
-}
-
-func (e *seqGradEvaluator) GradLogPsi(x []int, grad tensor.Vector) {
-	e.m.GradLogPsiScratch(x, grad, e.s)
-}
-
-func (e *seqGradEvaluator) LogPsi(x []int) float64 { return e.m.LogPsiScratch(x, e.s) }
-
-// NewFlipCache implements CacheBuilder with a tail-only TailFlipCache: the
+// NewFlipCache implements CacheBuilder with a tail-only tailFlipCache: the
 // state consumes sites in ascending order, so a flip of bit b leaves the
 // state every site i <= b reads — and therefore site b's conditional
 // pre-activation z_b — bitwise untouched. The cache records, per site, the
@@ -185,20 +157,20 @@ func (e *seqGradEvaluator) LogPsi(x []int) float64 { return e.m.LogPsiScratch(x,
 // bitwise identical to a fresh LogPsi.
 func (m *seqModel) NewFlipCache(x []int) FlipCache {
 	c := &seqFlipCache{
-		m: m, s: m.NewScratch(), x: make([]int, m.n),
+		m: m, s: m.newScratch(), x: make([]int, m.n),
 		z: tensor.NewVector(m.n), p: tensor.NewVector(m.n + 1),
 	}
 	c.Reset(x)
 	return c
 }
 
-// seqFlipCache is the tail-only TailFlipCache of both sequential families;
+// seqFlipCache is the tail-only tailFlipCache of both sequential families;
 // see seqModel.NewFlipCache. s.States row i holds the state site i's
 // conditional reads, z[i] that site's pre-activation, and p[i] the
 // log-probability fold over sites < i (p[n] is the total; p[0] stays 0).
 type seqFlipCache struct {
 	m      *seqModel
-	s      *SeqScratch
+	s      *seqScratch
 	x      []int
 	z, p   tensor.Vector
 	logPsi float64
@@ -227,7 +199,7 @@ func (c *seqFlipCache) rebase(from int) {
 
 func (c *seqFlipCache) LogPsi() float64 { return c.logPsi }
 
-// FlipLogPsi implements TailFlipCache: re-branch site bit on the unchanged
+// FlipLogPsi implements tailFlipCache: re-branch site bit on the unchanged
 // base z, resume the chain from the recorded snapshot with the flipped bit
 // consumed, and fold the tail terms onto the recorded prefix sum — bitwise
 // a fresh LogPsi of the flipped configuration.
@@ -261,14 +233,14 @@ func (c *seqFlipCache) Reset(x []int) {
 // NewIncrementalEvaluator returns the ancestral-sampling evaluator: the
 // fold is incremental by construction, one cell step per fixed bit.
 func (m *seqModel) NewIncrementalEvaluator() ConditionalEvaluator {
-	e := &seqEvaluator{m: m, s: m.NewScratch()}
+	e := &seqEvaluator{m: m, s: m.newScratch()}
 	e.Reset()
 	return e
 }
 
 type seqEvaluator struct {
 	m      *seqModel
-	s      *SeqScratch
+	s      *seqScratch
 	fixed  int
 	passes int64
 }
@@ -311,10 +283,9 @@ func (m *seqModel) NewBatchAncestralSampler() BatchAncestralSampler {
 }
 
 var (
-	_ Autoregressive        = (*seqModel)(nil)
 	_ CacheBuilder          = (*seqModel)(nil)
 	_ GradEvaluatorBuilder  = (*seqModel)(nil)
 	_ BatchEvaluatorBuilder = (*seqModel)(nil)
 	_ BatchAncestralBuilder = (*seqModel)(nil)
-	_ TailFlipCache         = (*seqFlipCache)(nil)
+	_ tailFlipCache         = (*seqFlipCache)(nil)
 )

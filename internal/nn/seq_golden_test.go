@@ -68,7 +68,7 @@ func measureSeqGolden(m batchModel) seqGolden {
 		g.logPsi[k] = math.Float64bits(m.LogPsi(x))
 	}
 	goldenBits(goldenRows[2], x)
-	c := m.NewFlipCache(x).(TailFlipCache)
+	c := m.NewFlipCache(x).(tailFlipCache)
 	for b := 0; b < n; b++ {
 		g.flip[b] = math.Float64bits(c.FlipLogPsi(b))
 	}

@@ -164,10 +164,10 @@ func TestAddWeightedGradExercisesSkips(t *testing.T) {
 	r := rng.New(11)
 	m := NewMADE(19, 24, r)
 	b := pushTowards(m, randomConfigs(3, 19, r), 40, 64, r)
-	s := m.NewScratch()
+	s := m.newScratch()
 	var dead, live int
 	for k := 0; k < b.N; k++ {
-		m.Forward(b.Row(k), s)
+		m.forward(b.Row(k), s)
 		for _, z := range s.Z1 {
 			if z <= 0 {
 				dead++

@@ -1,7 +1,6 @@
 package sampler
 
 import (
-	"math"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/nn"
@@ -27,31 +26,12 @@ func referenceSample(ev nn.ConditionalEvaluator, rnd *rng.Rand, b *Batch) {
 	}
 }
 
-// algorithm1 is the paper's Algorithm 1 written against MADE's public
-// forward pass: every conditional reruns the whole network.
-type algorithm1 struct {
-	m      *nn.MADE
-	s      *nn.MADEScratch
-	x      []int
-	passes int64
-}
-
-func (e *algorithm1) Reset() { clear(e.x) }
-
-func (e *algorithm1) Prob(i int) float64 {
-	e.m.Forward(e.x, e.s)
-	e.passes++
-	return 1 / (1 + math.Exp(-e.s.Z2[i]))
-}
-
-func (e *algorithm1) Fix(i, bit int)       { e.x[i] = bit }
-func (e *algorithm1) ForwardPasses() int64 { return e.passes }
-
-// TestAutoBatchedBitIdentical: for every family, and for MADE's naive
-// evaluator, Auto must fill batches with exactly the bits — and charge
-// exactly the forward passes — of the sample-at-a-time reference loop drawing
-// from r.SplitN(1)[0], at every worker count, across batch sizes, site
-// counts and consecutive Sample calls (stream continuity).
+// TestAutoBatchedBitIdentical: for every family, Auto must fill batches
+// with exactly the bits — and charge exactly the forward passes — of the
+// sample-at-a-time reference loop drawing from r.SplitN(1)[0], at every
+// worker count, across batch sizes, site counts and consecutive Sample calls
+// (stream continuity). MADE's naive evaluator is held to the paper's
+// Algorithm 1 by package nn's test of the same name.
 func TestAutoBatchedBitIdentical(t *testing.T) {
 	type family struct {
 		name    string
@@ -64,9 +44,6 @@ func TestAutoBatchedBitIdentical(t *testing.T) {
 		rnn := nn.NewRNN(n, 4+n, rng.New(uint64(700+n)))
 		for _, c := range []family{
 			{"made", made, made.NewIncrementalEvaluator},
-			{"made-naive", made.NaiveAncestral(), func() nn.ConditionalEvaluator {
-				return &algorithm1{m: made, s: made.NewScratch(), x: make([]int, n)}
-			}},
 			{"nade", nade, nade.NewIncrementalEvaluator},
 			{"rnn", rnn, rnn.NewIncrementalEvaluator},
 		} {

@@ -207,6 +207,12 @@ func FuzzHTTPDecode(f *testing.F) {
 		`{"configs":[[0,0,0,0]],"bogus":1}`,
 		`{"count":2,"seed":1}{"count":3}`,
 		``,
+		// Whitespace around one value, the padding TestHTTPBodyCapBoundary
+		// fills to the cap with (an 8 MiB seed would slow every mutation).
+		`{"configs":[[0,1,0,1]]}` + strings.Repeat(" ", 64),
+		" \t\r\n" + `{"count":2,"seed":1}` + " \n",
+		`{"configs":[[0,1,0,1]]}` + strings.Repeat(" ", 64) + "x",
+		strings.Repeat(" ", 64),
 	} {
 		for e := range endpoints {
 			f.Add(byte(e), []byte(body))

@@ -399,3 +399,37 @@ func TestHTTPResourceBounds(t *testing.T) {
 		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
 	}
 }
+
+// padBody pads body with trailing spaces to exactly size bytes.
+func padBody(body string, size int) []byte {
+	return append([]byte(body), bytes.Repeat([]byte(" "), size-len(body))...)
+}
+
+// TestHTTPBodyCapBoundary pins the body cap at its edge: a valid logpsi body
+// padded with trailing whitespace to exactly maxBodyBytes is decoded and
+// served, and the same body one byte longer is a 413.
+func TestHTTPBodyCapBoundary(t *testing.T) {
+	const n, h = 4, 6
+	s := NewServer(ServerConfig{})
+	if err := s.Register("m", ModelSpec{WF: buildWF("made", n, h, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	handler := NewHandler(s)
+	const body = `{"configs":[[0,1,0,1]]}`
+	for _, tc := range []struct {
+		size int
+		want int
+	}{
+		{len(body), http.StatusOK},
+		{maxBodyBytes, http.StatusOK},
+		{maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/m/logpsi",
+			bytes.NewReader(padBody(body, tc.size))))
+		if rec.Code != tc.want {
+			t.Errorf("%d-byte body: status %d, want %d (%s)", tc.size, rec.Code, tc.want, rec.Body.Bytes())
+		}
+	}
+}

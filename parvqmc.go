@@ -418,6 +418,9 @@ func (o Options) newSampler(n int, m core.Model, workers int, stream *rng.Rand) 
 // membership provided at each iteration.
 func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, error) {
 	n := p.Sites()
+	if n < 1 {
+		return nil, fmt.Errorf("parvqmc: a problem needs at least one site, got %d", n)
+	}
 	if err := o.fill(n); err != nil {
 		return nil, err
 	}

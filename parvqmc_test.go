@@ -134,6 +134,9 @@ func TestTrainDistributed(t *testing.T) {
 	if _, err := TrainDistributed(p, Options{}, 0, 4); err == nil {
 		t.Fatal("zero devices should error")
 	}
+	if _, err := TrainDistributed(TIM(0, 1), Options{}, 1, 4); err == nil {
+		t.Fatal("a problem with no sites should error")
+	}
 	// Every route Train takes also runs at 2 devices. A nil error means the
 	// replicas ended bit-identical (TrainDistributed checks CheckConsistent
 	// before returning rank 0's model), and on Max-Cut, where the local
