@@ -53,7 +53,7 @@ func main() {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if msg := ignoredFlag(set, *elastic); msg != "" {
+	if msg := ignoredFlag(set, *elastic, *sr); msg != "" {
 		log.Fatal(msg)
 	}
 	if *n < 1 {
@@ -75,7 +75,10 @@ func main() {
 		StochasticReconfig: *sr, SRSolver: *srSolve, Hidden: *hidden,
 		Iterations: *iters, EvalBatch: *evalB, Workers: *workers, Seed: *seed,
 		MCMCBurnIn: *burnIn, MCMCThin: *thin, MCMCChains: *chains,
-		Elastic: *elastic, MinReplicas: *minRep, CheckpointDir: *ckptDir,
+		Elastic: *elastic, CheckpointDir: *ckptDir,
+	}
+	if *elastic {
+		o.MinReplicas = *minRep
 	}
 
 	res, err := parvqmc.TrainDistributed(p, o, *devices, *batch)
@@ -121,9 +124,12 @@ func main() {
 // ignoredFlag names a flag the run would silently ignore, "" when there is
 // none. set holds the flags given on the command line (flag.Visit), so a
 // default never trips it.
-func ignoredFlag(set map[string]bool, elastic bool) string {
+func ignoredFlag(set map[string]bool, elastic, sr bool) string {
 	if !elastic && (set["checkpoint-dir"] || set["min-replicas"]) {
 		return "-checkpoint-dir and -min-replicas configure the elastic supervisor and need -elastic"
+	}
+	if !sr && set["sr-solver"] {
+		return "-sr-solver selects the stochastic-reconfiguration solver and needs -sr"
 	}
 	return ""
 }

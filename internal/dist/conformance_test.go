@@ -11,7 +11,7 @@ package dist
 // also extends the fail-stop recovery acceptance bar (recover_test.go) to
 // the two autoregressive families that previously could not checkpoint: a
 // NADE or RNN rank killed mid-run must recover bit-identical through the
-// kindNADE/kindRNN checkpoint path.
+// NADE and RNN checkpoint kinds (kind bytes 3 and 4).
 
 import (
 	"errors"
@@ -60,7 +60,7 @@ func rnnBuilder(rank int, model Model) (Replica, error) {
 // TestRecoveryBitIdenticalNADE extends the recovery acceptance bar to the
 // NADE family, which until this PR could not checkpoint at all: L NADE
 // replicas with batched ancestral samplers and SR, one rank killed
-// mid-solve, recovered through the kindNADE checkpoint artifact — the run
+// mid-solve, recovered through a NADE (kind 3) checkpoint artifact — the run
 // must finish bit-identical to an uninterrupted one and the on-disk
 // checkpoint must be a loadable NADE.
 func TestRecoveryBitIdenticalNADE(t *testing.T) {

@@ -78,10 +78,10 @@ func TestAutoregBatchForwardBitIdentical(t *testing.T) {
 }
 
 // TestAutoregFlipBatchBitIdentical is the tentpole acceptance matrix:
-// FlipLogPsiBatch must match the scalar FlipCache (base and deltas) AND,
-// for the family that keeps a tail-only GEMM kernel (MADE), the
-// full-recompute oracle evaluator byte for byte, over B in {1,3,64} x
-// workers in {1,2,5} x n in {1,2,7,19}, for every family.
+// FlipLogPsiBatch must match the scalar FlipCache (base and deltas) AND the
+// full-recompute reference (recomputeFlips: LogPsiBatch of every flipped
+// row minus the base) byte for byte, over B in {1,3,64} x workers in
+// {1,2,5} x n in {1,2,7,19}, for every autoregressive family.
 func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 	for _, fam := range autoregFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -94,13 +94,7 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 				}
 				for _, workers := range workerCounts {
 					tail := m.NewBatchEvaluator(workers)
-					// NADE and the RNN have no oracle (their batched path is
-					// the scalar cache itself): full stays nil and only the
-					// FlipCache comparisons run.
-					var full BatchEvaluator
-					if made, ok := m.(*MADE); ok {
-						full = made.NewFullFlipBatchEvaluator(workers)
-					}
+					full := recomputeFlips{m.NewBatchEvaluator(workers)}
 					for _, bs := range batchSizes {
 						b := randomConfigs(bs, n, rng.New(uint64(31*bs+n)))
 						base := make([]float64, bs)
@@ -108,9 +102,7 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 						tail.FlipLogPsiBatch(b, flips, base, delta)
 						baseF := make([]float64, bs)
 						deltaF := make([]float64, bs*n)
-						if full != nil {
-							full.FlipLogPsiBatch(b, flips, baseF, deltaF)
-						}
+						full.FlipLogPsiBatch(b, flips, baseF, deltaF)
 						cache := m.NewFlipCache(b.Row(0))
 						for k := 0; k < bs; k++ {
 							if k > 0 {
@@ -120,7 +112,7 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 								t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != cache %v",
 									n, workers, bs, k, base[k], cache.LogPsi())
 							}
-							if full != nil && base[k] != baseF[k] {
+							if base[k] != baseF[k] {
 								t.Fatalf("n=%d w=%d B=%d row %d: tail base %v != oracle base %v",
 									n, workers, bs, k, base[k], baseF[k])
 							}
@@ -129,7 +121,7 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 									t.Fatalf("n=%d w=%d B=%d row %d flip %d: batched delta %v != cache %v",
 										n, workers, bs, k, bit, delta[k*n+f], want)
 								}
-								if full != nil && delta[k*n+f] != deltaF[k*n+f] {
+								if delta[k*n+f] != deltaF[k*n+f] {
 									t.Fatalf("n=%d w=%d B=%d row %d flip %d: tail delta %v != oracle %v",
 										n, workers, bs, k, bit, delta[k*n+f], deltaF[k*n+f])
 								}

@@ -16,43 +16,26 @@ import (
 // Checkpointing serializes a wavefunction's architecture header and flat
 // parameter vector in a small self-describing little-endian binary format,
 // so long optimizations can be stopped and resumed and trained models
-// shipped. Format: magic "PVQ1", kind byte (1=MADE, 2=RBM, 3=NADE, 4=RNN),
-// n, h, d as uint32, then d float64 parameters.
+// shipped. Format: magic "PVQ1", the family's kind byte (its row of the
+// family table, family.go), n, h, d as uint32, then d float64 parameters.
 
 const checkpointMagic = "PVQ1"
 
-const (
-	kindMADE byte = 1
-	kindRBM  byte = 2
-	kindNADE byte = 3
-	kindRNN  byte = 4
-)
-
-// SaveWavefunction writes a MADE, RBM, NADE, or RNN checkpoint to w.
+// SaveWavefunction writes a checkpoint of any family in the table to w.
 func SaveWavefunction(w io.Writer, wf Wavefunction) error {
-	bw := bufio.NewWriter(w)
-	var kind byte
-	var n, h int
-	switch m := wf.(type) {
-	case *MADE:
-		kind, n, h = kindMADE, m.NumSites(), m.Hidden()
-	case *RBM:
-		kind, n, h = kindRBM, m.NumSites(), m.Hidden()
-	case *NADE:
-		kind, n, h = kindNADE, m.NumSites(), m.Hidden()
-	case *RNNWavefunction:
-		kind, n, h = kindRNN, m.NumSites(), m.Hidden()
-	default:
+	f := familyOf(wf)
+	if f == nil {
 		return fmt.Errorf("nn: cannot checkpoint %T", wf)
 	}
+	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(checkpointMagic); err != nil {
 		return err
 	}
-	if err := bw.WriteByte(kind); err != nil {
+	if err := bw.WriteByte(f.kind); err != nil {
 		return err
 	}
 	params := wf.Params()
-	for _, v := range []uint32{uint32(n), uint32(h), uint32(len(params))} {
+	for _, v := range []uint32{uint32(wf.NumSites()), uint32(wf.(interface{ Hidden() int }).Hidden()), uint32(len(params))} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
 		}
@@ -68,8 +51,8 @@ func SaveWavefunction(w io.Writer, wf Wavefunction) error {
 }
 
 // LoadWavefunction reads a checkpoint, reconstructing the model with its
-// masks and loading the saved parameters. The returned value is a *MADE,
-// *RBM, *NADE, or *RNNWavefunction.
+// masks and loading the saved parameters. The returned value has the
+// concrete type of the family the kind byte names.
 func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -82,6 +65,10 @@ func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 	kind, err := br.ReadByte()
 	if err != nil {
 		return nil, err
+	}
+	f := lookup(func(f *family) bool { return f.kind == kind })
+	if f == nil {
+		return nil, fmt.Errorf("nn: unknown checkpoint kind %d", kind)
 	}
 	var n32, h32, d32 uint32
 	for _, p := range []*uint32{&n32, &h32, &d32} {
@@ -98,10 +85,7 @@ func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 	// allocations must never run on attacker-or-corruption-controlled
 	// dimensions that the payload cannot back up. The arithmetic is done in
 	// int64 so absurd n/h cannot overflow the check itself.
-	want, err := expectedParamCount(kind, n, h)
-	if err != nil {
-		return nil, err
-	}
+	want := f.params(int64(n), int64(h))
 	if int64(d) != want {
 		return nil, fmt.Errorf("nn: checkpoint header says %d params, kind %d with n=%d h=%d needs %d",
 			d, kind, n, h, want)
@@ -120,17 +104,7 @@ func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 	}
 	// Construct with an arbitrary seed; every parameter is overwritten by
 	// the checkpoint payload (masks are deterministic in (n, h)).
-	var wf Wavefunction
-	switch kind {
-	case kindMADE:
-		wf = NewMADE(n, h, rng.New(0))
-	case kindRBM:
-		wf = NewRBM(n, h, rng.New(0))
-	case kindNADE:
-		wf = NewNADE(n, h, rng.New(0))
-	case kindRNN:
-		wf = NewRNN(n, h, rng.New(0))
-	}
+	wf := f.build(n, h, rng.New(0))
 	params := wf.Params()
 	if len(params) != d {
 		return nil, fmt.Errorf("nn: checkpoint has %d params, model needs %d", d, len(params))
@@ -141,30 +115,6 @@ func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 	}
 	InvalidateParams(wf)
 	return wf, nil
-}
-
-// expectedParamCount returns the flat parameter count a (kind, n, h)
-// architecture derives to, in int64 so huge headers cannot overflow the
-// validation arithmetic. It rejects unknown kinds.
-func expectedParamCount(kind byte, n, h int) (int64, error) {
-	N, H := int64(n), int64(h)
-	switch kind {
-	case kindMADE:
-		// W1 (h x n) + b1 (h) + W2 (n x h) + b2 (n); see NewMADE.
-		return 2*H*N + H + N, nil
-	case kindRBM:
-		// W (h x n) + A (n) + C (h) + scale; see NewRBM.
-		return H*N + N + H + 1, nil
-	case kindNADE:
-		// W (h x n) + c (h) + V (n x h) + b (n); see NewNADE. Same count as
-		// MADE at equal width — the kind byte disambiguates.
-		return 2*H*N + H + N, nil
-	case kindRNN:
-		// Wh (h x h) + Wx (h) + Bh (h) + S0 (h) + V (h) + Bout (n); see NewRNN.
-		return H*H + 4*H + N, nil
-	default:
-		return 0, fmt.Errorf("nn: unknown checkpoint kind %d", kind)
-	}
 }
 
 // SaveFile writes a checkpoint to path atomically: the bytes go to a

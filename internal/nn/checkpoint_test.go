@@ -202,10 +202,7 @@ func TestCheckpointCorruptHeaders(t *testing.T) {
 		{"over cap consistent MADE", header("PVQ1", 1, 1<<14, 1<<14, 0, 0)},
 	}
 	// Make the over-cap row's d header-consistent so only the cap rejects it.
-	want, err := expectedParamCount(kindMADE, 1<<14, 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := named("made").params(1<<14, 1<<14)
 	if want <= 1<<28 || want > 1<<32-1 {
 		t.Fatalf("over-cap row needs 2^28 < d < 2^32, got %d", want)
 	}

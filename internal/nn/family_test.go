@@ -128,3 +128,49 @@ func TestKindName(t *testing.T) {
 		t.Fatalf("nil: %q", got)
 	}
 }
+
+// TestFamilyTable: for every family New builds, the table's parameter count
+// (the one the checkpoint loader validates headers against) is the model's
+// NumParams and KindName maps the model back to its name. Names resolve in
+// any letter case; an unknown name is an error.
+func TestFamilyTable(t *testing.T) {
+	if got, want := strings.Join(Kinds(), ","), "made,rbm,nade,rnn"; got != want {
+		t.Fatalf("Kinds() = %s, want %s", got, want)
+	}
+	for i, k := range Kinds() {
+		if f := named(k); f.kind != byte(i+1) {
+			t.Errorf("%s: kind byte %d, want %d", k, f.kind, i+1)
+		}
+		for _, nh := range [][2]int{{1, 1}, {5, 3}, {17, 9}} {
+			n, h := nh[0], nh[1]
+			m, err := New(k, n, h, rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := named(k).params(int64(n), int64(h)), int64(m.NumParams()); got != want {
+				t.Errorf("%s n=%d h=%d: table says %d params, model has %d", k, n, h, got, want)
+			}
+			if got := KindName(m); got != k {
+				t.Errorf("%s n=%d h=%d: KindName = %q", k, n, h, got)
+			}
+			if m.NumSites() != n || m.(interface{ Hidden() int }).Hidden() != h {
+				t.Errorf("%s: built n=%d h=%d, asked for n=%d h=%d", k, m.NumSites(), m.(interface{ Hidden() int }).Hidden(), n, h)
+			}
+			upper, err := New(strings.ToUpper(k), n, h, rng.New(1))
+			if err != nil || KindName(upper) != k {
+				t.Fatalf("%s: upper-case name gave %v, %v", k, upper, err)
+			}
+		}
+		if DefaultHidden(strings.ToUpper(k), 30) != DefaultHidden(k, 30) {
+			t.Errorf("%s: DefaultHidden depends on letter case", k)
+		}
+	}
+	for _, name := range []string{"", "vae", "made "} {
+		if m, err := New(name, 4, 4, rng.New(1)); err == nil {
+			t.Errorf("New(%q) built %T, want an error", name, m)
+		}
+	}
+	if DefaultHidden("vae", 30) != HiddenMADE(30) {
+		t.Error("an unknown name should get the MADE width rule")
+	}
+}

@@ -63,12 +63,11 @@ type MADE struct {
 // madeScratch holds per-worker forward/backward buffers so concurrent
 // evaluation never shares mutable state.
 type madeScratch struct {
-	Z1, A   tensor.Vector // hidden pre-activation and activation (h)
-	Z2      tensor.Vector // output pre-activation (n)
-	dZ2     tensor.Vector // n
-	dA      tensor.Vector // h
-	xf      tensor.Vector // float copy of input bits (n)
-	flipBuf []int         // n, scratch configuration for flip evaluation
+	Z1, A tensor.Vector // hidden pre-activation and activation (h)
+	Z2    tensor.Vector // output pre-activation (n)
+	dZ2   tensor.Vector // n
+	dA    tensor.Vector // h
+	xf    tensor.Vector // float copy of input bits (n)
 }
 
 // HiddenMADE is the paper's latent-size rule h = 5 (ln n)^2, rounded (at
@@ -187,13 +186,12 @@ func (m *MADE) maskedWeights() (wm1t, wm2t *tensor.Matrix) {
 // newScratch allocates evaluation buffers for one worker.
 func (m *MADE) newScratch() *madeScratch {
 	return &madeScratch{
-		Z1:      tensor.NewVector(m.h),
-		A:       tensor.NewVector(m.h),
-		Z2:      tensor.NewVector(m.n),
-		dZ2:     tensor.NewVector(m.n),
-		dA:      tensor.NewVector(m.h),
-		xf:      tensor.NewVector(m.n),
-		flipBuf: make([]int, m.n),
+		Z1:  tensor.NewVector(m.h),
+		A:   tensor.NewVector(m.h),
+		Z2:  tensor.NewVector(m.n),
+		dZ2: tensor.NewVector(m.n),
+		dA:  tensor.NewVector(m.h),
+		xf:  tensor.NewVector(m.n),
 	}
 }
 

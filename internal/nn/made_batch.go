@@ -23,17 +23,6 @@ func growMat(buf *[]float64, rows, cols int) *tensor.Matrix {
 	return &tensor.Matrix{Rows: rows, Cols: cols, Data: (*buf)[:need]}
 }
 
-// logProbFromZ2F is logProbFromZ2 for a float-encoded configuration (the
-// flip super-batch stores inputs as the exact 0.0/1.0 floats the GEMM
-// consumed, so the branch decisions match the int version bit-for-bit).
-func logProbFromZ2F(xf []float64, z2 tensor.Vector) float64 {
-	var lp float64
-	for j, b := range xf {
-		lp += condTerm(z2[j], int(b))
-	}
-	return lp
-}
-
 // madeBatchEvaluator is MADE's BatchEvaluator: it fuses the per-sample
 // masked matvecs of a whole batch into blocked GEMMs against the cached
 // masked weights (see MADE.maskedWeights), slab by slab. All values are
@@ -42,12 +31,6 @@ func logProbFromZ2F(xf []float64, z2 tensor.Vector) float64 {
 // package's one parallel dispatch.
 type madeBatchEvaluator struct {
 	m *MADE
-	// fullFlip disables the tail-only flip evaluation and recomputes every
-	// flip row with full GEMMs and a full log-probability fold — the PR 4
-	// reference path. Outputs are bitwise identical to the tail-only path
-	// (the tail-only fold is an exact suffix of the full fold), so it
-	// serves as the differential-test oracle and the A/B perf baseline.
-	fullFlip bool
 	// Slab workspaces, grown on demand and reused across calls: bufXF/Z1/A/
 	// Z2 back the dense forward, bufZB1/ZB2 the flip super-batch layers,
 	// bufP the per-row log-probability prefix sums, bufXB the base float
@@ -67,24 +50,19 @@ type madeBatchEvaluator struct {
 // GOMAXPROCS) and does not affect any output value. The evaluator is not
 // safe for concurrent use.
 func (m *MADE) NewBatchEvaluator(workers int) BatchEvaluator {
-	return splitRows(m, workers, func() BatchEvaluator { return m.newBatchEvaluator(false) })
+	return splitRows(m, workers, func() BatchEvaluator {
+		return &madeBatchEvaluator{m: m, dz2: tensor.NewVector(m.n), da: tensor.NewVector(m.h),
+			needSnap: make([]bool, m.h), needPre: make([]bool, m.n)}
+	})
 }
 
-// NewFullFlipBatchEvaluator returns a BatchEvaluator whose FlipLogPsiBatch
-// recomputes every flip row in full (two dense GEMMs over all output sites
-// plus a full log-sigmoid fold) instead of the mask-aware tail. It produces
-// bitwise the same outputs as NewBatchEvaluator — the tail-only path is
-// provably an exact suffix of the full fold — and exists as the reference
-// implementation the tests compare the tail-only kernel against and the
-// pre-tail-only (PR 4) performance baseline.
+// NewFullFlipBatchEvaluator returns NewBatchEvaluator(workers) behind the
+// full-recompute reference (recomputeFlips): its FlipLogPsiBatch evaluates
+// every flipped row with LogPsiBatch instead of the tail-only kernel, and
+// must agree with it byte for byte. It is the oracle the nn and core tests
+// hold the kernel to.
 func (m *MADE) NewFullFlipBatchEvaluator(workers int) BatchEvaluator {
-	return splitRows(m, workers, func() BatchEvaluator { return m.newBatchEvaluator(true) })
-}
-
-func (m *MADE) newBatchEvaluator(fullFlip bool) *madeBatchEvaluator {
-	return &madeBatchEvaluator{m: m, fullFlip: fullFlip,
-		dz2: tensor.NewVector(m.n), da: tensor.NewVector(m.h),
-		needSnap: make([]bool, m.h), needPre: make([]bool, m.n)}
+	return recomputeFlips{m.NewBatchEvaluator(workers)}
 }
 
 // toFloats converts configuration rows [lo, hi) of b into xf rows [0, ...).
@@ -131,10 +109,7 @@ func (e *madeBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 	m := e.m
 	checkLogPsiBatch(m.n, b, out)
 	for lo := 0; lo < b.N; lo += batchSlabRows {
-		hi := lo + batchSlabRows
-		if hi > b.N {
-			hi = b.N
-		}
+		hi := min(lo+batchSlabRows, b.N)
 		_, _, _, z2 := e.forwardSlab(b, lo, hi, false)
 		for r := 0; r < hi-lo; r++ {
 			out[lo+r] = 0.5 * logProbFromZ2(b.Row(lo+r), z2.Row(r))
@@ -149,10 +124,7 @@ func (e *madeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	m := e.m
 	checkGradLogPsiBatch(m.n, m.NumParams(), b, ows)
 	for lo := 0; lo < b.N; lo += batchSlabRows {
-		hi := lo + batchSlabRows
-		if hi > b.N {
-			hi = b.N
-		}
+		hi := min(lo+batchSlabRows, b.N)
 		_, z1, a, z2 := e.forwardSlab(b, lo, hi, true)
 		for r := 0; r < hi-lo; r++ {
 			grad := ows.Sample(lo + r)
@@ -293,33 +265,25 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 			needPre[bit] = true
 			k0 := runs[0][0]
 			needSnap[k0] = true
-			if k0 > maxK0 {
-				maxK0 = k0
-			}
+			maxK0 = max(maxK0, k0)
 		}
 	}
-	slab := batchSlabRows / (nf + 1)
-	if slab < 1 {
-		slab = 1
-	}
+	slab := max(batchSlabRows/(nf+1), 1)
 	for lo := 0; lo < b.N; lo += slab {
-		hi := lo + slab
-		if hi > b.N {
-			hi = b.N
-		}
+		hi := min(lo+slab, b.N)
 		s := hi - lo
-		// Fresh base forward. The tail-only path runs layer 1 as an
-		// explicit ascending-site fold so it can snapshot, for every site
-		// i, the partial sums over inputs < i (pre rows [i*s, (i+1)*s)):
-		// a flip of bit i resumes each element's accumulation chain from
-		// that snapshot, which is bitwise the same chain MatMul runs. The
-		// fold adds wm1t row i to every sample with bit i set — exactly
-		// MatMul's ascending-k skip-zero / multiply-elided accumulation.
+		// Fresh base forward. Layer 1 runs as an explicit ascending-site
+		// fold so it can snapshot, for every site i, the partial sums over
+		// inputs < i (pre rows [i*s, (i+1)*s)): a flip of bit i resumes each
+		// element's accumulation chain from that snapshot, which is bitwise
+		// the same chain MatMul runs. The fold adds wm1t row i to every
+		// sample with bit i set — exactly MatMul's ascending-k skip-zero /
+		// multiply-elided accumulation.
 		xfb := growMat(&e.bufXB, s, m.n)
 		toFloats(b, lo, hi, xfb)
 		zb1 := growMat(&e.bufZ1, s, m.h)
 		var pre *tensor.Matrix
-		if e.fullFlip || nf == 0 {
+		if nf == 0 {
 			tensor.MatMul(zb1, xfb, wm1t, 1)
 		} else {
 			pre = growMat(&e.bufPre, m.n*s, m.h)
@@ -350,12 +314,12 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 			}
 		}
 		tensor.AddRowBias(zb1, m.B1)
-		// Base layer 2, with the tail-only path running the explicit
-		// ascending-unit fold (bitwise MatMulReLU's chain) so it can
-		// snapshot the partial sums the flip rows resume from.
+		// Base layer 2, as the explicit ascending-unit fold (bitwise
+		// MatMulReLU's chain) so it can snapshot the partial sums the flip
+		// rows resume from.
 		zb2 := growMat(&e.bufZ2, s, m.n)
 		var pre2 *tensor.Matrix
-		if e.fullFlip || nf == 0 || maxK0 < 0 {
+		if nf == 0 || maxK0 < 0 {
 			tensor.MatMulReLU(zb2, zb1, wm2t, 1)
 		} else {
 			pre2 = growMat(&e.bufPre2, (maxK0+1)*s, m.n)
@@ -404,11 +368,9 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 		zf1 := growMat(&e.bufZB1, fr, m.h)
 		zf2 := growMat(&e.bufZB2, fr, m.n)
 		// Group-major super-batch: row f*s+si is sample si with bit
-		// flips[f] flipped. In tail-only mode layer 1 is seeded with the
-		// base pre-activations — bitwise valid for every hidden unit the
-		// mask hides from the flipped bit — and only the flipRuns columns
-		// are recomputed; the full-flip reference recomputes everything
-		// with whole-super-batch GEMMs (the PR 4 shape).
+		// flips[f] flipped. Layer 1 is seeded with the base pre-activations
+		// — bitwise valid for every hidden unit the mask hides from the
+		// flipped bit — and only the flipRuns columns are recomputed.
 		for r := 0; r < fr; r++ {
 			f, si := r/s, r%s
 			x := b.Row(lo + si)
@@ -417,59 +379,45 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 				row[i] = float64(xb)
 			}
 			row[flips[f]] = float64(1 - x[flips[f]])
-			if !e.fullFlip {
-				copy(zf1.Row(r), zb1.Row(si))
-			}
+			copy(zf1.Row(r), zb1.Row(si))
 		}
-		if e.fullFlip {
-			tensor.MatMul(zf1, xff, wm1t, 1)
-			tensor.AddRowBias(zf1, m.B1)
-			tensor.MatMulReLU(zf2, zf1, wm2t, 1)
-			tensor.AddRowBias(zf2, m.B2)
-		} else {
-			for f, bit := range flips {
-				xb := &tensor.Matrix{Rows: s, Cols: m.n, Data: xff.Data[f*s*m.n : (f+1)*s*m.n]}
-				z1b := &tensor.Matrix{Rows: s, Cols: m.h, Data: zf1.Data[f*s*m.h : (f+1)*s*m.h]}
-				z2b := &tensor.Matrix{Rows: s, Cols: m.n, Data: zf2.Data[f*s*m.n : (f+1)*s*m.n]}
-				runs := m.flipRuns[bit]
-				if len(runs) == 0 {
-					// No hidden unit sees this bit: every tail output
-					// pre-activation is bitwise the base one; only the
-					// flipped site's term re-branches, which the fold stage
-					// reads from zb2 directly.
-					for si := 0; si < s; si++ {
-						copy(z2b.Row(si)[bit+1:], zb2.Row(si)[bit+1:])
-					}
-					continue
+		for f, bit := range flips {
+			xb := &tensor.Matrix{Rows: s, Cols: m.n, Data: xff.Data[f*s*m.n : (f+1)*s*m.n]}
+			z1b := &tensor.Matrix{Rows: s, Cols: m.h, Data: zf1.Data[f*s*m.h : (f+1)*s*m.h]}
+			z2b := &tensor.Matrix{Rows: s, Cols: m.n, Data: zf2.Data[f*s*m.n : (f+1)*s*m.n]}
+			runs := m.flipRuns[bit]
+			if len(runs) == 0 {
+				// No hidden unit sees this bit: every tail output
+				// pre-activation is bitwise the base one; only the
+				// flipped site's term re-branches, which the fold stage
+				// reads from zb2 directly.
+				for si := 0; si < s; si++ {
+					copy(z2b.Row(si)[bit+1:], zb2.Row(si)[bit+1:])
 				}
-				// Changed hidden columns, then the layer-2 tail.
-				m.resumeLayer1(z1b, xb, pre.Data[bit*s*m.h:(bit+1)*s*m.h], wm1t, bit)
-				for _, run := range runs {
-					tensor.AddRowBiasCols(z1b, m.B1, run[0], run[1])
-				}
-				if bit+1 >= m.n {
-					continue
-				}
-				k0 := runs[0][0]
-				m.resumeLayer2(z2b, z1b, pre2.Data[k0*s*m.n:(k0+1)*s*m.n], wm2t, bit)
-				tensor.AddRowBiasCols(z2b, m.B2, bit+1, m.n)
+				continue
 			}
+			// Changed hidden columns, then the layer-2 tail.
+			m.resumeLayer1(z1b, xb, pre.Data[bit*s*m.h:(bit+1)*s*m.h], wm1t, bit)
+			for _, run := range runs {
+				tensor.AddRowBiasCols(z1b, m.B1, run[0], run[1])
+			}
+			if bit+1 >= m.n {
+				continue
+			}
+			k0 := runs[0][0]
+			m.resumeLayer2(z2b, z1b, pre2.Data[k0*s*m.n:(k0+1)*s*m.n], wm2t, bit)
+			tensor.AddRowBiasCols(z2b, m.B2, bit+1, m.n)
 		}
-		// Fold the tails (full fold in fullFlip mode) and emit deltas.
+		// Fold the tails and emit deltas.
 		for r := 0; r < fr; r++ {
 			f, si := r/s, r%s
 			bit := flips[f]
 			x := b.Row(lo + si)
-			var lp float64
-			if e.fullFlip {
-				lp = logProbFromZ2F(xff.Row(r), zf2.Row(r))
-			} else {
-				lp = p.Row(si)[bit]
-				lp += condTerm(zb2.Row(si)[bit], 1-x[bit])
-				zrow := zf2.Row(r)
-				for j := bit + 1; j < m.n; j++ {
-					lp += condTerm(zrow[j], x[j])
-				}
+			lp := p.Row(si)[bit]
+			lp += condTerm(zb2.Row(si)[bit], 1-x[bit])
+			zrow := zf2.Row(r)
+			for j := bit + 1; j < m.n; j++ {
+				lp += condTerm(zrow[j], x[j])
 			}
 			delta[(lo+si)*nf+f] = 0.5*lp - base[lo+si]
 		}

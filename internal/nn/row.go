@@ -236,3 +236,33 @@ func (a *rowAncestral) ForwardPasses() int64 {
 	}
 	return passes
 }
+
+// recomputeFlips is the full-recompute reference for FlipLogPsiBatch over
+// any BatchEvaluator: LogPsiBatch of the base rows and of the B x F flipped
+// rows, delta = flipped - base. That is the fresh-forward flip convention
+// stated directly, sharing no code with the flip kernel it checks. It is
+// valid for MADE, NADE and the RNN, NOT for the RBM, whose delta is the
+// incremental ln-cosh update rather than a difference of two log-psi values.
+type recomputeFlips struct{ BatchEvaluator }
+
+// FlipLogPsiBatch implements BatchEvaluator by full recompute.
+func (e recomputeFlips) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64) {
+	checkFlipLogPsiBatch(b.Sites, b, flips, base, delta)
+	if base == nil {
+		base = make([]float64, b.N)
+	}
+	e.LogPsiBatch(b, base)
+	nf := len(flips)
+	flipped := ConfigBatch{N: b.N * nf, Sites: b.Sites, Bits: make([]int, b.N*nf*b.Sites)}
+	for k := 0; k < b.N; k++ {
+		for f, bit := range flips {
+			row := flipped.Row(k*nf + f)
+			copy(row, b.Row(k))
+			row[bit] = 1 - row[bit]
+		}
+	}
+	e.LogPsiBatch(flipped, delta)
+	for i := range delta {
+		delta[i] -= base[i/nf]
+	}
+}

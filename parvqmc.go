@@ -21,6 +21,7 @@ package parvqmc
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -148,6 +149,7 @@ type Options struct {
 	// "pipelined" (Gropp's overlapped variant — in distributed training
 	// every per-iteration collective is non-blocking and hidden behind the
 	// recurrence updates; serially it is the identical algorithm).
+	// "pipelined" requires StochasticReconfig.
 	SRSolver string
 	// BatchSize is Train's samples per iteration (default 1024).
 	// TrainDistributed takes its per-device mini-batch as an argument.
@@ -177,7 +179,7 @@ type Options struct {
 	// floor.
 	Elastic bool
 	// MinReplicas is the elastic membership floor (default 1: shrink as
-	// long as anyone survives).
+	// long as anyone survives); it requires Elastic.
 	MinReplicas int
 	// CheckpointDir, when non-empty, is where elastic recovery, growth and
 	// final checkpoints are written; it requires Elastic. Empty keeps
@@ -190,10 +192,8 @@ func (o *Options) fill(n int) error {
 		o.Model = "made"
 	}
 	o.Model = strings.ToLower(o.Model)
-	switch o.Model {
-	case "made", "rbm", "nade", "rnn":
-	default:
-		return fmt.Errorf("parvqmc: unknown model %q", o.Model)
+	if !slices.Contains(nn.Kinds(), o.Model) {
+		return fmt.Errorf("parvqmc: unknown model %q (want %s)", o.Model, strings.Join(nn.Kinds(), ", "))
 	}
 	if o.Sampler == "" {
 		if o.Model == "rbm" {
@@ -234,8 +234,14 @@ func (o *Options) fill(n int) error {
 	default:
 		return fmt.Errorf("parvqmc: unknown SR solver %q (want cg or pipelined)", o.SRSolver)
 	}
+	if o.SRSolver == "pipelined" && !o.StochasticReconfig {
+		return fmt.Errorf("parvqmc: Options.SRSolver is %q without Options.StochasticReconfig; only the SR solve uses it", o.SRSolver)
+	}
 	if o.CheckpointDir != "" && !o.Elastic {
 		return fmt.Errorf("parvqmc: Options.CheckpointDir is set without Options.Elastic; only the elastic supervisor writes checkpoints")
+	}
+	if o.MinReplicas != 0 && !o.Elastic {
+		return fmt.Errorf("parvqmc: Options.MinReplicas is set without Options.Elastic; only the elastic supervisor has a membership floor")
 	}
 	if o.Iterations <= 0 {
 		o.Iterations = 300
@@ -346,21 +352,6 @@ func Train(p *Problem, o Options) (*Result, error) {
 	return TrainDistributed(p, o, 1, o.BatchSize)
 }
 
-// newModel constructs the wavefunction Options.Model names from an init
-// stream.
-func (o Options) newModel(n int, init *rng.Rand) core.Model {
-	switch o.Model {
-	case "nade":
-		return nn.NewNADE(n, o.Hidden, init)
-	case "rnn":
-		return nn.NewRNN(n, o.Hidden, init)
-	case "rbm":
-		return nn.NewRBM(n, o.Hidden, init)
-	default:
-		return nn.NewMADE(n, o.Hidden, init)
-	}
-}
-
 // newSampler constructs the sampler Options.Sampler names over model m:
 // "mcmc" for any family; "gibbs" for the RBM (fill rejects it elsewhere);
 // "auto" (exact ancestral sampling, incremental) and "auto-naive" (the same
@@ -445,8 +436,11 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 	}
 	reps := make([]dist.Replica, devices)
 	for r := range reps {
-		var err error
-		if reps[r], err = build(r, o.newModel(n, rng.New(o.Seed).Split())); err != nil {
+		model, err := nn.New(o.Model, n, o.Hidden, rng.New(o.Seed).Split())
+		if err != nil {
+			return nil, err
+		}
+		if reps[r], err = build(r, model.(dist.Model)); err != nil {
 			return nil, err
 		}
 	}
@@ -534,15 +528,7 @@ func SolveMaxCutClassical(p *Problem, method string, seed uint64) (*ClassicalRes
 
 // DefaultHidden returns the latent size Train uses when Options.Hidden is
 // unset: the paper's rule 5(ln n)^2 for MADE (and NADE, same parameter
-// count), n for the RBM, and half the MADE rule (minimum 4) for the RNN,
-// whose O(h^2) recurrence then keeps a parameter budget comparable to
-// MADE's 2hn.
+// count), n for the RBM, and half the MADE rule (minimum 4) for the RNN.
 func DefaultHidden(model string, n int) int {
-	switch strings.ToLower(model) {
-	case "rbm":
-		return n
-	case "rnn":
-		return max(nn.HiddenMADE(n)/2, 4)
-	}
-	return nn.HiddenMADE(n)
+	return nn.DefaultHidden(model, n)
 }

@@ -94,6 +94,40 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := Train(p, o); err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
 		t.Fatalf("Train: CheckpointDir without Elastic should error naming the field, got %v", err)
 	}
+	// The same holds for the two other options only one path reads: the
+	// elastic floor, and the solver of an SR step that is not taken.
+	small := Options{BatchSize: 8, Iterations: 2, EvalBatch: 8}
+	for _, tc := range []struct {
+		field string
+		o     Options
+	}{
+		{"MinReplicas", Options{MinReplicas: 1}},
+		{"MinReplicas", Options{MinReplicas: 2}},
+		{"SRSolver", Options{SRSolver: "pipelined"}},
+		{"SRSolver", Options{SRSolver: "PipeCG", Optimizer: "sgd"}},
+	} {
+		tc.o.BatchSize, tc.o.Iterations, tc.o.EvalBatch = small.BatchSize, small.Iterations, small.EvalBatch
+		for devices := 1; devices <= 2; devices++ {
+			if _, err := TrainDistributed(p, tc.o, devices, 8); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("%+v at %d devices: want an error naming %s, got %v", tc.o, devices, tc.field, err)
+			}
+		}
+		if _, err := Train(p, tc.o); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("Train %+v: want an error naming %s, got %v", tc.o, tc.field, err)
+		}
+	}
+	// Still legal: the default solver named without SR, the floor under
+	// Elastic, and a family name in upper case.
+	for _, o := range []Options{
+		{SRSolver: "cg"}, {SRSolver: "classic"},
+		{Elastic: true, MinReplicas: 1},
+		{Model: "NADE"}, {Model: "Rbm"},
+	} {
+		o.BatchSize, o.Iterations, o.EvalBatch = small.BatchSize, small.Iterations, small.EvalBatch
+		if _, err := Train(p, o); err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+	}
 }
 
 func TestSRRoute(t *testing.T) {
@@ -433,7 +467,11 @@ func coreTrain(t *testing.T, p *Problem, o Options) *Result {
 		t.Fatal(err)
 	}
 	r := rng.New(o.Seed)
-	model := o.newModel(n, r.Split())
+	wf, err := nn.New(o.Model, n, o.Hidden, r.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := wf.(core.Model)
 	smp, err := o.newSampler(n, model, o.Workers, r.Split())
 	if err != nil {
 		t.Fatal(err)
