@@ -68,17 +68,21 @@ func (e *naiveEvaluator) ForwardPasses() int64 { return e.passes }
 type incrementalEvaluator struct {
 	m      *MADE
 	z1     tensor.Vector
+	wm1t   *tensor.Matrix // the current masked layer-1 cache, taken at Reset
 	fixed  int
 	passes int64
 }
 
 // NewIncrementalEvaluator returns the O(h)-per-bit fast-path evaluator.
 func (m *MADE) NewIncrementalEvaluator() ConditionalEvaluator {
-	return &incrementalEvaluator{m: m, z1: m.B1.Clone()}
+	e := &incrementalEvaluator{m: m, z1: tensor.NewVector(m.h)}
+	e.Reset()
+	return e
 }
 
 func (e *incrementalEvaluator) Reset() {
 	copy(e.z1, e.m.B1)
+	e.wm1t, _ = e.m.maskedWeights()
 	e.fixed = 0
 }
 
@@ -87,7 +91,7 @@ func (e *incrementalEvaluator) Prob(i int) float64 {
 }
 
 func (e *incrementalEvaluator) Fix(i, bit int) {
-	e.m.accumulateInput(e.z1, i, bit)
+	e.m.accumulateInput(e.z1, e.wm1t, i, bit)
 	if e.fixed++; e.fixed == e.m.n {
 		e.passes++
 	}

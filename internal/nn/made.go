@@ -28,34 +28,49 @@ type MADE struct {
 	B1 tensor.Vector  // h
 	W2 *tensor.Matrix // n x h
 	B2 tensor.Vector  // n
-	// Binary masks (not trained).
-	M1 *tensor.Matrix // h x n: M1[k][i] = 1 iff deg(k) >= i+1
-	M2 *tensor.Matrix // n x h: M2[j][k] = 1 iff j+1 > deg(k)
-	// deg[k] in 1..n-1 is the hidden unit's autoregressive degree.
+	// deg[k] in 1..n-1 is the hidden unit's autoregressive degree (0 for
+	// every unit at n = 1). It alone decides the masks: weight W1[k][i] is
+	// live iff i < deg(k), and W2[j][k] iff 1 <= deg(k) <= j. No kernel
+	// stores a mask; each walks the live terms of a sum, named by deg or by
+	// the run tables below, in the same ascending order a dense masked
+	// product would, and skips the rest. A skipped term is w*0 = +/-0, and
+	// every sum that skips one starts at +0 and adds its bias last, so
+	// skipping cannot change a finite result: an accumulator from +0 never
+	// becomes -0, and x + (+/-0) == x otherwise. The two sampler kernels,
+	// whose sums start at a bias, skip exactly the terms a dense loop with
+	// a mask test skips (TestMADEIncrementalMatchesDegreeReference).
+	// Masked weights never receive a gradient, so they keep their finite
+	// init values; only a hand-edited checkpoint can put a non-finite value
+	// there, and the scalar and batched paths alike ignore it.
 	deg []int
 	// flipRuns[b] lists the maximal contiguous ranges [lo, hi) of hidden
-	// units whose mask sees input bit b (deg(k) > b) — the only hidden
-	// columns a flip of bit b can change, and therefore the only layer-1
-	// columns the tail-only flip evaluation recomputes (scalar and batched
-	// alike; with the cyclic degree assignment each period of n-1 units
-	// contributes one run).
+	// units that see input bit b (deg(k) > b) — the only hidden columns a
+	// flip of bit b can change, and therefore the only layer-1 columns the
+	// tail-only flip evaluation recomputes (scalar and batched alike; with
+	// the cyclic degree assignment each period of n-1 units contributes one
+	// run). Input b's live layer-1 weights are row b of wm1t over these
+	// runs, which is what the ancestral sampler adds per set bit.
 	flipRuns [][][2]int
+	// outRuns[j] lists the ascending runs of hidden units that output j
+	// sees (1 <= deg(k) <= j): the live terms of row j of W2.
+	outRuns [][][2]int
 	// runsAscending records that every flipRuns[b] range starts at degree
 	// b+1 and increments by one per unit (true for the cyclic assignment).
-	// When set, input i's mask support inside a run of flipRuns[b] is the
+	// When set, input i's support inside a run of flipRuns[b] is the
 	// suffix starting at run[0]+(i-b), letting the batched tail fold skip
 	// the masked-zero (+/-0, exact no-op) additions; when not, the folds
 	// fall back to full-width adds, which are bitwise identical.
 	runsAscending bool
-	// Masked-weight cache for the batched GEMM path: wm1t/wm2t hold the
-	// TRANSPOSED elementwise products (W1.M1)^T (n x h) and (W2.M2)^T
-	// (h x n), materialized once per parameter version and reused by every
-	// batched evaluation until the optimizer mutates theta. The transposed
-	// layout lets the batched forward run as dst = X * (W.M)^T in the ikj
-	// loop order, which keeps independent accumulators per output column
-	// (throughput-bound instead of latency-bound) while still summing each
-	// element in the scalar kernels' ascending contraction order. The
-	// embedded derivedCache says when they are stale; see prewarmCaches.
+	// Masked-weight cache for the batched GEMM path and the ancestral
+	// sampler: wm1t/wm2t hold the TRANSPOSED masked weights (n x h and
+	// h x n; live weights copied, masked slots +0), materialized once per
+	// parameter version and reused by every batched evaluation and sample
+	// until the optimizer mutates theta. The transposed layout lets the
+	// batched forward run as dst = X * wm1t in the ikj loop order, which
+	// keeps independent accumulators per output column (throughput-bound
+	// instead of latency-bound) while still summing each element in the
+	// scalar kernels' ascending contraction order. The embedded
+	// derivedCache says when they are stale; see prewarmCaches.
 	derivedCache
 	wm1t, wm2t *tensor.Matrix
 }
@@ -99,39 +114,17 @@ func NewMADE(n, h int, r *rng.Rand) *MADE {
 	// Hidden degrees cycle 1..n-1 (n=1 degenerates to all-zero masks and a
 	// bias-only model, which is still the correct autoregressive family).
 	m.deg = make([]int, h)
-	m.M1 = tensor.NewMatrix(h, n)
-	m.M2 = tensor.NewMatrix(n, h)
-	for k := 0; k < h; k++ {
-		if n > 1 {
+	if n > 1 {
+		for k := range m.deg {
 			m.deg[k] = 1 + k%(n-1)
 		}
-		for i := 0; i < n; i++ {
-			if m.deg[k] >= i+1 {
-				m.M1.Set(k, i, 1)
-			}
-		}
-		for j := 0; j < n; j++ {
-			if j+1 > m.deg[k] && m.deg[k] > 0 {
-				m.M2.Set(j, k, 1)
-			}
-		}
 	}
-
 	m.flipRuns = make([][][2]int, n)
+	m.outRuns = make([][][2]int, n)
 	m.runsAscending = true
 	for b := 0; b < n; b++ {
-		for k := 0; k < h; k++ {
-			if m.deg[k] <= b {
-				continue
-			}
-			runs := m.flipRuns[b]
-			if len(runs) > 0 && runs[len(runs)-1][1] == k {
-				runs[len(runs)-1][1] = k + 1
-			} else {
-				runs = append(runs, [2]int{k, k + 1})
-			}
-			m.flipRuns[b] = runs
-		}
+		m.flipRuns[b] = m.degreeRuns(func(d int) bool { return d > b })
+		m.outRuns[b] = m.degreeRuns(func(d int) bool { return d >= 1 && d <= b })
 		for _, run := range m.flipRuns[b] {
 			for k := run[0]; k < run[1]; k++ {
 				if m.deg[k] != b+1+(k-run[0]) {
@@ -148,35 +141,51 @@ func NewMADE(n, h int, r *rng.Rand) *MADE {
 	return m
 }
 
+// degreeRuns returns the maximal ascending ranges [lo, hi) of hidden units
+// whose degree satisfies live.
+func (m *MADE) degreeRuns(live func(d int) bool) [][2]int {
+	var runs [][2]int
+	for k, d := range m.deg {
+		if !live(d) {
+			continue
+		}
+		if len(runs) > 0 && runs[len(runs)-1][1] == k {
+			runs[len(runs)-1][1] = k + 1
+		} else {
+			runs = append(runs, [2]int{k, k + 1})
+		}
+	}
+	return runs
+}
+
 // prewarmCaches materializes the masked-weight cache for the current
 // parameters. Coordinators call it (via nn.Prewarm) before fanning work out
 // to workers so no worker pays the rebuild; rebuilds are mutex-serialized
 // either way, so this is a latency optimization, not a safety requirement.
 func (m *MADE) prewarmCaches() { m.maskedWeights() }
 
-// maskedWeights returns (W1.M1)^T and (W2.M2)^T, rebuilding the cached
-// products if the parameters changed since the last build. Because the
-// masks hold exact 0/1 entries, each cached element w*m is either w or a
-// signed zero — bit-for-bit the first factor of the scalar kernel's w*m*x
-// product — so GEMMs over the cache reproduce MaskedMulVec exactly
-// (multiplication commutes bitwise, and transposition is pure layout).
-// Safe for concurrent use (see derivedCache): the cached matrices are
-// immutable between InvalidateParams calls, so returned pointers stay valid
-// for the whole parallel section.
+// maskedWeights returns the transposed masked weights wm1t (n x h) and
+// wm2t (h x n), rebuilding them if the parameters changed since the last
+// build: live weights are copied, masked slots stay +0, so a GEMM over the
+// cache adds each live product of the scalar kernels' sums in their order
+// and +0 for every skipped term (see MADE.deg). Safe for concurrent use
+// (see derivedCache): the cached matrices are immutable between
+// InvalidateParams calls, so returned pointers stay valid for the whole
+// parallel section.
 func (m *MADE) maskedWeights() (wm1t, wm2t *tensor.Matrix) {
 	m.ensure(func() {
 		if m.wm1t == nil {
 			m.wm1t = tensor.NewMatrix(m.n, m.h)
 			m.wm2t = tensor.NewMatrix(m.h, m.n)
 		}
-		for k := 0; k < m.h; k++ {
-			for i := 0; i < m.n; i++ {
-				m.wm1t.Data[i*m.h+k] = m.W1.Data[k*m.n+i] * m.M1.Data[k*m.n+i]
+		clear(m.wm1t.Data)
+		clear(m.wm2t.Data)
+		for k, d := range m.deg {
+			for i := 0; i < d; i++ {
+				m.wm1t.Data[i*m.h+k] = m.W1.Data[k*m.n+i]
 			}
-		}
-		for j := 0; j < m.n; j++ {
-			for k := 0; k < m.h; k++ {
-				m.wm2t.Data[k*m.n+j] = m.W2.Data[j*m.h+k] * m.M2.Data[j*m.h+k]
+			for j := max(d, 1); j < m.n; j++ {
+				m.wm2t.Data[k*m.n+j] = m.W2.Data[j*m.h+k]
 			}
 		}
 	})
@@ -214,12 +223,14 @@ func (m *MADE) forward(x []int, s *madeScratch) {
 	for i, b := range x {
 		s.xf[i] = float64(b)
 	}
-	m.W1.MaskedMulVec(s.Z1, s.xf, m.M1)
-	s.Z1.Add(m.B1)
+	for k := range s.Z1 {
+		s.Z1[k] = m.freshHiddenUnit(k, s.xf)
+	}
 	copy(s.A, s.Z1)
 	tensor.ReLU(s.A)
-	m.W2.MaskedMulVec(s.Z2, s.A, m.M2)
-	s.Z2.Add(m.B2)
+	for j := range s.Z2 {
+		s.Z2[j] = m.freshOutputUnit(j, s.A)
+	}
 }
 
 // logProbFromZ2 computes log pi(x) = sum_j [x_j ln p_j + (1-x_j) ln(1-p_j)]
@@ -262,16 +273,15 @@ func (m *MADE) conditional(x []int, i int, s *madeScratch) float64 {
 
 // conditionalRow computes P(x_i = 1 | x_<i) in O(h) given hidden
 // pre-activations z1 that already reflect x_<i (the incremental sampling
-// fast path used by NewIncrementalEvaluator).
+// fast path used by NewIncrementalEvaluator): row i of W2 over outRuns[i],
+// skipping inactive units.
 func (m *MADE) conditionalRow(z1 tensor.Vector, i int) float64 {
 	row := m.W2.Row(i)
-	mrow := m.M2.Row(i)
 	z := m.B2[i]
-	for k, w := range row {
-		if mrow[k] != 0 {
-			a := z1[k]
-			if a > 0 {
-				z += w * a
+	for _, run := range m.outRuns[i] {
+		for k, w := range row[run[0]:run[1]] {
+			if a := z1[run[0]+k]; a > 0 {
+				z += float64(w * a)
 			}
 		}
 	}
@@ -279,14 +289,18 @@ func (m *MADE) conditionalRow(z1 tensor.Vector, i int) float64 {
 }
 
 // accumulateInput adds bit i's contribution to the hidden pre-activation
-// vector z1 (incremental sampling fast path). z1 must start as a copy of B1.
-func (m *MADE) accumulateInput(z1 tensor.Vector, i, bit int) {
+// vector z1 (incremental sampling fast path): row i of the masked cache wm1t
+// (from maskedWeights) over flipRuns[i], one contiguous add per run. z1 must
+// start as a copy of B1.
+func (m *MADE) accumulateInput(z1 tensor.Vector, wm1t *tensor.Matrix, i, bit int) {
 	if bit == 0 {
 		return
 	}
-	for k := 0; k < m.h; k++ {
-		if m.M1.At(k, i) != 0 {
-			z1[k] += m.W1.At(k, i)
+	wrow := wm1t.Row(i)
+	for _, run := range m.flipRuns[i] {
+		dst := z1[run[0]:run[1]]
+		for k, w := range wrow[run[0]:run[1]] {
+			dst[k] += w
 		}
 	}
 }
@@ -305,20 +319,17 @@ func (m *MADE) gradFromForward(x []int, z1, a, z2, dz2, da, grad tensor.Vector) 
 	for j, b := range x {
 		dz2[j] = float64(b) - 1/(1+math.Exp(-z2[j]))
 	}
-	// dA = (M2 .* W2)^T dZ2.
-	for k := range da {
-		da[k] = 0
-	}
+	// dA = (masked W2)^T dZ2.
+	clear(da)
 	for j := 0; j < m.n; j++ {
 		dj := dz2[j]
 		if dj == 0 {
 			continue
 		}
 		row := m.W2.Row(j)
-		mrow := m.M2.Row(j)
-		for k := range row {
-			if mrow[k] != 0 {
-				da[k] += row[k] * dj
+		for _, run := range m.outRuns[j] {
+			for k := run[0]; k < run[1]; k++ {
+				da[k] += float64(row[k] * dj)
 			}
 		}
 	}
@@ -332,13 +343,11 @@ func (m *MADE) gradFromForward(x []int, z1, a, z2, dz2, da, grad tensor.Vector) 
 	for j := 0; j < n; j++ {
 		dj := dz2[j]
 		gB2[j] = dj
-		base := j * h
-		mrow := m.M2.Row(j)
-		for k := 0; k < h; k++ {
-			if mrow[k] != 0 {
-				gW2[base+k] = dj * a[k]
-			} else {
-				gW2[base+k] = 0
+		row := gW2[j*h : (j+1)*h]
+		clear(row)
+		for _, run := range m.outRuns[j] {
+			for k := run[0]; k < run[1]; k++ {
+				row[k] = dj * a[k]
 			}
 		}
 	}
@@ -349,13 +358,11 @@ func (m *MADE) gradFromForward(x []int, z1, a, z2, dz2, da, grad tensor.Vector) 
 			dz1 = 0
 		}
 		gB1[k] = dz1
-		base := k * n
-		mrow := m.M1.Row(k)
-		for i := 0; i < n; i++ {
-			if mrow[i] != 0 && x[i] == 1 {
-				gW1[base+i] = dz1
-			} else {
-				gW1[base+i] = 0
+		row := gW1[k*n : (k+1)*n]
+		clear(row)
+		for i, b := range x[:m.deg[k]] {
+			if b == 1 {
+				row[i] = dz1
 			}
 		}
 	}
@@ -374,31 +381,29 @@ func (m *MADE) gradLogPsiScratch(x []int, grad tensor.Vector, s *madeScratch) {
 	grad.Scale(0.5)
 }
 
-// freshHiddenUnit recomputes hidden pre-activation k of the fresh forward
-// pass for the float-encoded configuration xf: the masked row dot in
-// ascending input order followed by the bias, exactly the per-element
-// arithmetic of MaskedMulVec + Vector.Add in forward. Used by the tail-only
-// flip evaluation to refresh only the hidden units whose mask sees the
-// flipped bit.
+// freshHiddenUnit computes hidden pre-activation k of the fresh forward
+// pass for the float-encoded configuration xf: the dot of row k of W1 with
+// the inputs it sees (i < deg(k)) in ascending order, then the bias. forward
+// runs it for every unit; the tail-only flip evaluation refreshes only the
+// units that see the flipped bit.
 func (m *MADE) freshHiddenUnit(k int, xf tensor.Vector) float64 {
-	row := m.W1.Row(k)
-	mrow := m.M1.Row(k)
 	var s float64
-	for i, w := range row {
-		s += w * mrow[i] * xf[i]
+	for i, w := range m.W1.Row(k)[:m.deg[k]] {
+		s += float64(w * xf[i])
 	}
 	return s + m.B1[k]
 }
 
-// freshOutputUnit recomputes output pre-activation j of the fresh forward
-// pass from hidden activations a, mirroring forward's layer-2 MaskedMulVec
-// + bias element for element.
+// freshOutputUnit computes output pre-activation j of the fresh forward
+// pass from hidden activations a: row j of W2 over outRuns[j] in ascending
+// order, then the bias.
 func (m *MADE) freshOutputUnit(j int, a tensor.Vector) float64 {
 	row := m.W2.Row(j)
-	mrow := m.M2.Row(j)
 	var s float64
-	for k, w := range row {
-		s += w * mrow[k] * a[k]
+	for _, run := range m.outRuns[j] {
+		for k := run[0]; k < run[1]; k++ {
+			s += float64(row[k] * a[k])
+		}
 	}
 	return s + m.B2[j]
 }
@@ -457,8 +462,8 @@ func (c *madeFlipCache) tailLogProb(bit int, za tensor.Vector) float64 {
 	copy(c.xff, c.s.xf)
 	c.xff[bit] = float64(nb)
 	copy(za, c.s.A)
-	for k := 0; k < m.h; k++ {
-		if m.M1.At(k, bit) != 0 {
+	for _, run := range m.flipRuns[bit] {
+		for k := run[0]; k < run[1]; k++ {
 			z := m.freshHiddenUnit(k, c.xff)
 			if z < 0 {
 				z = 0
@@ -480,7 +485,7 @@ func (c *madeFlipCache) tailLogProb(bit int, za tensor.Vector) float64 {
 // FlipLogPsi implements tailFlipCache: the absolute log psi of the current
 // configuration with bit flipped, bitwise identical to a fresh LogPsi.
 func (c *madeFlipCache) FlipLogPsi(bit int) float64 {
-	return 0.5 * c.tailLogProb(bit, c.za)
+	return float64(0.5 * c.tailLogProb(bit, c.za))
 }
 
 func (c *madeFlipCache) Delta(bit int) float64 {
@@ -496,8 +501,8 @@ func (c *madeFlipCache) Flip(bit int) {
 	nb := 1 - c.x[bit]
 	c.x[bit] = nb
 	c.s.xf[bit] = float64(nb)
-	for k := 0; k < m.h; k++ {
-		if m.M1.At(k, bit) != 0 {
+	for _, run := range m.flipRuns[bit] {
+		for k := run[0]; k < run[1]; k++ {
 			z := m.freshHiddenUnit(k, c.s.xf)
 			c.s.Z1[k] = z
 			if z < 0 {

@@ -178,14 +178,15 @@ func (e *madeBatchEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst ten
 // that the W2 block is TRANSPOSED (h x n): unit k's masked-in outputs
 // j >= deg(k) are then one contiguous run against dz2 and row k of wm2t, and
 // one pass over it adds the W2 terms and contracts the hidden delta da_k =
-// sum_j (W2.M2)[j][k] * dz2_j, j ascending, one product per term:
-// gradFromForward's chain, whose other terms add +/-0 to a sum from +0.
+// sum_{j >= deg(k)} W2[j][k] * dz2_j, j ascending, one product per term:
+// gradFromForward's chain, whose skipped dz2_j = 0 terms are +/-0 on a sum
+// from +0.
 func (m *MADE) addWeightedRow(part tensor.Vector, w float64, xf, z1, dz2 tensor.Vector, wm2t *tensor.Matrix) {
 	h, n := m.h, m.n
 	gW1, gB1 := part[:h*n], part[h*n:h*n+h]
 	gW2T, gB2 := part[h*n+h:h*n+h+n*h], part[h*n+h+n*h:]
 	for j, dj := range dz2 {
-		gB2[j] += w * (0.5 * dj)
+		gB2[j] += float64(w * (0.5 * dj))
 	}
 	for k, ak := range z1 {
 		dk := m.deg[k] // unit k sees inputs i < dk and feeds outputs j >= dk
@@ -198,14 +199,14 @@ func (m *MADE) addWeightedRow(part tensor.Vector, w float64, xf, z1, dz2 tensor.
 		wsub := wm2t.Data[k*n+dk : (k+1)*n][:len(zsub)]
 		var dak float64
 		for j, dj := range zsub {
-			dsub[j] += w * (0.5 * (dj * ak))
-			dak += wsub[j] * dj
+			dsub[j] += float64(w * (0.5 * (dj * ak)))
+			dak += float64(wsub[j] * dj)
 		}
-		c := w * (0.5 * dak)
+		c := float64(w * (0.5 * dak))
 		gB1[k] += c
 		row := gW1[k*n : k*n+dk]
 		for i, xi := range xf[:dk] {
-			row[i] += c * xi
+			row[i] += float64(c * xi)
 		}
 	}
 }
@@ -294,21 +295,13 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 					// are ever resumed from; skip the other bands' copies.
 					copy(pre.Data[i*s*m.h:(i+1)*s*m.h], zb1.Data[:s*m.h])
 				}
-				// Input i's mask support is exactly flipRuns[i] (units of
-				// degree > i); the masked-out weights are +/-0, so adding
-				// only the support is bitwise MatMul's full-row add.
-				wrow := wm1t.Row(i)
-				iruns := m.flipRuns[i]
+				// Input i's support is exactly flipRuns[i] (units of degree
+				// > i); the masked-out weights are +0, so adding only the
+				// support, as the ancestral sampler does, is bitwise
+				// MatMul's full-row add.
 				for si := 0; si < s; si++ {
 					if xfb.Row(si)[i] == 1 {
-						drow := zb1.Row(si)
-						for _, run := range iruns {
-							dst := drow[run[0]:run[1]]
-							src := wrow[run[0]:run[1]]
-							for k := range dst {
-								dst[k] += src[k]
-							}
-						}
+						m.accumulateInput(zb1.Row(si), wm1t, i, 1)
 					}
 				}
 			}
@@ -340,7 +333,7 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 					if av := zb1.Row(si)[k]; av > 0 {
 						dsub := zb2.Row(si)[d0:]
 						for j, wv := range wsub {
-							dsub[j] += av * wv
+							dsub[j] += float64(av * wv)
 						}
 					}
 				}
@@ -419,7 +412,7 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 			for j := bit + 1; j < m.n; j++ {
 				lp += condTerm(zrow[j], x[j])
 			}
-			delta[(lo+si)*nf+f] = 0.5*lp - base[lo+si]
+			delta[(lo+si)*nf+f] = float64(0.5*lp) - base[lo+si]
 		}
 	}
 }
@@ -500,7 +493,7 @@ func (m *MADE) resumeLayer2(z2b, z1b *tensor.Matrix, preBand2 []float64, wm2t *t
 			wsub := wm2t.Row(k)[lo2:]
 			dsub := zrow[lo2-bit-1:]
 			for j, wv := range wsub {
-				dsub[j] += av * wv
+				dsub[j] += float64(av * wv)
 			}
 		}
 	}

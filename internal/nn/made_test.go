@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
@@ -110,13 +111,88 @@ func TestMADEConditionalRowMatchesForward(t *testing.T) {
 	x := make([]int, n)
 	r.FillBits(x)
 	z1 := m.B1.Clone()
+	wm1t, _ := m.maskedWeights()
 	for i := 0; i < n; i++ {
 		fast := m.conditionalRow(z1, i)
 		slow := m.conditional(x, i, s)
 		if math.Abs(fast-slow) > 1e-12 {
 			t.Fatalf("bit %d: incremental %v vs forward %v", i, fast, slow)
 		}
-		m.accumulateInput(z1, i, x[i])
+		m.accumulateInput(z1, wm1t, i, x[i])
+	}
+}
+
+// refProb and refFix are the incremental sampler's kernels written as dense
+// loops over every hidden unit with the masks as degree predicates: output
+// i sees unit k iff 1 <= deg(k) <= i, and unit k sees input i iff
+// deg(k) > i. They add the same terms in the same order as the run-table
+// kernels, so the conditionals must agree with ==.
+func refProb(m *MADE, z1 []float64, i int) float64 {
+	z := m.B2[i]
+	for k := 0; k < m.h; k++ {
+		if d := m.deg[k]; d >= 1 && d <= i {
+			if a := z1[k]; a > 0 {
+				z += float64(m.W2.At(i, k) * a)
+			}
+		}
+	}
+	return 1 / (1 + math.Exp(-z))
+}
+
+func refFix(m *MADE, z1 []float64, i, bit int) {
+	if bit == 0 {
+		return
+	}
+	for k := 0; k < m.h; k++ {
+		if m.deg[k] > i {
+			z1[k] += m.W1.At(k, i)
+		}
+	}
+}
+
+// TestMADEIncrementalMatchesDegreeReference pins every conditional of
+// NewIncrementalEvaluator bit for bit to refProb/refFix over random
+// prefixes. The shapes cover h < n-1, h not a multiple of n-1, a single
+// site, and n = 2, where the runs are not ascending.
+func TestMADEIncrementalMatchesDegreeReference(t *testing.T) {
+	for _, sh := range [][2]int{{1, 1}, {2, 3}, {5, 3}, {17, 9}, {64, 86}} {
+		n, h := sh[0], sh[1]
+		r := rng.New(uint64(97*n + h))
+		m := NewMADE(n, h, r)
+		for i := range m.Params() {
+			m.Params()[i] += r.Uniform(-1, 1)
+		}
+		ev := m.NewIncrementalEvaluator()
+		x := make([]int, n)
+		z1 := make([]float64, h)
+		for trial := 0; trial < 40; trial++ {
+			r.FillBits(x)
+			ev.Reset()
+			copy(z1, m.B1)
+			for i, bit := range x {
+				if got, want := ev.Prob(i), refProb(m, z1, i); got != want {
+					t.Fatalf("n=%d h=%d trial %d: Prob(%d) = %v, degree reference %v", n, h, trial, i, got, want)
+				}
+				ev.Fix(i, bit)
+				refFix(m, z1, i, bit)
+			}
+		}
+	}
+}
+
+// TestMADEFootprint holds NewMADE to its parameters: at n = 2048 and the
+// paper's width the constructor may allocate at most 10 % beyond the 8*d
+// bytes of theta (degrees and run tables included, no mask matrices).
+func TestMADEFootprint(t *testing.T) {
+	n := 2048
+	h := HiddenMADE(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMADE(n, h, rng.New(1))
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := 1.1 * 8 * float64(m.NumParams()); float64(got) > limit {
+		t.Fatalf("NewMADE(%d, %d) allocated %d bytes, over 1.1 x 8d = %.0f", n, h, got, limit)
 	}
 }
 

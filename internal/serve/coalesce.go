@@ -179,14 +179,15 @@ func (m *modelService) submit(ctx context.Context, r *request) error {
 	}
 }
 
-// finish completes r: results/err are final before ready is closed, and
-// the admission reservation is released.
+// finish completes r: results/err are final and the admission reservation
+// is released before ready is closed, so a caller holding its answer never
+// still sees its own rows pending.
 func (m *modelService) finish(r *request, err error) {
 	r.err = err
-	close(r.ready)
 	if r.rows > 0 {
 		m.pendingRows.Add(-int64(r.rows))
 	}
+	close(r.ready)
 }
 
 // run is the dispatcher loop: pull one request, fold in whatever else is

@@ -240,7 +240,7 @@ func MatMulReLUCols(dst, a, b *Matrix, j0, j1, workers int) {
 // MatMulT computes dst = a*b^T (dst: M x N, a: M x K, b: N x K) without
 // materializing the transpose: element (i, j) is the dot product of row i
 // of a with row j of b, accumulated in ascending k order — the identical
-// floating-point sequence MulVec and MaskedMulVec produce for one sample.
+// floating-point sequence MulVec produces for one sample.
 // It is the untransposed-operand form of the batched contract for callers
 // that hold weights in their natural row-major layout; the MADE hot path
 // instead pre-transposes its masked-weight cache and drives MatMul/
@@ -286,7 +286,7 @@ func MatMulT(dst, a, b *Matrix, workers int) {
 // AddRowBias adds bias to every row of m (bias length m.Cols). Each element
 // sees exactly one addition, performed after the row's products are fully
 // accumulated — the same "dot first, bias second" order the scalar forward
-// uses (MaskedMulVec followed by Vector.Add). It is a plain loop: O(cols)
+// uses. It is a plain loop: O(cols)
 // per row never pays for a dispatch, and its callers, nn's batch evaluators,
 // are single-threaded.
 func AddRowBias(m *Matrix, bias Vector) {

@@ -193,26 +193,6 @@ func (m *Matrix) MulVecT(dst, x Vector) {
 	}
 }
 
-// MaskedMulVec computes dst = (mask .* m) * x, the MADE kernel, where mask
-// holds 0/1 entries with the same shape as m.
-func (m *Matrix) MaskedMulVec(dst, x Vector, mask *Matrix) {
-	if mask.Rows != m.Rows || mask.Cols != m.Cols {
-		panic("tensor: mask shape mismatch")
-	}
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic("tensor: MaskedMulVec dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		mrow := mask.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, w := range row {
-			s += w * mrow[j] * x[j]
-		}
-		dst[i] = s
-	}
-}
-
 // Mul computes dst = a*b. Shapes must agree; dst must not alias a or b.
 func Mul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {

@@ -112,29 +112,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestMaskedMulVec(t *testing.T) {
-	r := rng.New(4)
-	rows, cols := 8, 6
-	m := randMatrix(r, rows, cols)
-	mask := NewMatrix(rows, cols)
-	for i := range mask.Data {
-		mask.Data[i] = float64(r.Bit())
-	}
-	x := randVector(r, cols)
-	got := NewVector(rows)
-	m.MaskedMulVec(got, x, mask)
-	// Reference: elementwise product then MulVec.
-	mm := m.Clone()
-	for i := range mm.Data {
-		mm.Data[i] *= mask.Data[i]
-	}
-	want := NewVector(rows)
-	mm.MulVec(want, x)
-	if !Equal(got, want, 1e-13) {
-		t.Fatalf("masked mulvec mismatch: %v vs %v", got, want)
-	}
-}
-
 func TestMulIdentity(t *testing.T) {
 	r := rng.New(5)
 	n := 9
