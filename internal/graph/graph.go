@@ -1,5 +1,6 @@
-// Package graph builds the dense random graphs used by the paper's Max-Cut
-// experiments and provides cut-value utilities.
+// Package graph holds the weighted undirected graphs of the paper's Max-Cut
+// experiments as one edge list, builds the paper's dense random graphs and
+// evaluates cuts.
 //
 // The paper constructs the adjacency matrix by sampling B_ij ~ Bernoulli(0.5)
 // once, forming (B + B^T)/2, rounding, and zeroing the diagonal. Entries of
@@ -19,25 +20,19 @@ type Edge struct {
 	W    float64
 }
 
-// Graph is an undirected weighted graph on vertices 0..N-1 with a dense
-// adjacency matrix and an edge list kept in sync.
+// Graph is an undirected weighted graph on vertices 0..N-1, stored as one
+// edge list with U < V in every edge, so it costs O(N + |E|) memory.
 type Graph struct {
 	N     int
-	Adj   []float64 // row-major N x N, symmetric, zero diagonal
-	Edges []Edge    // every edge once, U < V
+	Edges []Edge
 }
 
 // New returns an empty graph on n vertices.
-func New(n int) *Graph {
-	return &Graph{N: n, Adj: make([]float64, n*n)}
-}
+func New(n int) *Graph { return &Graph{N: n} }
 
-// Weight returns the weight of edge (i, j); zero means no edge.
-func (g *Graph) Weight(i, j int) float64 { return g.Adj[i*g.N+j] }
-
-// AddEdge inserts an undirected edge with the given weight. Adding an edge
-// twice overwrites the weight in the adjacency matrix but appends a second
-// edge-list entry, so callers should add each pair once.
+// AddEdge appends the undirected edge {i, j} with weight w, stored with
+// U < V. Every reader treats the edge list as a multigraph: a pair added
+// twice contributes both weights.
 func (g *Graph) AddEdge(i, j int, w float64) {
 	if i == j {
 		panic("graph: self loop")
@@ -45,8 +40,6 @@ func (g *Graph) AddEdge(i, j int, w float64) {
 	if i > j {
 		i, j = j, i
 	}
-	g.Adj[i*g.N+j] = w
-	g.Adj[j*g.N+i] = w
 	g.Edges = append(g.Edges, Edge{U: i, V: j, W: w})
 }
 
@@ -59,27 +52,20 @@ func (g *Graph) TotalWeight() float64 {
 	return s
 }
 
-// Degree returns the weighted degree of vertex i.
-func (g *Graph) Degree(i int) float64 {
-	var s float64
-	for j := 0; j < g.N; j++ {
-		s += g.Adj[i*g.N+j]
-	}
-	return s
-}
-
 // RandomBernoulli builds the paper's random dense graph on n vertices:
 // round((B+B^T)/2) with B_ij ~ Bernoulli(0.5), zero diagonal, unit weights.
 func RandomBernoulli(n int, r *rng.Rand) *Graph {
-	b := make([]int, n*n)
+	// B is drawn row-major, one bit per ordered pair. Rounding makes an
+	// edge exactly when B_ij or B_ji is set, so a bool per entry suffices.
+	b := make([]bool, n*n)
 	for i := range b {
-		b[i] = r.Bit()
+		b[i] = r.Bit() == 1
 	}
 	g := New(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			// round((B_ij+B_ji)/2): 0->0, 1/2->1 (half away from zero), 1->1.
-			if b[i*n+j]+b[j*n+i] >= 1 {
+			if b[i*n+j] || b[j*n+i] {
 				g.AddEdge(i, j, 1)
 			}
 		}
@@ -100,28 +86,4 @@ func (g *Graph) CutValue(x []int) float64 {
 		}
 	}
 	return cut
-}
-
-// CutValueSpins is CutValue for a +-1 spin assignment s_i = 1-2x_i.
-func (g *Graph) CutValueSpins(s []float64) float64 {
-	var cut float64
-	for _, e := range g.Edges {
-		cut += e.W * (1 - s[e.U]*s[e.V]) / 2
-	}
-	return cut
-}
-
-// Laplacian returns the graph Laplacian D - A as a dense row-major matrix.
-func (g *Graph) Laplacian() []float64 {
-	l := make([]float64, g.N*g.N)
-	for i := 0; i < g.N; i++ {
-		for j := 0; j < g.N; j++ {
-			if i == j {
-				l[i*g.N+j] = g.Degree(i)
-			} else {
-				l[i*g.N+j] = -g.Adj[i*g.N+j]
-			}
-		}
-	}
-	return l
 }

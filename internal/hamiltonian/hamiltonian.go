@@ -102,11 +102,11 @@ func (t *TIM) Diagonal(x []int) float64 {
 	var e float64
 	for i := 0; i < t.n; i++ {
 		si := Spin(x[i])
-		e -= t.Beta[i] * si
+		e -= float64(t.Beta[i] * si)
 		row := t.BetaJ[i*t.n : (i+1)*t.n]
 		for j := i + 1; j < t.n; j++ {
 			if row[j] != 0 {
-				e -= row[j] * si * Spin(x[j])
+				e -= float64(row[j] * si * Spin(x[j]))
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func (t *TIM) DiagonalDelta(x []int, b int) float64 {
 			c = t.BetaJ[j*t.n+b]
 		}
 		if c != 0 {
-			d += 2 * c * sb * Spin(x[j])
+			d += float64(2 * c * sb * Spin(x[j]))
 		}
 	}
 	return d
@@ -157,7 +157,7 @@ func (m *MaxCut) N() int { return m.G.N }
 func (m *MaxCut) Diagonal(x []int) float64 {
 	var e float64
 	for _, ed := range m.G.Edges {
-		e += ed.W * Spin(x[ed.U]) * Spin(x[ed.V]) / 4
+		e += float64(ed.W * Spin(x[ed.U]) * Spin(x[ed.V]) / 4)
 	}
 	return e
 }
@@ -167,16 +167,8 @@ func (m *MaxCut) FlipTerms() []FlipTerm { return nil }
 
 // CutFromEnergy converts an energy H_xx to the corresponding cut value.
 func (m *MaxCut) CutFromEnergy(e float64) float64 {
-	return m.G.TotalWeight()/2 - 2*e
+	return float64(m.G.TotalWeight()/2) - float64(2*e)
 }
-
-// EnergyFromCut is the inverse of CutFromEnergy.
-func (m *MaxCut) EnergyFromCut(cut float64) float64 {
-	return (m.G.TotalWeight()/2 - cut) / 2
-}
-
-// Cut returns the cut value of configuration x.
-func (m *MaxCut) Cut(x []int) float64 { return m.G.CutValue(x) }
 
 // Sparsity returns the row sparsity parameter s: the maximum number of
 // non-zero entries in any row (diagonal plus flips).
@@ -217,7 +209,7 @@ func Apply(h Hamiltonian, v, out []float64) {
 		IndexToBits(ix, x)
 		acc := h.Diagonal(x) * v[ix]
 		for _, ft := range flips {
-			acc += ft.Amp * v[ix^(1<<uint(ft.Bit))]
+			acc += float64(ft.Amp * v[ix^(1<<uint(ft.Bit))])
 		}
 		out[ix] = acc
 	}

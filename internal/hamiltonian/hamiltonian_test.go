@@ -179,9 +179,6 @@ func TestMaxCutDiagonalCutIdentity(t *testing.T) {
 		if math.Abs(mc.CutFromEnergy(e)-g.CutValue(x)) > 1e-10 {
 			t.Fatalf("CutFromEnergy(%v) = %v, want %v", e, mc.CutFromEnergy(e), g.CutValue(x))
 		}
-		if math.Abs(mc.EnergyFromCut(g.CutValue(x))-e) > 1e-10 {
-			t.Fatal("EnergyFromCut not inverse of CutFromEnergy")
-		}
 	}
 }
 

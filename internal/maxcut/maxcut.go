@@ -8,7 +8,9 @@
 package maxcut
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/vqmc-scale/parvqmc/internal/graph"
@@ -137,21 +139,21 @@ func roundBest(g *graph.Graph, p *problem, f *factorization, rounds int, r *rng.
 }
 
 // localSearch greedily flips single vertices while any flip improves the
-// cut, modifying x in place and returning the final cut value. Each sweep
-// costs O(n^2) on dense graphs; it terminates because the cut strictly
-// increases.
+// cut, modifying x in place and returning the final cut value. A flip
+// recomputes only its neighbours' gains; the search terminates because the
+// cut strictly increases.
 func localSearch(g *graph.Graph, x []int) float64 {
-	n := g.N
+	runs := neighbourRuns(g)
 	// gain[i] = cut(x with i flipped) - cut(x)
-	gain := make([]float64, n)
-	for i := 0; i < n; i++ {
-		gain[i] = flipGain(g, x, i)
+	gain := make([]float64, g.N)
+	for i := range gain {
+		gain[i] = flipGain(runs, x, i)
 	}
 	for {
 		best, bestGain := -1, 1e-12
-		for i := 0; i < n; i++ {
-			if gain[i] > bestGain {
-				best, bestGain = i, gain[i]
+		for i, gi := range gain {
+			if gi > bestGain {
+				best, bestGain = i, gi
 			}
 		}
 		if best < 0 {
@@ -160,28 +162,57 @@ func localSearch(g *graph.Graph, x []int) float64 {
 		x[best] = 1 - x[best]
 		// Update gains of the flipped vertex and its neighbours.
 		gain[best] = -gain[best]
-		for j := 0; j < n; j++ {
-			if j != best && g.Weight(best, j) != 0 {
-				gain[j] = flipGain(g, x, j)
-			}
+		for _, e := range runs[best] {
+			gain[e.j] = flipGain(runs, x, e.j)
 		}
 	}
 	return g.CutValue(x)
 }
 
-// flipGain computes the cut change from flipping vertex i: edges to the
-// same side become cut (+w), edges across become uncut (-w).
-func flipGain(g *graph.Graph, x []int, i int) float64 {
-	var d float64
-	for j := 0; j < g.N; j++ {
-		w := g.Weight(i, j)
-		if w == 0 {
-			continue
+// neighbour is one entry of a vertex's run: an edge of weight w to vertex j.
+type neighbour struct {
+	j int
+	w float64
+}
+
+// neighbourRuns regroups g's edge list by vertex, CSR-style over one
+// backing array: run i lists vertex i's neighbours ascending by index and
+// leaves zero-weight edges out, so it holds the non-zero entries of
+// adjacency row i in column order.
+func neighbourRuns(g *graph.Graph) [][]neighbour {
+	deg := make([]int, g.N)
+	for _, e := range g.Edges {
+		if e.W != 0 {
+			deg[e.U]++
+			deg[e.V]++
 		}
-		if x[i] == x[j] {
-			d += w
+	}
+	runs, all := make([][]neighbour, g.N), make([]neighbour, 2*len(g.Edges))
+	for i, d := range deg {
+		runs[i], all = all[:0:d], all[d:]
+	}
+	for _, e := range g.Edges {
+		if e.W != 0 {
+			runs[e.U] = append(runs[e.U], neighbour{e.V, e.W})
+			runs[e.V] = append(runs[e.V], neighbour{e.U, e.W})
+		}
+	}
+	for _, run := range runs {
+		slices.SortStableFunc(run, func(p, q neighbour) int { return cmp.Compare(p.j, q.j) })
+	}
+	return runs
+}
+
+// flipGain computes the cut change from flipping vertex i: edges to the
+// same side become cut (+w), edges across become uncut (-w). The terms are
+// added in ascending neighbour order, whatever the order of the edge list.
+func flipGain(runs [][]neighbour, x []int, i int) float64 {
+	var d float64
+	for _, e := range runs[i] {
+		if x[i] == x[e.j] {
+			d += e.w
 		} else {
-			d -= w
+			d -= e.w
 		}
 	}
 	return d

@@ -87,9 +87,105 @@ func TestLocalSearchNeverDecreases(t *testing.T) {
 		t.Fatalf("local search decreased cut: %v -> %v", before, after)
 	}
 	// 1-swap local optimality: no single flip improves.
+	runs := neighbourRuns(g)
 	for i := 0; i < g.N; i++ {
-		if flipGain(g, x, i) > 1e-9 {
+		if flipGain(runs, x, i) > 1e-9 {
 			t.Fatalf("vertex %d still has positive gain", i)
+		}
+	}
+}
+
+// denseFlipGain is the gain local search computed before the neighbour
+// runs: a scan of vertex i's row of the n x n weight matrix w, in
+// ascending j, skipping zero entries.
+func denseFlipGain(w []float64, n int, x []int, i int) float64 {
+	var d float64
+	for j := 0; j < n; j++ {
+		wij := w[i*n+j]
+		if wij == 0 {
+			continue
+		}
+		if x[i] == x[j] {
+			d += wij
+		} else {
+			d -= wij
+		}
+	}
+	return d
+}
+
+// TestLocalSearchMatchesDenseReference pins local search over neighbour
+// runs to the dense-row search it replaced, bit for bit. The weights are
+// non-dyadic, some negative and some zero, and the edges are added in a
+// shuffled order with random orientation, so a run summed in any order but
+// ascending j would round differently. The reference runs the same greedy
+// loop over the dense matrix; at every state it visits, the runs' gain of
+// every vertex must == the reference's, and the final cut and assignment
+// of localSearch must == the reference's.
+func TestLocalSearchMatchesDenseReference(t *testing.T) {
+	for _, n := range []int{2, 3, 17, 64} {
+		for seed := uint64(0); seed < 5; seed++ {
+			r := rng.New(1000*uint64(n) + seed)
+			var pairs [][2]int
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if r.Float64() < 0.7 {
+						pairs = append(pairs, [2]int{u, v})
+					}
+				}
+			}
+			perm := make([]int, len(pairs))
+			r.Perm(perm)
+			g := graph.New(n)
+			w := make([]float64, n*n)
+			for _, k := range perm {
+				u, v := pairs[k][0], pairs[k][1]
+				wt := 0.0
+				if r.Float64() >= 0.15 {
+					wt = r.Uniform(-0.7, 1.9)
+				}
+				if r.Bit() == 1 {
+					u, v = v, u
+				}
+				g.AddEdge(u, v, wt)
+				w[u*n+v], w[v*n+u] = wt, wt
+			}
+			x0 := make([]int, n)
+			r.FillBits(x0)
+
+			runs := neighbourRuns(g)
+			x := slices.Clone(x0)
+			gain := make([]float64, n)
+			for i := range gain {
+				gain[i] = denseFlipGain(w, n, x, i)
+			}
+			for steps := 0; ; steps++ {
+				for i := range gain {
+					if got := flipGain(runs, x, i); got != gain[i] {
+						t.Fatalf("n=%d seed=%d step %d: gain[%d] = %v, dense reference %v", n, seed, steps, i, got, gain[i])
+					}
+				}
+				best, bestGain := -1, 1e-12
+				for i := range gain {
+					if gain[i] > bestGain {
+						best, bestGain = i, gain[i]
+					}
+				}
+				if best < 0 {
+					break
+				}
+				x[best] = 1 - x[best]
+				gain[best] = -gain[best]
+				for j := 0; j < n; j++ {
+					if j != best && w[best*n+j] != 0 {
+						gain[j] = denseFlipGain(w, n, x, j)
+					}
+				}
+			}
+			y := slices.Clone(x0)
+			if cut, want := localSearch(g, y), g.CutValue(x); cut != want || !slices.Equal(y, x) {
+				t.Fatalf("n=%d seed=%d: localSearch cut %v assignment %v, dense reference %v %v", n, seed, cut, y, want, x)
+			}
 		}
 	}
 }

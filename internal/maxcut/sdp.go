@@ -43,7 +43,7 @@ func (f *factorization) normalizeRows() {
 		row := f.row(i)
 		var s float64
 		for _, v := range row {
-			s += v * v
+			s += float64(v * v)
 		}
 		s = math.Sqrt(s)
 		if s == 0 {
@@ -60,7 +60,7 @@ func (f *factorization) normalizeRows() {
 // each row (the metric projection retraction on the sphere product).
 func (f *factorization) retract(u []float64, t float64) {
 	for i := range f.v {
-		f.v[i] += t * u[i]
+		f.v[i] += float64(t * u[i])
 	}
 	f.normalizeRows()
 }
@@ -74,7 +74,7 @@ type problem struct {
 func (p *problem) objective(f *factorization) float64 {
 	var obj float64
 	for _, e := range p.g.Edges {
-		obj += e.W * dot(f.row(e.U), f.row(e.V))
+		obj += float64(e.W * dot(f.row(e.U), f.row(e.V)))
 	}
 	return obj
 }
@@ -84,7 +84,7 @@ func (p *problem) objective(f *factorization) float64 {
 func (p *problem) cutBound(f *factorization) float64 {
 	var cut float64
 	for _, e := range p.g.Edges {
-		cut += e.W * (1 - dot(f.row(e.U), f.row(e.V))) / 2
+		cut += float64(e.W * (1 - dot(f.row(e.U), f.row(e.V))) / 2)
 	}
 	return cut
 }
@@ -100,8 +100,8 @@ func (p *problem) euclideanGrad(f *factorization, out []float64) {
 		ou := out[e.U*r : e.U*r+r]
 		ov := out[e.V*r : e.V*r+r]
 		for k := 0; k < r; k++ {
-			ou[k] += e.W * vv[k]
-			ov[k] += e.W * vu[k]
+			ou[k] += float64(e.W * vv[k])
+			ov[k] += float64(e.W * vu[k])
 		}
 	}
 }
@@ -116,7 +116,7 @@ func (p *problem) riemannianGrad(f *factorization, egrad []float64) {
 		gi := egrad[i*r : i*r+r]
 		c := dot(gi, vi)
 		for k := range gi {
-			gi[k] -= c * vi[k]
+			gi[k] -= float64(c * vi[k])
 		}
 	}
 }
@@ -136,8 +136,8 @@ func (p *problem) hessVec(f *factorization, u, av, out []float64) {
 		ou := out[e.U*r : e.U*r+r]
 		ov := out[e.V*r : e.V*r+r]
 		for k := 0; k < r; k++ {
-			ou[k] += e.W * uv[k]
-			ov[k] += e.W * uu[k]
+			ou[k] += float64(e.W * uv[k])
+			ov[k] += float64(e.W * uu[k])
 		}
 	}
 	for i := 0; i < f.n; i++ {
@@ -148,7 +148,7 @@ func (p *problem) hessVec(f *factorization, u, av, out []float64) {
 		c := dot(oi, vi)
 		lam := dot(avi, vi)
 		for k := range oi {
-			oi[k] -= c*vi[k] + lam*ui[k]
+			oi[k] -= float64(c*vi[k]) + float64(lam*ui[k])
 		}
 	}
 }
@@ -156,7 +156,7 @@ func (p *problem) hessVec(f *factorization, u, av, out []float64) {
 func dot(a, b []float64) float64 {
 	var s float64
 	for i, x := range a {
-		s += x * b[i]
+		s += float64(x * b[i])
 	}
 	return s
 }
@@ -196,7 +196,7 @@ func (p *problem) gradientDescent(f *factorization, maxIter int, tol float64) so
 			copy(trial, f.v)
 			f.retract(grad, -t)
 			newObj := p.objective(f)
-			if newObj <= obj-1e-4*t*gn*gn {
+			if newObj <= obj-float64(1e-4*t*gn*gn) {
 				obj = newObj
 				step = t * 1.5 // optimistic growth
 				break
@@ -282,14 +282,14 @@ func (p *problem) trustRegion(f *factorization, maxOuter int, tol float64) solve
 			}
 			beta := rrNew / rr
 			for i := range delta {
-				delta[i] = -rvec[i] + beta*delta[i]
+				delta[i] = -rvec[i] + float64(beta*delta[i])
 			}
 			rr = rrNew
 		}
 
 		// Predicted vs actual reduction.
 		p.hessVec(f, eta, egrad, hd)
-		pred := -(dot(rgrad, eta) + 0.5*dot(eta, hd))
+		pred := -(dot(rgrad, eta) + float64(0.5*dot(eta, hd)))
 		copy(trial, f.v)
 		f.retract(eta, 1)
 		newObj := p.objective(f)
@@ -320,7 +320,7 @@ func boundaryStep(eta, delta []float64, radius float64) float64 {
 	ee := dot(eta, eta)
 	ed := dot(eta, delta)
 	dd := dot(delta, delta)
-	disc := ed*ed - dd*(ee-radius*radius)
+	disc := float64(ed*ed) - float64(dd*(ee-float64(radius*radius)))
 	if disc < 0 {
 		disc = 0
 	}
@@ -328,12 +328,12 @@ func boundaryStep(eta, delta []float64, radius float64) float64 {
 }
 
 func normSqAfter(eta, delta []float64, alpha float64) float64 {
-	return dot(eta, eta) + 2*alpha*dot(eta, delta) + alpha*alpha*dot(delta, delta)
+	return dot(eta, eta) + float64(2*alpha*dot(eta, delta)) + float64(alpha*alpha*dot(delta, delta))
 }
 
 func axpy(dst []float64, a float64, src []float64) {
 	for i := range dst {
-		dst[i] += a * src[i]
+		dst[i] += float64(a * src[i])
 	}
 }
 

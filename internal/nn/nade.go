@@ -75,7 +75,7 @@ func (m *NADE) siteZ(a tensor.Vector, i int) float64 {
 	var z float64
 	for k, v := range m.V.Row(i) {
 		if av := a[k]; av > 0 {
-			z += v * av
+			z += float64(v * av)
 		}
 	}
 	return z + m.B[i]
@@ -118,8 +118,8 @@ func (m *NADE) backward(x []int, grad tensor.Vector, s *seqScratch) {
 		// V_i gradient and nothing to dS: skipping them leaves +0 in place.
 		for k, av := range ai {
 			if av > 0 {
-				gV[base+k] += dz * av
-				s.dS[k] += dz * vrow[k]
+				gV[base+k] += float64(dz * av)
+				s.dS[k] += float64(dz * vrow[k])
 			}
 		}
 	}

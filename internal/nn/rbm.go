@@ -140,9 +140,9 @@ func (m *RBM) flipDelta(spins, theta tensor.Vector, bit int) float64 {
 	var d float64
 	for k := 0; k < m.h; k++ {
 		old := theta[k]
-		d += lnCosh(old-2*m.W.At(k, bit)*sb) - lnCosh(old)
+		d += lnCosh(old-float64(2*m.W.At(k, bit)*sb)) - lnCosh(old)
 	}
-	d -= 2 * m.A[bit] * sb
+	d -= float64(2 * m.A[bit] * sb)
 	return d
 }
 
@@ -220,7 +220,7 @@ func (c *rbmFlipCache) Flip(bit int) {
 	d := c.Delta(bit)
 	sb := c.s.S[bit]
 	for k := 0; k < c.m.h; k++ {
-		c.s.Theta[k] -= 2 * c.m.W.At(k, bit) * sb
+		c.s.Theta[k] -= float64(2 * c.m.W.At(k, bit) * sb)
 	}
 	c.s.S[bit] = -sb
 	c.x[bit] = 1 - c.x[bit]

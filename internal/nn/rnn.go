@@ -82,7 +82,7 @@ func (m *RNNWavefunction) consume(s, pre tensor.Vector, _, bit int) {
 	m.Wh.MulVec(pre, s)
 	xb := float64(bit)
 	for k := 0; k < m.h; k++ {
-		pre[k] += m.Wx[k]*xb + m.Bh[k]
+		pre[k] += float64(m.Wx[k]*xb) + m.Bh[k]
 		s[k] = math.Tanh(pre[k])
 	}
 }
@@ -102,8 +102,8 @@ func (m *RNNWavefunction) backward(x []int, grad tensor.Vector, s *seqScratch) {
 		dz := float64(x[i]) - 1/(1+math.Exp(-m.siteZ(si, i)))
 		gBout[i] += dz
 		for k := 0; k < h; k++ {
-			gV[k] += dz * si[k]
-			s.dS[k] += dz * m.V[k]
+			gV[k] += float64(dz * si[k])
+			s.dS[k] += float64(dz * m.V[k])
 		}
 		if i == 0 {
 			break
@@ -112,7 +112,7 @@ func (m *RNNWavefunction) backward(x []int, grad tensor.Vector, s *seqScratch) {
 		prev := tensor.Vector(s.States.Row(i - 1))
 		xb := float64(x[i-1])
 		for k := 0; k < h; k++ {
-			s.dPre[k] = s.dS[k] * (1 - si[k]*si[k])
+			s.dPre[k] = s.dS[k] * (1 - float64(si[k]*si[k]))
 		}
 		for k := 0; k < h; k++ {
 			dp := s.dPre[k]
@@ -120,17 +120,17 @@ func (m *RNNWavefunction) backward(x []int, grad tensor.Vector, s *seqScratch) {
 				continue
 			}
 			gBh[k] += dp
-			gWx[k] += dp * xb
+			gWx[k] += float64(dp * xb)
 			row := gWh[k*h : (k+1)*h]
 			for j := 0; j < h; j++ {
-				row[j] += dp * prev[j]
+				row[j] += float64(dp * prev[j])
 			}
 		}
 		// dS for the previous state.
 		for j := 0; j < h; j++ {
 			var acc float64
 			for k := 0; k < h; k++ {
-				acc += s.dPre[k] * m.Wh.At(k, j)
+				acc += float64(s.dPre[k] * m.Wh.At(k, j))
 			}
 			s.dS[j] = acc
 		}

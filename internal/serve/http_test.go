@@ -8,11 +8,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -262,8 +264,8 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("healthy body %q (status %d), want %q", rec.Body.Bytes(), rec.Code, want.Bytes())
 	}
 	// A repeated vertex pair -> 400, in either orientation and whatever
-	// its weights: served, it would leave the edge list the cut reads
-	// disagreeing with the adjacency local search reads.
+	// its weights: a request names each pair once, and the graph would
+	// silently add the two weights.
 	for _, algo := range []string{"random", "gw", "bm"} {
 		for _, edges := range [][]MaxCutEdge{
 			{{U: 0, V: 1, W: 1}, {U: 1, V: 0, W: 1}},
@@ -272,6 +274,22 @@ func TestHTTPErrorMapping(t *testing.T) {
 			req := MaxCutRequest{N: 3, Edges: edges, Algorithm: algo, Seed: 3}
 			postJSON(t, ts, "/v1/maxcut", req, nil, http.StatusBadRequest)
 		}
+	}
+	// Finite weights that overflow the solver's float64 arithmetic -> 400,
+	// never a 500 from a response encoding/json refuses: 1e308 on a
+	// triangle drives gw's cut to +Inf, 1e154 on K6 bm's SDP bound to NaN.
+	for _, c := range []struct {
+		n    int
+		w    float64
+		algo string
+	}{{3, 1e308, "gw"}, {6, 1e154, "bm"}} {
+		var edges []MaxCutEdge
+		for u := 0; u < c.n; u++ {
+			for v := u + 1; v < c.n; v++ {
+				edges = append(edges, MaxCutEdge{U: u, V: v, W: c.w})
+			}
+		}
+		postJSON(t, ts, "/v1/maxcut", MaxCutRequest{N: c.n, Edges: edges, Algorithm: c.algo, Seed: 1}, nil, http.StatusBadRequest)
 	}
 	// Drained server -> 503.
 	s.Close()
@@ -342,8 +360,7 @@ func TestHTTPResourceBounds(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
 
-	// A huge vertex count is rejected before graph.New can be asked for
-	// its n^2 adjacency (n=1e6 alone would be an ~8TB allocation).
+	// A huge vertex count is rejected before anything n-sized is built.
 	postJSON(t, ts, "/v1/maxcut",
 		MaxCutRequest{N: 1_000_000, Edges: []MaxCutEdge{{U: 0, V: 1, W: 1}}, Seed: 1},
 		nil, http.StatusBadRequest)
@@ -356,8 +373,8 @@ func TestHTTPResourceBounds(t *testing.T) {
 		MaxCutRequest{N: 64, Edges: []MaxCutEdge{{U: 0, V: 1, W: 1}}, Algorithm: "random", Seed: 1},
 		nil, http.StatusOK)
 	// The solver knobs are bounded before admission: a rank above n would
-	// size the n x rank factorization past the adjacency (rank 2^33 at n=2
-	// is a 137 GB block), and unbounded rounds or iterations would hold a
+	// size the n x rank factorization past n x n (rank 2^33 at n=2 is a
+	// 137 GB block), and unbounded rounds or iterations would hold a
 	// solver slot indefinitely. The rows sit just outside the bounds, so
 	// each is cheap to solve should validation ever admit it; just inside
 	// the bounds it solves.
@@ -397,6 +414,25 @@ func TestHTTPResourceBounds(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestMaxCutFootprint holds a served solve to its request's size: n = 4096
+// with one edge and the random method allocates at most 1 MiB, where an
+// n x n structure would be 16 MiB or more.
+func TestMaxCutFootprint(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	defer s.Close()
+	req := MaxCutRequest{N: 4096, Edges: []MaxCutEdge{{U: 0, V: 1, W: 1}}, Algorithm: "random", Seed: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.SolveMaxCut(context.Background(), req)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("SolveMaxCut(n=%d, one edge, random) allocated %d bytes, over 1 MiB", req.N, got)
 	}
 }
 

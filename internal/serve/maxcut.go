@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/vqmc-scale/parvqmc/internal/graph"
@@ -49,11 +50,11 @@ type MaxCutResult struct {
 const maxCutIters = 10_000
 
 // validateMaxCut checks the request shape without allocating anything
-// request-sized: vertex bounds (including the server's MaxCutNodes cap —
-// the solvers hold O(n^2) state, so n must be vetted before graph.New can
-// be asked for it), edge endpoints, the knob bounds (a rank of at most n
-// keeps the n x rank factorization no larger than the adjacency) and the
-// algorithm name. It returns the resolved algorithm.
+// request-sized: vertex bounds (including the server's MaxCutNodes cap),
+// edge endpoints, the knob bounds and the algorithm name. The rank bound
+// matters most: the n x rank SDP factorization is the only request-sized
+// n^2 state, reached when a request asks for a rank near n; everything
+// else a solve holds is O(n + |E|). It returns the resolved algorithm.
 func validateMaxCut(req MaxCutRequest, maxNodes int) (string, error) {
 	if req.N < 2 {
 		return "", fmt.Errorf("%w: maxcut n=%d", ErrBadRequest, req.N)
@@ -86,19 +87,18 @@ func validateMaxCut(req MaxCutRequest, maxNodes int) (string, error) {
 }
 
 // buildGraph assembles a validated request's graph inside a pool slot. A
-// repeated unordered pair, in either orientation, is a bad request:
-// graph.AddEdge takes one add per pair, and a repeat would leave the edge
-// list the cut reads disagreeing with the adjacency local search reads.
+// repeated unordered pair, in either orientation, is a bad request: the
+// graph would add the two weights, and a request names each pair once.
 func buildGraph(req MaxCutRequest) (*graph.Graph, error) {
 	g := graph.New(req.N)
-	seen := make([]bool, req.N*req.N)
+	seen := make(map[[2]int]struct{}, len(req.Edges))
 	for i, e := range req.Edges {
-		u, v := min(e.U, e.V), max(e.U, e.V)
-		if seen[u*req.N+v] {
-			return nil, fmt.Errorf("%w: edge %d repeats the pair (%d,%d)", ErrBadRequest, i, u, v)
+		pair := [2]int{min(e.U, e.V), max(e.U, e.V)}
+		if _, ok := seen[pair]; ok {
+			return nil, fmt.Errorf("%w: edge %d repeats the pair (%d,%d)", ErrBadRequest, i, pair[0], pair[1])
 		}
-		seen[u*req.N+v] = true
-		g.AddEdge(u, v, e.W)
+		seen[pair] = struct{}{}
+		g.AddEdge(pair[0], pair[1], e.W)
 	}
 	return g, nil
 }
@@ -107,10 +107,12 @@ func buildGraph(req MaxCutRequest) (*graph.Graph, error) {
 // is bounded by ServerConfig.MaxSolves (admission control for the
 // CPU-heavy endpoint: beyond the bound the request is rejected with
 // ErrOverloaded rather than queued without bound), and admission happens
-// before the graph's O(n^2) adjacency is built, so even the largest
-// admissible instance only allocates inside a pool slot. The result is
-// bitwise identical to a direct maxcut.Solve with the same configuration
-// and rng.New(req.Seed).
+// before the graph is built, so even the largest admissible instance only
+// allocates inside a pool slot. The result is bitwise identical to a
+// direct maxcut.Solve with the same configuration and rng.New(req.Seed).
+// Finite weights can still overflow the solver's float64 arithmetic; a
+// cut or SDP bound that comes out infinite or NaN is ErrBadRequest, never
+// a 500 from a response JSON cannot carry.
 func (s *Server) SolveMaxCut(ctx context.Context, req MaxCutRequest) (MaxCutResult, error) {
 	algo, err := validateMaxCut(req, s.cfg.MaxCutNodes)
 	if err != nil {
@@ -146,5 +148,11 @@ func (s *Server) SolveMaxCut(ctx context.Context, req MaxCutRequest) (MaxCutResu
 	if err != nil {
 		return MaxCutResult{}, err
 	}
+	if !finite(res.Cut) || !finite(res.SDPBound) {
+		return MaxCutResult{}, fmt.Errorf("%w: maxcut weights overflow the solver's float64 range (cut %v, sdp bound %v)",
+			ErrBadRequest, res.Cut, res.SDPBound)
+	}
 	return MaxCutResult{Cut: res.Cut, Assignment: res.Assignment, SDPBound: res.SDPBound, Algorithm: algo}, nil
 }
+
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }

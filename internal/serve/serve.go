@@ -149,10 +149,11 @@ type ServerConfig struct {
 	// SolveMaxCut rejects with ErrOverloaded.
 	MaxSolves int
 	// MaxCutNodes caps the vertex count of a served Max-Cut instance
-	// (default 4096). The solvers allocate O(n^2) state, so n is vetted
-	// against this cap before anything request-sized is allocated — a
-	// request the admission control would reject can never cost an
-	// allocation first.
+	// (default 4096). n is vetted against this cap before anything
+	// request-sized is allocated — a request the admission control would
+	// reject can never cost an allocation first. A solve holds
+	// O(n + |E|) state plus the n x rank SDP factorization, which nears
+	// n^2 only when a request asks for a rank near n.
 	MaxCutNodes int
 	// CheckpointDir, when non-empty, is the directory SwapFile resolves
 	// checkpoint paths inside; paths must be local (no absolute paths, no
