@@ -7,7 +7,6 @@
 //	vqmc -problem maxcut -n 50 -model rbm -optimizer sgd -sr
 //	vqmc -problem tim -n 12 -exact            # compare against Lanczos
 //	vqmc -problem tim -n 20 -devices 4 -batch 4 # data-parallel training
-//	vqmc -problem tim -n 14 -devices 4 -batch 16 -optimizer sgd -sr -sr-solver pipelined
 //	vqmc -problem tim -n 16 -devices 4 -batch 8 -elastic -min-replicas 2 -checkpoint-dir ckpt
 package main
 
@@ -33,7 +32,6 @@ func main() {
 		opt     = flag.String("optimizer", "adam", "optimizer: adam or sgd")
 		lr      = flag.Float64("lr", 0, "learning rate (0 = optimizer default)")
 		sr      = flag.Bool("sr", false, "enable stochastic reconfiguration (natural gradient)")
-		srSolve = flag.String("sr-solver", "cg", "SR Fisher solver: cg (classic) or pipelined (overlapped collectives)")
 		hidden  = flag.Int("hidden", 0, "latent size (0 = paper rule)")
 		batch   = flag.Int("batch", 1024, "training batch per device (the global batch is devices x batch)")
 		iters   = flag.Int("iters", 300, "training iterations")
@@ -53,7 +51,7 @@ func main() {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if msg := ignoredFlag(set, *elastic, *sr); msg != "" {
+	if msg := ignoredFlag(set, *elastic); msg != "" {
 		log.Fatal(msg)
 	}
 	if *n < 1 {
@@ -72,7 +70,7 @@ func main() {
 
 	o := parvqmc.Options{
 		Model: *model, Sampler: *smp, Optimizer: *opt, LearningRate: *lr,
-		StochasticReconfig: *sr, SRSolver: *srSolve, Hidden: *hidden,
+		StochasticReconfig: *sr, Hidden: *hidden,
 		Iterations: *iters, EvalBatch: *evalB, Workers: *workers, Seed: *seed,
 		MCMCBurnIn: *burnIn, MCMCThin: *thin, MCMCChains: *chains,
 		Elastic: *elastic, CheckpointDir: *ckptDir,
@@ -124,12 +122,9 @@ func main() {
 // ignoredFlag names a flag the run would silently ignore, "" when there is
 // none. set holds the flags given on the command line (flag.Visit), so a
 // default never trips it.
-func ignoredFlag(set map[string]bool, elastic, sr bool) string {
+func ignoredFlag(set map[string]bool, elastic bool) string {
 	if !elastic && (set["checkpoint-dir"] || set["min-replicas"]) {
 		return "-checkpoint-dir and -min-replicas configure the elastic supervisor and need -elastic"
-	}
-	if !sr && set["sr-solver"] {
-		return "-sr-solver selects the stochastic-reconfiguration solver and needs -sr"
 	}
 	return ""
 }

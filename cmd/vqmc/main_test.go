@@ -12,31 +12,28 @@ import (
 // and defaults alone never trip a guard.
 func TestIgnoredFlag(t *testing.T) {
 	for _, tc := range []struct {
-		set         []string
-		elastic, sr bool
-		want        string // substring of the message, "" for accepted
+		set     []string
+		elastic bool
+		want    string // substring of the message, "" for accepted
 	}{
-		{nil, false, false, ""},
-		{[]string{"batch"}, false, false, ""},
-		{[]string{"devices", "batch"}, false, false, ""},
-		{[]string{"elastic"}, true, false, ""},
-		{[]string{"devices", "elastic", "min-replicas", "checkpoint-dir"}, true, false, ""},
-		{[]string{"checkpoint-dir"}, false, false, "-checkpoint-dir"},
-		{[]string{"devices", "checkpoint-dir"}, false, false, "-checkpoint-dir"},
-		{[]string{"min-replicas"}, false, false, "-min-replicas"},
-		{[]string{"devices", "min-replicas"}, false, false, "-min-replicas"},
-		{[]string{"sr"}, false, true, ""},
-		{[]string{"sr", "sr-solver"}, false, true, ""},
-		{[]string{"sr-solver"}, false, false, "-sr-solver"},
-		{[]string{"devices", "elastic", "sr-solver"}, true, false, "-sr-solver"},
+		{nil, false, ""},
+		{[]string{"batch"}, false, ""},
+		{[]string{"devices", "batch"}, false, ""},
+		{[]string{"elastic"}, true, ""},
+		{[]string{"devices", "elastic", "min-replicas", "checkpoint-dir"}, true, ""},
+		{[]string{"checkpoint-dir"}, false, "-checkpoint-dir"},
+		{[]string{"devices", "checkpoint-dir"}, false, "-checkpoint-dir"},
+		{[]string{"min-replicas"}, false, "-min-replicas"},
+		{[]string{"devices", "min-replicas"}, false, "-min-replicas"},
+		{[]string{"sr"}, false, ""},
 	} {
 		set := map[string]bool{}
 		for _, name := range tc.set {
 			set[name] = true
 		}
-		got := ignoredFlag(set, tc.elastic, tc.sr)
+		got := ignoredFlag(set, tc.elastic)
 		if (tc.want == "") != (got == "") || !strings.Contains(got, tc.want) {
-			t.Errorf("set %v elastic %v sr %v: got %q, want it to name %q", tc.set, tc.elastic, tc.sr, got, tc.want)
+			t.Errorf("set %v elastic %v: got %q, want it to name %q", tc.set, tc.elastic, got, tc.want)
 		}
 	}
 }

@@ -78,32 +78,4 @@ func main() {
 	fmt.Println("\nSR preconditions with the Fisher matrix estimated from the SAME")
 	fmt.Println("distributed batch, converging in far fewer iterations; replica")
 	fmt.Println("parameters remain bit-identical throughout.")
-
-	// Pipelined SR: the same Fisher solve, but every per-CG-iteration ring
-	// all-reduce is issued non-blocking and overlapped with the recurrence
-	// updates (Gropp's variant, Options.SRSolver: "pipelined"). The energy
-	// matches the classic solver — same Krylov process — while the solve
-	// itself no longer blocks on any collective.
-	fmt.Println("\nClassic vs pipelined SR solver (4 devices x 2 workers, 25 iters):")
-	fmt.Printf("%-11s %-12s %-10s\n", "solver", "energy", "gap %")
-	for _, solver := range []string{"cg", "pipelined"} {
-		res, err := parvqmc.TrainDistributed(problem, parvqmc.Options{
-			Hidden:             32,
-			Iterations:         25,
-			EvalBatch:          1024,
-			Optimizer:          "sgd",
-			StochasticReconfig: true,
-			SRSolver:           solver,
-			Workers:            2,
-			Seed:               5,
-		}, 4, 32)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-11s %-12.4f %.3f\n", solver, res.Energy, 100*(res.Energy-exact)/(-exact))
-	}
-	fmt.Println("\nOn a latency-bound interconnect the pipelined solver moves every")
-	fmt.Println("per-iteration reduction off the blocking path (overlapped with the")
-	fmt.Println("CG recurrence updates) — run `go run ./cmd/experiments -id pipecg`")
-	fmt.Println("for the measured blocking/async split and the overlap model.")
 }

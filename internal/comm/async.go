@@ -2,10 +2,10 @@ package comm
 
 // Non-blocking collectives. IAllReduceSum initiates the same chunked ring
 // all-reduce as AllReduceSum but returns immediately with a Handle; the
-// exchange (and any simulated link time) runs on a background goroutine so
-// the caller overlaps local compute with the in-flight reduction and pays
-// only max(compute, communication) instead of their sum. This is the
-// MPI_Iallreduce shape the pipelined CG solve is built on.
+// exchange runs on a background goroutine so the caller overlaps local
+// compute with the in-flight reduction and pays only max(compute,
+// communication) instead of their sum. This is the MPI_Iallreduce shape the
+// pipelined CG solve is built on.
 //
 // Semantics mirror MPI's one-outstanding-request discipline, enforced at
 // runtime: a rank may have at most one collective (blocking or non-blocking)
@@ -61,10 +61,10 @@ func (c *Comm) IAllReduceSum(x []float64) *Handle {
 	}
 	c.asyncColl++
 	if c.g.size == 1 {
-		// Nothing to exchange and RingAllReduceTime(p=1) is zero: complete
-		// immediately, on the one handle the rank reuses (at most one
-		// collective is in flight per rank), so single-rank groups stay
-		// goroutine-free, allocation-free and deterministic.
+		// Nothing to exchange: complete immediately, on the one handle the
+		// rank reuses (at most one collective is in flight per rank), so
+		// single-rank groups stay goroutine-free, allocation-free and
+		// deterministic.
 		c.solo = Handle{c: c}
 		return &c.solo
 	}
@@ -75,12 +75,7 @@ func (c *Comm) IAllReduceSum(x []float64) *Handle {
 			close(h.done)
 			return
 		}
-		if err := c.ringReduce(x); err != nil {
-			h.err = err
-			close(h.done)
-			return
-		}
-		c.simulate(len(x))
+		h.err = c.ringReduce(x)
 		close(h.done)
 	}()
 	return h

@@ -8,13 +8,10 @@
 // configurable deadline (Group.SetDeadline) bounds every blocking point, a
 // group-level abort channel fans the first failure out to every rank —
 // including the background goroutines of non-blocking collectives — and a
-// fault-injection seam (Group.FailAt, Group.Delay, mirroring SetLink)
-// scripts rank deaths and stragglers so the failure paths are testable.
-// See fault.go. On a healthy group with no deadline the behavior (and the
-// fast path) is unchanged and every error is nil.
-//
-// The package also exposes the standard alpha-beta cost model used to
-// predict collective latency on modeled cluster links (see package cluster).
+// fault-injection seam (Group.FailAt, Group.Delay) scripts rank deaths and
+// stragglers so the failure paths are testable. See fault.go. On a healthy
+// group with no deadline the behavior (and the fast path) is unchanged and
+// every error is nil.
 package comm
 
 import (
@@ -29,7 +26,6 @@ type Group struct {
 	size  int
 	right []chan []float64 // right[r]: messages flowing r -> (r+1)%size
 	bcast []chan []float64 // per-rank broadcast mailboxes
-	link  Link             // zero value: ideal network, no simulated cost
 
 	// Bounded-wait failure machinery (see fault.go). deadline bounds every
 	// blocking point; abort is closed (once, with abortErr recorded first)
@@ -45,16 +41,6 @@ type Group struct {
 	dead     []bool
 	coll     []int
 }
-
-// SetLink attaches an alpha-beta link model to the group: every subsequent
-// collective additionally sleeps the modeled ring (or gather) time on each
-// rank, so wall-clock measurements expose the latency that non-blocking
-// collectives can hide behind compute. Call it before any collective runs;
-// it must not race with in-flight collectives.
-func (g *Group) SetLink(l Link) { g.link = l }
-
-// Link returns the attached link model (the zero Link: ideal network).
-func (g *Group) Link() Link { return g.link }
 
 // NewGroup creates a communicator group of the given size.
 func NewGroup(size int) *Group {
@@ -161,19 +147,6 @@ func (c *Comm) begin() error {
 
 func (c *Comm) end() { c.inflight = false }
 
-// simulate sleeps the modeled ring all-reduce time for an n-element payload
-// when the group carries a link model; a no-op otherwise.
-func (c *Comm) simulate(n int) {
-	c.sleepModeled(RingAllReduceTime(float64(n)*8, c.g.size, c.g.link))
-}
-
-func (c *Comm) sleepModeled(t time.Duration) {
-	if c.g.link == (Link{}) || t <= 0 {
-		return
-	}
-	time.Sleep(t)
-}
-
 func (c *Comm) sendRight(data []float64) error {
 	c.bytesSent += int64(len(data)) * 8
 	c.messages++
@@ -207,12 +180,11 @@ func chunkBounds(n, p, i int) (lo, hi int) {
 // AllReduceSum sums x elementwise across all ranks, leaving the result in
 // every rank's x. It is the chunked ring algorithm: p-1 reduce-scatter steps
 // followed by p-1 all-gather steps, moving 2(p-1)/p of the vector per rank.
-// The call blocks until this rank's participation (and any simulated link
-// time) completes; IAllReduceSum is the non-blocking variant. A non-nil
-// error means the group degraded (deadline exceeded waiting on a peer, the
-// group aborted, or this rank was killed by fault injection) and x holds
-// partially reduced garbage; the group is condemned and every subsequent
-// collective fails fast.
+// The call blocks until this rank's participation completes; IAllReduceSum
+// is the non-blocking variant. A non-nil error means the group degraded
+// (deadline exceeded waiting on a peer, the group aborted, or this rank was
+// killed by fault injection) and x holds partially reduced garbage; the
+// group is condemned and every subsequent collective fails fast.
 func (c *Comm) AllReduceSum(x []float64) error {
 	if err := c.begin(); err != nil {
 		return err
@@ -222,11 +194,7 @@ func (c *Comm) AllReduceSum(x []float64) error {
 	if err := c.injectDelay(); err != nil {
 		return err
 	}
-	if err := c.ringReduce(x); err != nil {
-		return err
-	}
-	c.simulate(len(x))
-	return nil
+	return c.ringReduce(x)
 }
 
 // ringReduce is the raw chunked ring all-reduce shared by the blocking and
@@ -288,7 +256,6 @@ func (c *Comm) NaiveAllReduceSum(x []float64) error {
 	if err := c.injectDelay(); err != nil {
 		return err
 	}
-	defer c.sleepModeled(NaiveAllReduceTime(float64(len(x))*8, c.g.size, c.g.link))
 	p := c.g.size
 	if p == 1 {
 		return nil
@@ -346,9 +313,6 @@ func (c *Comm) Broadcast(x []float64, root int) error {
 	if err := c.injectDelay(); err != nil {
 		return err
 	}
-	// Modeled cost: p-1 sequential full-vector hops around the ring (the
-	// one-element ack round is not charged).
-	defer c.sleepModeled(time.Duration(c.g.size-1) * c.g.link.Transfer(float64(len(x))*8))
 	p := c.g.size
 	if p == 1 {
 		return nil
@@ -393,38 +357,4 @@ func (c *Comm) Broadcast(x []float64, root int) error {
 func (c *Comm) Barrier() error {
 	tok := []float64{1}
 	return c.AllReduceSum(tok)
-}
-
-// Link is an alpha-beta communication link: per-message latency plus
-// inverse bandwidth.
-type Link struct {
-	Latency   time.Duration
-	Bandwidth float64 // bytes per second
-}
-
-// Transfer returns the modeled time to move nBytes across the link.
-func (l Link) Transfer(nBytes float64) time.Duration {
-	if l.Bandwidth <= 0 {
-		return l.Latency
-	}
-	return l.Latency + time.Duration(nBytes/l.Bandwidth*float64(time.Second))
-}
-
-// RingAllReduceTime is the alpha-beta cost of a p-rank ring all-reduce of
-// nBytes: 2(p-1) steps, each moving nBytes/p over the slowest link.
-func RingAllReduceTime(nBytes float64, p int, link Link) time.Duration {
-	if p <= 1 {
-		return 0
-	}
-	steps := 2 * (p - 1)
-	return time.Duration(steps) * link.Transfer(nBytes/float64(p))
-}
-
-// NaiveAllReduceTime is the gather+broadcast cost: the root link carries
-// (p-1) full-vector messages in, then (p-1) out.
-func NaiveAllReduceTime(nBytes float64, p int, link Link) time.Duration {
-	if p <= 1 {
-		return 0
-	}
-	return time.Duration(2*(p-1)) * link.Transfer(nBytes)
 }

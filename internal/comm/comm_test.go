@@ -261,29 +261,6 @@ func TestTrafficAccounting(t *testing.T) {
 	}
 }
 
-func TestRingTimeModel(t *testing.T) {
-	link := Link{Latency: time.Microsecond, Bandwidth: 1e9}
-	if RingAllReduceTime(1e6, 1, link) != 0 {
-		t.Fatal("single rank should cost nothing")
-	}
-	t2 := RingAllReduceTime(1e6, 2, link)
-	// 2 steps of 0.5MB at 1GB/s = 1ms + 2us latency.
-	want := 2*time.Microsecond + time.Duration(1e6/1e9*1e9)*time.Nanosecond
-	if t2 < want*9/10 || t2 > want*11/10 {
-		t.Fatalf("ring time %v, want ~%v", t2, want)
-	}
-	// Ring moves 2(p-1)/p of the data regardless of p: time should be
-	// nearly flat in p for bandwidth-dominated transfers.
-	t16 := RingAllReduceTime(1e6, 16, link)
-	if t16 > 3*t2 {
-		t.Fatalf("ring time grew too fast with p: %v -> %v", t2, t16)
-	}
-	// Naive should be much worse at large p.
-	if NaiveAllReduceTime(1e6, 16, link) < 5*t16 {
-		t.Fatalf("naive all-reduce model should dominate ring at p=16")
-	}
-}
-
 func TestRankBounds(t *testing.T) {
 	g := NewGroup(2)
 	defer func() {

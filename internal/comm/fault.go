@@ -20,11 +20,11 @@ package comm
 //     any rank fails fast with the original cause. Recovery rebuilds a
 //     fresh group (see package dist).
 //
-// The injection seam mirrors Group.SetLink: FailAt scripts a rank to die at
+// The injection seam is two group settings: FailAt scripts a rank to die at
 // a chosen collective (it stops participating, exactly like a crashed
 // process — detection is the survivors' deadline, not a courtesy message),
 // and Delay scripts a straggler. Both must be configured before collectives
-// start, like SetLink.
+// start.
 
 import (
 	"errors"
@@ -54,9 +54,9 @@ var ErrAborted = errors.New("comm: group aborted")
 // peer to drain its send) aborts the group with an ErrPeerLost-wrapping
 // error and returns it, and every other rank's in-flight collective returns
 // the same cause promptly. d <= 0 restores unbounded waits (the abort
-// channel still provides liveness once any rank aborts explicitly). Like
-// SetLink it must be called before collectives run; it must not race with
-// in-flight collectives.
+// channel still provides liveness once any rank aborts explicitly). It must
+// be called before collectives run; it must not race with in-flight
+// collectives.
 func (g *Group) SetDeadline(d time.Duration) { g.deadline = d }
 
 // Deadline returns the configured per-blocking-point collective deadline

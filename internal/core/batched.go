@@ -129,7 +129,7 @@ func (e *BatchedEval) localEnergies(h hamiltonian.Hamiltonian, u *sampler.Batch,
 				// The evaluator emits the flip DELTAS under the model's own
 				// FlipCache convention, so exponentiating them reproduces the
 				// scalar loop's exp(cache.Delta(bit)) bit for bit.
-				l += amps[f] * math.Exp(row[f])
+				l += float64(amps[f] * math.Exp(row[f]))
 			}
 			out[k] = l
 		}

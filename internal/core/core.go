@@ -68,7 +68,7 @@ func LocalEnergies(h hamiltonian.Hamiltonian, model nn.CacheBuilder, b *sampler.
 			}
 			l := h.Diagonal(b.Row(k))
 			for _, ft := range flips {
-				l += ft.Amp * math.Exp(cache.Delta(ft.Bit))
+				l += float64(ft.Amp * math.Exp(cache.Delta(ft.Bit)))
 			}
 			out[k] = l
 		}
@@ -148,7 +148,8 @@ func (t *Trainer) Timings() Timings {
 
 // Step runs one VQMC iteration and returns its statistics. The private
 // 1-rank group has no peer to lose and no fault script, so its collectives
-// cannot fail; an error from one is a bug and panics with the cause.
+// cannot fail. Step has no error return, so an error — a collective's, which
+// is a bug, or ErrNonFinite — panics with the cause.
 func (t *Trainer) Step() IterStats {
 	t.iter++
 	st, err := t.step.Run(t.iter)

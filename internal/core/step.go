@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -19,6 +20,14 @@ import (
 // GradBlockSize, so the slabbed reduction is bitwise one AddWeightedRows over
 // the full batch, which in turn is bitwise BatchedEval.AddWeightedGrad.
 const GradSlabRows = 128
+
+// ErrNonFinite is wrapped by the error ReplicaStep.Run returns when an
+// iteration's reduced energy mean or variance (phase "energy") or an element
+// of its update (phase "update") is NaN or infinite. Both are identical
+// bytes on every rank, so every rank of the group returns it from the same
+// iteration, after the same collectives. The step commits nothing:
+// parameters and optimizer state keep their step-entry values.
+var ErrNonFinite = errors.New("core: non-finite training state")
 
 // PhaseTimings decomposes one rank's cumulative wall-clock time by phase —
 // the per-iteration breakdown behind the paper's Figure 3 discussion. Sync
@@ -150,7 +159,9 @@ func (s *ReplicaStep) LocalEnergies(b *sampler.Batch, out []float64) {
 // Run executes the rank's share of iteration iter and returns the GLOBAL
 // batch statistics (identical on every rank). A non-nil error means a
 // collective failed — peer lost, group aborted, or this rank killed by fault
-// injection — and the rank committed nothing.
+// injection — or the iteration went non-finite (ErrNonFinite), and the rank
+// committed nothing. A solve that went non-finite has still overwritten the
+// SR warm start; the caller rewinds it.
 func (s *ReplicaStep) Run(iter int) (IterStats, error) {
 	last := time.Now()
 	mb, d := s.batch.N, s.rep.Model.NumParams()
@@ -170,7 +181,7 @@ func (s *ReplicaStep) Run(iter int) (IterStats, error) {
 	var e, e2 float64
 	for _, l := range s.locals {
 		e += l
-		e2 += l * l
+		e2 += float64(l * l)
 	}
 	lap(&last, &s.timings.Energy)
 
@@ -213,9 +224,12 @@ func (s *ReplicaStep) Run(iter int) (IterStats, error) {
 	lap(&last, &s.timings.Sync)
 
 	mean = s.sums[0] / global
-	v := s.sums[1]/global - mean*mean
+	v := s.sums[1]/global - float64(mean*mean)
 	if v < 0 {
 		v = 0 // cancellation guard, as in stats.MeanStd
+	}
+	if !finite(mean) || !finite(v) {
+		return IterStats{}, nonFinite(iter, "energy")
 	}
 	st := IterStats{Iter: iter, Batch: ranks * mb, Energy: mean, Std: math.Sqrt(v)}
 	delta := grad
@@ -229,6 +243,11 @@ func (s *ReplicaStep) Run(iter int) (IterStats, error) {
 		lap(&last, &s.timings.Precond)
 	} else {
 		grad.Scale(1 / float64(ranks))
+	}
+	for _, x := range delta {
+		if !finite(x) {
+			return IterStats{}, nonFinite(iter, "update")
+		}
 	}
 
 	s.rep.Opt.Step(s.rep.Model.Params(), delta)
@@ -251,4 +270,10 @@ func (s *ReplicaStep) precondition(grad, osum tensor.Vector) (tensor.Vector, err
 		return nil, fmt.Errorf("fisher solve: %w", err)
 	}
 	return delta, nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func nonFinite(iter int, phase string) error {
+	return fmt.Errorf("iteration %d, %s phase: %w", iter, phase, ErrNonFinite)
 }

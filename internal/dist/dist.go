@@ -281,12 +281,6 @@ func (t *Trainer) CollectivesBalanced() error {
 	return nil
 }
 
-// SetLink attaches a simulated alpha-beta link to the trainer's collective
-// group (see comm.Group.SetLink): every collective then costs the modeled
-// ring time in wall clock, so classic-vs-pipelined timing comparisons show
-// the latency that overlap hides. Call before training starts.
-func (t *Trainer) SetLink(l comm.Link) { t.group.SetLink(l) }
-
 // SetCollectiveDeadline bounds every blocking point of every collective the
 // trainer issues (see comm.Group.SetDeadline): a replica that stops
 // participating makes every survivor's Step return an error wrapping
@@ -366,6 +360,12 @@ func (t *Trainer) CheckConsistent() error {
 // The group is then condemned: further Steps fail fast with the original
 // cause, and Recover rebuilds a trainer that resumes bit-identically from
 // the pre-step state.
+//
+// An error wrapping core.ErrNonFinite means the iteration went non-finite on
+// every rank alike. That is no group failure: the group stays healthy, and
+// on a trainer that can recover (see Recover) every replica's sampler and
+// SR solver are rewound to their step-entry snapshot, so the trainer is
+// exactly as Step found it and a second call fails the same way.
 func (t *Trainer) Step(iter int) (core.IterStats, error) {
 	if err := t.group.Err(); err != nil {
 		// Fail fast WITHOUT taking a new snapshot: the snapshot of the step
@@ -384,6 +384,11 @@ func (t *Trainer) Step(iter int) (core.IterStats, error) {
 		return err
 	})
 	if err != nil {
+		if errors.Is(err, core.ErrNonFinite) && t.snapValid {
+			for r := range t.Reps {
+				t.rewind(r)
+			}
+		}
 		return core.IterStats{}, fmt.Errorf("dist: step %d failed: %w", iter, err)
 	}
 	return out, nil
@@ -395,7 +400,9 @@ func (t *Trainer) Step(iter int) (core.IterStats, error) {
 // one that never reached a deadline (the killed rank's own immediate error),
 // so every rank sees subsequent collectives fail fast — and is recorded
 // under iter. Callers enter on a healthy group only, so a trainer
-// incarnation records at most one failure.
+// incarnation records at most one failure. A core.ErrNonFinite verdict is
+// not a failure of the group: every rank reached it after the same
+// collectives, so it condemns nothing and records nothing.
 func (t *Trainer) eachRank(iter int, fn func(rank int) error) error {
 	l := len(t.Reps)
 	errs := make([]error, l)
@@ -405,7 +412,7 @@ func (t *Trainer) eachRank(iter int, fn func(rank int) error) error {
 		}
 	})
 	err := errors.Join(errs...)
-	if err != nil {
+	if err != nil && !errors.Is(err, core.ErrNonFinite) {
 		t.group.Abort(err)
 		t.failedIter = iter
 		// Record the forensics NOW, while this incarnation's group still owns
@@ -434,6 +441,17 @@ func (t *Trainer) snapshot(iter int) {
 		}
 	}
 	t.snapValid = true
+}
+
+// rewind returns replica r's sampler and SR solver to its step-entry
+// snapshot, undoing the draws and warm-start updates of the step that
+// failed. It is idempotent, so a failed recovery attempt can be retried.
+func (t *Trainer) rewind(r int) {
+	rep := t.Reps[r]
+	rep.Smp.(sampler.Resumable).Restore(t.snapSmp[r])
+	if rep.SR != nil {
+		rep.SR.RestoreState(t.snapSR[r])
+	}
 }
 
 // Train runs iters iterations, invoking cb (if non-nil) after each, and
@@ -503,7 +521,7 @@ func (t *Trainer) EvaluateBest(batch int) (mean, std, best float64, argBest []in
 			k := 0
 			for i, e := range locals {
 				acc[0] += e
-				acc[1] += e * e
+				acc[1] += float64(e * e)
 				if e < locals[k] {
 					k = i
 				}
@@ -528,7 +546,7 @@ func (t *Trainer) EvaluateBest(batch int) (mean, std, best float64, argBest []in
 		}
 	}
 	mean = sum[0] / sum[2]
-	v := sum[1]/sum[2] - mean*mean
+	v := sum[1]/sum[2] - float64(mean*mean)
 	if v < 0 {
 		v = 0
 	}

@@ -180,15 +180,10 @@ func (t *Trainer) rebuild(op, dir string, replace bool, add int, build ReplicaBu
 		case r < n && !dead[r]:
 			rep = t.Reps[r]
 			if condemned != nil {
-				// Survivor: rewind its sampler and SR solver to its own
-				// step-entry snapshot, undoing the draws and warm-start
-				// pollution of the failed step (idempotent, so a failed
-				// attempt can be retried). Parameters and optimizer state
-				// were never touched by the failed step and carry over as-is.
-				rep.Smp.(sampler.Resumable).Restore(t.snapSmp[r])
-				if rep.SR != nil {
-					rep.SR.RestoreState(t.snapSR[r])
-				}
+				// Survivor: rewind it to its own step-entry snapshot.
+				// Parameters and optimizer state were never touched by the
+				// failed step and carry over as-is.
+				t.rewind(r)
 			}
 		case r < n && !replace:
 			continue // dead slot dropped
@@ -242,14 +237,13 @@ func (t *Trainer) rebuild(op, dir string, replace bool, add int, build ReplicaBu
 }
 
 // carryElastic copies the collective configuration and elastic bookkeeping
-// from t onto a rebuilt trainer: the deadline, the simulated link, the
-// cumulative failure history, and — when a FaultPlan is attached — its NEXT
-// generation of scripted deaths, armed on the fresh group. Faults injected
-// directly with InjectFailure are deliberately NOT carried over: a script
-// aimed at one incarnation's membership is meaningless on the next.
+// from t onto a rebuilt trainer: the deadline, the cumulative failure
+// history, and — when a FaultPlan is attached — its NEXT generation of
+// scripted deaths, armed on the fresh group. Faults injected directly with
+// InjectFailure are deliberately NOT carried over: a script aimed at one
+// incarnation's membership is meaningless on the next.
 func (t *Trainer) carryElastic(nt *Trainer) {
 	nt.group.SetDeadline(t.group.Deadline())
-	nt.group.SetLink(t.group.Link())
 	nt.history = append([]FailureRecord(nil), t.history...)
 	if t.plan != nil {
 		nt.plan = t.plan

@@ -10,9 +10,7 @@ package dist
 import (
 	"math"
 	"testing"
-	"time"
 
-	"github.com/vqmc-scale/parvqmc/internal/comm"
 	"github.com/vqmc-scale/parvqmc/internal/core"
 	"github.com/vqmc-scale/parvqmc/internal/exact"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
@@ -396,9 +394,6 @@ func BenchmarkPipelinedSR(b *testing.B) {
 		b.Fatalf("pipelined traffic %d bytes exceeds 2x classic %d", bytesP, bytesC)
 	}
 
-	// A modeled 200us link makes the hidden latency visible in -bench
-	// wall time (compare BenchmarkDistSR, which blocks on every apply).
-	pipe.SetLink(comm.Link{Latency: 200 * time.Microsecond})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pipe.Step(i); err != nil {

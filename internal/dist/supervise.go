@@ -11,6 +11,10 @@ package dist
 //  3. ABORT — below the floor, or condemned without a dead rank: write a
 //     final checkpoint of the last committed parameters, return the cause.
 //
+// A step that went non-finite (core.ErrNonFinite) is not a failure of the
+// membership, and a replay would diverge the same way: the run aborts at
+// once, with the final checkpoint, counting nothing.
+//
 // Every path terminates: the collective deadline (NewSupervisor sets one
 // when the caller did not) makes a failed step surface, and what follows is
 // a rebuild or a checkpointed exit. After growAfter clean steps below the
@@ -141,6 +145,9 @@ func (s *Supervisor) Train(iters int, cb func(core.IterStats)) ([]core.IterStats
 	for i := 1; i <= iters; {
 		s.maybeGrow()
 		st, err := s.tr.Step(i)
+		if errors.Is(err, core.ErrNonFinite) {
+			return hist, s.abort(err)
+		}
 		if err != nil {
 			if herr := s.handleFailure(err); herr != nil {
 				return hist, herr

@@ -4,9 +4,33 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/vqmc-scale/parvqmc/internal/comm"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 )
+
+// link is an alpha-beta communication link: per-message latency plus
+// inverse bandwidth.
+type link struct {
+	Latency   time.Duration
+	Bandwidth float64 // bytes per second
+}
+
+// Transfer returns the modeled time to move nBytes across the link.
+func (l link) Transfer(nBytes float64) time.Duration {
+	if l.Bandwidth <= 0 {
+		return l.Latency
+	}
+	return l.Latency + time.Duration(nBytes/l.Bandwidth*float64(time.Second))
+}
+
+// ringAllReduceTime is the alpha-beta cost of a p-rank ring all-reduce of
+// nBytes: 2(p-1) steps, each moving nBytes/p over the slowest link.
+func ringAllReduceTime(nBytes float64, p int, l link) time.Duration {
+	if p <= 1 {
+		return 0
+	}
+	steps := 2 * (p - 1)
+	return time.Duration(steps) * l.Transfer(nBytes/float64(p))
+}
 
 // topology is a homogeneous GPU cluster of L1 nodes x L2 GPUs per node. It
 // composes the device model and the alpha-beta collective model to evaluate
@@ -18,8 +42,8 @@ type topology struct {
 	Nodes       int
 	GPUsPerNode int
 	Device      device
-	Intra       comm.Link // links among GPUs within a node
-	Inter       comm.Link // links among nodes
+	Intra       link // links among GPUs within a node
+	Inter       link // links among nodes
 }
 
 // newTopology returns the modeled testbed: V100 GPUs, NVLink-class
@@ -30,8 +54,8 @@ func newTopology(nodes, gpusPerNode int) topology {
 		Nodes:       nodes,
 		GPUsPerNode: gpusPerNode,
 		Device:      v100(),
-		Intra:       comm.Link{Latency: 5 * time.Microsecond, Bandwidth: 50e9},
-		Inter:       comm.Link{Latency: 20 * time.Microsecond, Bandwidth: 10e9},
+		Intra:       link{Latency: 5 * time.Microsecond, Bandwidth: 50e9},
+		Inter:       link{Latency: 20 * time.Microsecond, Bandwidth: 10e9},
 	}
 }
 
@@ -52,13 +76,13 @@ func (t topology) AllReduceTime(params int) time.Duration {
 // L1 nodes x L2 GPUs-per-node clusters: ring reduce within each node over
 // the fast intra link, ring across node leaders over the slow inter link,
 // then an intra-node broadcast.
-func hierarchicalAllReduceTime(nBytes float64, nodes, perNode int, intra, inter comm.Link) time.Duration {
+func hierarchicalAllReduceTime(nBytes float64, nodes, perNode int, intra, inter link) time.Duration {
 	var t time.Duration
 	if perNode > 1 {
-		t += comm.RingAllReduceTime(nBytes, perNode, intra)
+		t += ringAllReduceTime(nBytes, perNode, intra)
 	}
 	if nodes > 1 {
-		t += comm.RingAllReduceTime(nBytes, nodes, inter)
+		t += ringAllReduceTime(nBytes, nodes, inter)
 	}
 	if perNode > 1 && nodes > 1 {
 		// Leaders rebroadcast the cross-node result inside each node.

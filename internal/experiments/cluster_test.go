@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/vqmc-scale/parvqmc/internal/comm"
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 )
 
@@ -134,9 +133,28 @@ func TestPaperConfigsCoverTable(t *testing.T) {
 	}
 }
 
+func TestRingTimeModel(t *testing.T) {
+	l := link{Latency: time.Microsecond, Bandwidth: 1e9}
+	if ringAllReduceTime(1e6, 1, l) != 0 {
+		t.Fatal("single rank should cost nothing")
+	}
+	t2 := ringAllReduceTime(1e6, 2, l)
+	// 2 steps of 0.5MB at 1GB/s = 1ms + 2us latency.
+	want := 2*time.Microsecond + time.Duration(1e6/1e9*1e9)*time.Nanosecond
+	if t2 < want*9/10 || t2 > want*11/10 {
+		t.Fatalf("ring time %v, want ~%v", t2, want)
+	}
+	// Ring moves 2(p-1)/p of the data regardless of p: time should be
+	// nearly flat in p for bandwidth-dominated transfers.
+	t16 := ringAllReduceTime(1e6, 16, l)
+	if t16 > 3*t2 {
+		t.Fatalf("ring time grew too fast with p: %v -> %v", t2, t16)
+	}
+}
+
 func TestHierarchicalTimeModel(t *testing.T) {
-	intra := comm.Link{Latency: 5 * time.Microsecond, Bandwidth: 100e9}
-	inter := comm.Link{Latency: 20 * time.Microsecond, Bandwidth: 10e9}
+	intra := link{Latency: 5 * time.Microsecond, Bandwidth: 100e9}
+	inter := link{Latency: 20 * time.Microsecond, Bandwidth: 10e9}
 	single := hierarchicalAllReduceTime(1e6, 1, 1, intra, inter)
 	if single != 0 {
 		t.Fatal("1x1 should cost nothing")

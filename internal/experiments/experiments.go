@@ -132,7 +132,6 @@ func All() []Experiment {
 		{"table4", "Ablation: MCMC sampling scheme (cut and time)", table4},
 		{"table5", "Hitting time to target cut", table5},
 		{"distsr", "Distributed SR: energy, CG iterations, ring traffic", distSR},
-		{"pipecg", "Pipelined CG: classic vs overlapped SR solve on a latency link", pipeCG},
 		{"table6", "Raw data: converged energy and time per GPU config", table6},
 		{"table7", "Raw data: weak-scaling times at memory-saturating batch", table7},
 		{"eq14", "Supplementary: Eq. 14 MCMC parallel efficiency", eq14},

@@ -24,7 +24,7 @@ func TestPresetByName(t *testing.T) {
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
-	want := []string{"table1", "fig2", "table2", "fig3", "fig4", "table3", "table4", "table5", "distsr", "pipecg", "table6", "table7", "eq14"}
+	want := []string{"table1", "fig2", "table2", "fig3", "fig4", "table3", "table4", "table5", "distsr", "table6", "table7", "eq14"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(got), len(want))
@@ -56,7 +56,7 @@ func TestEveryExperimentSmokes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke suite skipped in -short mode")
 	}
-	timed := map[string]bool{"table1": true, "pipecg": true}
+	timed := map[string]bool{"table1": true}
 	p := smokePreset()
 	dir := t.TempDir()
 	for _, e := range All() {

@@ -64,14 +64,13 @@ func figure3(p Preset, out io.Writer, csvDir string) error {
 // streams for a TIM instance. workers fans each replica's evaluation across
 // that many goroutines (1 = the plain data-parallel scheme); srLambda > 0
 // additionally enables distributed stochastic reconfiguration with a
-// private SR clone per replica, solved by the given CG variant.
-func buildDistTrainer(n, hsz, L, mbs, workers int, srLambda float64, solver optimizer.SolverKind, seed uint64) (*dist.Trainer, error) {
+// private SR clone per replica.
+func buildDistTrainer(n, hsz, L, mbs, workers int, srLambda float64, seed uint64) (*dist.Trainer, error) {
 	tim := timInstance(n)
 	streams := rng.New(seed).SplitN(L)
 	var proto *optimizer.SR
 	if srLambda > 0 {
 		proto = optimizer.NewSR(srLambda)
-		proto.Solver = solver
 	}
 	reps := make([]dist.Replica, L)
 	for r := 0; r < L; r++ {
@@ -106,7 +105,7 @@ func distSR(p Preset, out io.Writer, csvDir string) error {
 		"n", "L", "energy", "mean CG iters", "last residual", "MB/step", "fisher collectives")
 	for _, n := range dims {
 		for _, L := range p.GPUCounts {
-			tr, err := buildDistTrainer(n, hiddenMADE(n), L, p.MBS, 2, 1e-3, optimizer.SolverCG, uint64(80+L))
+			tr, err := buildDistTrainer(n, hiddenMADE(n), L, p.MBS, 2, 1e-3, uint64(80+L))
 			if err != nil {
 				return err
 			}
@@ -134,7 +133,7 @@ func distSR(p Preset, out io.Writer, csvDir string) error {
 // of dimension n over L replicas at the preset's per-replica batch, and
 // averages the final quarter of the energies to damp small-batch noise.
 func convergedEnergy(p Preset, n, L int, seed uint64) (float64, error) {
-	tr, err := buildDistTrainer(n, hiddenMADE(n), L, p.MBS, 1, 0, optimizer.SolverCG, seed)
+	tr, err := buildDistTrainer(n, hiddenMADE(n), L, p.MBS, 1, 0, seed)
 	if err != nil {
 		return 0, err
 	}

@@ -98,7 +98,7 @@ func (cfg Config) withDefaults(n, rounds, maxIter int) Config {
 // hyperplanes, keeping the best cut.
 func goemansWilliamson(g *graph.Graph, cfg Config, r *rng.Rand) Result {
 	cfg = cfg.withDefaults(g.N, 50, 500)
-	p := &problem{g: g}
+	p := newProblem(g)
 	f := newFactorization(g.N, cfg.Rank, r)
 	p.gradientDescent(f, cfg.MaxIter, 1e-5)
 	res := roundBest(g, p, f, cfg.Rounds, r)
@@ -114,7 +114,7 @@ func goemansWilliamson(g *graph.Graph, cfg Config, r *rng.Rand) Result {
 // paper's near-deterministic BM results.
 func burerMonteiro(g *graph.Graph, cfg Config, r *rng.Rand) Result {
 	cfg = cfg.withDefaults(g.N, 200, 200)
-	p := &problem{g: g}
+	p := newProblem(g)
 	f := newFactorization(g.N, cfg.Rank, r)
 	// Warm start with a little gradient descent, then polish with RTR.
 	p.gradientDescent(f, 50, 1e-2)

@@ -1,6 +1,7 @@
 package maxcut
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -262,5 +263,36 @@ func BenchmarkGoemansWilliamson100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		goemansWilliamson(g, Config{MaxIter: 200, Rounds: 30}, rng.New(uint64(i)))
+	}
+}
+
+// TestWeightScaleInvariance: scaling every weight by one factor scales
+// every cut and the relaxation by it, so the SDP methods solve on w/max|w|
+// and scale the bound back. On K6 with every weight w they cut 9w with a
+// finite bound at 9w, up to weights whose squares overflow float64. Before
+// the solve was scaled, bm's bound was NaN at w = 1e148 (seeds 1 and 5 here)
+// and at w = 1e150 (seeds 4 and 6), while the cut was far inside range.
+func TestWeightScaleInvariance(t *testing.T) {
+	for _, w := range []float64{1, 1e100, 1e148, 1e150} {
+		g := graph.New(6)
+		for u := 0; u < 6; u++ {
+			for v := u + 1; v < 6; v++ {
+				g.AddEdge(u, v, w)
+			}
+		}
+		for _, method := range []string{"gw", "bm"} {
+			for seed := uint64(0); seed < 8; seed++ {
+				res, err := Solve(g, method, Config{}, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(res.Cut-9*w) > 1e-15*9*w {
+					t.Errorf("w %g %s seed %d: cut %v, want 9w = %v", w, method, seed, res.Cut, 9*w)
+				}
+				if b := res.SDPBound; math.IsNaN(b) || math.IsInf(b, 0) || math.Abs(b-9*w) > 1e-9*9*w {
+					t.Errorf("w %g %s seed %d: SDP bound %v, want finite and 9w = %v", w, method, seed, b, 9*w)
+				}
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ package maxcut
 
 import (
 	"math"
+	"slices"
 
 	"github.com/vqmc-scale/parvqmc/internal/graph"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
@@ -65,9 +66,30 @@ func (f *factorization) retract(u []float64, t float64) {
 	f.normalizeRows()
 }
 
-// problem is the relaxation of one graph's Max-Cut.
+// problem is the relaxation of one graph's Max-Cut, solved on the weights
+// divided by max|w|. One factor scales every cut and the relaxation alike,
+// and unit weights keep the solvers' products of weights and squared norms
+// inside float64's range (on K6 with every weight 1e148, bm's bound was
+// NaN). cutBound scales back; at max|w| = 1 the solve is the unscaled one,
+// bit for bit.
 type problem struct {
-	g *graph.Graph
+	g     *graph.Graph // the graph with every weight divided by scale
+	scale float64      // max|w|, or 1 when every weight is 0
+}
+
+func newProblem(g *graph.Graph) *problem {
+	var m float64
+	for _, e := range g.Edges {
+		m = max(m, math.Abs(e.W))
+	}
+	if m == 0 {
+		m = 1
+	}
+	p := &problem{g: &graph.Graph{N: g.N, Edges: slices.Clone(g.Edges)}, scale: m}
+	for i := range p.g.Edges {
+		p.g.Edges[i].W /= m
+	}
+	return p
 }
 
 // objective evaluates f(V) = sum_{i<j} w_ij v_i.v_j.
@@ -79,14 +101,14 @@ func (p *problem) objective(f *factorization) float64 {
 	return obj
 }
 
-// cutBound returns the relaxation value sum w_ij (1 - v_i.v_j)/2, an upper
-// bound (at the SDP optimum) on the maximum cut.
+// cutBound returns the relaxation value sum w_ij (1 - v_i.v_j)/2 on the
+// original weights, an upper bound (at the SDP optimum) on the maximum cut.
 func (p *problem) cutBound(f *factorization) float64 {
 	var cut float64
 	for _, e := range p.g.Edges {
 		cut += float64(e.W * (1 - dot(f.row(e.U), f.row(e.V))) / 2)
 	}
-	return cut
+	return cut * p.scale
 }
 
 // euclideanGrad computes G_i = sum_j w_ij v_j into out (same shape as V).

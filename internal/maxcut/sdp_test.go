@@ -33,7 +33,7 @@ func TestRetractKeepsManifold(t *testing.T) {
 func TestEuclideanGradFiniteDifference(t *testing.T) {
 	r := rng.New(3)
 	g := graph.RandomBernoulli(8, r)
-	p := &problem{g: g}
+	p := newProblem(g)
 	f := newFactorization(8, 3, r)
 	grad := make([]float64, len(f.v))
 	p.euclideanGrad(f, grad)
@@ -55,7 +55,7 @@ func TestEuclideanGradFiniteDifference(t *testing.T) {
 func TestRiemannianGradIsTangent(t *testing.T) {
 	r := rng.New(4)
 	g := graph.RandomBernoulli(10, r)
-	p := &problem{g: g}
+	p := newProblem(g)
 	f := newFactorization(10, 4, r)
 	grad := make([]float64, len(f.v))
 	p.euclideanGrad(f, grad)
@@ -71,7 +71,7 @@ func TestHessVecSymmetry(t *testing.T) {
 	// <u, Hess w> == <w, Hess u> for tangent u, w.
 	r := rng.New(5)
 	g := graph.RandomBernoulli(8, r)
-	p := &problem{g: g}
+	p := newProblem(g)
 	f := newFactorization(8, 3, r)
 	av := make([]float64, len(f.v))
 	p.euclideanGrad(f, av)
@@ -103,7 +103,7 @@ func TestHessVecSymmetry(t *testing.T) {
 func TestGradientDescentDecreasesObjective(t *testing.T) {
 	r := rng.New(6)
 	g := graph.RandomBernoulli(15, r)
-	p := &problem{g: g}
+	p := newProblem(g)
 	f := newFactorization(15, defaultRank(15), r)
 	before := p.objective(f)
 	res := p.gradientDescent(f, 300, 1e-4)
@@ -118,7 +118,7 @@ func TestGradientDescentDecreasesObjective(t *testing.T) {
 func TestTrustRegionReachesStationarity(t *testing.T) {
 	r := rng.New(7)
 	g := graph.RandomBernoulli(12, r)
-	p := &problem{g: g}
+	p := newProblem(g)
 	f := newFactorization(12, defaultRank(12), r)
 	res := p.trustRegion(f, 200, 1e-6)
 	if !res.converged && res.gradNorm > 1e-3 {
@@ -129,7 +129,7 @@ func TestTrustRegionReachesStationarity(t *testing.T) {
 func TestTrustRegionAtLeastAsGoodAsGD(t *testing.T) {
 	r := rng.New(8)
 	g := graph.RandomBernoulli(14, r)
-	p := &problem{g: g}
+	p := newProblem(g)
 	fGD := newFactorization(14, defaultRank(14), rng.New(100))
 	fTR := newFactorization(14, defaultRank(14), rng.New(100))
 	gd := p.gradientDescent(fGD, 400, 1e-8)
@@ -144,7 +144,7 @@ func TestSDPBoundDominatesAnyCut(t *testing.T) {
 	// cut, in particular the best exhaustive cut.
 	r := rng.New(9)
 	g := graph.RandomBernoulli(10, r)
-	p := &problem{g: g}
+	p := newProblem(g)
 	f := newFactorization(10, defaultRank(10), r)
 	p.trustRegion(f, 300, 1e-8)
 	bound := p.cutBound(f)
@@ -178,7 +178,7 @@ func TestRoundHyperplaneValidAssignment(t *testing.T) {
 func BenchmarkTrustRegion50(b *testing.B) {
 	r := rng.New(1)
 	g := graph.RandomBernoulli(50, r)
-	p := &problem{g: g}
+	p := newProblem(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := newFactorization(50, defaultRank(50), rng.New(uint64(i)))

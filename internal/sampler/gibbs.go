@@ -62,7 +62,7 @@ func sweep(m *nn.RBM, x []int, spins, hsum []float64, rnd *rng.Rand) {
 		theta := m.C[k]
 		row := m.W.Row(k)
 		for i := 0; i < n; i++ {
-			theta += row[i] * spins[i]
+			theta += float64(row[i] * spins[i])
 		}
 		p := 1 / (1 + math.Exp(-2*theta))
 		var H float64
@@ -83,7 +83,7 @@ func sweep(m *nn.RBM, x []int, spins, hsum []float64, rnd *rng.Rand) {
 		field := 2 * m.A[i]
 		for k := 0; k < h; k++ {
 			if hsum[k] != 0 {
-				field += hsum[k] * m.W.At(k, i)
+				field += float64(hsum[k] * m.W.At(k, i))
 			}
 		}
 		p := 1 / (1 + math.Exp(-2*field))

@@ -275,21 +275,28 @@ func TestHTTPErrorMapping(t *testing.T) {
 			postJSON(t, ts, "/v1/maxcut", req, nil, http.StatusBadRequest)
 		}
 	}
-	// Finite weights that overflow the solver's float64 arithmetic -> 400,
-	// never a 500 from a response encoding/json refuses: 1e308 on a
-	// triangle drives gw's cut to +Inf, 1e154 on K6 bm's SDP bound to NaN.
+	// Finite weights whose cut overflows float64 -> 400, never a 500 from
+	// a response encoding/json refuses: 1e308 on a triangle drives gw's cut
+	// to +Inf. Weights whose cut fits are solved whatever their squares
+	// do: 1e154 on K6 made bm's SDP bound NaN before the solve was scaled
+	// by max|w|, and is a 200 with the cut 9w and a finite bound now.
 	for _, c := range []struct {
-		n    int
-		w    float64
-		algo string
-	}{{3, 1e308, "gw"}, {6, 1e154, "bm"}} {
+		n      int
+		w      float64
+		algo   string
+		status int
+	}{{3, 1e308, "gw", http.StatusBadRequest}, {6, 1e154, "bm", http.StatusOK}} {
 		var edges []MaxCutEdge
 		for u := 0; u < c.n; u++ {
 			for v := u + 1; v < c.n; v++ {
 				edges = append(edges, MaxCutEdge{U: u, V: v, W: c.w})
 			}
 		}
-		postJSON(t, ts, "/v1/maxcut", MaxCutRequest{N: c.n, Edges: edges, Algorithm: c.algo, Seed: 1}, nil, http.StatusBadRequest)
+		var got MaxCutResult
+		postJSON(t, ts, "/v1/maxcut", MaxCutRequest{N: c.n, Edges: edges, Algorithm: c.algo, Seed: 1}, &got, c.status)
+		if c.status == http.StatusOK && (got.Cut != 9*c.w || !finite(got.SDPBound)) {
+			t.Fatalf("K6 at w %g: cut %v (want %v), SDP bound %v", c.w, got.Cut, 9*c.w, got.SDPBound)
+		}
 	}
 	// Drained server -> 503.
 	s.Close()

@@ -145,12 +145,6 @@ type Options struct {
 	// StochasticReconfig preconditions gradients with the Fisher matrix
 	// (SR; natural gradient). The paper pairs it with SGD.
 	StochasticReconfig bool
-	// SRSolver selects the Fisher CG variant: "cg" (classic, default) or
-	// "pipelined" (Gropp's overlapped variant — in distributed training
-	// every per-iteration collective is non-blocking and hidden behind the
-	// recurrence updates; serially it is the identical algorithm).
-	// "pipelined" requires StochasticReconfig.
-	SRSolver string
 	// BatchSize is Train's samples per iteration (default 1024).
 	// TrainDistributed takes its per-device mini-batch as an argument.
 	BatchSize int
@@ -225,17 +219,6 @@ func (o *Options) fill(n int) error {
 		} else {
 			o.LearningRate = 0.1
 		}
-	}
-	switch strings.ToLower(o.SRSolver) {
-	case "", "cg", "classic":
-		o.SRSolver = "cg"
-	case "pipelined", "pipecg":
-		o.SRSolver = "pipelined"
-	default:
-		return fmt.Errorf("parvqmc: unknown SR solver %q (want cg or pipelined)", o.SRSolver)
-	}
-	if o.SRSolver == "pipelined" && !o.StochasticReconfig {
-		return fmt.Errorf("parvqmc: Options.SRSolver is %q without Options.StochasticReconfig; only the SR solve uses it", o.SRSolver)
 	}
 	if o.CheckpointDir != "" && !o.Elastic {
 		return fmt.Errorf("parvqmc: Options.CheckpointDir is set without Options.Elastic; only the elastic supervisor writes checkpoints")
@@ -336,12 +319,15 @@ func (o Options) buildOptimizer() (optimizer.Optimizer, *optimizer.SR) {
 	var sr *optimizer.SR
 	if o.StochasticReconfig {
 		sr = optimizer.NewSR(srLambda)
-		if o.SRSolver == "pipelined" {
-			sr.Solver = optimizer.SolverPipelined
-		}
 	}
 	return opt, sr
 }
+
+// ErrNonFinite is wrapped by the error Train and TrainDistributed return
+// when a training iteration's energy mean or variance, or its parameter
+// update, is NaN or infinite. The run stops at that iteration, which
+// commits no update.
+var ErrNonFinite = core.ErrNonFinite
 
 // Train runs VQMC on the problem and returns the result: TrainDistributed
 // at one device, with Options.BatchSize (default 1024) as the mini-batch.
@@ -391,14 +377,10 @@ func (o Options) newSampler(n int, m core.Model, workers int, stream *rng.Rand) 
 // With Options.StochasticReconfig set, the gradient is preconditioned by
 // distributed SR: each replica keeps only its private O_k rows and the
 // matrix-free Fisher CG solve performs one packed ring all-reduce per
-// iteration; Options.SRSolver "pipelined" issues those collectives
-// non-blocking and hides them behind the CG recurrence updates (Gropp's
-// overlapped variant), without perturbing the result beyond solver
-// round-off. Options.Workers additionally shares each replica's sampling,
+// iteration. Options.Workers additionally shares each replica's sampling,
 // local-energy and gradient evaluation out over that many goroutines — the
-// two-level replica x worker scheme modeling node x GPU hierarchies.
-// Neither knob perturbs the bit-identity of the replicas, and Workers
-// changes no result.
+// two-level replica x worker scheme modeling node x GPU hierarchies. It
+// perturbs neither the bit-identity of the replicas nor any result.
 //
 // With Options.Elastic set, the run is supervised: a replica failure is
 // handled by replacement (bit-identical resume, bounded retries with

@@ -94,8 +94,8 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := Train(p, o); err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
 		t.Fatalf("Train: CheckpointDir without Elastic should error naming the field, got %v", err)
 	}
-	// The same holds for the two other options only one path reads: the
-	// elastic floor, and the solver of an SR step that is not taken.
+	// The same holds for the other option only that path reads, the
+	// elastic floor.
 	small := Options{BatchSize: 8, Iterations: 2, EvalBatch: 8}
 	for _, tc := range []struct {
 		field string
@@ -103,8 +103,6 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{"MinReplicas", Options{MinReplicas: 1}},
 		{"MinReplicas", Options{MinReplicas: 2}},
-		{"SRSolver", Options{SRSolver: "pipelined"}},
-		{"SRSolver", Options{SRSolver: "PipeCG", Optimizer: "sgd"}},
 	} {
 		tc.o.BatchSize, tc.o.Iterations, tc.o.EvalBatch = small.BatchSize, small.Iterations, small.EvalBatch
 		for devices := 1; devices <= 2; devices++ {
@@ -116,10 +114,9 @@ func TestOptionValidation(t *testing.T) {
 			t.Fatalf("Train %+v: want an error naming %s, got %v", tc.o, tc.field, err)
 		}
 	}
-	// Still legal: the default solver named without SR, the floor under
-	// Elastic, and a family name in upper case.
+	// Still legal: the floor under Elastic, and a family name in upper
+	// case.
 	for _, o := range []Options{
-		{SRSolver: "cg"}, {SRSolver: "classic"},
 		{Elastic: true, MinReplicas: 1},
 		{Model: "NADE"}, {Model: "Rbm"},
 	} {
@@ -511,7 +508,6 @@ func TestTrainKeepsSerialBytes(t *testing.T) {
 		{"nade", Options{Model: "nade"}},
 		{"rnn", Options{Model: "rnn"}},
 		{"made/sr-cg", Options{Optimizer: "sgd", StochasticReconfig: true}},
-		{"made/sr-pipelined", Options{Optimizer: "sgd", StochasticReconfig: true, SRSolver: "pipelined"}},
 	}
 	problems := []struct {
 		name string
