@@ -52,7 +52,9 @@ func SaveWavefunction(w io.Writer, wf Wavefunction) error {
 
 // LoadWavefunction reads a checkpoint, reconstructing the model with its
 // masks and loading the saved parameters. The returned value has the
-// concrete type of the family the kind byte names.
+// concrete type of the family the kind byte names. A checkpoint holding a
+// NaN or infinite parameter is refused with an error naming the first such
+// parameter's index.
 func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -102,6 +104,13 @@ func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 	if _, err := io.CopyN(&payload, br, 8*int64(d)); err != nil {
 		return nil, err
 	}
+	raw := payload.Bytes()
+	param := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])) }
+	for i := 0; i < d; i++ {
+		if err := checkFinite(i, param(i)); err != nil {
+			return nil, err
+		}
+	}
 	// Construct with an arbitrary seed; every parameter is overwritten by
 	// the checkpoint payload (masks are deterministic in (n, h)).
 	wf := f.build(n, h, rng.New(0))
@@ -109,12 +118,34 @@ func LoadWavefunction(r io.Reader) (Wavefunction, error) {
 	if len(params) != d {
 		return nil, fmt.Errorf("nn: checkpoint has %d params, model needs %d", d, len(params))
 	}
-	raw := payload.Bytes()
 	for i := range params {
-		params[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		params[i] = param(i)
 	}
 	InvalidateParams(wf)
 	return wf, nil
+}
+
+// nonFiniteParamError is the refusal of a NaN or infinite parameter by
+// LoadWavefunction and HotSwapParams: index is its position in the flat
+// parameter vector. Such a value cannot come out of training (the step
+// refuses to commit one), and one in a live weight would train on or serve
+// without any other error, so no model is ever built or swapped onto it.
+type nonFiniteParamError struct {
+	index int
+	value float64
+}
+
+func (e *nonFiniteParamError) Error() string {
+	return fmt.Sprintf("nn: parameter %d is %v, want a finite value", e.index, e.value)
+}
+
+// checkFinite returns a *nonFiniteParamError for parameter i when v is NaN
+// or infinite.
+func checkFinite(i int, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return &nonFiniteParamError{index: i, value: v}
+	}
+	return nil
 }
 
 // SaveFile writes a checkpoint to path atomically: the bytes go to a

@@ -3,9 +3,13 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/rng"
@@ -226,9 +230,10 @@ func TestCheckpointCorruptHeaders(t *testing.T) {
 }
 
 // FuzzLoadWavefunction feeds arbitrary bytes to the loader: it either
-// errors without panicking or loads a model whose re-saved checkpoint equals
-// the consumed input, byte for byte. Seeds are a valid checkpoint of each
-// kind, whole and truncated at the end of every header field.
+// errors without panicking or loads a model with finite parameters whose
+// re-saved checkpoint equals the consumed input, byte for byte. Seeds are a
+// valid checkpoint of each kind, whole, truncated at the end of every header
+// field, and with a NaN or -Inf first or last parameter.
 func FuzzLoadWavefunction(f *testing.F) {
 	r := rng.New(31)
 	for _, m := range []Wavefunction{NewMADE(4, 3, r), NewRBM(4, 3, r), NewNADE(4, 3, r), NewRNN(4, 3, r)} {
@@ -241,11 +246,24 @@ func FuzzLoadWavefunction(f *testing.F) {
 		for _, cut := range []int{0, 4, 5, 9, 13, 17} {
 			f.Add(buf.Bytes()[:cut])
 		}
+		// The same checkpoint with a non-finite first or last parameter.
+		for _, at := range []int{17, buf.Len() - 8} {
+			for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+				bad := bytes.Clone(buf.Bytes())
+				binary.LittleEndian.PutUint64(bad[at:], math.Float64bits(v))
+				f.Add(bad)
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wf, err := LoadWavefunction(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for i, v := range wf.Params() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("loaded %T with parameter %d = %v", wf, i, v)
+			}
 		}
 		var out bytes.Buffer
 		if err := SaveWavefunction(&out, wf); err != nil {
@@ -341,5 +359,73 @@ func TestSaveFileRelativePath(t *testing.T) {
 	}
 	if _, err := LoadFile("bare.pvq"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadRefusesNonFiniteParams: a checkpoint with -Inf at MADE's
+// W1[0][0] (a live weight, parameter 0) fails to load, from a reader and
+// from a file, with an error naming that parameter; so does a NaN or +/-Inf
+// anywhere in any family's payload. The same model with the value finite
+// loads, so the refusal is the value's alone.
+func TestLoadRefusesNonFiniteParams(t *testing.T) {
+	r := rng.New(41)
+	encode := func(wf Wavefunction, at int, v float64) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := SaveWavefunction(&buf, wf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		binary.LittleEndian.PutUint64(raw[17+8*at:], math.Float64bits(v)) // header: 17 bytes
+		return raw
+	}
+	refused := func(what string, err error, at int) {
+		t.Helper()
+		var nf *nonFiniteParamError
+		if !errors.As(err, &nf) || nf.index != at {
+			t.Fatalf("%s: loader returned %v, want the refusal of parameter %d", what, err, at)
+		}
+	}
+	made := NewMADE(6, 5, r)
+	raw := encode(made, 0, math.Inf(-1))
+	_, err := LoadWavefunction(bytes.NewReader(raw))
+	refused("MADE W1[0][0] = -Inf", err, 0)
+	path := filepath.Join(t.TempDir(), "inf.pvq")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadFile(path)
+	refused("LoadFile, MADE W1[0][0] = -Inf", err, 0)
+	if _, err := LoadWavefunction(bytes.NewReader(encode(made, 0, -1e300))); err != nil {
+		t.Fatalf("finite W1[0][0] refused: %v", err)
+	}
+	for _, wf := range []Wavefunction{made, NewRBM(6, 5, r), NewNADE(6, 5, r), NewRNN(6, 5, r)} {
+		d := wf.NumParams()
+		for _, at := range []int{0, d / 2, d - 1} {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				_, err := LoadWavefunction(bytes.NewReader(encode(wf, at, v)))
+				refused(KindName(wf)+" "+strconv.Itoa(at), err, at)
+			}
+		}
+	}
+}
+
+// TestHotSwapParamsRefusesNonFinite: a swap source with a non-finite
+// parameter is refused with the same error, and the live model keeps its
+// parameters and its evaluations, bit for bit.
+func TestHotSwapParamsRefusesNonFinite(t *testing.T) {
+	live, src := NewMADE(8, 10, rng.New(1)), NewMADE(8, 10, rng.New(2))
+	before := slices.Clone(live.Params())
+	x := make([]int, 8)
+	rng.New(3).FillBits(x)
+	want := live.LogPsi(x)
+	src.Params()[7] = math.NaN()
+	err := HotSwapParams(live, src)
+	var nf *nonFiniteParamError
+	if !errors.As(err, &nf) || nf.index != 7 {
+		t.Fatalf("HotSwapParams returned %v, want the refusal of parameter 7", err)
+	}
+	if !slices.Equal(live.Params(), before) || live.LogPsi(x) != want {
+		t.Fatal("a refused swap moved the live model")
 	}
 }

@@ -114,9 +114,11 @@ func KindName(wf Wavefunction) string {
 //
 // The swap is legal only between models of the same family and
 // architecture; (family, NumSites, NumParams) pins the hidden width for
-// every family, so those three checks suffice. dst must not be concurrently
-// evaluating — callers serialize the swap against dispatch (the serve
-// coalescer applies it as a queue barrier between batches).
+// every family, so those three checks suffice. A src holding a NaN or
+// infinite parameter is refused like a checkpoint holding one
+// (LoadWavefunction). A refused swap leaves dst untouched. dst must not be
+// concurrently evaluating — callers serialize the swap against dispatch
+// (the serve coalescer applies it as a queue barrier between batches).
 func HotSwapParams(dst, src Wavefunction) error {
 	df, sf := familyOf(dst), familyOf(src)
 	if df == nil || sf == nil {
@@ -128,6 +130,11 @@ func HotSwapParams(dst, src Wavefunction) error {
 	if dst.NumSites() != src.NumSites() || dst.NumParams() != src.NumParams() {
 		return fmt.Errorf("nn: hot-swap architecture mismatch: live %s has n=%d d=%d, checkpoint n=%d d=%d",
 			df.name, dst.NumSites(), dst.NumParams(), src.NumSites(), src.NumParams())
+	}
+	for i, v := range src.Params() {
+		if err := checkFinite(i, v); err != nil {
+			return err
+		}
 	}
 	copy(dst.Params(), src.Params())
 	InvalidateParams(dst)

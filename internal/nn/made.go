@@ -40,8 +40,8 @@ type MADE struct {
 	// whose sums start at a bias, skip exactly the terms a dense loop with
 	// a mask test skips (TestMADEIncrementalMatchesDegreeReference).
 	// Masked weights never receive a gradient, so they keep their finite
-	// init values; only a hand-edited checkpoint can put a non-finite value
-	// there, and the scalar and batched paths alike ignore it.
+	// init values; the checkpoint loader and HotSwapParams refuse a
+	// non-finite parameter anywhere, so none can arrive there from disk.
 	deg []int
 	// flipRuns[b] lists the maximal contiguous ranges [lo, hi) of hidden
 	// units that see input bit b (deg(k) > b) — the only hidden columns a
@@ -298,10 +298,7 @@ func (m *MADE) accumulateInput(z1 tensor.Vector, wm1t *tensor.Matrix, i, bit int
 	}
 	wrow := wm1t.Row(i)
 	for _, run := range m.flipRuns[i] {
-		dst := z1[run[0]:run[1]]
-		for k, w := range wrow[run[0]:run[1]] {
-			dst[k] += w
-		}
+		z1[run[0]:run[1]].Add(wrow[run[0]:run[1]])
 	}
 }
 

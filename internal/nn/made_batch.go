@@ -204,10 +204,7 @@ func (m *MADE) addWeightedRow(part tensor.Vector, w float64, xf, z1, dz2 tensor.
 		}
 		c := float64(w * (0.5 * dak))
 		gB1[k] += c
-		row := gW1[k*n : k*n+dk]
-		for i, xi := range xf[:dk] {
-			row[i] += float64(c * xi)
-		}
+		gW1[k*n:k*n+dk].AXPY(c, xf[:dk])
 	}
 }
 
@@ -453,11 +450,7 @@ func (m *MADE) resumeLayer1(z1b, xb *tensor.Matrix, preBand []float64, wm1t *ten
 				if r0 >= run[1] {
 					continue
 				}
-				dst := zrow[r0:run[1]]
-				src := wrow[r0:run[1]]
-				for k := range dst {
-					dst[k] += src[k]
-				}
+				zrow[r0:run[1]].Add(wrow[r0:run[1]])
 			}
 		}
 	}
@@ -490,23 +483,9 @@ func (m *MADE) resumeLayer2(z2b, z1b *tensor.Matrix, preBand2 []float64, wm2t *t
 			if lo2 >= m.n {
 				continue
 			}
-			wsub := wm2t.Row(k)[lo2:]
-			dsub := zrow[lo2-bit-1:]
-			for j, wv := range wsub {
-				dsub[j] += float64(av * wv)
-			}
+			zrow[lo2-bit-1:].AXPY(av, wm2t.Row(k)[lo2:])
 		}
 	}
-}
-
-// NewBatchAncestralSampler implements BatchAncestralBuilder with the row
-// adaptor over NewIncrementalEvaluator: MADE's ancestral step has no
-// cross-sample product to fuse, and walking a sample's n sites while its
-// h-wide state is hot ties revisiting all B states once per site at n <= 32
-// on one thread and beats it beyond, and at two workers everywhere
-// (docs/ARCHITECTURE.md, "Which kernel a family keeps").
-func (m *MADE) NewBatchAncestralSampler() BatchAncestralSampler {
-	return &rowAncestral{sites: m.n, newEval: m.NewIncrementalEvaluator}
 }
 
 var (

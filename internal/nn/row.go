@@ -211,20 +211,24 @@ func (a *rowAncestral) Sample(b ConfigBatch, u []float64, workers int) {
 		a.evals = append(a.evals, a.newEval())
 	}
 	forRows(b.N, workers, func(w, lo, hi int) {
-		ev := a.evals[w]
 		for r := lo; r < hi; r++ {
-			ev.Reset()
-			row, ur := b.Row(r), u[r*n:(r+1)*n]
-			for i, ui := range ur {
-				bit := 0
-				if ui < ev.Prob(i) {
-					bit = 1
-				}
-				row[i] = bit
-				ev.Fix(i, bit)
-			}
+			drawRow(a.evals[w], b.Row(r), u[r*n:(r+1)*n])
 		}
 	})
+}
+
+// drawRow samples one row site by site through ev: bit i is 1 exactly when
+// its uniform falls below the conditional probability.
+func drawRow(ev ConditionalEvaluator, row []int, u []float64) {
+	ev.Reset()
+	for i, ui := range u {
+		bit := 0
+		if ui < ev.Prob(i) {
+			bit = 1
+		}
+		row[i] = bit
+		ev.Fix(i, bit)
+	}
 }
 
 // ForwardPasses implements BatchAncestralSampler: what the evaluators

@@ -92,7 +92,7 @@ func FisherPartial(ows *tensor.Batch, v tensor.Vector, acc, tbuf []float64, work
 	}
 	var s float64
 	for k := 0; k < ows.N; k++ {
-		s += tbuf[k] * tbuf[k]
+		s += float64(tbuf[k] * tbuf[k])
 	}
 	acc[d] = s
 }
@@ -112,9 +112,9 @@ func FisherFinish(acc []float64, obar, v, out tensor.Vector, lambda, batchN floa
 	d := len(out)
 	ov := obar.Dot(v)
 	for i := 0; i < d; i++ {
-		out[i] = acc[i]/batchN - ov*obar[i] + lambda*v[i]
+		out[i] = acc[i]/batchN - float64(ov*obar[i]) + float64(lambda*v[i])
 	}
-	return acc[d]/batchN - ov*ov + lambda*v.Dot(v)
+	return acc[d]/batchN - float64(ov*ov) + float64(lambda*v.Dot(v))
 }
 
 // ShardedFisher is the Fisher operator over O_k rows sharded across the ranks
@@ -302,7 +302,7 @@ func (c *cgWork) solveCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter i
 	var bnorm float64
 	for i := range b {
 		r[i] = flushTiny(b[i] - ap[i])
-		bnorm += b[i] * b[i]
+		bnorm += float64(b[i] * b[i])
 	}
 	bnorm = math.Sqrt(bnorm)
 	if bnorm == 0 {
@@ -324,13 +324,13 @@ func (c *cgWork) solveCG(op FisherOp, b, x tensor.Vector, tol float64, maxIter i
 		}
 		alpha := rr / pap
 		for i := range x {
-			x[i] = flushTiny(x[i] + alpha*p[i])
-			r[i] = flushTiny(r[i] - alpha*ap[i])
+			x[i] = flushTiny(x[i] + float64(alpha*p[i]))
+			r[i] = flushTiny(r[i] - float64(alpha*ap[i]))
 		}
 		rrNew := r.Dot(r)
 		beta := rrNew / rr
 		for i := range p {
-			p[i] = flushTiny(r[i] + beta*p[i])
+			p[i] = flushTiny(r[i] + float64(beta*p[i]))
 		}
 		rr = rrNew
 	}
@@ -400,8 +400,8 @@ func (c *cgWork) solvePipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol floa
 		}
 		alpha := gamma / delta
 		for i := range x {
-			x[i] = flushTiny(x[i] + alpha*p[i])
-			r[i] = flushTiny(r[i] - alpha*s[i])
+			x[i] = flushTiny(x[i] + float64(alpha*p[i]))
+			r[i] = flushTiny(r[i] - float64(alpha*s[i]))
 		}
 		// Kick off the one fresh Fisher product of the iteration, then run
 		// everything that does not depend on it — the residual norm, beta
@@ -410,11 +410,11 @@ func (c *cgWork) solvePipelinedCG(op SplitFisherOp, b, x tensor.Vector, tol floa
 		gammaNew := r.Dot(r)
 		beta := gammaNew / gamma
 		for i := range p {
-			p[i] = flushTiny(r[i] + beta*p[i])
+			p[i] = flushTiny(r[i] + float64(beta*p[i]))
 		}
 		op.FinishApply(r, w)
 		for i := range s {
-			s[i] = flushTiny(w[i] + beta*s[i])
+			s[i] = flushTiny(w[i] + float64(beta*s[i]))
 		}
 		gamma = gammaNew
 	}

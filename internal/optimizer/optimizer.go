@@ -40,8 +40,8 @@ func (s *SGD) Step(params, grad tensor.Vector) {
 		s.vel = tensor.NewVector(len(params))
 	}
 	for i := range params {
-		s.vel[i] = s.Momentum*s.vel[i] + grad[i]
-		params[i] -= s.LR * s.vel[i]
+		s.vel[i] = float64(s.Momentum*s.vel[i]) + grad[i]
+		params[i] -= float64(s.LR * s.vel[i])
 	}
 }
 
@@ -80,8 +80,8 @@ func (a *Adam) Step(params, grad tensor.Vector) {
 	c2 := 1 - math.Pow(beta2, float64(a.t))
 	for i := range params {
 		g := grad[i]
-		a.m[i] = beta1*a.m[i] + (1-beta1)*g
-		a.v[i] = beta2*a.v[i] + (1-beta2)*g*g
+		a.m[i] = float64(beta1*a.m[i]) + float64((1-beta1)*g)
+		a.v[i] = float64(beta2*a.v[i]) + float64((1-beta2)*g*g)
 		mHat := a.m[i] / c1
 		vHat := a.v[i] / c2
 		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + eps)
@@ -215,7 +215,7 @@ func (s *SR) DenseFisher(ows *tensor.Batch) []float64 {
 	}
 	for i := 0; i < d; i++ {
 		for j := 0; j < d; j++ {
-			m[i*d+j] -= obar[i] * obar[j]
+			m[i*d+j] -= float64(obar[i] * obar[j])
 		}
 		m[i*d+i] += s.Lambda
 	}

@@ -179,6 +179,46 @@ func TestHTTPSwapFromCheckpoint(t *testing.T) {
 	postJSON(t, ts, "/v1/models/m/swap", swapRequest{Path: "/etc/passwd"}, nil, http.StatusBadRequest)
 }
 
+// TestSwapRefusesNonFiniteParams: a checkpoint holding -Inf at W1[0][0]
+// is refused over HTTP (400) and an in-process model holding one is
+// refused by Swap; after each refusal the running model serves exactly
+// what it served before.
+func TestSwapRefusesNonFiniteParams(t *testing.T) {
+	const n, h = 8, 10
+	live := buildWF("made", n, h, 91)
+	cfgs := clientConfigs(1, 2, n)
+	wantOld := directLogPsi(live, cfgs)
+	bad := buildWF("made", n, h, 92)
+	bad.Params()[0] = math.Inf(-1)
+	dir := t.TempDir()
+	if err := nn.SaveFile(filepath.Join(dir, "bad.ckpt"), bad); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(ServerConfig{CheckpointDir: dir})
+	if err := s.Register("m", ModelSpec{WF: live}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	unmoved := func(after string) {
+		t.Helper()
+		var lp valuesResponse
+		postJSON(t, ts, "/v1/models/m/logpsi", configsRequest{Configs: cfgs}, &lp, http.StatusOK)
+		for k := range lp.Values {
+			if lp.Values[k] != wantOld[k] {
+				t.Fatalf("after %s: row %d serves %v, the running model served %v", after, k, lp.Values[k], wantOld[k])
+			}
+		}
+	}
+	postJSON(t, ts, "/v1/models/m/swap", swapRequest{Path: "bad.ckpt"}, nil, http.StatusBadRequest)
+	unmoved("the refused file swap")
+	if err := s.Swap(context.Background(), "m", bad); err == nil {
+		t.Fatal("Swap onto a -Inf parameter succeeded")
+	}
+	unmoved("the refused in-process swap")
+}
+
 func TestHTTPSwapDisabledByDefault(t *testing.T) {
 	const n, h = 8, 10
 	path := filepath.Join(t.TempDir(), "next.ckpt")

@@ -18,36 +18,18 @@ const (
 	mmColBlock = 64
 )
 
-// accumRow computes drow += av * brow with the av == 1 multiplication
-// elided (1.0*x == x bitwise, and the batched layer-1 inputs are exact
-// 0/1 floats, so the common case saves the multiply). The 4-way unroll
-// only trims loop overhead: every element still receives exactly one
-// addition per call, so accumulation order is untouched.
+// accumRow computes drow += av * brow through vecAxpy: the AVX2 kernel from
+// the crossover length up, the Go loop below it, the av == 1 multiply
+// elided (1.0*x == x bitwise, and the batched layer-1 inputs are exact 0/1
+// floats, so the common case saves the multiply). Every element receives
+// exactly one rounded product and one rounded addition per call, so
+// accumulation order is untouched.
 func accumRow(drow, brow []float64, av float64) {
-	n := len(brow)
-	drow = drow[:n]
-	j := 0
 	if av == 1 {
-		for ; j+4 <= n; j += 4 {
-			drow[j] += brow[j]
-			drow[j+1] += brow[j+1]
-			drow[j+2] += brow[j+2]
-			drow[j+3] += brow[j+3]
-		}
-		for ; j < n; j++ {
-			drow[j] += brow[j]
-		}
+		vecAdd(drow, brow)
 		return
 	}
-	for ; j+4 <= n; j += 4 {
-		drow[j] += av * brow[j]
-		drow[j+1] += av * brow[j+1]
-		drow[j+2] += av * brow[j+2]
-		drow[j+3] += av * brow[j+3]
-	}
-	for ; j < n; j++ {
-		drow[j] += av * brow[j]
-	}
+	vecAxpy(drow, brow, av)
 }
 
 // MatMul computes dst = a*b (dst: M x N, a: M x K, b: K x N), blocked over
@@ -186,10 +168,10 @@ func colsKernel(dst, a, b *Matrix, j0, j1 int, relu bool, workers int) {
 					}
 					brow := b.Data[k*b.Cols+j0 : k*b.Cols+j0+w]
 					for j, bv := range brow {
-						d0[j] += v0 * bv
-						d1[j] += v1 * bv
-						d2[j] += v2 * bv
-						d3[j] += v3 * bv
+						d0[j] += float64(v0 * bv)
+						d1[j] += float64(v1 * bv)
+						d2[j] += float64(v2 * bv)
+						d3[j] += float64(v3 * bv)
 					}
 				}
 			}
@@ -208,7 +190,7 @@ func colsKernel(dst, a, b *Matrix, j0, j1 int, relu bool, workers int) {
 					}
 					brow := b.Data[k*b.Cols+j0 : k*b.Cols+j0+w]
 					for j, bv := range brow {
-						drow[j] += av * bv
+						drow[j] += float64(av * bv)
 					}
 				}
 			}
@@ -273,7 +255,7 @@ func MatMulT(dst, a, b *Matrix, workers int) {
 						brow := b.Data[j*k : (j+1)*k]
 						var s float64
 						for l, av := range arow {
-							s += av * brow[l]
+							s += float64(av * brow[l])
 						}
 						drow[j] = s
 					}

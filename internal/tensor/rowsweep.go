@@ -21,10 +21,10 @@ func (b *Batch) RowDots(t []float64, v Vector, k0, k1 int) {
 		r2, r3 := b.Sample(k + 2)[:len(v)], b.Sample(k + 3)[:len(v)]
 		var s0, s1, s2, s3 float64
 		for i, x := range v {
-			s0 += r0[i] * x
-			s1 += r1[i] * x
-			s2 += r2[i] * x
-			s3 += r3[i] * x
+			s0 += float64(r0[i] * x)
+			s1 += float64(r1[i] * x)
+			s2 += float64(r2[i] * x)
+			s3 += float64(r3[i] * x)
 		}
 		t[k], t[k+1], t[k+2], t[k+3] = s0, s1, s2, s3
 	}
@@ -52,9 +52,7 @@ func (b *Batch) AddWeightedRows(dst Vector, w []float64, lo, hi int) {
 		w1, r1 := row(k + 1)
 		w2, r2 := row(k + 2)
 		w3, r3 := row(k + 3)
-		for i, x := range out {
-			out[i] = x + w0*r0[i] + w1*r1[i] + w2*r2[i] + w3*r3[i]
-		}
+		vecAxpy4(out, r0, r1, r2, r3, w0, w1, w2, w3)
 	}
 	for ; k < b.N; k++ {
 		wk, r := row(k)

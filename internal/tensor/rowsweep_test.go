@@ -9,8 +9,8 @@ import (
 )
 
 // naiveRowDots and naiveAddWeightedRows are the per-row loops the blocked
-// kernels replaced, kept here as the reference: one Dot per row, one AXPY
-// per row (AXPY(1, .) for the unweighted sum, as Vector.Add always was).
+// kernels replaced, kept here as the reference: one Dot per row, one
+// scalar d += w*x loop per row (w = 1 for the unweighted sum; 1*x is x).
 func naiveRowDots(b *Batch, t []float64, v Vector) {
 	for k := 0; k < b.N; k++ {
 		t[k] = b.Sample(k).Dot(v)
@@ -23,7 +23,73 @@ func naiveAddWeightedRows(b *Batch, dst Vector, w []float64, lo, hi int) {
 		if w != nil {
 			wk = w[k]
 		}
-		dst[lo:hi].AXPY(wk, b.Sample(k)[lo:hi])
+		for i, x := range b.Sample(k)[lo:hi] {
+			dst[lo+i] += float64(wk * x)
+		}
+	}
+}
+
+// quadAddWeightedRows is AddWeightedRows as it was before the row kernels:
+// four rows per pass in one Go expression, then one scalar loop per
+// leftover row.
+func quadAddWeightedRows(b *Batch, dst Vector, w []float64, lo, hi int) {
+	out := dst[lo:hi]
+	row := func(k int) (float64, []float64) {
+		wk := 1.0
+		if w != nil {
+			wk = w[k]
+		}
+		return wk, b.Data[k*b.Dim+lo : k*b.Dim+hi][:len(out)]
+	}
+	k := 0
+	for ; k+4 <= b.N; k += 4 {
+		w0, r0 := row(k)
+		w1, r1 := row(k + 1)
+		w2, r2 := row(k + 2)
+		w3, r3 := row(k + 3)
+		for i, x := range out {
+			out[i] = x + float64(w0*r0[i]) + float64(w1*r1[i]) + float64(w2*r2[i]) + float64(w3*r3[i])
+		}
+	}
+	for ; k < b.N; k++ {
+		wk, r := row(k)
+		for i := range out {
+			out[i] += float64(wk * r[i])
+		}
+	}
+}
+
+// TestAddWeightedRowsMatchesQuadLoop holds AddWeightedRows, whose quads run
+// on the four-row kernel, to the quad loop it replaced, over widths on both
+// sides of the crossover and rows of IEEE edge cases (kernelValue: signed
+// zeros, subnormals, infinities).
+func TestAddWeightedRowsMatchesQuadLoop(t *testing.T) {
+	r := rng.New(3)
+	for _, n := range []int{1, 4, 5, 8, 11} {
+		for d := 0; d <= 67; d++ {
+			b := NewBatch(n, d+3)
+			for i := range b.Data {
+				b.Data[i] = kernelValue(r)
+			}
+			w := make([]float64, n)
+			for i := range w {
+				w[i] = kernelValue(r)
+			}
+			dst0 := NewVector(d + 3)
+			for i := range dst0 {
+				dst0[i] = kernelValue(r)
+			}
+			lo, hi := d%3, d%3+d
+			for _, wts := range [][]float64{w, nil} {
+				want, got := dst0.Clone(), dst0.Clone()
+				quadAddWeightedRows(b, want, wts, lo, hi)
+				b.AddWeightedRows(got, wts, lo, hi)
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("n=%d columns [%d, %d) weighted=%v: element %d = %#x, quad loop %#x",
+						n, lo, hi, wts != nil, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package tensor implements the dense float64 linear algebra used by the
 // neural wavefunctions: vectors, row-major matrices, batched matrix products
-// and the masked matrix-vector kernels that implement MADE's autoregressive
-// connectivity. Kernels are written cache-friendly (row-major, j-inner loops)
-// and the batched entry points can fan out across goroutines.
+// and the row sweeps over batches of per-sample rows. Kernels are written
+// cache-friendly (row-major, j-inner loops), the batched entry points can
+// fan out across goroutines, and the row updates underneath run on AVX2
+// lanes where the CPU has them, rounding exactly like the Go loops
+// (simd.go).
 package tensor
 
 import (
@@ -39,7 +41,7 @@ func (v Vector) Dot(w Vector) float64 {
 	}
 	var s float64
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x * w[i])
 	}
 	return s
 }
@@ -52,9 +54,7 @@ func (v Vector) AXPY(a float64, w Vector) {
 	if len(v) != len(w) {
 		panic("tensor: AXPY length mismatch")
 	}
-	for i := range v {
-		v[i] += a * w[i]
-	}
+	vecAxpy(v, w, a)
 }
 
 // Scale multiplies every element by a.
@@ -64,8 +64,13 @@ func (v Vector) Scale(a float64) {
 	}
 }
 
-// Add computes v += w in place.
-func (v Vector) Add(w Vector) { v.AXPY(1, w) }
+// Add computes v += w in place (bitwise AXPY(1, w): 1*x is x exactly).
+func (v Vector) Add(w Vector) {
+	if len(v) != len(w) {
+		panic("tensor: Add length mismatch")
+	}
+	vecAdd(v, w)
+}
 
 // Sub computes v -= w in place.
 func (v Vector) Sub(w Vector) { v.AXPY(-1, w) }
@@ -156,17 +161,17 @@ func (m *Matrix) MulVec(dst, x Vector) {
 		r3 := m.Data[(i+3)*c : (i+4)*c][:len(x)]
 		var s0, s1, s2, s3 float64
 		for j, xj := range x {
-			s0 += r0[j] * xj
-			s1 += r1[j] * xj
-			s2 += r2[j] * xj
-			s3 += r3[j] * xj
+			s0 += float64(r0[j] * xj)
+			s1 += float64(r1[j] * xj)
+			s2 += float64(r2[j] * xj)
+			s3 += float64(r3[j] * xj)
 		}
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
 	for ; i < m.Rows; i++ {
 		var s float64
 		for j, w := range m.Data[i*c : (i+1)*c] {
-			s += w * x[j]
+			s += float64(w * x[j])
 		}
 		dst[i] = s
 	}
@@ -188,7 +193,7 @@ func (m *Matrix) MulVecT(dst, x Vector) {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, w := range row {
-			dst[j] += w * xi
+			dst[j] += float64(w * xi)
 		}
 	}
 }
@@ -210,7 +215,7 @@ func Mul(dst, a, b *Matrix) {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float64(av * bv)
 			}
 		}
 	}
