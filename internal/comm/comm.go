@@ -1,8 +1,8 @@
 // Package comm provides the collective-communication layer for data-parallel
 // VQMC: a group of in-process "ranks" connected by channels, with a real
-// chunked ring all-reduce (reduce-scatter + all-gather), broadcast and
-// barrier. It stands in for NCCL/MPI in the paper's multi-GPU setup — the
-// algorithms are the real ones; only the transport is in-memory.
+// chunked ring all-reduce (reduce-scatter + all-gather), blocking and
+// non-blocking. It stands in for NCCL/MPI in the paper's multi-GPU setup:
+// the algorithm is the real one; only the transport is in-memory.
 //
 // Collectives return errors instead of hanging when the group degrades: a
 // configurable deadline (Group.SetDeadline) bounds every blocking point, a
@@ -25,7 +25,6 @@ import (
 type Group struct {
 	size  int
 	right []chan []float64 // right[r]: messages flowing r -> (r+1)%size
-	bcast []chan []float64 // per-rank broadcast mailboxes
 
 	// Bounded-wait failure machinery (see fault.go). deadline bounds every
 	// blocking point; abort is closed (once, with abortErr recorded first)
@@ -49,10 +48,8 @@ func NewGroup(size int) *Group {
 	}
 	g := &Group{size: size}
 	g.right = make([]chan []float64, size)
-	g.bcast = make([]chan []float64, size)
 	for i := range g.right {
 		g.right[i] = make(chan []float64, 1)
-		g.bcast[i] = make(chan []float64, 1)
 	}
 	g.abort = make(chan struct{})
 	g.failAt = make([]int, size)
@@ -242,119 +239,4 @@ func (c *Comm) ringReduce(x []float64) error {
 		c.spare = in
 	}
 	return nil
-}
-
-// NaiveAllReduceSum is the gather-to-root-then-broadcast alternative kept
-// for the ablation benchmark: it moves (p-1)*n to the root link instead of
-// spreading traffic around the ring. Error semantics match AllReduceSum.
-func (c *Comm) NaiveAllReduceSum(x []float64) error {
-	if err := c.begin(); err != nil {
-		return err
-	}
-	defer c.end()
-	c.syncColl++
-	if err := c.injectDelay(); err != nil {
-		return err
-	}
-	p := c.g.size
-	if p == 1 {
-		return nil
-	}
-	if c.rank == 0 {
-		for r := 1; r < p; r++ {
-			in, err := c.recvOn(c.g.bcast[0], r)
-			if err != nil {
-				return err
-			}
-			for i := range in {
-				x[i] += in[i]
-			}
-		}
-		for r := 1; r < p; r++ {
-			out := make([]float64, len(x))
-			copy(out, x)
-			c.bytesSent += int64(len(x)) * 8
-			c.messages++
-			if err := c.sendOn(c.g.bcast[r], out, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	out := make([]float64, len(x))
-	copy(out, x)
-	c.bytesSent += int64(len(x)) * 8
-	c.messages++
-	if err := c.sendOn(c.g.bcast[0], out, 0); err != nil {
-		return err
-	}
-	in, err := c.recvOn(c.g.bcast[c.rank], 0)
-	if err != nil {
-		return err
-	}
-	copy(x, in)
-	return nil
-}
-
-// Broadcast copies root's x into every rank's x by passing it around the
-// ring (p-1 payload hops), then circulates a one-element acknowledgement
-// token around the full ring, originated by the last payload recipient.
-// The ack makes Broadcast synchronizing: no rank returns until every rank
-// holds the payload, so a dead rank anywhere on the ring surfaces as a
-// bounded-wait error on every survivor — none of them can complete locally
-// against a lost peer and sail past the failure. Error semantics match
-// AllReduceSum.
-func (c *Comm) Broadcast(x []float64, root int) error {
-	if err := c.begin(); err != nil {
-		return err
-	}
-	defer c.end()
-	c.syncColl++
-	if err := c.injectDelay(); err != nil {
-		return err
-	}
-	p := c.g.size
-	if p == 1 {
-		return nil
-	}
-	// Distance from root along the ring.
-	dist := (c.rank - root + p) % p
-	if dist > 0 {
-		in, err := c.recvLeft()
-		if err != nil {
-			return err
-		}
-		copy(x, in)
-	}
-	if dist < p-1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		if err := c.sendRight(out); err != nil {
-			return err
-		}
-	}
-	// Ack round: the last payload recipient (dist p-1) originates a token
-	// that travels the full ring and is consumed one hop before it (dist
-	// p-2; the root for p == 2). Receiving the token proves every rank at
-	// greater ring distance — i.e. all of them — got the payload.
-	ack := []float64{1}
-	if dist < p-1 {
-		var err error
-		if ack, err = c.recvLeft(); err != nil {
-			return err
-		}
-	}
-	if dist != (p-2+p)%p {
-		if err := c.sendRight(ack); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Barrier blocks until every rank has entered it (or the group degrades, in
-// which case it returns the abort cause like every other collective).
-func (c *Comm) Barrier() error {
-	tok := []float64{1}
-	return c.AllReduceSum(tok)
 }

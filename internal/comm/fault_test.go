@@ -25,9 +25,6 @@ type collectiveKind struct {
 func collectiveKinds() []collectiveKind {
 	return []collectiveKind{
 		{"AllReduceSum", func(c *Comm, x []float64) error { return c.AllReduceSum(x) }},
-		{"NaiveAllReduceSum", func(c *Comm, x []float64) error { return c.NaiveAllReduceSum(x) }},
-		{"Broadcast", func(c *Comm, x []float64) error { return c.Broadcast(x, 0) }},
-		{"Barrier", func(c *Comm, x []float64) error { return c.Barrier() }},
 		{"IAllReduceSum", func(c *Comm, x []float64) error { return c.IAllReduceSum(x).Wait() }},
 		{"PackedAllReduce", func(c *Comm, x []float64) error {
 			p := NewPacked(len(x)-1, 1)
@@ -192,7 +189,7 @@ func TestAbortIsSticky(t *testing.T) {
 	g := NewGroup(p)
 	g.SetDeadline(50 * time.Millisecond)
 	g.FailAt(0, 0)
-	runWithErrors(g, func(c *Comm) error { return c.Barrier() })
+	runWithErrors(g, func(c *Comm) error { return c.AllReduceSum([]float64{1}) })
 	cause := g.Err()
 	if cause == nil {
 		t.Fatal("no abort cause recorded")
@@ -311,7 +308,7 @@ func TestSingleRankFaultFree(t *testing.T) {
 	if err := c.IAllReduceSum([]float64{4}).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Barrier(); err != nil {
+	if err := c.AllReduceSum([]float64{1}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -115,7 +115,7 @@ func TestFaultPlanGenerations(t *testing.T) {
 	g1 := NewGroup(3)
 	g1.SetDeadline(100 * time.Millisecond)
 	plan.Apply(g1)
-	errs := runWithErrors(g1, func(c *Comm) error { return c.Barrier() })
+	errs := runWithErrors(g1, func(c *Comm) error { return c.AllReduceSum([]float64{1}) })
 	if errs[1] == nil || !errors.Is(errs[1], ErrRankKilled) {
 		t.Fatalf("generation 0 did not kill rank 1: %v", errs[1])
 	}
@@ -124,7 +124,7 @@ func TestFaultPlanGenerations(t *testing.T) {
 	g2 := NewGroup(3)
 	g2.SetDeadline(100 * time.Millisecond)
 	plan.Apply(g2)
-	for r, err := range runWithErrors(g2, func(c *Comm) error { return c.Barrier() }) {
+	for r, err := range runWithErrors(g2, func(c *Comm) error { return c.AllReduceSum([]float64{1}) }) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("fault-free generation errored rank %d: %v", r, err)
@@ -136,7 +136,7 @@ func TestFaultPlanGenerations(t *testing.T) {
 	g3 := NewGroup(2)
 	g3.SetDeadline(100 * time.Millisecond)
 	plan.Apply(g3)
-	errs = runWithErrors(g3, func(c *Comm) error { return c.Barrier() })
+	errs = runWithErrors(g3, func(c *Comm) error { return c.AllReduceSum([]float64{1}) })
 	if errs[0] == nil || !errors.Is(errs[0], ErrRankKilled) {
 		t.Fatalf("generation 2 did not kill rank 0: %v", errs[0])
 	}
@@ -150,7 +150,7 @@ func TestFaultPlanGenerations(t *testing.T) {
 	}
 	g4 := NewGroup(2)
 	plan.Apply(g4)
-	for r, err := range runWithErrors(g4, func(c *Comm) error { return c.Barrier() }) {
+	for r, err := range runWithErrors(g4, func(c *Comm) error { return c.AllReduceSum([]float64{1}) }) {
 		if err != nil {
 			t.Fatalf("drained plan injected a fault: rank %d: %v", r, err)
 		}

@@ -152,31 +152,3 @@ func TestPackedLayout(t *testing.T) {
 		}()
 	}
 }
-
-// TestBroadcastProperty checks that broadcast delivers the root payload for
-// arbitrary group sizes and roots.
-func TestBroadcastProperty(t *testing.T) {
-	f := func(pRaw, rootRaw uint8, payload float64) bool {
-		p := 1 + int(pRaw)%8
-		root := int(rootRaw) % p
-		if math.IsNaN(payload) {
-			payload = 0
-		}
-		data := make([][]float64, p)
-		for rank := range data {
-			data[rank] = []float64{float64(rank)}
-		}
-		data[root][0] = payload
-		g := NewGroup(p)
-		runCollective(g, func(c *Comm) { c.Broadcast(data[c.Rank()], root) })
-		for rank := 0; rank < p; rank++ {
-			if data[rank][0] != payload {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}

@@ -91,8 +91,8 @@ func Variance(h hamiltonian.Hamiltonian, psi []float64) float64 {
 	hamiltonian.Apply(h, psi, hv)
 	var e, e2 float64
 	for i := range psi {
-		e += psi[i] * hv[i]
-		e2 += hv[i] * hv[i]
+		e += float64(psi[i] * hv[i])
+		e2 += float64(hv[i] * hv[i])
 	}
-	return e2 - e*e
+	return e2 - float64(e*e)
 }

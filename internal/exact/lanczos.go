@@ -8,7 +8,7 @@ import (
 func dot(a, b []float64) float64 {
 	var s float64
 	for i, x := range a {
-		s += x * b[i]
+		s += float64(x * b[i])
 	}
 	return s
 }
@@ -71,13 +71,13 @@ func lanczosMin(a func(v, out []float64), n int, v0 []float64, maxKrylov int, to
 		alpha = append(alpha, aj)
 		// w = w - alpha_j v_j - beta_{j-1} v_{j-1}
 		for i := range w {
-			w[i] -= aj * vj[i]
+			w[i] -= float64(aj * vj[i])
 		}
 		if j > 0 {
 			bj := beta[j-1]
 			prev := basis[j-1]
 			for i := range w {
-				w[i] -= bj * prev[i]
+				w[i] -= float64(bj * prev[i])
 			}
 		}
 		// Full reorthogonalization for numerical robustness.
@@ -85,7 +85,7 @@ func lanczosMin(a func(v, out []float64), n int, v0 []float64, maxKrylov int, to
 			c := dot(u, w)
 			if c != 0 {
 				for i := range w {
-					w[i] -= c * u[i]
+					w[i] -= float64(c * u[i])
 				}
 			}
 		}
@@ -118,7 +118,7 @@ func lanczosMin(a func(v, out []float64), n int, v0 []float64, maxKrylov int, to
 			for k := 0; k < m; k++ {
 				c := z[k*m+kMin]
 				for i := range vec {
-					vec[i] += c * basis[k][i]
+					vec[i] += float64(c * basis[k][i])
 				}
 			}
 			nv := norm(vec)
@@ -178,7 +178,7 @@ func tqli(d, e []float64, n int, z []float64) error {
 			p := 0.0
 			for i := m - 1; i >= l; i-- {
 				f := s * e[i]
-				b := c * e[i]
+				b := float64(c * e[i])
 				r = math.Hypot(f, g)
 				e[i+1] = r
 				if r == 0 {
@@ -189,14 +189,14 @@ func tqli(d, e []float64, n int, z []float64) error {
 				s = f / r
 				c = g / r
 				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
+				r = float64((d[i]-g)*s) + float64(2*c*b)
+				p = float64(s * r)
 				d[i+1] = g + p
-				g = c*r - b
+				g = float64(c*r) - b
 				for k := 0; k < n; k++ {
 					f := z[k*n+i+1]
-					z[k*n+i+1] = s*z[k*n+i] + c*f
-					z[k*n+i] = c*z[k*n+i] - s*f
+					z[k*n+i+1] = float64(s*z[k*n+i]) + float64(c*f)
+					z[k*n+i] = float64(c*z[k*n+i]) - float64(s*f)
 				}
 			}
 			if r == 0 && m-1 >= l {

@@ -55,8 +55,10 @@ func v100() device {
 
 // forwardFlops is the flop count of one MADE/RBM-style forward pass over a
 // batch: two dense layers of shape (h x n) and (n x h) at 2 flops per MAC.
+// The outer conversion keeps a caller's 2*flops, which the compiler turns
+// into flops+flops, from fusing into the product on arm64.
 func forwardFlops(n, h, bs int) float64 {
-	return 4 * float64(h) * float64(n) * float64(bs)
+	return float64(4 * float64(h) * float64(n) * float64(bs))
 }
 
 // madeParams is the parameter count d = 2hn + h + n of the paper's MADE.

@@ -265,7 +265,7 @@ func meanStdOver(values []float64) string {
 	}
 	m /= float64(len(values))
 	for _, v := range values {
-		s += (v - m) * (v - m)
+		s += float64((v - m) * (v - m))
 	}
 	s = math.Sqrt(s / float64(len(values)))
 	return meanStd(m, s)

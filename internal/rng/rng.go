@@ -78,7 +78,7 @@ func (r *Rand) Float64() float64 {
 
 // Uniform returns a uniform variate in [lo,hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Intn returns a uniform integer in [0,n). It panics if n <= 0.
@@ -128,7 +128,7 @@ func (r *Rand) Norm() float64 {
 	for {
 		u = 2*r.Float64() - 1
 		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}

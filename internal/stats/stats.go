@@ -25,7 +25,7 @@ func Variance(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs))
 }
@@ -57,11 +57,11 @@ func MeanStd(xs []float64) (mean, std float64) {
 	var s, s2 float64
 	for _, x := range xs {
 		s += x
-		s2 += x * x
+		s2 += float64(x * x)
 	}
 	n := float64(len(xs))
 	mean = s / n
-	v := s2/n - mean*mean
+	v := s2/n - float64(mean*mean)
 	if v < 0 {
 		v = 0 // guard against cancellation
 	}
@@ -102,7 +102,7 @@ func Autocorrelation(xs []float64, maxLag int) []float64 {
 	m := Mean(xs)
 	var c0 float64
 	for _, x := range xs {
-		c0 += (x - m) * (x - m)
+		c0 += float64((x - m) * (x - m))
 	}
 	if c0 == 0 {
 		for i := range out {
@@ -113,7 +113,7 @@ func Autocorrelation(xs []float64, maxLag int) []float64 {
 	for lag := 0; lag <= maxLag; lag++ {
 		var c float64
 		for i := 0; i+lag < n; i++ {
-			c += (xs[i] - m) * (xs[i+lag] - m)
+			c += float64((xs[i] - m) * (xs[i+lag] - m))
 		}
 		out[lag] = c / c0
 	}

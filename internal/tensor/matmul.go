@@ -101,22 +101,27 @@ func MatMulReLU(dst, a, b *Matrix, workers int) {
 	})
 }
 
-// colsKernel is the shared body of MatMulCols and MatMulReLUCols: a 4-row
-// register-blocked micro-kernel over destination columns [j0, j1). Narrow
-// column tails cannot amortize per-(row, k) loop overhead the way the
-// full-width kernels do, so four destination rows share each b-row slice.
+// MatMulCols computes dst[:, j0:j1) = (a*b)[:, j0:j1), the column-range
+// restriction of MatMul: destination columns outside [j0, j1) are left
+// untouched (not zeroed, not read). It exists purely to skip work the caller
+// can prove unnecessary (the tail-only flip evaluation, where the
+// autoregressive mask guarantees the head columns are already known). dst
+// must not alias a or b.
 //
-// Bitwise contract: every computed element is still accumulated over k in
+// It is a 4-row register-blocked micro-kernel: narrow column tails cannot
+// amortize per-(row, k) loop overhead the way the full-width kernels do, so
+// four destination rows share each b-row slice.
+//
+// Bitwise contract: every computed element is accumulated over k in
 // ascending order, receiving exactly one addition per k. Instead of
-// skipping k for zero (or, with relu set, non-positive) a-elements, the
-// micro-kernel multiplies by the (ReLU'd) coefficient: the skipped terms
-// become av*bv == +/-0 additions, which are exact no-ops — an accumulator
-// that starts at +0 and only ever adds finite values can never become -0,
-// and x + (+/-0) == x otherwise. This is the same argument that makes
-// MatMulReLU's skip exact, run in reverse; the av == 1 multiply elision is
-// dropped for the same reason (1*x == x bitwise). Results are therefore
-// bitwise identical to MatMul / MatMulReLU on the same columns.
-func colsKernel(dst, a, b *Matrix, j0, j1 int, relu bool, workers int) {
+// skipping k for a zero a-element, the micro-kernel multiplies by it: the
+// skipped terms become av*bv == +/-0 additions, which are exact no-ops — an
+// accumulator that starts at +0 and only ever adds finite values can never
+// become -0, and x + (+/-0) == x otherwise. This is the same argument that
+// makes MatMulReLU's skip exact, run in reverse; the av == 1 multiply
+// elision is dropped for the same reason (1*x == x bitwise). The written
+// columns are therefore bitwise identical to a full MatMul.
+func MatMulCols(dst, a, b *Matrix, j0, j1, workers int) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: column-range matmul dimension mismatch")
 	}
@@ -149,20 +154,6 @@ func colsKernel(dst, a, b *Matrix, j0, j1 int, relu bool, workers int) {
 				}
 				for k := 0; k < a.Cols; k++ {
 					v0, v1, v2, v3 := a0[k], a1[k], a2[k], a3[k]
-					if relu {
-						if v0 < 0 {
-							v0 = 0
-						}
-						if v1 < 0 {
-							v1 = 0
-						}
-						if v2 < 0 {
-							v2 = 0
-						}
-						if v3 < 0 {
-							v3 = 0
-						}
-					}
 					if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 						continue
 					}
@@ -182,9 +173,6 @@ func colsKernel(dst, a, b *Matrix, j0, j1 int, relu bool, workers int) {
 					drow[j] = 0
 				}
 				for k, av := range arow {
-					if relu && av < 0 {
-						av = 0
-					}
 					if av == 0 {
 						continue
 					}
@@ -196,27 +184,6 @@ func colsKernel(dst, a, b *Matrix, j0, j1 int, relu bool, workers int) {
 			}
 		}
 	})
-}
-
-// MatMulCols computes dst[:, j0:j1) = (a*b)[:, j0:j1), the column-range
-// restriction of MatMul: destination columns outside [j0, j1) are left
-// untouched (not zeroed, not read). Every computed element is accumulated
-// over the contraction index k in the same fixed ascending order as MatMul,
-// so the written columns are bitwise identical to a full MatMul (see
-// colsKernel) — the kernel exists purely to skip work the caller can prove
-// unnecessary (the tail-only flip evaluation, where the autoregressive mask
-// guarantees the head columns are already known). dst must not alias a or b.
-func MatMulCols(dst, a, b *Matrix, j0, j1, workers int) {
-	colsKernel(dst, a, b, j0, j1, false, workers)
-}
-
-// MatMulReLUCols computes dst[:, j0:j1) = (max(0, a)*b)[:, j0:j1), the
-// column-range restriction of MatMulReLU (same implicit ReLU, same
-// ascending-k accumulation per element, columns outside the range left
-// untouched; see colsKernel for the exactness argument). dst must not alias
-// a or b.
-func MatMulReLUCols(dst, a, b *Matrix, j0, j1, workers int) {
-	colsKernel(dst, a, b, j0, j1, true, workers)
 }
 
 // MatMulT computes dst = a*b^T (dst: M x N, a: M x K, b: N x K) without

@@ -10,8 +10,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"github.com/vqmc-scale/parvqmc/internal/parallel"
 )
 
 // Vector is a dense float64 vector.
@@ -74,15 +72,6 @@ func (v Vector) Add(w Vector) {
 
 // Sub computes v -= w in place.
 func (v Vector) Sub(w Vector) { v.AXPY(-1, w) }
-
-// Sum returns the sum of elements.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
 
 // Max returns the maximum element; it panics on an empty vector.
 func (v Vector) Max() float64 {
@@ -243,33 +232,12 @@ func (b *Batch) Clone() *Batch {
 	return out
 }
 
-// BatchMul computes dst[s] = w * src[s] for every sample, parallelized over
-// samples with the given worker count (<=0 means GOMAXPROCS). Equivalent to
-// dst = src * w^T in matrix form.
-func BatchMul(dst, src *Batch, w *Matrix, workers int) {
-	if src.Dim != w.Cols || dst.Dim != w.Rows || src.N != dst.N {
-		panic("tensor: BatchMul dimension mismatch")
-	}
-	parallel.For(src.N, workers, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			w.MulVec(dst.Sample(s), src.Sample(s))
-		}
-	})
-}
-
 // ReLU applies max(0, x) elementwise.
 func ReLU(v Vector) {
 	for i, x := range v {
 		if x < 0 {
 			v[i] = 0
 		}
-	}
-}
-
-// Sigmoid applies the logistic function elementwise.
-func Sigmoid(v Vector) {
-	for i, x := range v {
-		v[i] = 1 / (1 + math.Exp(-x))
 	}
 }
 

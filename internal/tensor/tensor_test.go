@@ -50,11 +50,8 @@ func TestAXPYAndScale(t *testing.T) {
 	}
 }
 
-func TestSumMaxNorm(t *testing.T) {
+func TestMaxNorm(t *testing.T) {
 	v := Vector{3, -4, 1}
-	if v.Sum() != 0 {
-		t.Errorf("Sum = %v", v.Sum())
-	}
 	if v.Max() != 3 {
 		t.Errorf("Max = %v", v.Max())
 	}
@@ -147,39 +144,11 @@ func TestMulAssociativity(t *testing.T) {
 	}
 }
 
-func TestBatchMulMatchesPerSample(t *testing.T) {
-	r := rng.New(7)
-	for _, workers := range []int{1, 4} {
-		src := NewBatch(13, 5)
-		r.FillUniform(src.Data, -1, 1)
-		w := randMatrix(r, 8, 5)
-		dst := NewBatch(13, 8)
-		BatchMul(dst, src, w, workers)
-		for s := 0; s < 13; s++ {
-			want := NewVector(8)
-			w.MulVec(want, src.Sample(s))
-			if !Equal(dst.Sample(s), want, 1e-13) {
-				t.Fatalf("sample %d mismatch", s)
-			}
-		}
-	}
-}
-
-func TestReLUSigmoid(t *testing.T) {
+func TestReLU(t *testing.T) {
 	v := Vector{-2, 0, 3}
 	ReLU(v)
 	if !Equal(v, Vector{0, 0, 3}, 0) {
 		t.Fatalf("ReLU got %v", v)
-	}
-	s := Vector{0}
-	Sigmoid(s)
-	if math.Abs(s[0]-0.5) > 1e-15 {
-		t.Fatalf("Sigmoid(0) = %v", s[0])
-	}
-	s = Vector{100, -100}
-	Sigmoid(s)
-	if s[0] < 0.999 || s[1] > 0.001 {
-		t.Fatalf("Sigmoid saturation got %v", s)
 	}
 }
 
@@ -235,17 +204,5 @@ func BenchmarkMulVec512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MulVec(dst, x)
-	}
-}
-
-func BenchmarkBatchMul(b *testing.B) {
-	r := rng.New(1)
-	src := NewBatch(256, 128)
-	r.FillUniform(src.Data, -1, 1)
-	w := randMatrix(r, 128, 128)
-	dst := NewBatch(256, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BatchMul(dst, src, w, 0)
 	}
 }
