@@ -1,32 +1,25 @@
-// Command mutcheck runs the mutation table testdata/mutations.txt and fails
-// unless every mutant in it is killed by a test failure. It is how the
-// bitwise doctrine's "this change makes that test fail" claims stay true.
+// Command mutcheck runs the mutation table testdata/mutations.txt and exits
+// 1 unless every mutant in it is killed by a failing test:
 //
 //	go run ./cmd/mutcheck
 //
-// Each row names a file, an exact snippet in it, a replacement, a package,
-// a -run regexp and the reason the mutant must die. For every row the
-// package's selected tests first run on the unmodified tree; they must pass
-// and run at least one test. Then they run again under go test -overlay
-// with the snippet replaced. The row holds only if a test fails: a mutant
-// that passes survives, and one that does not build is not a kill either.
-// A snippet that matches zero or more than one place is a stale row. The
-// command exits 1 naming every row that does not hold.
+// For each row the row's tests first run on the unmodified tree; they must
+// pass and run at least one test. Then they run under go test -overlay with
+// the row's snippet replaced, and the row holds only if a test fails. A
+// mutant that passes survives, one that does not build is no kill, and a
+// snippet that matches zero or several places is a stale row.
 //
-// The table is rows of "key value" lines separated by blank lines; a line
-// starting with # is a comment. The keys are file, find, repl, pkg, run and
-// why, each exactly once per row. A value starting with a double quote is a
-// Go string literal (so a snippet can hold tabs and newlines); any other
-// value is the rest of the line as written.
+// The table is rows of "key value" lines separated by blank lines, with #
+// comment lines. Each row has the keys file, find, repl, pkg, run (a -run
+// regexp) and why exactly once. A value starting with a double quote is a
+// Go string literal, so a snippet can hold tabs and newlines.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -46,43 +39,37 @@ type row struct {
 
 func (r row) String() string { return fmt.Sprintf("%s:%d (%s: %s)", table, r.line, r.file, r.why) }
 
-// parseRows reads the table.
-func parseRows(rd io.Reader) ([]row, error) {
-	var (
-		rows []row
-		cur  map[string]string
-		at   int
-	)
-	flush := func() error {
+// parseRows parses the table's text.
+func parseRows(text string) ([]row, error) {
+	var rows []row
+	var cur map[string]*string
+	var r *row
+	for i, line := range strings.Split(text+"\n", "\n") {
+		n := i + 1
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if strings.TrimSpace(line) == "" {
+			for k, v := range cur {
+				if v != nil {
+					return nil, fmt.Errorf("%s:%d: row has no %q", table, r.line, k)
+				}
+			}
+			cur = nil
+			continue
+		}
 		if cur == nil {
-			return nil
-		}
-		for _, k := range []string{"file", "find", "repl", "pkg", "run", "why"} {
-			if _, ok := cur[k]; !ok {
-				return fmt.Errorf("%s:%d: row has no %q", table, at, k)
-			}
-		}
-		rows = append(rows, row{at, cur["file"], cur["find"], cur["repl"], cur["pkg"], cur["run"], cur["why"]})
-		cur = nil
-		return nil
-	}
-	sc := bufio.NewScanner(rd)
-	for n := 1; sc.Scan(); n++ {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "#"):
-			continue
-		case strings.TrimSpace(line) == "":
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			continue
+			rows = append(rows, row{line: n})
+			r = &rows[len(rows)-1]
+			cur = map[string]*string{"file": &r.file, "find": &r.find, "repl": &r.repl, "pkg": &r.pkg, "run": &r.run, "why": &r.why}
 		}
 		key, val, _ := strings.Cut(line, " ")
-		switch key {
-		case "file", "find", "repl", "pkg", "run", "why":
-		default:
+		dst, ok := cur[key]
+		switch {
+		case !ok:
 			return nil, fmt.Errorf("%s:%d: unknown key %q", table, n, key)
+		case dst == nil:
+			return nil, fmt.Errorf("%s:%d: second %q in one row", table, n, key)
 		}
 		if strings.HasPrefix(val, `"`) {
 			s, err := strconv.Unquote(val)
@@ -91,19 +78,7 @@ func parseRows(rd io.Reader) ([]row, error) {
 			}
 			val = s
 		}
-		if cur == nil {
-			cur, at = map[string]string{}, n
-		}
-		if _, dup := cur[key]; dup {
-			return nil, fmt.Errorf("%s:%d: second %q in one row", table, n, key)
-		}
-		cur[key] = val
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
-		return nil, err
+		*dst, cur[key] = val, nil
 	}
 	return rows, nil
 }
@@ -118,18 +93,14 @@ func (r row) mutate(src []byte) ([]byte, error) {
 }
 
 // verdict is what one go test -v run says.
-type verdict int
+type verdict string
 
 const (
-	passed      verdict = iota // every selected test passed
-	failed                     // a test failed, panicked or timed out
-	buildFailed                // the package or its tests did not build or run
-	noTests                    // the run selected no test
+	passed      verdict = "passed"          // every selected test passed
+	failed      verdict = "a test failed"   // failed, panicked or timed out
+	buildFailed verdict = "did not build"   // or the go command failed
+	noTests     verdict = "no tests to run" // the -run regexp selected none
 )
-
-func (v verdict) String() string {
-	return [...]string{"passed", "a test failed", "did not build", "no tests to run"}[v]
-}
 
 // classify reads the combined output of go test -v, and whether the
 // command exited zero.
@@ -160,11 +131,24 @@ func classify(out string, ok bool) verdict {
 func killer(out string) string {
 	for _, l := range strings.Split(out, "\n") {
 		if name, ok := strings.CutPrefix(strings.TrimSpace(l), "--- FAIL: "); ok {
-			name, _, _ = strings.Cut(name, " ")
-			return name
+			return strings.Fields(name)[0]
 		}
 	}
 	return "the test binary"
+}
+
+// judge is a row's outcome from the verdicts of its unmutated and mutated
+// runs: nil when the tests passed unmutated and the mutant made one fail.
+func judge(base, mut verdict) error {
+	switch {
+	case base != passed:
+		return fmt.Errorf("unmutated tests: %s", base)
+	case mut == failed:
+		return nil
+	case mut == buildFailed:
+		return errors.New("mutant did not build, so no test killed it")
+	}
+	return fmt.Errorf("mutant survived: %s", mut)
 }
 
 // goTest runs the row's tests, through overlay when it is not empty.
@@ -174,41 +158,24 @@ func goTest(r row, overlay string) (string, verdict) {
 		args = append(args, "-count=1", "-overlay", overlay)
 	}
 	out, err := exec.Command("go", append(args, r.pkg)...).CombinedOutput()
-	var exit *exec.ExitError
-	if err != nil && !errors.As(err, &exit) {
+	if _, exit := err.(*exec.ExitError); err != nil && !exit {
 		return err.Error(), buildFailed
 	}
 	return string(out), classify(string(out), err == nil)
 }
 
-// judge is a row's outcome from the verdicts of its unmutated and its
-// mutated run: nil when the tests passed unmutated and the mutant made one
-// fail. mut is not read when base did not pass.
-func judge(base, mut verdict) error {
-	switch {
-	case base != passed:
-		return fmt.Errorf("unmutated tests: %v", base)
-	case mut == failed:
-		return nil
-	case mut == buildFailed:
-		return errors.New("mutant did not build, so no test killed it")
-	}
-	return fmt.Errorf("mutant survived: %v", mut)
-}
-
-// check runs one row in scratch directory tmp: nil when its mutant dies.
-// baseline caches the unmutated verdict of each (package, -run) pair.
+// check runs row r, the table's i-th, in scratch directory tmp: nil when
+// its mutant dies. baseline caches the unmutated verdict per (pkg, run).
 func check(r row, i int, tmp string, baseline map[[2]string]verdict) error {
 	key := [2]string{r.pkg, r.run}
-	base, seen := baseline[key]
-	if !seen {
-		var out string
-		if out, base = goTest(r, ""); base != passed {
+	if _, seen := baseline[key]; !seen {
+		out, v := goTest(r, "")
+		if v != passed {
 			fmt.Fprint(os.Stderr, out)
 		}
-		baseline[key] = base
+		baseline[key] = v
 	}
-	if base != passed {
+	if base := baseline[key]; base != passed {
 		return judge(base, base)
 	}
 	src, err := os.ReadFile(r.file)
@@ -224,19 +191,13 @@ func check(r row, i int, tmp string, baseline map[[2]string]verdict) error {
 		return err
 	}
 	mfile := filepath.Join(tmp, fmt.Sprintf("mutant%d%s", i, filepath.Ext(r.file)))
-	ov, err := json.Marshal(map[string]map[string]string{"Replace": {abs: mfile}})
-	if err != nil {
-		return err
-	}
 	ofile := filepath.Join(tmp, fmt.Sprintf("overlay%d.json", i))
-	if err := os.WriteFile(mfile, mut, 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(ofile, ov, 0o644); err != nil {
+	ov, _ := json.Marshal(map[string]map[string]string{"Replace": {abs: mfile}}) // strings always marshal
+	if err := errors.Join(os.WriteFile(mfile, mut, 0o644), os.WriteFile(ofile, ov, 0o644)); err != nil {
 		return err
 	}
 	out, v := goTest(r, ofile)
-	if err := judge(base, v); err != nil {
+	if err := judge(passed, v); err != nil {
 		if v == buildFailed {
 			fmt.Fprint(os.Stderr, out)
 		}
@@ -247,21 +208,24 @@ func check(r row, i int, tmp string, baseline map[[2]string]verdict) error {
 }
 
 func main() {
-	f, err := os.Open(table)
-	if err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "mutcheck:", err)
 		os.Exit(1)
 	}
-	rows, err := parseRows(f)
-	f.Close()
+}
+
+func run() error {
+	text, err := os.ReadFile(table)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutcheck:", err)
-		os.Exit(1)
+		return err
+	}
+	rows, err := parseRows(string(text))
+	if err != nil {
+		return err
 	}
 	tmp, err := os.MkdirTemp("", "mutcheck")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutcheck:", err)
-		os.Exit(1)
+		return err
 	}
 	defer os.RemoveAll(tmp)
 	start, bad, baseline := time.Now(), 0, map[[2]string]verdict{}
@@ -273,7 +237,7 @@ func main() {
 	}
 	fmt.Printf("%d rows, %d not killed, %.0fs\n", len(rows), bad, time.Since(start).Seconds())
 	if bad > 0 {
-		os.RemoveAll(tmp)
-		os.Exit(1)
+		return fmt.Errorf("%d of %d mutants not killed", bad, len(rows))
 	}
+	return nil
 }

@@ -8,7 +8,7 @@ import (
 func TestParseRows(t *testing.T) {
 	good := "# a comment\n\nfile a.go\nfind \"x\\ty\"\nrepl z\npkg ./p\nrun ^TestA$\nwhy one\n\n\n" +
 		"why two\nfile b.go\nfind q\nrepl\npkg ./q\nrun .\n"
-	rows, err := parseRows(strings.NewReader(good))
+	rows, err := parseRows(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestParseRows(t *testing.T) {
 		{"file a.go\nfnd x\n", `:2: unknown key "fnd"`},
 		{"find \"x\n", `:1: find: invalid syntax`},
 	} {
-		if _, err := parseRows(strings.NewReader(c.table)); err == nil || !strings.Contains(err.Error(), c.err) {
+		if _, err := parseRows(c.table); err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("%q: error %v, want %q", c.table, err, c.err)
 		}
 	}
@@ -78,7 +78,7 @@ func TestClassifyAndJudge(t *testing.T) {
 		{"go command error", outPass, "go: invalid overlay file\n", true, false, "did not build", "", "mutant did not build"},
 	} {
 		mut := classify(c.mut, c.mutOK)
-		if mut.String() != c.verdict {
+		if string(mut) != c.verdict {
 			t.Errorf("%s: mutant verdict %q, want %q", c.name, mut, c.verdict)
 		}
 		if c.killer != "" && killer(c.mut) != c.killer {

@@ -80,17 +80,18 @@ func newTIMTrainer(t *testing.T, n int, seed uint64, useSR bool) (*Trainer, floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := nn.NewMADE(n, 16, r.Split())
-	smp := sampler.NewAutoBatched(m.NumSites(), m, 2, r.Split())
-	var opt optimizer.Optimizer
-	cfg := Config{BatchSize: 256, Workers: 2}
 	if useSR {
-		opt = optimizer.NewSGD(0.1)
-		cfg.SR = optimizer.NewSR(1e-3)
-	} else {
-		opt = optimizer.NewAdam(0.05)
+		return madeTrainer(h, 16, 2, r, optimizer.NewSGD(0.1), Config{BatchSize: 256, Workers: 2, SR: optimizer.NewSR(1e-3)}), ex.Energy
 	}
-	return New(h, m, smp, opt, cfg), ex.Energy
+	return madeTrainer(h, 16, 2, r, optimizer.NewAdam(0.05), Config{BatchSize: 256, Workers: 2}), ex.Energy
+}
+
+// madeTrainer is the core tests' trainer fixture: a MADE of width h on
+// ham's sites and its batched ancestral sampler at smpWorkers, their seeds
+// split off r in that order.
+func madeTrainer(ham hamiltonian.Hamiltonian, h, smpWorkers int, r *rng.Rand, opt optimizer.Optimizer, cfg Config) *Trainer {
+	m := nn.NewMADE(ham.N(), h, r.Split())
+	return New(ham, m, sampler.NewAutoBatched(m.NumSites(), m, smpWorkers, r.Split()), opt, cfg)
 }
 
 func TestMADEAutoConvergesToGroundState(t *testing.T) {
@@ -154,9 +155,7 @@ func TestMaxCutTrainingFindsGoodCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	bestCut := mc.CutFromEnergy(bestE)
-	m := nn.NewMADE(n, 12, r.Split())
-	smp := sampler.NewAutoBatched(m.NumSites(), m, 2, r.Split())
-	tr := New(mc, m, smp, optimizer.NewAdam(0.05), Config{BatchSize: 256, Workers: 2})
+	tr := madeTrainer(mc, 12, 2, r, optimizer.NewAdam(0.05), Config{BatchSize: 256, Workers: 2})
 	tr.Train(300, nil)
 	mean, _ := tr.Evaluate(512)
 	cut := mc.CutFromEnergy(mean)
@@ -245,9 +244,7 @@ func BenchmarkTrainerStepMADE(b *testing.B) {
 	r := rng.New(1)
 	n := 50
 	h := hamiltonian.RandomTIM(n, r)
-	m := nn.NewMADE(n, 20, r.Split())
-	smp := sampler.NewAutoBatched(m.NumSites(), m, 0, r.Split())
-	tr := New(h, m, smp, optimizer.NewAdam(0.01), Config{BatchSize: 64})
+	tr := madeTrainer(h, 20, 0, r, optimizer.NewAdam(0.01), Config{BatchSize: 64})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Step()

@@ -14,9 +14,9 @@ package dist
 // NADE and RNN checkpoint kinds (kind bytes 3 and 4).
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
@@ -27,34 +27,17 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
 
-// nadeBuilder is the ReplicaBuilder for NADE-based trainers. Like
+// seqBuilder is the ReplicaBuilder of the NADE and RNN runs. Like
 // madeBuilder, sampler seed and optimizer are placeholders: Recover rewinds
 // the sampler to the dead rank's stream and clones a survivor's optimizer.
-func nadeBuilder(rank int, model Model) (Replica, error) {
-	m, ok := model.(*nn.NADE)
-	if !ok {
-		return Replica{}, errors.New("checkpoint did not round-trip a *NADE")
+// The checkpoint must have round-tripped the family named kind.
+func seqBuilder(kind string) ReplicaBuilder {
+	return func(rank int, model Model) (Replica, error) {
+		if got := nn.KindName(model); got != kind {
+			return Replica{}, fmt.Errorf("checkpoint round-tripped a %s model, want %s", got, kind)
+		}
+		return Replica{Model: model, Smp: ancestral(2)(rank, model, rng.New(0xDEAD)), Opt: optimizer.NewSGD(1), Workers: 2}, nil
 	}
-	return Replica{
-		Model:   m,
-		Smp:     sampler.NewAutoBatched(m.NumSites(), m, 2, rng.New(0xDEAD)),
-		Opt:     optimizer.NewSGD(1),
-		Workers: 2,
-	}, nil
-}
-
-// rnnBuilder is the ReplicaBuilder for RNN-based trainers; see nadeBuilder.
-func rnnBuilder(rank int, model Model) (Replica, error) {
-	m, ok := model.(*nn.RNNWavefunction)
-	if !ok {
-		return Replica{}, errors.New("checkpoint did not round-trip an *RNNWavefunction")
-	}
-	return Replica{
-		Model:   m,
-		Smp:     sampler.NewAutoBatched(m.NumSites(), m, 2, rng.New(0xDEAD)),
-		Opt:     optimizer.NewSGD(1),
-		Workers: 2,
-	}, nil
 }
 
 // TestRecoveryBitIdenticalNADE extends the recovery acceptance bar to the
@@ -65,23 +48,9 @@ func rnnBuilder(rank int, model Model) (Replica, error) {
 // checkpoint must be a loadable NADE.
 func TestRecoveryBitIdenticalNADE(t *testing.T) {
 	const n, h, L, mb, steps = 7, 6, 3, 8, 12
-	build := func() *Trainer {
-		tim := hamiltonian.RandomTIM(n, rng.New(611))
-		streams := rng.New(612).SplitN(L)
-		reps := make([]Replica, L)
-		for r := 0; r < L; r++ {
-			m := nn.NewNADE(n, h, rng.New(613))
-			smp := sampler.NewAutoBatched(n, m, 2, streams[r])
-			reps[r] = Replica{Model: m, Smp: smp, Opt: optimizer.NewSGD(0.1),
-				SR: optimizer.NewSR(1e-3), Workers: 2}
-		}
-		tr, err := New(tim, reps, mb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	ref := build()
+	f := fixture{ham: hamiltonian.RandomTIM(n, rng.New(611)), mb: mb, workers: []int{2, 2, 2}, init: 613, stream: 612,
+		model: func(r *rng.Rand) Model { return nn.NewNADE(n, h, r) }, smp: ancestral(2), sgd: 0.1, sr: optimizer.NewSR(1e-3)}
+	ref := f.build(t)
 	refHist := mustTrain(t, ref, steps)
 	// The SR schedule's collective count per step depends on the CG solve,
 	// so aim the injection at half the healthy run's per-rank total: the
@@ -89,11 +58,11 @@ func TestRecoveryBitIdenticalNADE(t *testing.T) {
 	per := ref.CollectivesByRank()
 	inject := int(per[1][0]+per[1][1]) / 2
 
-	tr := build()
+	tr := f.build(t)
 	tr.SetCollectiveDeadline(recoveryDeadline)
 	tr.InjectFailure(1, inject)
 	dir := t.TempDir()
-	hist, tr, failed := runWithRecovery(t, tr, steps, dir, nadeBuilder)
+	hist, tr, failed := runWithRecovery(t, tr, steps, dir, seqBuilder("nade"))
 	if failed <= 1 || failed >= steps {
 		t.Fatalf("failure hit step %d, want mid-run", failed)
 	}
@@ -116,30 +85,16 @@ func TestRecoveryBitIdenticalNADE(t *testing.T) {
 // step deterministic (FailAt(victim, k-1) kills step k exactly).
 func TestRecoveryBitIdenticalRNN(t *testing.T) {
 	const n, h, L, mb, steps, failStep = 6, 5, 3, 8, 14, 6
-	build := func() *Trainer {
-		tim := hamiltonian.RandomTIM(n, rng.New(621))
-		streams := rng.New(622).SplitN(L)
-		reps := make([]Replica, L)
-		for r := 0; r < L; r++ {
-			m := nn.NewRNN(n, h, rng.New(623))
-			smp := sampler.NewAutoBatched(n, m, 2, streams[r])
-			reps[r] = Replica{Model: m, Smp: smp, Opt: optimizer.NewSGD(0.1),
-				Workers: 2}
-		}
-		tr, err := New(tim, reps, mb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	ref := build()
+	f := fixture{ham: hamiltonian.RandomTIM(n, rng.New(621)), mb: mb, workers: []int{2, 2, 2}, init: 623, stream: 622,
+		model: func(r *rng.Rand) Model { return nn.NewRNN(n, h, r) }, smp: ancestral(2), sgd: 0.1}
+	ref := f.build(t)
 	refHist := mustTrain(t, ref, steps)
 
 	for _, victim := range []int{0, L - 1} {
-		tr := build()
+		tr := f.build(t)
 		tr.SetCollectiveDeadline(recoveryDeadline)
 		tr.InjectFailure(victim, failStep-1)
-		hist, tr, failed := runWithRecovery(t, tr, steps, "", rnnBuilder)
+		hist, tr, failed := runWithRecovery(t, tr, steps, "", seqBuilder("rnn"))
 		if failed != failStep {
 			t.Fatalf("victim %d: failure hit step %d, want %d", victim, failed, failStep)
 		}
@@ -161,26 +116,26 @@ const (
 type confModel struct {
 	name  string
 	build func(r *rng.Rand) Model
-	// smp returns the sampler the production dispatch pairs with the
-	// family: ancestral for the autoregressive models, at the cell's worker
-	// count, and MCMC (which has no worker knob) for the RBM.
-	smp func(m Model, workers int, stream *rng.Rand) sampler.Sampler
+	// smp is the sampler the production dispatch pairs with the family, at
+	// the cell's worker count: ancestral for the autoregressive models and
+	// MCMC for the RBM.
+	smp func(workers int) func(int, Model, *rng.Rand) sampler.Sampler
 }
 
-func autoregSampler(m Model, workers int, stream *rng.Rand) sampler.Sampler {
-	return sampler.NewAutoBatched(m.NumSites(), m.(nn.BatchAncestralBuilder), workers, stream)
-}
-
-func mcmcSampler(m Model, _ int, stream *rng.Rand) sampler.Sampler {
-	return sampler.NewMCMC(m.(*nn.RBM), sampler.MCMCConfig{Chains: 2, BurnIn: 20}, stream)
+// mcmc is the RBM's sampler in the conformance cells; MCMC has no worker
+// knob.
+func mcmc(int) func(int, Model, *rng.Rand) sampler.Sampler {
+	return func(_ int, m Model, stream *rng.Rand) sampler.Sampler {
+		return sampler.NewMCMC(m.(*nn.RBM), sampler.MCMCConfig{Chains: 2, BurnIn: 20}, stream)
+	}
 }
 
 func confModels() []confModel {
 	return []confModel{
-		{"made", func(r *rng.Rand) Model { return nn.NewMADE(confN, confH, r) }, autoregSampler},
-		{"rbm", func(r *rng.Rand) Model { return nn.NewRBM(confN, confH, r) }, mcmcSampler},
-		{"nade", func(r *rng.Rand) Model { return nn.NewNADE(confN, confH, r) }, autoregSampler},
-		{"rnn", func(r *rng.Rand) Model { return nn.NewRNN(confN, confH, r) }, autoregSampler},
+		{"made", func(r *rng.Rand) Model { return nn.NewMADE(confN, confH, r) }, ancestral},
+		{"rbm", func(r *rng.Rand) Model { return nn.NewRBM(confN, confH, r) }, mcmc},
+		{"nade", func(r *rng.Rand) Model { return nn.NewNADE(confN, confH, r) }, ancestral},
+		{"rnn", func(r *rng.Rand) Model { return nn.NewRNN(confN, confH, r) }, ancestral},
 	}
 }
 
@@ -200,7 +155,7 @@ const confWorkers = 2
 func confSerial(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, workers int) confRun {
 	t.Helper()
 	m := mc.build(rng.New(703))
-	tr := core.New(ham, m, mc.smp(m, workers, rng.New(704)), optimizer.NewSGD(0.05),
+	tr := core.New(ham, m, mc.smp(workers)(0, m, rng.New(704)), optimizer.NewSGD(0.05),
 		core.Config{BatchSize: confMB, Workers: workers})
 	hist := tr.Train(confSteps, nil)
 	return confRun{hist: hist, params: [][]float64{append([]float64(nil), m.Params()...)}}
@@ -208,17 +163,8 @@ func confSerial(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, workers
 
 func confDist(t *testing.T, mc confModel, ham hamiltonian.Hamiltonian, L, workers int) confRun {
 	t.Helper()
-	streams := rng.New(705).SplitN(L)
-	reps := make([]Replica, L)
-	for r := 0; r < L; r++ {
-		m := mc.build(rng.New(703))
-		reps[r] = Replica{Model: m, Smp: mc.smp(m, workers, streams[r]),
-			Opt: optimizer.NewSGD(0.05), Workers: workers}
-	}
-	tr, err := New(ham, reps, confMB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := fixture{ham: ham, mb: confMB, workers: slices.Repeat([]int{workers}, L), init: 703, stream: 705, model: mc.build, sgd: 0.05,
+		smp: mc.smp(workers)}.build(t)
 	hist := mustTrain(t, tr, confSteps)
 	if err := tr.CheckConsistent(); err != nil {
 		t.Fatalf("replicas diverged: %v", err)

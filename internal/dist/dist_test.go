@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
@@ -14,25 +15,65 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
 
-// buildTrainer assembles L replicas with identical init (initSeed) and
-// independent sampler streams (streamSeed), matching the construction the
-// facade and the experiment harness use.
-func buildTrainer(t testing.TB, n, h, L, mb int, initSeed, streamSeed uint64) *Trainer {
+// fixture is the one trainer builder of this package's tests: L replicas
+// of one model family, every one built from the init seed, each drawing
+// from its own stream of the stream seed — the construction the facade and
+// the experiment harness use. A zero field takes the common default.
+type fixture struct {
+	ham          hamiltonian.Hamiltonian // nil: hamiltonian.RandomTIM(n, rng.New(77))
+	n, h, L, mb  int
+	workers      []int // replica r's Workers; nil: 0 for each of L
+	init, stream uint64
+	model        func(r *rng.Rand) Model                                   // nil: nn.NewMADE(n, h, r)
+	smp          func(rank int, m Model, stream *rng.Rand) sampler.Sampler // nil: ancestral(1)
+	sgd          float64                                                   // > 0: SGD at this rate; 0: Adam(0.01)
+	sr           *optimizer.SR                                             // cloned per replica; nil: no SR
+	deadline     time.Duration                                             // > 0: the collective deadline
+}
+
+// ancestral is the fixture sampler that draws each replica's rows with the
+// batched ancestral sampler at the given worker count.
+func ancestral(workers int) func(int, Model, *rng.Rand) sampler.Sampler {
+	return func(_ int, m Model, stream *rng.Rand) sampler.Sampler {
+		return sampler.NewAutoBatched(m.NumSites(), m.(nn.BatchAncestralBuilder), workers, stream)
+	}
+}
+
+func (f fixture) build(t testing.TB) *Trainer {
 	t.Helper()
-	tim := hamiltonian.RandomTIM(n, rng.New(77))
-	streams := rng.New(streamSeed).SplitN(L)
-	reps := make([]Replica, L)
-	for r := 0; r < L; r++ {
-		m := nn.NewMADE(n, h, rng.New(initSeed))
-		reps[r] = Replica{
-			Model: m,
-			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, streams[r]),
-			Opt:   optimizer.NewAdam(0.01),
+	if f.ham == nil {
+		f.ham = hamiltonian.RandomTIM(f.n, rng.New(77))
+	}
+	if f.workers == nil {
+		f.workers = make([]int, f.L)
+	}
+	streams := rng.New(f.stream).SplitN(len(f.workers))
+	reps := make([]Replica, len(f.workers))
+	for r, w := range f.workers {
+		var m Model
+		if f.model != nil {
+			m = f.model(rng.New(f.init))
+		} else {
+			m = nn.NewMADE(f.n, f.h, rng.New(f.init))
+		}
+		reps[r] = Replica{Model: m, Opt: optimizer.NewAdam(0.01), Workers: w}
+		if f.smp == nil {
+			f.smp = ancestral(1)
+		}
+		reps[r].Smp = f.smp(r, m, streams[r])
+		if f.sgd > 0 {
+			reps[r].Opt = optimizer.NewSGD(f.sgd)
+		}
+		if f.sr != nil {
+			reps[r].SR = f.sr.Clone()
 		}
 	}
-	tr, err := New(tim, reps, mb)
+	tr, err := New(f.ham, reps, f.mb)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f.deadline > 0 {
+		tr.SetCollectiveDeadline(f.deadline)
 	}
 	return tr
 }
@@ -71,7 +112,7 @@ func mustEval(t testing.TB, tr *Trainer, batch int) (mean, std float64) {
 // bit-identical (exact ==, no tolerance).
 func TestReplicaBitIdentity(t *testing.T) {
 	const L = 4
-	tr := buildTrainer(t, 10, 14, L, 8, 3, 4)
+	tr := fixture{n: 10, h: 14, L: L, mb: 8, init: 3, stream: 4}.build(t)
 	for step := 1; step <= 50; step++ {
 		mustStep(t, tr, step)
 		ref := tr.Reps[0].Model.Params()
@@ -94,7 +135,7 @@ func TestReplicaBitIdentity(t *testing.T) {
 // divergence in one replica must be flagged by CheckConsistent, proving the
 // bit-identity check has teeth.
 func TestDivergenceIsCaught(t *testing.T) {
-	tr := buildTrainer(t, 8, 10, 4, 8, 5, 6)
+	tr := fixture{n: 8, h: 10, L: 4, mb: 8, init: 5, stream: 6}.build(t)
 	tr.Step(1)
 	if err := tr.CheckConsistent(); err != nil {
 		t.Fatalf("consistent trainer flagged: %v", err)
@@ -175,7 +216,7 @@ func TestSingleDeviceEquivalence(t *testing.T) {
 // TestTrainImprovesEnergy: a short distributed run on a small TIM must
 // lower the energy from its initial value.
 func TestTrainImprovesEnergy(t *testing.T) {
-	tr := buildTrainer(t, 8, 12, 4, 16, 11, 12)
+	tr := fixture{n: 8, h: 12, L: 4, mb: 16, init: 11, stream: 12}.build(t)
 	hist := mustTrain(t, tr, 80)
 	if len(hist) != 80 {
 		t.Fatalf("history length %d", len(hist))
@@ -198,7 +239,7 @@ func TestTrainImprovesEnergy(t *testing.T) {
 // smaller than the replica count (some replicas contribute zero samples but
 // must still join the collective).
 func TestEvaluate(t *testing.T) {
-	tr := buildTrainer(t, 8, 12, 4, 8, 13, 14)
+	tr := fixture{n: 8, h: 12, L: 4, mb: 8, init: 13, stream: 14}.build(t)
 	mustTrain(t, tr, 30)
 	mean, std := mustEval(t, tr, 256)
 	if math.IsNaN(mean) || math.IsNaN(std) || std < 0 {
@@ -278,7 +319,7 @@ func TestNewValidation(t *testing.T) {
 // all-reduce is 2(L-1)/L of the (d+2)-vector per replica.
 func TestTrafficAccounting(t *testing.T) {
 	const L, steps = 4, 10
-	tr := buildTrainer(t, 8, 12, L, 8, 15, 16)
+	tr := fixture{n: 8, h: 12, L: L, mb: 8, init: 15, stream: 16}.build(t)
 	mustTrain(t, tr, steps)
 	bytes, msgs := tr.Traffic()
 	if msgs != int64(L*2*(L-1)*steps) {
@@ -314,7 +355,7 @@ func TestRankTimings(t *testing.T) {
 			t.Fatalf("%s: Timings() %+v is not RankTimings()[0] %+v", what, tr.Timings(), rt[0])
 		}
 	}
-	tr := buildTrainer(t, 8, 10, L, mb, 131, 132)
+	tr := fixture{n: 8, h: 10, L: L, mb: mb, init: 131, stream: 132}.build(t)
 	mustStep(t, tr, 1)
 	check(tr, "L=3")
 

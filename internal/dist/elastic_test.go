@@ -20,7 +20,6 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
-	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
 
 // shrinkReference builds the doctrine's reference run for a shrink event:
@@ -51,17 +50,28 @@ func shrinkReference(t *testing.T, ref *Trainer, deadSet map[int]bool, failStep,
 	return hist, small
 }
 
-// runShrink drives tr into its scripted failure at failStep, shrinks, and
-// replays/continues through steps. Returns the combined history and the
-// shrunken trainer.
-func runShrink(t *testing.T, tr *Trainer, failStep, steps int) ([]core.IterStats, *Trainer) {
+// runShrink drives tr into its scripted failure at failStep (0: whichever
+// step fails first, which must be mid-run), shrinks, and replays/continues
+// through steps. Returns the combined history, the shrunken trainer and the
+// failed step.
+func runShrink(t *testing.T, tr *Trainer, failStep, steps int) ([]core.IterStats, *Trainer, int) {
 	t.Helper()
 	hist := make([]core.IterStats, 0, steps)
-	for i := 1; i < failStep; i++ {
-		hist = append(hist, mustStep(t, tr, i))
-	}
-	if _, err := tr.Step(failStep); err == nil {
-		t.Fatalf("scripted failure at step %d did not surface", failStep)
+	for i := 1; i <= steps; i++ {
+		s, err := tr.Step(i)
+		if err != nil {
+			if failStep == 0 && i > 1 && i < steps {
+				failStep = i
+			}
+			if i != failStep {
+				t.Fatalf("step %d failed (%v), want the scripted failure at step %d", i, err, failStep)
+			}
+			break
+		}
+		if i == failStep {
+			t.Fatalf("scripted failure at step %d did not surface", failStep)
+		}
+		hist = append(hist, s)
 	}
 	nt, err := tr.Shrink()
 	if err != nil {
@@ -70,7 +80,7 @@ func runShrink(t *testing.T, tr *Trainer, failStep, steps int) ([]core.IterStats
 	for i := failStep; i <= steps; i++ {
 		hist = append(hist, mustStep(t, nt, i))
 	}
-	return hist, nt
+	return hist, nt, failStep
 }
 
 // TestShrinkBitIdenticalREINFORCE is the tentpole acceptance test on the
@@ -81,12 +91,11 @@ func runShrink(t *testing.T, tr *Trainer, failStep, steps int) ([]core.IterStats
 func TestShrinkBitIdenticalREINFORCE(t *testing.T) {
 	const L, mb, steps, failStep = 4, 8, 24, 10
 	for _, victim := range []int{0, 2, L - 1} {
-		tr := buildTrainer(t, 8, 10, L, mb, 101, 102)
-		tr.SetCollectiveDeadline(recoveryDeadline)
+		tr := fixture{n: 8, h: 10, L: L, mb: mb, init: 101, stream: 102, deadline: recoveryDeadline}.build(t)
 		tr.InjectFailure(victim, failStep-1) // one collective per rank per step
-		hist, tr := runShrink(t, tr, failStep, steps)
+		hist, tr, _ := runShrink(t, tr, failStep, steps)
 
-		ref := buildTrainer(t, 8, 10, L, mb, 101, 102)
+		ref := fixture{n: 8, h: 10, L: L, mb: mb, init: 101, stream: 102}.build(t)
 		refHist, refSmall := shrinkReference(t, ref, map[int]bool{victim: true}, failStep, steps)
 
 		assertIdenticalRun(t, refHist, hist, refSmall, tr)
@@ -114,38 +123,17 @@ func TestShrinkBitIdenticalREINFORCE(t *testing.T) {
 func TestShrinkBitIdenticalSR(t *testing.T) {
 	const n, h, mb, steps = 7, 9, 8, 12
 	tim := hamiltonian.RandomTIM(n, rng.New(41))
-	for _, pipelined := range []bool{false, true} {
-		build := buildSRTrainer
-		if pipelined {
-			build = buildPipelinedSRTrainer
-		}
-		tr := build(t, tim, n, h, mb, []int{1, 1, 1}, 42, 43)
+	pipe := optimizer.NewSR(1e-3)
+	pipe.Solver = optimizer.SolverPipelined
+	for _, sr := range []*optimizer.SR{optimizer.NewSR(1e-3), pipe} {
+		f := fixture{ham: tim, n: n, h: h, mb: mb, workers: []int{1, 1, 1}, init: 42, stream: 43, sgd: 0.1, sr: sr}
+		tr := f.build(t)
 		tr.SetCollectiveDeadline(recoveryDeadline)
 		// Collective #40 lands mid-run, mid-solve (the SR schedule issues
 		// 2 reductions plus every Fisher apply per step).
 		tr.InjectFailure(1, 40)
-		var hist []core.IterStats
-		failStep := 0
-		for i := 1; i <= steps; i++ {
-			s, err := tr.Step(i)
-			if err != nil {
-				failStep = i
-				break
-			}
-			hist = append(hist, s)
-		}
-		if failStep <= 1 || failStep >= steps {
-			t.Fatalf("pipelined=%v: failure hit step %d, want mid-run", pipelined, failStep)
-		}
-		nt, err := tr.Shrink()
-		if err != nil {
-			t.Fatalf("pipelined=%v: Shrink: %v", pipelined, err)
-		}
-		for i := failStep; i <= steps; i++ {
-			hist = append(hist, mustStep(t, nt, i))
-		}
-
-		ref := build(t, tim, n, h, mb, []int{1, 1, 1}, 42, 43)
+		hist, nt, failStep := runShrink(t, tr, 0, steps)
+		ref := f.build(t)
 		refHist, refSmall := shrinkReference(t, ref, map[int]bool{1: true}, failStep, steps)
 		assertIdenticalRun(t, refHist, hist, refSmall, nt)
 	}
@@ -156,17 +144,16 @@ func TestShrinkBitIdenticalSR(t *testing.T) {
 // continuation is the legal L=2 run.
 func TestMultiRankDeathShrink(t *testing.T) {
 	const L, mb, steps, failStep = 4, 8, 16, 6
-	tr := buildTrainer(t, 8, 10, L, mb, 111, 112)
-	tr.SetCollectiveDeadline(recoveryDeadline)
+	tr := fixture{n: 8, h: 10, L: L, mb: mb, init: 111, stream: 112, deadline: recoveryDeadline}.build(t)
 	tr.InjectFailure(1, failStep-1)
 	tr.InjectFailure(2, failStep-1)
-	hist, tr := runShrink(t, tr, failStep, steps)
+	hist, tr, _ := runShrink(t, tr, failStep, steps)
 
 	if dead := tr.FailureHistory(); len(dead) != 1 || dead[0].Step != failStep ||
 		len(dead[0].Dead) != 2 || dead[0].Dead[0] != 1 || dead[0].Dead[1] != 2 {
 		t.Fatalf("FailureHistory() = %+v, want one record {%d [1 2]}", dead, failStep)
 	}
-	ref := buildTrainer(t, 8, 10, L, mb, 111, 112)
+	ref := fixture{n: 8, h: 10, L: L, mb: mb, init: 111, stream: 112}.build(t)
 	refHist, refSmall := shrinkReference(t, ref, map[int]bool{1: true, 2: true}, failStep, steps)
 	assertIdenticalRun(t, refHist, hist, refSmall, tr)
 	if got := tr.EffectiveBatch(); got != 2*mb {
@@ -174,135 +161,80 @@ func TestMultiRankDeathShrink(t *testing.T) {
 	}
 }
 
-// TestGrowBitIdenticalREINFORCE pins the growth doctrine: admitting a rank
-// to a healthy L=2 trainer yields a legal L=3 run — bit-identical to a
-// fresh 3-replica trainer built from the two live replicas plus a replica
-// holding the checkpointed parameters, a clone of the live optimizer
-// state, and the same fresh sampler stream.
-func TestGrowBitIdenticalREINFORCE(t *testing.T) {
-	const L, mb, preSteps, postSteps = 2, 8, 6, 12
-	const newSeed = 0xBEEF
-
+// growBitIdentical runs f's trainer for pre steps, grows it by one rank
+// whose sampler draws from newSeed (the checkpoint goes to dir), runs on to
+// step post, and holds the run == to a fresh L+1 trainer: f's trainer after
+// the same pre steps, plus a replica holding its parameters, a clone of its
+// optimizer and SR state, and the same fresh sampler stream. It returns the
+// grown trainer.
+func growBitIdentical(t *testing.T, f fixture, dir string, pre, post int, newSeed uint64) *Trainer {
+	t.Helper()
 	grownBuilder := func(rank int, model Model) (Replica, error) {
-		m, ok := model.(*nn.MADE)
-		if !ok {
+		if _, ok := model.(*nn.MADE); !ok {
 			return Replica{}, errors.New("checkpoint did not round-trip a *MADE")
 		}
-		return Replica{
-			Model: m,
-			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(newSeed)),
-			Opt:   optimizer.NewSGD(1), // replaced by the rank-0 clone
-		}, nil
+		// Opt is replaced by the rank-0 clone.
+		return Replica{Model: model, Smp: ancestral(1)(rank, model, rng.New(newSeed)), Opt: optimizer.NewSGD(1)}, nil
 	}
-
-	tr := buildTrainer(t, 8, 10, L, mb, 121, 122)
-	var hist []core.IterStats
-	for i := 1; i <= preSteps; i++ {
-		hist = append(hist, mustStep(t, tr, i))
+	run := func(tr *Trainer, from, to int, hist []core.IterStats) []core.IterStats {
+		for i := from; i <= to; i++ {
+			hist = append(hist, mustStep(t, tr, i))
+		}
+		return hist
 	}
-	dir := t.TempDir()
+	tr := f.build(t)
+	hist := run(tr, 1, pre, nil)
 	grown, err := tr.Grow(dir, 1, grownBuilder)
 	if err != nil {
 		t.Fatalf("Grow: %v", err)
 	}
+	hist = run(grown, pre+1, post, hist)
+
+	ref := f.build(t)
+	refHist := run(ref, 1, pre, nil)
+	m := nn.NewMADE(f.n, f.h, rng.New(999)) // params overwritten below
+	copy(m.Params(), ref.Reps[0].Model.Params())
+	nn.InvalidateParams(m)
+	opt, err := optimizer.CloneOptimizerState(ref.Reps[0].Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Replica{Model: m, Smp: ancestral(1)(0, m, rng.New(newSeed)), Opt: opt}
+	if sr := ref.Reps[0].SR; sr != nil {
+		rep.SR = sr.Clone()
+		rep.SR.RestoreState(sr.CaptureState())
+	}
+	refGrown, err := New(ref.H, append(append([]Replica(nil), ref.Reps...), rep), f.mb)
+	if err != nil {
+		t.Fatalf("assembling reference L+1 trainer: %v", err)
+	}
+	assertIdenticalRun(t, run(refGrown, pre+1, post, refHist), hist, refGrown, grown)
+	return grown
+}
+
+// TestGrowBitIdenticalREINFORCE pins the growth doctrine: admitting a rank
+// to a healthy L=2 trainer yields a legal L=3 run (growBitIdentical), and
+// leaves a growth checkpoint on disk.
+func TestGrowBitIdenticalREINFORCE(t *testing.T) {
+	const L, mb = 2, 8
+	dir := t.TempDir()
+	grown := growBitIdentical(t, fixture{n: 8, h: 10, L: L, mb: mb, init: 121, stream: 122}, dir, 6, 12, 0xBEEF)
 	if got := grown.EffectiveBatch(); got != (L+1)*mb {
 		t.Fatalf("EffectiveBatch() = %d after grow, want %d", got, (L+1)*mb)
-	}
-	for i := preSteps + 1; i <= postSteps; i++ {
-		hist = append(hist, mustStep(t, grown, i))
 	}
 	// The growth checkpoint is a durable artifact of the admission.
 	if m, err := filepath.Glob(filepath.Join(dir, "grow-step*.pvq")); err != nil || len(m) != 1 {
 		t.Fatalf("growth checkpoint artifact missing: %v %v", m, err)
 	}
-
-	// Reference: an identical healthy run, manually augmented to L+1 with
-	// exactly the state Grow transplants.
-	ref := buildTrainer(t, 8, 10, L, mb, 121, 122)
-	var refHist []core.IterStats
-	for i := 1; i <= preSteps; i++ {
-		refHist = append(refHist, mustStep(t, ref, i))
-	}
-	m3 := nn.NewMADE(8, 10, rng.New(999)) // params overwritten below
-	copy(m3.Params(), ref.Reps[0].Model.Params())
-	nn.InvalidateParams(m3)
-	opt3, err := optimizer.CloneOptimizerState(ref.Reps[0].Opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := append(append([]Replica(nil), ref.Reps...), Replica{
-		Model: m3,
-		Smp:   sampler.NewAutoBatched(m3.NumSites(), m3, 1, rng.New(newSeed)),
-		Opt:   opt3,
-	})
-	refGrown, err := New(ref.H, reps, mb)
-	if err != nil {
-		t.Fatalf("assembling reference L+1 trainer: %v", err)
-	}
-	for i := preSteps + 1; i <= postSteps; i++ {
-		refHist = append(refHist, mustStep(t, refGrown, i))
-	}
-	assertIdenticalRun(t, refHist, hist, refGrown, grown)
 }
 
 // TestGrowBitIdenticalSR covers the SR warm-start transplant: the admitted
 // rank must enter the lockstep CG with rank 0's exact warm start, or the
 // first post-grow solve diverges across ranks.
 func TestGrowBitIdenticalSR(t *testing.T) {
-	const n, h, mb, preSteps, postSteps = 7, 9, 8, 5, 10
-	const newSeed = 0xF00D
-	tim := hamiltonian.RandomTIM(n, rng.New(51))
-
-	grownBuilder := func(rank int, model Model) (Replica, error) {
-		m := model.(*nn.MADE)
-		return Replica{
-			Model: m,
-			Smp:   sampler.NewAutoBatched(m.NumSites(), m, 1, rng.New(newSeed)),
-			Opt:   optimizer.NewSGD(1),
-		}, nil
-	}
-
-	tr := buildSRTrainer(t, tim, n, h, mb, []int{1, 1}, 52, 53)
-	var hist []core.IterStats
-	for i := 1; i <= preSteps; i++ {
-		hist = append(hist, mustStep(t, tr, i))
-	}
-	grown, err := tr.Grow("", 1, grownBuilder)
-	if err != nil {
-		t.Fatalf("Grow: %v", err)
-	}
-	for i := preSteps + 1; i <= postSteps; i++ {
-		hist = append(hist, mustStep(t, grown, i))
-	}
-
-	ref := buildSRTrainer(t, tim, n, h, mb, []int{1, 1}, 52, 53)
-	var refHist []core.IterStats
-	for i := 1; i <= preSteps; i++ {
-		refHist = append(refHist, mustStep(t, ref, i))
-	}
-	m3 := nn.NewMADE(n, h, rng.New(999))
-	copy(m3.Params(), ref.Reps[0].Model.Params())
-	nn.InvalidateParams(m3)
-	opt3, err := optimizer.CloneOptimizerState(ref.Reps[0].Opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr3 := ref.Reps[0].SR.Clone()
-	sr3.RestoreState(ref.Reps[0].SR.CaptureState())
-	reps := append(append([]Replica(nil), ref.Reps...), Replica{
-		Model: m3,
-		Smp:   sampler.NewAutoBatched(m3.NumSites(), m3, 1, rng.New(newSeed)),
-		Opt:   opt3,
-		SR:    sr3,
-	})
-	refGrown, err := New(ref.H, reps, mb)
-	if err != nil {
-		t.Fatalf("assembling reference L+1 SR trainer: %v", err)
-	}
-	for i := preSteps + 1; i <= postSteps; i++ {
-		refHist = append(refHist, mustStep(t, refGrown, i))
-	}
-	assertIdenticalRun(t, refHist, hist, refGrown, grown)
+	const n = 7
+	growBitIdentical(t, fixture{ham: hamiltonian.RandomTIM(n, rng.New(51)), n: n, h: 9, mb: 8, workers: []int{1, 1},
+		init: 52, stream: 53, sgd: 0.1, sr: optimizer.NewSR(1e-3)}, "", 5, 10, 0xF00D)
 }
 
 // TestForensicsStableAcrossConsecutiveFailures is the regression the
@@ -320,8 +252,7 @@ func TestForensicsStableAcrossConsecutiveFailures(t *testing.T) {
 		// The shrunken trainer replays step f2; its second collective is
 		// the Evaluate after it.
 		Generation(comm.FaultSpec{Rank: 0, After: 1})
-	tr := buildTrainer(t, 8, 10, L, mb, 131, 132)
-	tr.SetCollectiveDeadline(recoveryDeadline)
+	tr := fixture{n: 8, h: 10, L: L, mb: mb, init: 131, stream: 132, deadline: recoveryDeadline}.build(t)
 	tr.SetFaultPlan(plan)
 
 	for i := 1; i < f1; i++ {
@@ -399,7 +330,7 @@ func TestForensicsStableAcrossConsecutiveFailures(t *testing.T) {
 // TestElasticGuards exercises every refusal path of Shrink and Grow.
 func TestElasticGuards(t *testing.T) {
 	// Shrink on a healthy trainer.
-	tr := buildTrainer(t, 6, 8, 2, 4, 141, 142)
+	tr := fixture{n: 6, h: 8, L: 2, mb: 4, init: 141, stream: 142}.build(t)
 	mustTrain(t, tr, 2)
 	if _, err := tr.Shrink(); err == nil {
 		t.Fatal("Shrink on a healthy trainer succeeded")
@@ -414,8 +345,7 @@ func TestElasticGuards(t *testing.T) {
 
 	// Aborted without a dead rank (straggler past the deadline): nothing to
 	// drop from the membership.
-	tr2 := buildTrainer(t, 6, 8, 2, 4, 143, 144)
-	tr2.SetCollectiveDeadline(recoveryDeadline)
+	tr2 := fixture{n: 6, h: 8, L: 2, mb: 4, init: 143, stream: 144, deadline: recoveryDeadline}.build(t)
 	tr2.InjectStraggler(1, time.Hour)
 	if _, err := tr2.Train(2, nil); err == nil {
 		t.Fatal("straggler past the deadline did not surface")
@@ -429,8 +359,7 @@ func TestElasticGuards(t *testing.T) {
 	}
 
 	// All ranks dead: no survivors to shrink to.
-	tr3 := buildTrainer(t, 6, 8, 2, 4, 145, 146)
-	tr3.SetCollectiveDeadline(recoveryDeadline)
+	tr3 := fixture{n: 6, h: 8, L: 2, mb: 4, init: 145, stream: 146, deadline: recoveryDeadline}.build(t)
 	tr3.InjectFailure(0, 1)
 	tr3.InjectFailure(1, 1)
 	mustTrain(t, tr3, 1)
@@ -445,8 +374,7 @@ func TestElasticGuards(t *testing.T) {
 	}
 
 	// Condemned before any Step: no snapshot to rewind to.
-	tr4 := buildTrainer(t, 6, 8, 2, 4, 147, 148)
-	tr4.SetCollectiveDeadline(recoveryDeadline)
+	tr4 := fixture{n: 6, h: 8, L: 2, mb: 4, init: 147, stream: 148, deadline: recoveryDeadline}.build(t)
 	tr4.InjectFailure(0, 0)
 	if _, _, err := tr4.Evaluate(16); err == nil {
 		t.Fatal("evaluate with dead rank succeeded")
@@ -457,7 +385,7 @@ func TestElasticGuards(t *testing.T) {
 
 	// Growth checkpoint into an unwritable directory fails cleanly and the
 	// trainer remains usable.
-	tr5 := buildTrainer(t, 6, 8, 2, 4, 149, 150)
+	tr5 := fixture{n: 6, h: 8, L: 2, mb: 4, init: 149, stream: 150}.build(t)
 	got5 := mustTrain(t, tr5, 2)
 	bogus := filepath.Join(t.TempDir(), "does", "not", "exist")
 	if _, err := tr5.Grow(bogus, 1, madeBuilder); err == nil {
@@ -475,7 +403,7 @@ func TestElasticGuards(t *testing.T) {
 	if _, err := tr5.Grow("", 2, failSecond); err == nil {
 		t.Fatal("Grow with a builder failing on the second admitted rank succeeded")
 	}
-	ref5 := buildTrainer(t, 6, 8, 2, 4, 149, 150)
+	ref5 := fixture{n: 6, h: 8, L: 2, mb: 4, init: 149, stream: 150}.build(t)
 	hist5 := mustTrain(t, ref5, 2)
 	for i := 3; i <= 6; i++ {
 		hist5 = append(hist5, mustStep(t, ref5, i))

@@ -14,7 +14,6 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/nn"
 	"github.com/vqmc-scale/parvqmc/internal/optimizer"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
-	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
 
 // nonFiniteHams are a TIM instance, whose flip ratios can carry a poisoned
@@ -22,26 +21,6 @@ import (
 // are diagonal and stay finite whatever the model holds.
 func nonFiniteHams() (tim, maxCut hamiltonian.Hamiltonian) {
 	return hamiltonian.RandomTIM(6, rng.New(77)), hamiltonian.NewMaxCut(graph.RandomBernoulli(6, rng.New(78)))
-}
-
-// nonFiniteTrainer is L MADE replicas on h, with Adam, or SGD and SR.
-func nonFiniteTrainer(t *testing.T, h hamiltonian.Hamiltonian, L int, sr bool) *Trainer {
-	t.Helper()
-	streams := rng.New(91).SplitN(L)
-	reps := make([]Replica, L)
-	for r := range reps {
-		m := nn.NewMADE(h.N(), 8, rng.New(90))
-		reps[r] = Replica{Model: m, Smp: sampler.NewAutoBatched(m.NumSites(), m, 1, streams[r]),
-			Opt: optimizer.NewAdam(0.01)}
-		if sr {
-			reps[r].Opt, reps[r].SR = optimizer.NewSGD(0.1), optimizer.NewSR(1e-3)
-		}
-	}
-	tr, err := New(h, reps, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
 }
 
 // replicaState is everything a step may commit on one replica: parameter
@@ -93,10 +72,14 @@ func TestNonFiniteStepCommitsNothing(t *testing.T) {
 			name, phase string
 			h           hamiltonian.Hamiltonian
 		}{{"tim", pc.timPhase, tim}, {"maxcut", "update", maxCut}} {
-			for _, sr := range []bool{false, true} {
+			for _, sr := range []*optimizer.SR{nil, optimizer.NewSR(1e-3)} { // Adam, or SGD and SR
 				for _, L := range []int{1, 2} {
-					name := fmt.Sprintf("%s/%s/sr=%v/L=%d", pc.name, hc.name, sr, L)
-					tr := nonFiniteTrainer(t, hc.h, L, sr)
+					name := fmt.Sprintf("%s/%s/sr=%v/L=%d", pc.name, hc.name, sr != nil, L)
+					f := fixture{ham: hc.h, n: hc.h.N(), h: 8, L: L, mb: 16, init: 90, stream: 91, sr: sr}
+					if sr != nil {
+						f.sgd = 0.1
+					}
+					tr := f.build(t)
 					mustTrain(t, tr, 2)
 					p := tr.Reps[0].Model.Params()
 					if pc.last {
@@ -141,7 +124,7 @@ func TestNonFiniteStepCommitsNothing(t *testing.T) {
 func TestSupervisedNonFiniteAborts(t *testing.T) {
 	for _, L := range []int{1, 2} {
 		tim, _ := nonFiniteHams()
-		tr := nonFiniteTrainer(t, tim, L, false)
+		tr := fixture{ham: tim, n: tim.N(), h: 8, L: L, mb: 16, init: 90, stream: 91}.build(t)
 		sup, err := NewSupervisor(tr, Policy{Builder: madeBuilder})
 		if err != nil {
 			t.Fatal(err)

@@ -357,7 +357,7 @@ func BenchmarkPipelinedSR(b *testing.B) {
 
 	const n, h, L, mb, steps = 12, 16, 4, 8, 3
 	tim := hamiltonian.RandomTIM(n, rng.New(61))
-	classic := buildSRTrainer(b, tim, n, h, mb, []int{2, 2, 2, 2}, 62, 63)
+	classic := fixture{ham: tim, n: n, h: h, mb: mb, workers: []int{2, 2, 2, 2}, init: 62, stream: 63, sgd: 0.1, sr: optimizer.NewSR(1e-3)}.build(b)
 	classicHist := mustTrain(b, classic, steps)
 	syncC, asyncC := classic.Collectives()
 	var itersC int64

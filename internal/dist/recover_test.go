@@ -12,6 +12,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -137,12 +138,11 @@ func assertIdenticalRun(t *testing.T, ref, got []core.IterStats, trRef, trGot *T
 // rank, so FailAt(victim, k-1) deterministically kills step k.
 func TestRecoveryBitIdenticalREINFORCE(t *testing.T) {
 	const L, steps, failStep = 4, 24, 10
-	ref := buildTrainer(t, 8, 10, L, 8, 101, 102)
+	ref := fixture{n: 8, h: 10, L: L, mb: 8, init: 101, stream: 102}.build(t)
 	refHist := mustTrain(t, ref, steps)
 
 	for _, victim := range []int{0, 2, L - 1} {
-		tr := buildTrainer(t, 8, 10, L, 8, 101, 102)
-		tr.SetCollectiveDeadline(recoveryDeadline)
+		tr := fixture{n: 8, h: 10, L: L, mb: 8, init: 101, stream: 102, deadline: recoveryDeadline}.build(t)
 		tr.InjectFailure(victim, failStep-1)
 		hist, tr, failed := runWithRecovery(t, tr, steps, "", madeBuilder)
 		if failed != failStep {
@@ -161,15 +161,15 @@ func TestRecoveryBitIdenticalREINFORCE(t *testing.T) {
 func TestRecoveryBitIdenticalSR(t *testing.T) {
 	const n, h, mb, steps = 7, 9, 8, 12
 	tim := hamiltonian.RandomTIM(n, rng.New(41))
-	for _, pipelined := range []bool{false, true} {
-		build := buildSRTrainer
-		if pipelined {
-			build = buildPipelinedSRTrainer
-		}
-		ref := build(t, tim, n, h, mb, []int{1, 1, 1}, 42, 43)
+	pipe := optimizer.NewSR(1e-3)
+	pipe.Solver = optimizer.SolverPipelined
+	for _, sr := range []*optimizer.SR{optimizer.NewSR(1e-3), pipe} {
+		pipelined := sr == pipe
+		f := fixture{ham: tim, n: n, h: h, mb: mb, workers: []int{1, 1, 1}, init: 42, stream: 43, sgd: 0.1, sr: sr}
+		ref := f.build(t)
 		refHist := mustTrain(t, ref, steps)
 
-		tr := build(t, tim, n, h, mb, []int{1, 1, 1}, 42, 43)
+		tr := f.build(t)
 		tr.SetCollectiveDeadline(recoveryDeadline)
 		// The SR schedule has many collectives per step (2 reductions plus
 		// every Fisher apply); collective #40 lands mid-run, mid-solve.
@@ -237,8 +237,7 @@ func TestRecoveryBitIdenticalRBMMCMC(t *testing.T) {
 // collective deadline — the hang-forever failure class this PR kills.
 func TestStepFailsWithinDeadline(t *testing.T) {
 	const L = 4
-	tr := buildTrainer(t, 8, 10, L, 8, 201, 202)
-	tr.SetCollectiveDeadline(recoveryDeadline)
+	tr := fixture{n: 8, h: 10, L: L, mb: 8, init: 201, stream: 202, deadline: recoveryDeadline}.build(t)
 	tr.InjectFailure(2, 3) // dies during step 4
 	mustTrain(t, tr, 3)
 	start := time.Now()
@@ -275,7 +274,7 @@ func TestStepFailsWithinDeadline(t *testing.T) {
 // TestRecoverGuards exercises every refusal path of Recover.
 func TestRecoverGuards(t *testing.T) {
 	// Healthy group: nothing to recover from.
-	tr := buildTrainer(t, 6, 8, 2, 4, 301, 302)
+	tr := fixture{n: 6, h: 8, L: 2, mb: 4, init: 301, stream: 302}.build(t)
 	mustTrain(t, tr, 2)
 	if _, err := tr.Recover("", madeBuilder); err == nil {
 		t.Fatal("Recover on a healthy trainer succeeded")
@@ -285,8 +284,7 @@ func TestRecoverGuards(t *testing.T) {
 	// the reason recorded at construction.
 	tim := hamiltonian.RandomTIM(6, rng.New(77))
 	_, _, rec := runSerialSR(t, tim, 6, 10, 8, 4)
-	pb := buildSRPlayback(t, tim, rec, 6, 10, 2, 4)
-	pb.SetCollectiveDeadline(recoveryDeadline)
+	pb := fixture{ham: tim, n: 6, h: 10, mb: 4, workers: slices.Repeat([]int{1}, 2), init: 21, smp: playback(rec), sgd: 0.1, sr: tightSR(), deadline: recoveryDeadline}.build(t)
 	pb.InjectFailure(1, 5)
 	if _, err := pb.Train(4, nil); err == nil {
 		t.Fatal("injected failure did not surface")
@@ -299,13 +297,12 @@ func TestRecoverGuards(t *testing.T) {
 	if _, err := pb.Shrink(); err == nil {
 		t.Fatal("Shrink with non-resumable samplers succeeded")
 	}
-	if _, err := buildSRPlayback(t, tim, rec, 6, 10, 2, 4).Grow("", 1, madeBuilder); err == nil {
+	if _, err := (fixture{ham: tim, n: 6, h: 10, mb: 4, workers: slices.Repeat([]int{1}, 2), init: 21, smp: playback(rec), sgd: 0.1, sr: tightSR()}).build(t).Grow("", 1, madeBuilder); err == nil {
 		t.Fatal("Grow with non-resumable samplers succeeded")
 	}
 
 	// Condemned before any Step: no snapshot to rewind to.
-	tr2 := buildTrainer(t, 6, 8, 2, 4, 303, 304)
-	tr2.SetCollectiveDeadline(recoveryDeadline)
+	tr2 := fixture{n: 6, h: 8, L: 2, mb: 4, init: 303, stream: 304, deadline: recoveryDeadline}.build(t)
 	tr2.InjectFailure(0, 0)
 	if _, _, err := tr2.Evaluate(16); err == nil {
 		t.Fatal("evaluate with dead rank succeeded")
@@ -318,8 +315,7 @@ func TestRecoverGuards(t *testing.T) {
 	// the last Step's entry snapshot while the parameters hold that step's
 	// update, so rewinding to the snapshot would not be a replay. Recover
 	// and Shrink must refuse.
-	tr5 := buildTrainer(t, 6, 8, 2, 4, 309, 310)
-	tr5.SetCollectiveDeadline(recoveryDeadline)
+	tr5 := fixture{n: 6, h: 8, L: 2, mb: 4, init: 309, stream: 310, deadline: recoveryDeadline}.build(t)
 	tr5.InjectFailure(1, 2)
 	mustTrain(t, tr5, 2)
 	if _, _, err := tr5.Evaluate(16); err == nil {
@@ -334,8 +330,7 @@ func TestRecoverGuards(t *testing.T) {
 
 	// Aborted without a dead rank (straggler past the deadline): there is
 	// no replica to replace, so Recover must refuse rather than guess.
-	tr3 := buildTrainer(t, 6, 8, 2, 4, 305, 306)
-	tr3.SetCollectiveDeadline(recoveryDeadline)
+	tr3 := fixture{n: 6, h: 8, L: 2, mb: 4, init: 305, stream: 306, deadline: recoveryDeadline}.build(t)
 	tr3.InjectStraggler(1, time.Hour)
 	if _, err := tr3.Train(2, nil); err == nil {
 		t.Fatal("straggler past the deadline did not surface")
@@ -349,8 +344,7 @@ func TestRecoverGuards(t *testing.T) {
 
 	// Nil builder with a dead rank to replace: an error, not a nil
 	// dereference, and the trainer is still recoverable afterwards.
-	tr4 := buildTrainer(t, 6, 8, 2, 4, 307, 308)
-	tr4.SetCollectiveDeadline(recoveryDeadline)
+	tr4 := fixture{n: 6, h: 8, L: 2, mb: 4, init: 307, stream: 308, deadline: recoveryDeadline}.build(t)
 	tr4.InjectFailure(1, 2)
 	if _, err := tr4.Train(4, nil); err == nil {
 		t.Fatal("injected failure did not surface")
@@ -372,7 +366,7 @@ func TestRecoverGuards(t *testing.T) {
 // rank-0-only readout.
 func TestCollectivesAggregateAcrossRanks(t *testing.T) {
 	const L, steps = 3, 6
-	tr := buildTrainer(t, 8, 10, L, 8, 401, 402)
+	tr := fixture{n: 8, h: 10, L: L, mb: 8, init: 401, stream: 402}.build(t)
 	mustTrain(t, tr, steps)
 	per := tr.CollectivesByRank()
 	if len(per) != L {
@@ -400,8 +394,7 @@ func TestCollectivesAggregateAcrossRanks(t *testing.T) {
 // fail Recover cleanly (survivors intact), not corrupt anything.
 func TestRecoveryCheckpointDirErrors(t *testing.T) {
 	const L, steps = 2, 6
-	tr := buildTrainer(t, 6, 8, L, 4, 501, 502)
-	tr.SetCollectiveDeadline(recoveryDeadline)
+	tr := fixture{n: 6, h: 8, L: L, mb: 4, init: 501, stream: 502, deadline: recoveryDeadline}.build(t)
 	tr.InjectFailure(1, 2)
 	if _, err := tr.Train(steps, nil); err == nil {
 		t.Fatal("injected failure did not surface")

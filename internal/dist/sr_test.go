@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,26 +64,10 @@ func runSerialSR(t *testing.T, tim hamiltonian.Hamiltonian, n, h, B, steps int) 
 	return m, hist, rec.rec
 }
 
-// buildSRPlayback assembles an L-replica distributed SR trainer whose
-// replicas replay shards of the recorded global batches.
-func buildSRPlayback(t *testing.T, tim hamiltonian.Hamiltonian, rec []*sampler.Batch, n, h, L, mb int) *Trainer {
-	t.Helper()
-	reps := make([]Replica, L)
-	for r := 0; r < L; r++ {
-		m := nn.NewMADE(n, h, rng.New(21))
-		reps[r] = Replica{
-			Model:   m,
-			Smp:     &playbackSampler{rec: rec, rank: r},
-			Opt:     optimizer.NewSGD(0.1),
-			SR:      tightSR(),
-			Workers: 1,
-		}
-	}
-	tr, err := New(tim, reps, mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+// playback is the fixture sampler that has replica rank replay its shard
+// of the recorded global batches.
+func playback(rec []*sampler.Batch) func(int, Model, *rng.Rand) sampler.Sampler {
+	return func(rank int, _ Model, _ *rng.Rand) sampler.Sampler { return &playbackSampler{rec: rec, rank: rank} }
 }
 
 // tightSR returns an SR preconditioner whose CG solves run to near machine
@@ -129,7 +114,7 @@ func TestDistSRMatchesSerial(t *testing.T) {
 		if mb*L != B {
 			t.Fatalf("L=%d does not divide B=%d", L, B)
 		}
-		tr := buildSRPlayback(t, tim, rec, n, h, L, mb)
+		tr := fixture{ham: tim, n: n, h: h, mb: mb, workers: slices.Repeat([]int{1}, L), init: 21, smp: playback(rec), sgd: 0.1, sr: tightSR()}.build(t)
 		hist := mustTrain(t, tr, steps)
 		if err := tr.CheckConsistent(); err != nil {
 			t.Fatalf("L=%d: replicas diverged: %v", L, err)
@@ -189,7 +174,7 @@ func TestDistSRComparisonHasTeeth(t *testing.T) {
 	row := corrupt[3].Row(B / L) // first row of replica 1's shard
 	row[2] ^= 1
 
-	tr := buildSRPlayback(t, tim, corrupt, n, h, L, B/L)
+	tr := fixture{ham: tim, n: n, h: h, mb: B / L, workers: slices.Repeat([]int{1}, L), init: 21, smp: playback(corrupt), sgd: 0.1, sr: tightSR()}.build(t)
 	mustTrain(t, tr, steps)
 	if err := tr.CheckConsistent(); err != nil {
 		// Different data must not break replica consistency — it enters
@@ -201,30 +186,6 @@ func TestDistSRComparisonHasTeeth(t *testing.T) {
 	}
 }
 
-// buildSRTrainer assembles an L-replica SR trainer with live autoregressive
-// samplers and the given per-replica worker counts.
-func buildSRTrainer(t testing.TB, tim hamiltonian.Hamiltonian, n, h, mb int, workers []int, initSeed, streamSeed uint64) *Trainer {
-	t.Helper()
-	L := len(workers)
-	streams := rng.New(streamSeed).SplitN(L)
-	reps := make([]Replica, L)
-	for r := 0; r < L; r++ {
-		m := nn.NewMADE(n, h, rng.New(initSeed))
-		reps[r] = Replica{
-			Model:   m,
-			Smp:     sampler.NewAutoBatched(m.NumSites(), m, 1, streams[r]),
-			Opt:     optimizer.NewSGD(0.1),
-			SR:      optimizer.NewSR(1e-3),
-			Workers: workers[r],
-		}
-	}
-	tr, err := New(tim, reps, mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
 // TestTwoLevelSRRace exercises the full two-level path — 3 replicas x 4
 // workers with distributed SR — for 20 steps. Its main value is under `go
 // test -race`, where it sweeps the replica goroutines, the intra-replica
@@ -233,7 +194,7 @@ func buildSRTrainer(t testing.TB, tim hamiltonian.Hamiltonian, n, h, mb int, wor
 func TestTwoLevelSRRace(t *testing.T) {
 	const n, h, mb, steps = 8, 10, 12, 20
 	tim := hamiltonian.RandomTIM(n, rng.New(31))
-	tr := buildSRTrainer(t, tim, n, h, mb, []int{4, 4, 4}, 32, 33)
+	tr := fixture{ham: tim, n: n, h: h, mb: mb, workers: []int{4, 4, 4}, init: 32, stream: 33, sgd: 0.1, sr: optimizer.NewSR(1e-3)}.build(t)
 	hist := mustTrain(t, tr, steps)
 	if len(hist) != steps {
 		t.Fatalf("history length %d", len(hist))
@@ -259,10 +220,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 	const n, h, mb, steps = 7, 9, 8, 10
 	tim := hamiltonian.RandomTIM(n, rng.New(41))
 
-	serial := buildSRTrainer(t, tim, n, h, mb, []int{1, 1, 1}, 42, 43)
+	serial := fixture{ham: tim, n: n, h: h, mb: mb, workers: []int{1, 1, 1}, init: 42, stream: 43, sgd: 0.1, sr: optimizer.NewSR(1e-3)}.build(t)
 	serialHist := mustTrain(t, serial, steps)
 
-	hetero := buildSRTrainer(t, tim, n, h, mb, []int{1, 2, 5}, 42, 43)
+	hetero := fixture{ham: tim, n: n, h: h, mb: mb, workers: []int{1, 2, 5}, init: 42, stream: 43, sgd: 0.1, sr: optimizer.NewSR(1e-3)}.build(t)
 	heteroHist := mustTrain(t, hetero, steps)
 
 	if err := hetero.CheckConsistent(); err != nil {
@@ -288,7 +249,7 @@ func TestDistSRConvergesTIM7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := buildSRTrainer(t, tim, n, h, mb, []int{4, 4, 4, 4}, 52, 53)
+	tr := fixture{ham: tim, n: n, h: h, mb: mb, workers: []int{4, 4, 4, 4}, init: 52, stream: 53, sgd: 0.1, sr: optimizer.NewSR(1e-3)}.build(t)
 	mustTrain(t, tr, steps)
 	if err := tr.CheckConsistent(); err != nil {
 		t.Fatalf("replicas diverged after %d SR steps: %v", steps, err)

@@ -13,17 +13,9 @@ import (
 )
 
 // supervisionDeadline bounds every collective in these tests so a scripted
-// death surfaces fast; the wall-clock assertions key off it.
+// death surfaces fast; the wall-clock assertions key off it. NewSupervisor
+// keeps a trainer's deadline in place of its own 30 s default.
 const supervisionDeadline = 250 * time.Millisecond
-
-// supervisedTrainer is buildTrainer with supervisionDeadline set, which
-// NewSupervisor keeps in place of its own 30 s default.
-func supervisedTrainer(t testing.TB, n, h, L, mb int, initSeed, streamSeed uint64) *Trainer {
-	t.Helper()
-	tr := buildTrainer(t, n, h, L, mb, initSeed, streamSeed)
-	tr.SetCollectiveDeadline(supervisionDeadline)
-	return tr
-}
 
 // scriptedBuilder consumes one outcome per call: true delegates to
 // madeBuilder, false fails. It lets a test script exactly which recovery and
@@ -50,7 +42,7 @@ func scriptedBuilder(t testing.TB, outcomes []bool) ReplicaBuilder {
 // the uninterrupted one.
 func TestSupervisedReplaceBitIdentical(t *testing.T) {
 	const L, mb, steps, failStep = 4, 8, 16, 7
-	tr := supervisedTrainer(t, 8, 10, L, mb, 201, 202)
+	tr := fixture{n: 8, h: 10, L: L, mb: mb, init: 201, stream: 202, deadline: supervisionDeadline}.build(t)
 	tr.InjectFailure(2, failStep-1)
 	sup, err := NewSupervisor(tr, Policy{Builder: madeBuilder, CheckpointDir: t.TempDir()})
 	if err != nil {
@@ -61,7 +53,7 @@ func TestSupervisedReplaceBitIdentical(t *testing.T) {
 		t.Fatalf("supervised Train: %v", err)
 	}
 
-	ref := supervisedTrainer(t, 8, 10, L, mb, 201, 202)
+	ref := fixture{n: 8, h: 10, L: L, mb: mb, init: 201, stream: 202, deadline: supervisionDeadline}.build(t)
 	refHist, err := ref.Train(steps, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +76,7 @@ func TestSupervisedReplaceBitIdentical(t *testing.T) {
 // bit-for-bit.
 func TestSupervisedShrinkFallback(t *testing.T) {
 	const L, mb, steps, failStep = 4, 8, 16, 7
-	tr := supervisedTrainer(t, 8, 10, L, mb, 211, 212)
+	tr := fixture{n: 8, h: 10, L: L, mb: mb, init: 211, stream: 212, deadline: supervisionDeadline}.build(t)
 	tr.InjectFailure(1, failStep-1)
 	sup, err := NewSupervisor(tr, Policy{MinReplicas: 2})
 	if err != nil {
@@ -96,7 +88,7 @@ func TestSupervisedShrinkFallback(t *testing.T) {
 	}
 
 	// Reference: the same failure handled by hand at the dist layer.
-	ref := supervisedTrainer(t, 8, 10, L, mb, 211, 212)
+	ref := fixture{n: 8, h: 10, L: L, mb: mb, init: 211, stream: 212, deadline: supervisionDeadline}.build(t)
 	ref.InjectFailure(1, failStep-1)
 	var refHist []core.IterStats
 	for i := 1; i < failStep; i++ {
@@ -137,7 +129,7 @@ func TestSupervisedShrinkFallback(t *testing.T) {
 // a trainer without one gets supervisedDeadline.
 func TestRetryBackoffCounters(t *testing.T) {
 	const L, mb, steps, failStep = 3, 4, 8, 4
-	tr := supervisedTrainer(t, 6, 8, L, mb, 221, 222)
+	tr := fixture{n: 6, h: 8, L: L, mb: mb, init: 221, stream: 222, deadline: supervisionDeadline}.build(t)
 	tr.InjectFailure(0, failStep-1)
 	sup, err := NewSupervisor(tr, Policy{Builder: scriptedBuilder(t, []bool{false, false, true})})
 	if err != nil {
@@ -146,7 +138,7 @@ func TestRetryBackoffCounters(t *testing.T) {
 	if got := tr.group.Deadline(); got != supervisionDeadline {
 		t.Fatalf("NewSupervisor changed the caller's deadline to %v, want %v", got, supervisionDeadline)
 	}
-	bare := buildTrainer(t, 6, 8, L, mb, 221, 222)
+	bare := fixture{n: 6, h: 8, L: L, mb: mb, init: 221, stream: 222}.build(t)
 	if _, err := NewSupervisor(bare, Policy{}); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +166,7 @@ func TestRetryBackoffCounters(t *testing.T) {
 		t.Fatalf("sleeps = %v, want [100ms 200ms] (exponential)", slept)
 	}
 	// The replacement rebuild is bit-identical to the uninterrupted run.
-	ref := supervisedTrainer(t, 6, 8, L, mb, 221, 222)
+	ref := fixture{n: 6, h: 8, L: L, mb: mb, init: 221, stream: 222, deadline: supervisionDeadline}.build(t)
 	refHist, err := ref.Train(steps, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +180,7 @@ func TestRetryBackoffCounters(t *testing.T) {
 func TestFloorAbortWritesFinalCheckpoint(t *testing.T) {
 	const L, mb, steps, failStep = 2, 4, 10, 5
 	dir := t.TempDir()
-	tr := supervisedTrainer(t, 6, 8, L, mb, 231, 232)
+	tr := fixture{n: 6, h: 8, L: L, mb: mb, init: 231, stream: 232, deadline: supervisionDeadline}.build(t)
 	tr.InjectFailure(1, failStep-1)
 	sup, err := NewSupervisor(tr, Policy{MinReplicas: 2, CheckpointDir: dir})
 	if err != nil {
@@ -232,7 +224,7 @@ func TestFloorAbortWritesFinalCheckpoint(t *testing.T) {
 func TestAbortWithoutDeadRank(t *testing.T) {
 	const L, mb = 2, 4
 	dir := t.TempDir()
-	tr := supervisedTrainer(t, 6, 8, L, mb, 241, 242)
+	tr := fixture{n: 6, h: 8, L: L, mb: mb, init: 241, stream: 242, deadline: supervisionDeadline}.build(t)
 	sup, err := NewSupervisor(tr, Policy{Builder: madeBuilder, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +263,7 @@ func TestSupervisedFullSchedule(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
 
-	tr := supervisedTrainer(t, 6, 8, L, mb, 251, 252)
+	tr := fixture{n: 6, h: 8, L: L, mb: mb, init: 251, stream: 252, deadline: supervisionDeadline}.build(t)
 	// Five incarnations, one fault generation each (a failed replacement is
 	// 1 + maxRetries builder failures):
 	//   gen0: rank 1 dies at step 3            -> builder ok      -> replace (L=4)

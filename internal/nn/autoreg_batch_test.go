@@ -87,44 +87,19 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 		t.Run(fam.name, func(t *testing.T) {
 			for _, n := range siteCounts {
 				m := fam.build(n, 4+n, rng.New(uint64(600+n)))
-				// All single-bit flips, the TIM local-energy pattern.
-				flips := make([]int, n)
-				for i := range flips {
-					flips[i] = i
-				}
 				for _, workers := range workerCounts {
 					tail := m.NewBatchEvaluator(workers)
 					full := recomputeFlips{m.NewBatchEvaluator(workers)}
 					for _, bs := range batchSizes {
 						b := randomConfigs(bs, n, rng.New(uint64(31*bs+n)))
-						base := make([]float64, bs)
-						delta := make([]float64, bs*n)
-						tail.FlipLogPsiBatch(b, flips, base, delta)
-						baseF := make([]float64, bs)
-						deltaF := make([]float64, bs*n)
-						full.FlipLogPsiBatch(b, flips, baseF, deltaF)
-						cache := m.NewFlipCache(b.Row(0))
-						for k := 0; k < bs; k++ {
-							if k > 0 {
-								cache.Reset(b.Row(k))
-							}
-							if base[k] != cache.LogPsi() {
-								t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != cache %v",
-									n, workers, bs, k, base[k], cache.LogPsi())
-							}
-							if base[k] != baseF[k] {
-								t.Fatalf("n=%d w=%d B=%d row %d: tail base %v != oracle base %v",
-									n, workers, bs, k, base[k], baseF[k])
-							}
-							for f, bit := range flips {
-								if want := cache.Delta(bit); delta[k*n+f] != want {
-									t.Fatalf("n=%d w=%d B=%d row %d flip %d: batched delta %v != cache %v",
-										n, workers, bs, k, bit, delta[k*n+f], want)
-								}
-								if delta[k*n+f] != deltaF[k*n+f] {
-									t.Fatalf("n=%d w=%d B=%d row %d flip %d: tail delta %v != oracle %v",
-										n, workers, bs, k, bit, delta[k*n+f], deltaF[k*n+f])
-								}
+						what := fmt.Sprintf("n=%d w=%d B=%d", n, workers, bs)
+						base, delta := checkFlipBatch(t, what, m, tail, b)
+						baseF, deltaF := make([]float64, bs), make([]float64, bs*n)
+						full.FlipLogPsiBatch(b, allFlips(n), baseF, deltaF)
+						for i := range delta {
+							if k := i / n; base[k] != baseF[k] || delta[i] != deltaF[i] {
+								t.Fatalf("%s row %d flip %d: tail (%v, %v) != oracle (%v, %v)",
+									what, k, i%n, base[k], delta[i], baseF[k], deltaF[i])
 							}
 						}
 					}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/rng"
@@ -74,6 +75,41 @@ func TestGradLogPsiBatchBitIdentical(t *testing.T) {
 	}
 }
 
+// allFlips lists every single-bit flip of n sites, the TIM local-energy
+// pattern.
+func allFlips(n int) []int {
+	flips := make([]int, n)
+	for i := range flips {
+		flips[i] = i
+	}
+	return flips
+}
+
+// checkFlipBatch runs e.FlipLogPsiBatch over every single-bit flip of b's
+// rows and holds each base to m's flip cache's LogPsi, and each delta to
+// its Delta, with ==. It returns the base and delta values.
+func checkFlipBatch(t *testing.T, what string, m CacheBuilder, e BatchEvaluator, b ConfigBatch) (base, delta []float64) {
+	t.Helper()
+	n, flips := b.Sites, allFlips(b.Sites)
+	base, delta = make([]float64, b.N), make([]float64, b.N*n)
+	e.FlipLogPsiBatch(b, flips, base, delta)
+	cache := m.NewFlipCache(b.Row(0))
+	for k := 0; k < b.N; k++ {
+		if k > 0 {
+			cache.Reset(b.Row(k))
+		}
+		if base[k] != cache.LogPsi() {
+			t.Fatalf("%s row %d: batched base %v != cache %v", what, k, base[k], cache.LogPsi())
+		}
+		for f, bit := range flips {
+			if want := cache.Delta(bit); delta[k*n+f] != want {
+				t.Fatalf("%s row %d flip %d: batched delta %v != cache %v", what, k, bit, delta[k*n+f], want)
+			}
+		}
+	}
+	return base, delta
+}
+
 // TestFlipLogPsiBatchBitIdentical: base values must match the flip cache's
 // base LogPsi (and, under the fresh-forward convention, a fresh LogPsi) and
 // delta values must match FlipCache.Delta, exactly — the property
@@ -81,37 +117,16 @@ func TestGradLogPsiBatchBitIdentical(t *testing.T) {
 func TestFlipLogPsiBatchBitIdentical(t *testing.T) {
 	for _, n := range siteCounts {
 		m := NewMADE(n, 4+n, rng.New(uint64(300+n)))
-		// All single-bit flips, the TIM local-energy pattern.
-		flips := make([]int, n)
-		for i := range flips {
-			flips[i] = i
-		}
 		for _, workers := range workerCounts {
 			e := m.NewBatchEvaluator(workers)
 			for _, bs := range batchSizes {
 				b := randomConfigs(bs, n, rng.New(uint64(17*bs+n)))
-				base := make([]float64, bs)
-				delta := make([]float64, bs*n)
-				e.FlipLogPsiBatch(b, flips, base, delta)
-				cache := m.NewFlipCache(b.Row(0))
+				what := fmt.Sprintf("n=%d w=%d B=%d", n, workers, bs)
+				base, _ := checkFlipBatch(t, what, m, e, b)
 				s := m.newScratch()
 				for k := 0; k < bs; k++ {
-					if k > 0 {
-						cache.Reset(b.Row(k))
-					}
-					if base[k] != cache.LogPsi() {
-						t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != cache %v",
-							n, workers, bs, k, base[k], cache.LogPsi())
-					}
 					if want := m.logPsiScratch(b.Row(k), s); base[k] != want {
-						t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != fresh LogPsi %v",
-							n, workers, bs, k, base[k], want)
-					}
-					for f, bit := range flips {
-						if want := cache.Delta(bit); delta[k*n+f] != want {
-							t.Fatalf("n=%d w=%d B=%d row %d flip %d: batched delta %v != cache %v",
-								n, workers, bs, k, bit, delta[k*n+f], want)
-						}
+						t.Fatalf("%s row %d: batched base %v != fresh LogPsi %v", what, k, base[k], want)
 					}
 				}
 			}
@@ -126,10 +141,7 @@ func TestFlipLogPsiBatchBitIdentical(t *testing.T) {
 func TestFlipLogPsiBatchMatchesFullRecompute(t *testing.T) {
 	for _, n := range siteCounts {
 		m := NewMADE(n, 4+n, rng.New(uint64(350+n)))
-		flips := make([]int, n)
-		for i := range flips {
-			flips[i] = i
-		}
+		flips := allFlips(n)
 		tail := m.NewBatchEvaluator(2)
 		full := m.NewFullFlipBatchEvaluator(3)
 		for _, bs := range batchSizes {

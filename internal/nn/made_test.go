@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
@@ -32,18 +31,8 @@ func TestMADENormalization(t *testing.T) {
 	// the autoregressive construction.
 	for _, n := range []int{1, 2, 4, 8} {
 		m := NewMADE(n, 6, rng.New(uint64(n)))
-		// Perturb weights to a non-trivial point.
-		r := rng.New(77)
-		for i := range m.Params() {
-			m.Params()[i] += r.Uniform(-1, 1)
-		}
-		var total float64
-		x := make([]int, n)
-		for ix := 0; ix < 1<<uint(n); ix++ {
-			hamiltonian.IndexToBits(ix, x)
-			total += math.Exp(m.LogProb(x))
-		}
-		if math.Abs(total-1) > 1e-10 {
+		perturb(m, rng.New(77), 1) // a non-trivial point
+		if total := probSum(m); math.Abs(total-1) > 1e-10 {
 			t.Fatalf("n=%d sum_x pi(x) = %v, want 1", n, total)
 		}
 	}
@@ -197,27 +186,7 @@ func TestMADEFootprint(t *testing.T) {
 }
 
 func TestMADEGradMatchesFiniteDifference(t *testing.T) {
-	r := rng.New(6)
-	n, h := 5, 4
-	m := NewMADE(n, h, r)
-	s := m.newScratch()
-	x := []int{1, 0, 1, 1, 0}
-	grad := tensor.NewVector(m.NumParams())
-	m.gradLogPsiScratch(x, grad, s)
-	const eps = 1e-6
-	p := m.Params()
-	for i := 0; i < m.NumParams(); i++ {
-		orig := p[i]
-		p[i] = orig + eps
-		fp := m.logPsiScratch(x, s)
-		p[i] = orig - eps
-		fm := m.logPsiScratch(x, s)
-		p[i] = orig
-		fd := (fp - fm) / (2 * eps)
-		if math.Abs(fd-grad[i]) > 1e-5 {
-			t.Fatalf("param %d: analytic %v vs finite-diff %v", i, grad[i], fd)
-		}
-	}
+	gradFiniteDiffCheck(t, "MADE", NewMADE(5, 4, rng.New(6)), []int{1, 0, 1, 1, 0}, 1e-5)
 }
 
 func TestMADEGradLogProbIsTwiceGradLogPsi(t *testing.T) {
@@ -239,31 +208,7 @@ func TestMADEGradLogProbIsTwiceGradLogPsi(t *testing.T) {
 
 func TestMADEFlipCache(t *testing.T) {
 	r := rng.New(8)
-	n := 7
-	m := NewMADE(n, 6, r)
-	x := make([]int, n)
-	r.FillBits(x)
-	c := m.NewFlipCache(x)
-	if math.Abs(c.LogPsi()-m.LogPsi(x)) > 1e-12 {
-		t.Fatal("cache LogPsi mismatch at init")
-	}
-	for trial := 0; trial < 30; trial++ {
-		b := r.Intn(n)
-		y := append([]int(nil), c.State()...)
-		y[b] = 1 - y[b]
-		wantDelta := m.LogPsi(y) - m.LogPsi(c.State())
-		if got := c.Delta(b); math.Abs(got-wantDelta) > 1e-10 {
-			t.Fatalf("Delta(%d) = %v, want %v", b, got, wantDelta)
-		}
-		// Delta must not mutate state.
-		if math.Abs(c.LogPsi()-m.LogPsi(c.State())) > 1e-12 {
-			t.Fatal("Delta mutated cache state")
-		}
-		c.Flip(b)
-		if math.Abs(c.LogPsi()-m.LogPsi(c.State())) > 1e-10 {
-			t.Fatal("Flip left cache inconsistent")
-		}
-	}
+	checkFlipCache(t, "MADE", NewMADE(7, 6, r), r, 30)
 }
 
 func TestMADEDegreesValid(t *testing.T) {

@@ -27,25 +27,25 @@ func perturb(m Wavefunction, r *rng.Rand, scale float64) {
 	}
 }
 
-func checkNormalized(t *testing.T, name string, m Normalized) {
-	t.Helper()
-	n := m.NumSites()
+// probSum is sum_x pi(x) over all 2^n configurations, 1 for any
+// parameters of a normalized model.
+func probSum(m Normalized) float64 {
 	var total float64
-	x := make([]int, n)
-	for ix := 0; ix < 1<<uint(n); ix++ {
+	x := make([]int, m.NumSites())
+	for ix := 0; ix < 1<<uint(len(x)); ix++ {
 		hamiltonian.IndexToBits(ix, x)
 		total += math.Exp(m.LogProb(x))
 	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Fatalf("%s: sum_x pi(x) = %v, want 1", name, total)
-	}
+	return total
 }
 
 func TestNADENormalization(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8} {
 		m := NewNADE(n, 6, rng.New(uint64(n)))
 		perturb(m, rng.New(99), 0.7)
-		checkNormalized(t, "NADE", m)
+		if got := probSum(m); math.Abs(got-1) > 1e-9 {
+			t.Fatalf("NADE n=%d: sum_x pi(x) = %v, want 1", n, got)
+		}
 	}
 }
 
@@ -53,89 +53,136 @@ func TestRNNNormalization(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8} {
 		m := NewRNN(n, 6, rng.New(uint64(n)))
 		perturb(m, rng.New(99), 0.7)
-		checkNormalized(t, "RNN", m)
+		if got := probSum(m); math.Abs(got-1) > 1e-9 {
+			t.Fatalf("RNN n=%d: sum_x pi(x) = %v, want 1", n, got)
+		}
 	}
+}
+
+// checkChainRule holds the product of m's conditionals to LogProb on 30
+// random configurations drawn from r.
+func checkChainRule(t *testing.T, name string, m *seqModel, r *rng.Rand) {
+	t.Helper()
+	x := make([]int, m.NumSites())
+	for trial := 0; trial < 30; trial++ {
+		r.FillBits(x)
+		var lp float64
+		for i := range x {
+			p := m.conditional(x, i, m.newScratch())
+			if x[i] == 1 {
+				lp += math.Log(p)
+			} else {
+				lp += math.Log(1 - p)
+			}
+		}
+		if math.Abs(lp-m.LogProb(x)) > 1e-10 {
+			t.Fatalf("%s chain rule product %v != LogProb %v", name, lp, m.LogProb(x))
+		}
+	}
+}
+
+// checkIgnoresFutureBits: on 50 random prefixes drawn from r, m's
+// conditional at site i is the same whatever bits follow it.
+func checkIgnoresFutureBits(t *testing.T, name string, m *seqModel, r *rng.Rand) {
+	t.Helper()
+	n := m.NumSites()
+	x, y := make([]int, n), make([]int, n)
+	for trial := 0; trial < 50; trial++ {
+		r.FillBits(x)
+		copy(y, x)
+		i := r.Intn(n)
+		for j := i; j < n; j++ {
+			y[j] = r.Bit()
+		}
+		if m.conditional(x, i, m.newScratch()) != m.conditional(y, i, m.newScratch()) {
+			t.Fatalf("%s conditional depends on future bits", name)
+		}
+	}
+}
+
+// checkIncremental walks m's incremental evaluator over random bits from r,
+// holding every Prob to the reference conditional; it returns the
+// evaluator.
+func checkIncremental(t *testing.T, name string, m interface {
+	NumSites() int
+	NewIncrementalEvaluator() ConditionalEvaluator
+	conditional(x []int, i int, s *seqScratch) float64
+	newScratch() *seqScratch
+}, r *rng.Rand) ConditionalEvaluator {
+	t.Helper()
+	e := m.NewIncrementalEvaluator()
+	x := make([]int, m.NumSites())
+	r.FillBits(x)
+	e.Reset()
+	for i := range x {
+		if math.Abs(e.Prob(i)-m.conditional(x, i, m.newScratch())) > 1e-12 {
+			t.Fatalf("%s evaluator diverges at bit %d", name, i)
+		}
+		e.Fix(i, x[i])
+	}
+	return e
 }
 
 func TestNADEChainRuleConsistency(t *testing.T) {
 	r := rng.New(3)
-	m := NewNADE(6, 7, r)
-	x := make([]int, 6)
-	for trial := 0; trial < 30; trial++ {
-		r.FillBits(x)
-		var lp float64
-		for i := 0; i < 6; i++ {
-			p := m.conditional(x, i, m.newScratch())
-			if x[i] == 1 {
-				lp += math.Log(p)
-			} else {
-				lp += math.Log(1 - p)
-			}
-		}
-		if math.Abs(lp-m.LogProb(x)) > 1e-10 {
-			t.Fatalf("NADE chain rule product %v != LogProb %v", lp, m.LogProb(x))
-		}
-	}
+	checkChainRule(t, "NADE", &NewNADE(6, 7, r).seqModel, r)
 }
 
 func TestRNNChainRuleConsistency(t *testing.T) {
 	r := rng.New(4)
-	m := NewRNN(6, 5, r)
-	x := make([]int, 6)
-	for trial := 0; trial < 30; trial++ {
-		r.FillBits(x)
-		var lp float64
-		for i := 0; i < 6; i++ {
-			p := m.conditional(x, i, m.newScratch())
-			if x[i] == 1 {
-				lp += math.Log(p)
-			} else {
-				lp += math.Log(1 - p)
-			}
-		}
-		if math.Abs(lp-m.LogProb(x)) > 1e-10 {
-			t.Fatalf("RNN chain rule product %v != LogProb %v", lp, m.LogProb(x))
-		}
-	}
+	checkChainRule(t, "RNN", &NewRNN(6, 5, r).seqModel, r)
 }
 
 func TestNADEConditionalIgnoresFutureBits(t *testing.T) {
 	r := rng.New(5)
-	m := NewNADE(7, 6, r)
-	x := make([]int, 7)
-	y := make([]int, 7)
-	for trial := 0; trial < 50; trial++ {
-		r.FillBits(x)
-		copy(y, x)
-		i := r.Intn(7)
-		for j := i; j < 7; j++ {
-			y[j] = r.Bit()
-		}
-		if m.conditional(x, i, m.newScratch()) != m.conditional(y, i, m.newScratch()) {
-			t.Fatal("NADE conditional depends on future bits")
-		}
-	}
+	checkIgnoresFutureBits(t, "NADE", &NewNADE(7, 6, r).seqModel, r)
 }
 
 func TestRNNConditionalIgnoresFutureBits(t *testing.T) {
 	r := rng.New(6)
-	m := NewRNN(7, 6, r)
-	x := make([]int, 7)
-	y := make([]int, 7)
-	for trial := 0; trial < 50; trial++ {
-		r.FillBits(x)
-		copy(y, x)
-		i := r.Intn(7)
-		for j := i; j < 7; j++ {
-			y[j] = r.Bit()
+	checkIgnoresFutureBits(t, "RNN", &NewRNN(7, 6, r).seqModel, r)
+}
+
+// checkFlipCache walks a flip cache of m from random bits through trials
+// random flips drawn from r: every Delta equals the recomputed log-psi
+// difference, neither Delta nor Flip lets the cache's LogPsi drift from a
+// fresh one, and Reset returns it to the start.
+func checkFlipCache(t *testing.T, name string, m interface {
+	Wavefunction
+	CacheBuilder
+}, r *rng.Rand, trials int) {
+	t.Helper()
+	x := make([]int, m.NumSites())
+	r.FillBits(x)
+	c := m.NewFlipCache(x)
+	if math.Abs(c.LogPsi()-m.LogPsi(x)) > 1e-12 {
+		t.Fatalf("%s: cache LogPsi mismatch at init", name)
+	}
+	for trial := 0; trial < trials; trial++ {
+		b := r.Intn(len(x))
+		y := append([]int(nil), c.State()...)
+		y[b] = 1 - y[b]
+		want := m.LogPsi(y) - m.LogPsi(c.State())
+		if got := c.Delta(b); math.Abs(got-want) > 1e-10 {
+			t.Fatalf("%s: Delta(%d) = %v, want %v", name, b, got, want)
 		}
-		if m.conditional(x, i, m.newScratch()) != m.conditional(y, i, m.newScratch()) {
-			t.Fatal("RNN conditional depends on future bits")
+		if math.Abs(c.LogPsi()-m.LogPsi(c.State())) > 1e-12 {
+			t.Fatalf("%s: Delta mutated cache state", name)
 		}
+		c.Flip(b)
+		if math.Abs(c.LogPsi()-m.LogPsi(c.State())) > 1e-10 {
+			t.Fatalf("%s: Flip left cache inconsistent", name)
+		}
+	}
+	c.Reset(x)
+	if math.Abs(c.LogPsi()-m.LogPsi(x)) > 1e-12 {
+		t.Fatalf("%s: Reset broken", name)
 	}
 }
 
-func gradFiniteDiffCheck(t *testing.T, name string, m Wavefunction, x []int) {
+// gradFiniteDiffCheck holds m's analytic GradLogPsi at x to central
+// differences of LogPsi, element by element, within tol.
+func gradFiniteDiffCheck(t *testing.T, name string, m Wavefunction, x []int, tol float64) {
 	t.Helper()
 	grad := tensor.NewVector(m.NumParams())
 	m.GradLogPsi(x, grad)
@@ -149,7 +196,7 @@ func gradFiniteDiffCheck(t *testing.T, name string, m Wavefunction, x []int) {
 		fm := m.LogPsi(x)
 		p[i] = orig
 		fd := (fp - fm) / (2 * eps)
-		if math.Abs(fd-grad[i]) > 2e-5 {
+		if math.Abs(fd-grad[i]) > tol {
 			t.Fatalf("%s param %d: analytic %v vs finite-diff %v", name, i, grad[i], fd)
 		}
 	}
@@ -157,88 +204,37 @@ func gradFiniteDiffCheck(t *testing.T, name string, m Wavefunction, x []int) {
 
 func TestNADEGradMatchesFiniteDifference(t *testing.T) {
 	m := NewNADE(5, 4, rng.New(7))
-	gradFiniteDiffCheck(t, "NADE", m, []int{1, 0, 1, 1, 0})
-	gradFiniteDiffCheck(t, "NADE", m, []int{0, 0, 0, 0, 0})
-	gradFiniteDiffCheck(t, "NADE", m, []int{1, 1, 1, 1, 1})
+	gradFiniteDiffCheck(t, "NADE", m, []int{1, 0, 1, 1, 0}, 2e-5)
+	gradFiniteDiffCheck(t, "NADE", m, []int{0, 0, 0, 0, 0}, 2e-5)
+	gradFiniteDiffCheck(t, "NADE", m, []int{1, 1, 1, 1, 1}, 2e-5)
 }
 
 func TestRNNGradMatchesFiniteDifference(t *testing.T) {
 	m := NewRNN(5, 4, rng.New(8))
-	gradFiniteDiffCheck(t, "RNN", m, []int{1, 0, 1, 1, 0})
-	gradFiniteDiffCheck(t, "RNN", m, []int{0, 1, 0, 0, 1})
+	gradFiniteDiffCheck(t, "RNN", m, []int{1, 0, 1, 1, 0}, 2e-5)
+	gradFiniteDiffCheck(t, "RNN", m, []int{0, 1, 0, 0, 1}, 2e-5)
 }
 
 func TestNADEIncrementalEvaluatorMatchesConditional(t *testing.T) {
 	r := rng.New(9)
-	m := NewNADE(8, 6, r)
-	e := m.NewIncrementalEvaluator()
-	x := make([]int, 8)
-	r.FillBits(x)
-	e.Reset()
-	for i := 0; i < 8; i++ {
-		if math.Abs(e.Prob(i)-m.conditional(x, i, m.newScratch())) > 1e-12 {
-			t.Fatalf("NADE evaluator diverges at bit %d", i)
-		}
-		e.Fix(i, x[i])
-	}
-	if e.ForwardPasses() != 1 {
+	if e := checkIncremental(t, "NADE", NewNADE(8, 6, r), r); e.ForwardPasses() != 1 {
 		t.Fatalf("passes = %d, want 1 per completed sample", e.ForwardPasses())
 	}
 }
 
 func TestRNNIncrementalEvaluatorMatchesConditional(t *testing.T) {
 	r := rng.New(10)
-	m := NewRNN(8, 6, r)
-	e := m.NewIncrementalEvaluator()
-	x := make([]int, 8)
-	r.FillBits(x)
-	e.Reset()
-	for i := 0; i < 8; i++ {
-		if math.Abs(e.Prob(i)-m.conditional(x, i, m.newScratch())) > 1e-12 {
-			t.Fatalf("RNN evaluator diverges at bit %d", i)
-		}
-		e.Fix(i, x[i])
-	}
+	checkIncremental(t, "RNN", NewRNN(8, 6, r), r)
 }
 
 func TestNADEFlipCacheConsistent(t *testing.T) {
 	r := rng.New(11)
-	m := NewNADE(7, 5, r)
-	x := make([]int, 7)
-	r.FillBits(x)
-	c := m.NewFlipCache(x)
-	for trial := 0; trial < 20; trial++ {
-		b := r.Intn(7)
-		y := append([]int(nil), c.State()...)
-		y[b] = 1 - y[b]
-		want := m.LogPsi(y) - m.LogPsi(c.State())
-		if got := c.Delta(b); math.Abs(got-want) > 1e-10 {
-			t.Fatalf("NADE Delta = %v, want %v", got, want)
-		}
-		c.Flip(b)
-	}
-	c.Reset(x)
-	if math.Abs(c.LogPsi()-m.LogPsi(x)) > 1e-12 {
-		t.Fatal("NADE Reset broken")
-	}
+	checkFlipCache(t, "NADE", NewNADE(7, 5, r), r, 20)
 }
 
 func TestRNNFlipCacheConsistent(t *testing.T) {
 	r := rng.New(12)
-	m := NewRNN(7, 5, r)
-	x := make([]int, 7)
-	r.FillBits(x)
-	c := m.NewFlipCache(x)
-	for trial := 0; trial < 20; trial++ {
-		b := r.Intn(7)
-		y := append([]int(nil), c.State()...)
-		y[b] = 1 - y[b]
-		want := m.LogPsi(y) - m.LogPsi(c.State())
-		if got := c.Delta(b); math.Abs(got-want) > 1e-10 {
-			t.Fatalf("RNN Delta = %v, want %v", got, want)
-		}
-		c.Flip(b)
-	}
+	checkFlipCache(t, "RNN", NewRNN(7, 5, r), r, 20)
 }
 
 // TestNADEConditionalZMatchesMaterializedReLU pins the skip-on-nonpositive

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
 	"github.com/vqmc-scale/parvqmc/internal/rng"
 )
 
@@ -16,17 +15,8 @@ func TestMADENormalizationProperty(t *testing.T) {
 		n := 1 + int(nRaw)%8
 		h := 1 + int(hRaw)%12
 		m := NewMADE(n, h, rng.New(seed))
-		r := rng.New(seed ^ 0xdead)
-		for i := range m.Params() {
-			m.Params()[i] += r.Uniform(-1.5, 1.5)
-		}
-		var total float64
-		x := make([]int, n)
-		for ix := 0; ix < 1<<uint(n); ix++ {
-			hamiltonian.IndexToBits(ix, x)
-			total += math.Exp(m.LogProb(x))
-		}
-		return math.Abs(total-1) < 1e-9
+		perturb(m, rng.New(seed^0xdead), 1.5)
+		return math.Abs(probSum(m)-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/rng"
@@ -70,33 +71,10 @@ func TestRBMGradLogPsiBatchBitIdentical(t *testing.T) {
 func TestRBMFlipLogPsiBatchBitIdentical(t *testing.T) {
 	for _, n := range siteCounts {
 		m := NewRBM(n, 4+n, rng.New(uint64(700+n)))
-		flips := make([]int, n)
-		for i := range flips {
-			flips[i] = i
-		}
 		for _, workers := range workerCounts {
 			e := m.NewBatchEvaluator(workers)
 			for _, bs := range batchSizes {
-				b := randomConfigs(bs, n, rng.New(uint64(37*bs+n)))
-				base := make([]float64, bs)
-				delta := make([]float64, bs*n)
-				e.FlipLogPsiBatch(b, flips, base, delta)
-				cache := m.NewFlipCache(b.Row(0))
-				for k := 0; k < bs; k++ {
-					if k > 0 {
-						cache.Reset(b.Row(k))
-					}
-					if base[k] != cache.LogPsi() {
-						t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != cache %v",
-							n, workers, bs, k, base[k], cache.LogPsi())
-					}
-					for f, bit := range flips {
-						if want := cache.Delta(bit); delta[k*n+f] != want {
-							t.Fatalf("n=%d w=%d B=%d row %d flip %d: batched delta %v != cache %v",
-								n, workers, bs, k, bit, delta[k*n+f], want)
-						}
-					}
-				}
+				checkFlipBatch(t, fmt.Sprintf("n=%d w=%d B=%d", n, workers, bs), m, e, randomConfigs(bs, n, rng.New(uint64(37*bs+n))))
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/rng"
-	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
 // bruteLogPsi evaluates the RBM definition directly.
@@ -87,26 +86,7 @@ func TestSoftplusAndLogSigmoid(t *testing.T) {
 }
 
 func TestRBMGradMatchesFiniteDifference(t *testing.T) {
-	r := rng.New(3)
-	m := NewRBM(5, 4, r)
-	s := m.newScratch()
-	x := []int{1, 0, 0, 1, 1}
-	grad := tensor.NewVector(m.NumParams())
-	m.gradLogPsiScratch(x, grad, s)
-	const eps = 1e-6
-	p := m.Params()
-	for i := 0; i < m.NumParams(); i++ {
-		orig := p[i]
-		p[i] = orig + eps
-		fp := m.logPsiScratch(x, s)
-		p[i] = orig - eps
-		fm := m.logPsiScratch(x, s)
-		p[i] = orig
-		fd := (fp - fm) / (2 * eps)
-		if math.Abs(fd-grad[i]) > 1e-5 {
-			t.Fatalf("param %d: analytic %v vs finite-diff %v", i, grad[i], fd)
-		}
-	}
+	gradFiniteDiffCheck(t, "RBM", NewRBM(5, 4, rng.New(3)), []int{1, 0, 0, 1, 1}, 1e-5)
 }
 
 func TestRBMFlipCacheDeltaExact(t *testing.T) {

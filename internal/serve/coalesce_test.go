@@ -412,11 +412,7 @@ func TestYieldFoldsOnOneThread(t *testing.T) {
 	const n, h = 8, 10
 	const callers, perCaller = 64, 50
 	wf := buildWF("made", n, h, 17)
-	s := NewServer(ServerConfig{})
-	if err := s.Register("m", ModelSpec{WF: wf}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := served(t, ServerConfig{}, "m", ModelSpec{WF: wf})
 
 	works := make([][][]int, callers)
 	wants := make([][]float64, callers)

@@ -182,11 +182,7 @@ func FuzzHTTPDecode(f *testing.F) {
 	const n, h = 4, 6
 	wf := buildWF("made", n, h, 5)
 	ham := hamiltonian.RandomTIM(n, rng.New(6))
-	s := NewServer(ServerConfig{})
-	if err := s.Register("m", ModelSpec{WF: wf, Ham: ham, Config: Config{MaxPending: 64}}); err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(s.Close)
+	s := served(f, ServerConfig{}, "m", ModelSpec{WF: wf, Ham: ham, Config: Config{MaxPending: 64}})
 	handler := NewHandler(s)
 	ref := core.NewBatchedEval(wf, core.EvalAuto, 1)
 	endpoints := []string{"logpsi", "energy", "sample"}

@@ -52,17 +52,21 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body, out any, wan
 	}
 }
 
+// serveModel is served as model "m", behind an httptest server that
+// closes when the test ends.
+func serveModel(t *testing.T, cfg ServerConfig, spec ModelSpec) (*Server, *httptest.Server) {
+	t.Helper()
+	s := served(t, cfg, "m", spec)
+	ts := httptest.NewServer(NewHandler(s))
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
 func TestHTTPBitwiseRoundTrip(t *testing.T) {
 	const n, h = 10, 12
 	wf := buildWF("made", n, h, 81)
 	ham := hamiltonian.RandomTIM(n, rng.New(82))
-	s := NewServer(ServerConfig{})
-	if err := s.Register("m", ModelSpec{WF: wf, Ham: ham}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
+	s, ts := serveModel(t, ServerConfig{}, ModelSpec{WF: wf, Ham: ham})
 
 	cfgs := clientConfigs(0, 3, n)
 	wantLP := directLogPsi(wf, cfgs)
@@ -151,13 +155,7 @@ func TestHTTPSwapFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := NewServer(ServerConfig{CheckpointDir: dir})
-	if err := s.Register("m", ModelSpec{WF: live}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
+	_, ts := serveModel(t, ServerConfig{CheckpointDir: dir}, ModelSpec{WF: live})
 
 	// Swap paths are relative to the configured checkpoint directory.
 	postJSON(t, ts, "/v1/models/m/swap", swapRequest{Path: "next.ckpt"}, nil, http.StatusOK)
@@ -194,13 +192,7 @@ func TestSwapRefusesNonFiniteParams(t *testing.T) {
 	if err := nn.SaveFile(filepath.Join(dir, "bad.ckpt"), bad); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(ServerConfig{CheckpointDir: dir})
-	if err := s.Register("m", ModelSpec{WF: live}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
+	s, ts := serveModel(t, ServerConfig{CheckpointDir: dir}, ModelSpec{WF: live})
 	unmoved := func(after string) {
 		t.Helper()
 		var lp valuesResponse
@@ -227,24 +219,13 @@ func TestHTTPSwapDisabledByDefault(t *testing.T) {
 	}
 	// No CheckpointDir: the swap endpoint must not reach the filesystem at
 	// all, even for a path that exists and parses.
-	s := NewServer(ServerConfig{})
-	if err := s.Register("m", ModelSpec{WF: buildWF("made", n, h, 91)}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
+	_, ts := serveModel(t, ServerConfig{}, ModelSpec{WF: buildWF("made", n, h, 91)})
 	postJSON(t, ts, "/v1/models/m/swap", swapRequest{Path: path}, nil, http.StatusBadRequest)
 }
 
 func TestHTTPErrorMapping(t *testing.T) {
 	const n, h = 8, 10
-	s := NewServer(ServerConfig{})
-	if err := s.Register("m", ModelSpec{WF: buildWF("made", n, h, 95)}); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
+	s, ts := serveModel(t, ServerConfig{}, ModelSpec{WF: buildWF("made", n, h, 95)})
 
 	cfgs := clientConfigs(0, 1, n)
 	// Unknown model -> 404.
@@ -345,10 +326,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 
 func TestHTTPMaxCutMatchesDirect(t *testing.T) {
 	const nVerts, seed = 24, 4242
-	s := NewServer(ServerConfig{})
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
+	_, ts := serveModel(t, ServerConfig{}, ModelSpec{})
 
 	// A deterministic instance, built identically for serve and direct.
 	g := graph.New(nVerts)
@@ -399,13 +377,7 @@ func TestHTTPMaxCutMatchesDirect(t *testing.T) {
 func TestHTTPResourceBounds(t *testing.T) {
 	const n, h = 8, 10
 	ham := hamiltonian.RandomTIM(n, rng.New(11))
-	s := NewServer(ServerConfig{MaxCutNodes: 64})
-	if err := s.Register("m", ModelSpec{WF: buildWF("made", n, h, 13), Ham: ham}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
+	s, ts := serveModel(t, ServerConfig{MaxCutNodes: 64}, ModelSpec{WF: buildWF("made", n, h, 13), Ham: ham})
 
 	// A huge vertex count is rejected before anything n-sized is built.
 	postJSON(t, ts, "/v1/maxcut",
@@ -493,11 +465,7 @@ func padBody(body string, size int) []byte {
 // served, and the same body one byte longer is a 413.
 func TestHTTPBodyCapBoundary(t *testing.T) {
 	const n, h = 4, 6
-	s := NewServer(ServerConfig{})
-	if err := s.Register("m", ModelSpec{WF: buildWF("made", n, h, 5)}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := served(t, ServerConfig{}, "m", ModelSpec{WF: buildWF("made", n, h, 5)})
 	handler := NewHandler(s)
 	const body = `{"configs":[[0,1,0,1]]}`
 	for _, tc := range []struct {

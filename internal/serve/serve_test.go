@@ -47,6 +47,21 @@ func clientConfigs(c, rows, sites int) [][]int {
 	return out
 }
 
+// served is the serve tests' server fixture: a Server under cfg with spec
+// registered as name (nothing registered when spec.WF is nil), closed
+// when the test ends.
+func served(t testing.TB, cfg ServerConfig, name string, spec ModelSpec) *Server {
+	t.Helper()
+	s := NewServer(cfg)
+	t.Cleanup(s.Close)
+	if spec.WF != nil {
+		if err := s.Register(name, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 func TestServeConformanceMatrix(t *testing.T) {
 	const n, h, rowsPerReq = 10, 12, 2
 	// The axis is MaxBatch: no fold, a cap most groups hit, a cap none
@@ -101,11 +116,7 @@ func TestServeConformanceMatrix(t *testing.T) {
 				}
 
 				cfg := Config{MaxBatch: bc.maxBatch, MaxPending: 4 * maxClients * rowsPerReq}
-				s := NewServer(ServerConfig{})
-				if err := s.Register("m", ModelSpec{WF: wf, Ham: ham, Config: cfg}); err != nil {
-					t.Fatalf("register: %v", err)
-				}
-				defer s.Close()
+				s := served(t, ServerConfig{}, "m", ModelSpec{WF: wf, Ham: ham, Config: cfg})
 
 				for _, clients := range clientCounts {
 					iters := 2
@@ -190,12 +201,8 @@ func TestServeConformanceMatrix(t *testing.T) {
 // non-autoregressive family cannot be exactly sampled, and the server must
 // say so rather than serve garbage.
 func TestServeSampleUnsupported(t *testing.T) {
-	s := NewServer(ServerConfig{})
 	wf := buildWF("rbm", 6, 8, 1)
-	if err := s.Register("r", ModelSpec{WF: wf}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := served(t, ServerConfig{}, "r", ModelSpec{WF: wf})
 	if _, err := s.Sample(context.Background(), "r", 2, 1); err == nil {
 		t.Fatal("RBM sample did not error")
 	}
@@ -207,12 +214,8 @@ func TestServeSampleUnsupported(t *testing.T) {
 
 // TestServeValidation pins the request-validation and registry teeth.
 func TestServeValidation(t *testing.T) {
-	s := NewServer(ServerConfig{})
 	wf := buildWF("made", 6, 8, 1)
-	if err := s.Register("m", ModelSpec{WF: wf, Ham: hamiltonian.RandomTIM(6, rng.New(2))}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := served(t, ServerConfig{}, "m", ModelSpec{WF: wf, Ham: hamiltonian.RandomTIM(6, rng.New(2))})
 	ctx := context.Background()
 	if _, err := s.LogPsi(ctx, "nope", clientConfigs(0, 1, 6)); err == nil {
 		t.Fatal("unknown model accepted")
