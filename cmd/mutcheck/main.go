@@ -153,7 +153,7 @@ func judge(base, mut verdict) error {
 
 // goTest runs the row's tests, through overlay when it is not empty.
 func goTest(r row, overlay string) (string, verdict) {
-	args := []string{"test", "-v", "-failfast", "-timeout", "120s", "-run", r.run}
+	args := []string{"test", "-v", "-failfast", "-timeout", "60s", "-run", r.run}
 	if overlay != "" {
 		args = append(args, "-count=1", "-overlay", overlay)
 	}
@@ -165,17 +165,11 @@ func goTest(r row, overlay string) (string, verdict) {
 }
 
 // check runs row r, the table's i-th, in scratch directory tmp: nil when
-// its mutant dies. baseline caches the unmutated verdict per (pkg, run).
-func check(r row, i int, tmp string, baseline map[[2]string]verdict) error {
-	key := [2]string{r.pkg, r.run}
-	if _, seen := baseline[key]; !seen {
-		out, v := goTest(r, "")
-		if v != passed {
-			fmt.Fprint(os.Stderr, out)
-		}
-		baseline[key] = v
-	}
-	if base := baseline[key]; base != passed {
+// its mutant dies. Rows sharing a package and -run regexp share the
+// unmutated run through go test's result cache.
+func check(r row, i int, tmp string) error {
+	if out, base := goTest(r, ""); base != passed {
+		fmt.Fprint(os.Stderr, out)
 		return judge(base, base)
 	}
 	src, err := os.ReadFile(r.file)
@@ -228,9 +222,9 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	start, bad, baseline := time.Now(), 0, map[[2]string]verdict{}
+	start, bad := time.Now(), 0
 	for i, r := range rows {
-		if err := check(r, i, tmp, baseline); err != nil {
+		if err := check(r, i, tmp); err != nil {
 			fmt.Printf("FAILED   %s: %v\n", r, err)
 			bad++
 		}

@@ -57,7 +57,7 @@ const (
 	outBuild = "# ex/p [ex/p.test]\n/tmp/mutant3.go:7:2: \"slices\" imported and not used\n" +
 		"FAIL\tex/p [build failed]\nFAIL\n"
 	outNone    = "testing: warning: no tests to run\nPASS\nok  \tex/p\t0.01s [no tests to run]\n"
-	outTimeout = "=== RUN   TestA\npanic: test timed out after 2m0s\n\tTestA (2m0s)\nFAIL\tex/p\t120.01s\nFAIL\n"
+	outTimeout = "=== RUN   TestA\npanic: test timed out after 1m0s\n\tTestA (1m0s)\nFAIL\tex/p\t60.01s\nFAIL\n"
 )
 
 func TestClassifyAndJudge(t *testing.T) {

@@ -47,20 +47,17 @@ func (f fixture) build(t testing.TB) *Trainer {
 	if f.workers == nil {
 		f.workers = make([]int, f.L)
 	}
+	if f.model == nil {
+		f.model = func(r *rng.Rand) Model { return nn.NewMADE(f.n, f.h, r) }
+	}
+	if f.smp == nil {
+		f.smp = ancestral(1)
+	}
 	streams := rng.New(f.stream).SplitN(len(f.workers))
 	reps := make([]Replica, len(f.workers))
 	for r, w := range f.workers {
-		var m Model
-		if f.model != nil {
-			m = f.model(rng.New(f.init))
-		} else {
-			m = nn.NewMADE(f.n, f.h, rng.New(f.init))
-		}
-		reps[r] = Replica{Model: m, Opt: optimizer.NewAdam(0.01), Workers: w}
-		if f.smp == nil {
-			f.smp = ancestral(1)
-		}
-		reps[r].Smp = f.smp(r, m, streams[r])
+		m := f.model(rng.New(f.init))
+		reps[r] = Replica{Model: m, Smp: f.smp(r, m, streams[r]), Opt: optimizer.NewAdam(0.01), Workers: w}
 		if f.sgd > 0 {
 			reps[r].Opt = optimizer.NewSGD(f.sgd)
 		}

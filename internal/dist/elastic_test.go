@@ -234,7 +234,7 @@ func TestGrowBitIdenticalREINFORCE(t *testing.T) {
 func TestGrowBitIdenticalSR(t *testing.T) {
 	const n = 7
 	growBitIdentical(t, fixture{ham: hamiltonian.RandomTIM(n, rng.New(51)), n: n, h: 9, mb: 8, workers: []int{1, 1},
-		init: 52, stream: 53, sgd: 0.1, sr: optimizer.NewSR(1e-3)}, "", 5, 10, 0xF00D)
+		init: 52, stream: 53, sgd: 0.1, sr: optimizer.NewSR(1e-3), deadline: recoveryDeadline}, "", 5, 10, 0xF00D)
 }
 
 // TestForensicsStableAcrossConsecutiveFailures is the regression the

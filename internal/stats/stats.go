@@ -38,9 +38,6 @@ func SampleVariance(xs []float64) float64 {
 	return Variance(xs) * float64(len(xs)) / float64(len(xs)-1)
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // StdErr returns the standard error of the mean using the sample variance.
 func StdErr(xs []float64) float64 {
 	if len(xs) < 2 {
@@ -66,28 +63,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 		v = 0 // guard against cancellation
 	}
 	return mean, math.Sqrt(v)
-}
-
-// Min and Max of a non-empty slice.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of a non-empty slice.
-func Max(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Autocorrelation returns the normalized autocorrelation function of xs at

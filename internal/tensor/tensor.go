@@ -73,20 +73,6 @@ func (v Vector) Add(w Vector) {
 // Sub computes v -= w in place.
 func (v Vector) Sub(w Vector) { v.AXPY(-1, w) }
 
-// Max returns the maximum element; it panics on an empty vector.
-func (v Vector) Max() float64 {
-	if len(v) == 0 {
-		panic("tensor: Max of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -119,18 +105,6 @@ func (m *Matrix) Fill(c float64) {
 	for i := range m.Data {
 		m.Data[i] = c
 	}
-}
-
-// T returns a newly allocated transpose.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		base := i * m.Cols
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[base+j]
-		}
-	}
-	return out
 }
 
 // MulVec computes dst = m * x. dst must have length m.Rows and x length
@@ -239,17 +213,4 @@ func ReLU(v Vector) {
 			v[i] = 0
 		}
 	}
-}
-
-// Equal reports whether two vectors differ by at most tol elementwise.
-func Equal(a, b Vector, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
