@@ -103,12 +103,7 @@ func checkIgnoresFutureBits(t *testing.T, name string, m *seqModel, r *rng.Rand)
 // checkIncremental walks m's incremental evaluator over random bits from r,
 // holding every Prob to the reference conditional; it returns the
 // evaluator.
-func checkIncremental(t *testing.T, name string, m interface {
-	NumSites() int
-	NewIncrementalEvaluator() ConditionalEvaluator
-	conditional(x []int, i int, s *seqScratch) float64
-	newScratch() *seqScratch
-}, r *rng.Rand) ConditionalEvaluator {
+func checkIncremental(t *testing.T, name string, m *seqModel, r *rng.Rand) ConditionalEvaluator {
 	t.Helper()
 	e := m.NewIncrementalEvaluator()
 	x := make([]int, m.NumSites())
@@ -217,14 +212,14 @@ func TestRNNGradMatchesFiniteDifference(t *testing.T) {
 
 func TestNADEIncrementalEvaluatorMatchesConditional(t *testing.T) {
 	r := rng.New(9)
-	if e := checkIncremental(t, "NADE", NewNADE(8, 6, r), r); e.ForwardPasses() != 1 {
+	if e := checkIncremental(t, "NADE", &NewNADE(8, 6, r).seqModel, r); e.ForwardPasses() != 1 {
 		t.Fatalf("passes = %d, want 1 per completed sample", e.ForwardPasses())
 	}
 }
 
 func TestRNNIncrementalEvaluatorMatchesConditional(t *testing.T) {
 	r := rng.New(10)
-	checkIncremental(t, "RNN", NewRNN(8, 6, r), r)
+	checkIncremental(t, "RNN", &NewRNN(8, 6, r).seqModel, r)
 }
 
 func TestNADEFlipCacheConsistent(t *testing.T) {
