@@ -27,7 +27,7 @@ func main() {
 		problem = flag.String("problem", "tim", "problem kind: tim or maxcut")
 		n       = flag.Int("n", 16, "number of sites (matrix dimension is 2^n)")
 		seed    = flag.Uint64("seed", 1, "root random seed")
-		model   = flag.String("model", "made", "wavefunction: made, rbm, nade or rnn")
+		model   = flag.String("model", "made", "wavefunction: made, rbm or nade")
 		smp     = flag.String("sampler", "", "sampler: auto, auto-naive, mcmc or gibbs (default by model; gibbs needs -model rbm)")
 		opt     = flag.String("optimizer", "adam", "optimizer: adam or sgd")
 		lr      = flag.Float64("lr", 0, "learning rate (0 = optimizer default)")

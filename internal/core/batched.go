@@ -21,9 +21,9 @@ type EvalMode int
 // EvalAuto evaluates through the model's nn.BatchEvaluator — the only
 // evaluation path the step and the serving layer have. Each family's
 // NewBatchEvaluator returns whichever of its kernels the committed
-// benchmark record shows faster (GEMMs for MADE and the RBM; for NADE and
-// the RNN the row adaptor over their shared scalar skeleton, which is the
-// scalar path itself), one per worker behind nn's single row split, so
+// benchmark record shows faster (GEMMs for MADE and the RBM; for NADE the
+// row adaptor over its scalar kernels, which is the scalar path itself),
+// one per worker behind nn's single row split, so
 // there is nothing here to choose. The package-level LocalEnergies is the
 // scalar reference the path is pinned to.
 const EvalAuto EvalMode = 0

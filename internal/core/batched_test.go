@@ -253,7 +253,6 @@ func TestBatchedEvalLogPsiBitIdentical(t *testing.T) {
 		{"made", nn.NewMADE(n, 11, rng.New(901))},
 		{"rbm", nn.NewRBM(n, 11, rng.New(902))},
 		{"nade", nn.NewNADE(n, 11, rng.New(903))},
-		{"rnn", nn.NewRNN(n, 11, rng.New(904))},
 	}
 	for _, mc := range models {
 		for _, bs := range []int{1, 3, 64} {

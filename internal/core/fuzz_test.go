@@ -29,15 +29,13 @@ func FuzzDistinctRows(f *testing.F) {
 		n, bs, workers := 1+int(nSel)%130, 1+int(bSel)%48, 1+int(wSel)%5
 		r := rng.New(seed)
 		var wf nn.Wavefunction
-		switch family % 4 {
+		switch family % 3 {
 		case 0:
 			wf = nn.NewMADE(n, 4, r.Split())
 		case 1:
 			wf = nn.NewRBM(n, 4, r.Split())
-		case 2:
-			wf = nn.NewNADE(n, 4, r.Split())
 		default:
-			wf = nn.NewRNN(n, 4, r.Split())
+			wf = nn.NewNADE(n, 4, r.Split())
 		}
 		var h hamiltonian.Hamiltonian = hamiltonian.RandomTIM(n, r)
 		if diagonal {

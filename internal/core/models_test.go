@@ -13,7 +13,7 @@ import (
 )
 
 // TestAllWavefunctionFamiliesSolveTIM is the cross-model integration test:
-// every architecture in the library (MADE, NADE, RNN with exact sampling;
+// every architecture in the library (MADE and NADE with exact sampling;
 // RBM with MCMC) must drive the same small TIM instance close to its exact
 // ground energy through the same trainer.
 func TestAllWavefunctionFamiliesSolveTIM(t *testing.T) {
@@ -44,10 +44,6 @@ func TestAllWavefunctionFamiliesSolveTIM(t *testing.T) {
 	nade := nn.NewNADE(n, 14, rng.New(3))
 	setups = append(setups, setup{"NADE+AUTO", nade,
 		sampler.NewAutoBatched(n, nade, 2, rng.New(4)), 0.05, 0.06})
-
-	rnn := nn.NewRNN(n, 12, rng.New(5))
-	setups = append(setups, setup{"RNN+AUTO", rnn,
-		sampler.NewAutoBatched(n, rnn, 2, rng.New(6)), 0.02, 0.06})
 
 	rbm := nn.NewRBM(n, n, rng.New(7))
 	setups = append(setups, setup{"RBM+MCMC", rbm,
@@ -82,7 +78,6 @@ func TestLocalEnergiesAgreeAcrossModels(t *testing.T) {
 	models := []Model{
 		nn.NewMADE(n, 6, rng.New(9)),
 		nn.NewNADE(n, 6, rng.New(10)),
-		nn.NewRNN(n, 6, rng.New(11)),
 		nn.NewRBM(n, 6, rng.New(12)),
 	}
 	b := sampler.NewBatch(8, n)

@@ -93,10 +93,6 @@ func TestStepMatchesOracle(t *testing.T) {
 			m := nn.NewNADE(n, hsz, rng.New(304))
 			return m, sampler.NewAutoBatched(n, m, 1, rng.New(305))
 		}},
-		{"rnn", func() (Model, sampler.Sampler) {
-			m := nn.NewRNN(n, hsz, rng.New(306))
-			return m, sampler.NewAutoBatched(n, m, 1, rng.New(307))
-		}},
 		{"rbm", func() (Model, sampler.Sampler) {
 			m := nn.NewRBM(n, hsz, rng.New(308))
 			return m, sampler.NewMCMC(m, sampler.MCMCConfig{Chains: 2, BurnIn: 20}, rng.New(309))

@@ -24,7 +24,7 @@ func TestAddWeightedGradMatchesSlabPath(t *testing.T) {
 	r := rng.New(71)
 	models := map[string]Model{
 		"MADE": nn.NewMADE(n, 11, r.Split()), "NADE": nn.NewNADE(n, 11, r.Split()),
-		"RNN": nn.NewRNN(n, 6, r.Split()), "RBM": nn.NewRBM(n, 11, r.Split()),
+		"RBM": nn.NewRBM(n, 11, r.Split()),
 	}
 	b := sampler.NewBatch(bs, n)
 	r.FillBits(b.Bits)

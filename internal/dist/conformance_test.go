@@ -9,9 +9,8 @@ package dist
 // arithmetic is core's TestStepMatchesOracle (plain loops over the scalar
 // kernels, both Hamiltonians, every family). The file
 // also extends the fail-stop recovery acceptance bar (recover_test.go) to
-// the two autoregressive families that previously could not checkpoint: a
-// NADE or RNN rank killed mid-run must recover bit-identical through the
-// NADE and RNN checkpoint kinds (kind bytes 3 and 4).
+// NADE: a NADE rank killed mid-run must recover bit-identical through the
+// NADE checkpoint kind (kind byte 3).
 
 import (
 	"fmt"
@@ -27,17 +26,15 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/sampler"
 )
 
-// seqBuilder is the ReplicaBuilder of the NADE and RNN runs. Like
-// madeBuilder, sampler seed and optimizer are placeholders: Recover rewinds
-// the sampler to the dead rank's stream and clones a survivor's optimizer.
-// The checkpoint must have round-tripped the family named kind.
-func seqBuilder(kind string) ReplicaBuilder {
-	return func(rank int, model Model) (Replica, error) {
-		if got := nn.KindName(model); got != kind {
-			return Replica{}, fmt.Errorf("checkpoint round-tripped a %s model, want %s", got, kind)
-		}
-		return Replica{Model: model, Smp: ancestral(2)(rank, model, rng.New(0xDEAD)), Opt: optimizer.NewSGD(1), Workers: 2}, nil
+// nadeBuilder is the ReplicaBuilder of the NADE run. Like madeBuilder,
+// sampler seed and optimizer are placeholders: Recover rewinds the sampler
+// to the dead rank's stream and clones a survivor's optimizer. The
+// checkpoint must have round-tripped a NADE.
+func nadeBuilder(rank int, model Model) (Replica, error) {
+	if got := nn.KindName(model); got != "nade" {
+		return Replica{}, fmt.Errorf("checkpoint round-tripped a %s model, want nade", got)
 	}
+	return Replica{Model: model, Smp: ancestral(2)(rank, model, rng.New(0xDEAD)), Opt: optimizer.NewSGD(1), Workers: 2}, nil
 }
 
 // TestRecoveryBitIdenticalNADE extends the recovery acceptance bar to the
@@ -62,7 +59,7 @@ func TestRecoveryBitIdenticalNADE(t *testing.T) {
 	tr.SetCollectiveDeadline(recoveryDeadline)
 	tr.InjectFailure(1, inject)
 	dir := t.TempDir()
-	hist, tr, failed := runWithRecovery(t, tr, steps, dir, seqBuilder("nade"))
+	hist, tr, failed := runWithRecovery(t, tr, steps, dir, nadeBuilder)
 	if failed <= 1 || failed >= steps {
 		t.Fatalf("failure hit step %d, want mid-run", failed)
 	}
@@ -77,28 +74,6 @@ func TestRecoveryBitIdenticalNADE(t *testing.T) {
 	}
 	if _, ok := w.(*nn.NADE); !ok {
 		t.Fatalf("recovery checkpoint decoded as %T, want *nn.NADE", w)
-	}
-}
-
-// TestRecoveryBitIdenticalRNN is the same bar for the RNN family on the
-// plain REINFORCE path, where one collective per step makes the failure
-// step deterministic (FailAt(victim, k-1) kills step k exactly).
-func TestRecoveryBitIdenticalRNN(t *testing.T) {
-	const n, h, L, mb, steps, failStep = 6, 5, 3, 8, 14, 6
-	f := fixture{ham: hamiltonian.RandomTIM(n, rng.New(621)), mb: mb, workers: []int{2, 2, 2}, init: 623, stream: 622,
-		model: func(r *rng.Rand) Model { return nn.NewRNN(n, h, r) }, smp: ancestral(2), sgd: 0.1}
-	ref := f.build(t)
-	refHist := mustTrain(t, ref, steps)
-
-	for _, victim := range []int{0, L - 1} {
-		tr := f.build(t)
-		tr.SetCollectiveDeadline(recoveryDeadline)
-		tr.InjectFailure(victim, failStep-1)
-		hist, tr, failed := runWithRecovery(t, tr, steps, "", seqBuilder("rnn"))
-		if failed != failStep {
-			t.Fatalf("victim %d: failure hit step %d, want %d", victim, failed, failStep)
-		}
-		assertIdenticalRun(t, refHist, hist, ref, tr)
 	}
 }
 
@@ -135,7 +110,6 @@ func confModels() []confModel {
 		{"made", func(r *rng.Rand) Model { return nn.NewMADE(confN, confH, r) }, ancestral},
 		{"rbm", func(r *rng.Rand) Model { return nn.NewRBM(confN, confH, r) }, mcmc},
 		{"nade", func(r *rng.Rand) Model { return nn.NewNADE(confN, confH, r) }, ancestral},
-		{"rnn", func(r *rng.Rand) Model { return nn.NewRNN(confN, confH, r) }, ancestral},
 	}
 }
 
@@ -198,7 +172,7 @@ func assertConfEqual(t *testing.T, ref, got confRun, workers int) {
 }
 
 // TestEvalConformanceMatrix is the table-driven conformance suite of the
-// evaluation stack: model {MADE, RBM, NADE, RNN} x Hamiltonian
+// evaluation stack: model {MADE, RBM, NADE} x Hamiltonian
 // {transverse-field Ising, QUBO} x topology {serial trainer, distributed
 // L=1, distributed L=3} x workers. Within every cell the workers=2 run is
 // the reference, and the runs at trainer/replica worker counts {1, 3, 4, 8}

@@ -122,12 +122,20 @@ type Trainer struct {
 	history []FailureRecord
 }
 
+// collectiveDeadline bounds every blocking point of a new trainer's
+// collectives: a rank that falls off the collective schedule (or dies)
+// makes every other rank's Step fail with comm.ErrPeerLost instead of
+// blocking forever. It is long enough that no healthy step on a loaded host
+// comes near it.
+const collectiveDeadline = 30 * time.Second
+
 // New assembles a data-parallel trainer over the replicas. It validates
 // that the replica list is nonempty, miniBatch is positive, every replica
 // is fully populated, all models share the Hamiltonian's site count and one
 // parameter shape, the SR preconditioners are either absent everywhere or
 // private identically-configured instances everywhere, and the initial
-// parameter vectors are bit-identical.
+// parameter vectors are bit-identical. The trainer's collectives run under
+// collectiveDeadline.
 func New(h hamiltonian.Hamiltonian, reps []Replica, miniBatch int) (*Trainer, error) {
 	if len(reps) == 0 {
 		return nil, fmt.Errorf("dist: no replicas")
@@ -165,6 +173,7 @@ func New(h hamiltonian.Hamiltonian, reps []Replica, miniBatch int) (*Trainer, er
 		}
 	}
 	t := &Trainer{H: h, Reps: reps, mb: miniBatch, sr: sr0 != nil, group: comm.NewGroup(len(reps))}
+	t.group.SetDeadline(collectiveDeadline)
 	if err := t.CheckConsistent(); err != nil {
 		return nil, fmt.Errorf("dist: replicas must start from identical parameters: %w", err)
 	}
@@ -281,17 +290,18 @@ func (t *Trainer) CollectivesBalanced() error {
 	return nil
 }
 
-// SetCollectiveDeadline bounds every blocking point of every collective the
-// trainer issues (see comm.Group.SetDeadline): a replica that stops
-// participating makes every survivor's Step return an error wrapping
-// comm.ErrPeerLost within the deadline instead of hanging forever. Call
-// before training starts; Recover carries the deadline onto the rebuilt
-// group.
+// SetCollectiveDeadline replaces the collectiveDeadline New installs on
+// every blocking point of every collective the trainer issues (see
+// comm.Group.SetDeadline): a replica that stops participating makes every
+// survivor's Step return an error wrapping comm.ErrPeerLost within the
+// deadline instead of hanging forever. Call before training starts; Recover
+// carries the deadline onto the rebuilt group.
 func (t *Trainer) SetCollectiveDeadline(d time.Duration) { t.group.SetDeadline(d) }
 
 // InjectFailure scripts replica rank to die at its (after+1)-th collective
 // (see comm.Group.FailAt) — the test seam behind the failure-injection
-// matrix. Pair with SetCollectiveDeadline so survivors detect the death.
+// matrix. Survivors detect the death within the collective deadline, so
+// tests shorten it with SetCollectiveDeadline.
 // The script arms only the CURRENT group; use SetFaultPlan to script deaths
 // across Recover/Shrink/Grow rebuilds.
 func (t *Trainer) InjectFailure(rank, after int) { t.group.FailAt(rank, after) }

@@ -231,6 +231,24 @@ func TestRecoveryBitIdenticalRBMMCMC(t *testing.T) {
 	assertIdenticalRun(t, refHist, hist, ref, tr)
 }
 
+// TestDefaultDeadlineSurfacesLostRank: a trainer built as the facade
+// builds one without Elastic — New, no SetCollectiveDeadline, no supervisor
+// — whose rank 1 leaves the collective schedule mid-run must return an
+// error wrapping comm.ErrPeerLost from Train once New's collectiveDeadline
+// has passed, instead of blocking forever.
+func TestDefaultDeadlineSurfacesLostRank(t *testing.T) {
+	tr := fixture{n: 6, h: 8, L: 2, mb: 4, init: 231, stream: 232}.build(t)
+	tr.InjectFailure(1, 3)
+	start := time.Now()
+	_, err := tr.Train(4, nil)
+	if !errors.Is(err, comm.ErrPeerLost) {
+		t.Fatalf("Train returned %v, want an error wrapping comm.ErrPeerLost", err)
+	}
+	if elapsed := time.Since(start); elapsed < collectiveDeadline {
+		t.Fatalf("Train failed after %v, before the %v deadline could expire", elapsed, collectiveDeadline)
+	}
+}
+
 // TestStepFailsWithinDeadline is the no-hang regression at the trainer
 // level (run under -race in CI): when a rank dies, EVERY surviving
 // replica's share of Step must error out within a small multiple of the

@@ -15,10 +15,10 @@ package dist
 // membership, and a replay would diverge the same way: the run aborts at
 // once, with the final checkpoint, counting nothing.
 //
-// Every path terminates: the collective deadline (NewSupervisor sets one
-// when the caller did not) makes a failed step surface, and what follows is
-// a rebuild or a checkpointed exit. After growAfter clean steps below the
-// starting width it Grows back to that width.
+// Every path terminates: the collective deadline (New installs one) makes a
+// failed step surface, and what follows is a rebuild or a checkpointed
+// exit. After growAfter clean steps below the starting width it Grows back
+// to that width.
 
 import (
 	"errors"
@@ -34,14 +34,12 @@ import (
 
 // The supervisor's fixed schedule: maxRetries EXTRA Recover attempts after
 // a failed one, waiting backoff before the first and doubling up to
-// backoffMax; a re-grow after growAfter clean steps; and the collective
-// deadline of a trainer whose caller set none.
+// backoffMax; and a re-grow after growAfter clean steps.
 const (
-	maxRetries         = 2
-	backoff            = 100 * time.Millisecond
-	backoffMax         = 2 * time.Second
-	growAfter          = 10
-	supervisedDeadline = 30 * time.Second
+	maxRetries = 2
+	backoff    = 100 * time.Millisecond
+	backoffMax = 2 * time.Second
+	growAfter  = 10
 )
 
 // Policy configures the supervisor's failure handling.
@@ -96,9 +94,7 @@ type Supervisor struct {
 
 // NewSupervisor wraps tr in a supervisor. The trainer's current width
 // becomes the re-grow target. MinReplicas defaults to 1 and must not exceed
-// the trainer's width. A trainer without a collective deadline gets
-// supervisedDeadline (30 s), so every failed step surfaces; a deadline the
-// caller set is kept.
+// the trainer's width. The trainer keeps its collective deadline.
 func NewSupervisor(tr *Trainer, p Policy) (*Supervisor, error) {
 	if tr == nil {
 		return nil, errors.New("dist: nil trainer")
@@ -115,9 +111,6 @@ func NewSupervisor(tr *Trainer, p Policy) (*Supervisor, error) {
 		if err := os.MkdirAll(p.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("dist: checkpoint directory: %w", err)
 		}
-	}
-	if tr.group.Deadline() == 0 {
-		tr.SetCollectiveDeadline(supervisedDeadline)
 	}
 	return &Supervisor{tr: tr, policy: p, target: tr.Devices(), sleep: time.Sleep}, nil
 }

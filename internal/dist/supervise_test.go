@@ -125,8 +125,8 @@ func TestSupervisedShrinkFallback(t *testing.T) {
 // TestRetryBackoffCounters scripts two failed replacement attempts before a
 // successful third and checks every retry/backoff counter against the fixed
 // schedule, with the sleeps intercepted so the test stays fast and exact. It
-// also pins the supervisor's deadline rule: a caller's deadline is kept, and
-// a trainer without one gets supervisedDeadline.
+// also pins the deadline rule: the supervisor keeps a caller's deadline, and
+// a trainer nobody set one on keeps New's collectiveDeadline.
 func TestRetryBackoffCounters(t *testing.T) {
 	const L, mb, steps, failStep = 3, 4, 8, 4
 	tr := fixture{n: 6, h: 8, L: L, mb: mb, init: 221, stream: 222, deadline: supervisionDeadline}.build(t)
@@ -142,8 +142,8 @@ func TestRetryBackoffCounters(t *testing.T) {
 	if _, err := NewSupervisor(bare, Policy{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := bare.group.Deadline(); got != supervisedDeadline {
-		t.Fatalf("unbounded trainer supervised with deadline %v, want %v", got, supervisedDeadline)
+	if got := bare.group.Deadline(); got != collectiveDeadline {
+		t.Fatalf("default trainer supervised with deadline %v, want %v", got, collectiveDeadline)
 	}
 	var slept []time.Duration
 	sup.sleep = func(d time.Duration) { slept = append(slept, d) }

@@ -25,8 +25,15 @@ type Result struct {
 // MaxSites bounds the problem size GroundState accepts.
 const MaxSites = 22
 
+// maxRestarts bounds how often GroundState restarts an unconverged Lanczos
+// run from its own Ritz vector.
+const maxRestarts = 4
+
 // GroundState computes the minimal eigenpair of h by Lanczos with a random
-// start vector. maxKrylov <= 0 selects a sensible default.
+// start vector. maxKrylov <= 0 selects a sensible default. A run that ends
+// unconverged after maxKrylov vectors restarts from its Ritz vector, which
+// overlaps the ground state far better than the random start did, at most
+// maxRestarts times; a run that converges first takes no restart.
 func GroundState(h hamiltonian.Hamiltonian, maxKrylov int, seed uint64) (Result, error) {
 	n := h.N()
 	if n > MaxSites {
@@ -43,6 +50,9 @@ func GroundState(h hamiltonian.Hamiltonian, maxKrylov int, seed uint64) (Result,
 	rng.New(seed).FillUniform(v0, 0.1, 1) // positive start overlaps the PF ground state
 	mv := func(v, out []float64) { hamiltonian.Apply(h, v, out) }
 	res, err := lanczosMin(mv, dim, v0, maxKrylov, 1e-10)
+	for r := 0; err == nil && !res.converged && maxKrylov < dim && r < maxRestarts; r++ {
+		res, err = lanczosMin(mv, dim, res.eigenvector, maxKrylov, 1e-10)
+	}
 	if err != nil {
 		return Result{}, err
 	}

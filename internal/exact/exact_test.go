@@ -77,6 +77,28 @@ func TestGroundStateVarianceNearZero(t *testing.T) {
 	}
 }
 
+// TestGroundStateRestartsUnconverged: the TIM instance of the facade's
+// TIM(16, 3) does not converge within the default 80 Krylov vectors from
+// ExactGroundEnergy's start (seed 7); restarting from the Ritz vector must
+// reach a true eigenpair, ||Hv - Ev|| small.
+func TestGroundStateRestartsUnconverged(t *testing.T) {
+	tim := hamiltonian.RandomTIM(16, rng.New(3))
+	res, err := GroundState(tim, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hv := make([]float64, len(res.Vector))
+	hamiltonian.Apply(tim, res.Vector, hv)
+	var r2 float64
+	for i, v := range res.Vector {
+		d := hv[i] - res.Energy*v
+		r2 += d * d
+	}
+	if r := math.Sqrt(r2); r > 1e-8 {
+		t.Fatalf("residual ||Hv - Ev|| = %.3g at E = %v, want < 1e-8", r, res.Energy)
+	}
+}
+
 func TestVarianceOfNonEigenvectorPositive(t *testing.T) {
 	r := rng.New(5)
 	tim := hamiltonian.RandomTIM(5, r)

@@ -21,22 +21,17 @@ type batchModel interface {
 }
 
 // autoregFamilies enumerates the autoregressive model families under the
-// batched bit-identity doctrine (MADE keeps its original suite in
-// batch_test.go; NADE/RNN joined in PR 7). MADE answers NewBatchEvaluator
-// with GEMM kernels, NADE and the RNN with the row adaptor over the scalar
-// skeleton they share (seq.go); all three answer NewBatchAncestralSampler
-// with the row adaptor. The suites do not care which.
+// batched bit-identity doctrine. MADE answers NewBatchEvaluator with GEMM
+// kernels, NADE with the row adaptor over its scalar kernels; both answer
+// NewBatchAncestralSampler with the row adaptor. The suites do not care
+// which.
 var autoregFamilies = []struct {
 	name  string
 	build func(n, h int, r *rng.Rand) batchModel
 }{
 	{"MADE", func(n, h int, r *rng.Rand) batchModel { return NewMADE(n, h, r) }},
 	{"NADE", func(n, h int, r *rng.Rand) batchModel { return NewNADE(n, h, r) }},
-	{"RNN", func(n, h int, r *rng.Rand) batchModel { return NewRNN(n, h, r) }},
 }
-
-// seqFamilies are the two cells of the sequential skeleton (seq.go).
-var seqFamilies = autoregFamilies[1:]
 
 // TestAutoregBatchForwardBitIdentical: LogPsiBatch must equal per-row LogPsi
 // and GradLogPsiBatch per-row GradLogPsi with exact ==, for every family x
@@ -78,10 +73,12 @@ func TestAutoregBatchForwardBitIdentical(t *testing.T) {
 }
 
 // TestAutoregFlipBatchBitIdentical is the tentpole acceptance matrix:
-// FlipLogPsiBatch must match the scalar FlipCache (base and deltas) AND the
-// full-recompute reference (recomputeFlips: LogPsiBatch of every flipped
-// row minus the base) byte for byte, over B in {1,3,64} x workers in
-// {1,2,5} x n in {1,2,7,19}, for every autoregressive family.
+// FlipLogPsiBatch must match the scalar FlipCache (base and deltas), a
+// fresh LogPsi (base) AND the full-recompute reference (recomputeFlips:
+// LogPsiBatch of every flipped row minus the base) byte for byte, over B in
+// {1,3,64} x workers in {1,2,5} x n in {1,2,7,19}, for every
+// autoregressive family — the property core.LocalEnergies' batched
+// dispatch relies on.
 func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 	for _, fam := range autoregFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -96,6 +93,11 @@ func TestAutoregFlipBatchBitIdentical(t *testing.T) {
 						base, delta := checkFlipBatch(t, what, m, tail, b)
 						baseF, deltaF := make([]float64, bs), make([]float64, bs*n)
 						full.FlipLogPsiBatch(b, allFlips(n), baseF, deltaF)
+						for k := range base {
+							if want := m.LogPsi(b.Row(k)); base[k] != want {
+								t.Fatalf("%s row %d: batched base %v != fresh LogPsi %v", what, k, base[k], want)
+							}
+						}
 						for i := range delta {
 							if k := i / n; base[k] != baseF[k] || delta[i] != deltaF[i] {
 								t.Fatalf("%s row %d flip %d: tail (%v, %v) != oracle (%v, %v)",
@@ -204,8 +206,8 @@ func TestAutoregBatchAncestralBitIdentical(t *testing.T) {
 
 // TestAutoregTailFlipCacheExactRegression pins every family's tail-only
 // flip cache against fresh LogPsi with exact == across arbitrary
-// interleavings of Flip, Delta and Reset (the MADE-only original lives in
-// batch_test.go; this is the family matrix).
+// interleavings of Flip, Delta and Reset: evaluating only the sites j >= b
+// a flip of bit b can move changes nothing but the work done.
 func TestAutoregTailFlipCacheExactRegression(t *testing.T) {
 	for _, fam := range autoregFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -257,14 +259,13 @@ var rowFamilies = []struct {
 }{
 	{"MADE", func(n, h int, r *rng.Rand) rowFamily { return NewMADE(n, h, r) }},
 	{"NADE", func(n, h int, r *rng.Rand) rowFamily { return NewNADE(n, h, r) }},
-	{"RNN", func(n, h int, r *rng.Rand) rowFamily { return NewRNN(n, h, r) }},
 	{"RBM", func(n, h int, r *rng.Rand) rowFamily { return NewRBM(n, h, r) }},
 }
 
 // TestRowEvaluatorGrid pins the one parallel layer, splitRows, over every
 // family and both kinds of evaluator it fronts — the family's own
 // NewBatchEvaluator (GEMM kernels for MADE and the RBM, the row adaptor for
-// NADE and the RNN) and the row adaptor itself — on the W x B grid: one row
+// NADE) and the row adaptor itself — on the W x B grid: one row
 // (fewer rows than workers), ragged shares, and a batch that takes each
 // sub-evaluator through more than one flip slab. Every output must equal,
 // with exact ==, both the one-worker evaluator's and the scalar
@@ -288,8 +289,8 @@ func TestRowEvaluatorGrid(t *testing.T) {
 					if bs == 1000 {
 						// The multi-slab batch runs once, at the largest n (a
 						// flip slab holds 4096/(n+1) rows whatever h is) and
-						// a narrow hidden layer, which keeps the RNN's O(h^2)
-						// scalar reference cheap under the race detector.
+						// a narrow hidden layer, which keeps the scalar
+						// reference cheap under the race detector.
 						if n != siteCounts[len(siteCounts)-1] {
 							continue
 						}
@@ -403,7 +404,7 @@ func (o *rowOutputs) diff(want *rowOutputs) string {
 func TestRowAdaptorsAllocateNothingPerRow(t *testing.T) {
 	const n, h = 9, 12
 	flips := []int{0, 4, 8}
-	fams := map[string]batchModel{"nade": NewNADE(n, h, rng.New(93)), "rnn": NewRNN(n, h, rng.New(95)), "made": NewMADE(n, h, rng.New(94))}
+	fams := map[string]batchModel{"nade": NewNADE(n, h, rng.New(93)), "made": NewMADE(n, h, rng.New(94))}
 	rows, smps := map[string]BatchEvaluator{}, map[string]BatchAncestralSampler{}
 	for name, m := range fams {
 		if name != "made" { // MADE's evaluator is its GEMM kernel, not the adaptor
@@ -441,54 +442,49 @@ func TestRowAdaptorsAllocateNothingPerRow(t *testing.T) {
 	}
 }
 
-// TestNADENoDerivedState: the sequential families (NADE and, since they
-// share one skeleton, the RNN) keep no parameter-derived caches, so an
-// evaluator and a sampler built BEFORE an in-place parameter write serve
-// the new parameters with no InvalidateParams in between — what NADE's
-// deleted V^T/W^T layouts needed a version counter for holds by
-// construction (the hot-swap test in swap_test.go pins both as well).
+// TestNADENoDerivedState: NADE keeps no parameter-derived caches, so an
+// evaluator built BEFORE an in-place parameter write serves the new
+// parameters with no InvalidateParams in between — what NADE's deleted
+// V^T/W^T layouts needed a version counter for holds by construction.
 func TestNADENoDerivedState(t *testing.T) {
 	n := 6
-	for _, fam := range seqFamilies {
-		m := fam.build(n, 8, rng.New(15))
-		e := m.NewBatchEvaluator(2)
-		b := randomConfigs(4, n, rng.New(16))
-		out := make([]float64, 4)
-		e.LogPsiBatch(b, out)
-		before := append([]float64(nil), out...)
+	m := NewNADE(n, 8, rng.New(15))
+	e := m.NewBatchEvaluator(2)
+	b := randomConfigs(4, n, rng.New(16))
+	out := make([]float64, 4)
+	e.LogPsiBatch(b, out)
+	before := append([]float64(nil), out...)
 
-		m.Params()[0] += 0.125
-		e.LogPsiBatch(b, out)
-		moved := false
-		for k := 0; k < 4; k++ {
-			if want := m.LogPsi(b.Row(k)); out[k] != want {
-				t.Fatalf("%s after in-place write row %d: batched %v != scalar %v", fam.name, k, out[k], want)
-			}
-			moved = moved || out[k] != before[k]
+	m.Params()[0] += 0.125
+	e.LogPsiBatch(b, out)
+	moved := false
+	for k := 0; k < 4; k++ {
+		if want := m.LogPsi(b.Row(k)); out[k] != want {
+			t.Fatalf("after in-place write row %d: batched %v != scalar %v", k, out[k], want)
 		}
-		if !moved {
-			t.Fatalf("%s: parameter write changed no amplitude; the test has no teeth", fam.name)
-		}
+		moved = moved || out[k] != before[k]
+	}
+	if !moved {
+		t.Fatal("parameter write changed no amplitude; the test has no teeth")
 	}
 }
 
-// FuzzSeqPrefixResume fuzzes the prefix-resume invariant the tail-only
-// doctrine rests on, over both cells of the sequential skeleton (family
-// byte even = NADE, odd = RNN): for any configuration and flip site, the
+// FuzzSeqPrefixResume fuzzes the prefix-resume invariant NADE's tail-only
+// flip cache rests on: for any configuration and flip site, the
 // cache's resumed FlipLogPsi must equal a fresh LogPsi of the flipped
 // configuration with exact ==, and committing the flip (Flip, i.e.
 // rebase(bit)) must leave every record of the cache — states,
 // pre-activations, prefix sums — exactly as a Reset on the flipped
 // configuration builds them.
 func FuzzSeqPrefixResume(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint8(0), uint8(0))
-	f.Add(uint64(7), uint64(0x5a5a5a5a), uint8(3), uint8(1))
-	f.Add(uint64(19), uint64(0xffffffffffffffff), uint8(18), uint8(2))
-	f.Add(uint64(12), uint64(0x0f0f), uint8(11), uint8(3))
-	f.Fuzz(func(t *testing.T, seed, xbits uint64, bitRaw, family uint8) {
+	f.Add(uint64(1), uint64(0), uint8(0))
+	f.Add(uint64(7), uint64(0x5a5a5a5a), uint8(3))
+	f.Add(uint64(19), uint64(0xffffffffffffffff), uint8(18))
+	f.Add(uint64(12), uint64(0x0f0f), uint8(11))
+	f.Fuzz(func(t *testing.T, seed, xbits uint64, bitRaw uint8) {
 		n := 1 + int(seed%19)
 		bit := int(bitRaw) % n
-		m := seqFamilies[family%2].build(n, 5+n/2, rng.New(seed))
+		m := NewNADE(n, 5+n/2, rng.New(seed))
 		x := make([]int, n)
 		for i := range x {
 			x[i] = int(xbits>>uint(i)) & 1

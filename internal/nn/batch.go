@@ -32,9 +32,8 @@ func (b ConfigBatch) rows(lo, hi int) ConfigBatch {
 //     products over the sample dimension — the evaluation fusion the paper's
 //     scalability argument rests on (amplitude work is embarrassingly
 //     parallel across samples, so it should saturate the hardware as GEMMs);
-//   - NADE and the RNN run the row adaptor (row.go) over the one scalar
-//     skeleton they share (seq.go): its FlipCache and GradEvaluator, one row
-//     at a time. The flips of one row share every prefix of the chain, and
+//   - NADE runs the row adaptor (row.go) over its scalar FlipCache and
+//     GradEvaluator (nade.go), one row at a time. The flips of one row share every prefix of the chain, and
 //     the scalar cache reuses them in place where a site-major slab kernel
 //     has to snapshot and re-read them.
 //
@@ -171,7 +170,7 @@ func checkAncestral(n int, b ConfigBatch, u []float64) {
 const GradBlockRows = 32
 
 // blockGrad is AddWeightedGrad for the families without a fused weighted
-// backward — the RBM, and NADE and the RNN through the row adaptor: the
+// backward — the RBM, and NADE through the row adaptor: the
 // contract as written, block by block over the evaluator's own
 // GradLogPsiBatch, on O(GradBlockRows * d) scratch allocated at the first
 // call (the serving path never makes one).
@@ -208,10 +207,10 @@ type BatchEvaluatorBuilder interface {
 
 // BatchAncestralSampler draws a whole batch of ancestral samples from
 // pre-drawn uniforms. No autoregressive family has a cross-sample product
-// in its ancestral step that pays (each conditional is one O(h) dot, or for
-// the RNN one O(h^2) matvec, on the sample's own hidden state), so MADE,
-// NADE and the RNN all run the row adaptor (row.go): each worker walks its
-// rows through one ConditionalEvaluator while that row's state is hot.
+// in its ancestral step that pays (each conditional is one O(h) dot on the
+// sample's own hidden state), so MADE and NADE both run the row adaptor
+// (row.go): each worker walks its rows through one ConditionalEvaluator
+// while that row's state is hot.
 //
 // Sample fills b's bits from pre-drawn uniforms u (row-major, u[k*Sites+i]
 // drives bit i of sample k): bit = 1 iff u < P(x_i = 1 | x_<i). Because the
@@ -276,8 +275,7 @@ func InvalidateParams(w Wavefunction) {
 }
 
 // Prewarm materializes any lazy parameter-derived caches the model keeps
-// (MADE's masked-weight products, the RBM's W^T; NADE and the RNN have
-// none) for the current parameter version. Coordinators call it
+// (MADE's masked-weight products, the RBM's W^T; NADE has none) for the current parameter version. Coordinators call it
 // before fanning evaluation out to workers so the rebuild happens once, up
 // front, on the coordinating goroutine instead of surprising the first
 // worker that needs it. Rebuilds are mutex-serialized inside each model, so

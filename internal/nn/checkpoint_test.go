@@ -71,34 +71,31 @@ func TestCheckpointRoundTripRBM(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripNADERNN: NADE and RNN checkpoints must round-trip
-// with bitwise-identical evaluations — the prerequisite for these models
-// riding dist.Trainer.Recover (before PR 7 SaveWavefunction rejected them).
-func TestCheckpointRoundTripNADERNN(t *testing.T) {
+// TestCheckpointRoundTripNADE: a NADE checkpoint must round-trip with
+// bitwise-identical evaluations — the prerequisite for NADE riding
+// dist.Trainer.Recover.
+func TestCheckpointRoundTripNADE(t *testing.T) {
 	r := rng.New(21)
-	models := []Wavefunction{NewNADE(8, 5, r), NewRNN(7, 6, r)}
-	for _, m := range models {
-		for i := range m.Params() {
-			m.Params()[i] += r.Uniform(-1, 1)
-		}
-		InvalidateParams(m)
-		var buf bytes.Buffer
-		if err := SaveWavefunction(&buf, m); err != nil {
-			t.Fatalf("%T: %v", m, err)
-		}
-		wf, err := LoadWavefunction(&buf)
-		if err != nil {
-			t.Fatalf("%T: %v", m, err)
-		}
-		if wf.NumSites() != m.NumSites() || wf.NumParams() != m.NumParams() {
-			t.Fatalf("%T: shape lost (n=%d d=%d)", m, wf.NumSites(), wf.NumParams())
-		}
-		x := make([]int, m.NumSites())
-		for trial := 0; trial < 20; trial++ {
-			r.FillBits(x)
-			if m.LogPsi(x) != wf.LogPsi(x) {
-				t.Fatalf("loaded %T disagrees with original", m)
-			}
+	m := NewNADE(8, 5, r)
+	for i := range m.Params() {
+		m.Params()[i] += r.Uniform(-1, 1)
+	}
+	var buf bytes.Buffer
+	if err := SaveWavefunction(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	wf, err := LoadWavefunction(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := wf.(*NADE); !ok || wf.NumSites() != 8 || wf.NumParams() != m.NumParams() {
+		t.Fatalf("loaded %T with n=%d d=%d, want *NADE with n=8 d=%d", wf, wf.NumSites(), wf.NumParams(), m.NumParams())
+	}
+	x := make([]int, 8)
+	for trial := 0; trial < 20; trial++ {
+		r.FillBits(x)
+		if m.LogPsi(x) != wf.LogPsi(x) {
+			t.Fatal("loaded NADE disagrees with original")
 		}
 	}
 }
@@ -172,7 +169,7 @@ func header(magic string, kind byte, n, h, d uint32, payloadFloats int) []byte {
 func TestCheckpointCorruptHeaders(t *testing.T) {
 	// MADE(4,3): d = 2*3*4 + 3 + 4 = 31. RBM(4,3): d = 3*4 + 4 + 3 + 1 = 20.
 	// NADE(4,3): d = 2*3*4 + 3 + 4 = 31 (same as MADE; kind disambiguates).
-	// RNN(4,3): d = 3*3 + 4*3 + 4 = 25.
+	// Kind 4 was the deleted RNN family, RNN(4,3): d = 3*3 + 4*3 + 4 = 25.
 	cases := []struct {
 		name string
 		raw  []byte
@@ -187,16 +184,15 @@ func TestCheckpointCorruptHeaders(t *testing.T) {
 		{"param count mismatch MADE", header("PVQ1", 1, 4, 3, 30, 30)},
 		{"param count mismatch RBM", header("PVQ1", 2, 4, 3, 31, 31)},
 		{"param count mismatch NADE", header("PVQ1", 3, 4, 3, 30, 30)},
-		{"param count mismatch RNN", header("PVQ1", 4, 4, 3, 31, 31)},
 		{"zero sites NADE", header("PVQ1", 3, 0, 3, 3, 3)},
-		{"zero hidden RNN", header("PVQ1", 4, 4, 0, 4, 4)},
-		{"truncated payload RNN", header("PVQ1", 4, 4, 3, 25, 24)},
+		// A well-formed checkpoint of the retired kind: the loader's
+		// unknown-kind path refuses it like any other byte outside the table.
+		{"retired kind 4", header("PVQ1", 4, 4, 3, 25, 25)},
 		// 2*(2^31-1)*(2^31-1) params claimed: must fail the derived-count
 		// check in int64 arithmetic without ever allocating.
 		{"absurd dims MADE", header("PVQ1", 1, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
 		{"absurd dims RBM", header("PVQ1", 2, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
 		{"absurd dims NADE", header("PVQ1", 3, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
-		{"absurd dims RNN", header("PVQ1", 4, 1<<31-1, 1<<31-1, 1<<31-1, 0)},
 		// Under the cap (d = 2*2048^2 + 4096 ≈ 8.4 M) but with no payload:
 		// the loader must fail on the missing bytes without first building
 		// the ~67 MB model.
@@ -236,7 +232,7 @@ func TestCheckpointCorruptHeaders(t *testing.T) {
 // field, and with a NaN or -Inf first or last parameter.
 func FuzzLoadWavefunction(f *testing.F) {
 	r := rng.New(31)
-	for _, m := range []Wavefunction{NewMADE(4, 3, r), NewRBM(4, 3, r), NewNADE(4, 3, r), NewRNN(4, 3, r)} {
+	for _, m := range []Wavefunction{NewMADE(4, 3, r), NewRBM(4, 3, r), NewNADE(4, 3, r)} {
 		var buf bytes.Buffer
 		if err := SaveWavefunction(&buf, m); err != nil {
 			f.Fatal(err)
@@ -399,7 +395,7 @@ func TestLoadRefusesNonFiniteParams(t *testing.T) {
 	if _, err := LoadWavefunction(bytes.NewReader(encode(made, 0, -1e300))); err != nil {
 		t.Fatalf("finite W1[0][0] refused: %v", err)
 	}
-	for _, wf := range []Wavefunction{made, NewRBM(6, 5, r), NewNADE(6, 5, r), NewRNN(6, 5, r)} {
+	for _, wf := range []Wavefunction{made, NewRBM(6, 5, r), NewNADE(6, 5, r)} {
 		d := wf.NumParams()
 		for _, at := range []int{0, d / 2, d - 1} {
 			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

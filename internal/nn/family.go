@@ -41,10 +41,6 @@ var families = []family{
 	row("rbm", 2, NewRBM, func(n, h int64) int64 { return h*n + n + h + 1 }, func(n int) int { return n }),
 	// W (h x n) + c (h) + V (n x h) + b (n): MADE's count and width.
 	row("nade", 3, NewNADE, func(n, h int64) int64 { return 2*h*n + h + n }, HiddenMADE),
-	// Wh (h x h) + Wx, Bh, S0, V (h each) + Bout (n). Half MADE's width (at
-	// least 4) keeps the O(h^2) recurrence's budget comparable to MADE's 2hn.
-	row("rnn", 4, NewRNN, func(n, h int64) int64 { return h*h + 4*h + n },
-		func(n int) int { return max(HiddenMADE(n)/2, 4) }),
 }
 
 // lookup returns the first family match accepts, nil if none does.

@@ -12,9 +12,9 @@ import (
 // model onto a checkpoint's parameters, LogPsi — scalar, and through a
 // BatchEvaluator built and used BEFORE the swap, the serving layer's shape —
 // must be bitwise equal to the checkpoint source's LogPsi (MADE's and the
-// RBM's derived caches rebuild through InvalidateParams). The families with
-// no derived state (noCache: NADE, RNN) must serve the new parameters after
-// a bare copy into Params(), with no InvalidateParams involved at all.
+// RBM's derived caches rebuild through InvalidateParams). NADE, which keeps
+// no derived state (noCache), must serve the new parameters after a bare
+// copy into Params(), with no InvalidateParams involved at all.
 func TestHotSwapParams(t *testing.T) {
 	type model interface {
 		Wavefunction
@@ -28,7 +28,6 @@ func TestHotSwapParams(t *testing.T) {
 		{"made", func(s uint64) model { return NewMADE(9, 11, rng.New(s)) }, false},
 		{"rbm", func(s uint64) model { return NewRBM(9, 11, rng.New(s)) }, false},
 		{"nade", func(s uint64) model { return NewNADE(9, 11, rng.New(s)) }, true},
-		{"rnn", func(s uint64) model { return NewRNN(9, 11, rng.New(s)) }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,9 +120,6 @@ func TestKindName(t *testing.T) {
 	if got := KindName(NewNADE(4, 4, rng.New(1))); got != "nade" {
 		t.Fatalf("nade: %q", got)
 	}
-	if got := KindName(NewRNN(4, 4, rng.New(1))); got != "rnn" {
-		t.Fatalf("rnn: %q", got)
-	}
 	if got := KindName(nil); got != "" {
 		t.Fatalf("nil: %q", got)
 	}
@@ -134,7 +130,7 @@ func TestKindName(t *testing.T) {
 // NumParams and KindName maps the model back to its name. Names resolve in
 // any letter case; an unknown name is an error.
 func TestFamilyTable(t *testing.T) {
-	if got, want := strings.Join(Kinds(), ","), "made,rbm,nade,rnn"; got != want {
+	if got, want := strings.Join(Kinds(), ","), "made,rbm,nade"; got != want {
 		t.Fatalf("Kinds() = %s, want %s", got, want)
 	}
 	for i, k := range Kinds() {
@@ -165,7 +161,7 @@ func TestFamilyTable(t *testing.T) {
 			t.Errorf("%s: DefaultHidden depends on letter case", k)
 		}
 	}
-	for _, name := range []string{"", "vae", "made "} {
+	for _, name := range []string{"", "vae", "made ", "rnn"} {
 		if m, err := New(name, 4, 4, rng.New(1)); err == nil {
 			t.Errorf("New(%q) built %T, want an error", name, m)
 		}

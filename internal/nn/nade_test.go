@@ -9,15 +9,14 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// conditional is the reference P(x_i = 1 | x_<i) of both sequential
-// families: the state folded afresh over the bits before i.
-func (m *seqModel) conditional(x []int, i int, s *seqScratch) float64 {
-	c := m.cell
-	c.initState(s.S)
+// conditional is NADE's reference P(x_i = 1 | x_<i): the state folded
+// afresh over the bits before i.
+func (m *NADE) conditional(x []int, i int, s *seqScratch) float64 {
+	m.initState(s.S)
 	for j := 0; j < i; j++ {
-		m.advance(s, j, x[j])
+		m.consume(s.S, j, x[j])
 	}
-	return 1 / (1 + math.Exp(-c.siteZ(s.S, i)))
+	return 1 / (1 + math.Exp(-m.siteZ(s.S, i)))
 }
 
 func perturb(m Wavefunction, r *rng.Rand, scale float64) {
@@ -49,20 +48,11 @@ func TestNADENormalization(t *testing.T) {
 	}
 }
 
-func TestRNNNormalization(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8} {
-		m := NewRNN(n, 6, rng.New(uint64(n)))
-		perturb(m, rng.New(99), 0.7)
-		if got := probSum(m); math.Abs(got-1) > 1e-9 {
-			t.Fatalf("RNN n=%d: sum_x pi(x) = %v, want 1", n, got)
-		}
-	}
-}
-
-// checkChainRule holds the product of m's conditionals to LogProb on 30
-// random configurations drawn from r.
-func checkChainRule(t *testing.T, name string, m *seqModel, r *rng.Rand) {
-	t.Helper()
+// TestNADEChainRuleConsistency holds the product of the conditionals to
+// LogProb on 30 random configurations.
+func TestNADEChainRuleConsistency(t *testing.T) {
+	r := rng.New(3)
+	m := NewNADE(6, 7, r)
 	x := make([]int, m.NumSites())
 	for trial := 0; trial < 30; trial++ {
 		r.FillBits(x)
@@ -76,15 +66,16 @@ func checkChainRule(t *testing.T, name string, m *seqModel, r *rng.Rand) {
 			}
 		}
 		if math.Abs(lp-m.LogProb(x)) > 1e-10 {
-			t.Fatalf("%s chain rule product %v != LogProb %v", name, lp, m.LogProb(x))
+			t.Fatalf("chain rule product %v != LogProb %v", lp, m.LogProb(x))
 		}
 	}
 }
 
-// checkIgnoresFutureBits: on 50 random prefixes drawn from r, m's
+// TestNADEConditionalIgnoresFutureBits: on 50 random prefixes, the
 // conditional at site i is the same whatever bits follow it.
-func checkIgnoresFutureBits(t *testing.T, name string, m *seqModel, r *rng.Rand) {
-	t.Helper()
+func TestNADEConditionalIgnoresFutureBits(t *testing.T) {
+	r := rng.New(5)
+	m := NewNADE(7, 6, r)
 	n := m.NumSites()
 	x, y := make([]int, n), make([]int, n)
 	for trial := 0; trial < 50; trial++ {
@@ -95,47 +86,9 @@ func checkIgnoresFutureBits(t *testing.T, name string, m *seqModel, r *rng.Rand)
 			y[j] = r.Bit()
 		}
 		if m.conditional(x, i, m.newScratch()) != m.conditional(y, i, m.newScratch()) {
-			t.Fatalf("%s conditional depends on future bits", name)
+			t.Fatal("conditional depends on future bits")
 		}
 	}
-}
-
-// checkIncremental walks m's incremental evaluator over random bits from r,
-// holding every Prob to the reference conditional; it returns the
-// evaluator.
-func checkIncremental(t *testing.T, name string, m *seqModel, r *rng.Rand) ConditionalEvaluator {
-	t.Helper()
-	e := m.NewIncrementalEvaluator()
-	x := make([]int, m.NumSites())
-	r.FillBits(x)
-	e.Reset()
-	for i := range x {
-		if math.Abs(e.Prob(i)-m.conditional(x, i, m.newScratch())) > 1e-12 {
-			t.Fatalf("%s evaluator diverges at bit %d", name, i)
-		}
-		e.Fix(i, x[i])
-	}
-	return e
-}
-
-func TestNADEChainRuleConsistency(t *testing.T) {
-	r := rng.New(3)
-	checkChainRule(t, "NADE", &NewNADE(6, 7, r).seqModel, r)
-}
-
-func TestRNNChainRuleConsistency(t *testing.T) {
-	r := rng.New(4)
-	checkChainRule(t, "RNN", &NewRNN(6, 5, r).seqModel, r)
-}
-
-func TestNADEConditionalIgnoresFutureBits(t *testing.T) {
-	r := rng.New(5)
-	checkIgnoresFutureBits(t, "NADE", &NewNADE(7, 6, r).seqModel, r)
-}
-
-func TestRNNConditionalIgnoresFutureBits(t *testing.T) {
-	r := rng.New(6)
-	checkIgnoresFutureBits(t, "RNN", &NewRNN(7, 6, r).seqModel, r)
 }
 
 // checkFlipCache walks a flip cache of m from random bits through trials
@@ -204,32 +157,30 @@ func TestNADEGradMatchesFiniteDifference(t *testing.T) {
 	gradFiniteDiffCheck(t, "NADE", m, []int{1, 1, 1, 1, 1}, 2e-5)
 }
 
-func TestRNNGradMatchesFiniteDifference(t *testing.T) {
-	m := NewRNN(5, 4, rng.New(8))
-	gradFiniteDiffCheck(t, "RNN", m, []int{1, 0, 1, 1, 0}, 2e-5)
-	gradFiniteDiffCheck(t, "RNN", m, []int{0, 1, 0, 0, 1}, 2e-5)
-}
-
+// TestNADEIncrementalEvaluatorMatchesConditional walks the incremental
+// evaluator over random bits, holding every Prob to the reference
+// conditional, and counts one forward pass for the completed sample.
 func TestNADEIncrementalEvaluatorMatchesConditional(t *testing.T) {
 	r := rng.New(9)
-	if e := checkIncremental(t, "NADE", &NewNADE(8, 6, r).seqModel, r); e.ForwardPasses() != 1 {
+	m := NewNADE(8, 6, r)
+	e := m.NewIncrementalEvaluator()
+	x := make([]int, m.NumSites())
+	r.FillBits(x)
+	e.Reset()
+	for i := range x {
+		if math.Abs(e.Prob(i)-m.conditional(x, i, m.newScratch())) > 1e-12 {
+			t.Fatalf("evaluator diverges at bit %d", i)
+		}
+		e.Fix(i, x[i])
+	}
+	if e.ForwardPasses() != 1 {
 		t.Fatalf("passes = %d, want 1 per completed sample", e.ForwardPasses())
 	}
-}
-
-func TestRNNIncrementalEvaluatorMatchesConditional(t *testing.T) {
-	r := rng.New(10)
-	checkIncremental(t, "RNN", &NewRNN(8, 6, r).seqModel, r)
 }
 
 func TestNADEFlipCacheConsistent(t *testing.T) {
 	r := rng.New(11)
 	checkFlipCache(t, "NADE", NewNADE(7, 5, r), r, 20)
-}
-
-func TestRNNFlipCacheConsistent(t *testing.T) {
-	r := rng.New(12)
-	checkFlipCache(t, "RNN", NewRNN(7, 5, r), r, 20)
 }
 
 // TestNADEConditionalZMatchesMaterializedReLU pins the skip-on-nonpositive
@@ -280,7 +231,7 @@ func TestNADEConditionalZMatchesMaterializedReLU(t *testing.T) {
 					t.Fatalf("trial %d site %d unit %d: dV %v != materialized %v", trial, i, k, got, want)
 				}
 			}
-			m.consume(a, nil, i, bit)
+			m.consume(a, i, bit)
 		}
 	}
 }
@@ -294,31 +245,8 @@ func TestNADEParamCountMatchesMADE(t *testing.T) {
 	}
 }
 
-func TestRNNParamCount(t *testing.T) {
-	m := NewRNN(10, 8, rng.New(14))
-	if m.NumParams() != 8*8+4*8+10 {
-		t.Fatalf("RNN d=%d, want %d", m.NumParams(), 8*8+4*8+10)
-	}
-	p := m.Params()
-	p[0] = 42
-	if m.Wh.At(0, 0) != 42 {
-		t.Fatal("Wh does not alias Params")
-	}
-}
-
 func BenchmarkNADELogProb(b *testing.B) {
 	m := NewNADE(100, 107, rng.New(1))
-	s := m.newScratch()
-	x := make([]int, 100)
-	rng.New(2).FillBits(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.logProbScratch(x, s)
-	}
-}
-
-func BenchmarkRNNLogProb(b *testing.B) {
-	m := NewRNN(100, 32, rng.New(1))
 	s := m.newScratch()
 	x := make([]int, 100)
 	rng.New(2).FillBits(x)

@@ -1,9 +1,9 @@
-// Package nn implements four neural wavefunction families: the two the
+// Package nn implements three neural wavefunction families: the two the
 // paper compares — the masked autoencoder MADE (autoregressive, normalized,
 // exactly sampleable) and the restricted Boltzmann machine RBM
-// (unnormalized, requires MCMC) — and two further autoregressive ones, NADE
-// (the architecture MADE improves on) and a recurrent (RNN) wavefunction —
-// the four rows of one family table (family.go) that New builds from.
+// (unnormalized, requires MCMC) — and NADE (autoregressive, the
+// architecture MADE improves on) — the three rows of one family table
+// (family.go) that New builds from.
 // Gradients are analytic closed forms of the 1-2 layer architectures,
 // standing in for the autograd engine of the paper's PyTorch implementation;
 // tests validate them against finite differences.

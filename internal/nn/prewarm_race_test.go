@@ -13,9 +13,9 @@ import (
 const raceGoroutines = 8
 
 // lazyCacheModels builds one instance of every model family. MADE and the
-// RBM keep lazy parameter-version caches (masked weights, W^T); NADE and the
-// RNN keep none but ride along to pin that their batched paths really have
-// no shared mutable state either.
+// RBM keep lazy parameter-version caches (masked weights, W^T); NADE keeps
+// none but rides along to pin that its batched path really has no shared
+// mutable state either.
 func lazyCacheModels(n, h int) map[string]interface {
 	Wavefunction
 	BatchEvaluatorBuilder
@@ -27,7 +27,6 @@ func lazyCacheModels(n, h int) map[string]interface {
 		"made": NewMADE(n, h, rng.New(81)),
 		"nade": NewNADE(n, h, rng.New(82)),
 		"rbm":  NewRBM(n, h, rng.New(83)),
-		"rnn":  NewRNN(n, h, rng.New(84)),
 	}
 }
 

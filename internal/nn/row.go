@@ -158,9 +158,9 @@ func (e *rowEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 	}
 }
 
-// GradLogPsiBatch implements BatchEvaluator through the scalar backward: the
-// RNN's BPTT and NADE's accumulation chain record per-sample states, so
-// there is no cross-row GEMM to fuse without changing the arithmetic.
+// GradLogPsiBatch implements BatchEvaluator through the scalar backward:
+// NADE's accumulation chain records per-sample states, so there is no
+// cross-row GEMM to fuse without changing the arithmetic.
 func (e *rowEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	checkGradLogPsiBatch(e.m.NumSites(), e.m.NumParams(), b, ows)
 	for r := 0; r < b.N; r++ {
@@ -245,7 +245,7 @@ func (a *rowAncestral) ForwardPasses() int64 {
 // any BatchEvaluator: LogPsiBatch of the base rows and of the B x F flipped
 // rows, delta = flipped - base. That is the fresh-forward flip convention
 // stated directly, sharing no code with the flip kernel it checks. It is
-// valid for MADE, NADE and the RNN, NOT for the RBM, whose delta is the
+// valid for MADE and NADE, NOT for the RBM, whose delta is the
 // incremental ln-cosh update rather than a difference of two log-psi values.
 type recomputeFlips struct{ BatchEvaluator }
 

@@ -10,12 +10,11 @@ import (
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
 
-// seqGolden is one family's row of the golden table: bit patterns produced
-// by the source of commit 389fbb7 (PR 16), where NADE and the RNN were two
-// hand-written copies of the scalar skeleton and the RNN sampled through
-// its recurrent-GEMM sampler. The values were captured by running
-// measureSeqGolden on that commit; nothing here was regenerated after the
-// refactor, so "no bit moved" is pinned against the old arithmetic.
+// seqGolden is NADE's golden row: bit patterns produced by the source of
+// commit 389fbb7 (PR 16), where NADE was a hand-written scalar
+// implementation. The values were captured by running measureSeqGolden on
+// that commit; nothing here was regenerated after later refactors, so "no
+// bit moved" is pinned against the old arithmetic.
 type seqGolden struct {
 	logPsi  [8]uint64 // math.Float64bits of LogPsi on goldenRows
 	flip    [7]uint64 // FlipLogPsi(b) for every b of goldenRows[2]
@@ -23,19 +22,11 @@ type seqGolden struct {
 	sampled uint64    // the 8 x 7 bits NewBatchAncestralSampler draws, bit k*7+i = site i of row k
 }
 
-var seqGoldens = map[string]seqGolden{
-	"NADE": {
-		logPsi:  [8]uint64{0xbffd71157b4e2f17, 0xc00f03f4294aae0b, 0xc0089e828ea8c3e9, 0xc0018c4bda5a9fc8, 0xc00687d5755cc11c, 0xc00344f57ebfff94, 0xc00a58be8c640c20, 0xc003c2253091d627},
-		flip:    [7]uint64{0xc004f98b1ea1d9d0, 0xc00b8137d1437dc0, 0xc001a250ce4c0692, 0xc00a770fa430f120, 0xc00643d32521728a, 0xc0099e15210e90cf, 0xc009317b358a7306},
-		grad:    0xdbe60b71a2f6d7a4,
-		sampled: 0x10a4538a49a2ad,
-	},
-	"RNN": {
-		logPsi:  [8]uint64{0xc005b1efa04b7bc4, 0xc0043061570e1225, 0xc00e40a9c6776044, 0xc00112380ecb991d, 0xc005223dbd3adaf9, 0xc00c8276e489e8cc, 0xc008de473ab2de64, 0xc00b30a7544adf8c},
-		flip:    [7]uint64{0xc008873468460ffa, 0xc00b04cc9dbc8492, 0xc00b2a4b3bb101ba, 0xc008e01b106c1194, 0xc010c0e887719f85, 0xc00ef5a66bdd7fb8, 0xc00ba6e6bc58bf45},
-		grad:    0xaa47362f59b40f52,
-		sampled: 0xb4ec53ab4da36d,
-	},
+var nadeGolden = seqGolden{
+	logPsi:  [8]uint64{0xbffd71157b4e2f17, 0xc00f03f4294aae0b, 0xc0089e828ea8c3e9, 0xc0018c4bda5a9fc8, 0xc00687d5755cc11c, 0xc00344f57ebfff94, 0xc00a58be8c640c20, 0xc003c2253091d627},
+	flip:    [7]uint64{0xc004f98b1ea1d9d0, 0xc00b8137d1437dc0, 0xc001a250ce4c0692, 0xc00a770fa430f120, 0xc00643d32521728a, 0xc0099e15210e90cf, 0xc009317b358a7306},
+	grad:    0xdbe60b71a2f6d7a4,
+	sampled: 0x10a4538a49a2ad,
 }
 
 // goldenRows are eight 7-bit configurations, bit i of the byte = site i.
@@ -92,17 +83,15 @@ func measureSeqGolden(m batchModel) seqGolden {
 	return g
 }
 
-// TestSeqGoldenBits holds both cells of the sequential skeleton to the bits
-// the two pre-refactor implementations produced (n = 7, h = 9, fixed seeds).
+// TestSeqGoldenBits holds NADE to the bits its pre-refactor implementation
+// produced (n = 7, h = 9, fixed seeds).
 func TestSeqGoldenBits(t *testing.T) {
 	if got := libmCanary(); got != 0x6e4ea60d89b8a873 {
 		t.Skipf("math.Exp/Tanh/Log1p round differently on this host (canary %#x); the table was captured on amd64 with FMA", got)
 	}
-	for _, fam := range seqFamilies {
-		m := fam.build(7, 9, rng.New(1234))
-		perturb(m, rng.New(77), 0.8)
-		if got, want := measureSeqGolden(m), seqGoldens[fam.name]; got != want {
-			t.Errorf("%s: bits moved against commit 389fbb7\n got  %#x\n want %#x", fam.name, got, want)
-		}
+	m := NewNADE(7, 9, rng.New(1234))
+	perturb(m, rng.New(77), 0.8)
+	if got := measureSeqGolden(m); got != nadeGolden {
+		t.Errorf("bits moved against commit 389fbb7\n got  %#x\n want %#x", got, nadeGolden)
 	}
 }

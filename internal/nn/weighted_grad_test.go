@@ -116,7 +116,7 @@ func TestAddWeightedGradGrid(t *testing.T) {
 				for _, bs := range []int{1, 31, 32, 33, 100, 1000} {
 					h := 5 + n
 					if bs == 1000 {
-						h = 6 // keeps the RNN's O(n h^2) rows cheap under -race
+						h = 6 // keeps the scalar rows cheap under -race
 					}
 					for _, trained := range []bool{false, true} {
 						r := rng.New(uint64(7000 + 100*n + bs))

@@ -41,11 +41,9 @@ func TestAutoBatchedBitIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 19} {
 		made := nn.NewMADE(n, 6+n, rng.New(uint64(500+n)))
 		nade := nn.NewNADE(n, 5+n, rng.New(uint64(600+n)))
-		rnn := nn.NewRNN(n, 4+n, rng.New(uint64(700+n)))
 		for _, c := range []family{
 			{"made", made, made.NewIncrementalEvaluator},
 			{"nade", nade, nade.NewIncrementalEvaluator},
-			{"rnn", rnn, rnn.NewIncrementalEvaluator},
 		} {
 			for _, workers := range []int{1, 2, 3, 8} {
 				for _, bs := range []int{1, 3, 64} {

@@ -23,17 +23,11 @@ import (
 
 // buildWF constructs one model family instance for the serve suites.
 func buildWF(kind string, n, h int, seed uint64) nn.Wavefunction {
-	switch kind {
-	case "made":
-		return nn.NewMADE(n, h, rng.New(seed))
-	case "rbm":
-		return nn.NewRBM(n, h, rng.New(seed))
-	case "nade":
-		return nn.NewNADE(n, h, rng.New(seed))
-	case "rnn":
-		return nn.NewRNN(n, h, rng.New(seed))
+	wf, err := nn.New(kind, n, h, rng.New(seed))
+	if err != nil {
+		panic(err)
 	}
-	panic("unknown kind " + kind)
+	return wf
 }
 
 // clientConfigs derives client c's deterministic workload.
@@ -77,7 +71,7 @@ func TestServeConformanceMatrix(t *testing.T) {
 	}
 	clientCounts := []int{1, 3, 64, 512}
 
-	for _, kind := range []string{"made", "rbm", "nade", "rnn"} {
+	for _, kind := range nn.Kinds() {
 		for _, bc := range caps {
 			t.Run(kind+"/"+bc.name, func(t *testing.T) {
 				wf := buildWF(kind, n, h, 41)

@@ -71,7 +71,7 @@ func TestNorm2(t *testing.T) {
 
 // TestMulVecAgainstNaive: MulVec advances four rows at a time, and every
 // element must still be bitwise the plain ascending dot of its row — the
-// scalar recurrence of the RNN and the RBM's theta rest on that — for row
+// RBM's theta rests on that — for row
 // counts of every remainder mod 4.
 func TestMulVecAgainstNaive(t *testing.T) {
 	r := rng.New(1)

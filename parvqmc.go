@@ -122,11 +122,10 @@ func (p *Problem) ExactGroundEnergy() (float64, error) {
 // autoregressive sampling, Adam with learning rate 0.01, batch 1024, 300
 // iterations.
 type Options struct {
-	// Model selects the wavefunction: "made" (default), "rbm", "nade" or
-	// "rnn".
+	// Model selects the wavefunction: "made" (default), "rbm" or "nade".
 	Model string
 	// Hidden overrides the latent size (default: DefaultHidden — 5(ln n)^2
-	// for MADE and NADE, half that for the RNN, n for the RBM).
+	// for MADE and NADE, n for the RBM).
 	Hidden int
 	// Sampler selects "auto" (exact ancestral sampling, default for the
 	// autoregressive models: the whole batch's uniforms are pre-drawn from
@@ -342,7 +341,7 @@ func Train(p *Problem, o Options) (*Result, error) {
 // "mcmc" for any family; "gibbs" for the RBM (fill rejects it elsewhere);
 // "auto" (exact ancestral sampling, incremental) and "auto-naive" (the same
 // sampler over MADE's Algorithm-1 evaluator, n forward passes per sample;
-// NADE and the RNN are inherently incremental) for the autoregressive ones.
+// NADE is inherently incremental) for the autoregressive ones.
 func (o Options) newSampler(n int, m core.Model, workers int, stream *rng.Rand) (sampler.Sampler, error) {
 	mcmc := sampler.MCMCConfig{Chains: o.MCMCChains, BurnIn: o.MCMCBurnIn, Thin: o.MCMCThin}
 	switch o.Sampler {
@@ -510,7 +509,7 @@ func SolveMaxCutClassical(p *Problem, method string, seed uint64) (*ClassicalRes
 
 // DefaultHidden returns the latent size Train uses when Options.Hidden is
 // unset: the paper's rule 5(ln n)^2 for MADE (and NADE, same parameter
-// count), n for the RBM, and half the MADE rule (minimum 4) for the RNN.
+// count) and n for the RBM.
 func DefaultHidden(model string, n int) int {
 	return nn.DefaultHidden(model, n)
 }

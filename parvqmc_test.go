@@ -70,8 +70,10 @@ func TestRBMRoute(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	p := TIM(5, 1)
-	if _, err := Train(p, Options{Model: "vae"}); err == nil {
-		t.Fatal("unknown model should error")
+	for _, model := range []string{"vae", "rnn"} {
+		if _, err := Train(p, Options{Model: model}); err == nil || !strings.Contains(err.Error(), "unknown model") {
+			t.Fatalf("model %q: got %v, want the unknown-model error", model, err)
+		}
 	}
 	if _, err := Train(p, Options{Model: "rbm", Sampler: "auto"}); err == nil {
 		t.Fatal("rbm+auto should error (unnormalized)")
@@ -346,15 +348,9 @@ func TestDefaultHidden(t *testing.T) {
 	if nade, made := DefaultHidden("nade", 100), DefaultHidden("made", 100); nade != made {
 		t.Fatalf("NADE default hidden = %d, want MADE's %d", nade, made)
 	}
-	if rnn, made := DefaultHidden("RNN", 100), DefaultHidden("made", 100); rnn != made/2 {
-		t.Fatalf("RNN default hidden = %d, want half of MADE's %d", rnn, made)
-	}
-	if h := DefaultHidden("rnn", 2); h != 4 {
-		t.Fatalf("RNN default hidden at n=2 = %d, want the floor 4", h)
-	}
 	// The helper must report the width Train actually builds.
 	const n = 6
-	for _, model := range []string{"made", "rbm", "nade", "rnn"} {
+	for _, model := range []string{"made", "rbm", "nade"} {
 		res, err := Train(TIM(n, 3), Options{Model: model, BatchSize: 8, Iterations: 1, EvalBatch: 8, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -506,7 +502,6 @@ func TestTrainKeepsSerialBytes(t *testing.T) {
 		{"rbm/mcmc", Options{Model: "rbm"}},
 		{"rbm/gibbs", Options{Model: "rbm", Sampler: "gibbs"}},
 		{"nade", Options{Model: "nade"}},
-		{"rnn", Options{Model: "rnn"}},
 		{"made/sr-cg", Options{Optimizer: "sgd", StochasticReconfig: true}},
 	}
 	problems := []struct {
@@ -602,27 +597,6 @@ func TestNADERoute(t *testing.T) {
 	gap := (res.Energy - exactE) / math.Abs(exactE)
 	if gap > 0.08 {
 		t.Fatalf("NADE energy %v vs exact %v (gap %.3f)", res.Energy, exactE, gap)
-	}
-}
-
-func TestRNNRoute(t *testing.T) {
-	p := TIM(8, 27)
-	exactE, err := p.ExactGroundEnergy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The recurrent parametrization needs a gentler learning rate than the
-	// feed-forward models.
-	res, err := Train(p, Options{
-		Model: "rnn", Hidden: 16, BatchSize: 256, Iterations: 300,
-		EvalBatch: 512, LearningRate: 0.02, Workers: 2, Seed: 28,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gap := (res.Energy - exactE) / math.Abs(exactE)
-	if gap > 0.05 {
-		t.Fatalf("RNN energy %v vs exact %v (gap %.3f)", res.Energy, exactE, gap)
 	}
 }
 
