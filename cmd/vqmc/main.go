@@ -8,13 +8,29 @@
 //	vqmc -problem tim -n 12 -exact            # compare against Lanczos
 //	vqmc -problem tim -n 20 -devices 4 -batch 4 # data-parallel training
 //	vqmc -problem tim -n 16 -devices 4 -batch 8 -elastic -min-replicas 2 -checkpoint-dir ckpt
+//
+// After training it prints one row per rank with the milliseconds per step
+// each training phase took: sample, energy, grad, sync (the collectives
+// before the solve, including waiting for slower ranks), precond (the SR
+// solve) and update. Under -elastic the rows are the final trainer's: a
+// replacement, shrink or grow starts a new trainer whose clocks start at
+// zero, so after one the rows hold only the steps since, still divided by
+// every step of the run.
+//
+// With -exact it prints the relative gap (E - E0)/|E0| of the evaluated
+// energy E to the exact ground energy E0, with its standard error
+// Std/sqrt(eval batch)/|E0|. Under a Markov sampler (mcmc, gibbs) the
+// evaluation samples are correlated, so that error is a lower bound.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
+	"strings"
+	"time"
 
 	"github.com/vqmc-scale/parvqmc"
 )
@@ -97,12 +113,26 @@ func main() {
 			fmt.Printf("checkpoint   %s\n", es.FinalCheckpoint)
 		}
 	}
+	fmt.Printf("ms per step  %8s %8s %8s %8s %8s %8s\n", "sample", "energy", "grad", "sync", "precond", "update")
+	steps := float64(max(len(res.Curve), 1))
+	for r, t := range res.RankTimings {
+		fmt.Printf("rank %-7d", r)
+		for _, d := range []time.Duration{t.Sample, t.Energy, t.Grad, t.Sync, t.Precond, t.Update} {
+			fmt.Printf(" %8.3f", float64(d)/1e6/steps)
+		}
+		fmt.Println()
+	}
 	if *doExact {
 		e, err := p.ExactGroundEnergy()
 		if err != nil {
 			log.Fatalf("exact diagonalization: %v", err)
 		}
-		fmt.Printf("exact energy %.6f (relative gap %.4f)\n", e, (res.Energy-e)/abs(e))
+		stderr := res.Std / math.Sqrt(float64(*evalB)) / abs(e)
+		bound := ""
+		if markov(*smp, *model) {
+			bound = ", error a lower bound: correlated Markov samples"
+		}
+		fmt.Printf("exact energy %.6f (relative gap %.4f +- %.4f%s)\n", e, (res.Energy-e)/abs(e), stderr, bound)
 	}
 	if *curve {
 		fmt.Println("iter,energy,std")
@@ -127,6 +157,18 @@ func ignoredFlag(set map[string]bool, elastic bool) string {
 		return "-checkpoint-dir and -min-replicas configure the elastic supervisor and need -elastic"
 	}
 	return ""
+}
+
+// markov reports whether the run samples by a Markov chain: -sampler mcmc
+// or gibbs, or no -sampler with the RBM, whose default is mcmc.
+func markov(sampler, model string) bool {
+	switch strings.ToLower(sampler) {
+	case "mcmc", "gibbs":
+		return true
+	case "":
+		return strings.ToLower(model) == "rbm"
+	}
+	return false
 }
 
 func abs(v float64) float64 {

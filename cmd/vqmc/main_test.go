@@ -58,3 +58,37 @@ func TestSitesBelowOne(t *testing.T) {
 		}
 	}
 }
+
+// TestRankPhaseRows: a two-device run prints the phase header and one row
+// of six millisecond columns per rank, rank 0 then rank 1, and -exact
+// prints the gap with its standard error.
+func TestRankPhaseRows(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"vqmc"}, args...)
+		main()
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestRankPhaseRows$", "--",
+		"-n", "6", "-iters", "3", "-devices", "2", "-batch", "8", "-eval-batch", "64", "-exact").CombinedOutput()
+	if err != nil {
+		t.Fatalf("vqmc: %v\n%s", err, out)
+	}
+	var rows []string
+	header, gap := false, false
+	for _, line := range strings.Split(string(out), "\n") {
+		switch f := strings.Fields(line); {
+		case strings.HasPrefix(line, "ms per step"):
+			header = strings.Join(f[3:], " ") == "sample energy grad sync precond update"
+		case strings.HasPrefix(line, "rank "):
+			if len(f) != 8 {
+				t.Fatalf("rank row %q: want the rank and six columns", line)
+			}
+			rows = append(rows, f[1])
+		case strings.HasPrefix(line, "exact energy"):
+			gap = strings.Contains(line, "relative gap") && strings.Contains(line, "+-")
+		}
+	}
+	if !header || strings.Join(rows, ",") != "0,1" || !gap {
+		t.Fatalf("want the phase header, rows for ranks 0 and 1, and the gap with its error; got\n%s", out)
+	}
+}

@@ -41,8 +41,10 @@ const EvalAuto EvalMode = 0
 // coalescer already relies on), so a duplicate row's value is a copy of its
 // first occurrence's, byte for byte. A trained wavefunction is sharply
 // peaked, so late in training most of a batch is duplicates (see
-// docs/ARCHITECTURE.md, "Distinct rows"). AddWeightedGrad stays per row: its
-// contract fixes one add per row, and merging duplicates' weights would
+// docs/ARCHITECTURE.md, "Distinct rows"). AddWeightedGrad hands the
+// evaluator the distinct rows and the map onto them, so the backward's
+// weight-free part runs once per distinct row; its add stays per row, as
+// the contract fixes one add per row and merging duplicates' weights would
 // change the sum.
 type BatchedEval struct {
 	be   nn.BatchEvaluator
@@ -177,10 +179,17 @@ func (e *BatchedEval) FillOws(b *sampler.Batch, ows *tensor.Batch) {
 // AddWeightedGrad accumulates dst += sum_k w[k] * grad log|psi(row k)|, the
 // REINFORCE gradient, without the O-rows: bitwise FillOws into a B x d batch
 // followed by AddWeightedRows, at every worker count (the nn.BatchEvaluator
-// weighted-reduce contract). dst is NOT zeroed first. It runs on every row,
-// duplicates included: the contract fixes one add per row.
+// weighted-reduce contract). dst is NOT zeroed first. The evaluator gets
+// the batch's distinct rows and the map of every row onto them, so what
+// does not depend on a row's weight is computed once per distinct row;
+// every row, duplicates included, still takes its own add.
 func (e *BatchedEval) AddWeightedGrad(b *sampler.Batch, w []float64, dst tensor.Vector) {
-	e.be.AddWeightedGrad(*b, w, dst)
+	u := e.uniq.find(b)
+	var of []int
+	if u != b {
+		of = e.uniq.of
+	}
+	e.be.AddWeightedGrad(*u, of, w, dst)
 }
 
 // distinctRows is the workspace of the distinct-row pass: an
@@ -215,12 +224,11 @@ func (d *distinctRows) find(b *sampler.Batch) *sampler.Batch {
 	for size < 2*b.N {
 		size <<= 1
 	}
-	if cap(d.of) < b.N || cap(d.rows.Bits) < b.N*n {
+	if cap(d.of) < b.N {
 		d.of = make([]int, b.N)
 		d.first = make([]int, b.N)
 		d.sums = make([]uint64, b.N)
 		d.slots = make([]int32, size)
-		d.rows.Bits = make([]int, b.N*n)
 	}
 	d.of = d.of[:b.N]
 	slots, mask := d.slots[:size], uint64(size-1)
@@ -245,6 +253,11 @@ func (d *distinctRows) find(b *sampler.Batch) *sampler.Batch {
 	}
 	if nu == b.N {
 		return b
+	}
+	if cap(d.rows.Bits) < nu*n {
+		// Grown when a batch first repeats a row: an all-distinct batch
+		// needs no compact copy.
+		d.rows.Bits = make([]int, b.N*n)
 	}
 	d.rows = sampler.Batch{N: nu, Sites: n, Bits: d.rows.Bits[:nu*n]}
 	for j, k := range d.first[:nu] {

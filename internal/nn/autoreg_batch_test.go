@@ -301,7 +301,7 @@ func TestRowEvaluatorGrid(t *testing.T) {
 					kinds := map[string]func(workers int) BatchEvaluator{"family": m.NewBatchEvaluator}
 					if _, isAdaptor := m.NewBatchEvaluator(1).(*rowEvaluator); !isAdaptor {
 						kinds["adaptor"] = func(w int) BatchEvaluator {
-							return splitRows(m, w, func() BatchEvaluator { return newRowEvaluator(m) })
+							return splitRows(m, w, func() blockEvaluator { return newRowEvaluator(m) })
 						}
 					}
 					for kind, build := range kinds {

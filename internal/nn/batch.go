@@ -81,9 +81,13 @@ func (b ConfigBatch) rows(lo, hi int) ConfigBatch {
 // at every worker count. A family may skip a term only where it can prove
 // the term is +/-0: a partial that starts at +0 can never become -0 under
 // round-to-nearest, so p + (+/-0) == p bitwise and the skip is invisible.
-// MADE's fused backward rests on exactly that (made_batch.go); the other
-// families run blockGrad below. Equality is claimed for finite activations
-// and weights (0 * Inf is not a zero).
+// The batch may come as its distinct rows plus the map of each batch row
+// to one of them: O_k is a function of row k alone, so an evaluator may
+// compute what does not depend on w_k once per distinct row, as MADE's
+// fused backward does (made_batch.go); every row still takes its own
+// w_k * O_k add, in its place in its block. The other families run
+// blockGrad below. Equality is claimed for finite activations and weights
+// (0 * Inf is not a zero).
 //
 // An evaluator owns growable scratch and is NOT safe for concurrent use;
 // one built with several workers fans each call out itself.
@@ -94,10 +98,13 @@ type BatchEvaluator interface {
 	// GradLogPsiBatch fills ows row k with grad log|psi(row k)|.
 	// ows must be b.N x NumParams.
 	GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch)
-	// AddWeightedGrad accumulates dst += sum_k w[k] * grad log|psi(row k)|
-	// in the fixed block order of the weighted-reduce contract above.
-	// len(w) must be b.N and len(dst) NumParams; dst is NOT zeroed first.
-	AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector)
+	// AddWeightedGrad accumulates dst += sum_k w[k] * grad log|psi(x_k)|
+	// in the fixed block order of the weighted-reduce contract above, where
+	// batch row x_k is row of[k] of b: b holds the batch's distinct rows
+	// and of maps each batch row to one of them. A nil of is the identity
+	// (b is the batch). len(w) must be len(of) (b.N for a nil of) and
+	// len(dst) NumParams; dst is NOT zeroed first.
+	AddWeightedGrad(b ConfigBatch, of []int, w []float64, dst tensor.Vector)
 	// FlipLogPsiBatch evaluates the B x (F+1) flip super-batch: base[k]
 	// receives log|psi(row k)| computed exactly as the model's FlipCache
 	// base (the fresh forward convention), and delta[k*len(flips)+f]
@@ -137,11 +144,15 @@ func checkGradLogPsiBatch(n, d int, b ConfigBatch, ows *tensor.Batch) {
 	}
 }
 
-func checkAddWeightedGrad(n, d int, b ConfigBatch, w []float64, dst tensor.Vector) {
+func checkAddWeightedGrad(n, d int, b ConfigBatch, of []int, w []float64, dst tensor.Vector) {
 	if b.Sites != n {
 		panic("nn: AddWeightedGrad sites mismatch")
 	}
-	if len(w) != b.N || len(dst) != d {
+	rows := b.N
+	if of != nil {
+		rows = len(of)
+	}
+	if len(w) != rows || len(dst) != d {
 		panic("nn: AddWeightedGrad length mismatch")
 	}
 }
@@ -169,32 +180,95 @@ func checkAncestral(n int, b ConfigBatch, u []float64) {
 // size — which is what makes the reduced vector bitwise invariant to both.
 const GradBlockRows = 32
 
+// blockEvaluator is a single-threaded BatchEvaluator with its
+// AddWeightedGrad cut into the passes splitEvaluator shares out over its
+// workers.
+type blockEvaluator interface {
+	BatchEvaluator
+	weightedPasses
+}
+
+// weightedPasses is AddWeightedGrad in passes. The one-evaluator form is
+// addWeightedGrad below.
+type weightedPasses interface {
+	// prepareWeighted readies the per-distinct-row state for a call over
+	// rows distinct rows. It runs on one goroutine before fillWeighted, and
+	// one call serves every evaluator that shares the state.
+	prepareWeighted(rows int)
+	// fillWeighted computes the state of distinct rows [lo, hi) of b:
+	// everything the rows' terms need that does not depend on a weight.
+	fillWeighted(b ConfigBatch, lo, hi int)
+	// addWeightedBlock reduces batch rows [k0, k1), at most GradBlockRows
+	// of them, into the evaluator's block partial: from +0, w[k] *
+	// O_{of[k]} for k ascending.
+	addWeightedBlock(b ConfigBatch, of []int, w []float64, k0, k1 int)
+	// foldWeightedBlock adds the block partial to dst, one add per
+	// element, and readies the partial for the next block. first says
+	// whether this is the call's first fold into dst: until then dst may
+	// hold a -0, which only an add of the partial's +0 turns into +0.
+	foldWeightedBlock(dst tensor.Vector, first bool)
+}
+
+// addWeightedGrad runs AddWeightedGrad's passes on one evaluator: the
+// per-distinct-row state, then the blocks in ascending order.
+func addWeightedGrad(e weightedPasses, b ConfigBatch, of []int, w []float64, dst tensor.Vector) {
+	e.prepareWeighted(b.N)
+	e.fillWeighted(b, 0, b.N)
+	for k0 := 0; k0 < len(w); k0 += GradBlockRows {
+		k1 := min(k0+GradBlockRows, len(w))
+		e.addWeightedBlock(b, of, w, k0, k1)
+		e.foldWeightedBlock(dst, k0 == 0)
+	}
+}
+
 // blockGrad is AddWeightedGrad for the families without a fused weighted
-// backward — the RBM, and NADE through the row adaptor: the
-// contract as written, block by block over the evaluator's own
-// GradLogPsiBatch, on O(GradBlockRows * d) scratch allocated at the first
-// call (the serving path never makes one).
+// backward — the RBM, and NADE through the row adaptor: the contract as
+// written, block by block over the evaluator's own GradLogPsiBatch of the
+// block's rows (gathered through of), on O(GradBlockRows * d) scratch
+// allocated at the first call (the serving path never makes one). It
+// keeps no per-distinct-row state. An evaluator embeds it, with ev pointing
+// back at the evaluator and wf at its model.
 type blockGrad struct {
+	ev   BatchEvaluator
+	wf   Wavefunction
 	buf  []float64    // GradBlockRows * d
 	slab tensor.Batch // the current block's rows, a view over buf
 	part tensor.Vector
+	bits []int // the current block's configurations, when gathered
 }
 
-func (g *blockGrad) addWeightedGrad(e BatchEvaluator, m Wavefunction, b ConfigBatch, w []float64, dst tensor.Vector) {
-	d := m.NumParams()
-	checkAddWeightedGrad(m.NumSites(), d, b, w, dst)
+// AddWeightedGrad implements BatchEvaluator.
+func (g *blockGrad) AddWeightedGrad(b ConfigBatch, of []int, w []float64, dst tensor.Vector) {
+	checkAddWeightedGrad(g.wf.NumSites(), g.wf.NumParams(), b, of, w, dst)
+	addWeightedGrad(g, b, of, w, dst)
+}
+
+func (g *blockGrad) prepareWeighted(int) {}
+
+func (g *blockGrad) fillWeighted(ConfigBatch, int, int) {}
+
+func (g *blockGrad) addWeightedBlock(b ConfigBatch, of []int, w []float64, k0, k1 int) {
+	d := g.wf.NumParams()
 	if g.buf == nil {
 		g.buf, g.part = make([]float64, GradBlockRows*d), tensor.NewVector(d)
+		g.bits = make([]int, GradBlockRows*b.Sites)
 	}
-	for lo := 0; lo < b.N; lo += GradBlockRows {
-		hi := min(lo+GradBlockRows, b.N)
-		g.slab = tensor.Batch{N: hi - lo, Dim: d, Data: g.buf[:(hi-lo)*d]}
-		e.GradLogPsiBatch(b.rows(lo, hi), &g.slab)
-		g.part.Fill(0)
-		g.slab.AddWeightedRows(g.part, w[lo:hi], 0, d)
-		dst.Add(g.part)
+	var rows ConfigBatch
+	if of == nil {
+		rows = b.rows(k0, k1)
+	} else {
+		rows = ConfigBatch{N: k1 - k0, Sites: b.Sites, Bits: g.bits[:(k1-k0)*b.Sites]}
+		for k := k0; k < k1; k++ {
+			copy(rows.Row(k-k0), b.Row(of[k]))
+		}
 	}
+	g.slab = tensor.Batch{N: k1 - k0, Dim: d, Data: g.buf[:(k1-k0)*d]}
+	g.ev.GradLogPsiBatch(rows, &g.slab)
+	g.part.Fill(0)
+	g.slab.AddWeightedRows(g.part, w[k0:k1], 0, d)
 }
+
+func (g *blockGrad) foldWeightedBlock(dst tensor.Vector, _ bool) { dst.Add(g.part) }
 
 // BatchEvaluatorBuilder is implemented by every wavefunction family: the
 // evaluation path of the training step and the serving layer. workers is

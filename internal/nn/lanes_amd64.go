@@ -2,14 +2,19 @@
 
 package nn
 
-// The four-lane kernels of lanes_amd64.s, for MADE's lockstep ancestral
-// sampler (made_sample.go). len(a) must be 4*len(w).
+// The four-lane kernels of lanes_amd64.s: two for MADE's lockstep
+// ancestral sampler (made_sample.go), where len(a) must be 4*len(w), and
+// the weighted backward's dW2 update (made_batch.go), where len(d) must be
+// len(dz2).
 
 //go:noescape
 func cond4AVX2(z *[4]float64, w, a []float64)
 
 //go:noescape
 func add4MaskedAVX2(a, w []float64, mask *[4]uint64)
+
+//go:noescape
+func addW2AVX2(d, dz2 []float64, ak, w float64)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -4,9 +4,10 @@ package nn
 
 import "math"
 
-// Without the amd64 assembly MADE samples row by row (made_sample.go);
-// these Go forms of the lane kernels keep the lockstep code building and
-// state what each lane computes.
+// Without the amd64 assembly MADE samples row by row (made_sample.go) and
+// the weighted backward's dW2 update runs its Go loop (addW2Row); these Go
+// forms of the lane kernels keep the lane code building and state what each
+// lane computes.
 const haveLanes = false
 
 func cond4AVX2(z *[4]float64, w, a []float64) {
@@ -28,3 +29,5 @@ func add4MaskedAVX2(a, w []float64, mask *[4]uint64) {
 		}
 	}
 }
+
+func addW2AVX2(d, dz2 []float64, ak, w float64) { addW2Go(d, dz2, ak, w) }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/vqmc-scale/parvqmc/internal/tensor"
 )
@@ -42,17 +43,49 @@ type madeBatchEvaluator struct {
 	bufBase                   []float64
 	dz2, da                   tensor.Vector // backward scratch
 	needSnap, needPre         []bool        // per-call flip marks over hidden units / sites
-	part                      tensor.Vector // AddWeightedGrad's block partial (d), allocated at its first call
+	// The weighted backward's state, shared by every evaluator of one
+	// NewBatchEvaluator call, and this evaluator's own scratch for it: the
+	// block partial part (d, allocated at its first block, +0 between
+	// blocks), live, the units one row's hidden deltas are taken for, and
+	// xrow, the float row the W1 leg reads.
+	st      *madeGradState
+	part    tensor.Vector
+	touched []uint64 // the units the block partial holds
+
+	live []int
+	xrow tensor.Vector
 }
 
+// madeGradState is what the weighted backward keeps per distinct row, in
+// rows of three matrices and a bit set: the hidden pre-activations z1, the
+// output deltas dz2 = x - sigma(z2), the hidden deltas da (set for the
+// units the backward reads; see MADE.hiddenDeltas) and live, those units
+// as a bit set of liveWords(h) words per row (MADE.liveMask). None depends
+// on a row's weight, so a row that occurs c times in a batch is computed
+// once and read c times. It takes O(B' (n + h)) memory for B' distinct
+// rows; the float rows are not kept, as rebuilding one from its bits costs
+// n conversions.
+type madeGradState struct {
+	bufZ1, bufDZ2, bufDA []float64
+	z1, dz2, da          *tensor.Matrix
+	live                 []uint64
+}
+
+// fillSlabRows is how many distinct rows fillWeighted runs through the
+// forward at a time: its float rows live in the evaluator's slab workspace,
+// so the workspace does not grow with B'.
+const fillSlabRows = 128
+
 // NewBatchEvaluator implements BatchEvaluatorBuilder: one GEMM evaluator per
-// worker behind splitRows. workers bounds the fan-out (<= 0 means
-// GOMAXPROCS) and does not affect any output value. The evaluator is not
-// safe for concurrent use.
+// worker behind splitRows, all sharing one weighted-backward state. workers
+// bounds the fan-out (<= 0 means GOMAXPROCS) and does not affect any output
+// value. The evaluator is not safe for concurrent use.
 func (m *MADE) NewBatchEvaluator(workers int) BatchEvaluator {
-	return splitRows(m, workers, func() BatchEvaluator {
+	st := new(madeGradState)
+	return splitRows(m, workers, func() blockEvaluator {
 		return &madeBatchEvaluator{m: m, dz2: tensor.NewVector(m.n), da: tensor.NewVector(m.h),
-			needSnap: make([]bool, m.h), needPre: make([]bool, m.n)}
+			needSnap: make([]bool, m.h), needPre: make([]bool, m.n),
+			st: st, live: make([]int, 0, m.h), xrow: tensor.NewVector(m.n)}
 	})
 }
 
@@ -75,32 +108,40 @@ func toFloats(b ConfigBatch, lo, hi int, xf *tensor.Matrix) {
 	}
 }
 
-// forwardSlab runs the dense two-GEMM forward for rows [lo, hi) of b,
-// returning the xf/z1/a/z2 slab views (z1 is the pre-activation, a the
-// ReLU activation). The arithmetic per row is exactly MADE.forward's.
+// forwardSlab runs the dense two-GEMM forward for rows [lo, hi) of b in the
+// evaluator's slab workspaces, returning the xf/z1/a/z2 views (z1 is the
+// pre-activation, a the ReLU activation, materialized only when needPre).
 func (e *madeBatchEvaluator) forwardSlab(b ConfigBatch, lo, hi int, needPre bool) (xf, z1, a, z2 *tensor.Matrix) {
 	m := e.m
 	rows := hi - lo
-	wm1t, wm2t := m.maskedWeights()
 	xf = growMat(&e.bufXF, rows, m.n)
 	z1 = growMat(&e.bufZ1, rows, m.h)
 	z2 = growMat(&e.bufZ2, rows, m.n)
-	toFloats(b, lo, hi, xf)
+	a = z1
+	if needPre {
+		// The backward pass needs the activation alongside the ReLU gate.
+		a = growMat(&e.bufA, rows, m.h)
+	}
+	m.forwardRows(b, lo, xf, z1, a, z2)
+	return xf, z1, a, z2
+}
+
+// forwardRows runs the dense two-GEMM forward for the xf.Rows rows of b
+// from row lo on. With a distinct from z1 the activation is materialized
+// (the scalar forward's copy+ReLU); with a == z1 the fused MatMulReLU
+// consumes the pre-activation directly. The arithmetic per row is exactly
+// MADE.forward's.
+func (m *MADE) forwardRows(b ConfigBatch, lo int, xf, z1, a, z2 *tensor.Matrix) {
+	wm1t, wm2t := m.maskedWeights()
+	toFloats(b, lo, lo+xf.Rows, xf)
 	tensor.MatMul(z1, xf, wm1t, 1)
 	tensor.AddRowBias(z1, m.B1)
-	if needPre {
-		// The backward pass needs the activation alongside the ReLU gate,
-		// so materialize it (the scalar forward's copy+ReLU); otherwise the
-		// fused MatMulReLU consumes the pre-activation directly.
-		a = growMat(&e.bufA, rows, m.h)
+	if a != z1 {
 		copy(a.Data, z1.Data)
 		tensor.ReLU(a.Data)
-	} else {
-		a = z1
 	}
 	tensor.MatMulReLU(z2, a, wm2t, 1)
 	tensor.AddRowBias(z2, m.B2)
-	return xf, z1, a, z2
 }
 
 // LogPsiBatch implements BatchEvaluator; out[k] matches LogPsi(row k)
@@ -135,76 +176,234 @@ func (e *madeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 }
 
 // AddWeightedGrad implements BatchEvaluator with the fused weighted
-// backward: no O-row is written. Per slab the forward runs as the two GEMMs
-// of LogPsiBatch and dZ2 overwrites the output pre-activations; then every
-// GradBlockRows block accumulates w_k * O_k into a d-sized partial that
-// starts at +0 (addWeightedRow) and the partial is added to dst
-// (foldWeightedPartial).
-func (e *madeBatchEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector) {
-	m := e.m
-	checkAddWeightedGrad(m.n, m.NumParams(), b, w, dst)
-	if e.part == nil {
-		e.part = tensor.NewVector(m.NumParams())
+// backward, which writes no O-row. What does not depend on a row's weight
+// runs once per distinct row (fillWeighted); then every GradBlockRows block
+// of batch rows accumulates w_k * O_k into a d-sized partial that starts at
+// +0 (addWeightedBlock), and the partial is added to dst
+// (foldWeightedBlock).
+func (e *madeBatchEvaluator) AddWeightedGrad(b ConfigBatch, of []int, w []float64, dst tensor.Vector) {
+	checkAddWeightedGrad(e.m.n, e.m.NumParams(), b, of, w, dst)
+	addWeightedGrad(e, b, of, w, dst)
+}
+
+// prepareWeighted implements blockEvaluator: it sizes the shared state for
+// rows distinct rows.
+func (e *madeBatchEvaluator) prepareWeighted(rows int) {
+	m, st := e.m, e.st
+	st.z1 = growMat(&st.bufZ1, rows, m.h)
+	st.dz2 = growMat(&st.bufDZ2, rows, m.n)
+	st.da = growMat(&st.bufDA, rows, m.h)
+	if need := rows * liveWords(m.h); cap(st.live) < need {
+		st.live = make([]uint64, need)
 	}
+}
+
+// fillWeighted implements blockEvaluator: the forward of rows [lo, hi) of
+// b as the two GEMMs of LogPsiBatch, fillSlabRows rows at a time, with dZ2
+// overwriting the output pre-activations, then each row's hidden deltas.
+// The activation is not materialized: the backward reads a_k only where
+// z1_k > 0, and there a_k is z1_k.
+func (e *madeBatchEvaluator) fillWeighted(b ConfigBatch, lo, hi int) {
+	m, st := e.m, e.st
 	_, wm2t := m.maskedWeights()
-	for lo := 0; lo < b.N; lo += batchSlabRows { // a multiple of GradBlockRows
-		hi := min(lo+batchSlabRows, b.N)
-		// The activation is not materialized: the backward reads a_k only
-		// where z1_k > 0, and there a_k is z1_k.
-		xf, z1, _, dz2 := e.forwardSlab(b, lo, hi, false)
+	for s0 := lo; s0 < hi; s0 += fillSlabRows {
+		s1 := min(s0+fillSlabRows, hi)
+		view := func(x *tensor.Matrix) *tensor.Matrix {
+			return &tensor.Matrix{Rows: s1 - s0, Cols: x.Cols, Data: x.Data[s0*x.Cols : s1*x.Cols]}
+		}
+		xf, z1, dz2, da := growMat(&e.bufXF, s1-s0, m.n), view(st.z1), view(st.dz2), view(st.da)
+		m.forwardRows(b, s0, xf, z1, z1, dz2)
 		for i, x := range xf.Data { // dlogpi/dz2_j = x_j - sigma(z2_j), in place
 			dz2.Data[i] = x - 1/(1+math.Exp(-dz2.Data[i]))
 		}
-		for k0 := 0; k0 < hi-lo; k0 += GradBlockRows {
-			e.part.Fill(0)
-			for r := k0; r < min(k0+GradBlockRows, hi-lo); r++ {
-				m.addWeightedRow(e.part, w[lo+r], xf.Row(r), z1.Row(r), dz2.Row(r), wm2t)
-			}
-			m.foldWeightedPartial(dst, e.part)
+		lw := liveWords(m.h)
+		for r := range s1 - s0 {
+			mask := st.live[(s0+r)*lw : (s0+r+1)*lw]
+			m.liveMask(mask, z1.Row(r))
+			e.live = liveUnits(e.live, mask)
+			m.hiddenDeltas(da.Row(r), dz2.Row(r), wm2t, e.live)
 		}
+	}
+}
+
+// addWeightedBlock implements blockEvaluator: batch rows [k0, k1) in
+// ascending order into the block partial, each reading the state of its
+// distinct row of[k]. The partial is all +0 between blocks, and a row
+// writes only b1, b2 and its live units' W1 and W2 entries, so touched,
+// the union of the block's live sets, names every element it can hold
+// other than +0.
+func (e *madeBatchEvaluator) addWeightedBlock(b ConfigBatch, of []int, w []float64, k0, k1 int) {
+	m, st := e.m, e.st
+	if e.part == nil {
+		e.part = tensor.NewVector(m.NumParams())
+		e.touched = make([]uint64, liveWords(m.h))
+	}
+	lw := len(e.touched)
+	clear(e.touched)
+	for k := k0; k < k1; k++ {
+		c := k
+		if of != nil {
+			c = of[k]
+		}
+		for i, bit := range b.Row(c) {
+			e.xrow[i] = float64(bit)
+		}
+		live := st.live[c*lw : (c+1)*lw]
+		for i, word := range live {
+			e.touched[i] |= word
+		}
+		m.addWeightedRow(e.part, w[k], e.xrow, st.z1.Row(c), st.dz2.Row(c), st.da.Row(c), live)
+	}
+}
+
+// foldWeightedBlock implements blockEvaluator: the first fold of a call
+// adds every element (dst may hold a -0), a later one only the touched
+// elements, the others adding +0 to a dst that no longer holds a -0. Then
+// it clears what the block wrote.
+func (e *madeBatchEvaluator) foldWeightedBlock(dst tensor.Vector, first bool) {
+	if first {
+		e.m.foldWeightedPartial(dst, e.part)
+	} else {
+		e.m.foldTouched(dst, e.part, e.touched)
+	}
+	e.m.clearTouched(e.part, e.touched)
+}
+
+// liveWords is the words of a bit set over h hidden units.
+func liveWords(h int) int { return (h + 63) / 64 }
+
+// liveMask sets bit k of mask (word k/64, bit k%64), and clears every
+// other, for each unit the weighted backward reads: z1_k > 0 and
+// deg(k) > 0, the latter false only at n = 1, where no unit is wired. The
+// test is a conditional move rather than a branch: which units are live
+// follows no pattern a predictor could learn.
+func (m *MADE) liveMask(mask []uint64, z1 tensor.Vector) {
+	clear(mask)
+	if m.n == 1 {
+		return
+	}
+	for k, z := range z1 {
+		var bit uint64
+		if z > 0 {
+			bit = 1
+		}
+		mask[k>>6] |= bit << (k & 63)
+	}
+}
+
+// liveUnits returns the units of mask in ascending order, in live's
+// storage.
+func liveUnits(live []int, mask []uint64) []int {
+	live = live[:0]
+	for wi, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			live = append(live, wi<<6+bits.TrailingZeros64(word))
+		}
+	}
+	return live
+}
+
+// hiddenDeltas sets da[k] = sum_{j >= deg(k)} W2[j][k] * dz2_j, j ascending
+// from +0, one rounded product and one add per term, for every unit k in
+// live (ascending, each with deg(k) > 0). That is gradFromForward's chain:
+// the terms it skips (dz2_j = 0) are +/-0 on a sum from +0, which an add
+// leaves unchanged. Four units run in lockstep, each on its own
+// accumulator, so the adds are four chains rather than one latency-bound
+// one. A quad starts at its smallest degree: a unit's terms below its own
+// degree have masked weights, +0, whose +/-0 products leave its sum at the
+// +0 it started from.
+func (m *MADE) hiddenDeltas(da, dz2 tensor.Vector, wm2t *tensor.Matrix, live []int) {
+	n := m.n
+	q := 0
+	for ; q+4 <= len(live); q += 4 {
+		k0, k1, k2, k3 := live[q], live[q+1], live[q+2], live[q+3]
+		j0 := min(m.deg[k0], m.deg[k1], m.deg[k2], m.deg[k3])
+		zs := dz2[j0:]
+		// [:len(zs)] restates the lengths so the inner bounds checks drop.
+		w0 := wm2t.Data[k0*n+j0 : (k0+1)*n][:len(zs)]
+		w1 := wm2t.Data[k1*n+j0 : (k1+1)*n][:len(zs)]
+		w2 := wm2t.Data[k2*n+j0 : (k2+1)*n][:len(zs)]
+		w3 := wm2t.Data[k3*n+j0 : (k3+1)*n][:len(zs)]
+		var s0, s1, s2, s3 float64
+		for j, dj := range zs {
+			s0 += float64(w0[j] * dj)
+			s1 += float64(w1[j] * dj)
+			s2 += float64(w2[j] * dj)
+			s3 += float64(w3[j] * dj)
+		}
+		da[k0], da[k1], da[k2], da[k3] = s0, s1, s2, s3
+	}
+	for _, k := range live[q:] {
+		dk := m.deg[k]
+		zs := dz2[dk:]
+		ws := wm2t.Data[k*n+dk : (k+1)*n][:len(zs)]
+		var s float64
+		for j, dj := range zs {
+			s += float64(ws[j] * dj)
+		}
+		da[k] = s
 	}
 }
 
 // addWeightedRow adds w * O to the block partial part, O being the row
 // gradFromForward + Scale(0.5) writes for the float-encoded configuration xf
-// with hidden pre-activations z1 and output deltas dz2. Every term keeps the
-// reference's rounding points — the element 0.5 * g first, then the product
-// with w, then one add — and a term is left out only where g is a zero the
-// reference stores: a ReLU-inactive unit (z1_k <= 0: a_k and dz1_k are
-// zeros, so its whole W1 row, b1 entry and W2 column are) and a masked-out
-// weight. Then w * (0.5 * g) is +/-0 and the partial, which is never -0,
-// does not see it; for the same reason an unset input bit may stay in the
-// W1 loop as the exact product c * 0. part is laid out like theta except
-// that the W2 block is TRANSPOSED (h x n): unit k's masked-in outputs
-// j >= deg(k) are then one contiguous run against dz2 and row k of wm2t, and
-// one pass over it adds the W2 terms and contracts the hidden delta da_k =
-// sum_{j >= deg(k)} W2[j][k] * dz2_j, j ascending, one product per term:
-// gradFromForward's chain, whose skipped dz2_j = 0 terms are +/-0 on a sum
-// from +0.
-func (m *MADE) addWeightedRow(part tensor.Vector, w float64, xf, z1, dz2 tensor.Vector, wm2t *tensor.Matrix) {
+// with hidden pre-activations z1, output deltas dz2, hidden deltas da and
+// live units live (liveMask's bit set). Every term keeps the reference's
+// rounding points — the element 0.5 * g first, then the product with w,
+// then one add — and a term is left out only where g is a zero the
+// reference stores: a unit outside live (ReLU-inactive, z1_k <= 0: a_k and
+// dz1_k are zeros, so its whole W1 row, b1 entry and W2 column are; or, at
+// n = 1, wired to nothing) and a masked-out weight. Then w * (0.5 * g) is
+// +/-0 and the partial, which is never -0, does not see it; for the same
+// reason an unset input bit may stay in the W1 loop as the exact product
+// c * 0. part is laid out like theta except that the W2 block is
+// TRANSPOSED (h x n): unit k's masked-in outputs j >= deg(k) are then one
+// contiguous run against dz2, which addW2Row updates with g = dz2_j * a_k.
+func (m *MADE) addWeightedRow(part tensor.Vector, w float64, xf, z1, dz2, da tensor.Vector, live []uint64) {
 	h, n := m.h, m.n
 	gW1, gB1 := part[:h*n], part[h*n:h*n+h]
 	gW2T, gB2 := part[h*n+h:h*n+h+n*h], part[h*n+h+n*h:]
 	for j, dj := range dz2 {
 		gB2[j] += float64(w * (0.5 * dj))
 	}
-	for k, ak := range z1 {
-		dk := m.deg[k] // unit k sees inputs i < dk and feeds outputs j >= dk
-		if ak <= 0 || dk == 0 {
-			continue // inactive, or (n = 1) wired to nothing: every term is a zero
+	for wi, word := range live {
+		for ; word != 0; word &= word - 1 {
+			k := wi<<6 + bits.TrailingZeros64(word)
+			dk := m.deg[k] // unit k sees inputs i < dk and feeds outputs j >= dk
+			addW2Row(gW2T[k*n+dk:(k+1)*n], dz2[dk:], z1[k], w)
+			c := float64(w * (0.5 * da[k]))
+			gB1[k] += c
+			gW1[k*n:k*n+dk].AXPY(c, xf[:dk])
 		}
-		zsub := dz2[dk:]
-		// [:len(zsub)] restates the lengths so the inner bounds checks drop.
-		dsub := gW2T[k*n+dk : (k+1)*n][:len(zsub)]
-		wsub := wm2t.Data[k*n+dk : (k+1)*n][:len(zsub)]
-		var dak float64
-		for j, dj := range zsub {
-			dsub[j] += float64(w * (0.5 * (dj * ak)))
-			dak += float64(wsub[j] * dj)
-		}
-		c := float64(w * (0.5 * dak))
-		gB1[k] += c
-		gW1[k*n:k*n+dk].AXPY(c, xf[:dk])
+	}
+}
+
+// w2Crossover is the run length from which addW2Row takes the AVX2 kernel:
+// below it the call into assembly (which cannot inline) costs more than
+// the lanes save. It is internal/tensor's row-kernel crossover, measured
+// the same way (BenchmarkAddW2Row).
+const w2Crossover = 8
+
+// addW2Row computes d[j] += w*(0.5*(dz2[j]*ak)) for j < len(dz2), the W2
+// leg of addWeightedRow: on the AVX2 kernel of lanes_amd64.s from
+// w2Crossover elements up where it runs, and on the Go loop addW2Go
+// otherwise. Both give each element three rounded products and one
+// rounded add in that order, so they agree in every bit.
+func addW2Row(d, dz2 []float64, ak, w float64) {
+	if haveLanes && len(dz2) >= w2Crossover {
+		addW2AVX2(d[:len(dz2)], dz2, ak, w)
+		return
+	}
+	addW2Go(d, dz2, ak, w)
+}
+
+// addW2Go is addW2Row's Go loop: the fallback below the crossover and off
+// the assembly, and the reference the kernel is tested against. Each
+// product is spelled float64(x*y), so no target fuses it into the add.
+func addW2Go(d, dz2 []float64, ak, w float64) {
+	d = d[:len(dz2)]
+	for j, dj := range dz2 {
+		d[j] += float64(w * float64(0.5*float64(dj*ak)))
 	}
 }
 
@@ -221,6 +420,45 @@ func (m *MADE) foldWeightedPartial(dst, part tensor.Vector) {
 		row := gW2[j*h : (j+1)*h]
 		for k := range row {
 			row[k] += gW2T[k*n+j]
+		}
+	}
+}
+
+// foldTouched is foldWeightedPartial over the elements a block with live
+// units touched can have written: b1, b2, and the W1 and W2 entries of
+// those units a row writes (inputs i < deg(k), outputs j >= deg(k)). dst
+// must hold no -0, so that the +0 adds it leaves out change nothing.
+func (m *MADE) foldTouched(dst, part tensor.Vector, touched []uint64) {
+	h, n := m.h, m.n
+	o2 := h*n + h
+	dst[h*n : o2].Add(part[h*n : o2])
+	dst[o2+n*h:].Add(part[o2+n*h:])
+	gW2, gW2T := dst[o2:o2+n*h], part[o2:o2+n*h]
+	for wi, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			k := wi<<6 + bits.TrailingZeros64(word)
+			dk := m.deg[k]
+			dst[k*n : k*n+dk].Add(part[k*n : k*n+dk])
+			for j, g := range gW2T[k*n+dk : (k+1)*n] {
+				gW2[(dk+j)*h+k] += g
+			}
+		}
+	}
+}
+
+// clearTouched sets back to +0 every element of a block partial that
+// foldTouched reads.
+func (m *MADE) clearTouched(part tensor.Vector, touched []uint64) {
+	h, n := m.h, m.n
+	o2 := h*n + h
+	clear(part[h*n : o2])
+	clear(part[o2+n*h:])
+	for wi, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			k := wi<<6 + bits.TrailingZeros64(word)
+			dk := m.deg[k]
+			clear(part[k*n : k*n+dk])
+			clear(part[o2+k*n+dk : o2+(k+1)*n])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -268,5 +269,108 @@ func TestLaneKernelsMatchRowKernels(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// w2Operand draws one operand for the dW2 kernel test: 3/8 of the draws
+// come from a palette of IEEE edge cases (signed zeros, the smallest and
+// largest subnormals, the smallest normal, +/-MaxFloat64, infinities,
+// +/-1), 3/8 are uniforms in [-1, 1), and the rest uniforms of mixed
+// magnitude or raw bit patterns. NaN never appears as an input (which
+// payload an operation on two NaNs returns is left open).
+func w2Operand(r *rng.Rand) float64 {
+	palette := [...]float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x0008000000000001),
+		2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), 1, -1,
+	}
+	switch r.Intn(8) {
+	case 0, 1, 2:
+		return palette[r.Intn(len(palette))]
+	case 3, 4, 5:
+		return 2*r.Float64() - 1
+	case 6:
+		return (2*r.Float64() - 1) * math.Ldexp(1, r.Intn(2100)-1075)
+	}
+	x := math.Float64frombits(r.Uint64())
+	if math.IsNaN(x) {
+		return math.Inf(-1)
+	}
+	return x
+}
+
+// w2Rows returns a d row of n+2 operands starting doff elements into its
+// backing array and a dz2 row of n starting soff in (offsets 0..3 cover
+// every 32-byte alignment of a float64 slice).
+func w2Rows(r *rng.Rand, n, doff, soff int) (d, dz2 []float64) {
+	fill := func(count, off int) []float64 {
+		back := make([]float64, off+count+3)
+		for i := range back {
+			back[i] = w2Operand(r)
+		}
+		return back[off : off+count]
+	}
+	return fill(n+2, doff), fill(n, soff)
+}
+
+// TestW2KernelMatchesLoop holds the weighted backward's dW2 kernel
+// (addW2AVX2, lanes_amd64.s) to its Go loop addW2Go bit for bit: every
+// length 0..67 at every pair of alignments of d and dz2, with ak and w
+// drawn like the elements, and then the dispatcher addW2Row across the
+// crossover. The two elements past the run must stay untouched. On a build
+// without the assembly both sides are the Go loop.
+func TestW2KernelMatchesLoop(t *testing.T) {
+	r := rng.New(13)
+	check := func(what string, n int, d, dz2 []float64, ak, w float64, kernel func(d []float64)) {
+		t.Helper()
+		want := append([]float64(nil), d...)
+		addW2Go(want[:n], dz2, ak, w)
+		got := append([]float64(nil), d...)
+		kernel(got)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s n=%d ak=%v w=%v: element %d = %#x, Go loop %#x", what, n, ak, w, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	for n := 0; n <= 67; n++ {
+		for doff := 0; doff < 4; doff++ {
+			for soff := 0; soff < 4; soff++ {
+				for trial := 0; trial < 3; trial++ {
+					d, dz2 := w2Rows(r, n, doff, soff)
+					ak, w := w2Operand(r), w2Operand(r)
+					check("kernel", n, d, dz2, ak, w, func(d []float64) { addW2AVX2(d[:n], dz2, ak, w) })
+				}
+			}
+		}
+	}
+	for n := 0; n <= 2*w2Crossover+5; n++ {
+		d, dz2 := w2Rows(r, n, n%4, (n+1)%4)
+		ak, w := w2Operand(r), w2Operand(r)
+		check("addW2Row", n, d, dz2, ak, w, func(d []float64) { addW2Row(d, dz2, ak, w) })
+	}
+}
+
+// BenchmarkAddW2Row times addW2Row's Go loop (inlined into the benchmark
+// loop, as at a call site) against the AVX2 kernel at the run lengths
+// around the crossover and at the n = 64 benchmark shape's longest run:
+// the data behind w2Crossover.
+func BenchmarkAddW2Row(b *testing.B) {
+	r := rng.New(5)
+	for _, n := range []int{2, 4, 6, 8, 10, 12, 16, 32, 63} {
+		d, dz2 := make([]float64, n), make([]float64, n)
+		spiky(dz2, r)
+		b.Run(fmt.Sprintf("go/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				addW2Go(d, dz2, 0.75, 1e-3)
+			}
+		})
+		b.Run(fmt.Sprintf("avx2/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				addW2AVX2(d, dz2, 0.75, 1e-3)
+			}
+		})
 	}
 }

@@ -358,7 +358,7 @@ func (e *seqEvaluator) ForwardPasses() int64 { return e.passes }
 // and does not affect any output value. The evaluator is not safe for
 // concurrent use.
 func (m *NADE) NewBatchEvaluator(workers int) BatchEvaluator {
-	return splitRows(m, workers, func() BatchEvaluator { return newRowEvaluator(m) })
+	return splitRows(m, workers, func() blockEvaluator { return newRowEvaluator(m) })
 }
 
 // NewBatchAncestralSampler implements BatchAncestralBuilder with the row

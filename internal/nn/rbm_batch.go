@@ -18,7 +18,9 @@ type rbmBatchEvaluator struct {
 	// Slab workspaces, grown on demand and reused across calls: bufS holds
 	// the float spin rows, bufTh the hidden pre-activation rows.
 	bufS, bufTh []float64
-	wg          blockGrad
+	// AddWeightedGrad: one theta GEMM and the closed-form gradient per
+	// block of rows.
+	blockGrad
 }
 
 // NewBatchEvaluator implements BatchEvaluatorBuilder for the RBM: one GEMM
@@ -26,7 +28,11 @@ type rbmBatchEvaluator struct {
 // means GOMAXPROCS) and does not affect any output value. The evaluator is
 // not safe for concurrent use.
 func (m *RBM) NewBatchEvaluator(workers int) BatchEvaluator {
-	return splitRows(m, workers, func() BatchEvaluator { return &rbmBatchEvaluator{m: m} })
+	return splitRows(m, workers, func() blockEvaluator {
+		e := &rbmBatchEvaluator{m: m}
+		e.blockGrad = blockGrad{ev: e, wf: m}
+		return e
+	})
 }
 
 // thetaSlab converts rows [lo, hi) of b to spins and runs the fused
@@ -80,12 +86,6 @@ func (e *rbmBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 			m.gradFromTheta(sp.Row(r), th.Row(r), ows.Sample(lo+r))
 		}
 	}
-}
-
-// AddWeightedGrad implements BatchEvaluator through blockGrad: one theta GEMM
-// and the closed-form gradient per block of rows.
-func (e *rbmBatchEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector) {
-	e.wg.addWeightedGrad(e, e.m, b, w, dst)
 }
 
 // FlipLogPsiBatch implements BatchEvaluator: base[k] is the flip cache's

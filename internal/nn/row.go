@@ -27,28 +27,27 @@ func forRows(n, workers int, body func(w, lo, hi int)) {
 // docs/ARCHITECTURE.md, "Which kernel a family keeps"). Sub-evaluators grow
 // their scratch to their own share, not to the whole batch. AddWeightedGrad
 // is the one method whose rows are not independent — they meet in a sum —
-// so it shares out the reduction's fixed blocks and orders their folds
-// instead; see there.
+// so it shares out the distinct rows' state and then the reduction's fixed
+// blocks, and orders the blocks' folds; see there.
 type splitEvaluator struct {
 	n, d int // sites and parameters, for the argument checks
-	subs []BatchEvaluator
-	// AddWeightedGrad's workspace, allocated at its first call: one block
-	// partial per worker, and the channels the fold token travels on.
-	parts *tensor.Batch
-	turn  []chan struct{}
+	subs []blockEvaluator
+	// The channels AddWeightedGrad's fold token travels on, made at its
+	// first call.
+	turn []chan struct{}
 }
 
 // splitRows returns build() itself for one worker, and workers (<= 0 means
 // GOMAXPROCS) of them behind a splitEvaluator otherwise. It is how every
 // family implements NewBatchEvaluator.
-func splitRows(m Wavefunction, workers int, build func() BatchEvaluator) BatchEvaluator {
+func splitRows(m Wavefunction, workers int, build func() blockEvaluator) BatchEvaluator {
 	if workers <= 0 {
 		workers = parallel.MaxWorkers()
 	}
 	if workers == 1 {
 		return build()
 	}
-	s := &splitEvaluator{n: m.NumSites(), d: m.NumParams(), subs: make([]BatchEvaluator, workers)}
+	s := &splitEvaluator{n: m.NumSites(), d: m.NumParams(), subs: make([]blockEvaluator, workers)}
 	for w := range s.subs {
 		s.subs[w] = build()
 	}
@@ -72,37 +71,48 @@ func (s *splitEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	})
 }
 
-// AddWeightedGrad implements BatchEvaluator in one dispatch. The reduction's
-// blocks are what is shared out: evaluator w takes blocks w, w+W, w+2W, ...,
-// reduces each into a zeroed partial of its own (0 + p is p exactly: a
-// partial is never -0) and adds it to dst when the token — the right to
-// fold, passed round the workers in block order — reaches it. dst takes the
-// partials in ascending block order whatever W is, at most W are live, and a
-// worker only ever waits for the fold of the block before its own.
-func (s *splitEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector) {
-	checkAddWeightedGrad(s.n, s.d, b, w, dst)
-	if s.parts == nil {
-		s.parts = tensor.NewBatch(len(s.subs), s.d)
+// AddWeightedGrad implements BatchEvaluator. The reduction's blocks are
+// what is shared out: evaluator w takes blocks w, w+W, w+2W, ..., reduces
+// each into its own block partial and folds that into dst when the token —
+// the right to fold, passed round the workers in block order — reaches
+// it. dst takes the partials in ascending block order whatever W is, at
+// most W are live, and a worker only ever waits for the fold of the block
+// before its own. The sub-evaluators share one per-distinct-row state.
+// Handed distinct rows and a map, a first dispatch fills it, each
+// evaluator taking a contiguous share of b's rows, since any block may
+// read any of them; when every row is its own (a nil of), each evaluator
+// fills its blocks' rows as it reaches them, in the one dispatch.
+func (s *splitEvaluator) AddWeightedGrad(b ConfigBatch, of []int, w []float64, dst tensor.Vector) {
+	checkAddWeightedGrad(s.n, s.d, b, of, w, dst)
+	nb := (len(w) + GradBlockRows - 1) / GradBlockRows
+	workers := min(len(s.subs), nb)
+	if workers == 0 {
+		return
+	}
+	if s.turn == nil {
 		s.turn = make([]chan struct{}, len(s.subs))
 		for i := range s.turn {
 			s.turn[i] = make(chan struct{}, 1) // holds the token between a pass and its pickup
 		}
 	}
-	nb := (b.N + GradBlockRows - 1) / GradBlockRows
-	workers := min(len(s.subs), nb)
-	if workers == 0 {
-		return
+	s.subs[0].prepareWeighted(b.N)
+	if of != nil {
+		forRows(b.N, len(s.subs), func(i, lo, hi int) {
+			s.subs[i].fillWeighted(b, lo, hi)
+		})
 	}
 	s.turn[0] <- struct{}{}
 	parallel.ForEach(workers, workers, func(i int) {
-		p := s.parts.Sample(i)
+		sub := s.subs[i]
 		for blk := i; blk < nb; blk += workers {
-			lo := blk * GradBlockRows
-			hi := min(lo+GradBlockRows, b.N)
-			p.Fill(0)
-			s.subs[i].AddWeightedGrad(b.rows(lo, hi), w[lo:hi], p)
+			k0 := blk * GradBlockRows
+			k1 := min(k0+GradBlockRows, len(w))
+			if of == nil {
+				sub.fillWeighted(b, k0, k1)
+			}
+			sub.addWeightedBlock(b, of, w, k0, k1)
 			<-s.turn[i]
-			dst.Add(p)
+			sub.foldWeightedBlock(dst, blk == 0)
 			s.turn[(i+1)%workers] <- struct{}{}
 		}
 	})
@@ -141,13 +151,16 @@ type rowEvaluator struct {
 	m     rowModel
 	cache FlipCache
 	grad  GradEvaluator
-	wg    blockGrad
+	// AddWeightedGrad: the scalar backward one block of rows at a time.
+	blockGrad
 }
 
 // newRowEvaluator builds the adaptor over one FlipCache and one
 // GradEvaluator; a call allocates nothing.
 func newRowEvaluator(m rowModel) *rowEvaluator {
-	return &rowEvaluator{m: m, cache: m.NewFlipCache(make([]int, m.NumSites())), grad: m.NewGradEvaluator()}
+	e := &rowEvaluator{m: m, cache: m.NewFlipCache(make([]int, m.NumSites())), grad: m.NewGradEvaluator()}
+	e.blockGrad = blockGrad{ev: e, wf: m}
+	return e
 }
 
 // LogPsiBatch implements BatchEvaluator.
@@ -166,12 +179,6 @@ func (e *rowEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	for r := 0; r < b.N; r++ {
 		e.grad.GradLogPsi(b.Row(r), ows.Sample(r))
 	}
-}
-
-// AddWeightedGrad implements BatchEvaluator through blockGrad: the scalar
-// backward one block of rows at a time.
-func (e *rowEvaluator) AddWeightedGrad(b ConfigBatch, w []float64, dst tensor.Vector) {
-	e.wg.addWeightedGrad(e, e.m, b, w, dst)
 }
 
 // FlipLogPsiBatch implements BatchEvaluator: each row rebases the FlipCache

@@ -109,6 +109,7 @@ func pushTowards(m rowFamily, targets ConfigBatch, steps, bs int, r *rng.Rand) C
 // destination must equal, in every bit, both the reference over a
 // materialized B x d batch and the one-worker evaluator's, and a second call
 // on the same evaluator must repeat it (no state survives in the scratch).
+// Then each family runs the duplicate-heavy cells (checkDistinctRowCells).
 func TestAddWeightedGradGrid(t *testing.T) {
 	for _, fam := range rowFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -136,7 +137,7 @@ func TestAddWeightedGradGrid(t *testing.T) {
 							ev := m.NewBatchEvaluator(workers)
 							for call := 0; call < 2; call++ {
 								got := dst0.Clone()
-								ev.AddWeightedGrad(b, w, got)
+								ev.AddWeightedGrad(b, nil, w, got)
 								id := fmt.Sprintf("n=%d B=%d trained=%v w=%d call %d", n, bs, trained, workers, call)
 								if i := firstBitDiff(got, want); i >= 0 {
 									t.Fatalf("%s: element %d = %v (%#x), reference %v (%#x)", id, i,
@@ -153,7 +154,95 @@ func TestAddWeightedGradGrid(t *testing.T) {
 					}
 				}
 			}
+			checkDistinctRowCells(t, fam.build)
 		})
+	}
+}
+
+// distinctOf returns b's distinct rows and the map of every row of b onto
+// them, the form core's distinct-row pass hands AddWeightedGrad. The
+// distinct rows come in an order shuffled by r, not first occurrence: the
+// contract asks only that of name each row's copy.
+func distinctOf(b ConfigBatch, r *rng.Rand) (ConfigBatch, []int) {
+	seen := map[string]int{}
+	var first []int
+	of := make([]int, b.N)
+	for k := 0; k < b.N; k++ {
+		key := fmt.Sprint(b.Row(k))
+		j, ok := seen[key]
+		if !ok {
+			j = len(first)
+			seen[key] = j
+			first = append(first, k)
+		}
+		of[k] = j
+	}
+	perm := make([]int, len(first))
+	r.Perm(perm)
+	u := ConfigBatch{N: len(first), Sites: b.Sites, Bits: make([]int, len(first)*b.Sites)}
+	for j, k := range first {
+		copy(u.Row(perm[j]), b.Row(k))
+	}
+	for k, j := range of {
+		of[k] = perm[j]
+	}
+	return u, of
+}
+
+// drawnFrom returns bs rows, each a copy of one of pool random
+// configurations.
+func drawnFrom(pool, bs, n int, r *rng.Rand) ConfigBatch {
+	src := randomConfigs(pool, n, r)
+	b := ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}
+	for k := 0; k < bs; k++ {
+		copy(b.Row(k), src.Row(r.Intn(pool)))
+	}
+	return b
+}
+
+// checkDistinctRowCells is the grid's duplicate-heavy column for one
+// family: batches of 1024 rows drawn from 1, 3 or 13 configurations, an
+// all-distinct batch of 1024, and 1000 rows (not a block multiple) drawn
+// from 13, on pushed parameters. Handed the distinct rows and the map onto
+// them, at one to three workers, the evaluator must equal in every bit the
+// reference over all B materialized O-rows, as it must handed the whole
+// batch.
+func checkDistinctRowCells(t *testing.T, build func(n, h int, r *rng.Rand) rowFamily) {
+	t.Helper()
+	const n, h = 19, 24
+	for _, tc := range []struct{ pool, bs int }{{1, 1024}, {3, 1024}, {13, 1024}, {0, 1024}, {13, 1000}} {
+		r := rng.New(uint64(8000 + tc.pool + tc.bs))
+		m := build(n, h, r)
+		pushTowards(m, randomConfigs(3, n, r), 40, 1, r)
+		b := randomConfigs(tc.bs, n, r) // all distinct, with overwhelming odds
+		if tc.pool > 0 {
+			b = drawnFrom(tc.pool, tc.bs, n, r)
+		}
+		u, of := distinctOf(b, r)
+		if tc.pool == 0 && u.N != b.N {
+			t.Fatalf("the all-distinct batch has %d distinct rows of %d", u.N, b.N)
+		}
+		d := m.NumParams()
+		w := make([]float64, tc.bs)
+		awkwardWeights(w, r)
+		dst0 := awkwardDst(d, r)
+		want := dst0.Clone()
+		referenceWeightedGrad(m, d, b, w, want)
+		for _, workers := range []int{1, 2, 3} {
+			ev := m.NewBatchEvaluator(workers)
+			for _, form := range []string{"distinct", "whole"} {
+				got := dst0.Clone()
+				if form == "distinct" {
+					ev.AddWeightedGrad(u, of, w, got)
+				} else {
+					ev.AddWeightedGrad(b, nil, w, got)
+				}
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("B=%d from %d (%d distinct) w=%d %s: element %d = %v (%#x), reference %v (%#x)",
+						tc.bs, tc.pool, u.N, workers, form, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
 	}
 }
 
@@ -184,16 +273,18 @@ func TestAddWeightedGradExercisesSkips(t *testing.T) {
 // FuzzAddWeightedGradEquivalence fuzzes the contract over MADE's fused
 // backward (family even) and NADE's blockGrad path (odd): fuzzer-chosen n,
 // h, B, worker count, parameter scale (large scales kill ReLU units and
-// saturate conditionals), bit density and weights — both zeros, subnormals
-// and negatives included — into a destination holding signed zeros. The
-// W-worker and one-worker results must equal the materialized reference in
-// every bit.
+// saturate conditionals), bit density, duplication and weights — both
+// zeros, subnormals and negatives included — into a destination holding
+// signed zeros. A nonzero dup draws every row from a pool of dup rows, and
+// the evaluators are then also handed the distinct rows and the map onto
+// them. The W-worker and one-worker results must equal the materialized
+// reference in every bit.
 func FuzzAddWeightedGradEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint16(0), uint8(0), uint8(0), uint8(128), uint8(0))
-	f.Add(uint64(7), uint8(6), uint8(11), uint16(32), uint8(1), uint8(40), uint8(30), uint8(0))
-	f.Add(uint64(19), uint8(18), uint8(23), uint16(97), uint8(2), uint8(255), uint8(230), uint8(1))
-	f.Add(uint64(12), uint8(1), uint8(3), uint16(299), uint8(7), uint8(90), uint8(255), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, hRaw uint8, bRaw uint16, wRaw, scale, density, family uint8) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint16(0), uint8(0), uint8(0), uint8(128), uint8(0), uint8(0))
+	f.Add(uint64(7), uint8(6), uint8(11), uint16(32), uint8(1), uint8(40), uint8(30), uint8(0), uint8(3))
+	f.Add(uint64(19), uint8(18), uint8(23), uint16(97), uint8(2), uint8(255), uint8(230), uint8(1), uint8(13))
+	f.Add(uint64(12), uint8(1), uint8(3), uint16(299), uint8(7), uint8(90), uint8(255), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, hRaw uint8, bRaw uint16, wRaw, scale, density, family, dup uint8) {
 		n, h := 1+int(nRaw)%19, 1+int(hRaw)%24
 		bs, workers := 1+int(bRaw)%300, 1+int(wRaw)%8
 		r := rng.New(seed)
@@ -211,17 +302,26 @@ func FuzzAddWeightedGradEquivalence(f *testing.F) {
 				b.Bits[i] = 1
 			}
 		}
+		if dup > 0 {
+			for k := int(dup); k < bs; k++ {
+				copy(b.Row(k), b.Row(r.Intn(int(dup))))
+			}
+		}
 		d := m.NumParams()
 		w := make([]float64, bs)
 		awkwardWeights(w, r)
 		dst0 := awkwardDst(d, r)
 		want := dst0.Clone()
 		referenceWeightedGrad(m, d, b, w, want)
+		u, of := b, []int(nil)
+		if dup > 0 {
+			u, of = distinctOf(b, r)
+		}
 		for _, wk := range []int{workers, 1} {
 			got := dst0.Clone()
-			m.NewBatchEvaluator(wk).AddWeightedGrad(b, w, got)
+			m.NewBatchEvaluator(wk).AddWeightedGrad(u, of, w, got)
 			if i := firstBitDiff(got, want); i >= 0 {
-				t.Fatalf("family %d n=%d h=%d B=%d workers=%d: element %d = %v (%#x), reference %v (%#x)", family%2, n, h, bs, wk, i,
+				t.Fatalf("family %d n=%d h=%d B=%d dup=%d workers=%d: element %d = %v (%#x), reference %v (%#x)", family%2, n, h, bs, dup, wk, i,
 					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
@@ -230,7 +330,10 @@ func FuzzAddWeightedGradEquivalence(f *testing.F) {
 
 // BenchmarkAddWeightedGrad times the fused weighted backward against the
 // slab path it replaced in the step (GradLogPsiBatch into 128 O-rows, then
-// the fixed-block row sweep) at the train_maxcut_made shape.
+// the fixed-block row sweep) at the train_maxcut_made shape, on a batch of
+// all-distinct rows (every warm-up step's case), and the fused backward
+// on 1024 rows drawn from 13 configurations handed over as distinct rows
+// plus the map onto them (a settled step's case).
 func BenchmarkAddWeightedGrad(b *testing.B) {
 	const n, h, bs = 64, 86, 1024
 	r := rng.New(3)
@@ -244,7 +347,17 @@ func BenchmarkAddWeightedGrad(b *testing.B) {
 		ev := m.NewBatchEvaluator(workers)
 		b.Run(fmt.Sprintf("fused/w=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ev.AddWeightedGrad(cfg, w, g)
+				ev.AddWeightedGrad(cfg, nil, w, g)
+			}
+		})
+	}
+	dup := drawnFrom(13, bs, n, r)
+	u, of := distinctOf(dup, r)
+	for _, workers := range []int{1, 2} {
+		ev := m.NewBatchEvaluator(workers)
+		b.Run(fmt.Sprintf("distinct13/w=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ev.AddWeightedGrad(u, of, w, g)
 			}
 		})
 	}

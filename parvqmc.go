@@ -274,6 +274,12 @@ type Result struct {
 	// Elastic summarizes supervised fault handling; nil unless
 	// Options.Elastic was set.
 	Elastic *ElasticStats
+	// RankTimings holds, per rank, the cumulative wall-clock time of each
+	// training phase (sample, energy, grad, sync, precond, update) of the
+	// trainer that finished the run. Under Options.Elastic that is the
+	// final trainer only: a replacement, shrink or grow builds a new one
+	// whose clocks start at zero.
+	RankTimings []core.PhaseTimings
 
 	model nn.Wavefunction
 }
@@ -470,7 +476,7 @@ func TrainDistributed(p *Problem, o Options, devices, miniBatch int) (*Result, e
 		return nil, fmt.Errorf("parvqmc: replicas diverged: %w", err)
 	}
 	res := &Result{Energy: mean, Std: std, BestEnergy: best, BestConfig: argBest,
-		TrainTime: elapsed, Elastic: estats, model: tr.Reps[0].Model}
+		TrainTime: elapsed, Elastic: estats, RankTimings: tr.RankTimings(), model: tr.Reps[0].Model}
 	for _, rep := range tr.Reps {
 		res.ForwardPasses += rep.Smp.Cost().ForwardPasses
 	}
