@@ -280,18 +280,18 @@ type BatchEvaluatorBuilder interface {
 }
 
 // BatchAncestralSampler draws a whole batch of ancestral samples from
-// pre-drawn uniforms. No autoregressive family has a cross-sample product
-// in its ancestral step that pays (each conditional is one O(h) dot on the
-// sample's own hidden state), so MADE and NADE both run the row adaptor
-// (row.go): each worker walks its rows through one ConditionalEvaluator
-// while that row's state is hot.
+// pre-drawn uniforms. NADE runs the row adaptor (row.go): each worker walks
+// its rows through one ConditionalEvaluator while that row's state is hot.
+// MADE, where its four-lane kernels run, computes each conditional once for
+// all the rows of a worker's chunk that share its prefix (made_sample.go),
+// and runs the row adaptor elsewhere.
 //
 // Sample fills b's bits from pre-drawn uniforms u (row-major, u[k*Sites+i]
-// drives bit i of sample k): bit = 1 iff u < P(x_i = 1 | x_<i). Because the
-// per-sample conditional arithmetic is the scalar incremental evaluator's
-// (the adaptor calls it), the sampled bits are bitwise identical to
-// sample-at-a-time ancestral sampling fed the same uniforms, at every
-// worker count.
+// drives bit i of sample k): bit = 1 iff u < P(x_i = 1 | x_<i). The
+// contract: the bits of sample k are a function of the parameters and of
+// its own n uniforms alone, bitwise those of sample-at-a-time ancestral
+// sampling through the scalar incremental evaluator fed the same uniforms,
+// whatever the worker count and whatever the other rows of the batch.
 type BatchAncestralSampler interface {
 	Sample(b ConfigBatch, u []float64, workers int)
 	// ForwardPasses reports the cumulative number of full-network forward

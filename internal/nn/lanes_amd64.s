@@ -5,8 +5,9 @@
 // The four-lane kernels of MADE: the lockstep ancestral sampler's two
 // (made_sample.go) and the weighted backward's dW2 update (made_batch.go).
 //
-// In the sampler's kernels lane r is sample r of a group of four; the hidden
-// pre-activations a are interleaved, a[4k+r] being unit k of sample r. Each
+// In the sampler's kernels lane r is one of four slots, each the state of the
+// samples that share a prefix; the hidden pre-activations a are interleaved,
+// a[4k+r] being unit k of slot r. Each
 // lane receives its scalar loop's operations in that loop's order: one
 // rounded VMULPD for each product and one rounded VADDPD for each add, no
 // fused multiply-add. A term the scalar loop skips is added as +0 (the

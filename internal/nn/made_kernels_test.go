@@ -174,50 +174,125 @@ func TestResumeLayersMatchLoops(t *testing.T) {
 	}
 }
 
-// TestMADELockstepMatchesRows holds MADE's batched ancestral sampler (the
-// four-row lockstep where the lane kernels run) to the row path over the
-// incremental evaluator: the same bits for every row and the same
-// forward-pass count, over shapes whose groups of four leave 0-3 rows per
-// share, at several worker counts, on models with signed-zero biases and
-// weights.
+// lockstepModel returns a MADE of shape (n, h) for the sampler tests: kind
+// 0 is a fresh model, kind 1 a peaked one (|B2| up to 12, so most
+// conditionals sit near 0 or 1 and rows share long prefixes), kind 2 one
+// trained towards a random configuration by a few gradient steps on its
+// log-probability. About a ninth of the parameters are then set to +0 and
+// another ninth to -0.
+func lockstepModel(n, h, kind int, r *rng.Rand) *MADE {
+	m := NewMADE(n, h, r)
+	switch kind {
+	case 1:
+		for i := range m.B2 {
+			m.B2[i] = (2*r.Float64() - 1) * 12
+		}
+	case 2:
+		x, g := make([]int, n), tensor.NewVector(m.NumParams())
+		r.FillBits(x)
+		for range 6 {
+			m.GradLogPsi(x, g)
+			m.Params().AXPY(1, g)
+			InvalidateParams(m)
+		}
+	}
+	p := m.Params()
+	for i := range p {
+		switch r.Intn(9) {
+		case 0:
+			p[i] = 0
+		case 1:
+			p[i] = math.Copysign(0, -1)
+		}
+	}
+	InvalidateParams(m)
+	return m
+}
+
+// checkLockstep samples u through lock and rows and fails unless every bit
+// and the cumulative forward-pass counts are equal.
+func checkLockstep(t *testing.T, what string, lock, rows BatchAncestralSampler, n int, u []float64, workers int) {
+	t.Helper()
+	bs := len(u) / n
+	got, want := ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}, ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}
+	lock.Sample(got, u, workers)
+	rows.Sample(want, u, workers)
+	for i := range want.Bits {
+		if got.Bits[i] != want.Bits[i] {
+			t.Fatalf("%s: row %d site %d drew %d, row path %d", what, i/n, i%n, got.Bits[i], want.Bits[i])
+		}
+	}
+	if lp, rp := lock.ForwardPasses(), rows.ForwardPasses(); lp != rp {
+		t.Fatalf("%s: %d forward passes, row path %d", what, lp, rp)
+	}
+}
+
+// TestMADELockstepMatchesRows holds MADE's prefix-shared lockstep sampler
+// to the row path over the incremental evaluator: the same bits for every
+// row and the same forward-pass count. The cells cover fresh models, whose
+// rows part below depth log2(B), and peaked and trained ones, whose rows
+// share long prefixes; batches from one row to several chunks, with fresh
+// uniforms and with one row's uniforms repeated (one configuration all the
+// way down); one to three workers; signed-zero parameters. Each model keeps
+// one sampler of each kind across its cells, so lane state left by an
+// earlier call is in place when the next one starts. The walk runs on the
+// Go lane forms where the assembly is absent.
 func TestMADELockstepMatchesRows(t *testing.T) {
 	for _, sh := range [][2]int{{1, 3}, {2, 2}, {3, 5}, {7, 9}, {16, 30}, {33, 61}, {64, 86}} {
 		n, h := sh[0], sh[1]
 		r := rng.New(uint64(7*n + h))
-		m := NewMADE(n, h, r)
-		p := m.Params()
-		for i := range p {
-			switch r.Intn(9) {
-			case 0:
-				p[i] = 0
-			case 1:
-				p[i] = math.Copysign(0, -1)
-			}
-		}
-		InvalidateParams(m)
-		for _, bs := range []int{1, 4, 7, 64} {
-			for _, workers := range []int{1, 2, 3} {
-				u := make([]float64, bs*n)
-				for i := range u {
-					u[i] = r.Float64()
-				}
-				got, want := ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}, ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}
-				lock := m.NewBatchAncestralSampler()
-				rows := &rowAncestral{sites: n, newEval: m.NewIncrementalEvaluator}
-				lock.Sample(got, u, workers)
-				rows.Sample(want, u, workers)
-				for i := range want.Bits {
-					if got.Bits[i] != want.Bits[i] {
-						t.Fatalf("n=%d h=%d B=%d workers=%d: row %d site %d drew %d, row path %d",
-							n, h, bs, workers, i/n, i%n, got.Bits[i], want.Bits[i])
+		for kind := range 3 {
+			m := lockstepModel(n, h, kind, r)
+			lock, rows := &madeLockstep{m: m}, &rowAncestral{sites: n, newEval: m.NewIncrementalEvaluator}
+			for _, bs := range []int{1, 4, 5, 7, 64, 1024} {
+				for _, workers := range []int{1, 2, 3} {
+					for _, repeated := range []bool{false, true} {
+						u := make([]float64, bs*n)
+						for i := range u {
+							u[i] = r.Float64()
+							if repeated && i >= n {
+								u[i] = u[i%n]
+							}
+						}
+						what := fmt.Sprintf("n=%d h=%d kind=%d B=%d workers=%d repeated=%v", n, h, kind, bs, workers, repeated)
+						checkLockstep(t, what, lock, rows, n, u, workers)
 					}
-				}
-				if lp, rp := lock.ForwardPasses(), rows.ForwardPasses(); lp != rp {
-					t.Fatalf("n=%d h=%d B=%d workers=%d: %d forward passes, row path %d", n, h, bs, workers, lp, rp)
 				}
 			}
 		}
 	}
+}
+
+// FuzzMADESamplerMatchesRows is TestMADELockstepMatchesRows over
+// fuzzer-chosen shapes, batch sizes up to several chunks, worker counts,
+// bias scales (a large one peaks the conditionals) and duplicate patterns
+// (with dup > 0 every row past the first dup repeats one of their uniform
+// rows).
+func FuzzMADESamplerMatchesRows(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(6), uint16(63), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(3), uint8(63), uint8(85), uint16(1023), uint8(1), uint8(160), uint8(0))
+	f.Add(uint64(9), uint8(31), uint8(59), uint16(299), uint8(2), uint8(255), uint8(5))
+	f.Add(uint64(5), uint8(0), uint8(0), uint16(6), uint8(2), uint8(40), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, hRaw uint8, bRaw uint16, wRaw, scale, dup uint8) {
+		n, h := 1+int(nRaw)%64, 1+int(hRaw)%96
+		bs, workers := 1+int(bRaw)%1100, 1+int(wRaw)%3
+		r := rng.New(seed)
+		m := NewMADE(n, h, r)
+		for i := range m.B2 {
+			m.B2[i] += float64(scale) / 16 * r.Norm()
+		}
+		if seed%3 == 0 {
+			m.Params()[r.Intn(m.NumParams())] = math.Copysign(0, -1)
+		}
+		InvalidateParams(m)
+		u := make([]float64, bs*n)
+		r.FillUniform(u, 0, 1)
+		for k := int(dup); dup > 0 && k < bs; k++ {
+			copy(u[k*n:(k+1)*n], u[r.Intn(int(dup))*n:])
+		}
+		what := fmt.Sprintf("n=%d h=%d B=%d workers=%d scale=%d dup=%d", n, h, bs, workers, scale, dup)
+		checkLockstep(t, what, &madeLockstep{m: m}, &rowAncestral{sites: n, newEval: m.NewIncrementalEvaluator}, n, u, workers)
+	})
 }
 
 // TestLaneKernelsMatchRowKernels holds the lockstep sampler's lane kernels
@@ -370,6 +445,31 @@ func BenchmarkAddW2Row(b *testing.B) {
 		b.Run(fmt.Sprintf("avx2/%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				addW2AVX2(d, dz2, 0.75, 1e-3)
+			}
+		})
+	}
+}
+
+// BenchmarkMADESample times MADE's batched ancestral sampler on one worker
+// at B = 1024 on a fresh model, whose rows are nearly all distinct: the
+// warm-up batches of a training run, and the case where sharing prefixes
+// saves least. h = 5(ln n)^2, as in the benchmark shapes.
+func BenchmarkMADESample(b *testing.B) {
+	for _, n := range []int{16, 32, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			const bs = 1024
+			h := int(5 * math.Log(float64(n)) * math.Log(float64(n)))
+			r := rng.New(uint64(n))
+			m := NewMADE(n, h, r)
+			u := make([]float64, bs*n)
+			for i := range u {
+				u[i] = r.Float64()
+			}
+			batch := ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}
+			smp := m.NewBatchAncestralSampler()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				smp.Sample(batch, u, 1)
 			}
 		})
 	}

@@ -21,11 +21,11 @@ type Auto struct {
 
 // NewAutoBatched builds the ancestral sampler over builder's model: Sample
 // draws the whole batch's uniforms from one stream, r.Split(), in (sample,
-// site) order, and the model's nn.BatchAncestralSampler turns them into bits
-// — for every autoregressive family a conditional evaluator walked row by
-// row, the rows shared over workers (<= 0 means GOMAXPROCS). Row k is a
-// function of its own n uniforms alone, so the bits do not depend on
-// workers: it only sets the fan-out.
+// site) order, and the model's nn.BatchAncestralSampler turns them into bits,
+// the rows shared over workers (<= 0 means GOMAXPROCS). Row k is a function
+// of the parameters and its own n uniforms alone (the
+// nn.BatchAncestralSampler contract), so the bits do not depend on workers:
+// it only sets the fan-out.
 func NewAutoBatched(sites int, builder nn.BatchAncestralBuilder, workers int, r *rng.Rand) *Auto {
 	if workers <= 0 {
 		workers = parallel.MaxWorkers()

@@ -336,10 +336,11 @@ func (m *modelService) evalConfigs(reqs []*request, energy bool) {
 }
 
 // evalSamples fuses the requests' pre-drawn uniforms into one batch and
-// advances all samples together through the model's fused per-site pass.
-// Each request's bits depend only on its own uniforms (per-sample
-// arithmetic is row-local by the nn.BatchAncestralSampler contract), so
-// the samples are bitwise identical to a direct per-request draw.
+// draws it with the model's batched ancestral sampler. Each sample's bits
+// are a function of the parameters and its own uniforms alone (the
+// nn.BatchAncestralSampler contract), however the batch's rows share
+// prefixes, so the samples are bitwise identical to a direct per-request
+// draw.
 func (m *modelService) evalSamples(reqs []*request) {
 	total := 0
 	for _, r := range reqs {

@@ -347,10 +347,11 @@ func (s *Server) LocalEnergy(ctx context.Context, model string, configs [][]int)
 // model. The sampled bits are bitwise == to a direct
 // sampler.NewAutoBatched(sites, model, w, rng.New(seed)) draw of a
 // count-row batch, at any worker count w: the server pre-draws the same
-// uniforms from the same single stream at submit time, and per-sample bits
-// are batch-composition- and worker-invariant by the
-// nn.BatchAncestralSampler contract, so coalescing with strangers never
-// changes a sampled bit.
+// uniforms from the same single stream at submit time, and each sample's
+// bits are a function of the parameters and its own uniforms alone by the
+// nn.BatchAncestralSampler contract (strangers' rows may share a prefix's
+// conditional, never change it), so coalescing never changes a sampled
+// bit.
 func (s *Server) Sample(ctx context.Context, model string, count int, seed uint64) ([][]int, error) {
 	m, err := s.lookup(model)
 	if err != nil {

@@ -129,10 +129,10 @@ type Options struct {
 	Hidden int
 	// Sampler selects "auto" (exact ancestral sampling, default for the
 	// autoregressive models: the whole batch's uniforms are pre-drawn from
-	// one stream and handed to the model's batched sampler, which walks the
-	// incremental evaluator row by row with the rows shared over Workers —
-	// the bits are those of sample-at-a-time ancestral sampling, at every
-	// Workers), "auto-naive" (the same sampler over Algorithm 1's evaluator:
+	// one stream and handed to the model's batched sampler, the rows shared
+	// over Workers — the bits are those of sample-at-a-time ancestral
+	// sampling through the incremental evaluator, at every Workers),
+	// "auto-naive" (the same sampler over Algorithm 1's evaluator:
 	// n forward passes per sample; MADE only, the other families are
 	// inherently incremental), "mcmc" (default for RBM) or "gibbs" (block
 	// Gibbs, RBM only).
